@@ -32,6 +32,9 @@ and θ-of-g aggregation is identical in form.
 
 Figure 6 evaluates both curves against the number of neighbors N_B with
 P_C growing linearly in N_B.
+
+scipy is imported inside the functions that call it, not at module scope:
+``import repro`` reaches this module, and simulations never pay for it.
 """
 
 from __future__ import annotations
@@ -39,8 +42,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
-
-from scipy import integrate, stats
 
 PAPER_GUARD_FRACTION = 0.51  # paper: g = 0.51 * N_B
 
@@ -73,6 +74,8 @@ def mean_guard_region_area(r: float) -> float:
     """E[Area(x)] under f(x) = 2x/r² on (0, r), by quadrature."""
     if r <= 0:
         raise ValueError("r must be positive")
+    from scipy import integrate
+
     value, _err = integrate.quad(
         lambda x: guard_region_area(x, r) * 2 * x / (r * r), 0.0, r
     )
@@ -107,7 +110,8 @@ def per_guard_alert_probability(p_collision: float, gamma: int, kappa: int) -> f
     probability 1 − P_C)."""
     _check_probability(p_collision, "p_collision")
     _check_window(gamma, kappa)
-    return float(stats.binom.sf(kappa - 1, gamma, 1.0 - p_collision))
+    return _binom_sf(kappa - 1, gamma, 1.0 - p_collision)
+
 
 def theta_of_g(p_alert: float, theta: int, guards: int) -> float:
     """Probability at least θ of g independent guards alert."""
@@ -118,7 +122,7 @@ def theta_of_g(p_alert: float, theta: int, guards: int) -> float:
         raise ValueError("guards must be non-negative")
     if guards < theta:
         return 0.0
-    return float(stats.binom.sf(theta - 1, guards, p_alert))
+    return _binom_sf(theta - 1, guards, p_alert)
 
 
 def detection_probability(
@@ -146,7 +150,7 @@ def per_guard_false_alarm_probability(
     per_packet = p_collision * (1.0 - p_collision)
     if squared:
         per_packet *= p_collision
-    return float(stats.binom.sf(kappa - 1, gamma, per_packet))
+    return _binom_sf(kappa - 1, gamma, per_packet)
 
 
 def false_alarm_probability(
@@ -281,8 +285,15 @@ def density_for_detection(
 
 
 # ----------------------------------------------------------------------
-# Validation helpers
+# Helpers
 # ----------------------------------------------------------------------
+def _binom_sf(k: int, n: int, p: float) -> float:
+    """P(X > k) for X ~ Binomial(n, p), via scipy (imported on first call)."""
+    from scipy import stats
+
+    return float(stats.binom.sf(k, n, p))
+
+
 def _check_probability(value: float, name: str) -> None:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {value!r}")

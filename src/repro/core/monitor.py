@@ -33,6 +33,7 @@ detection callback; alerting and revocation live in
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Optional, Set, Tuple
 
@@ -78,8 +79,12 @@ class LocalMonitor:
         self.trace = trace
         self.on_detection = on_detection
         self.enabled = config.monitor_enabled
-        # (packet key, transmitter) -> last transmission time.
-        self._overheard: "OrderedDict[WatchKey, float]" = OrderedDict()
+        # (packet key, transmitter) -> last transmission time.  An entry
+        # counts as heard iff its stamp is >= _overheard_cutoff, the cutoff
+        # of the latest _remember; expired entries are swept lazily.
+        self._overheard: Dict[WatchKey, float] = {}
+        self._overheard_cutoff = -math.inf
+        self._overheard_sweep_at = -math.inf
         # (packet key, watched node) -> deadline event.
         self._expectations: Dict[WatchKey, Event] = {}
         self._detected: Set[NodeId] = set()
@@ -127,6 +132,8 @@ class LocalMonitor:
             event.cancel()
         self._expectations.clear()
         self._overheard.clear()
+        self._overheard_cutoff = -math.inf
+        self._overheard_sweep_at = -math.inf
         self._recent_losses.clear()
         self._note_watch_size()
 
@@ -214,7 +221,7 @@ class LocalMonitor:
         if not self.table.is_neighbor(prev):
             # Not a guard of the claimed link: cannot judge.
             return
-        if (key, prev) in self._overheard:
+        if self._heard((key, prev)):
             return
         if self._lost_since(self.sim.now - self.config.fabrication_grace):
             # Our own radio was impaired recently: the missing transmission
@@ -263,7 +270,7 @@ class LocalMonitor:
                 continue
             if candidate not in reach:
                 continue
-            if (key, candidate) in self._overheard:
+            if self._heard((key, candidate)):
                 continue
             self._add_expectation(key, candidate)
 
@@ -382,17 +389,21 @@ class LocalMonitor:
     # Overheard store maintenance
     # ------------------------------------------------------------------
     def _remember(self, watch_key: WatchKey, now: float) -> None:
+        window = self.config.overheard_window
         store = self._overheard
-        if watch_key in store:
-            store.move_to_end(watch_key)
         store[watch_key] = now
-        cutoff = now - self.config.overheard_window
-        while store:
-            oldest_key, stamp = next(iter(store.items()))
-            if stamp >= cutoff:
-                break
-            store.popitem(last=False)
+        cutoff = now - window
+        self._overheard_cutoff = cutoff
+        if now >= self._overheard_sweep_at:
+            # Simulated time never runs backwards, so every stamp below the
+            # cutoff stays expired: dropping them changes no answer.
+            self._overheard = {k: t for k, t in store.items() if t >= cutoff}
+            self._overheard_sweep_at = now + window
+
+    def _heard(self, watch_key: WatchKey) -> bool:
+        stamp = self._overheard.get(watch_key)
+        return stamp is not None and stamp >= self._overheard_cutoff
 
     def heard_transmission(self, key: PacketKey, transmitter: NodeId) -> bool:
         """Whether the guard remembers ``transmitter`` sending ``key``."""
-        return (key, transmitter) in self._overheard
+        return self._heard((key, transmitter))

@@ -128,7 +128,7 @@ class Channel:
         self._in_flight: Dict[NodeId, List[Reception]] = {}
         self._tx_until: Dict[NodeId, float] = {}
         self._delivery_handlers: Dict[NodeId, Callable[[Frame], None]] = {}
-        self._receive_gates: Dict[NodeId, Callable[[], bool]] = {}
+        self._deaf: Set[NodeId] = set()
         self._stampers: Dict[NodeId, Callable[[Frame], Frame]] = {}
         self._loss_handlers: Dict[NodeId, Callable[[float], None]] = {}
         self._tx_observers: List[Callable[[NodeId, Frame, float], None]] = []
@@ -147,12 +147,14 @@ class Channel:
         """Register the frame-delivery handler for ``node``."""
         self._delivery_handlers[node] = handler
 
-    def set_receive_gate(self, node: NodeId, gate: Callable[[], bool]) -> None:
-        """Register a predicate consulted at transmission time: when it
-        returns False the node's radio is off (crashed / depleted) and no
-        reception is created at all — in particular the link-layer ack of
-        a unicast to it never comes."""
-        self._receive_gates[node] = gate
+    def set_deaf(self, node: NodeId, deaf: bool) -> None:
+        """Switch ``node``'s radio off (crashed / depleted) or back on.
+        While it is off no reception is created for it at all — in
+        particular the link-layer ack of a unicast to it never comes."""
+        if deaf:
+            self._deaf.add(node)
+        else:
+            self._deaf.discard(node)
 
     def set_frame_stamper(self, node: NodeId, stamper: Callable[[Frame], Frame]) -> None:
         """Transform every frame ``node`` transmits, at the moment of
@@ -271,7 +273,7 @@ class Channel:
         # radio's static-topology memo, and the per-iteration attribute
         # lookups are hoisted.
         delivery_handlers = self._delivery_handlers
-        receive_gates = self._receive_gates
+        deaf = self._deaf
         blocked = self._blocked_links
         tx_until = self._tx_until
         in_flight = self._in_flight
@@ -286,8 +288,7 @@ class Channel:
                 continue
             if blocked and self.link_is_down(sender, receiver):
                 continue
-            gate = receive_gates.get(receiver)
-            if gate is not None and not gate():
+            if deaf and receiver in deaf:
                 continue
             if pool:
                 reception = pool.pop()

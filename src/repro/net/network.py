@@ -71,7 +71,12 @@ class Network:
             node = Node(node_id, position, mac)
             self.nodes[node_id] = node
             self.channel.attach(node_id, node.deliver)
-            self.channel.set_receive_gate(node_id, lambda n=node: n.alive)
+            # Registered before any protocol agent's listener, so the
+            # channel already treats the node as deaf (or hearing) when
+            # the agents react to the crash or reboot.
+            node.add_lifecycle_listener(
+                lambda alive, n=node_id: self.channel.set_deaf(n, not alive)
+            )
 
     # ------------------------------------------------------------------
     # Lookup helpers

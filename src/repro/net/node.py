@@ -35,6 +35,8 @@ class Node:
         self.node_id = node_id
         self.position = position
         self.mac = mac
+        # Written only by fail()/recover(); Network mirrors it into the
+        # channel's deaf set through a lifecycle listener.
         self.alive = True
         self.clock_skew = 0.0
         self._filters: List[FrameFilter] = []

@@ -1,0 +1,92 @@
+"""The monitor's overheard store answers exactly like per-call eviction.
+
+The store keeps a plain dict, the cutoff of the latest ``_remember`` and a
+sweep at most once per ``overheard_window``.  The reference model below is
+the eager ``OrderedDict`` it replaced: every ``_remember`` moves its key to
+the end and evicts from the head every entry stamped before the cutoff.
+"""
+
+from collections import OrderedDict
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.config import LiteworpConfig
+from repro.core.monitor import LocalMonitor
+from repro.core.tables import NeighborTable
+from repro.sim.engine import Simulator
+from repro.sim.trace import TraceLog
+
+
+class EagerStore:
+    """Reference: the per-call head eviction of the old monitor."""
+
+    def __init__(self, window):
+        self.window = window
+        self.store = OrderedDict()
+
+    def remember(self, watch_key, now):
+        if watch_key in self.store:
+            self.store.move_to_end(watch_key)
+        self.store[watch_key] = now
+        cutoff = now - self.window
+        while self.store:
+            _oldest, stamp = next(iter(self.store.items()))
+            if stamp >= cutoff:
+                break
+            self.store.popitem(last=False)
+
+    def heard(self, watch_key):
+        return watch_key in self.store
+
+    def reset(self):
+        self.store.clear()
+
+
+KEYS = [(("req", i), t) for i in range(3) for t in range(3)]
+
+steps = st.lists(
+    st.one_of(
+        # Gaps include 0 (same-instant repeats), the window itself and
+        # gaps far beyond it; dyadic values make stamp == cutoff exact.
+        st.tuples(
+            st.just("remember"),
+            st.sampled_from(KEYS),
+            st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 2.5, 4.0, 10.0, 40.0]),
+        ),
+        st.tuples(st.just("heard"), st.sampled_from(KEYS)),
+        st.tuples(st.just("reset")),
+    ),
+    max_size=80,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(window=st.sampled_from([0.25, 1.0, 2.5, 10.0]), script=steps)
+def test_overheard_store_matches_eager_eviction(window, script):
+    monitor = LocalMonitor(
+        Simulator(),
+        0,
+        NeighborTable(owner=0),
+        LiteworpConfig(overheard_window=window),
+        TraceLog(),
+        lambda _node: None,
+    )
+    reference = EagerStore(window)
+    now = 0.0
+    for step in script:
+        if step[0] == "remember":
+            _, watch_key, gap = step
+            now += gap
+            monitor._remember(watch_key, now)
+            reference.remember(watch_key, now)
+        elif step[0] == "heard":
+            watch_key = step[1]
+            assert monitor.heard_transmission(*watch_key) == reference.heard(watch_key)
+        else:
+            monitor.reset()
+            reference.reset()
+        for watch_key in KEYS:
+            assert monitor._heard(watch_key) == reference.heard(watch_key)
+    # The lazy sweep bounds the store: nothing older than two windows.
+    assert all(stamp >= now - 2 * window for stamp in monitor._overheard.values())

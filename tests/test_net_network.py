@@ -65,3 +65,28 @@ def test_emit_stamps_time():
     network.sim.run()
     record = network.trace.first("checkpoint")
     assert record is not None and record.time == 2.0 and record["foo"] == 1
+
+
+def test_crashed_node_gets_no_reception_until_it_recovers():
+    from repro.net.packet import HelloPacket
+    network, _ = build()
+    heard = []
+    network.channel.add_reception_observer(lambda r: heard.append(r.receiver))
+    network.node(1).fail()
+    network.node(0).broadcast(HelloPacket(sender=0), jitter=0.0)
+    network.sim.run()
+    assert 1 not in heard
+    network.node(1).recover()
+    network.node(0).broadcast(HelloPacket(sender=0), jitter=0.0)
+    network.sim.run()
+    assert heard.count(1) == 1
+
+
+def test_channel_sees_the_crash_before_agent_listeners_run():
+    network, _ = build()
+    node = network.node(1)
+    seen = []
+    node.add_lifecycle_listener(lambda alive: seen.append(1 in network.channel._deaf))
+    node.fail()
+    node.recover()
+    assert seen == [True, False]
