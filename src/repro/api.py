@@ -61,12 +61,12 @@ from repro.experiments.matrix import (
     MatrixSpec,
     run_matrix,
 )
-from repro.experiments.runner import SweepRunner, replication_configs
 from repro.experiments.scenario import (
     ATTACK_MODES,
     DEFENSES,
     Scenario,
     ScenarioConfig,
+    average_runs,
     build_scenario,
     run_scenario,
 )
@@ -109,11 +109,7 @@ def sweep(
     byte-identical reports to a serial one.  ``cache`` may be a
     :class:`~repro.experiments.cache.ResultCache` or a directory path.
     """
-    if isinstance(cache, (str, Path)):
-        cache = ResultCache(cache)
-    return SweepRunner(jobs=jobs, cache=cache).run_many(
-        replication_configs(config, runs)
-    )
+    return average_runs(config, runs, jobs=jobs, cache=cache)
 
 
 def campaign(

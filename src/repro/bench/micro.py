@@ -21,11 +21,11 @@ that serialises to a ``BENCH_<name>.json`` trajectory file:
   scale smoke test.
 - ``sweep`` — the paper's replication structure: a density sweep at
   30 replications per point, run serial-cold, parallel-cold, and
-  cache-warm.  Verifies the three produce byte-identical reports and
-  records the wall-clock speedups (the acceptance trajectory for the
-  parallel runner and the result cache).  Runs under a
-  :class:`~repro.obs.spans.SpanProfiler`, so its JSON also carries the
-  harness stage timings (build / run / collect / cache / fan-out).
+  cache-warm through the campaign executor.  Verifies the three produce
+  byte-identical reports and records the wall-clock speedups (the
+  acceptance trajectory for the process backend and the result cache).
+  Runs under a :class:`~repro.obs.spans.SpanProfiler`, so its JSON also
+  carries the harness stage timings (build / run / collect / cache).
 - ``trace`` — per-record ``TraceLog.emit`` cost with no sink attached,
   a :class:`MemorySink`, a :class:`JsonlSink`, and in bounded ring
   mode — the observability tax on the simulator's hottest call.
@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.experiments.cache import ResultCache
-from repro.experiments.runner import SweepRunner, replication_configs
+from repro.experiments.campaign import replication_configs, run_sweep
 from repro.experiments.scenario import ScenarioConfig
 from repro.net.channel import Channel
 from repro.net.packet import DataPacket, Frame
@@ -386,18 +386,17 @@ def bench_sweep(
     quick: bool = True,
     jobs: Optional[int] = None,
     runs: Optional[int] = None,
-    cache_root: Optional[Union[str, pathlib.Path]] = None,
 ) -> BenchResult:
     """Serial vs parallel vs cache-warm wall clock on a density sweep.
 
-    Three passes over the identical work list:
+    Three passes over the identical work list, each through the
+    campaign executor (:func:`~repro.experiments.campaign.run_sweep`):
 
-    1. **serial-cold** — one process, no cache, each replication timed
-       individually (the trajectory samples);
-    2. **parallel-cold** — ``jobs`` worker processes (default 2), no
-       cache;
-    3. **warm** — every point served from the result cache populated
-       between passes.
+    1. **serial-cold** — inline backend, no cache, each replication
+       timed individually (the trajectory samples);
+    2. **parallel-cold** — process backend with ``jobs`` workers
+       (default 2) writing an empty result cache;
+    3. **warm** — every point served from that cache.
 
     All three must produce byte-identical reports (``byte_identical``);
     the recorded speedups are relative to the serial-cold pass.
@@ -412,13 +411,13 @@ def bench_sweep(
     profiler = SpanProfiler()
 
     samples: List[Dict[str, object]] = []
-    with activate(profiler):
-        serial_runner = SweepRunner()
+    with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as cache_root, \
+            activate(profiler):
         serial_reports = []
         serial_started = time.perf_counter()
         for index, config in enumerate(configs):
             run_started = time.perf_counter()
-            serial_reports.append(serial_runner.run_one(config))
+            serial_reports.extend(run_sweep([config]).reports)
             samples.append(
                 {
                     "phase": "serial",
@@ -431,29 +430,19 @@ def bench_sweep(
         serial_seconds = time.perf_counter() - serial_started
 
         parallel_started = time.perf_counter()
-        parallel_reports = SweepRunner(jobs=jobs).run_many(configs)
+        parallel_reports = run_sweep(
+            configs, jobs=jobs, cache=ResultCache(cache_root)
+        ).reports
         parallel_seconds = time.perf_counter() - parallel_started
         samples.append({"phase": "parallel", "jobs": jobs, "seconds": parallel_seconds})
 
-        own_temp = None
-        if cache_root is None:
-            own_temp = tempfile.TemporaryDirectory(prefix="repro-bench-cache-")
-            cache_root = own_temp.name
-        try:
-            populate = ResultCache(cache_root)
-            for config, report in zip(configs, serial_reports):
-                populate.put(config, report)
-            warm_runner = SweepRunner(cache=ResultCache(cache_root))
-            warm_started = time.perf_counter()
-            warm_reports = warm_runner.run_many(configs)
-            warm_seconds = time.perf_counter() - warm_started
-            samples.append(
-                {"phase": "warm", "cache_hits": warm_runner.cache_hits,
-                 "seconds": warm_seconds}
-            )
-        finally:
-            if own_temp is not None:
-                own_temp.cleanup()
+        warm_started = time.perf_counter()
+        warm = run_sweep(configs, cache=ResultCache(cache_root))
+        warm_seconds = time.perf_counter() - warm_started
+        warm_reports = warm.reports
+        samples.append(
+            {"phase": "warm", "cache_hits": warm.from_cache, "seconds": warm_seconds}
+        )
 
     canonical = [json.dumps(r.to_state(), sort_keys=True) for r in serial_reports]
     byte_identical = (

@@ -5,8 +5,7 @@ Commands
 - ``run`` — one scenario with chosen attack/defense, printing the report.
 - ``figure {8,9,10}`` — regenerate a simulation figure (``--jobs`` fans
   replications across processes, ``--no-cache`` skips the on-disk result
-  cache).  The pre-unification spellings ``fig8``/``fig9``/``fig10``
-  survive as thin deprecated aliases.
+  cache).
 - ``campaign`` — declarative multi-sweep batches: ``run`` executes a
   TOML/JSON campaign spec through a pluggable, supervised backend with an
   append-only completion journal (``--resume`` skips every journaled job
@@ -116,8 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
         """The one flag set every figure command shares.
 
         ``nodes``/``duration``/``runs`` default to None here; the handler
-        fills per-figure defaults (see ``_FIGURE_DEFAULTS``) so the
-        unified command and the deprecated aliases behave identically.
+        fills per-figure defaults (see ``_FIGURE_DEFAULTS``).
         """
         sub_parser.add_argument("--nodes", type=int, default=None)
         sub_parser.add_argument("--duration", type=float, default=None)
@@ -131,18 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     figure_p.add_argument("number", choices=("8", "9", "10"),
                           help="which figure to regenerate")
     add_figure_options(figure_p)
-
-    # Deprecated aliases for the unified ``figure`` command; each prints a
-    # one-line stderr notice and delegates.
-    for number, legacy_help in (
-        ("8", "cumulative dropped packets vs time"),
-        ("9", "fractions vs number of compromised nodes"),
-        ("10", "detection probability / latency vs theta"),
-    ):
-        legacy_p = sub.add_parser(
-            f"fig{number}", help=f"[deprecated: use 'figure {number}'] {legacy_help}"
-        )
-        add_figure_options(legacy_p)
 
     campaign_p = sub.add_parser(
         "campaign", help="resumable multi-sweep campaigns from a declarative spec"
@@ -435,15 +421,10 @@ def _sweep_kwargs(args: argparse.Namespace) -> dict:
         from repro.experiments.cache import ResultCache
 
         cache = ResultCache(args.cache_dir)
-    if obs is not None and obs.trace_path is not None:
-        # An export must contain every run's records; the runner already
-        # skips cache reads for exporting configs, dropping the cache
-        # entirely keeps the figure's provenance unambiguous.
-        cache = None
     return {"jobs": args.jobs or None, "cache": cache, "obs": obs}
 
 
-#: Per-figure defaults for the unified ``figure`` command (and aliases).
+#: Per-figure defaults for the ``figure`` command.
 _FIGURE_DEFAULTS = {
     "8": {"nodes": 100, "duration": 300.0, "runs": 1},
     "9": {"nodes": 100, "duration": 300.0, "runs": 1},
@@ -451,8 +432,8 @@ _FIGURE_DEFAULTS = {
 }
 
 
-def _run_figure(number: str, args: argparse.Namespace) -> int:
-    """Shared body of ``figure N`` and the deprecated ``figN`` aliases."""
+def _cmd_figure(args: argparse.Namespace) -> int:
+    number = args.number
     defaults = _FIGURE_DEFAULTS[number]
     nodes = args.nodes if args.nodes is not None else defaults["nodes"]
     duration = args.duration if args.duration is not None else defaults["duration"]
@@ -466,24 +447,6 @@ def _run_figure(number: str, args: argparse.Namespace) -> int:
     runner = {"8": run_fig8, "9": run_fig9, "10": run_fig10}[number]
     print(runner(base=base, runs=runs, **_sweep_kwargs(args)).format())
     return 0
-
-
-def _cmd_figure(args: argparse.Namespace) -> int:
-    return _run_figure(args.number, args)
-
-
-def _make_legacy_figure_cmd(number: str):
-    def handler(args: argparse.Namespace) -> int:
-        print(f"note: 'fig{number}' is deprecated; use 'repro figure {number}'",
-              file=sys.stderr)
-        return _run_figure(number, args)
-
-    return handler
-
-
-_cmd_fig8 = _make_legacy_figure_cmd("8")
-_cmd_fig9 = _make_legacy_figure_cmd("9")
-_cmd_fig10 = _make_legacy_figure_cmd("10")
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
@@ -1123,9 +1086,6 @@ def _cmd_taxonomy(_args: argparse.Namespace) -> int:
 _COMMANDS = {
     "run": _cmd_run,
     "figure": _cmd_figure,
-    "fig8": _cmd_fig8,
-    "fig9": _cmd_fig9,
-    "fig10": _cmd_fig10,
     "campaign": _cmd_campaign,
     "matrix": _cmd_matrix,
     "chaos": _cmd_chaos,

@@ -1,11 +1,14 @@
-"""Campaign orchestration: resumable, journaled batches of scenario sweeps.
+"""Campaign orchestration: the one executor for batches of scenario runs.
 
-A *campaign* is a declarative description of a whole study — a base
+Every sweep in the repository runs through :class:`CampaignRunner`:
+figure regenerators, :func:`~repro.experiments.scenario.average_runs`
+and :func:`repro.api.sweep` hand it an explicit config list
+(:func:`run_sweep`); campaigns and the defense matrix hand it a
+declarative spec.  A *campaign* is a base
 :class:`~repro.experiments.scenario.ScenarioConfig`, a grid of field
 overrides (``axes``), and a replication count — compiled into a flat job
-list and executed through a pluggable :class:`ExecutionBackend`.  Where a
-figure runner is one in-process ``parallel_map`` call that forgets
-everything on interruption, a campaign is built to be killed:
+list and executed through a pluggable :class:`ExecutionBackend`.  A
+campaign is built to be killed:
 
 - **Content-addressed jobs** — every job is keyed by the existing
   :func:`~repro.experiments.cache.config_digest` of its concrete config,
@@ -20,10 +23,10 @@ everything on interruption, a campaign is built to be killed:
   Resuming loads the journal, skips every recorded job, and produces
   byte-identical aggregates to an uninterrupted run.
 - **Pluggable execution** — ``inline`` (serial, in-process), ``process``
-  (the :mod:`~repro.experiments.runner` worker-pool machinery), and
-  ``thread`` (for IO-bound trace-exporting jobs) backends share one
-  retry/backoff loop: a crashed worker fails only its own job, which is
-  re-dispatched up to :class:`RetryPolicy.retries` times.
+  (a worker pool, one future per job) and ``thread`` (for IO-bound
+  trace-exporting jobs) backends share one retry/backoff loop: a crashed
+  worker fails only its own job, which is re-dispatched up to
+  :class:`RetryPolicy.retries` times.
 - **Supervision** — a :class:`SupervisionPolicy` adds per-job wall-clock
   timeouts (hung workers are preempted and their pool torn down), result
   payload validation, and poison-job quarantine: a job that keeps
@@ -35,6 +38,10 @@ everything on interruption, a campaign is built to be killed:
   SIGTERM to it) halts dispatch between jobs, flushes a final
   ``interrupt`` journal line, and reports the partial result; the CLI
   exits 75 exactly like ``--max-jobs``.
+
+An explicit-list sweep is the same loop with no journal, no aggregate,
+no retries and no quarantine: a failing scenario raises
+:class:`CampaignError` chained from the worker's exception.
 
 Every one of those failure paths is reproducible through
 :mod:`repro.faults.harness`: a :class:`HarnessFaultController` injects
@@ -70,8 +77,8 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.experiments.cache import ResultCache, config_digest
-from repro.experiments.runner import replication_configs, resolve_jobs, run_config
-from repro.experiments.scenario import ScenarioConfig
+from repro.experiments.scenario import ScenarioConfig, run_scenario
+from repro.experiments.seeds import child_seed
 from repro.experiments.stats import summarize, summarize_optional
 from repro.faults.harness import HarnessFaultController, HarnessInterrupt
 from repro.metrics.collector import MetricsReport
@@ -106,6 +113,33 @@ class WorkerPreempted(CampaignError):
     are always re-dispatched and never count toward dead-lettering."""
 
     collateral = True
+
+
+# ----------------------------------------------------------------------
+# Job helpers
+# ----------------------------------------------------------------------
+def resolve_jobs(jobs: Optional[int]) -> int:
+    """Worker-count policy: None/0/1 -> serial, -1 -> all CPUs, n -> n."""
+    if jobs is None or jobs == 0 or jobs == 1:
+        return 1
+    if jobs < 0:
+        return max(1, os.cpu_count() or 1)
+    return int(jobs)
+
+
+def replication_configs(config: ScenarioConfig, runs: int) -> List[ScenarioConfig]:
+    """The ``runs`` child configs of one sweep point (hash-derived seeds)."""
+    if runs < 1:
+        raise ValueError("runs must be at least 1")
+    return [
+        dataclasses.replace(config, seed=child_seed(config.seed, index))
+        for index in range(runs)
+    ]
+
+
+def run_config(config: ScenarioConfig) -> MetricsReport:
+    """Module-level worker body (must be picklable for process pools)."""
+    return run_scenario(config)
 
 
 # ----------------------------------------------------------------------
@@ -278,7 +312,7 @@ def compile_campaign(spec: CampaignSpec) -> List[CampaignJob]:
 
     Point order is the sorted-axis cartesian product; within a point,
     replications use the hash-derived child seeds of
-    :func:`~repro.experiments.runner.replication_configs`.
+    :func:`replication_configs`.
     """
     with span("campaign.compile"):
         jobs: List[CampaignJob] = []
@@ -829,11 +863,9 @@ def _reset_worker_signals() -> None:
 
 
 class ProcessBackend(_PoolBackend):
-    """Process-pool execution via the sweep runner's worker machinery.
-
-    Jobs are dispatched to :func:`repro.experiments.runner.run_config`
-    (the same picklable worker body ``SweepRunner`` fans out over), one
-    future per job so a crashed worker fails only its own job.
+    """Process-pool execution: jobs are dispatched to the picklable
+    :func:`run_config` worker body, one future per job so a crashed worker
+    fails only its own job.
     """
 
     name = "process"
@@ -981,7 +1013,12 @@ def aggregate_campaign(
 
 @dataclass
 class CampaignResult:
-    """Outcome of one :meth:`CampaignRunner.run` invocation."""
+    """Outcome of one :meth:`CampaignRunner.run` invocation.
+
+    A complete spec run publishes its ``aggregate``; a complete
+    explicit-list run publishes ``reports``, one per config in input
+    order.
+    """
 
     spec: CampaignSpec
     total_jobs: int
@@ -994,6 +1031,7 @@ class CampaignResult:
     timeouts: int = 0
     dead_lettered: int = 0
     interrupted: Optional[str] = None
+    reports: List[MetricsReport] = field(default_factory=list)
 
     @property
     def completed_jobs(self) -> int:
@@ -1052,7 +1090,7 @@ class CampaignRunner:
         Optional :class:`~repro.experiments.cache.ResultCache`; consulted
         before dispatch and populated after every executed job.  Jobs that
         stream a trace export bypass cache reads (their records must hit
-        the sink), matching ``SweepRunner`` semantics.
+        the sink).
     journal_path:
         Where to append the completion journal; None disables journaling
         (and therefore resume).
@@ -1090,7 +1128,7 @@ class CampaignRunner:
         injecting worker/journal faults for chaos testing.
     worker:
         Job body override (tests inject flaky workers); defaults to
-        :func:`repro.experiments.runner.run_config`.
+        :func:`run_config`.
     sleep:
         Backoff sleep override for tests.
     """
@@ -1154,9 +1192,20 @@ class CampaignRunner:
             self.trace.emit(time.perf_counter() - started, kind, **fields)
 
     # -- the run -------------------------------------------------------
-    def run(self) -> CampaignResult:
+    def run(self, configs: Optional[Sequence[ScenarioConfig]] = None) -> CampaignResult:
+        """Execute the compiled spec, or exactly ``configs`` when given.
+
+        An explicit config list is not aggregated; its reports come back
+        in input order as ``result.reports``.
+        """
         started = time.perf_counter()
-        jobs = compile_campaign(self.spec)
+        if configs is None:
+            jobs = compile_campaign(self.spec)
+        else:
+            jobs = [
+                CampaignJob(index, (), index, config, config_digest(config))
+                for index, config in enumerate(configs)
+            ]
         if self.progress is not None:
             self.progress.start(total=len(jobs), name=self.spec.name)
         reports: Dict[int, MetricsReport] = {}
@@ -1318,7 +1367,7 @@ class CampaignRunner:
                         raise CampaignError(
                             f"{len(dead_now)} job(s) failed after "
                             f"{self.retry.retries} retr(ies): {causes}"
-                        )
+                        ) from failures[dead_now[0]]
                     for index in dead_now:
                         job = by_index[index]
                         if journal is not None:
@@ -1397,9 +1446,12 @@ class CampaignRunner:
             and not dead_lettered
         )
         aggregate = None
-        if complete:
+        ordered: List[MetricsReport] = []
+        if complete and configs is None:
             with span("campaign.aggregate"):
                 aggregate = aggregate_campaign(self.spec, jobs, reports)
+        elif complete:
+            ordered = [reports[job.index] for job in jobs]
         return CampaignResult(
             spec=self.spec,
             total_jobs=len(jobs),
@@ -1412,6 +1464,7 @@ class CampaignRunner:
             timeouts=timeouts,
             dead_lettered=len(dead_lettered),
             interrupted=interrupted,
+            reports=ordered,
         )
 
 
@@ -1463,6 +1516,34 @@ def run_campaign(
     return runner.run()
 
 
+def run_sweep(
+    configs: Sequence[ScenarioConfig],
+    *,
+    jobs: Optional[int] = None,
+    cache: Optional[Union[ResultCache, str, Path]] = None,
+) -> CampaignResult:
+    """Execute an explicit config list: the figures' and replication
+    averages' path through :class:`CampaignRunner`.
+
+    ``jobs`` picks the backend (:func:`resolve_jobs` of 1 runs inline,
+    anything else a process pool of that size).  There are no retries and
+    no quarantine: a failing scenario raises :class:`CampaignError`
+    chained from the worker's exception.  ``cache`` may be a
+    :class:`~repro.experiments.cache.ResultCache` or a directory path.
+    """
+    if isinstance(cache, (str, Path)):
+        cache = ResultCache(cache)
+    backend = InlineBackend() if resolve_jobs(jobs) == 1 else ProcessBackend(jobs)
+    runner = CampaignRunner(
+        CampaignSpec(name="sweep"),
+        backend,
+        cache=cache,
+        retry=RetryPolicy(retries=0),
+        supervision=SupervisionPolicy(quarantine=False),
+    )
+    return runner.run(configs)
+
+
 __all__ = [
     "BACKENDS",
     "CampaignError",
@@ -1489,5 +1570,8 @@ __all__ = [
     "load_journal",
     "load_spec",
     "make_backend",
+    "replication_configs",
+    "resolve_jobs",
     "run_campaign",
+    "run_sweep",
 ]

@@ -230,19 +230,6 @@ def make_chaos_plan(config: ChaosConfig) -> FaultPlan:
         return FaultPlan(faults=tuple(faults))
 
 
-def run_chaos_sweep(configs, jobs=None):
-    """Run many chaos configs, fanned across worker processes.
-
-    Each chaos run is a pure function of its :class:`ChaosConfig` (the
-    fault plan is derived from the scenario's own seeded RNG), so the
-    sweep parallelises exactly like the figure sweeps; results come back
-    in input order regardless of worker count.
-    """
-    from repro.experiments.runner import parallel_map
-
-    return parallel_map(run_chaos, list(configs), jobs=jobs)
-
-
 def run_chaos(config: ChaosConfig) -> ChaosResult:
     """Build, fault, and run one chaos scenario."""
     plan = make_chaos_plan(config)

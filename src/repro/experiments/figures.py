@@ -16,7 +16,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.analysis.coverage import CoverageParams, detection_vs_theta
 from repro.experiments.cache import ResultCache
-from repro.experiments.runner import SweepRunner, replication_configs
+from repro.experiments.campaign import replication_configs, run_sweep
 from repro.experiments.scenario import ScenarioConfig
 from repro.metrics.collector import MetricsReport
 from repro.obs.config import ObsConfig
@@ -38,15 +38,15 @@ def _sweep_reports(
 ) -> Dict[Hashable, List[MetricsReport]]:
     """Replication reports for every sweep point, keyed like the input.
 
-    All points' replications are flattened into one batch so a parallel
-    runner keeps every worker busy across the whole figure, not just
-    within one parameter point.
+    All points' replications are flattened into one campaign job list so
+    a process backend keeps every worker busy across the whole figure,
+    not just within one parameter point.
     """
     flat: List[ScenarioConfig] = []
     for config in point_configs.values():
         flat.extend(replication_configs(config, runs))
     with span("figure.sweep"):
-        reports = SweepRunner(jobs=jobs, cache=cache).run_many(flat)
+        reports = run_sweep(flat, jobs=jobs, cache=cache).reports
     grouped: Dict[Hashable, List[MetricsReport]] = {}
     for offset, key in enumerate(point_configs):
         grouped[key] = reports[offset * runs:(offset + 1) * runs]

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Tuple
+from pathlib import Path
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.attacks.agents import (
     HighPowerRouting,
@@ -31,6 +32,7 @@ from repro.defenses import (
     available_defenses,
     get_defense,
 )
+from repro.experiments.cache import ResultCache
 from repro.faults.controller import FaultController
 from repro.faults.plan import FaultPlan
 from repro.metrics.collector import MetricsCollector, MetricsReport
@@ -362,7 +364,7 @@ def average_runs(
     config: ScenarioConfig,
     runs: int,
     jobs: Optional[int] = None,
-    cache: Optional[object] = None,
+    cache: Optional[Union[ResultCache, str, Path]] = None,
 ) -> List[MetricsReport]:
     """Run ``runs`` independent replications (the paper averages 30).
 
@@ -371,16 +373,19 @@ def average_runs(
     the historical ``seed + 1000 * index`` scheme collided across sweep
     points and survives only as ``seeds.legacy_child_seed``.
 
-    ``jobs``/``cache`` fan the replications across worker processes and
-    consult a :class:`~repro.experiments.cache.ResultCache`; both default
-    to the serial, uncached behaviour.
+    The replications run through the campaign executor
+    (:func:`~repro.experiments.campaign.run_sweep`): ``jobs`` fans them
+    across worker processes and ``cache`` (a
+    :class:`~repro.experiments.cache.ResultCache` or a directory path)
+    serves already-computed ones; both default to the serial, uncached
+    behaviour.
     """
-    # Imported lazily: the runner imports this module for run_scenario.
-    from repro.experiments.runner import SweepRunner, replication_configs
+    # Imported lazily: the campaign module imports this one.
+    from repro.experiments.campaign import replication_configs, run_sweep
 
-    return SweepRunner(jobs=jobs, cache=cache).run_many(
-        replication_configs(config, runs)
-    )
+    return run_sweep(
+        replication_configs(config, runs), jobs=jobs, cache=cache
+    ).reports
 
 
 # ----------------------------------------------------------------------

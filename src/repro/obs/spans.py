@@ -2,7 +2,7 @@
 
 The trace log records *simulated* time; this module records where the
 harness spends *wall-clock* time — scenario assembly, the event loop,
-metrics collection, cache lookups and stores, sweep fan-out.  A
+metrics collection, cache lookups and stores, campaign dispatch.  A
 :class:`SpanProfiler` is a tree of named spans: entering a span under an
 already-open span nests it, and re-entering the same name accumulates
 into one node (count + total seconds), so a 90-replication sweep produces
@@ -23,9 +23,9 @@ trajectory records how harness overhead (cache, fan-out, metrics)
 evolves alongside the simulator itself.
 
 The profiler is deliberately not thread-safe: the harness is
-single-threaded per process, and worker processes in a sweep simply see
-no active profiler (their spans are absorbed into the parent's
-``sweep.fanout`` wall clock).
+single-threaded per process, and worker processes of a ``process``
+campaign backend simply see no active profiler (their spans are absorbed
+into the parent's ``campaign.execute`` wall clock).
 """
 
 from __future__ import annotations

@@ -6,134 +6,13 @@ Protocol code needs two recurring shapes:
   route-cache eviction, neighbor-discovery reply windows).
 - :class:`PeriodicTimer` — a repeating callback (traffic generation ticks,
   metric sampling).
-
-:class:`TimerWheel` is the pure-Python mirror of the queue structure
-inside the C kernel (``repro.sim._ckernel``): a slot ring for the
-short-deadline timer traffic that dominates simulation runs plus an
-overflow heap for far deadlines, with exact ``(time, seq)`` ordering.
-The C kernel is the production implementation; this class exists so the
-ordering algorithm is testable (and fuzzable by hypothesis) from Python,
-and as a documented reference for the C code's invariants.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Optional
 
 from repro.sim.engine import Event, Simulator
-
-
-class TimerWheel:
-    """Slot-indexed timer queue with exact ``(time, seq)`` ordering.
-
-    Entries whose time falls within ``n_slots * slot_width`` of the
-    cursor land in a ring bucket (O(1) push; the bucket is heapified
-    lazily when first drained); later entries go to an overflow heap.
-    Every pop compares the ring minimum against the overflow minimum, so
-    ordering never depends on migrating overflow entries — the same
-    design as the C kernel's queue.
-
-    The cursor follows the popped times: entries may be pushed at any
-    time >= the last popped time (enforced), exactly the discipline a
-    discrete-event kernel provides.
-    """
-
-    def __init__(self, slot_width: float = 1e-3, n_slots: int = 4096) -> None:
-        if slot_width <= 0 or not math.isfinite(slot_width):
-            raise ValueError(f"slot_width must be positive and finite, got {slot_width!r}")
-        if n_slots < 2:
-            raise ValueError(f"need at least 2 slots, got {n_slots!r}")
-        self._width = float(slot_width)
-        self._n_slots = int(n_slots)
-        self._slots: List[List[Tuple[float, int, Any]]] = [[] for _ in range(n_slots)]
-        self._heapified = [False] * n_slots
-        self._occupied: set[int] = set()
-        self._cursor = 0  # absolute slot index, monotone
-        self._far: List[Tuple[float, int, Any]] = []
-        self._size = 0
-        self._wheel_size = 0
-        self._last_time = -math.inf
-
-    def __len__(self) -> int:
-        return self._size
-
-    @property
-    def far_count(self) -> int:
-        """Entries currently in the overflow heap (introspection)."""
-        return len(self._far)
-
-    def _slot_of(self, time: float) -> int:
-        return int(time / self._width)
-
-    def push(self, time: float, seq: int, item: Any = None) -> None:
-        """Queue ``item`` at ``(time, seq)``.  ``time`` must not precede
-        the most recently popped entry's time."""
-        if time < self._last_time:
-            raise ValueError(f"push at t={time!r} precedes popped t={self._last_time!r}")
-        entry = (time, seq, item)
-        slot = self._slot_of(time)
-        if slot < self._cursor:
-            slot = self._cursor
-        if slot - self._cursor < self._n_slots:
-            ring = slot % self._n_slots
-            bucket = self._slots[ring]
-            if self._heapified[ring]:
-                heapq.heappush(bucket, entry)
-            else:
-                bucket.append(entry)
-            self._occupied.add(ring)
-            self._wheel_size += 1
-        else:
-            heapq.heappush(self._far, entry)
-        self._size += 1
-
-    def _wheel_min_ring(self) -> Optional[int]:
-        if not self._wheel_size:
-            return None
-        n = self._n_slots
-        start = self._cursor % n
-        for step in range(n):
-            ring = (start + step) % n
-            if ring in self._occupied:
-                self._cursor += step
-                if not self._heapified[ring]:
-                    heapq.heapify(self._slots[ring])
-                    self._heapified[ring] = True
-                return ring
-        return None
-
-    def peek(self) -> Optional[Tuple[float, int, Any]]:
-        """The minimum entry without removing it, or None when empty."""
-        ring = self._wheel_min_ring()
-        wheel = self._slots[ring][0] if ring is not None else None
-        far = self._far[0] if self._far else None
-        if wheel is not None and far is not None:
-            return far if far < wheel else wheel
-        return wheel if wheel is not None else far
-
-    def pop(self) -> Optional[Tuple[float, int, Any]]:
-        """Remove and return the minimum ``(time, seq, item)`` entry."""
-        ring = self._wheel_min_ring()
-        wheel = self._slots[ring][0] if ring is not None else None
-        take_far = self._far and (wheel is None or self._far[0] < wheel)
-        if take_far:
-            entry = heapq.heappop(self._far)
-        elif ring is not None:
-            entry = heapq.heappop(self._slots[ring])
-            self._wheel_size -= 1
-            if not self._slots[ring]:
-                self._occupied.discard(ring)
-                self._heapified[ring] = False
-        else:
-            return None
-        self._size -= 1
-        self._last_time = entry[0]
-        new_cursor = self._slot_of(entry[0])
-        if new_cursor > self._cursor:
-            self._cursor = new_cursor
-        return entry
 
 
 class Timeout:

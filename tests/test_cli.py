@@ -56,7 +56,7 @@ def test_parser_requires_command():
 
 
 def test_fig10_command_tiny(capsys):
-    code = main(["fig10", "--nodes", "40", "--duration", "120", "--runs", "1"])
+    code = main(["figure", "10", "--nodes", "40", "--duration", "120", "--runs", "1"])
     assert code == 0
     assert "theta" in capsys.readouterr().out
 
@@ -75,7 +75,7 @@ def test_run_command_json_output(tmp_path, capsys):
 
 
 def test_fig10_jobs_and_cache_flags(tmp_path, capsys):
-    argv = ["fig10", "--nodes", "40", "--duration", "120", "--runs", "1",
+    argv = ["figure", "10", "--nodes", "40", "--duration", "120", "--runs", "1",
             "--jobs", "2", "--cache-dir", str(tmp_path / "cache")]
     assert main(argv) == 0
     first = capsys.readouterr().out
@@ -86,7 +86,7 @@ def test_fig10_jobs_and_cache_flags(tmp_path, capsys):
 
 
 def test_fig10_no_cache_flag(tmp_path, capsys):
-    argv = ["fig10", "--nodes", "40", "--duration", "120", "--runs", "1",
+    argv = ["figure", "10", "--nodes", "40", "--duration", "120", "--runs", "1",
             "--no-cache", "--cache-dir", str(tmp_path / "cache")]
     assert main(argv) == 0
     assert "theta" in capsys.readouterr().out
@@ -138,31 +138,19 @@ def test_bench_sweep_records_harness_spans():
     result = bench_sweep(quick=True, jobs=1, runs=1)
     assert result.metrics["byte_identical"] is True
     spans = result.spans
-    assert "sweep.fanout" in spans
-    assert "sweep.fanout/scenario.build" in spans
-    assert "sweep.fanout/scenario.run" in spans
-    assert "sweep.fanout/metrics.collect" in spans
-    assert "cache.store" in spans
-    assert "cache.lookup" in spans
+    assert "campaign.execute" in spans
+    assert "campaign.execute/scenario.build" in spans
+    assert "campaign.execute/scenario.run" in spans
+    assert "campaign.execute/metrics.collect" in spans
+    assert "campaign.execute/cache.store" in spans
+    assert "campaign.cache/cache.lookup" in spans
     assert result.to_dict()["spans"] == spans
 
 
-def test_figure_command_matches_legacy_alias(capsys):
-    argv_tail = ["--nodes", "40", "--duration", "120", "--runs", "1"]
-    assert main(["figure", "10"] + argv_tail) == 0
-    unified = capsys.readouterr()
-    assert "theta" in unified.out
-    assert main(["fig10"] + argv_tail) == 0
-    legacy = capsys.readouterr()
-    assert legacy.out == unified.out
-    assert "deprecated" in legacy.err
-    assert "repro figure 10" in legacy.err
-    assert "deprecated" not in unified.err
-
-
 def test_figure_rejects_unknown_number():
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["figure", "7"])
+    for argv in (["figure", "7"], ["fig8"]):  # the fig8/9/10 aliases are gone
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
 
 
 def _write_tiny_spec(tmp_path, runs=1):

@@ -91,7 +91,7 @@ def test_trace_check_fails_on_schema_error(tmp_path, capsys):
 def test_fig8_trace_out_flag(tmp_path, capsys):
     path = tmp_path / "fig8.jsonl"
     assert main([
-        "fig8", "--nodes", "40", "--duration", "60", "--runs", "1",
+        "figure", "8", "--nodes", "40", "--duration", "60", "--runs", "1",
         "--trace-out", str(path), "--trace-strict", "--trace-ring", "200",
     ]) == 0
     records = path.read_text().splitlines()

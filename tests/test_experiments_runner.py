@@ -1,17 +1,19 @@
-"""Parallel sweep runner: determinism, ordering, caching, fan-out."""
+"""Sweep execution through the campaign executor: determinism, ordering,
+caching, fan-out, failure semantics."""
 
 import json
 
 import pytest
 
+from repro import api
 from repro.experiments.cache import ResultCache
-from repro.experiments.runner import (
-    SweepRunner,
-    parallel_map,
+from repro.experiments.campaign import (
+    CampaignError,
     replication_configs,
     resolve_jobs,
+    run_sweep,
 )
-from repro.experiments.scenario import ScenarioConfig, average_runs
+from repro.experiments.scenario import ScenarioConfig, average_runs, run_scenario
 from repro.experiments.seeds import child_seed
 
 TINY = ScenarioConfig(n_nodes=16, duration=40.0, seed=4, attack_start=20.0)
@@ -41,8 +43,9 @@ def test_parallel_equals_serial_byte_identical():
     """The acceptance property: a parallel sweep returns byte-identical
     MetricsReports to a serial sweep of the same configs, in order."""
     configs = replication_configs(TINY, 3)
-    serial = SweepRunner(jobs=None).run_many(configs)
-    parallel = SweepRunner(jobs=2).run_many(configs)
+    serial = run_sweep(configs).reports
+    parallel = run_sweep(configs, jobs=2).reports
+    assert len(serial) == 3
     assert serial == parallel
     assert _canonical(serial) == _canonical(parallel)
 
@@ -55,52 +58,48 @@ def test_average_runs_parallel_matches_serial():
 
 def test_cache_hit_returns_identical_report(tmp_path):
     configs = replication_configs(TINY, 2)
-    first = SweepRunner(cache=ResultCache(tmp_path))
-    computed = first.run_many(configs)
-    assert first.computed == 2 and first.cache_hits == 0
+    first = run_sweep(configs, cache=ResultCache(tmp_path))
+    assert first.executed == 2 and first.from_cache == 0
 
-    second = SweepRunner(cache=ResultCache(tmp_path))
-    cached = second.run_many(configs)
-    assert second.computed == 0 and second.cache_hits == 2
-    assert cached == computed
-    assert _canonical(cached) == _canonical(computed)
+    second = run_sweep(configs, cache=ResultCache(tmp_path))
+    assert second.executed == 0 and second.from_cache == 2
+    assert second.reports == first.reports
+    assert _canonical(second.reports) == _canonical(first.reports)
 
 
 def test_partial_cache_only_computes_misses(tmp_path):
     configs = replication_configs(TINY, 3)
-    warm = SweepRunner(cache=ResultCache(tmp_path))
-    warm.run_many(configs[:1])
-    mixed = SweepRunner(cache=ResultCache(tmp_path))
-    reports = mixed.run_many(configs)
-    assert mixed.cache_hits == 1
-    assert mixed.computed == 2
-    assert _canonical(reports) == _canonical(SweepRunner().run_many(configs))
+    run_sweep(configs[:1], cache=ResultCache(tmp_path))
+    mixed = run_sweep(configs, cache=ResultCache(tmp_path))
+    assert mixed.from_cache == 1
+    assert mixed.executed == 2
+    assert _canonical(mixed.reports) == _canonical(run_sweep(configs).reports)
+
+
+def test_average_runs_accepts_a_cache_directory(tmp_path):
+    """``average_runs`` takes a directory path like ``api.sweep`` does."""
+    first = average_runs(TINY, 2, cache=str(tmp_path))
+    cache = ResultCache(tmp_path)
+    assert [cache.get(c) for c in replication_configs(TINY, 2)] == first
+    assert _canonical(average_runs(TINY, 2, cache=tmp_path)) == _canonical(first)
+    assert _canonical(api.sweep(TINY, 2, cache=tmp_path)) == _canonical(first)
 
 
 def test_run_one_matches_run_scenario():
-    from repro.experiments.scenario import run_scenario
-
-    assert SweepRunner().run_one(TINY) == run_scenario(TINY)
+    assert run_sweep([TINY]).reports == [run_scenario(TINY)]
 
 
-def test_parallel_map_preserves_order():
-    assert parallel_map(_square, [3, 1, 2], jobs=2) == [9, 1, 4]
-    assert parallel_map(_square, [], jobs=2) == []
-    assert parallel_map(_square, [5], jobs=2) == [25]
+def _failing_scenario(config):
+    raise RuntimeError(f"boom at seed {config.seed}")
 
 
-def test_chaos_sweep_parallel_matches_serial():
-    from repro.experiments.chaos import ChaosConfig, run_chaos_sweep
+@pytest.mark.parametrize("jobs", [None, 2])
+def test_failing_scenario_raises_and_is_not_dead_lettered(monkeypatch, jobs):
+    import repro.experiments.campaign as campaign
 
-    configs = [
-        ChaosConfig(n_nodes=24, duration=100.0, seed=seed, crash_at=50.0,
-                    loss_at=60.0, loss_duration=20.0)
-        for seed in (1, 2)
-    ]
-    serial = run_chaos_sweep(configs)
-    parallel = run_chaos_sweep(configs, jobs=2)
-    assert [r.format() for r in serial] == [r.format() for r in parallel]
-
-
-def _square(value):
-    return value * value
+    # Forked pool workers inherit the patched module global.
+    monkeypatch.setattr(campaign, "run_scenario", _failing_scenario)
+    with pytest.raises(CampaignError) as info:
+        run_sweep(replication_configs(TINY, 2), jobs=jobs)
+    assert isinstance(info.value.__cause__, RuntimeError)
+    assert "boom at seed" in str(info.value.__cause__)

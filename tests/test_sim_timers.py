@@ -113,77 +113,3 @@ def test_periodic_timer_variable_period():
     timer.start()
     sim.run(until=7.0)
     assert fired == [1.0, 3.0, 6.0]
-
-
-# ----------------------------------------------------------------------
-# TimerWheel: the pure-Python mirror of the C kernel's queue structure.
-# ----------------------------------------------------------------------
-import heapq
-
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.sim.timers import TimerWheel
-
-
-def test_wheel_orders_mixed_near_and_far_deadlines():
-    wheel = TimerWheel(slot_width=1e-3, n_slots=16)
-    # 16 slots x 1ms = 16ms horizon: 5.0 and 0.5 overflow, the rest ring.
-    times = [0.004, 5.0, 0.0001, 0.5, 0.002, 0.012, 0.004]
-    for seq, t in enumerate(times):
-        wheel.push(t, seq, f"item{seq}")
-    assert wheel.far_count == 2
-    popped = []
-    while len(wheel):
-        popped.append(wheel.pop())
-    assert popped == sorted((t, s, f"item{s}") for s, t in enumerate(times))
-
-
-def test_wheel_fifo_ties_and_peek():
-    wheel = TimerWheel(slot_width=1e-3, n_slots=8)
-    for seq in range(5):
-        wheel.push(1.0, seq, seq)
-    assert wheel.peek() == (1.0, 0, 0)
-    assert [wheel.pop()[2] for _ in range(5)] == [0, 1, 2, 3, 4]
-    assert wheel.pop() is None and wheel.peek() is None
-
-
-def test_wheel_rejects_push_into_the_past():
-    wheel = TimerWheel(slot_width=1e-3, n_slots=8)
-    wheel.push(2.0, 0)
-    wheel.pop()
-    with pytest.raises(ValueError):
-        wheel.push(1.0, 1)
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    st.lists(
-        st.floats(min_value=0.0, max_value=50.0, allow_nan=False),
-        min_size=1,
-        max_size=200,
-    ),
-    st.integers(min_value=2, max_value=64),
-    st.sampled_from([1e-4, 1e-3, 0.1, 1.0]),
-)
-def test_wheel_matches_heapq_under_interleaved_push_pop(times, n_slots, width):
-    """Differential fuzz: wheel pops == heapq pops for any (time, seq) mix,
-    including pushes interleaved with pops (times clamped to the clock)."""
-    wheel = TimerWheel(slot_width=width, n_slots=n_slots)
-    heap = []
-    out_wheel, out_heap = [], []
-    clock = 0.0
-    for seq, t in enumerate(times):
-        t = max(t, clock)
-        wheel.push(t, seq, seq)
-        heapq.heappush(heap, (t, seq, seq))
-        if seq % 3 == 2:
-            entry = wheel.pop()
-            out_wheel.append(entry)
-            out_heap.append(heapq.heappop(heap))
-            clock = entry[0]
-    while len(wheel):
-        out_wheel.append(wheel.pop())
-        out_heap.append(heapq.heappop(heap))
-    assert out_wheel == out_heap
