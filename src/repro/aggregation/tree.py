@@ -31,7 +31,7 @@ AggregateKind = str
 KINDS = (SUM, MAX, COUNT)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AggregatePacket(Packet):
     """A partial aggregate travelling one hop up the tree."""
 
@@ -41,7 +41,7 @@ class AggregatePacket(Packet):
     value: float = 0.0
     count: int = 0
 
-    def key(self) -> Tuple[Any, ...]:
+    def _make_key(self) -> Tuple[Any, ...]:
         return ("AGG", self.sink, self.epoch, self.reporter)
 
     @property

@@ -96,7 +96,7 @@ class TunnelRouting(_ActivatableRouting):
         if key in self._seen_requests:
             return
         self._seen_requests.add(key)
-        self._reverse[(request.origin, request.request_id)] = frame.transmitter
+        self._reverse[key] = frame.transmitter
         self.coordinator.tunnel_request(me, request)
 
     def receive_tunneled_request(self, request: RouteRequest, from_colluder: NodeId) -> None:
@@ -111,13 +111,8 @@ class TunnelRouting(_ActivatableRouting):
         self._tunnel_peer[(request.origin, request.request_id)] = from_colluder
         self.coordinator.mark_tainted(request.origin, request.request_id)
         self.coordinator.note_activity(me)
-        forged = RouteRequest(
-            origin=request.origin,
-            request_id=request.request_id,
-            target=request.target,
-            hop_count=request.hop_count + 1,  # tunnel hops are hidden
-            path=request.path + (me,),
-        )
+        # One hop more than the near end saw: the tunnel hops are hidden.
+        forged = request.forwarded_by(me)
         self.node.broadcast(
             forged, prev_hop=self._fake_prev(from_colluder), jitter=TUNNEL_REBROADCAST_JITTER
         )
@@ -146,7 +141,7 @@ class TunnelRouting(_ActivatableRouting):
         if not self.active:
             return
         me = self.node.node_id
-        next_hop = self._reverse.get((reply.origin, reply.request_id))
+        next_hop = self._reverse.get(("REQ", reply.origin, reply.request_id))
         if next_hop is None:
             self.trace.emit(
                 self.sim.now, "wormhole_rep_stranded", node=me,

@@ -17,8 +17,8 @@ that serialises to a ``BENCH_<name>.json`` trajectory file:
   MetricsReport is byte-identical.
 - ``scale`` — a 1000-node, multi-wormhole (4 colluders, fully
   connected tunnel mesh) scenario end to end, with a wall-clock
-  budget.  Quick mode runs the reduced 300-node variant CI uses as a
-  scale smoke test.
+  budget and a peak-memory budget.  Quick mode runs the reduced
+  300-node variant CI uses as a scale smoke test.
 - ``sweep`` — the paper's replication structure: a density sweep at
   30 replications per point, run serial-cold, parallel-cold, and
   cache-warm through the campaign executor.  Verifies the three produce
@@ -301,7 +301,7 @@ def bench_identity(quick: bool = True) -> BenchResult:
 
 
 # ----------------------------------------------------------------------
-# Scale: 1000-node multi-wormhole under a wall-clock budget
+# Scale: 1000-node multi-wormhole under wall-clock and memory budgets
 # ----------------------------------------------------------------------
 def bench_scale(quick: bool = True) -> BenchResult:
     """A large multi-wormhole campaign scenario, end to end, on a budget.
@@ -313,11 +313,18 @@ def bench_scale(quick: bool = True) -> BenchResult:
     scale smoke test with a 240 s budget.  Density is N_B = 12 (the
     paper's N_B = 8 almost never yields a *connected* 1000-node uniform
     draw, and the defense analysis assumes a connected graph).
+
+    The process's peak resident set (``ru_maxrss``, which Linux reports
+    in KiB) is held to a memory budget too: about 1.3x the peak measured
+    on a shared 2-core x86 container (198 MiB quick, 684 MiB full).
     """
+    import resource
+
     from repro.experiments.scenario import run_scenario
 
     n_nodes = 300 if quick else 1000
     budget_seconds = 240.0 if quick else 300.0
+    memory_budget_mb = 256.0 if quick else 900.0
     config = ScenarioConfig(
         n_nodes=n_nodes,
         avg_neighbors=12.0,
@@ -329,6 +336,7 @@ def bench_scale(quick: bool = True) -> BenchResult:
     started = time.perf_counter()
     report = run_scenario(config)
     elapsed = time.perf_counter() - started
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     state = report.to_state()
     return BenchResult(
         name="scale",
@@ -340,6 +348,7 @@ def bench_scale(quick: bool = True) -> BenchResult:
             "duration": config.duration,
             "seed": config.seed,
             "budget_seconds": budget_seconds,
+            "memory_budget_mb": memory_budget_mb,
             "kernel": type(make_simulator()).__module__,
         },
         samples=[
@@ -352,6 +361,8 @@ def bench_scale(quick: bool = True) -> BenchResult:
         metrics={
             "wall_seconds": elapsed,
             "within_budget": elapsed <= budget_seconds,
+            "peak_rss_mb": peak_rss_mb,
+            "within_memory_budget": peak_rss_mb <= memory_budget_mb,
             "detections": state.get("detections", 0),
             "isolations": state.get("isolations", 0),
         },
@@ -726,7 +737,7 @@ def run_benchmarks(
     Raises RuntimeError on correctness failures (as opposed to timing
     ones): a determinism violation in the sweep or campaign benchmark, a
     byte-identity mismatch between the accelerated and reference stacks,
-    or a scale run blowing its wall-clock budget.
+    or a scale run blowing its wall-clock or memory budget.
     """
     selected = list(names) if names else list(BENCHMARKS)
     unknown = [name for name in selected if name not in BENCHMARKS]
@@ -749,6 +760,12 @@ def run_benchmarks(
                 f"{name} benchmark: exceeded its wall-clock budget "
                 f"({result.metrics.get('wall_seconds'):.1f}s > "
                 f"{result.params.get('budget_seconds')}s)"
+            )
+        if result.metrics.get("within_memory_budget") is False:
+            raise RuntimeError(
+                f"{name} benchmark: exceeded its memory budget "
+                f"({result.metrics.get('peak_rss_mb'):.1f} MiB > "
+                f"{result.params.get('memory_budget_mb')} MiB)"
             )
         results.append(result)
     return results

@@ -940,7 +940,7 @@ def _trace_stats(args: argparse.Namespace) -> int:
     for record in records:
         total += 1
         kinds[record.kind] += 1
-        run = record.fields.get("__run__")
+        run = record.get("__run__")
         if run is not None:
             runs.add(run)
         if first_time is None or record.time < first_time:
@@ -981,7 +981,7 @@ def _trace_check(args: argparse.Namespace) -> int:
         return 1
     schema_errors = 0
     for record in records:
-        fields = {k: v for k, v in record.fields.items() if k != "__run__"}
+        fields = {k: v for k, v in record.items() if k != "__run__"}
         probe = type(record)(time=record.time, kind=record.kind, fields=fields)
         for problem in DEFAULT_REGISTRY.errors(probe):
             schema_errors += 1

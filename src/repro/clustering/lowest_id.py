@@ -30,13 +30,13 @@ from repro.sim.engine import Simulator
 from repro.sim.trace import TraceLog
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClusterAnnounce(Packet):
     """A node declaring itself cluster head."""
 
     head: NodeId = 0
 
-    def key(self) -> Tuple[Any, ...]:
+    def _make_key(self) -> Tuple[Any, ...]:
         return ("CH", self.head)
 
     @property

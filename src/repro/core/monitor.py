@@ -34,7 +34,7 @@ detection callback; alerting and revocation live in
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
+from collections import deque
 from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.core.config import LiteworpConfig
@@ -88,8 +88,8 @@ class LocalMonitor:
         # (packet key, watched node) -> deadline event.
         self._expectations: Dict[WatchKey, Event] = {}
         self._detected: Set[NodeId] = set()
-        self._recent_losses: "OrderedDict[int, float]" = OrderedDict()
-        self._loss_counter = 0
+        # Timestamps of garbled receptions, oldest first.
+        self._recent_losses: "deque[float]" = deque()
         self.fabrications_seen = 0
         self.drops_seen = 0
         self.suppressed_accusations = 0
@@ -142,24 +142,21 @@ class LocalMonitor:
     # ------------------------------------------------------------------
     def note_reception_loss(self, time: float) -> None:
         """Record that the radio sensed a garbled reception at ``time``."""
-        self._loss_counter += 1
-        self._recent_losses[self._loss_counter] = time
+        self._recent_losses.append(time)
         # Drop-suppression consults losses as old as a watch-buffer entry
         # (δ seconds), so the history must stay at least that deep even
-        # when δ exceeds the overheard window.
+        # when δ exceeds the overheard window.  The entry just appended is
+        # never older than the cutoff, so the loop stops before the deque
+        # empties.
         cutoff = time - max(self.config.overheard_window, self.config.delta)
-        while self._recent_losses:
-            key, stamp = next(iter(self._recent_losses.items()))
-            if stamp >= cutoff:
-                break
-            self._recent_losses.popitem(last=False)
+        while self._recent_losses[0] < cutoff:
+            self._recent_losses.popleft()
 
     def _lost_since(self, since: float) -> bool:
         """Whether any reception loss happened at or after ``since``."""
         if not self._recent_losses:
             return False
-        newest = next(reversed(self._recent_losses.values()))
-        return newest >= since
+        return self._recent_losses[-1] >= since
 
     # ------------------------------------------------------------------
     # Observation entry points

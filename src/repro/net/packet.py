@@ -10,7 +10,11 @@ header.  Two design points matter for LITEWORP:
 - ``Packet.key()`` identifies the *same logical packet* across hops — e.g. a
   route request keeps the key ``("REQ", origin, request_id)`` at every
   forwarder — which is what guards use to correlate watch-buffer entries
-  with later forwards.
+  with later forwards.  The key tuple is computed once per packet object
+  and cached on it, and :meth:`RouteRequest.forwarded_by` hands it to the
+  rebroadcast copy, so one tuple per route discovery is shared by every
+  node's duplicate filter, the guards' overheard stores and every trace
+  record that names the packet.
 
 Sizes are in bytes and drive transmission durations on the 40 kbps channel
 from the paper's Table 2.
@@ -36,9 +40,22 @@ class Packet:
     """
 
     uid: int = field(default_factory=lambda: next(_packet_uids), init=False, compare=False)
+    _key: Optional[Tuple[Any, ...]] = field(default=None, init=False, compare=False, repr=False)
 
     def key(self) -> Tuple[Any, ...]:
-        """Logical identity of the packet, stable across forwarding hops."""
+        """Logical identity of the packet, stable across forwarding hops.
+
+        Computed by :meth:`_make_key` on first use and cached, so every
+        caller holding this packet shares one tuple.
+        """
+        key = self._key
+        if key is None:
+            key = self._make_key()
+            object.__setattr__(self, "_key", key)
+        return key
+
+    def _make_key(self) -> Tuple[Any, ...]:
+        """Compute the logical key; each subclass defines its tuple here."""
         raise NotImplementedError
 
     @property
@@ -65,7 +82,7 @@ class HelloPacket(Packet):
 
     sender: NodeId = 0
 
-    def key(self) -> Tuple[Any, ...]:
+    def _make_key(self) -> Tuple[Any, ...]:
         return ("HELLO", self.sender)
 
     @property
@@ -81,7 +98,7 @@ class HelloReplyPacket(Packet):
     announcer: NodeId = 0
     auth: bytes = b""
 
-    def key(self) -> Tuple[Any, ...]:
+    def _make_key(self) -> Tuple[Any, ...]:
         return ("HELLO_REPLY", self.sender, self.announcer)
 
     @property
@@ -102,7 +119,7 @@ class NeighborListPacket(Packet):
     neighbors: Tuple[NodeId, ...] = ()
     auths: Tuple[Tuple[NodeId, bytes], ...] = ()
 
-    def key(self) -> Tuple[Any, ...]:
+    def _make_key(self) -> Tuple[Any, ...]:
         return ("NLIST", self.sender)
 
     @property
@@ -131,7 +148,7 @@ class RouteRequest(Packet):
     hop_count: int = 0
     path: Tuple[NodeId, ...] = ()
 
-    def key(self) -> Tuple[Any, ...]:
+    def _make_key(self) -> Tuple[Any, ...]:
         return ("REQ", self.origin, self.request_id)
 
     @property
@@ -143,14 +160,17 @@ class RouteRequest(Packet):
         return True
 
     def forwarded_by(self, node: NodeId) -> "RouteRequest":
-        """Copy of the request as rebroadcast by ``node`` (one more hop)."""
-        return RouteRequest(
+        """Copy of the request as rebroadcast by ``node`` (one more hop),
+        sharing this request's key tuple."""
+        copy = RouteRequest(
             origin=self.origin,
             request_id=self.request_id,
             target=self.target,
             hop_count=self.hop_count + 1,
             path=self.path + (node,),
         )
+        object.__setattr__(copy, "_key", self.key())
+        return copy
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,7 +188,7 @@ class RouteReply(Packet):
     hop_count: int = 0
     path: Tuple[NodeId, ...] = ()
 
-    def key(self) -> Tuple[Any, ...]:
+    def _make_key(self) -> Tuple[Any, ...]:
         return ("REP", self.origin, self.request_id)
 
     @property
@@ -190,7 +210,7 @@ class DataPacket(Packet):
     sequence: int = 0
     payload_size: int = 64
 
-    def key(self) -> Tuple[Any, ...]:
+    def _make_key(self) -> Tuple[Any, ...]:
         return ("DATA", self.origin, self.flow_id, self.sequence)
 
     @property
@@ -218,7 +238,7 @@ class RouteErrorPacket(Packet):
     reporter: NodeId = 0
     inner_key: Tuple[Any, ...] = ()
 
-    def key(self) -> Tuple[Any, ...]:
+    def _make_key(self) -> Tuple[Any, ...]:
         return ("RERR", self.reporter) + self.inner_key
 
     @property
@@ -238,7 +258,7 @@ class HeartbeatPacket(Packet):
     sender: NodeId = 0
     sequence: int = 0
 
-    def key(self) -> Tuple[Any, ...]:
+    def _make_key(self) -> Tuple[Any, ...]:
         return ("HBEAT", self.sender, self.sequence)
 
     @property
@@ -254,7 +274,7 @@ class ProbePacket(Packet):
     target: NodeId = 0
     nonce: int = 0
 
-    def key(self) -> Tuple[Any, ...]:
+    def _make_key(self) -> Tuple[Any, ...]:
         return ("PROBE", self.sender, self.target, self.nonce)
 
     @property
@@ -270,7 +290,7 @@ class ProbeAckPacket(Packet):
     target: NodeId = 0
     nonce: int = 0
 
-    def key(self) -> Tuple[Any, ...]:
+    def _make_key(self) -> Tuple[Any, ...]:
         return ("PROBE_ACK", self.sender, self.target, self.nonce)
 
     @property
@@ -290,7 +310,7 @@ class NoisePacket(Packet):
     sequence: int = 0
     payload_size: int = 32
 
-    def key(self) -> Tuple[Any, ...]:
+    def _make_key(self) -> Tuple[Any, ...]:
         return ("NOISE", self.sender, self.sequence)
 
     @property
@@ -317,7 +337,7 @@ class AlertPacket(Packet):
     auth: bytes = b""
     relay_via: Optional[NodeId] = None
 
-    def key(self) -> Tuple[Any, ...]:
+    def _make_key(self) -> Tuple[Any, ...]:
         return ("ALERT", self.guard, self.accused, self.recipient)
 
     @property
@@ -342,7 +362,7 @@ class AlertAckPacket(Packet):
     auth: bytes = b""
     relay_via: Optional[NodeId] = None
 
-    def key(self) -> Tuple[Any, ...]:
+    def _make_key(self) -> Tuple[Any, ...]:
         return ("ALERT_ACK", self.sender, self.guard, self.accused)
 
     @property
@@ -364,7 +384,7 @@ class RttProbePacket(Packet):
     target: NodeId = 0
     nonce: int = 0
 
-    def key(self) -> Tuple[Any, ...]:
+    def _make_key(self) -> Tuple[Any, ...]:
         return ("RTT_PROBE", self.sender, self.target, self.nonce)
 
     @property
@@ -380,7 +400,7 @@ class RttEchoPacket(Packet):
     target: NodeId = 0
     nonce: int = 0
 
-    def key(self) -> Tuple[Any, ...]:
+    def _make_key(self) -> Tuple[Any, ...]:
         return ("RTT_ECHO", self.sender, self.target, self.nonce)
 
     @property
@@ -401,7 +421,7 @@ class SndChallengePacket(Packet):
     target: NodeId = 0
     nonce: int = 0
 
-    def key(self) -> Tuple[Any, ...]:
+    def _make_key(self) -> Tuple[Any, ...]:
         return ("SND_CHAL", self.sender, self.target, self.nonce)
 
     @property
@@ -423,7 +443,7 @@ class SndResponsePacket(Packet):
     nonce: int = 0
     auth: bytes = b""
 
-    def key(self) -> Tuple[Any, ...]:
+    def _make_key(self) -> Tuple[Any, ...]:
         return ("SND_RESP", self.sender, self.target, self.nonce)
 
     @property

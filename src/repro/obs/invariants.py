@@ -119,7 +119,7 @@ class InvariantChecker:
                 category=category,
                 time=record.time,
                 message=message,
-                details=dict(record.fields),
+                details=record.fields,
             )
         )
 
@@ -216,7 +216,7 @@ def check_export(
     """
     checkers: Dict[Any, InvariantChecker] = {}
     for record in records:
-        run = record.fields.get("__run__")
+        run = record.get("__run__")
         checker = checkers.get(run)
         if checker is None:
             checker = checkers[run] = InvariantChecker(theta=theta)

@@ -128,9 +128,9 @@ class ReportBuilder:
         # Replayed records carry the export's run tag as a __run__ field;
         # live records don't.  Strip it so both paths see identical
         # records, and use it only for grouping (by first-seen order).
-        run_tag = record.fields.get("__run__")
+        run_tag = record.get("__run__")
         if run_tag is not None:
-            fields = {k: v for k, v in record.fields.items() if k != "__run__"}
+            fields = {k: v for k, v in record.items() if k != "__run__"}
             record = TraceRecord(time=record.time, kind=record.kind, fields=fields)
         state = self._runs.get(run_tag)
         if state is None:

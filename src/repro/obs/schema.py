@@ -42,7 +42,7 @@ class TraceSchema:
     def errors(self, record: TraceRecord) -> List[str]:
         """Human-readable mismatches between ``record`` and this schema."""
         problems = []
-        present = set(record.fields)
+        present = set(record.keys())
         missing = self.required - present
         if missing:
             problems.append(

@@ -43,7 +43,7 @@ def record_to_json(record: TraceRecord, run: Optional[Any] = None) -> str:
     payload: Dict[str, Any] = {
         "time": record.time,
         "kind": record.kind,
-        "fields": {k: _jsonable(v) for k, v in record.fields.items()},
+        "fields": {k: _jsonable(v) for k, v in record.items()},
     }
     if run is not None:
         payload["run"] = _jsonable(run)

@@ -26,7 +26,7 @@ from repro.sim.timers import PeriodicTimer
 from repro.sim.trace import TraceLog
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BeaconPacket(Packet):
     """A sink-originated tree-building beacon."""
 
@@ -34,7 +34,7 @@ class BeaconPacket(Packet):
     epoch: int = 0
     hop_count: int = 0
 
-    def key(self) -> Tuple[Any, ...]:
+    def _make_key(self) -> Tuple[Any, ...]:
         return ("BEACON", self.sink, self.epoch)
 
     @property

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.net.node import Node
 from repro.net.packet import (
@@ -44,6 +44,8 @@ from repro.sim.engine import Event, Simulator
 from repro.sim.trace import TraceLog
 
 RequestKey = Tuple[NodeId, int]
+#: ``RouteRequest.key()``: ``("REQ", origin, request_id)``.
+PacketKey = Tuple[Any, ...]
 
 
 @dataclass
@@ -85,7 +87,8 @@ class OnDemandRouting:
         # Hook overridden by LITEWORP: "may this neighbor be used as a hop?"
         self.usable: Callable[[NodeId], bool] = lambda _n: True
         self._seen_requests: set = set()
-        self._reverse: Dict[RequestKey, NodeId] = {}
+        # Keyed by the request's shared key tuple (see Packet.key).
+        self._reverse: Dict[PacketKey, NodeId] = {}
         self._pending: Dict[NodeId, _PendingDiscovery] = {}
         self._candidates: Dict[RequestKey, _ReplyCandidates] = {}
         self._copy_counts: Dict[Tuple, int] = {}
@@ -239,7 +242,7 @@ class OnDemandRouting:
                 self._copy_counts[key] += 1
             return
         self._seen_requests.add(key)
-        self._reverse[(request.origin, request.request_id)] = frame.transmitter
+        self._reverse[key] = frame.transmitter
         self._forward_request(frame, request)
 
     def _forward_request(self, frame: Frame, request: RouteRequest) -> None:
@@ -335,7 +338,7 @@ class OnDemandRouting:
             )
             self._flush_queue(reply.target)
             return
-        next_hop = self._reverse.get((reply.origin, reply.request_id))
+        next_hop = self._reverse.get(("REQ", reply.origin, reply.request_id))
         if next_hop is None:
             self._announce_cannot_forward(reply)
             return

@@ -6,6 +6,13 @@ route through a wormhole was established, when a packet was dropped.  The
 trace log is the single sink for those facts: protocol code emits
 ``TraceRecord``s, and consumers filter by kind.
 
+Records are compact, because by default every one stays resident: a
+slotted object holding the time, the kind, a field-name tuple shared by
+every record of the same layout, and a values tuple.  A ``packet=``
+field holds the packet's own key tuple, which is computed once per packet
+and shared across hops (:meth:`repro.net.packet.Packet.key`), so the
+records of one route discovery share it too.
+
 Observability extensions (see :mod:`repro.obs` and docs/OBSERVABILITY.md):
 
 - **Sinks** — :meth:`TraceLog.attach_sink` streams every record to an
@@ -28,8 +35,7 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Union
+from typing import Any, Callable, Deque, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 #: Ring capacity adopted when an unbounded log loses its sink to an IO
 #: error: large enough to keep a useful post-mortem window, small enough
@@ -37,20 +43,90 @@ from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Union
 DEGRADED_RING_CAPACITY = 65536
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One trace fact: a timestamp, a kind tag, and free-form fields."""
+#: One field-name tuple per record layout: every record emitted with the
+#: same field names in the same order shares the tuple interned here.
+#: Interning only decides which equal tuple a record holds, never a value.
+_LAYOUTS: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
 
-    time: float
-    kind: str
-    fields: Dict[str, Any] = field(default_factory=dict)
+
+class TraceRecord:
+    """One trace fact: a timestamp, a kind tag, and free-form fields.
+
+    Slotted and compact: the field names live in a tuple shared by every
+    record of the same layout, the values in a per-record tuple.  ``time``
+    and ``kind`` are read-only and :attr:`fields` returns a fresh dict;
+    ``record[name]``, :meth:`get`, :meth:`keys` and :meth:`items` read the
+    fields without building one.
+    """
+
+    __slots__ = ("_time", "_kind", "_names", "_values")
+
+    def __init__(self, time: float, kind: str, fields: Optional[Mapping[str, Any]] = None) -> None:
+        names: Tuple[str, ...] = ()
+        values: Tuple[Any, ...] = ()
+        if fields:
+            names = tuple(fields)
+            names = _LAYOUTS.setdefault(names, names)
+            values = tuple(fields.values())
+        self._time = time
+        self._kind = kind
+        self._names = names
+        self._values = values
+
+    @property
+    def time(self) -> float:
+        """Simulated time of the fact."""
+        return self._time
+
+    @property
+    def kind(self) -> str:
+        """The record's kind tag."""
+        return self._kind
+
+    @property
+    def fields(self) -> Dict[str, Any]:
+        """The record's fields as a new dict (changing it leaves the
+        record as it is)."""
+        return dict(zip(self._names, self._values))
+
+    def keys(self) -> Tuple[str, ...]:
+        """The field names, in emission order."""
+        return self._names
+
+    def items(self) -> Iterator[Tuple[str, Any]]:
+        """``(name, value)`` pairs in emission order, without a dict."""
+        return zip(self._names, self._values)
 
     def __getitem__(self, key: str) -> Any:
-        return self.fields[key]
+        try:
+            return self._values[self._names.index(key)]
+        except ValueError:
+            raise KeyError(key) from None
 
     def get(self, key: str, default: Any = None) -> Any:
         """Field accessor with a default, mirroring ``dict.get``."""
-        return self.fields.get(key, default)
+        try:
+            return self._values[self._names.index(key)]
+        except ValueError:
+            return default
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self._names is other._names:
+            return (self._time, self._kind, self._values) == (other._time, other._kind, other._values)
+        return (self._time, self._kind, self.fields) == (other._time, other._kind, other.fields)
+
+    __hash__ = None  # type: ignore[assignment]  # compared by value, like a dict
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(time={self._time!r}, kind={self._kind!r}, "
+            f"fields={self.fields!r})"
+        )
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        return (type(self), (self._time, self._kind, self.fields))
 
 
 class TraceLog:
@@ -101,7 +177,7 @@ class TraceLog:
 
     def emit(self, time: float, kind: str, **fields: Any) -> TraceRecord:
         """Record a fact and notify validator, sinks, and subscribers."""
-        record = TraceRecord(time=time, kind=kind, fields=fields)
+        record = TraceRecord(time, kind, fields)
         if self._validator is not None:
             self._validator(record)
         self._records.append(record)
@@ -195,7 +271,7 @@ class TraceLog:
         for record in self._records:
             if record.kind != kind:
                 continue
-            if all(record.fields.get(k) == v for k, v in match.items()):
+            if all(record.get(k) == v for k, v in match.items()):
                 return record
         return None
 
@@ -205,7 +281,7 @@ class TraceLog:
         for record in self._records:
             if record.kind != kind:
                 continue
-            if all(record.fields.get(k) == v for k, v in match.items()):
+            if all(record.get(k) == v for k, v in match.items()):
                 total += 1
         return total
 

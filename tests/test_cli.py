@@ -132,6 +132,23 @@ def test_bench_trace_measures_per_sink_overhead(tmp_path, capsys):
     }
 
 
+def test_bench_fails_hard_on_a_blown_memory_budget(monkeypatch, tmp_path):
+    from repro.bench import micro
+
+    def over_budget(quick=True):
+        return micro.BenchResult(
+            name="scale",
+            params={"memory_budget_mb": 256.0},
+            metrics={"within_budget": True, "peak_rss_mb": 300.0, "within_memory_budget": False},
+        )
+
+    monkeypatch.setitem(micro.BENCHMARKS, "scale", over_budget)
+    with pytest.raises(RuntimeError, match="memory budget"):
+        micro.run_benchmarks(["scale"], output_dir=tmp_path)
+    # The trajectory is still written, so the failure can be inspected.
+    assert (tmp_path / "BENCH_scale.json").exists()
+
+
 def test_bench_sweep_records_harness_spans():
     from repro.bench import bench_sweep
 

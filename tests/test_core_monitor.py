@@ -312,11 +312,11 @@ def test_loss_history_retained_for_full_watch_deadline():
     # A newer loss used to prune by overheard_window alone (cutoff 1.0),
     # silently discarding the 2-second-old loss still inside delta.
     monitor.note_reception_loss(2.0)
-    retained = list(monitor._recent_losses.values())
+    retained = list(monitor._recent_losses)
     assert retained == [0.0, 2.0]
     # Beyond max(overheard_window, delta) the old loss does age out.
     monitor.note_reception_loss(6.0)
-    assert list(monitor._recent_losses.values()) == [2.0, 6.0]
+    assert list(monitor._recent_losses) == [2.0, 6.0]
 
 
 def test_loss_history_prunes_by_overheard_window_when_larger():
@@ -324,9 +324,9 @@ def test_loss_history_prunes_by_overheard_window_when_larger():
     sim, monitor, table, detections, _ = build(config)
     monitor.note_reception_loss(0.0)
     monitor.note_reception_loss(5.0)
-    assert list(monitor._recent_losses.values()) == [0.0, 5.0]
+    assert list(monitor._recent_losses) == [0.0, 5.0]
     monitor.note_reception_loss(11.0)
-    assert list(monitor._recent_losses.values()) == [5.0, 11.0]
+    assert list(monitor._recent_losses) == [5.0, 11.0]
 
 
 def test_malc_total_counter_accumulates():

@@ -1,5 +1,11 @@
 """Unit tests for packet and frame definitions."""
 
+import dataclasses
+import pickle
+import sys
+
+import pytest
+
 from repro.net.packet import (
     AlertPacket,
     DataPacket,
@@ -114,3 +120,94 @@ def test_all_packets_have_positive_size():
         RouteErrorPacket(),
     ):
         assert packet.size_bytes > 0
+
+
+# ----------------------------------------------------------------------
+# Cached logical keys
+# ----------------------------------------------------------------------
+def _all_packet_classes():
+    # Import the packages that define packets outside repro.net.packet.
+    import repro.aggregation.tree  # noqa: F401
+    import repro.clustering.lowest_id  # noqa: F401
+    import repro.routing.beacon  # noqa: F401
+    from repro.net.packet import Packet
+
+    found, stack = set(), list(Packet.__subclasses__())
+    while stack:
+        cls = stack.pop()
+        # ``slots=True`` replaces a dataclass by a new class; skip the
+        # discarded original, which can linger in ``__subclasses__()``.
+        if getattr(sys.modules[cls.__module__], cls.__name__, None) is cls:
+            found.add(cls)
+        stack.extend(cls.__subclasses__())
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+PACKET_CLASSES = _all_packet_classes()
+
+
+def test_packet_class_list_covers_other_packages():
+    names = {cls.__name__ for cls in PACKET_CLASSES}
+    assert {"BeaconPacket", "ClusterAnnounce", "AggregatePacket", "RouteRequest"} <= names
+
+
+@pytest.mark.parametrize("cls", PACKET_CLASSES, ids=lambda cls: cls.__name__)
+def test_cached_key_equals_recomputed(cls):
+    packet = cls()
+    key = packet.key()
+    assert key == packet._make_key()  # noqa: SLF001 - the uncached computation
+    assert packet.key() is key
+
+
+@pytest.mark.parametrize("cls", PACKET_CLASSES, ids=lambda cls: cls.__name__)
+def test_replace_copy_computes_its_own_key(cls):
+    packet = cls()
+    key = packet.key()
+    copy = dataclasses.replace(packet)
+    assert copy.key() == key
+    assert copy.key() is not key
+
+
+@pytest.mark.parametrize("cls", PACKET_CLASSES, ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("warm", [False, True], ids=["fresh", "cached"])
+def test_pickle_round_trip_keeps_equality_and_key(cls, warm):
+    packet = cls()
+    if warm:
+        packet.key()
+    restored = pickle.loads(pickle.dumps(packet))
+    assert restored == packet
+    assert restored.key() == packet.key()
+
+
+@pytest.mark.parametrize("cls", PACKET_CLASSES, ids=lambda cls: cls.__name__)
+def test_eq_and_hash_ignore_the_cached_key(cls):
+    cached, fresh = cls(), cls()
+    cached.key()
+    assert cached == fresh
+    assert hash(cached) == hash(fresh)
+    assert " _key=" not in repr(cached)
+
+
+def test_forwarded_request_shares_the_key_object():
+    request = RouteRequest(origin=1, request_id=5, target=9, path=(1,))
+    assert request.forwarded_by(4).key() is request.key()
+    assert request.forwarded_by(4).forwarded_by(7).key() is request.key()
+
+
+def test_replace_with_new_identity_gets_a_new_key():
+    request = RouteRequest(origin=1, request_id=5, target=9)
+    request.key()
+    assert dataclasses.replace(request, request_id=6).key() == ("REQ", 1, 6)
+
+
+def test_one_key_object_per_discovery_across_all_routers():
+    """Every node's duplicate filter holds the same tuple for one discovery."""
+    from repro.experiments.scenario import ScenarioConfig, build_scenario
+
+    scenario = build_scenario(
+        ScenarioConfig(n_nodes=30, duration=60.0, seed=4, attack_start=20.0)
+    )
+    scenario.run()
+    seen = [key for router in scenario.routers.values() for key in router._seen_requests]  # noqa: SLF001
+    assert len(set(seen)) > 5
+    assert len({id(key) for key in seen}) == len(set(seen))
