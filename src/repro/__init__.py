@@ -23,8 +23,8 @@ True
 
 from repro.analysis import CostModel, CoverageParams, detection_probability
 from repro.attacks import ATTACK_MODES, WormholeCoordinator, taxonomy_table
-from repro.baselines import LeashAgent, LeashConfig
 from repro.core import LiteworpAgent, LiteworpConfig
+from repro.defenses.leash import LeashAgent, LeashConfig
 from repro.faults import FaultController, FaultPlan
 from repro.mobility import DynamicNeighborhood, RandomWaypointModel, WaypointConfig
 from repro.experiments import (

@@ -139,11 +139,11 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="execute a TOML/JSON campaign spec (journaled, resumable)"
     )
     crun_p.add_argument("spec", help="campaign spec file (.toml or .json)")
-    crun_p.add_argument("--backend", choices=("inline", "process", "thread"),
+    crun_p.add_argument("--backend", choices=("inline", "process"),
                         default="inline",
                         help="execution backend (default inline)")
     crun_p.add_argument("--jobs", type=int, default=0, metavar="N",
-                        help="workers for process/thread backends "
+                        help="workers for the process backend "
                              "(0/1 serial, -1 one per CPU)")
     crun_p.add_argument("--journal", default=None, metavar="FILE",
                         help="completion journal path (default: next to the "
@@ -231,11 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
     matrix_p.add_argument("--attack-start", type=float, default=30.0)
     matrix_p.add_argument("--runs", type=int, default=2, metavar="N",
                           help="replications per cell (default 2)")
-    matrix_p.add_argument("--backend", choices=("inline", "process", "thread"),
+    matrix_p.add_argument("--backend", choices=("inline", "process"),
                           default="inline",
                           help="execution backend (default inline)")
     matrix_p.add_argument("--jobs", type=int, default=0, metavar="N",
-                          help="workers for process/thread backends "
+                          help="workers for the process backend "
                                "(0/1 serial, -1 one per CPU)")
     matrix_p.add_argument("--journal-dir", default=".repro-matrix",
                           help="per-attack journal directory "

@@ -22,11 +22,10 @@ campaign is built to be killed:
   unterminated tail fragment is truncated before new lines land).
   Resuming loads the journal, skips every recorded job, and produces
   byte-identical aggregates to an uninterrupted run.
-- **Pluggable execution** — ``inline`` (serial, in-process), ``process``
-  (a worker pool, one future per job) and ``thread`` (for IO-bound
-  trace-exporting jobs) backends share one retry/backoff loop: a crashed
-  worker fails only its own job, which is re-dispatched up to
-  :class:`RetryPolicy.retries` times.
+- **Pluggable execution** — ``inline`` (serial, in-process) and
+  ``process`` (a worker pool, one future per job) backends share one
+  retry/backoff loop: a crashed worker fails only its own job, which is
+  re-dispatched up to :class:`RetryPolicy.retries` times.
 - **Supervision** — a :class:`SupervisionPolicy` adds per-job wall-clock
   timeouts (hung workers are preempted and their pool torn down), result
   payload validation, and poison-job quarantine: a job that keeps
@@ -67,9 +66,7 @@ import traceback as traceback_module
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
-    Executor,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from dataclasses import dataclass, field
@@ -629,8 +626,8 @@ class ExecutionBackend:
     failed jobs.  Supervision hooks:
 
     - ``timeout`` — per-job wall-clock seconds; overdue jobs fail with
-      :class:`JobTimeoutError` (pool backends preempt the hung worker by
-      tearing the pool down; inline enforces post-hoc).
+      :class:`JobTimeoutError` (the process backend preempts the hung
+      worker by tearing the pool down; inline enforces post-hoc).
     - ``should_stop`` — polled between jobs/completions; when it turns
       true the backend returns early, leaving undispatched items in
       *neither* dict.
@@ -694,22 +691,41 @@ def _future_error(future: Any) -> Optional[BaseException]:
         return exc
 
 
-class _PoolBackend(ExecutionBackend):
-    """Shared future-juggling for the executor-based backends."""
+def _reset_worker_signals() -> None:
+    """Restore default signal dispositions in pool worker processes.
+
+    Fork-started workers inherit whatever SIGINT/SIGTERM handlers the
+    parent CLI installed, which would make them *survive* the
+    ``terminate()`` used to preempt hung jobs (the inherited handler
+    merely sets the parent's stop flag).  Workers must die on SIGTERM
+    and leave Ctrl-C handling to the supervising parent.
+    """
+    import signal as signal_module
+
+    try:
+        signal_module.signal(signal_module.SIGTERM, signal_module.SIG_DFL)
+        signal_module.signal(signal_module.SIGINT, signal_module.SIG_IGN)
+    except (ValueError, OSError):  # non-main thread / exotic platform
+        pass
+
+
+class ProcessBackend(ExecutionBackend):
+    """Process-pool execution: jobs are dispatched to the picklable
+    :func:`run_config` worker body, one future per job so a crashed worker
+    fails only its own job.
+    """
+
+    name = "process"
 
     def __init__(self, jobs: Optional[int] = None) -> None:
         self.jobs = jobs
 
-    def _make_executor(self, workers: int) -> Executor:
-        raise NotImplementedError
-
-    def _kill(self, executor: Executor) -> None:
+    def _kill(self, executor: ProcessPoolExecutor) -> None:
         """Tear an executor down without waiting for hung workers.
 
         ``ProcessPoolExecutor`` offers no per-future kill, so preemption
-        is wholesale: terminate the worker processes (if the executor
-        has any), then discard the pool.  Thread pools cannot be killed
-        — their stuck threads are abandoned (documented limitation)."""
+        is wholesale: terminate the worker processes, then discard the
+        pool."""
         processes = getattr(executor, "_processes", None)
         if processes:
             for process in list(processes.values()):
@@ -742,7 +758,9 @@ class _PoolBackend(ExecutionBackend):
     def _run_window(self, fn, queue, workers, timeout, should_stop):
         results: Dict[int, MetricsReport] = {}
         failures: Dict[int, BaseException] = {}
-        executor = self._make_executor(workers)
+        executor = ProcessPoolExecutor(
+            max_workers=workers, initializer=_reset_worker_signals
+        )
         inflight: Dict[Any, Tuple[int, float]] = {}
         broken = False
         if timeout is not None:
@@ -844,61 +862,14 @@ class _PoolBackend(ExecutionBackend):
         return results, failures
 
 
-def _reset_worker_signals() -> None:
-    """Restore default signal dispositions in pool worker processes.
-
-    Fork-started workers inherit whatever SIGINT/SIGTERM handlers the
-    parent CLI installed, which would make them *survive* the
-    ``terminate()`` used to preempt hung jobs (the inherited handler
-    merely sets the parent's stop flag).  Workers must die on SIGTERM
-    and leave Ctrl-C handling to the supervising parent.
-    """
-    import signal as signal_module
-
-    try:
-        signal_module.signal(signal_module.SIGTERM, signal_module.SIG_DFL)
-        signal_module.signal(signal_module.SIGINT, signal_module.SIG_IGN)
-    except (ValueError, OSError):  # non-main thread / exotic platform
-        pass
-
-
-class ProcessBackend(_PoolBackend):
-    """Process-pool execution: jobs are dispatched to the picklable
-    :func:`run_config` worker body, one future per job so a crashed worker
-    fails only its own job.
-    """
-
-    name = "process"
-
-    def _make_executor(self, workers: int) -> Executor:
-        return ProcessPoolExecutor(
-            max_workers=workers, initializer=_reset_worker_signals
-        )
-
-
-class ThreadBackend(_PoolBackend):
-    """Thread-pool execution for IO-bound jobs (e.g. trace-exporting
-    configs whose wall clock is dominated by JSONL appends).
-
-    Threads cannot be killed: a hung job is *recorded* as timed out and
-    its executor abandoned, but the stuck thread itself lingers until it
-    returns — prefer the process backend when jobs may wedge."""
-
-    name = "thread"
-
-    def _make_executor(self, workers: int) -> Executor:
-        return ThreadPoolExecutor(max_workers=workers)
-
-
 BACKENDS: Dict[str, Callable[..., ExecutionBackend]] = {
     "inline": lambda jobs=None: InlineBackend(),
     "process": ProcessBackend,
-    "thread": ThreadBackend,
 }
 
 
 def make_backend(name: str, jobs: Optional[int] = None) -> ExecutionBackend:
-    """Instantiate a backend by name (``inline``, ``process``, ``thread``)."""
+    """Instantiate a backend by name (``inline`` or ``process``)."""
     try:
         factory = BACKENDS[name]
     except KeyError:
@@ -1489,7 +1460,7 @@ def run_campaign(
 
     ``spec`` may be a :class:`CampaignSpec`, a dict in the
     :meth:`CampaignSpec.from_dict` shape, or a path to a TOML/JSON spec
-    file.  ``backend`` is a name (``inline``/``process``/``thread``) or a
+    file.  ``backend`` is a name (``inline`` or ``process``) or a
     ready :class:`ExecutionBackend` instance.
     """
     if isinstance(spec, (str, Path)):
@@ -1561,7 +1532,6 @@ __all__ = [
     "ProcessBackend",
     "RetryPolicy",
     "SupervisionPolicy",
-    "ThreadBackend",
     "WorkerLostError",
     "WorkerPreempted",
     "aggregate_campaign",

@@ -21,7 +21,6 @@ from repro.attacks.agents import (
     TunnelRouting,
 )
 from repro.attacks.coordinator import TUNNEL_MODES, WormholeCoordinator
-from repro.baselines.leashes import LeashAgent, LeashConfig
 from repro.core.agent import LiteworpAgent
 from repro.core.config import LiteworpConfig
 from repro.crypto.keys import PairwiseKeyManager
@@ -32,6 +31,7 @@ from repro.defenses import (
     available_defenses,
     get_defense,
 )
+from repro.defenses.leash import LeashAgent, LeashConfig
 from repro.experiments.cache import ResultCache
 from repro.faults.controller import FaultController
 from repro.faults.plan import FaultPlan

@@ -71,7 +71,7 @@ class Packet:
     @property
     def monitored(self) -> bool:
         """Whether guards watch this packet type for fabrication/drops.
-        Routed control packets (route requests/replies, beacons) are;
+        Routed control packets (route requests/replies) are;
         one-hop protocol messages (HELLO, alerts, ...) are not."""
         return False
 
@@ -470,8 +470,8 @@ class Frame:
         Announced previous hop — ``None`` when the transmitter originated
         the packet.
     leash:
-        Optional packet leash (baseline defense, see
-        :mod:`repro.baselines.leashes`): authenticated sender location and
+        Optional packet leash (leash defense, see
+        :mod:`repro.defenses.leash`): authenticated sender location and
         send time, stamped at the radio at transmission.  Carried opaquely
         here; anything with a ``size_bytes`` attribute counts toward the
         frame's air time.

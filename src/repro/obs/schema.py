@@ -168,19 +168,6 @@ def _build_default_registry() -> SchemaRegistry:
               description="route discovery abandoned for a queued packet")
     r.declare("rep_stranded", ["node", "packet"],
               description="a route reply had no reverse-path entry")
-    r.declare("beacon_emitted", ["sink", "epoch"],
-              description="the sink started a beacon-tree epoch")
-    r.declare("beacon_parent", ["node", "epoch", "parent", "depth"],
-              description="a node (re)selected its tree parent")
-    # -- clustering / aggregation --------------------------------------
-    r.declare("cluster_head", ["head"],
-              description="a node elected itself cluster head")
-    r.declare("cluster_join", ["node", "head", "heard_from"],
-              description="a node joined a cluster head")
-    r.declare("aggregate_stranded", ["node", "epoch"],
-              description="an aggregator had no parent to climb")
-    r.declare("aggregate_result", ["sink", "epoch", "value", "count", "aggregate"],
-              description="the sink produced an epoch aggregate")
     # -- attack ground truth -------------------------------------------
     r.declare("attack_activated", ["colluders"],
               description="the wormhole coordinator switched on")
@@ -261,7 +248,7 @@ def _build_default_registry() -> SchemaRegistry:
     r.declare("sink_degraded", ["sink", "error"],
               description="a trace sink hit an IO error and was detached; "
                           "records fall back to the in-memory ring buffer")
-    # -- baselines / mobility ------------------------------------------
+    # -- defense plugins / mobility ------------------------------------
     r.declare("leash_rejected", ["node", "reason", *frame],
               description="packet-leash baseline discarded a frame")
     r.declare("rtt_link_flagged", ["node", "peer", "reason"],

@@ -17,23 +17,13 @@ implemented here:
   discusses as a by-product defence against the encapsulation mode).
 """
 
-from repro.routing.beacon import (
-    BeaconConfig,
-    BeaconPacket,
-    BeaconTreeRouting,
-    WormholeBeaconRouting,
-)
 from repro.routing.cache import RouteEntry, RouteTable
 from repro.routing.config import RoutingConfig
 from repro.routing.ondemand import OnDemandRouting
 
 __all__ = [
-    "BeaconConfig",
-    "BeaconPacket",
-    "BeaconTreeRouting",
     "OnDemandRouting",
     "RouteEntry",
     "RouteTable",
     "RoutingConfig",
-    "WormholeBeaconRouting",
 ]

@@ -15,7 +15,6 @@ from repro.experiments.campaign import (
     ProcessBackend,
     RetryPolicy,
     SupervisionPolicy,
-    ThreadBackend,
     apply_overrides,
     compile_campaign,
     load_journal,
@@ -291,19 +290,9 @@ def test_resume_requires_journal_path():
 # ----------------------------------------------------------------------
 # Backends
 # ----------------------------------------------------------------------
-def test_thread_backend_matches_inline(tmp_path):
-    spec = tiny_spec(runs=1)
-    inline = run_campaign(spec, backend="inline")
-    threaded = run_campaign(spec, backend=ThreadBackend(jobs=2))
-    assert json.dumps(inline.aggregate, sort_keys=True) == json.dumps(
-        threaded.aggregate, sort_keys=True
-    )
-
-
 def test_make_backend_names():
     assert isinstance(make_backend("inline"), InlineBackend)
     assert isinstance(make_backend("process", jobs=2), ProcessBackend)
-    assert isinstance(make_backend("thread", jobs=2), ThreadBackend)
     with pytest.raises(CampaignError, match="unknown backend"):
         make_backend("quantum")
 

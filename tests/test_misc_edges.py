@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines.leashes import LeashAgent, LeashConfig
+from repro.defenses.leash import LeashAgent, LeashConfig
 from repro.experiments.figures import _sample_times
 from repro.experiments.scenario import ScenarioConfig, build_scenario
 from repro.net.packet import DataPacket, Frame, RouteReply

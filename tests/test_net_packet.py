@@ -1,7 +1,9 @@
 """Unit tests for packet and frame definitions."""
 
 import dataclasses
+import importlib
 import pickle
+import pkgutil
 import sys
 
 import pytest
@@ -126,11 +128,13 @@ def test_all_packets_have_positive_size():
 # Cached logical keys
 # ----------------------------------------------------------------------
 def _all_packet_classes():
-    # Import the packages that define packets outside repro.net.packet.
-    import repro.aggregation.tree  # noqa: F401
-    import repro.clustering.lowest_id  # noqa: F401
-    import repro.routing.beacon  # noqa: F401
+    # Import every module so a Packet subclass defined anywhere is found.
+    import repro
     from repro.net.packet import Packet
+
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not module.name.endswith("__main__"):
+            importlib.import_module(module.name)
 
     found, stack = set(), list(Packet.__subclasses__())
     while stack:
@@ -146,9 +150,9 @@ def _all_packet_classes():
 PACKET_CLASSES = _all_packet_classes()
 
 
-def test_packet_class_list_covers_other_packages():
-    names = {cls.__name__ for cls in PACKET_CLASSES}
-    assert {"BeaconPacket", "ClusterAnnounce", "AggregatePacket", "RouteRequest"} <= names
+def test_every_packet_class_is_defined_in_net_packet():
+    assert PACKET_CLASSES
+    assert {cls.__module__ for cls in PACKET_CLASSES} == {"repro.net.packet"}
 
 
 @pytest.mark.parametrize("cls", PACKET_CLASSES, ids=lambda cls: cls.__name__)

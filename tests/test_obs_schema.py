@@ -1,7 +1,11 @@
 """Trace-schema registry and strict emission mode."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.experiments.scenario import ScenarioConfig, build_scenario
 from repro.obs.config import ObsConfig
 from repro.obs.schema import (
@@ -102,3 +106,23 @@ def test_full_scenario_emits_only_declared_records(attack_mode):
         obs=ObsConfig(strict=True),
     )
     build_scenario(config).run()  # TraceSchemaError would propagate
+
+
+def test_protocol_doc_embeds_the_registry_table():
+    doc = Path(__file__).resolve().parents[1] / "docs" / "PROTOCOL.md"
+    assert DEFAULT_REGISTRY.markdown_table() in doc.read_text(encoding="utf-8")
+
+
+def test_every_declared_kind_has_an_emitter():
+    package = Path(repro.__file__).resolve().parent
+    literals = set()
+    for path in package.rglob("*.py"):
+        if path == package / "obs" / "schema.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        literals.update(
+            node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        )
+    orphans = [kind for kind in DEFAULT_REGISTRY.kinds() if kind not in literals]
+    assert orphans == []
