@@ -26,7 +26,6 @@ from repro.attacks import ATTACK_MODES, WormholeCoordinator, taxonomy_table
 from repro.core import LiteworpAgent, LiteworpConfig
 from repro.defenses.leash import LeashAgent, LeashConfig
 from repro.faults import FaultController, FaultPlan
-from repro.mobility import DynamicNeighborhood, RandomWaypointModel, WaypointConfig
 from repro.experiments import (
     ScenarioConfig,
     TABLE2,
@@ -48,7 +47,6 @@ __all__ = [
     "ATTACK_MODES",
     "CostModel",
     "CoverageParams",
-    "DynamicNeighborhood",
     "FaultController",
     "FaultPlan",
     "LeashAgent",
@@ -60,10 +58,8 @@ __all__ = [
     "Network",
     "NetworkConfig",
     "OnDemandRouting",
-    "RandomWaypointModel",
     "RoutingConfig",
     "ScenarioConfig",
-    "WaypointConfig",
     "Simulator",
     "TABLE2",
     "Topology",

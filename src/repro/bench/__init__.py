@@ -7,10 +7,7 @@ trajectory files; see :mod:`repro.bench.micro`.
 from repro.bench.micro import (  # noqa: F401
     BENCHMARKS,
     BenchResult,
-    bench_campaign,
     bench_channel,
     bench_engine,
-    bench_sweep,
-    bench_trace,
     run_benchmarks,
 )

@@ -270,11 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
                             help="paper-scale sizes (default is quick mode)")
     bench_mode.add_argument("--quick", action="store_true",
                             help="reduced sizes (the default; explicit flag for CI)")
-    bench_p.add_argument("--jobs", type=int, default=0, metavar="N",
-                         help="worker processes for the sweep benchmark")
     bench_p.add_argument("--only", action="append", default=None, metavar="NAME",
                          help="run one benchmark (repeatable): engine, channel, "
-                              "identity, scale, sweep, trace, campaign")
+                              "identity, scale")
     bench_p.add_argument("--output-dir", default="benchmarks/output",
                          help="where BENCH_*.json files land (default benchmarks/output)")
 
@@ -834,7 +832,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     results = run_benchmarks(
         names=args.only,
         quick=not args.full,
-        jobs=args.jobs or None,
         output_dir=args.output_dir,
     )
     for result in results:

@@ -86,17 +86,6 @@ class NeighborTable:
         record = self._first.get(node)
         return record is not None and record.status == STATUS_REVOKED
 
-    def remove_neighbor(self, node: NodeId) -> bool:
-        """Forget a departed neighbor (mobility) — unless it is revoked, in
-        which case the tombstone is kept so the node cannot re-enter
-        cleanly later.  Returns True if an active record was removed."""
-        record = self._first.get(node)
-        if record is None or record.status == STATUS_REVOKED:
-            return False
-        del self._first[node]
-        self._second.pop(node, None)
-        return True
-
     def revoke(self, node: NodeId) -> bool:
         """Mark a neighbor revoked; returns False if it already was (or is
         unknown, in which case a tombstone record is created)."""

@@ -15,8 +15,8 @@ Two properties matter for byte-identity with the brute-force scan:
 - Distances are computed by the same ``math.hypot`` call on the same
   floats, so values are bit-identical.
 
-Mobility (``set_position``) migrates a node between cells incrementally;
-range overrides larger than the cell size simply widen the query ring
+Positions are fixed once indexed (the network is static).  Range
+overrides larger than the cell size simply widen the query ring
 (``ceil(r / cell)`` rings), so the high-power attack mode needs no
 special casing.
 """
@@ -32,7 +32,7 @@ Cell = Tuple[int, int]
 
 
 class SpatialGrid:
-    """Point index with incremental updates and rank-ordered disk queries."""
+    """Static point index with rank-ordered disk queries."""
 
     def __init__(self, positions: Dict[NodeId, Position], cell_size: float) -> None:
         if cell_size <= 0:
@@ -57,29 +57,12 @@ class SpatialGrid:
         return (math.floor(pos[0] / cell), math.floor(pos[1] / cell))
 
     def insert(self, node: NodeId, pos: Position) -> None:
-        """Add a node (or move it if already present)."""
-        if node in self._positions:
-            self.move(node, pos)
-            return
+        """Add a node; ``node`` must not be indexed yet."""
         self._rank[node] = len(self._rank)
         self._positions[node] = pos
         cell = self._cell_for(pos)
         self._cell_of[node] = cell
         self._cells.setdefault(cell, []).append(node)
-
-    def move(self, node: NodeId, pos: Position) -> None:
-        """Update a node's position, migrating cells only when needed."""
-        self._positions[node] = pos
-        new_cell = self._cell_for(pos)
-        old_cell = self._cell_of[node]
-        if new_cell == old_cell:
-            return
-        bucket = self._cells[old_cell]
-        bucket.remove(node)
-        if not bucket:
-            del self._cells[old_cell]
-        self._cell_of[node] = new_cell
-        self._cells.setdefault(new_cell, []).append(node)
 
     def _candidates(self, origin: Position, radius: float) -> Iterator[NodeId]:
         cell = self._cell_size

@@ -94,25 +94,11 @@ class UnitDiskRadio:
         """Position of ``node``."""
         return self._positions[node]
 
-    def set_position(self, node: NodeId, position: Position) -> None:
-        """Move a node (mobility extension); invalidates all distance memos."""
-        known = node in self._positions
-        self._positions[node] = position
-        if self._grid is not None:
-            if known:
-                self._grid.move(node, position)
-            else:
-                self._grid.insert(node, position)
-        self._coverage_cache.clear()
-        self._coverage_dist_cache.clear()
-        self._pair_distances.clear()
-
     def distance_between(self, a: NodeId, b: NodeId) -> float:
         """Memoized Euclidean distance between two nodes.
 
-        The topology is static for the whole run in every paper scenario,
-        so each pair's distance is computed at most once; a position
-        update (mobility) flushes the table.
+        The topology is static for the whole run, so each pair's distance
+        is computed at most once.
         """
         key = (a, b) if a <= b else (b, a)
         cached = self._pair_distances.get(key)
@@ -141,8 +127,7 @@ class UnitDiskRadio:
     def coverage(self, sender: NodeId, tx_range: float | None = None) -> Tuple[NodeId, ...]:
         """Node ids (excluding the sender) within the sender's transmit range.
 
-        Cached per ``(sender, range)`` because the network is static; a
-        position update clears the cache.
+        Cached per ``(sender, range)`` because the network is static.
         """
         if tx_range is None:
             tx_range = self.tx_range(sender)

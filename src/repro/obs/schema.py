@@ -248,7 +248,7 @@ def _build_default_registry() -> SchemaRegistry:
     r.declare("sink_degraded", ["sink", "error"],
               description="a trace sink hit an IO error and was detached; "
                           "records fall back to the in-memory ring buffer")
-    # -- defense plugins / mobility ------------------------------------
+    # -- defense plugins -----------------------------------------------
     r.declare("leash_rejected", ["node", "reason", *frame],
               description="packet-leash baseline discarded a frame")
     r.declare("rtt_link_flagged", ["node", "peer", "reason"],
@@ -258,14 +258,6 @@ def _build_default_registry() -> SchemaRegistry:
               description="time-of-flight handshake verified a neighbor")
     r.declare("snd_link_rejected", ["node", "peer", "reason"], ["elapsed"],
               description="SND challenge late/unanswered/unverified link")
-    r.declare("mobile_link_formed", ["a", "b"],
-              description="mobility: authenticated link established")
-    r.declare("mobile_link_broken", ["a", "b"],
-              description="mobility: nodes moved out of range")
-    r.declare("mobile_handshake_rejected", ["a", "b"],
-              description="mobility: link handshake failed")
-    r.declare("mobile_admission_refused", ["node", "revoked"],
-              description="mobility: revoked node denied re-entry")
     return r
 
 

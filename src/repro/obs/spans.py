@@ -17,10 +17,10 @@ a zero-cost no-op unless a profiler has been installed with
         run_fig8(...)
     print(profiler.format())
 
-``repro bench`` activates a profiler around the sweep benchmark and
-merges ``profiler.flat()`` into ``BENCH_sweep.json``, so the perf
-trajectory records how harness overhead (cache, fan-out, metrics)
-evolves alongside the simulator itself.
+The end-to-end benchmark (``benchmarks/e2e``) activates a profiler
+around each workload and reads these span names into its per-layer
+table, so harness overhead (cache, fan-out, metrics) is measured
+alongside the simulator itself.
 
 The profiler is deliberately not thread-safe: the harness is
 single-threaded per process, and worker processes of a ``process``

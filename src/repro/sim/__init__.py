@@ -17,7 +17,7 @@ scheduler:
 
 from repro.sim.engine import Event, Simulator, SimulationError
 from repro.sim.rng import RngRegistry
-from repro.sim.timers import PeriodicTimer, Timeout
+from repro.sim.timers import PeriodicTimer
 from repro.sim.trace import TraceLog, TraceRecord
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "RngRegistry",
     "SimulationError",
     "Simulator",
-    "Timeout",
     "TraceLog",
     "TraceRecord",
 ]

@@ -1,11 +1,7 @@
 """Timer helpers layered on top of the event kernel.
 
-Protocol code needs two recurring shapes:
-
-- :class:`Timeout` — a restartable one-shot deadline (watch-buffer entries,
-  route-cache eviction, neighbor-discovery reply windows).
-- :class:`PeriodicTimer` — a repeating callback (traffic generation ticks,
-  metric sampling).
+:class:`PeriodicTimer` is a repeating callback (traffic generation ticks,
+metric sampling).
 """
 
 from __future__ import annotations
@@ -13,48 +9,6 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.sim.engine import Event, Simulator
-
-
-class Timeout:
-    """A restartable one-shot timer.
-
-    ``start`` arms the timer; ``cancel`` disarms it; starting an armed timer
-    re-arms it from now (the previous deadline is dropped).  The callback
-    receives no arguments — bind state with a closure or ``functools.partial``.
-    """
-
-    def __init__(self, sim: Simulator, callback: Callable[[], Any]) -> None:
-        self._sim = sim
-        self._callback = callback
-        self._event: Optional[Event] = None
-
-    @property
-    def armed(self) -> bool:
-        """Whether the timer currently has a pending deadline."""
-        return self._event is not None and self._event.pending
-
-    @property
-    def deadline(self) -> Optional[float]:
-        """Absolute time at which the timer will fire, or None if disarmed."""
-        if self.armed:
-            assert self._event is not None
-            return self._event.time
-        return None
-
-    def start(self, delay: float) -> None:
-        """(Re-)arm the timer to fire ``delay`` seconds from now."""
-        self.cancel()
-        self._event = self._sim.schedule(delay, self._fire)
-
-    def cancel(self) -> None:
-        """Disarm the timer if armed.  Idempotent."""
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
-
-    def _fire(self) -> None:
-        self._event = None
-        self._callback()
 
 
 class PeriodicTimer:

@@ -15,6 +15,7 @@ from repro.experiments.campaign import (
     ProcessBackend,
     RetryPolicy,
     SupervisionPolicy,
+    aggregate_campaign,
     apply_overrides,
     compile_campaign,
     load_journal,
@@ -272,6 +273,30 @@ def test_resume_with_complete_journal_runs_nothing(tmp_path):
     assert replay.from_journal == replay.total_jobs
     assert json.dumps(replay.aggregate, sort_keys=True) == json.dumps(
         full.aggregate, sort_keys=True
+    )
+
+
+@pytest.mark.parametrize(
+    "fsync, supervision",
+    [
+        (False, SupervisionPolicy(timeout=None, quarantine=False)),
+        (True, SupervisionPolicy(timeout=300.0, quarantine=True)),
+    ],
+    ids=["bare", "supervised"],
+)
+def test_campaign_aggregate_matches_raw_loop(tmp_path, fsync, supervision):
+    """The journaled campaign aggregates exactly what a bare
+    ``run_scenario`` loop over the same jobs yields, whether or not the
+    journal is fsynced and the workers supervised."""
+    spec = tiny_spec()
+    jobs = compile_campaign(spec)
+    raw = {job.index: run_scenario(job.config) for job in jobs}
+    result = run_campaign(
+        spec, journal=tmp_path / "j.jsonl", fsync=fsync, supervision=supervision
+    )
+    assert result.executed == len(jobs)
+    assert json.dumps(result.aggregate, sort_keys=True) == json.dumps(
+        aggregate_campaign(spec, jobs, raw), sort_keys=True
     )
 
 

@@ -57,14 +57,18 @@ def test_average_runs_parallel_matches_serial():
 
 
 def test_cache_hit_returns_identical_report(tmp_path):
+    """A cold pass, inline or on the process backend, writes the cache
+    that a warm pass then serves byte-identically."""
     configs = replication_configs(TINY, 2)
-    first = run_sweep(configs, cache=ResultCache(tmp_path))
-    assert first.executed == 2 and first.from_cache == 0
+    for jobs in (None, 2):
+        cache_dir = tmp_path / f"jobs-{jobs}"
+        first = run_sweep(configs, jobs=jobs, cache=ResultCache(cache_dir))
+        assert first.executed == 2 and first.from_cache == 0
 
-    second = run_sweep(configs, cache=ResultCache(tmp_path))
-    assert second.executed == 0 and second.from_cache == 2
-    assert second.reports == first.reports
-    assert _canonical(second.reports) == _canonical(first.reports)
+        second = run_sweep(configs, cache=ResultCache(cache_dir))
+        assert second.executed == 0 and second.from_cache == 2
+        assert second.reports == first.reports
+        assert _canonical(second.reports) == _canonical(first.reports)
 
 
 def test_partial_cache_only_computes_misses(tmp_path):

@@ -58,50 +58,6 @@ def test_common_neighbors():
     assert common == {3}  # node 3 is within 30 of both 0 and 1
 
 
-def test_position_update_invalidates_cache():
-    r = radio()
-    assert 2 not in r.coverage(0)
-    r.set_position(2, (10.0, 0.0))
-    assert 2 in r.coverage(0)
-
-
-def test_position_update_invalidates_every_memo():
-    """Mobility vs the hot-path memos: after ``set_position`` all three
-    caches (coverage, coverage+distance, pairwise distance) must reflect
-    the new topology, not the memoized one."""
-    r = radio()
-    # Populate every memo for the original topology.
-    assert set(r.coverage(0)) == {1, 3}
-    assert dict(r.coverage_with_distance(0)) == {1: 20.0, 3: distance((0, 0), (20, 20))}
-    assert r.distance_between(0, 2) == 50.0
-    assert r.distance_between(2, 0) == 50.0  # symmetric key
-
-    r.set_position(2, (10.0, 0.0))
-
-    assert r.distance_between(0, 2) == 10.0
-    assert r.distance_between(2, 0) == 10.0
-    assert set(r.coverage(0)) == {1, 2, 3}
-    with_distance = dict(r.coverage_with_distance(0))
-    assert with_distance[2] == 10.0
-    assert with_distance[1] == 20.0
-
-    # Moving a node out of range shrinks coverage again.
-    r.set_position(1, (200.0, 0.0))
-    assert set(r.coverage(0)) == {2, 3}
-    assert 1 not in dict(r.coverage_with_distance(0))
-    assert r.distance_between(0, 1) == 200.0
-
-
-def test_position_update_invalidates_override_range_memos():
-    """Memos are keyed per (sender, range); overrides must refresh too."""
-    r = radio()
-    r.set_tx_range(0, 60.0)
-    assert 2 in r.coverage(0)
-    r.set_position(2, (100.0, 0.0))
-    assert 2 not in r.coverage(0)
-    assert 2 not in dict(r.coverage_with_distance(0))
-
-
 def test_invalid_ranges_rejected():
     with pytest.raises(ValueError):
         UnitDiskRadio(POSITIONS, default_range=0)

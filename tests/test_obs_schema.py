@@ -25,7 +25,7 @@ def test_default_registry_covers_the_protocol_vocabulary():
         "alert_abandoned", "alert_undeliverable", "isolation",
         "frame_rejected", "send_blocked", "data_origin", "data_delivered",
         "malicious_drop", "wormhole_activity", "neighbor_dead",
-        "fault_injected", "mobile_link_formed",
+        "fault_injected",
     ):
         assert kind in DEFAULT_REGISTRY, kind
 

@@ -147,3 +147,26 @@ def test_harness_spans_appear_when_profiling_a_run():
     assert "scenario.run/metrics.collect" not in rows  # siblings, not nested
     assert "metrics.collect" in rows
     assert rows["scenario.run"]["seconds"] > 0.0
+
+
+def test_sweep_records_the_harness_spans_the_e2e_layer_table_reads(tmp_path):
+    """``benchmarks/e2e/layers.py`` reads these span paths for its
+    per-layer table; a renamed or unnested span breaks it silently."""
+    from repro.experiments.cache import ResultCache
+    from repro.experiments.campaign import replication_configs, run_sweep
+    from repro.experiments.scenario import ScenarioConfig
+
+    tiny = ScenarioConfig(n_nodes=16, duration=40.0, seed=4, attack_start=20.0)
+    profiler = SpanProfiler()
+    with activate(profiler):
+        run_sweep(replication_configs(tiny, 1), cache=ResultCache(tmp_path))
+    rows = profiler.flat()
+    for path in (
+        "campaign.execute",
+        "campaign.execute/scenario.build",
+        "campaign.execute/scenario.run",
+        "campaign.execute/metrics.collect",
+        "campaign.execute/cache.store",
+        "campaign.cache/cache.lookup",
+    ):
+        assert path in rows, path

@@ -1,19 +1,15 @@
 """Property tests: the grid-indexed radio equals the brute-force radio.
 
-Hypothesis drives random topologies, per-node range overrides and
-interleaved mobility moves through two UnitDiskRadio instances — one with
-the spatial grid, one with the brute-force scans — and requires every
-query to return *identical* results (same elements, same order, same
-distances), which is the byte-identity contract the engine rearchitecture
-rests on.
+Hypothesis drives random topologies and per-node range overrides
+through two UnitDiskRadio instances — one with the spatial grid, one
+with the brute-force scans — and requires every query to return
+*identical* results (same elements, same order, same distances), which
+is the byte-identity contract the engine rearchitecture rests on.
 """
-
-import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.grid import SpatialGrid
 from repro.net.radio import UnitDiskRadio
 
 _coord = st.floats(
@@ -67,45 +63,3 @@ def test_range_overrides_match_brute_force(positions, overrides):
             indexed.set_tx_range(node, 30.0 * mult)
             brute.set_tx_range(node, 30.0 * mult)
     _assert_all_queries_equal(indexed, brute)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    positions=_positions,
-    moves=st.lists(
-        st.tuples(st.integers(0, 39), st.tuples(_coord, _coord)), max_size=10
-    ),
-    overrides=st.lists(st.tuples(st.integers(0, 39), _range_mult), max_size=4),
-)
-def test_interleaved_mobility_matches_brute_force(positions, moves, overrides):
-    indexed, brute = _pair(positions)
-    ops = [("move", m) for m in moves] + [("range", o) for o in overrides]
-    for i, (kind, payload) in enumerate(ops):
-        node, value = payload
-        if node not in positions:
-            continue
-        if kind == "move":
-            indexed.set_position(node, value)
-            brute.set_position(node, value)
-        else:
-            indexed.set_tx_range(node, 30.0 * value)
-            brute.set_tx_range(node, 30.0 * value)
-        # Query mid-stream every few ops so stale cells would be caught.
-        if i % 3 == 0:
-            assert indexed.coverage_with_distance(node) == brute.coverage_with_distance(node)
-    _assert_all_queries_equal(indexed, brute)
-
-
-def test_grid_cell_migration_is_incremental():
-    positions = {i: (float(i * 10), 0.0) for i in range(20)}
-    grid = SpatialGrid(positions, cell_size=30.0)
-    assert sum(len(b) for b in grid._cells.values()) == 20
-    # Move within the same cell: bucket membership untouched.
-    cell_before = grid._cell_of[0]
-    grid.move(0, (1.0, 1.0))
-    assert grid._cell_of[0] == cell_before
-    # Move across cells: old bucket shrinks or disappears, new one gains.
-    grid.move(0, (1000.0, 1000.0))
-    assert grid._cell_of[0] == (math.floor(1000.0 / 30.0), math.floor(1000.0 / 30.0))
-    assert 0 in grid._cells[grid._cell_of[0]]
-    assert sum(len(b) for b in grid._cells.values()) == 20

@@ -76,21 +76,3 @@ def test_audible_from_uses_one_disk_query():
     assert radio.distance_computations <= 12 * 6
     brute = UnitDiskRadio(positions, default_range=RANGE, use_grid=False)
     assert audible == brute._brute_audible_from(17, senders)
-
-
-def test_mobility_keeps_grid_queries_correct_and_cheap():
-    positions = _positions()
-    radio = UnitDiskRadio(positions, default_range=RANGE, use_grid=True)
-    brute = UnitDiskRadio(positions, default_range=RANGE, use_grid=False)
-    rng = random.Random(9)
-    side = field_side_for_density(N_NODES, RANGE, avg_neighbors=12.0)
-    for _ in range(25):
-        node = rng.randrange(N_NODES)
-        pos = (rng.uniform(0.0, side), rng.uniform(0.0, side))
-        radio.set_position(node, pos)
-        brute.set_position(node, pos)
-        radio.distance_computations = 0
-        assert radio.coverage_with_distance(node) == brute._brute_coverage_with_distance(
-            node, RANGE
-        )
-        assert radio.distance_computations <= 12 * 6

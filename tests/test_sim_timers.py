@@ -1,59 +1,7 @@
-"""Unit tests for Timeout and PeriodicTimer."""
+"""Unit tests for PeriodicTimer."""
 
 from repro.sim.engine import Simulator
-from repro.sim.timers import PeriodicTimer, Timeout
-
-
-def test_timeout_fires_after_delay():
-    sim = Simulator()
-    fired = []
-    timer = Timeout(sim, lambda: fired.append(sim.now))
-    timer.start(2.0)
-    sim.run()
-    assert fired == [2.0]
-
-
-def test_timeout_cancel_prevents_fire():
-    sim = Simulator()
-    fired = []
-    timer = Timeout(sim, lambda: fired.append(True))
-    timer.start(2.0)
-    timer.cancel()
-    sim.run()
-    assert fired == []
-
-
-def test_timeout_restart_supersedes_old_deadline():
-    sim = Simulator()
-    fired = []
-    timer = Timeout(sim, lambda: fired.append(sim.now))
-    timer.start(1.0)
-    timer.start(5.0)  # re-arm: old deadline dropped
-    sim.run()
-    assert fired == [5.0]
-
-
-def test_timeout_armed_and_deadline():
-    sim = Simulator()
-    timer = Timeout(sim, lambda: None)
-    assert not timer.armed
-    assert timer.deadline is None
-    timer.start(3.0)
-    assert timer.armed
-    assert timer.deadline == 3.0
-    sim.run()
-    assert not timer.armed
-
-
-def test_timeout_can_be_restarted_after_firing():
-    sim = Simulator()
-    fired = []
-    timer = Timeout(sim, lambda: fired.append(sim.now))
-    timer.start(1.0)
-    sim.run()
-    timer.start(1.0)
-    sim.run()
-    assert fired == [1.0, 2.0]
+from repro.sim.timers import PeriodicTimer
 
 
 def test_periodic_timer_fires_repeatedly():
