@@ -1,30 +1,32 @@
 """The per-node LITEWORP agent: composition of tables, monitor, isolation,
 discovery, and the legitimacy filters.
 
-The agent plugs into the node pipeline in four places:
+The agent plugs into the node pipeline in three places:
 
-- **observer** — the local monitor sees every frame (even ones the filters
-  will reject: a guard must watch traffic it would itself discard);
-- **filter** — the legitimacy checks: reject frames from non-neighbors
-  (defeats high-power and relay wormholes), from revoked nodes, and
-  forwarded frames whose announced previous hop is not a neighbor of the
-  transmitter (the second-hop check, defeating naive encapsulation);
-- **listener** — alert handling;
+- **receive hook** (registered as the node's filter) — one entry point per
+  received frame.  It notes the frame as a neighbor life sign, hands it to
+  the local monitor (even if the checks below reject it: a guard must
+  watch traffic it would itself discard), then runs the legitimacy checks:
+  reject frames from non-neighbors (defeats high-power and relay
+  wormholes), from revoked nodes, and forwarded frames whose announced
+  previous hop is not a neighbor of the transmitter (the second-hop check,
+  defeating naive encapsulation).  An accepted alert, alert ack or probe
+  goes to its handler by packet type;
 - **send filter** — refuse to transmit to revoked nodes, and feed the
-  node's own transmissions to the monitor (a node guards its own links).
+  node's own transmissions to the monitor (a node guards its own links);
+- **lifecycle listener** — crash and recovery.
 
 When ``config.heartbeat_period`` is set the agent additionally composes a
-:class:`~repro.core.liveness.LivenessManager` and subscribes to the node's
-lifecycle (crash / recover): a crash deactivates the filters and drops all
-volatile monitor state; a recovery re-runs neighbor bootstrap against the
-retained (nonvolatile) neighbor table, so revocations stay sticky across
-reboots.
+:class:`~repro.core.liveness.LivenessManager`: a crash deactivates the
+checks and drops all volatile monitor state; a recovery re-runs neighbor
+bootstrap against the retained (nonvolatile) neighbor table, so
+revocations stay sticky across reboots.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.core.config import LiteworpConfig
 from repro.core.discovery import NeighborDiscovery, install_oracle_tables
@@ -34,7 +36,7 @@ from repro.core.monitor import LocalMonitor
 from repro.core.tables import NeighborTable
 from repro.crypto.keys import KeyStore
 from repro.net.node import Node
-from repro.net.packet import Frame, NodeId
+from repro.net.packet import AlertAckPacket, AlertPacket, Frame, NodeId, ProbePacket
 from repro.routing.ondemand import OnDemandRouting
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceLog
@@ -74,23 +76,19 @@ class LiteworpAgent:
         self._router: Optional[OnDemandRouting] = None
         self._oracle_adjacency: Optional[Dict[NodeId, tuple]] = None
         self.liveness: Optional[LivenessManager] = None
+        # Handler of each packet type the agent consumes once accepted.
+        self._handlers: Dict[type, Callable[[Frame], None]] = {
+            AlertPacket: self.isolation.on_frame,
+            AlertAckPacket: self.isolation.on_frame,
+        }
         if config.heartbeat_period is not None:
             self.liveness = LivenessManager(
-                sim,
-                node,
-                self.table,
-                config,
-                trace,
-                self.rng,
+                sim, node, self.table, config, trace, self.rng,
                 on_dead=self._neighbor_dead,
-                on_recovered=self._neighbor_recovered,
             )
             self.monitor.set_liveness(self.liveness.is_accusable)
-            node.add_observer(self.liveness.note_frame)
-            node.add_listener(self.liveness.on_frame)
-        node.add_observer(self._observe)
-        node.add_filter(self._receive_filter)
-        node.add_listener(self.isolation.on_frame)
+            self._handlers[ProbePacket] = self.liveness.on_probe
+        node.add_filter(self._receive)
         node.add_send_filter(self._send_filter)
         node.add_lifecycle_listener(self._lifecycle)
 
@@ -171,10 +169,6 @@ class LiteworpAgent:
         if self._router is not None:
             self._router.routes.evict_via(neighbor)
 
-    def _neighbor_recovered(self, neighbor: NodeId) -> None:
-        """A DEAD neighbor spoke again (rebooted): monitoring resumes
-        automatically via the liveness predicate; nothing to undo."""
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -198,25 +192,27 @@ class LiteworpAgent:
     # ------------------------------------------------------------------
     # Pipeline hooks
     # ------------------------------------------------------------------
-    def _observe(self, frame: Frame) -> None:
+    def _receive(self, frame: Frame) -> bool:
+        """The node's one receive hook; False rejects the frame."""
+        if self.liveness is not None:
+            self.liveness.note_frame(frame)
         if self.activated:
             self.monitor.observe(frame)
-
-    def _receive_filter(self, frame: Frame) -> bool:
-        if not self.activated:
-            return True
-        transmitter = frame.transmitter
-        if not self.table.is_neighbor(transmitter):
-            self._reject("nonneighbor", frame)
-            return False
-        if self.table.is_revoked(transmitter):
-            self._reject("revoked", frame)
-            return False
-        if frame.prev_hop is not None and self.config.second_hop_check:
-            reach = self.table.neighbors_of(transmitter)
-            if reach is not None and frame.prev_hop not in reach:
-                self._reject("secondhop", frame)
+            transmitter = frame.transmitter
+            if not self.table.is_neighbor(transmitter):
+                self._reject("nonneighbor", frame)
                 return False
+            if self.table.is_revoked(transmitter):
+                self._reject("revoked", frame)
+                return False
+            if frame.prev_hop is not None and self.config.second_hop_check:
+                reach = self.table.neighbors_of(transmitter)
+                if reach is not None and frame.prev_hop not in reach:
+                    self._reject("secondhop", frame)
+                    return False
+        handler = self._handlers.get(type(frame.packet))
+        if handler is not None:
+            handler(frame)
         return True
 
     def _send_filter(self, frame: Frame) -> bool:

@@ -233,15 +233,14 @@ class IsolationManager:
     # Recipient side
     # ------------------------------------------------------------------
     def on_frame(self, frame: Frame) -> None:
-        """Listener entry point for alert and alert-ack packets."""
+        """Handle an accepted alert or alert-ack frame (the agent's receive
+        hook routes only those two packet types here)."""
         packet = frame.packet
         me = self.node.node_id
         if frame.link_dst != me:
             return
         if isinstance(packet, AlertAckPacket):
             self._on_alert_ack(packet)
-            return
-        if not isinstance(packet, AlertPacket):
             return
         if packet.relay_via == me and packet.recipient != me:
             self._relay_alert(packet)

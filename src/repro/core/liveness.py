@@ -45,10 +45,9 @@ class LivenessManager:
     """Per-node heartbeat emission and neighbor liveness state machine.
 
     Constructed by :class:`~repro.core.agent.LiteworpAgent` when
-    ``config.heartbeat_period`` is set.  The owner wires
-    :meth:`note_frame` as a promiscuous observer (every decodable frame is
-    a life sign) and :meth:`on_frame` as a listener (probe / probe-ack
-    handling).
+    ``config.heartbeat_period`` is set.  The agent's receive hook calls
+    :meth:`note_frame` on every frame, rejected or not (every decodable
+    frame is a life sign), and :meth:`on_probe` on accepted probes.
     """
 
     def __init__(
@@ -60,7 +59,6 @@ class LivenessManager:
         trace: TraceLog,
         rng: random.Random,
         on_dead: Optional[Callable[[NodeId], None]] = None,
-        on_recovered: Optional[Callable[[NodeId], None]] = None,
     ) -> None:
         if config.heartbeat_period is None:
             raise ValueError("LivenessManager requires heartbeat_period to be set")
@@ -71,7 +69,6 @@ class LivenessManager:
         self.trace = trace
         self.rng = rng
         self.on_dead = on_dead
-        self.on_recovered = on_recovered
         self._state: Dict[NodeId, str] = {}
         self._last_heard: Dict[NodeId, float] = {}
         self._probe_attempts: Dict[NodeId, int] = {}
@@ -258,14 +255,12 @@ class LivenessManager:
                 node=self.node.node_id,
                 neighbor=transmitter,
             )
-            if self.on_recovered is not None:
-                self.on_recovered(transmitter)
 
-    def on_frame(self, frame: Frame) -> None:
-        """Listener: answer probes addressed to this node (the ack is the
-        proof of life; it refreshes the prober's tap on reception)."""
+    def on_probe(self, frame: Frame) -> None:
+        """Answer a probe addressed to this node (the ack is the proof of
+        life; it refreshes the prober's tap on reception)."""
         packet = frame.packet
-        if isinstance(packet, ProbePacket) and packet.target == self.node.node_id:
+        if packet.target == self.node.node_id:
             ack = ProbeAckPacket(
                 sender=self.node.node_id, target=packet.sender, nonce=packet.nonce
             )

@@ -175,16 +175,17 @@ class LocalMonitor:
     def _process(self, frame: Frame, own: bool) -> None:
         if not self.enabled:
             return
+        transmitter = frame.transmitter
+        if not own and not self.table.is_neighbor(transmitter):
+            # A guard judges only what its own neighbors transmit.
+            return
         packet = frame.packet
         if isinstance(packet, RouteErrorPacket):
             # The transmitter legitimately cannot forward: clear the watch.
-            if own or self.table.is_neighbor(frame.transmitter):
-                pending = self._expectations.pop(
-                    (packet.inner_key, frame.transmitter), None
-                )
-                if pending is not None:
-                    pending.cancel()
-                    self._note_watch_size()
+            pending = self._expectations.pop((packet.inner_key, transmitter), None)
+            if pending is not None:
+                pending.cancel()
+                self._note_watch_size()
             return
         if isinstance(packet, DataPacket):
             watched = self.config.watch_data
@@ -193,27 +194,21 @@ class LocalMonitor:
         if not watched:
             return
 
-        now = self.sim.now
-        transmitter = frame.transmitter
         key = packet.key()
-
-        if own or self.table.is_neighbor(transmitter):
-            self._remember((key, transmitter), now)
-            pending = self._expectations.pop((key, transmitter), None)
-            if pending is not None:
-                pending.cancel()
-                self._note_watch_size()
+        self._remember((key, transmitter), self.sim.now)
+        pending = self._expectations.pop((key, transmitter), None)
+        if pending is not None:
+            pending.cancel()
+            self._note_watch_size()
 
         if not own:
             self._check_fabrication(frame, key, transmitter)
 
-        self._maybe_watch(frame, key, transmitter, own)
+        self._maybe_watch(frame, key, transmitter)
 
     def _check_fabrication(self, frame: Frame, key: PacketKey, transmitter: NodeId) -> None:
         prev = frame.prev_hop
         if prev is None:
-            return
-        if not self.table.is_neighbor(transmitter):
             return
         if not self.table.is_neighbor(prev):
             # Not a guard of the claimed link: cannot judge.
@@ -228,7 +223,7 @@ class LocalMonitor:
         self.fabrications_seen += 1
         self._accuse(transmitter, self.config.v_fabricate, "fabrication", key)
 
-    def _maybe_watch(self, frame: Frame, key: PacketKey, transmitter: NodeId, own: bool) -> None:
+    def _maybe_watch(self, frame: Frame, key: PacketKey, transmitter: NodeId) -> None:
         packet = frame.packet
         if frame.link_dst is not None:
             watched_node = frame.link_dst
@@ -236,21 +231,17 @@ class LocalMonitor:
                 return
             if not self.table.is_active_neighbor(watched_node):
                 return
-            if not own and not self.table.is_neighbor(transmitter):
-                return
             if self._is_terminal(packet, watched_node):
                 return
             self._add_expectation(key, watched_node)
         elif self.config.watch_request_drops and isinstance(packet, RouteRequest):
-            self._watch_request_forwarders(packet, key, transmitter, own)
+            self._watch_request_forwarders(packet, key, transmitter)
 
     def _watch_request_forwarders(
-        self, packet: RouteRequest, key: PacketKey, transmitter: NodeId, own: bool
+        self, packet: RouteRequest, key: PacketKey, transmitter: NodeId
     ) -> None:
         """Optional: expect every common neighbor to rebroadcast a flooded
         request unless it already did or is the origin/target."""
-        if not own and not self.table.is_neighbor(transmitter):
-            return
         if self._lost_since(self.sim.now - self.config.fabrication_grace):
             # Flood rebroadcasts pile up on the air, and this guard just
             # provably missed at least one reception — its view of who

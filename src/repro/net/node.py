@@ -4,15 +4,17 @@ A :class:`Node` owns a MAC instance and dispatches every received frame
 through a two-stage pipeline:
 
 1. **Filters** — admission checks that may reject a frame before any
-   protocol logic sees it.  LITEWORP's legitimacy checks (non-neighbor
-   reject, second-hop check, revoked-node reject) are installed here.
-   A rejected frame is still *observable*: observers run on all frames.
-2. **Listeners** — protocol agents (routing, neighbor discovery, alerts).
+   listener sees it.  LITEWORP's receive hook is installed here: it
+   monitors every frame, then applies the legitimacy checks (non-neighbor
+   reject, revoked-node reject, second-hop check) and dispatches accepted
+   alerts and probes itself.
+2. **Listeners** — protocol agents (routing, neighbor discovery).
    Listeners receive accepted frames whether addressed to the node or
    overheard; each listener decides what concerns it.
 
-**Observers** run on every frame before filtering — this is where the local
-monitor lives, because a guard must watch traffic it would itself discard.
+**Observers** run on every frame before filtering, so a rejected frame is
+still *observable* (the relay attacker and the RTT and SND defenses tap
+frames here).
 """
 
 from __future__ import annotations

@@ -64,11 +64,6 @@ class Packet:
         raise NotImplementedError
 
     @property
-    def is_control(self) -> bool:
-        """Whether LITEWORP treats this as control traffic (watched by guards)."""
-        return True
-
-    @property
     def monitored(self) -> bool:
         """Whether guards watch this packet type for fabrication/drops.
         Routed control packets (route requests/replies) are;
@@ -217,10 +212,6 @@ class DataPacket(Packet):
     def size_bytes(self) -> int:
         return self.payload_size
 
-    @property
-    def is_control(self) -> bool:
-        return False
-
 
 @dataclass(frozen=True, slots=True)
 class RouteErrorPacket(Packet):
@@ -316,10 +307,6 @@ class NoisePacket(Packet):
     @property
     def size_bytes(self) -> int:
         return self.payload_size
-
-    @property
-    def is_control(self) -> bool:
-        return False
 
 
 @dataclass(frozen=True, slots=True)

@@ -3,8 +3,9 @@ and routing integration."""
 
 from repro.core.agent import LiteworpAgent
 from repro.core.config import LiteworpConfig
+from repro.core.liveness import ALIVE, SUSPECT
 from repro.crypto.keys import PairwiseKeyManager
-from repro.net.packet import DataPacket, Frame, RouteRequest
+from repro.net.packet import DataPacket, Frame, RouteReply, RouteRequest
 from repro.net.topology import grid_topology
 from repro.routing.config import RoutingConfig
 from repro.routing.ondemand import OnDemandRouting
@@ -90,6 +91,44 @@ def test_revoked_transmitter_rejected():
     harness.node(0).deliver(frame)
     assert seen == []
     assert agent.rejects["revoked"] == 1
+
+
+def test_guard_watches_frames_it_rejects_as_revoked():
+    harness = Harness(grid_topology(columns=3, rows=1, spacing=25.0, tx_range=30.0))
+    agent = build_agent(harness, 0)
+    reply = RouteReply(origin=2, request_id=1, target=0)
+    # Handing the reply to 1 makes node 0 a guard expecting 1 to forward it.
+    assert harness.node(0).unicast(reply, next_hop=1, jitter=0.0)
+    assert agent.monitor.watch_buffer_size == 1
+    agent.table.revoke(1)
+    seen = []
+    harness.node(0).add_listener(seen.append)
+    forward = Frame(packet=reply, transmitter=1, link_dst=2, prev_hop=0)
+    harness.node(0).deliver(forward)
+    assert seen == []
+    assert agent.rejects["revoked"] == 1
+    # The rejected forward still reached the monitor.
+    assert agent.monitor.heard_transmission(reply.key(), 1)
+    assert agent.monitor.watch_buffer_size == 0
+
+
+def test_frame_rejected_by_second_hop_check_is_a_life_sign():
+    harness = Harness(grid_topology(columns=3, rows=1, spacing=25.0, tx_range=30.0))
+    config = LiteworpConfig(
+        heartbeat_period=0.5, liveness_timeout_beats=3.0, probe_backoff=10.0
+    )
+    agent = build_agent(harness, 0, config=config)
+    # Node 1 runs no agent, so it never beats and goes SUSPECT.
+    harness.run(3.0)
+    assert agent.liveness.state_of(1) == SUSPECT
+    frame = Frame(
+        packet=RouteRequest(origin=9, request_id=1, target=0),
+        transmitter=1,
+        prev_hop=77,
+    )
+    harness.node(0).deliver(frame)
+    assert agent.rejects["secondhop"] == 1
+    assert agent.liveness.state_of(1) == ALIVE
 
 
 def test_send_to_revoked_vetoed():

@@ -31,6 +31,7 @@ from repro.defenses import (
 from repro.defenses.rtt import RttConfig
 from repro.defenses.snd import SndConfig
 from repro.experiments.cache import config_digest
+from repro.experiments.chaos import ChaosConfig, run_chaos
 from repro.experiments.scenario import ScenarioConfig, run_scenario
 from repro.metrics.collector import MetricsReport
 
@@ -212,3 +213,21 @@ def test_migrated_schemes_byte_identical(defense, seed):
         n_malicious=2, attack_start=20.0, defense=defense,
     )
     assert _report_digest(run_scenario(config)) == PINNED_DIGESTS[(defense, seed)]
+
+
+#: SHA-256 of the canonical report JSON of a 30-node chaos run (crash and
+#: recover, heartbeats, alert acks, ``watch_data``) per seed.  The pins
+#: above run only the default ``LiteworpConfig``; these cover the liveness
+#: and alert-ack paths of the receive hook.
+PINNED_CHAOS_DIGESTS = {
+    1: "f043adb5d998329bce4d08d0209a6e22bce1dcdaad8634e4e5e10e47d95aa219",
+    2: "d793199eb7db0b4fdd2b0722587014064f5a65b7153c6cac88ccf2e490c99109",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_CHAOS_DIGESTS))
+def test_chaos_refinements_byte_identical(seed):
+    result = run_chaos(
+        ChaosConfig(n_nodes=30, duration=160.0, seed=seed, recover_fraction=0.5)
+    )
+    assert _report_digest(result.metrics) == PINNED_CHAOS_DIGESTS[seed]

@@ -50,12 +50,6 @@ def test_data_key_includes_sequence():
     assert a.key() != b.key()
 
 
-def test_data_is_not_control():
-    assert not DataPacket().is_control
-    assert RouteRequest().is_control
-    assert RouteReply().is_control
-
-
 def test_uids_unique():
     packets = [HelloPacket(sender=i) for i in range(10)]
     assert len({p.uid for p in packets}) == 10
