@@ -33,7 +33,7 @@ from repro.core.discovery import NeighborDiscovery, install_oracle_tables
 from repro.core.isolation import IsolationManager
 from repro.core.liveness import LivenessManager
 from repro.core.monitor import LocalMonitor
-from repro.core.tables import NeighborTable
+from repro.core.tables import STATUS_REVOKED, NeighborTable
 from repro.crypto.keys import KeyStore
 from repro.net.node import Node
 from repro.net.packet import AlertAckPacket, AlertPacket, Frame, NodeId, ProbePacket
@@ -198,15 +198,16 @@ class LiteworpAgent:
             self.liveness.note_frame(frame)
         if self.activated:
             self.monitor.observe(frame)
-            transmitter = frame.transmitter
-            if not self.table.is_neighbor(transmitter):
+            # Looked up after the monitor, which may have just revoked it.
+            record = self.table.record(frame.transmitter)
+            if record is None:
                 self._reject("nonneighbor", frame)
                 return False
-            if self.table.is_revoked(transmitter):
+            if record.status == STATUS_REVOKED:
                 self._reject("revoked", frame)
                 return False
             if frame.prev_hop is not None and self.config.second_hop_check:
-                reach = self.table.neighbors_of(transmitter)
+                reach = self.table.neighbors_of(frame.transmitter)
                 if reach is not None and frame.prev_hop not in reach:
                     self._reject("secondhop", frame)
                     return False

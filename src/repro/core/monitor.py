@@ -16,15 +16,16 @@ sent).
 
 **Collision awareness** (engineering refinement over the paper, documented
 in DESIGN.md): a real radio senses that *something* was on the air even
-when it cannot decode it.  The monitor keeps the timestamps of its node's
-recent reception losses and withholds an accusation when the missing
-evidence could plausibly have been lost in one of them — a fabrication
-accusation is suppressed if a loss occurred within ``fabrication_grace``
-seconds before the suspicious forward, and a drop accusation if a loss
-occurred while the watch-buffer entry was pending.  This trades a slower
-MalC accrual against the malicious node (it still fabricates far more
-often than collisions occur) for a collapse of the false-accusation rate
-against honest nodes.
+when it cannot decode it.  The monitor keeps the time of its node's
+latest reception loss and withholds an accusation when the missing
+evidence could plausibly have been lost in it — a fabrication accusation
+is suppressed if a loss occurred within ``fabrication_grace`` seconds
+before the suspicious forward, and a drop accusation if a loss occurred
+while the watch-buffer entry was pending.  Both ask whether *any* loss
+happened since some instant, which the latest one answers.  This trades a
+slower MalC accrual against the malicious node (it still fabricates far
+more often than collisions occur) for a collapse of the false-accusation
+rate against honest nodes.
 
 When MalC crosses C_t within the sliding window the monitor fires its
 detection callback; alerting and revocation live in
@@ -34,15 +35,15 @@ detection callback; alerting and revocation live in
 from __future__ import annotations
 
 import math
-from collections import deque
 from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.core.config import LiteworpConfig
-from repro.core.tables import NeighborTable
+from repro.core.tables import STATUS_ACTIVE, NeighborTable
 from repro.net.packet import (
     DataPacket,
     Frame,
     NodeId,
+    Packet,
     RouteErrorPacket,
     RouteReply,
     RouteRequest,
@@ -59,9 +60,61 @@ WatchKey = Tuple[PacketKey, NodeId]
 #: hot path) unaffected; 1 Hz per guard is plenty for occupancy curves.
 WATCH_SAMPLE_PERIOD = 1.0
 
+#: What a guard does with an overheard packet, by packet class:
+#:
+#: - ``ROLE_RERR`` — a route error: clear the reporter's watch entry;
+#: - ``ROLE_DATA`` — data: judged like a reply when ``watch_data`` is on,
+#:   ignored otherwise;
+#: - ``ROLE_IGNORED`` — not monitored (one-hop protocol messages);
+#: - ``ROLE_REQ`` — a route request: its broadcast can arm the optional
+#:   forwarder watch, a unicast copy is consumed by its receiver;
+#: - ``ROLE_REP`` — a route reply: watched up to its origin;
+#: - ``ROLE_OTHER`` — any other monitored type: remembered and checked
+#:   for fabrication, never watched.
+ROLE_RERR, ROLE_DATA, ROLE_IGNORED, ROLE_REQ, ROLE_REP, ROLE_OTHER = range(6)
+
+#: Packet class -> role, filled by :func:`packet_role` on first sight.
+_ROLES: Dict[type, int] = {}
+
+
+def packet_role(packet: Packet) -> int:
+    """The guard's role for ``packet``'s class (see ``ROLE_*``).
+
+    Classified once per class, then read from a table; ``monitored`` is a
+    per-class constant on every packet type.
+    """
+    cls = type(packet)
+    role = _ROLES.get(cls)
+    if role is None:
+        if isinstance(packet, RouteErrorPacket):
+            role = ROLE_RERR
+        elif isinstance(packet, DataPacket):
+            role = ROLE_DATA
+        elif not packet.monitored:
+            role = ROLE_IGNORED
+        elif isinstance(packet, RouteRequest):
+            role = ROLE_REQ
+        elif isinstance(packet, RouteReply):
+            role = ROLE_REP
+        else:
+            role = ROLE_OTHER
+        _ROLES[cls] = role
+    return role
+
 
 class LocalMonitor:
-    """The per-node guard: overheard store, watch buffer, MalC updates."""
+    """The per-node guard: overheard store, watch buffer, MalC updates.
+
+    Each frame is judged in one pass (:meth:`observe`): one neighbor
+    lookup each for the transmitter, the announced previous hop and the
+    link destination, and one role lookup for the packet class.
+
+    The overheard store remembers who was heard sending which packet for
+    ``overheard_window`` seconds.  It is two generations of plain dicts:
+    once per window the current one becomes the old one and the old one
+    is dropped, which only happens when every stamp in it has expired.
+    The latest reception loss is one timestamp.
+    """
 
     def __init__(
         self,
@@ -79,17 +132,19 @@ class LocalMonitor:
         self.trace = trace
         self.on_detection = on_detection
         self.enabled = config.monitor_enabled
-        # (packet key, transmitter) -> last transmission time.  An entry
-        # counts as heard iff its stamp is >= _overheard_cutoff, the cutoff
-        # of the latest _remember; expired entries are swept lazily.
+        # (packet key, transmitter) -> last transmission time, in two
+        # generations: _overheard since the latest rotation, _overheard_old
+        # before it.  An entry counts as heard iff its stamp is
+        # >= _overheard_cutoff, the cutoff of the latest _remember.
         self._overheard: Dict[WatchKey, float] = {}
+        self._overheard_old: Dict[WatchKey, float] = {}
         self._overheard_cutoff = -math.inf
-        self._overheard_sweep_at = -math.inf
+        self._overheard_rotated_at = -math.inf
         # (packet key, watched node) -> deadline event.
         self._expectations: Dict[WatchKey, Event] = {}
         self._detected: Set[NodeId] = set()
-        # Timestamps of garbled receptions, oldest first.
-        self._recent_losses: "deque[float]" = deque()
+        # Time of the latest garbled reception.
+        self._last_loss = -math.inf
         self.fabrications_seen = 0
         self.drops_seen = 0
         self.suppressed_accusations = 0
@@ -125,16 +180,17 @@ class LocalMonitor:
 
     def reset(self) -> None:
         """Drop all volatile monitoring state (crash support): pending
-        expectations, the overheard store, and recent-loss history.  The
+        expectations, the overheard store, and the latest loss.  The
         set of already-detected nodes survives — detection state rides the
         (nonvolatile) neighbor table's revocations."""
         for event in self._expectations.values():
             event.cancel()
         self._expectations.clear()
         self._overheard.clear()
+        self._overheard_old.clear()
         self._overheard_cutoff = -math.inf
-        self._overheard_sweep_at = -math.inf
-        self._recent_losses.clear()
+        self._overheard_rotated_at = -math.inf
+        self._last_loss = -math.inf
         self._note_watch_size()
 
     # ------------------------------------------------------------------
@@ -142,107 +198,105 @@ class LocalMonitor:
     # ------------------------------------------------------------------
     def note_reception_loss(self, time: float) -> None:
         """Record that the radio sensed a garbled reception at ``time``."""
-        self._recent_losses.append(time)
-        # Drop-suppression consults losses as old as a watch-buffer entry
-        # (δ seconds), so the history must stay at least that deep even
-        # when δ exceeds the overheard window.  The entry just appended is
-        # never older than the cutoff, so the loop stops before the deque
-        # empties.
-        cutoff = time - max(self.config.overheard_window, self.config.delta)
-        while self._recent_losses[0] < cutoff:
-            self._recent_losses.popleft()
-
-    def _lost_since(self, since: float) -> bool:
-        """Whether any reception loss happened at or after ``since``."""
-        if not self._recent_losses:
-            return False
-        return self._recent_losses[-1] >= since
+        self._last_loss = time
 
     # ------------------------------------------------------------------
     # Observation entry points
     # ------------------------------------------------------------------
-    def observe(self, frame: Frame) -> None:
-        """Promiscuous tap: called for every frame the radio delivers."""
-        self._process(frame, own=False)
+    def observe(self, frame: Frame, own: bool = False) -> None:
+        """Promiscuous tap: judge one frame the radio delivered.
 
-    def observe_own(self, frame: Frame) -> None:
-        """Called for every frame this node itself transmits."""
-        self._process(frame, own=True)
-
-    # ------------------------------------------------------------------
-    # Core logic
-    # ------------------------------------------------------------------
-    def _process(self, frame: Frame, own: bool) -> None:
+        The single judgement body, also behind :meth:`observe_own`.  In
+        order: clear a watch on a route error; remember the transmission
+        and clear the transmitter's own watch entry; check the announced
+        previous hop for fabrication (overheard frames only); arm a watch
+        on the next hop that should forward the packet.
+        """
         if not self.enabled:
             return
+        table = self.table
         transmitter = frame.transmitter
-        if not own and not self.table.is_neighbor(transmitter):
+        if not own and table.record(transmitter) is None:
             # A guard judges only what its own neighbors transmit.
             return
         packet = frame.packet
-        if isinstance(packet, RouteErrorPacket):
+        role = _ROLES.get(type(packet))
+        if role is None:
+            role = packet_role(packet)
+        if role == ROLE_RERR:
             # The transmitter legitimately cannot forward: clear the watch.
             pending = self._expectations.pop((packet.inner_key, transmitter), None)
             if pending is not None:
                 pending.cancel()
                 self._note_watch_size()
             return
-        if isinstance(packet, DataPacket):
-            watched = self.config.watch_data
-        else:
-            watched = packet.monitored
-        if not watched:
+        if role == ROLE_IGNORED or (role == ROLE_DATA and not self.config.watch_data):
             return
 
+        config = self.config
+        now = self.sim.now
         key = packet.key()
-        self._remember((key, transmitter), self.sim.now)
-        pending = self._expectations.pop((key, transmitter), None)
+        heard_key = (key, transmitter)
+        self._remember(heard_key, now)
+        pending = self._expectations.pop(heard_key, None)
         if pending is not None:
             pending.cancel()
             self._note_watch_size()
 
-        if not own:
-            self._check_fabrication(frame, key, transmitter)
-
-        self._maybe_watch(frame, key, transmitter)
-
-    def _check_fabrication(self, frame: Frame, key: PacketKey, transmitter: NodeId) -> None:
         prev = frame.prev_hop
-        if prev is None:
-            return
-        if not self.table.is_neighbor(prev):
-            # Not a guard of the claimed link: cannot judge.
-            return
-        if self._heard((key, prev)):
-            return
-        if self._lost_since(self.sim.now - self.config.fabrication_grace):
-            # Our own radio was impaired recently: the missing transmission
-            # may simply have been lost on us.  Withhold judgment.
-            self.suppressed_accusations += 1
-            return
-        self.fabrications_seen += 1
-        self._accuse(transmitter, self.config.v_fabricate, "fabrication", key)
+        if (
+            not own
+            and prev is not None
+            # Only a guard of the claimed link (prev's neighbor) can judge.
+            and table.record(prev) is not None
+            and not self._heard((key, prev))
+        ):
+            if self._last_loss >= now - config.fabrication_grace:
+                # Our own radio was impaired recently: the missing
+                # transmission may simply have been lost on us.  Withhold
+                # judgment.
+                self.suppressed_accusations += 1
+            else:
+                self.fabrications_seen += 1
+                self._accuse(transmitter, config.v_fabricate, "fabrication", key)
 
-    def _maybe_watch(self, frame: Frame, key: PacketKey, transmitter: NodeId) -> None:
-        packet = frame.packet
-        if frame.link_dst is not None:
-            watched_node = frame.link_dst
-            if watched_node == self.owner:
+        watched = frame.link_dst
+        if watched is None:
+            if role == ROLE_REQ and config.watch_request_drops:
+                self._watch_request_forwarders(packet, key, transmitter)
+            return
+        # Expect a forward unless the receiver legitimately consumes the
+        # packet: a reply at its origin, data at its destination, and any
+        # other monitored type at its link destination.
+        if role == ROLE_REP:
+            if watched == packet.origin:
                 return
-            if not self.table.is_active_neighbor(watched_node):
+        elif role == ROLE_DATA:
+            if watched == packet.destination:
                 return
-            if self._is_terminal(packet, watched_node):
-                return
-            self._add_expectation(key, watched_node)
-        elif self.config.watch_request_drops and isinstance(packet, RouteRequest):
-            self._watch_request_forwarders(packet, key, transmitter)
+        else:
+            return
+        if watched == self.owner:
+            return
+        record = table.record(watched)
+        if record is not None and record.status == STATUS_ACTIVE:
+            self._add_expectation(key, watched)
+
+    # ``observe_own`` enters the body under this second name, so a wrapper
+    # installed on ``observe`` (a call counter, say) sees received frames
+    # only, never an own frame twice.
+    _process = observe
+
+    def observe_own(self, frame: Frame) -> None:
+        """Called for every frame this node itself transmits."""
+        self._process(frame, True)
 
     def _watch_request_forwarders(
         self, packet: RouteRequest, key: PacketKey, transmitter: NodeId
     ) -> None:
         """Optional: expect every common neighbor to rebroadcast a flooded
         request unless it already did or is the origin/target."""
-        if self._lost_since(self.sim.now - self.config.fabrication_grace):
+        if self._last_loss >= self.sim.now - self.config.fabrication_grace:
             # Flood rebroadcasts pile up on the air, and this guard just
             # provably missed at least one reception — its view of who
             # already forwarded is unreliable, so expecting anyone to
@@ -261,16 +315,6 @@ class LocalMonitor:
             if self._heard((key, candidate)):
                 continue
             self._add_expectation(key, candidate)
-
-    @staticmethod
-    def _is_terminal(packet, link_dst: NodeId) -> bool:
-        """Whether ``link_dst`` legitimately consumes the packet (no forward
-        expected)."""
-        if isinstance(packet, RouteReply):
-            return link_dst == packet.origin
-        if isinstance(packet, DataPacket):
-            return link_dst == packet.destination
-        return True
 
     # ------------------------------------------------------------------
     # Watch buffer
@@ -294,7 +338,7 @@ class LocalMonitor:
             return
         self._note_watch_size()
         key, watched = watch_key
-        if self._lost_since(created_at):
+        if self._last_loss >= created_at:
             # The forward may have happened and been lost on us.
             self.suppressed_accusations += 1
             return
@@ -377,20 +421,24 @@ class LocalMonitor:
     # Overheard store maintenance
     # ------------------------------------------------------------------
     def _remember(self, watch_key: WatchKey, now: float) -> None:
-        window = self.config.overheard_window
-        store = self._overheard
-        store[watch_key] = now
-        cutoff = now - window
+        cutoff = now - self.config.overheard_window
         self._overheard_cutoff = cutoff
-        if now >= self._overheard_sweep_at:
-            # Simulated time never runs backwards, so every stamp below the
-            # cutoff stays expired: dropping them changes no answer.
-            self._overheard = {k: t for k, t in store.items() if t >= cutoff}
-            self._overheard_sweep_at = now + window
+        if cutoff >= self._overheard_rotated_at:
+            # Every stamp in the old generation predates the last rotation,
+            # so is below this cutoff (and every later one: simulated time
+            # never runs backwards).  Dropping it changes no answer.
+            self._overheard_old = self._overheard
+            self._overheard = {}
+            self._overheard_rotated_at = now
+        self._overheard[watch_key] = now
 
     def _heard(self, watch_key: WatchKey) -> bool:
         stamp = self._overheard.get(watch_key)
-        return stamp is not None and stamp >= self._overheard_cutoff
+        if stamp is None:
+            stamp = self._overheard_old.get(watch_key)
+            if stamp is None:
+                return False
+        return stamp >= self._overheard_cutoff
 
     def heard_transmission(self, key: PacketKey, transmitter: NodeId) -> bool:
         """Whether the guard remembers ``transmitter`` sending ``key``."""

@@ -16,7 +16,7 @@ window, T").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 NodeId = int
 
@@ -53,6 +53,18 @@ class NeighborTable:
         self._first: Dict[NodeId, NeighborRecord] = {}
         self._second: Dict[NodeId, FrozenSet[NodeId]] = {}
         self._alerts: Dict[NodeId, Set[NodeId]] = {}
+        # The receive path looks a neighbor up several times per frame, so
+        # these two accessors are the dicts' own lookups rather than
+        # methods wrapping them (the dicts are never rebound).
+        #: ``record(node)``: the live :class:`NeighborRecord` of ``node``
+        #: (any status), or None if unknown.  One lookup answers both
+        #: :meth:`is_neighbor` and the status tests, and the record is
+        #: updated in place, so it stays current while held.
+        self.record: Callable[[NodeId], Optional[NeighborRecord]] = self._first.get
+        #: ``neighbors_of(node)``: ``R_node`` if known, else None.
+        self.neighbors_of: Callable[[NodeId], Optional[FrozenSet[NodeId]]] = (
+            self._second.get
+        )
 
     # ------------------------------------------------------------------
     # First hop
@@ -105,10 +117,6 @@ class NeighborTable:
     def set_neighbor_list(self, node: NodeId, neighbor_list: Tuple[NodeId, ...]) -> None:
         """Store the verified neighbor list ``R_node``."""
         self._second[node] = frozenset(neighbor_list)
-
-    def neighbors_of(self, node: NodeId) -> Optional[FrozenSet[NodeId]]:
-        """``R_node`` if known, else None."""
-        return self._second.get(node)
 
     def knows_second_hop(self, node: NodeId) -> bool:
         """Whether ``R_node`` has been received and verified."""

@@ -5,13 +5,17 @@ behaviour (fabrication, drop, clearing, grace suppression, windows) is
 isolated.
 """
 
+import inspect
 
+from repro.core import monitor as monitor_module
 from repro.core.config import LiteworpConfig
 from repro.core.monitor import WATCH_SAMPLE_PERIOD, LocalMonitor
 from repro.core.tables import NeighborTable
+from repro.net import packet as packet_module
 from repro.net.packet import (
     DataPacket,
     Frame,
+    Packet,
     RouteErrorPacket,
     RouteReply,
     RouteRequest,
@@ -297,36 +301,28 @@ def test_watch_request_drops_extension():
     assert monitor.drops_seen == 2
 
 
-def test_loss_history_retained_for_full_watch_deadline():
-    """Regression: loss pruning must keep at least ``delta`` seconds of
-    history, not just ``overheard_window``.
+def test_loss_late_in_long_watch_period_suppresses_drop():
+    """Regression: a loss anywhere inside the watch period suppresses the
+    drop, even when ``delta`` exceeds ``overheard_window`` and the loss
+    comes more than one overheard window after the expectation."""
+    config = LiteworpConfig(overheard_window=1.0, delta=5.0)
+    sim, monitor, table, detections, _ = build(config)
+    monitor.observe(Frame(packet=rep(origin=9), transmitter=1, link_dst=2))
+    sim.schedule(3.0, monitor.note_reception_loss, 3.0)
+    sim.run(until=10.0)
+    assert monitor.drops_seen == 0
+    assert monitor.suppressed_accusations == 1
 
-    Drop-suppression consults losses as old as the watch-buffer deadline
-    (an expectation created at T is adjudicated at T + delta against
-    ``_lost_since(T)``), so when ``delta > overheard_window`` a loss that
-    is still evidentially relevant used to be evicted by newer losses.
-    """
+
+def test_loss_before_expectation_does_not_suppress_drop():
     config = LiteworpConfig(overheard_window=1.0, delta=5.0)
     sim, monitor, table, detections, _ = build(config)
     monitor.note_reception_loss(0.0)
-    # A newer loss used to prune by overheard_window alone (cutoff 1.0),
-    # silently discarding the 2-second-old loss still inside delta.
-    monitor.note_reception_loss(2.0)
-    retained = list(monitor._recent_losses)
-    assert retained == [0.0, 2.0]
-    # Beyond max(overheard_window, delta) the old loss does age out.
-    monitor.note_reception_loss(6.0)
-    assert list(monitor._recent_losses) == [2.0, 6.0]
-
-
-def test_loss_history_prunes_by_overheard_window_when_larger():
-    config = LiteworpConfig(overheard_window=10.0, delta=0.8)
-    sim, monitor, table, detections, _ = build(config)
-    monitor.note_reception_loss(0.0)
-    monitor.note_reception_loss(5.0)
-    assert list(monitor._recent_losses) == [0.0, 5.0]
-    monitor.note_reception_loss(11.0)
-    assert list(monitor._recent_losses) == [5.0, 11.0]
+    sim.run(until=1.0)
+    monitor.observe(Frame(packet=rep(origin=9), transmitter=1, link_dst=2))
+    sim.run(until=10.0)
+    assert monitor.drops_seen == 1
+    assert monitor.suppressed_accusations == 0
 
 
 def test_malc_total_counter_accumulates():
@@ -335,3 +331,57 @@ def test_malc_total_counter_accumulates():
     monitor.observe(Frame(packet=req(rid=1), transmitter=2, prev_hop=1))
     monitor.observe(Frame(packet=req(rid=2), transmitter=2, prev_hop=1))
     assert monitor.malc_total == 8
+
+
+def _chain_role(packet):
+    """The role the per-frame ``isinstance``/``monitored`` chain gave."""
+    if isinstance(packet, RouteErrorPacket):
+        return monitor_module.ROLE_RERR
+    if isinstance(packet, DataPacket):
+        return monitor_module.ROLE_DATA
+    if not packet.monitored:
+        return monitor_module.ROLE_IGNORED
+    if isinstance(packet, RouteRequest):
+        return monitor_module.ROLE_REQ
+    if isinstance(packet, RouteReply):
+        return monitor_module.ROLE_REP
+    return monitor_module.ROLE_OTHER
+
+
+#: The guard's role for every packet type; a new type must be added here.
+EXPECTED_ROLES = {
+    "RouteErrorPacket": monitor_module.ROLE_RERR,
+    "DataPacket": monitor_module.ROLE_DATA,
+    "RouteRequest": monitor_module.ROLE_REQ,
+    "RouteReply": monitor_module.ROLE_REP,
+    "HelloPacket": monitor_module.ROLE_IGNORED,
+    "HelloReplyPacket": monitor_module.ROLE_IGNORED,
+    "NeighborListPacket": monitor_module.ROLE_IGNORED,
+    "HeartbeatPacket": monitor_module.ROLE_IGNORED,
+    "ProbePacket": monitor_module.ROLE_IGNORED,
+    "ProbeAckPacket": monitor_module.ROLE_IGNORED,
+    "NoisePacket": monitor_module.ROLE_IGNORED,
+    "AlertPacket": monitor_module.ROLE_IGNORED,
+    "AlertAckPacket": monitor_module.ROLE_IGNORED,
+    "RttProbePacket": monitor_module.ROLE_IGNORED,
+    "RttEchoPacket": monitor_module.ROLE_IGNORED,
+    "SndChallengePacket": monitor_module.ROLE_IGNORED,
+    "SndResponsePacket": monitor_module.ROLE_IGNORED,
+}
+
+
+def test_role_table_matches_type_chain_for_every_packet_type():
+    packet_types = {
+        name: cls
+        for name, cls in inspect.getmembers(packet_module, inspect.isclass)
+        if issubclass(cls, Packet) and cls is not Packet
+        and cls.__module__ == packet_module.__name__
+    }
+    assert set(packet_types) == set(EXPECTED_ROLES)
+    for name, cls in packet_types.items():
+        packet = cls()
+        role = monitor_module.packet_role(packet)
+        assert role == _chain_role(packet) == EXPECTED_ROLES[name], name
+        # Read back from the table, not reclassified.
+        assert monitor_module._ROLES[cls] == role
+

@@ -20,6 +20,7 @@ import json
 
 import pytest
 
+from repro.core.config import LiteworpConfig
 from repro.defenses import (
     Defense,
     DefenseSpec,
@@ -231,3 +232,23 @@ def test_chaos_refinements_byte_identical(seed):
         ChaosConfig(n_nodes=30, duration=160.0, seed=seed, recover_fraction=0.5)
     )
     assert _report_digest(result.metrics) == PINNED_CHAOS_DIGESTS[seed]
+
+
+#: SHA-256 of the canonical report JSON of the 24-node pinned scenario with
+#: both optional watch branches on: guards expect every common neighbor to
+#: rebroadcast an overheard route request, and watch data forwards too.
+#: The pins above leave the request-forwarder branch unexercised.
+PINNED_WATCH_DIGESTS = {
+    7: "97243d0e04369ddf6204c4f2d4e0eee478221050092ae7b119b3914ec4f4c102",
+    11: "99e0499dd92a9d0cfa485bdd3cbd53b6a0cb1a61a44cee9dda769cbcec595420",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_WATCH_DIGESTS))
+def test_watch_branches_byte_identical(seed):
+    config = ScenarioConfig(
+        n_nodes=24, duration=80.0, seed=seed, attack_mode="outofband",
+        n_malicious=2, attack_start=20.0, defense="liteworp",
+        liteworp=LiteworpConfig(watch_request_drops=True, watch_data=True),
+    )
+    assert _report_digest(run_scenario(config)) == PINNED_WATCH_DIGESTS[seed]

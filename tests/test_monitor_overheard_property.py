@@ -1,14 +1,16 @@
 """The monitor's overheard store answers exactly like per-call eviction.
 
-The store keeps a plain dict, the cutoff of the latest ``_remember`` and a
-sweep at most once per ``overheard_window``.  The reference model below is
-the eager ``OrderedDict`` it replaced: every ``_remember`` moves its key to
-the end and evicts from the head every entry stamped before the cutoff.
+The store keeps two generations of plain dicts, the cutoff of the latest
+``_remember``, and rotates the generations about once per
+``overheard_window``.  The reference model below is the eager
+``OrderedDict`` the store originally replaced: every ``_remember`` moves
+its key to the end and evicts from the head every entry stamped before the
+cutoff.
 """
 
 from collections import OrderedDict
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import LiteworpConfig
@@ -62,6 +64,16 @@ steps = st.lists(
 
 
 @settings(max_examples=300, deadline=None)
+# A rotation due half a window early drops the entry stamped at 0.0 while
+# it is still exactly at the cutoff.
+@example(
+    window=1.0,
+    script=[
+        ("remember", KEYS[0], 0.0),
+        ("remember", KEYS[1], 0.5),
+        ("remember", KEYS[2], 0.5),
+    ],
+)
 @given(window=st.sampled_from([0.25, 1.0, 2.5, 10.0]), script=steps)
 def test_overheard_store_matches_eager_eviction(window, script):
     monitor = LocalMonitor(
@@ -88,5 +100,5 @@ def test_overheard_store_matches_eager_eviction(window, script):
             reference.reset()
         for watch_key in KEYS:
             assert monitor._heard(watch_key) == reference.heard(watch_key)
-    # The lazy sweep bounds the store: nothing older than two windows.
-    assert all(stamp >= now - 2 * window for stamp in monitor._overheard.values())
+    # Rotation bounds the current generation: nothing older than a window.
+    assert all(stamp >= now - window for stamp in monitor._overheard.values())
