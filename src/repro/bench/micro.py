@@ -231,8 +231,8 @@ def bench_identity(quick: bool = True) -> BenchResult:
     """Byte-identity of MetricsReports: accelerated vs reference stack.
 
     Every figure-sweep seed scenario runs twice in this process — once on
-    the full accelerated stack (C kernel, grid index, batched delivery,
-    pooling) and once under :func:`repro.sim.accel.reference_mode` (the
+    the full accelerated stack (C kernel and its channel medium, grid
+    index) and once under :func:`repro.sim.accel.reference_mode` (the
     seed engine's exact code paths).  The canonical JSON of the two
     reports must match byte for byte; ``run_benchmarks`` turns any
     mismatch into a hard failure.  The recorded per-scenario timings are

@@ -17,6 +17,15 @@ simulation "accounts for" as natural collisions:
 
 The channel does not queue or defer; carrier sensing and backoff live in
 :mod:`repro.net.mac`.
+
+Two implementations apply these rules.  When the simulator is the C
+kernel's, the per-reception work — fan-out, in-flight bookkeeping,
+carrier sense and the end-of-air-time finish — runs in the kernel's
+``Medium`` (``repro/sim/_ckernel.c``), with one finish event per
+transmission.  Otherwise (``REPRO_ACCEL=off``, :func:`accel.reference_mode`,
+no C compiler) :class:`Channel` runs its per-receiver reference path,
+one finish event per reception.  Both give the same deliveries, losses,
+RNG draws, trace records and hook order.
 """
 
 from __future__ import annotations
@@ -34,9 +43,11 @@ from repro.sim.trace import TraceLog
 class Reception:
     """An in-flight reception at one receiver.
 
-    A slotted plain class rather than a dataclass: one instance is built
-    per (transmission, in-range receiver), which makes this the single
-    most-allocated object in a run.
+    The reference path builds one per (transmission, in-range receiver)
+    and tracks it until its finish event.  The C medium keeps receptions
+    in its own tables and builds a :class:`Reception`, with the final
+    ``collided``, ``lost`` and ``on_outcome``, only for reception
+    observers.
     """
 
     __slots__ = (
@@ -85,18 +96,14 @@ class Channel:
         A reception survives an overlap when its transmitter is at least
         this factor closer to the receiver than the interferer
         (0 disables capture: every overlap kills both frames).
-    batched:
-        Deliver each transmission's receptions with ONE scheduled event
-        (processed strictly in creation order at end-of-air-time) instead
-        of one event per receiver.  Event ordering is provably identical:
-        the per-receiver finish events always carried consecutive
-        sequence numbers, so they fired back-to-back anyway.  Defaults to
-        the stack-wide accelerator switch.
-    pooled:
-        Recycle finished Reception objects through a free list.
-        Automatically suspended while reception observers are attached
-        (observers may legitimately retain receptions).  Defaults to the
-        stack-wide accelerator switch.
+
+    On the C kernel's simulator the channel hands its per-reception work
+    to the kernel's ``Medium``: one finish event per transmission, its
+    receptions finished in creation order, each fully handled before the
+    next.  The per-receiver finish events of the reference path carry
+    consecutive sequence numbers and fire back-to-back in the same order,
+    so the two are indistinguishable to every hook.  The wiring methods
+    keep this object's tables and the medium's in step.
     """
 
     def __init__(
@@ -108,8 +115,6 @@ class Channel:
         bandwidth_bps: float = 40_000.0,
         ambient_loss: float = 0.0,
         capture_ratio: float = 1.1,
-        batched: Optional[bool] = None,
-        pooled: Optional[bool] = None,
     ) -> None:
         if bandwidth_bps <= 0:
             raise ValueError(f"bandwidth must be positive, got {bandwidth_bps!r}")
@@ -133,12 +138,27 @@ class Channel:
         self._loss_handlers: Dict[NodeId, Callable[[float], None]] = {}
         self._tx_observers: List[Callable[[NodeId, Frame, float], None]] = []
         self._reception_observers: List[Callable[[Reception], None]] = []
-        fast = accel.features_enabled()
-        self._batched = fast if batched is None else batched
-        self._pooled = fast if pooled is None else pooled
-        self._pool: List[Reception] = []
         self.transmissions = 0
-        self.collisions = 0
+        self._collisions = 0
+        self._medium = None
+        medium_type = accel.medium_type(sim)
+        if medium_type is not None:
+            self._medium = medium_type(
+                sim, radio.coverage_with_distance, self._rng.random, trace,
+                self._capture_ratio, self._ambient_loss,
+                self._tx_observers, self._reception_observers, Reception,
+            )
+            # Carrier sense is the MAC's per-attempt query: bind it to the
+            # medium directly instead of going through a Python frame.
+            self.is_busy = self._medium.is_busy  # type: ignore[method-assign]
+            self.is_transmitting = self._medium.is_transmitting  # type: ignore[method-assign]
+
+    @property
+    def collisions(self) -> int:
+        """Receptions destroyed so far (interference or half-duplex)."""
+        if self._medium is not None:
+            return self._medium.collisions
+        return self._collisions
 
     # ------------------------------------------------------------------
     # Wiring
@@ -146,6 +166,8 @@ class Channel:
     def attach(self, node: NodeId, handler: Callable[[Frame], None]) -> None:
         """Register the frame-delivery handler for ``node``."""
         self._delivery_handlers[node] = handler
+        if self._medium is not None:
+            self._medium.attach(node, handler)
 
     def set_deaf(self, node: NodeId, deaf: bool) -> None:
         """Switch ``node``'s radio off (crashed / depleted) or back on.
@@ -155,6 +177,8 @@ class Channel:
             self._deaf.add(node)
         else:
             self._deaf.discard(node)
+        if self._medium is not None:
+            self._medium.set_deaf(node, deaf)
 
     def set_frame_stamper(self, node: NodeId, stamper: Callable[[Frame], Frame]) -> None:
         """Transform every frame ``node`` transmits, at the moment of
@@ -170,6 +194,8 @@ class Channel:
         cannot decode it).  LITEWORP guards use this to withhold judgment
         when their own observation was impaired."""
         self._loss_handlers[node] = handler
+        if self._medium is not None:
+            self._medium.set_loss_handler(node, handler)
 
     def add_tx_observer(self, observer: Callable[[NodeId, Frame, float], None]) -> None:
         """Observe every physical transmission (used by tests and metrics)."""
@@ -193,16 +219,22 @@ class Channel:
         if not 0.0 <= probability < 1.0:
             raise ValueError(f"ambient_loss must be in [0, 1), got {probability!r}")
         self._ambient_loss = float(probability)
+        if self._medium is not None:
+            self._medium.set_ambient_loss(self._ambient_loss)
 
     def set_link_down(self, a: NodeId, b: NodeId) -> None:
         """Sever the symmetric radio link a <-> b (link-flap faults).
         Neither endpoint hears the other while the link is down; everyone
         else is unaffected."""
         self._blocked_links.add(self._link_key(a, b))
+        if self._medium is not None:
+            self._medium.set_link(a, b, True)
 
     def set_link_up(self, a: NodeId, b: NodeId) -> None:
         """Restore a link severed by :meth:`set_link_down`.  Idempotent."""
         self._blocked_links.discard(self._link_key(a, b))
+        if self._medium is not None:
+            self._medium.set_link(a, b, False)
 
     def link_is_down(self, a: NodeId, b: NodeId) -> bool:
         """Whether the a <-> b link is currently severed."""
@@ -252,17 +284,20 @@ class Channel:
         stamper = self._stampers.get(sender)
         if stamper is not None:
             frame = stamper(frame)
-        now = self._sim.now
         duration = self.duration_of(frame)
-        end = now + duration
         self.transmissions += 1
+        if self._medium is not None:
+            self._medium.transmit(sender, frame, duration, tx_range, on_unicast_outcome)
+            return duration
+        now = self._sim.now
+        end = now + duration
         self._tx_until[sender] = max(self._tx_until.get(sender, 0.0), end)
 
         # Half-duplex: transmitting kills the sender's own in-flight receptions.
         for reception in self._in_flight.get(sender, ()):
             if not reception.collided:
                 reception.collided = True
-                self.collisions += 1
+                self._collisions += 1
 
         for observer in self._tx_observers:
             observer(sender, frame, now)
@@ -279,10 +314,8 @@ class Channel:
         in_flight = self._in_flight
         ambient_loss = self._ambient_loss
         schedule = self._sim.schedule
-        pool = self._pool
         link_dst = frame.link_dst if on_unicast_outcome is not None else None
         destination_covered = False
-        batch: Optional[List[Reception]] = [] if self._batched else None
         for receiver, dist in self._radio.coverage_with_distance(sender, tx_range):
             if receiver not in delivery_handlers:
                 continue
@@ -290,22 +323,11 @@ class Channel:
                 continue
             if deaf and receiver in deaf:
                 continue
-            if pool:
-                reception = pool.pop()
-                reception.receiver = receiver
-                reception.frame = frame
-                reception.start = now
-                reception.end = end
-                reception.distance = dist
-                reception.collided = False
-                reception.lost = False
-                reception.on_outcome = None
-            else:
-                reception = Reception(receiver, frame, now, end, dist)
+            reception = Reception(receiver, frame, now, end, dist)
             if tx_until.get(receiver, 0.0) > now:
                 # Receiver is itself transmitting: misses the frame.
                 reception.collided = True
-                self.collisions += 1
+                self._collisions += 1
             queue = in_flight.get(receiver)
             if queue is None:
                 queue = in_flight[receiver] = []
@@ -318,17 +340,7 @@ class Channel:
                 destination_covered = True
                 reception.on_outcome = on_unicast_outcome
             queue.append(reception)
-            if batch is None:
-                schedule(duration, self._finish_reception, reception)
-            else:
-                batch.append(reception)
-        if batch:
-            # One event delivers the whole audible set.  Receptions are
-            # processed strictly in creation order, each fully finished
-            # (dequeued, observed, delivered) before the next begins —
-            # indistinguishable from the per-receiver events they replace,
-            # whose consecutive sequence numbers fired back-to-back.
-            schedule(duration, self._finish_batch, batch)
+            schedule(duration, self._finish_reception, reception)
         if on_unicast_outcome is not None and not destination_covered:
             # Destination out of range (or detached): the ACK never comes.
             self._sim.schedule(duration, on_unicast_outcome, False)
@@ -342,29 +354,10 @@ class Channel:
         other_captures = ratio > 0 and other.distance * ratio <= new.distance
         if not other_captures and not other.collided:
             other.collided = True
-            self.collisions += 1
+            self._collisions += 1
         if not new_captures and not new.collided:
             new.collided = True
-            self.collisions += 1
-
-    def _finish_batch(self, batch: List[Reception]) -> None:
-        """Finish one transmission's receptions, in creation order.
-
-        Later receptions stay in their receivers' in-flight queues while
-        earlier handlers run (exactly as with per-receiver events), so
-        carrier sense and overlap resolution from re-entrant transmits
-        observe identical medium state.
-        """
-        finish = self._finish_reception
-        pool = self._pool
-        for reception in batch:
-            finish(reception)
-            if self._pooled and not self._reception_observers and len(pool) < 4096:
-                # Nothing downstream retains finished receptions (the
-                # observer check guards the one API that may): recycle.
-                reception.frame = None  # type: ignore[assignment]
-                reception.on_outcome = None
-                pool.append(reception)
+            self._collisions += 1
 
     def _finish_reception(self, reception: Reception) -> None:
         queue = self._in_flight.get(reception.receiver)

@@ -26,8 +26,13 @@
  * a high dead fraction, it is compacted in place so cancel-heavy long
  * campaigns stop carrying dead entries (see maybe_compact).
  *
- * Built on demand by repro.sim.accel; the pure-Python engine remains
- * the reference implementation and the fallback.
+ * The Medium type further down runs the wireless channel's
+ * per-reception work for repro.net.channel.Channel and pushes its
+ * finish events straight into this queue.
+ *
+ * Built on demand by repro.sim.accel; the pure-Python engine and
+ * Channel's per-receiver path remain the reference implementations and
+ * the fallback.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -559,44 +564,27 @@ Sim_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     return (PyObject *)self;
 }
 
-/* Shared scheduling core: build the Event, push, return it. */
+/* Scheduling core: queue callback(*args, **kwargs) at absolute time
+ * `time` and return the new Event.  Takes over the references to args
+ * (a tuple or NULL) and kwargs (a dict or NULL).  The channel medium
+ * pushes its events straight through here. */
 static PyObject *
-schedule_common(SimObj *self, double time, PyObject *const *args,
-                Py_ssize_t nargs, PyObject *kwnames)
+sim_push(SimObj *self, double time, PyObject *callback, PyObject *args,
+         PyObject *kwargs)
 {
     EventObj *ev = PyObject_GC_New(EventObj, &EventType);
-    if (!ev)
+    if (!ev) {
+        Py_XDECREF(args);
+        Py_XDECREF(kwargs);
         return NULL;
+    }
     ev->time = time;
     ev->seq = self->seq++;
-    ev->callback = Py_NewRef(args[1]);
+    ev->callback = Py_NewRef(callback);
+    ev->args = args;
+    ev->kwargs = kwargs;
     ev->cancelled = 0;
     ev->fired = 0;
-    ev->args = NULL;
-    ev->kwargs = NULL;
-    if (nargs > 2) {
-        ev->args = PyTuple_New(nargs - 2);
-        if (!ev->args) {
-            Py_DECREF(ev);
-            return NULL;
-        }
-        for (Py_ssize_t i = 2; i < nargs; i++)
-            PyTuple_SET_ITEM(ev->args, i - 2, Py_NewRef(args[i]));
-    }
-    if (kwnames && PyTuple_GET_SIZE(kwnames)) {
-        ev->kwargs = PyDict_New();
-        if (!ev->kwargs) {
-            Py_DECREF(ev);
-            return NULL;
-        }
-        for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(kwnames); i++) {
-            if (PyDict_SetItem(ev->kwargs, PyTuple_GET_ITEM(kwnames, i),
-                               args[nargs + i]) < 0) {
-                Py_DECREF(ev);
-                return NULL;
-            }
-        }
-    }
     PyObject_GC_Track((PyObject *)ev);
     Entry e = {time, ev->seq, (EventObj *)Py_NewRef((PyObject *)ev)};
     if (queue_push(self, e) < 0) {
@@ -606,6 +594,37 @@ schedule_common(SimObj *self, double time, PyObject *const *args,
     }
     maybe_compact(self);
     return (PyObject *)ev;
+}
+
+/* schedule/schedule_at: args[1] is the callback, then its arguments. */
+static PyObject *
+schedule_common(SimObj *self, double time, PyObject *const *args,
+                Py_ssize_t nargs, PyObject *kwnames)
+{
+    PyObject *call_args = NULL, *kwargs = NULL;
+    if (nargs > 2) {
+        call_args = PyTuple_New(nargs - 2);
+        if (!call_args)
+            return NULL;
+        for (Py_ssize_t i = 2; i < nargs; i++)
+            PyTuple_SET_ITEM(call_args, i - 2, Py_NewRef(args[i]));
+    }
+    if (kwnames && PyTuple_GET_SIZE(kwnames)) {
+        kwargs = PyDict_New();
+        if (!kwargs) {
+            Py_XDECREF(call_args);
+            return NULL;
+        }
+        for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(kwnames); i++) {
+            if (PyDict_SetItem(kwargs, PyTuple_GET_ITEM(kwnames, i),
+                               args[nargs + i]) < 0) {
+                Py_XDECREF(call_args);
+                Py_DECREF(kwargs);
+                return NULL;
+            }
+        }
+    }
+    return sim_push(self, time, args[1], call_args, kwargs);
 }
 
 static PyObject *
@@ -919,6 +938,868 @@ static PyTypeObject SimType = {
 };
 
 /* ------------------------------------------------------------------ */
+/* Medium: the wireless channel's per-reception work                  */
+/* ------------------------------------------------------------------ */
+/* The C side of repro.net.channel.Channel when the channel's simulator
+ * is this module's Simulator.  Channel keeps the wiring API, stamping,
+ * air time and the transmission counter; the Medium runs everything a
+ * transmission does per receiver: the half-duplex kill, the tx
+ * observers, admission (attached, link up, not deaf), the "receiver is
+ * transmitting" collision, overlap and capture against every in-flight
+ * reception, the ambient-loss draw and the unicast outcome.  It finishes
+ * a transmission's receptions with one queued Batch event, in creation
+ * order.  Rules, RNG draws, event order and hook calls are exactly those
+ * of Channel's per-receiver reference path.
+ *
+ * Node ids are mapped to dense slots on first sight, so any hashable id
+ * works.  A reception lives inside its Batch and is linked into its
+ * receiver's in-flight list until finished; a Batch that is freed before
+ * it finishes unlinks what it still holds. */
+
+static PyObject *str_link_dst, *str_describe, *str_emit, *str_rx_lost,
+    *str_receiver, *str_collided, *str_lost, *str_on_outcome;
+
+typedef struct Rx Rx;
+struct Rx {
+    Rx *prev, *next;        /* receiver's in-flight list, creation order */
+    double distance;
+    Py_ssize_t slot;        /* receiver */
+    char collided, lost, is_dst, linked;
+};
+
+typedef struct {
+    Py_ssize_t slot;
+    double distance;
+} CovItem;
+
+typedef struct {
+    PyObject *id;           /* node id */
+    PyObject *handler;      /* delivery handler; NULL while detached */
+    PyObject *loss;         /* loss handler or NULL */
+    PyObject *cov_key;      /* the coverage sequence `cov` was built from */
+    CovItem *cov;
+    Py_ssize_t ncov;
+    double tx_until;
+    Rx *head, *tail;        /* in-flight receptions */
+    Py_ssize_t *blocked;    /* slots whose link to this one is down */
+    Py_ssize_t nblocked, cap_blocked;
+    char deaf;
+} Slot;
+
+typedef struct {
+    PyObject_HEAD
+    SimObj *sim;
+    PyObject *coverage;     /* radio.coverage_with_distance */
+    PyObject *random;       /* the channel stream's random() */
+    PyObject *trace;        /* TraceLog or None */
+    PyObject *tx_observers; /* Channel's lists, shared so additions apply */
+    PyObject *rx_observers;
+    PyObject *reception_cls;
+    PyObject *index;        /* node id -> slot */
+    Slot *slots;            /* freed only in dealloc: batches point in */
+    Py_ssize_t nslots, cap_slots;
+    Py_ssize_t blocked_links;
+    double capture_ratio;
+    double ambient_loss;
+    unsigned long long collisions;
+} MediumObj;
+
+typedef struct {
+    PyObject_VAR_HEAD
+    MediumObj *medium;
+    PyObject *frame;
+    PyObject *on_outcome;   /* unicast outcome callback or NULL */
+    double start, end;
+    Py_ssize_t n, done;     /* receptions made / finished */
+    Rx rx[1];
+} BatchObj;
+
+static PyTypeObject MediumType;
+static PyTypeObject BatchType;
+
+static void
+rx_link(Slot *s, Rx *rx)
+{
+    rx->prev = s->tail;
+    rx->next = NULL;
+    if (s->tail)
+        s->tail->next = rx;
+    else
+        s->head = rx;
+    s->tail = rx;
+    rx->linked = 1;
+}
+
+static void
+rx_unlink(Slot *s, Rx *rx)
+{
+    if (!rx->linked)
+        return;
+    if (rx->prev)
+        rx->prev->next = rx->next;
+    else
+        s->head = rx->next;
+    if (rx->next)
+        rx->next->prev = rx->prev;
+    else
+        s->tail = rx->prev;
+    rx->linked = 0;
+}
+
+static int
+medium_check(MediumObj *m)
+{
+    if (m->sim && m->index)
+        return 0;
+    PyErr_SetString(PyExc_RuntimeError, "medium has been cleared");
+    return -1;
+}
+
+/* Slot of `node`.  -1 when unknown and !create, -2 on error. */
+static Py_ssize_t
+medium_slot(MediumObj *m, PyObject *node, int create)
+{
+    PyObject *found = PyDict_GetItemWithError(m->index, node);
+    if (found)
+        return PyLong_AsSsize_t(found);
+    if (PyErr_Occurred())
+        return -2;
+    if (!create)
+        return -1;
+    if (m->nslots == m->cap_slots) {
+        Py_ssize_t cap = m->cap_slots ? m->cap_slots * 2 : 64;
+        Slot *slots = PyMem_Realloc(m->slots, (size_t)cap * sizeof(Slot));
+        if (!slots) {
+            PyErr_NoMemory();
+            return -2;
+        }
+        m->slots = slots;
+        m->cap_slots = cap;
+    }
+    PyObject *value = PyLong_FromSsize_t(m->nslots);
+    if (!value)
+        return -2;
+    int rc = PyDict_SetItem(m->index, node, value);
+    Py_DECREF(value);
+    if (rc < 0)
+        return -2;
+    Slot *s = &m->slots[m->nslots];
+    memset(s, 0, sizeof(Slot));
+    s->id = Py_NewRef(node);
+    return m->nslots++;
+}
+
+/* Slot of `node`, created on demand; -1 with an error set. */
+static Py_ssize_t
+medium_slot_new(MediumObj *m, PyObject *node)
+{
+    if (medium_check(m) < 0)
+        return -1;
+    Py_ssize_t s = medium_slot(m, node, 1);
+    return s < 0 ? -1 : s;
+}
+
+static int
+slot_blocks(Slot *s, Py_ssize_t peer)
+{
+    for (Py_ssize_t i = 0; i < s->nblocked; i++)
+        if (s->blocked[i] == peer)
+            return 1;
+    return 0;
+}
+
+static int
+slot_block(Slot *s, Py_ssize_t peer)
+{
+    if (s->nblocked == s->cap_blocked) {
+        Py_ssize_t cap = s->cap_blocked ? s->cap_blocked * 2 : 4;
+        Py_ssize_t *blocked = PyMem_Realloc(s->blocked,
+                                            (size_t)cap * sizeof(Py_ssize_t));
+        if (!blocked) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        s->blocked = blocked;
+        s->cap_blocked = cap;
+    }
+    s->blocked[s->nblocked++] = peer;
+    return 0;
+}
+
+static void
+slot_unblock(Slot *s, Py_ssize_t peer)
+{
+    for (Py_ssize_t i = 0; i < s->nblocked; i++)
+        if (s->blocked[i] == peer) {
+            s->blocked[i] = s->blocked[--s->nblocked];
+            return;
+        }
+}
+
+/* Point sender's compiled coverage at `cov` (receiver, distance) pairs,
+ * rebuilding it only when the radio hands back a different sequence. */
+static int
+medium_coverage(MediumObj *m, Py_ssize_t sender, PyObject *cov)
+{
+    if (m->slots[sender].cov_key == cov)
+        return 0;
+    PyObject *seq = PySequence_Fast(cov, "coverage must be a sequence");
+    if (!seq)
+        return -1;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
+    CovItem *items = PyMem_Malloc((size_t)(n ? n : 1) * sizeof(CovItem));
+    if (!items) {
+        Py_DECREF(seq);
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *pair = PySequence_Fast_GET_ITEM(seq, i);
+        if (!PyTuple_Check(pair) || PyTuple_GET_SIZE(pair) != 2) {
+            PyErr_SetString(PyExc_TypeError,
+                            "coverage items must be (node, distance) pairs");
+            goto fail;
+        }
+        Py_ssize_t slot = medium_slot(m, PyTuple_GET_ITEM(pair, 0), 1);
+        if (slot < 0)
+            goto fail;
+        double distance = PyFloat_AsDouble(PyTuple_GET_ITEM(pair, 1));
+        if (distance == -1.0 && PyErr_Occurred())
+            goto fail;
+        items[i].slot = slot;
+        items[i].distance = distance;
+    }
+    Py_DECREF(seq);
+    Slot *s = &m->slots[sender];  /* slots may have moved */
+    PyMem_Free(s->cov);
+    s->cov = items;
+    s->ncov = n;
+    Py_XSETREF(s->cov_key, Py_NewRef(cov));
+    return 0;
+fail:
+    Py_DECREF(seq);
+    PyMem_Free(items);
+    return -1;
+}
+
+/* Interference between two overlapping receptions at one receiver,
+ * honouring the capture effect. */
+static inline void
+resolve_overlap(MediumObj *m, Rx *new, Rx *other)
+{
+    double ratio = m->capture_ratio;
+    int new_captures = ratio > 0 && new->distance * ratio <= other->distance;
+    int other_captures = ratio > 0 && other->distance * ratio <= new->distance;
+    if (!other_captures && !other->collided) {
+        other->collided = 1;
+        m->collisions++;
+    }
+    if (!new_captures && !new->collided) {
+        new->collided = 1;
+        m->collisions++;
+    }
+}
+
+/* Call callable(arg) on a strong reference; 0 or -1. */
+static int
+call_one(PyObject *callable, PyObject *arg)
+{
+    Py_INCREF(callable);
+    PyObject *r = PyObject_CallOneArg(callable, arg);
+    Py_DECREF(callable);
+    if (!r)
+        return -1;
+    Py_DECREF(r);
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* Batch: one transmission's receptions, finished by one event        */
+/* ------------------------------------------------------------------ */
+static BatchObj *
+batch_new(MediumObj *m, PyObject *frame, PyObject *on_outcome,
+          double start, double end, Py_ssize_t capacity)
+{
+    BatchObj *b = PyObject_GC_NewVar(BatchObj, &BatchType, capacity);
+    if (!b)
+        return NULL;
+    b->medium = (MediumObj *)Py_NewRef((PyObject *)m);
+    b->frame = Py_NewRef(frame);
+    b->on_outcome = Py_XNewRef(on_outcome);
+    b->start = start;
+    b->end = end;
+    b->n = 0;
+    b->done = 0;
+    PyObject_GC_Track((PyObject *)b);
+    return b;
+}
+
+static void
+batch_unlink_all(BatchObj *b)
+{
+    if (!b->medium)
+        return;
+    for (Py_ssize_t i = b->done; i < b->n; i++)
+        rx_unlink(&b->medium->slots[b->rx[i].slot], &b->rx[i]);
+}
+
+static void
+Batch_dealloc(BatchObj *b)
+{
+    PyObject_GC_UnTrack(b);
+    batch_unlink_all(b);
+    Py_CLEAR(b->medium);
+    Py_CLEAR(b->frame);
+    Py_CLEAR(b->on_outcome);
+    PyObject_GC_Del(b);
+}
+
+static int
+Batch_traverse(BatchObj *b, visitproc visit, void *arg)
+{
+    Py_VISIT(b->medium);
+    Py_VISIT(b->frame);
+    Py_VISIT(b->on_outcome);
+    return 0;
+}
+
+static int
+Batch_clear(BatchObj *b)
+{
+    batch_unlink_all(b);
+    b->done = b->n;
+    Py_CLEAR(b->medium);
+    Py_CLEAR(b->frame);
+    Py_CLEAR(b->on_outcome);
+    return 0;
+}
+
+/* The Reception object reception observers are handed. */
+static PyObject *
+make_reception(MediumObj *m, BatchObj *b, Rx *rx, PyObject *outcome)
+{
+    PyObject *rec = PyObject_CallFunction(
+        m->reception_cls, "OOddd", m->slots[rx->slot].id, b->frame,
+        b->start, b->end, rx->distance);
+    if (!rec)
+        return NULL;
+    if (PyObject_SetAttr(rec, str_collided, rx->collided ? Py_True : Py_False) < 0 ||
+        PyObject_SetAttr(rec, str_lost, rx->lost ? Py_True : Py_False) < 0 ||
+        PyObject_SetAttr(rec, str_on_outcome, outcome ? outcome : Py_None) < 0) {
+        Py_DECREF(rec);
+        return NULL;
+    }
+    return rec;
+}
+
+static int
+emit_rx_lost(MediumObj *m, BatchObj *b, PyObject *receiver, Rx *rx,
+             PyObject *now)
+{
+    PyObject *emit = PyObject_GetAttr(m->trace, str_emit);
+    if (!emit)
+        return -1;
+    PyObject *args = NULL, *fields = NULL, *describe = NULL, *r = NULL;
+    fields = PyDict_New();
+    if (!fields ||
+        PyDict_SetItem(fields, str_receiver, receiver) < 0 ||
+        PyDict_SetItem(fields, str_collided,
+                       rx->collided ? Py_True : Py_False) < 0)
+        goto done;
+    describe = PyObject_CallMethodNoArgs(b->frame, str_describe);
+    if (!describe || PyDict_Update(fields, describe) < 0)
+        goto done;
+    args = PyTuple_Pack(2, now, str_rx_lost);
+    if (args)
+        r = PyObject_Call(emit, args, fields);
+done:
+    Py_DECREF(emit);
+    Py_XDECREF(args);
+    Py_XDECREF(fields);
+    Py_XDECREF(describe);
+    if (!r)
+        return -1;
+    Py_DECREF(r);
+    return 0;
+}
+
+/* Finish one (already unlinked) reception: observers, then the loss
+ * path or delivery, then the unicast outcome. */
+static int
+finish_rx(MediumObj *m, BatchObj *b, Rx *rx, PyObject *now)
+{
+    PyObject *outcome = rx->is_dst ? b->on_outcome : NULL;
+    PyObject *observers = m->rx_observers;
+    if (PyList_GET_SIZE(observers)) {
+        PyObject *rec = make_reception(m, b, rx, outcome);
+        if (!rec)
+            return -1;
+        for (Py_ssize_t i = 0; i < PyList_GET_SIZE(observers); i++) {
+            if (call_one(PyList_GET_ITEM(observers, i), rec) < 0) {
+                Py_DECREF(rec);
+                return -1;
+            }
+        }
+        Py_DECREF(rec);
+    }
+    if (rx->collided || rx->lost) {
+        if (m->trace != Py_None) {
+            PyObject *receiver = Py_NewRef(m->slots[rx->slot].id);
+            int rc = emit_rx_lost(m, b, receiver, rx, now);
+            Py_DECREF(receiver);
+            if (rc < 0)
+                return -1;
+        }
+        PyObject *loss = m->slots[rx->slot].loss;
+        if (loss && call_one(loss, now) < 0)
+            return -1;
+        return outcome ? call_one(outcome, Py_False) : 0;
+    }
+    PyObject *handler = m->slots[rx->slot].handler;
+    if (handler && call_one(handler, b->frame) < 0)
+        return -1;
+    return outcome ? call_one(outcome, Py_True) : 0;
+}
+
+/* The finish event.  Each reception is unlinked and fully handled before
+ * the next one starts; later ones stay in flight meanwhile, so a
+ * re-entrant transmit sees the same medium as per-receiver events. */
+static PyObject *
+Batch_call(BatchObj *b, PyObject *args, PyObject *kwargs)
+{
+    MediumObj *m = b->medium;
+    if (!m || medium_check(m) < 0)
+        return NULL;
+    PyObject *now = PyFloat_FromDouble(m->sim->now);
+    int rc = now ? 0 : -1;
+    while (rc == 0 && b->done < b->n) {
+        Rx *rx = &b->rx[b->done++];
+        rx_unlink(&m->slots[rx->slot], rx);
+        rc = finish_rx(m, b, rx, now);
+    }
+    Py_XDECREF(now);
+    if (rc < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyTypeObject BatchType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._ckernel.Batch",
+    .tp_basicsize = offsetof(BatchObj, rx),
+    .tp_itemsize = sizeof(Rx),
+    .tp_dealloc = (destructor)Batch_dealloc,
+    .tp_call = (ternaryfunc)Batch_call,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_traverse = (traverseproc)Batch_traverse,
+    .tp_clear = (inquiry)Batch_clear,
+    .tp_doc = "One transmission's receptions; calling it finishes them.",
+};
+
+/* ------------------------------------------------------------------ */
+/* Medium type methods                                                */
+/* ------------------------------------------------------------------ */
+static PyObject *
+Medium_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"sim", "coverage", "random", "trace",
+                             "capture_ratio", "ambient_loss", "tx_observers",
+                             "rx_observers", "reception_cls", NULL};
+    PyObject *sim, *coverage, *random, *trace, *tx_observers, *rx_observers,
+        *reception_cls;
+    double capture_ratio, ambient_loss;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O!OOOddO!O!O", kwlist,
+                                     &SimType, &sim, &coverage, &random,
+                                     &trace, &capture_ratio, &ambient_loss,
+                                     &PyList_Type, &tx_observers,
+                                     &PyList_Type, &rx_observers,
+                                     &reception_cls))
+        return NULL;
+    MediumObj *m = (MediumObj *)type->tp_alloc(type, 0);
+    if (!m)
+        return NULL;
+    m->index = PyDict_New();
+    if (!m->index) {
+        Py_DECREF(m);
+        return NULL;
+    }
+    m->sim = (SimObj *)Py_NewRef(sim);
+    m->coverage = Py_NewRef(coverage);
+    m->random = Py_NewRef(random);
+    m->trace = Py_NewRef(trace);
+    m->tx_observers = Py_NewRef(tx_observers);
+    m->rx_observers = Py_NewRef(rx_observers);
+    m->reception_cls = Py_NewRef(reception_cls);
+    m->capture_ratio = capture_ratio;
+    m->ambient_loss = ambient_loss;
+    return (PyObject *)m;
+}
+
+static int
+Medium_traverse(MediumObj *m, visitproc visit, void *arg)
+{
+    Py_VISIT(m->sim);
+    Py_VISIT(m->coverage);
+    Py_VISIT(m->random);
+    Py_VISIT(m->trace);
+    Py_VISIT(m->tx_observers);
+    Py_VISIT(m->rx_observers);
+    Py_VISIT(m->reception_cls);
+    Py_VISIT(m->index);
+    for (Py_ssize_t i = 0; i < m->nslots; i++) {
+        Py_VISIT(m->slots[i].id);
+        Py_VISIT(m->slots[i].handler);
+        Py_VISIT(m->slots[i].loss);
+        Py_VISIT(m->slots[i].cov_key);
+    }
+    return 0;
+}
+
+/* Drops the Python references only: the slot table stays, because
+ * unfinished batches still unlink their receptions from it. */
+static int
+Medium_clear(MediumObj *m)
+{
+    Py_CLEAR(m->sim);
+    Py_CLEAR(m->coverage);
+    Py_CLEAR(m->random);
+    Py_CLEAR(m->trace);
+    Py_CLEAR(m->tx_observers);
+    Py_CLEAR(m->rx_observers);
+    Py_CLEAR(m->reception_cls);
+    Py_CLEAR(m->index);
+    for (Py_ssize_t i = 0; i < m->nslots; i++) {
+        Py_CLEAR(m->slots[i].id);
+        Py_CLEAR(m->slots[i].handler);
+        Py_CLEAR(m->slots[i].loss);
+        Py_CLEAR(m->slots[i].cov_key);
+    }
+    return 0;
+}
+
+static void
+Medium_dealloc(MediumObj *m)
+{
+    PyObject_GC_UnTrack(m);
+    Medium_clear(m);
+    for (Py_ssize_t i = 0; i < m->nslots; i++) {
+        PyMem_Free(m->slots[i].cov);
+        PyMem_Free(m->slots[i].blocked);
+    }
+    PyMem_Free(m->slots);
+    Py_TYPE(m)->tp_free((PyObject *)m);
+}
+
+static PyObject *
+Medium_attach(MediumObj *m, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "attach(node, handler)");
+        return NULL;
+    }
+    Py_ssize_t s = medium_slot_new(m, args[0]);
+    if (s < 0)
+        return NULL;
+    Py_XSETREF(m->slots[s].handler, Py_NewRef(args[1]));
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+Medium_set_loss_handler(MediumObj *m, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "set_loss_handler(node, handler)");
+        return NULL;
+    }
+    Py_ssize_t s = medium_slot_new(m, args[0]);
+    if (s < 0)
+        return NULL;
+    Py_XSETREF(m->slots[s].loss, Py_NewRef(args[1]));
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+Medium_set_deaf(MediumObj *m, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "set_deaf(node, deaf)");
+        return NULL;
+    }
+    int deaf = PyObject_IsTrue(args[1]);
+    if (deaf < 0)
+        return NULL;
+    Py_ssize_t s = medium_slot_new(m, args[0]);
+    if (s < 0)
+        return NULL;
+    m->slots[s].deaf = (char)deaf;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+Medium_set_link(MediumObj *m, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError, "set_link(a, b, down)");
+        return NULL;
+    }
+    int down = PyObject_IsTrue(args[2]);
+    if (down < 0)
+        return NULL;
+    Py_ssize_t a = medium_slot_new(m, args[0]);
+    if (a < 0)
+        return NULL;
+    Py_ssize_t b = medium_slot_new(m, args[1]);
+    if (b < 0)
+        return NULL;
+    int blocked = slot_blocks(&m->slots[a], b);
+    if (down && !blocked) {
+        if (slot_block(&m->slots[a], b) < 0)
+            return NULL;
+        if (a != b && slot_block(&m->slots[b], a) < 0) {
+            slot_unblock(&m->slots[a], b);
+            return NULL;
+        }
+        m->blocked_links++;
+    } else if (!down && blocked) {
+        slot_unblock(&m->slots[a], b);
+        slot_unblock(&m->slots[b], a);
+        m->blocked_links--;
+    }
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+Medium_set_ambient_loss(MediumObj *m, PyObject *arg)
+{
+    double p = PyFloat_AsDouble(arg);
+    if (p == -1.0 && PyErr_Occurred())
+        return NULL;
+    m->ambient_loss = p;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+Medium_transmit(MediumObj *m, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 5) {
+        PyErr_SetString(PyExc_TypeError,
+                        "transmit(sender, frame, duration, tx_range, on_outcome)");
+        return NULL;
+    }
+    PyObject *sender = args[0], *frame = args[1], *tx_range = args[3];
+    PyObject *on_outcome = args[4] == Py_None ? NULL : args[4];
+    double duration = PyFloat_AsDouble(args[2]);
+    if (duration == -1.0 && PyErr_Occurred())
+        return NULL;
+    Py_ssize_t s = medium_slot_new(m, sender);
+    if (s < 0)
+        return NULL;
+    SimObj *sim = m->sim;
+    double now = sim->now;
+    double end = now + duration;
+    Slot *tx = &m->slots[s];
+    if (end > tx->tx_until)
+        tx->tx_until = end;
+    /* Half-duplex: transmitting kills the sender's own in-flight receptions. */
+    for (Rx *rx = tx->head; rx; rx = rx->next)
+        if (!rx->collided) {
+            rx->collided = 1;
+            m->collisions++;
+        }
+
+    PyObject *observers = m->tx_observers;
+    if (PyList_GET_SIZE(observers)) {
+        PyObject *at = PyFloat_FromDouble(now);
+        if (!at)
+            return NULL;
+        for (Py_ssize_t i = 0; i < PyList_GET_SIZE(observers); i++) {
+            PyObject *observer = Py_NewRef(PyList_GET_ITEM(observers, i));
+            PyObject *r = PyObject_CallFunctionObjArgs(observer, sender, frame,
+                                                       at, NULL);
+            Py_DECREF(observer);
+            if (!r) {
+                Py_DECREF(at);
+                return NULL;
+            }
+            Py_DECREF(r);
+        }
+        Py_DECREF(at);
+    }
+
+    PyObject *cov = PyObject_CallFunctionObjArgs(m->coverage, sender, tx_range,
+                                                 NULL);
+    if (!cov)
+        return NULL;
+    int rc = medium_coverage(m, s, cov);
+    Py_DECREF(cov);
+    if (rc < 0)
+        return NULL;
+    Py_ssize_t dst = -1;
+    if (on_outcome) {
+        PyObject *link_dst = PyObject_GetAttr(frame, str_link_dst);
+        if (!link_dst)
+            return NULL;
+        if (link_dst != Py_None)
+            dst = medium_slot(m, link_dst, 0);
+        Py_DECREF(link_dst);
+        if (dst == -2)
+            return NULL;
+    }
+
+    /* Once per transmission for every in-range receiver: the innermost
+     * loop of the simulator.  Only the ambient-loss draw calls out, and
+     * it cannot re-enter the medium, so `items` stays valid. */
+    CovItem *items = m->slots[s].cov;
+    Py_ssize_t n = m->slots[s].ncov;
+    double ambient = m->ambient_loss;
+    BatchObj *batch = NULL;
+    int covered = 0;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        Py_ssize_t r = items[i].slot;
+        Slot *rxs = &m->slots[r];
+        if (!rxs->handler)
+            continue;
+        if (m->blocked_links && slot_blocks(rxs, s))
+            continue;
+        if (rxs->deaf)
+            continue;
+        if (!batch) {
+            batch = batch_new(m, frame, on_outcome, now, end, n);
+            if (!batch)
+                return NULL;
+        }
+        Rx *rx = &batch->rx[batch->n++];
+        rx->slot = r;
+        rx->distance = items[i].distance;
+        rx->collided = 0;
+        rx->lost = 0;
+        rx->is_dst = 0;
+        rx->linked = 0;
+        if (rxs->tx_until > now) {
+            /* Receiver is itself transmitting: misses the frame. */
+            rx->collided = 1;
+            m->collisions++;
+        }
+        for (Rx *other = rxs->head; other; other = other->next)
+            resolve_overlap(m, rx, other);
+        if (ambient != 0.0) {
+            PyObject *u = PyObject_CallNoArgs(m->random);
+            if (!u)
+                goto fail;
+            double draw = PyFloat_AsDouble(u);
+            Py_DECREF(u);
+            if (draw == -1.0 && PyErr_Occurred())
+                goto fail;
+            if (draw < ambient)
+                rx->lost = 1;
+        }
+        if (r == dst) {
+            covered = 1;
+            rx->is_dst = 1;
+        }
+        rx_link(&m->slots[r], rx);
+    }
+    if (batch) {
+        PyObject *ev = sim_push(sim, end, (PyObject *)batch, NULL, NULL);
+        Py_DECREF(batch);
+        if (!ev)
+            return NULL;
+        Py_DECREF(ev);
+    }
+    if (on_outcome && !covered) {
+        /* Destination out of range (or detached): the ACK never comes. */
+        PyObject *no = PyTuple_Pack(1, Py_False);
+        if (!no)
+            return NULL;
+        PyObject *ev = sim_push(sim, end, on_outcome, no, NULL);
+        if (!ev)
+            return NULL;
+        Py_DECREF(ev);
+    }
+    Py_RETURN_NONE;
+fail:
+    Py_DECREF(batch);
+    return NULL;
+}
+
+/* Carrier sense at `node`: 1 while it transmits, 2 while it only hears
+ * something, 0 when idle; -1 on error.  An unseen node has never
+ * transmitted (tx_until 0.0) and hears nothing. */
+static int
+medium_sense(MediumObj *m, PyObject *node)
+{
+    if (medium_check(m) < 0)
+        return -1;
+    Py_ssize_t s = medium_slot(m, node, 0);
+    if (s == -2)
+        return -1;
+    double tx_until = s >= 0 ? m->slots[s].tx_until : 0.0;
+    if (tx_until > m->sim->now)
+        return 1;
+    return s >= 0 && m->slots[s].head ? 2 : 0;
+}
+
+static PyObject *
+Medium_is_transmitting(MediumObj *m, PyObject *node)
+{
+    int sense = medium_sense(m, node);
+    return sense < 0 ? NULL : PyBool_FromLong(sense == 1);
+}
+
+static PyObject *
+Medium_is_busy(MediumObj *m, PyObject *node)
+{
+    int sense = medium_sense(m, node);
+    return sense < 0 ? NULL : PyBool_FromLong(sense > 0);
+}
+
+static PyObject *
+Medium_get_collisions(MediumObj *m, void *closure)
+{
+    return PyLong_FromUnsignedLongLong(m->collisions);
+}
+
+static PyMethodDef Medium_methods[] = {
+    {"attach", (PyCFunction)Medium_attach, METH_FASTCALL,
+     "attach(node, handler): set node's delivery handler."},
+    {"set_loss_handler", (PyCFunction)Medium_set_loss_handler, METH_FASTCALL,
+     "set_loss_handler(node, handler): notify node of lost receptions."},
+    {"set_deaf", (PyCFunction)Medium_set_deaf, METH_FASTCALL,
+     "set_deaf(node, deaf): switch node's radio off or back on."},
+    {"set_link", (PyCFunction)Medium_set_link, METH_FASTCALL,
+     "set_link(a, b, down): sever or restore the a <-> b link."},
+    {"set_ambient_loss", (PyCFunction)Medium_set_ambient_loss, METH_O,
+     "set_ambient_loss(p): per-reception loss probability."},
+    {"transmit", (PyCFunction)Medium_transmit, METH_FASTCALL,
+     "transmit(sender, frame, duration, tx_range, on_outcome)"},
+    {"is_transmitting", (PyCFunction)Medium_is_transmitting, METH_O,
+     "Whether node is mid-transmission."},
+    {"is_busy", (PyCFunction)Medium_is_busy, METH_O,
+     "Carrier sense at node: own transmission or any audible one."},
+    {NULL}
+};
+
+static PyGetSetDef Medium_getset[] = {
+    {"collisions", (getter)Medium_get_collisions, NULL,
+     "Receptions destroyed so far (interference or half-duplex).", NULL},
+    {NULL}
+};
+
+static PyTypeObject MediumType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._ckernel.Medium",
+    .tp_basicsize = sizeof(MediumObj),
+    .tp_dealloc = (destructor)Medium_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_traverse = (traverseproc)Medium_traverse,
+    .tp_clear = (inquiry)Medium_clear,
+    .tp_methods = Medium_methods,
+    .tp_getset = Medium_getset,
+    .tp_new = Medium_new,
+    .tp_doc = "The wireless channel's per-reception work (see Channel).",
+};
+
+/* ------------------------------------------------------------------ */
 /* Module                                                             */
 /* ------------------------------------------------------------------ */
 static PyObject *
@@ -946,13 +1827,25 @@ static PyModuleDef ckernel_module = {
 PyMODINIT_FUNC
 PyInit__ckernel(void)
 {
-    if (PyType_Ready(&EventType) < 0 || PyType_Ready(&SimType) < 0)
+    if (PyType_Ready(&EventType) < 0 || PyType_Ready(&SimType) < 0 ||
+        PyType_Ready(&BatchType) < 0 || PyType_Ready(&MediumType) < 0)
         return NULL;
+    struct { PyObject **slot; const char *text; } names[] = {
+        {&str_link_dst, "link_dst"}, {&str_describe, "describe"},
+        {&str_emit, "emit"}, {&str_rx_lost, "rx_lost"},
+        {&str_receiver, "receiver"}, {&str_collided, "collided"},
+        {&str_lost, "lost"}, {&str_on_outcome, "on_outcome"},
+    };
+    for (size_t i = 0; i < sizeof(names) / sizeof(names[0]); i++)
+        if (!*names[i].slot &&
+            !(*names[i].slot = PyUnicode_InternFromString(names[i].text)))
+            return NULL;
     PyObject *m = PyModule_Create(&ckernel_module);
     if (!m)
         return NULL;
     if (PyModule_AddObjectRef(m, "Event", (PyObject *)&EventType) < 0 ||
         PyModule_AddObjectRef(m, "Simulator", (PyObject *)&SimType) < 0 ||
+        PyModule_AddObjectRef(m, "Medium", (PyObject *)&MediumType) < 0 ||
         PyModule_AddIntConstant(m, "NSLOTS", (long)NSLOTS) < 0 ||
         PyModule_AddObject(m, "DEFAULT_WIDTH",
                            PyFloat_FromDouble(DEFAULT_WIDTH)) < 0) {

@@ -8,7 +8,10 @@ only allowed to exist if it is indistinguishable from the reference.
 """
 
 import gc
+import os
 import random
+import shutil
+import subprocess
 import weakref
 
 import pytest
@@ -211,6 +214,15 @@ def test_ckernel_collects_reference_cycles():
     ref = make_cycle()
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.skipif(
+    shutil.which(os.environ.get("CC", "cc")) is None, reason="no C compiler"
+)
+def test_ckernel_compiles_without_warnings(tmp_path):
+    command = accel._build_command(str(tmp_path / "_ckernel.so")) + ["-Wall", "-Werror"]
+    result = subprocess.run(command, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_make_simulator_respects_reference_mode():
