@@ -16,6 +16,12 @@ The agent plugs into the node pipeline in three places:
   node's own transmissions to the monitor (a node guards its own links);
 - **lifecycle listener** — crash and recovery.
 
+On the C kernel's simulator the monitor carries a C ``Guard`` (see
+:class:`~repro.core.monitor.LocalMonitor`), and the agent registers the
+guard's ``receive`` instead of :meth:`LiteworpAgent._receive`: the same
+steps in the same order, calling back into the same Python handlers,
+with :meth:`_receive` kept as the reference on the Python engine.
+
 When ``config.heartbeat_period`` is set the agent additionally composes a
 :class:`~repro.core.liveness.LivenessManager`: a crash deactivates the
 checks and drops all volatile monitor state; a recovery re-runs neighbor
@@ -88,7 +94,15 @@ class LiteworpAgent:
             )
             self.monitor.set_liveness(self.liveness.is_accusable)
             self._handlers[ProbePacket] = self.liveness.on_probe
-        node.add_filter(self._receive)
+        guard = self.monitor.guard
+        if guard is None:
+            node.add_filter(self._receive)
+        else:
+            guard.bind(
+                agent=self, handlers=self._handlers, liveness=self.liveness,
+                second_hop_check=config.second_hop_check,
+            )
+            node.add_filter(guard.receive)
         node.add_send_filter(self._send_filter)
         node.add_lifecycle_listener(self._lifecycle)
 
@@ -118,7 +132,7 @@ class LiteworpAgent:
 
     def activate(self) -> None:
         """Switch on the legitimacy filters and local monitoring."""
-        self.activated = True
+        self._set_activated(True)
         if self.liveness is not None:
             self.liveness.start()
 
@@ -142,11 +156,16 @@ class LiteworpAgent:
         """The host node went down: all volatile protocol state is gone.
         The neighbor table (and its revocations) models nonvolatile
         storage and is retained across the outage."""
-        self.activated = False
+        self._set_activated(False)
         self.monitor.reset()
         self.isolation.reset_pending()
         if self.liveness is not None:
             self.liveness.reset()
+
+    def _set_activated(self, activated: bool) -> None:
+        self.activated = activated
+        if self.monitor.guard is not None:
+            self.monitor.guard.activated = activated
 
     def _rejoin(self) -> None:
         """Reboot: re-run neighbor bootstrap.  With an oracle installed the

@@ -38,7 +38,7 @@ import math
 from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.core.config import LiteworpConfig
-from repro.core.tables import STATUS_ACTIVE, NeighborTable
+from repro.core.tables import STATUS_ACTIVE, STATUS_REVOKED, NeighborTable
 from repro.net.packet import (
     DataPacket,
     Frame,
@@ -48,6 +48,7 @@ from repro.net.packet import (
     RouteReply,
     RouteRequest,
 )
+from repro.sim import accel
 from repro.sim.engine import Event, Simulator
 from repro.sim.trace import TraceLog
 
@@ -114,6 +115,16 @@ class LocalMonitor:
     once per window the current one becomes the old one and the old one
     is dropped, which only happens when every stamp in it has expired.
     The latest reception loss is one timestamp.
+
+    On the C kernel's simulator the monitor builds a ``Guard``
+    (``repro.sim._ckernel``, chosen by :func:`repro.sim.accel.kernel_type`)
+    that runs the judgement body in C and owns the overheard store as a
+    C table with the same answers.  :meth:`observe`, :meth:`observe_own`,
+    :meth:`heard_transmission` and :meth:`reset` then delegate to it;
+    the watch buffer, the counters, ``_last_loss`` and every accusation
+    stay here, and the guard calls back into them.  ``enabled`` is read
+    once, when the guard is built.  On the Python engine the methods
+    below are the whole implementation and the reference.
     """
 
     def __init__(
@@ -158,6 +169,22 @@ class LocalMonitor:
         # predicate reports as not-alive are suspended (a crashed neighbor
         # is not a malicious dropper).
         self._is_alive: Optional[Callable[[NodeId], bool]] = None
+        guard_type = accel.kernel_type(sim, "Guard")
+        #: The C judgement body and overheard store, or None (Python engine).
+        self.guard = None if guard_type is None else guard_type(
+            monitor=self, sim=sim, owner=owner,
+            first=table._first, second=table._second,
+            # Never rebound: reset() clears it in place.
+            expectations=self._expectations,
+            enabled=self.enabled, watch_data=config.watch_data,
+            watch_request_drops=config.watch_request_drops,
+            fabrication_grace=config.fabrication_grace,
+            overheard_window=config.overheard_window,
+            v_fabricate=config.v_fabricate,
+            observe=LocalMonitor._process, packet_role=packet_role,
+            frame_cls=Frame, packet_cls=Packet,
+            active=STATUS_ACTIVE, revoked=STATUS_REVOKED,
+        )
 
     # ------------------------------------------------------------------
     # Liveness integration
@@ -190,6 +217,8 @@ class LocalMonitor:
         self._overheard_old.clear()
         self._overheard_cutoff = -math.inf
         self._overheard_rotated_at = -math.inf
+        if self.guard is not None:
+            self.guard.clear()
         self._last_loss = -math.inf
         self._note_watch_size()
 
@@ -212,6 +241,10 @@ class LocalMonitor:
         previous hop for fabrication (overheard frames only); arm a watch
         on the next hop that should forward the packet.
         """
+        guard = self.guard
+        if guard is not None:
+            guard.observe(frame, own)
+            return
         if not self.enabled:
             return
         table = self.table
@@ -284,12 +317,17 @@ class LocalMonitor:
 
     # ``observe_own`` enters the body under this second name, so a wrapper
     # installed on ``observe`` (a call counter, say) sees received frames
-    # only, never an own frame twice.
+    # only, never an own frame twice.  The guard compares the class's
+    # ``observe`` with it to tell whether such a wrapper is installed.
     _process = observe
 
     def observe_own(self, frame: Frame) -> None:
         """Called for every frame this node itself transmits."""
-        self._process(frame, True)
+        guard = self.guard
+        if guard is not None:
+            guard.observe(frame, True)
+        else:
+            self._process(frame, True)
 
     def _watch_request_forwarders(
         self, packet: RouteRequest, key: PacketKey, transmitter: NodeId
@@ -312,7 +350,7 @@ class LocalMonitor:
                 continue
             if candidate not in reach:
                 continue
-            if self._heard((key, candidate)):
+            if self.heard_transmission(key, candidate):
                 continue
             self._add_expectation(key, candidate)
 
@@ -442,4 +480,6 @@ class LocalMonitor:
 
     def heard_transmission(self, key: PacketKey, transmitter: NodeId) -> bool:
         """Whether the guard remembers ``transmitter`` sending ``key``."""
+        if self.guard is not None:
+            return self.guard.heard(key, transmitter)
         return self._heard((key, transmitter))

@@ -1800,6 +1800,923 @@ static PyTypeObject MediumType = {
 };
 
 /* ------------------------------------------------------------------ */
+/* Guard: LITEWORP's per-frame receive hook                           */
+/* ------------------------------------------------------------------ */
+/* The C side of repro.core.monitor.LocalMonitor and of
+ * repro.core.agent.LiteworpAgent's receive hook when the monitor's
+ * simulator is this module's Simulator.  One Guard per monitor.
+ * receive() runs LiteworpAgent._receive's steps in its order: the
+ * liveness tap, the monitor's judgement (observe), the non-neighbour,
+ * revoked and second-hop checks, then the packet-type dispatch; observe()
+ * is LocalMonitor.observe's body.  Both make the Python paths' callbacks,
+ * state changes and trace records, in the same order.
+ *
+ * The guard owns the overheard store: two generations of an
+ * open-addressing table of (packet key, node) -> last stamp, rotated as
+ * LocalMonitor._remember rotates its two dicts, so it gives the same
+ * answers; keys and node ids match as they would in a dict.  Frames and
+ * packets of the expected classes are read by slot offset; anything else
+ * through attribute lookup.
+ *
+ * Everything else stays in Python and is called by name on the rare
+ * paths: the monitor's _accuse, _add_expectation, _note_watch_size,
+ * _watch_request_forwarders and its counters and _last_loss; the agent's
+ * _reject and accepted-packet handlers; packet_role on a packet class's
+ * first sight and Packet.key() while a key is not cached.  The watch
+ * buffer is the monitor's own dict. */
+
+static PyObject *str_observe, *str_key, *str_dkey, *str_origin,
+    *str_destination, *str_inner_key, *str_cancel, *str_note_watch_size,
+    *str_accuse, *str_add_expectation, *str_watch_request_forwarders,
+    *str_reject, *str_note_frame, *str_last_loss, *str_fabrications_seen,
+    *str_suppressed_accusations, *str_status, *str_fabrication,
+    *str_nonneighbor, *str_revoked, *str_secondhop, *str_packet,
+    *str_transmitter, *str_prev_hop;
+
+/* The same numbering as repro.core.monitor's ROLE_* constants. */
+enum { ROLE_RERR, ROLE_DATA, ROLE_IGNORED, ROLE_REQ, ROLE_REP, ROLE_OTHER };
+
+/* Frame slots read by offset. */
+enum { F_PACKET, F_TRANSMITTER, F_LINK_DST, F_PREV_HOP, F_COUNT };
+static PyObject **frame_names[F_COUNT] = {&str_packet, &str_transmitter,
+                                          &str_link_dst, &str_prev_hop};
+
+typedef struct {
+    PyObject *key;          /* packet key; NULL marks an empty cell */
+    PyObject *node;
+    Py_hash_t hash;         /* of (key, node), see watch_hash */
+    double stamp;
+} Heard;
+
+typedef struct {
+    Heard *cells;
+    Py_ssize_t cap;         /* 0 or a power of two */
+    Py_ssize_t used;
+} HeardTable;
+
+typedef struct {
+    PyTypeObject *cls;
+    int role;
+    /* Slot offsets on `cls`, -1 to use attribute lookup; off_key is -1
+     * too when the class overrides key(). */
+    Py_ssize_t off_key, off_origin, off_destination, off_inner_key;
+} PacketKind;
+
+typedef struct {
+    PyObject_HEAD
+    SimObj *sim;
+    PyObject *monitor;
+    PyObject *owner;
+    PyObject *first;        /* NeighborTable's first-hop dict */
+    PyObject *second;       /* NeighborTable's second-hop dict */
+    PyObject *expectations; /* the monitor's watch buffer */
+    PyObject *observe_body; /* the function LocalMonitor defines as observe */
+    PyObject *packet_role;
+    PyObject *packet_key;   /* Packet.key */
+    PyObject *active, *revoked;     /* status values */
+    PyObject *v_fabricate;
+    PyTypeObject *frame_cls, *packet_cls;
+    /* Set by bind(); receive() needs them. */
+    PyObject *agent;
+    PyObject *handlers;     /* packet class -> handler */
+    PyObject *liveness;     /* or NULL */
+    double grace, window;
+    double cutoff, rotated_at;
+    Py_ssize_t frame_off[F_COUNT];
+    HeardTable cur, old;
+    PacketKind *kinds;
+    Py_ssize_t nkinds, cap_kinds;
+    char enabled, watch_data, watch_request_drops, second_hop_check;
+    char activated;
+} GuardObj;
+
+static PyTypeObject GuardType;
+
+/* Offset of `cls`'s object slot `name`, or -1. */
+static Py_ssize_t
+slot_offset(PyTypeObject *cls, PyObject *name)
+{
+    PyObject *descr = _PyType_Lookup(cls, name);
+    if (descr && Py_IS_TYPE(descr, &PyMemberDescr_Type)) {
+        PyMemberDef *def = ((PyMemberDescrObject *)descr)->d_member;
+        if (def->type == T_OBJECT_EX)
+            return def->offset;
+    }
+    return -1;
+}
+
+/* obj.name as a new reference, from the slot at `offset` when >= 0. */
+static inline PyObject *
+slot_get(PyObject *obj, Py_ssize_t offset, PyObject *name)
+{
+    if (offset >= 0) {
+        PyObject *value = *(PyObject **)((char *)obj + offset);
+        if (value)
+            return Py_NewRef(value);
+    }
+    /* Generic lookup; it also raises AttributeError for an unset slot. */
+    return PyObject_GetAttr(obj, name);
+}
+
+static inline PyObject *
+frame_get(GuardObj *g, PyObject *frame, int field)
+{
+    Py_ssize_t offset = Py_TYPE(frame) == g->frame_cls ? g->frame_off[field] : -1;
+    return slot_get(frame, offset, *frame_names[field]);
+}
+
+/* ---- overheard store ---------------------------------------------- */
+/* The hash of (key, node), given hash(key); -1 with an error set. */
+static Py_hash_t
+watch_hash(Py_hash_t key_hash, PyObject *node)
+{
+    Py_hash_t node_hash = PyObject_Hash(node);
+    if (node_hash == -1)
+        return -1;
+    uint64_t h = (uint64_t)key_hash * 0x9E3779B97F4A7C15ull ^ (uint64_t)node_hash;
+    h ^= h >> 31;
+    h *= 0xBF58476D1CE4E5B9ull;
+    h ^= h >> 29;
+    return (Py_hash_t)(h >> 1);  /* never -1 */
+}
+
+/* The cell holding (key, node), or NULL; *err set on a comparison error. */
+static Heard *
+heard_find(HeardTable *t, PyObject *key, PyObject *node, Py_hash_t hash,
+           int *err)
+{
+    if (!t->cap)
+        return NULL;
+    size_t mask = (size_t)t->cap - 1;
+    for (size_t i = (size_t)hash & mask;; i = (i + 1) & mask) {
+        Heard *c = &t->cells[i];
+        if (!c->key)
+            return NULL;
+        if (c->hash != hash)
+            continue;
+        int eq = PyObject_RichCompareBool(c->node, node, Py_EQ);
+        if (eq > 0)
+            eq = PyObject_RichCompareBool(c->key, key, Py_EQ);
+        if (eq < 0) {
+            *err = 1;
+            return NULL;
+        }
+        if (eq)
+            return c;
+    }
+}
+
+static int
+heard_grow(HeardTable *t)
+{
+    Py_ssize_t cap = t->cap ? t->cap * 2 : 16;
+    Heard *cells = PyMem_Calloc((size_t)cap, sizeof(Heard));
+    if (!cells) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    size_t mask = (size_t)cap - 1;
+    for (Py_ssize_t j = 0; j < t->cap; j++) {
+        if (!t->cells[j].key)
+            continue;
+        size_t i = (size_t)t->cells[j].hash & mask;
+        while (cells[i].key)
+            i = (i + 1) & mask;
+        cells[i] = t->cells[j];
+    }
+    PyMem_Free(t->cells);
+    t->cells = cells;
+    t->cap = cap;
+    return 0;
+}
+
+static int
+heard_put(HeardTable *t, PyObject *key, PyObject *node, Py_hash_t hash,
+          double stamp)
+{
+    int err = 0;
+    Heard *c = heard_find(t, key, node, hash, &err);
+    if (err)
+        return -1;
+    if (c) {
+        c->stamp = stamp;
+        return 0;
+    }
+    /* At most two thirds full, as a dict is. */
+    if ((t->used + 1) * 3 > t->cap * 2 && heard_grow(t) < 0)
+        return -1;
+    size_t mask = (size_t)t->cap - 1;
+    size_t i = (size_t)hash & mask;
+    while (t->cells[i].key)
+        i = (i + 1) & mask;
+    c = &t->cells[i];
+    c->key = Py_NewRef(key);
+    c->node = Py_NewRef(node);
+    c->hash = hash;
+    c->stamp = stamp;
+    t->used++;
+    return 0;
+}
+
+/* Empty the table, keeping its cells for reuse. */
+static void
+heard_clear(HeardTable *t)
+{
+    for (Py_ssize_t i = 0; i < t->cap && t->used; i++) {
+        Heard *c = &t->cells[i];
+        if (c->key) {
+            PyObject *key = c->key, *node = c->node;
+            c->key = c->node = NULL;
+            t->used--;
+            Py_DECREF(key);
+            Py_DECREF(node);
+        }
+    }
+}
+
+static void
+heard_free(HeardTable *t)
+{
+    heard_clear(t);
+    PyMem_Free(t->cells);
+    t->cells = NULL;
+    t->cap = 0;
+}
+
+/* LocalMonitor._remember: stamp (key, node) heard at `now`. */
+static int
+guard_remember(GuardObj *g, PyObject *key, Py_hash_t key_hash,
+               PyObject *node, double now)
+{
+    Py_hash_t hash = watch_hash(key_hash, node);
+    if (hash == -1)
+        return -1;
+    double cutoff = now - g->window;
+    g->cutoff = cutoff;
+    if (cutoff >= g->rotated_at) {
+        /* Every stamp in the old generation predates the last rotation,
+         * so is below this cutoff and every later one. */
+        HeardTable emptied = g->old;
+        g->old = g->cur;
+        g->cur = emptied;
+        heard_clear(&g->cur);
+        g->rotated_at = now;
+    }
+    return heard_put(&g->cur, key, node, hash, now);
+}
+
+/* LocalMonitor._heard: 1 if (key, node) was heard since the cutoff. */
+static int
+guard_heard(GuardObj *g, PyObject *key, Py_hash_t key_hash, PyObject *node)
+{
+    Py_hash_t hash = watch_hash(key_hash, node);
+    if (hash == -1)
+        return -1;
+    int err = 0;
+    Heard *c = heard_find(&g->cur, key, node, hash, &err);
+    if (!c && !err)
+        c = heard_find(&g->old, key, node, hash, &err);
+    if (err)
+        return -1;
+    return c && c->stamp >= g->cutoff;
+}
+
+/* ---- per-frame body ----------------------------------------------- */
+static int
+guard_check(GuardObj *g)
+{
+    if (g->monitor)
+        return 0;
+    PyErr_SetString(PyExc_RuntimeError, "guard has been cleared");
+    return -1;
+}
+
+/* The role and slot offsets of `packet`'s class, classified by
+ * packet_role on first sight.  Copied out: a frame handled re-entrantly
+ * (an accusation's alert passes the send filter) may grow the table. */
+static int
+packet_kind(GuardObj *g, PyObject *packet, PacketKind *out)
+{
+    PyTypeObject *cls = Py_TYPE(packet);
+    for (Py_ssize_t i = 0; i < g->nkinds; i++)
+        if (g->kinds[i].cls == cls) {
+            *out = g->kinds[i];
+            return 0;
+        }
+    PyObject *r = PyObject_CallOneArg(g->packet_role, packet);
+    if (!r)
+        return -1;
+    long role = PyLong_AsLong(r);
+    Py_DECREF(r);
+    if (role == -1 && PyErr_Occurred())
+        return -1;
+    PacketKind kind = {cls, (int)role, -1, -1, -1, -1};
+    if (PyType_IsSubtype(cls, g->packet_cls) &&
+        _PyType_Lookup(cls, str_key) == g->packet_key)
+        kind.off_key = slot_offset(cls, str_dkey);
+    kind.off_origin = slot_offset(cls, str_origin);
+    kind.off_destination = slot_offset(cls, str_destination);
+    kind.off_inner_key = slot_offset(cls, str_inner_key);
+    if (g->nkinds == g->cap_kinds) {
+        Py_ssize_t cap = g->cap_kinds ? g->cap_kinds * 2 : 8;
+        PacketKind *kinds = PyMem_Realloc(g->kinds,
+                                          (size_t)cap * sizeof(PacketKind));
+        if (!kinds) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        g->kinds = kinds;
+        g->cap_kinds = cap;
+    }
+    Py_INCREF(cls);
+    g->kinds[g->nkinds++] = kind;
+    *out = kind;
+    return 0;
+}
+
+/* packet.key(), from the cached slot when the class allows it. */
+static PyObject *
+packet_key(PyObject *packet, PacketKind *kind)
+{
+    if (kind->off_key >= 0) {
+        PyObject *key = *(PyObject **)((char *)packet + kind->off_key);
+        if (key && key != Py_None)
+            return Py_NewRef(key);
+    }
+    return PyObject_CallMethodNoArgs(packet, str_key);
+}
+
+/* record.status == status; -1 on error. */
+static int
+status_is(PyObject *record, PyObject *status)
+{
+    PyObject *value = PyObject_GetAttr(record, str_status);
+    if (!value)
+        return -1;
+    int eq = PyObject_RichCompareBool(value, status, Py_EQ);
+    Py_DECREF(value);
+    return eq;
+}
+
+/* 0 for a call's result (dropped), -1 for its failure. */
+static int
+discard(PyObject *r)
+{
+    if (!r)
+        return -1;
+    Py_DECREF(r);
+    return 0;
+}
+
+/* obj.name += 1 */
+static int
+increment(PyObject *obj, PyObject *name)
+{
+    PyObject *value = PyObject_GetAttr(obj, name);
+    if (!value)
+        return -1;
+    PyObject *one = PyLong_FromLong(1);
+    PyObject *sum = one ? PyNumber_Add(value, one) : NULL;
+    Py_DECREF(value);
+    Py_XDECREF(one);
+    if (!sum)
+        return -1;
+    int rc = PyObject_SetAttr(obj, name, sum);
+    Py_DECREF(sum);
+    return rc;
+}
+
+/* expectations.pop((key, node)): cancel the pending deadline, then
+ * re-sample the gauge. */
+static int
+pop_expectation(GuardObj *g, PyObject *key, PyObject *node)
+{
+    if (!PyDict_GET_SIZE(g->expectations))
+        return 0;
+    PyObject *watch_key = PyTuple_Pack(2, key, node);
+    if (!watch_key)
+        return -1;
+    PyObject *pending = PyDict_GetItemWithError(g->expectations, watch_key);
+    if (!pending) {
+        Py_DECREF(watch_key);
+        return PyErr_Occurred() ? -1 : 0;
+    }
+    Py_INCREF(pending);
+    int rc = PyDict_DelItem(g->expectations, watch_key);
+    Py_DECREF(watch_key);
+    if (rc == 0)
+        rc = discard(PyObject_CallMethodNoArgs(pending, str_cancel));
+    Py_DECREF(pending);
+    if (rc == 0)
+        rc = discard(
+            PyObject_CallMethodNoArgs(g->monitor, str_note_watch_size));
+    return rc;
+}
+
+/* LocalMonitor.observe's body. */
+static int
+guard_observe(GuardObj *g, PyObject *frame, int own)
+{
+    if (!g->enabled)
+        return 0;
+    PyObject *packet = NULL, *tx = NULL, *key = NULL, *prev = NULL,
+        *watched = NULL, *consumer = NULL;
+    int rc = -1;
+    tx = frame_get(g, frame, F_TRANSMITTER);
+    if (!tx)
+        goto done;
+    if (!own) {
+        /* A guard judges only what its own neighbours transmit. */
+        if (!PyDict_GetItemWithError(g->first, tx)) {
+            rc = PyErr_Occurred() ? -1 : 0;
+            goto done;
+        }
+    }
+    packet = frame_get(g, frame, F_PACKET);
+    PacketKind kind;
+    if (!packet || packet_kind(g, packet, &kind) < 0)
+        goto done;
+    if (kind.role == ROLE_RERR) {
+        /* The transmitter legitimately cannot forward: clear the watch. */
+        if (PyDict_GET_SIZE(g->expectations)) {
+            PyObject *inner = slot_get(packet, kind.off_inner_key, str_inner_key);
+            if (!inner)
+                goto done;
+            rc = pop_expectation(g, inner, tx);
+            Py_DECREF(inner);
+        } else {
+            rc = 0;
+        }
+        goto done;
+    }
+    if (kind.role == ROLE_IGNORED || (kind.role == ROLE_DATA && !g->watch_data)) {
+        rc = 0;
+        goto done;
+    }
+
+    double now = g->sim->now;
+    key = packet_key(packet, &kind);
+    if (!key)
+        goto done;
+    Py_hash_t hash = PyObject_Hash(key);
+    if (hash == -1 && PyErr_Occurred())
+        goto done;
+    if (guard_remember(g, key, hash, tx, now) < 0 ||
+        pop_expectation(g, key, tx) < 0)
+        goto done;
+
+    prev = frame_get(g, frame, F_PREV_HOP);
+    if (!prev)
+        goto done;
+    /* Only a guard of the claimed link (prev's neighbour) can judge. */
+    if (!own && prev != Py_None) {
+        PyObject *record = PyDict_GetItemWithError(g->first, prev);
+        if (!record && PyErr_Occurred())
+            goto done;
+        int heard = record ? guard_heard(g, key, hash, prev) : 1;
+        if (heard < 0)
+            goto done;
+        if (!heard) {
+            PyObject *loss = PyObject_GetAttr(g->monitor, str_last_loss);
+            if (!loss)
+                goto done;
+            double last_loss = PyFloat_AsDouble(loss);
+            Py_DECREF(loss);
+            if (last_loss == -1.0 && PyErr_Occurred())
+                goto done;
+            if (last_loss >= now - g->grace) {
+                /* Our radio was impaired recently: withhold judgement. */
+                if (increment(g->monitor, str_suppressed_accusations) < 0)
+                    goto done;
+            } else if (increment(g->monitor, str_fabrications_seen) < 0 ||
+                       discard(PyObject_CallMethodObjArgs(
+                           g->monitor, str_accuse, tx, g->v_fabricate,
+                           str_fabrication, key, NULL)) < 0) {
+                goto done;
+            }
+        }
+    }
+
+    watched = frame_get(g, frame, F_LINK_DST);
+    if (!watched)
+        goto done;
+    if (watched == Py_None) {
+        if (kind.role == ROLE_REQ && g->watch_request_drops &&
+            discard(PyObject_CallMethodObjArgs(
+                g->monitor, str_watch_request_forwarders, packet, key, tx,
+                NULL)) < 0)
+            goto done;
+        rc = 0;
+        goto done;
+    }
+    /* Expect a forward unless the receiver legitimately consumes the
+     * packet: a reply at its origin, data at its destination, and any
+     * other monitored type at its link destination. */
+    if (kind.role == ROLE_REP)
+        consumer = slot_get(packet, kind.off_origin, str_origin);
+    else if (kind.role == ROLE_DATA)
+        consumer = slot_get(packet, kind.off_destination, str_destination);
+    else {
+        rc = 0;
+        goto done;
+    }
+    if (!consumer)
+        goto done;
+    int eq = PyObject_RichCompareBool(watched, consumer, Py_EQ);
+    if (eq == 0)
+        eq = PyObject_RichCompareBool(watched, g->owner, Py_EQ);
+    if (eq != 0) {
+        rc = eq < 0 ? -1 : 0;
+        goto done;
+    }
+    PyObject *record = PyDict_GetItemWithError(g->first, watched);
+    if (!record) {
+        rc = PyErr_Occurred() ? -1 : 0;
+        goto done;
+    }
+    int active = status_is(record, g->active);
+    if (active < 0)
+        goto done;
+    rc = active ? discard(PyObject_CallMethodObjArgs(
+                      g->monitor, str_add_expectation, key, watched, NULL))
+                : 0;
+done:
+    Py_XDECREF(tx);
+    Py_XDECREF(packet);
+    Py_XDECREF(key);
+    Py_XDECREF(prev);
+    Py_XDECREF(watched);
+    Py_XDECREF(consumer);
+    return rc;
+}
+
+/* LiteworpAgent._reject(reason, frame). */
+static int
+guard_reject(GuardObj *g, PyObject *reason, PyObject *frame)
+{
+    return discard(
+        PyObject_CallMethodObjArgs(g->agent, str_reject, reason, frame, NULL));
+}
+
+/* LiteworpAgent._receive's checks on an activated agent: 1 accept,
+ * 0 reject, -1 error. */
+static int
+guard_admit(GuardObj *g, PyObject *frame)
+{
+    /* A wrapper installed on LocalMonitor.observe must see the frame, so
+     * the body is entered directly only while the class's own is there. */
+    if (_PyType_Lookup(Py_TYPE(g->monitor), str_observe) == g->observe_body) {
+        if (guard_observe(g, frame, 0) < 0)
+            return -1;
+    } else if (discard(
+                   PyObject_CallMethodOneArg(g->monitor, str_observe, frame)) < 0) {
+        return -1;
+    }
+    /* Looked up after the monitor, which may have just revoked it. */
+    PyObject *tx = frame_get(g, frame, F_TRANSMITTER);
+    if (!tx)
+        return -1;
+    int verdict = -1;
+    PyObject *record = PyDict_GetItemWithError(g->first, tx);
+    if (!record) {
+        if (!PyErr_Occurred())
+            verdict = guard_reject(g, str_nonneighbor, frame) < 0 ? -1 : 0;
+        goto done;
+    }
+    int revoked = status_is(record, g->revoked);
+    if (revoked) {
+        if (revoked > 0)
+            verdict = guard_reject(g, str_revoked, frame) < 0 ? -1 : 0;
+        goto done;
+    }
+    PyObject *prev = frame_get(g, frame, F_PREV_HOP);
+    if (!prev)
+        goto done;
+    verdict = 1;
+    if (prev != Py_None && g->second_hop_check) {
+        PyObject *reach = PyDict_GetItemWithError(g->second, tx);
+        if (reach) {
+            int known = PySequence_Contains(reach, prev);
+            if (known < 0)
+                verdict = -1;
+            else if (!known)
+                verdict = guard_reject(g, str_secondhop, frame) < 0 ? -1 : 0;
+        } else if (PyErr_Occurred()) {
+            verdict = -1;
+        }
+    }
+    Py_DECREF(prev);
+done:
+    Py_DECREF(tx);
+    return verdict;
+}
+
+/* ---- type methods -------------------------------------------------- */
+static PyObject *
+Guard_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"monitor", "sim", "owner", "first", "second",
+                             "expectations", "enabled", "watch_data",
+                             "watch_request_drops", "fabrication_grace",
+                             "overheard_window", "v_fabricate", "observe",
+                             "packet_role", "frame_cls", "packet_cls",
+                             "active", "revoked", NULL};
+    PyObject *monitor, *sim, *owner, *first, *second, *expectations,
+        *v_fabricate, *observe, *role, *frame_cls, *packet_cls, *active,
+        *revoked;
+    int enabled, watch_data, watch_request_drops;
+    double grace, window;
+    if (!PyArg_ParseTupleAndKeywords(
+            args, kwds, "$OO!OO!O!O!pppddOOOO!O!OO", kwlist, &monitor,
+            &SimType, &sim, &owner, &PyDict_Type, &first, &PyDict_Type,
+            &second, &PyDict_Type, &expectations, &enabled, &watch_data,
+            &watch_request_drops, &grace, &window, &v_fabricate, &observe,
+            &role, &PyType_Type, &frame_cls, &PyType_Type, &packet_cls,
+            &active, &revoked))
+        return NULL;
+    PyObject *packet_key_fn = _PyType_Lookup((PyTypeObject *)packet_cls, str_key);
+    if (!packet_key_fn) {
+        PyErr_SetString(PyExc_TypeError, "packet_cls must define key()");
+        return NULL;
+    }
+    GuardObj *g = (GuardObj *)type->tp_alloc(type, 0);
+    if (!g)
+        return NULL;
+    g->monitor = Py_NewRef(monitor);
+    g->sim = (SimObj *)Py_NewRef(sim);
+    g->owner = Py_NewRef(owner);
+    g->first = Py_NewRef(first);
+    g->second = Py_NewRef(second);
+    g->expectations = Py_NewRef(expectations);
+    g->v_fabricate = Py_NewRef(v_fabricate);
+    g->observe_body = Py_NewRef(observe);
+    g->packet_role = Py_NewRef(role);
+    g->packet_key = Py_NewRef(packet_key_fn);
+    g->frame_cls = (PyTypeObject *)Py_NewRef(frame_cls);
+    g->packet_cls = (PyTypeObject *)Py_NewRef(packet_cls);
+    g->active = Py_NewRef(active);
+    g->revoked = Py_NewRef(revoked);
+    g->enabled = (char)enabled;
+    g->watch_data = (char)watch_data;
+    g->watch_request_drops = (char)watch_request_drops;
+    g->grace = grace;
+    g->window = window;
+    g->cutoff = -Py_HUGE_VAL;
+    g->rotated_at = -Py_HUGE_VAL;
+    for (int f = 0; f < F_COUNT; f++)
+        g->frame_off[f] = slot_offset(g->frame_cls, *frame_names[f]);
+    return (PyObject *)g;
+}
+
+static int
+Guard_traverse(GuardObj *g, visitproc visit, void *arg)
+{
+    Py_VISIT(g->sim);
+    Py_VISIT(g->monitor);
+    Py_VISIT(g->owner);
+    Py_VISIT(g->first);
+    Py_VISIT(g->second);
+    Py_VISIT(g->expectations);
+    Py_VISIT(g->observe_body);
+    Py_VISIT(g->packet_role);
+    Py_VISIT(g->packet_key);
+    Py_VISIT(g->active);
+    Py_VISIT(g->revoked);
+    Py_VISIT(g->v_fabricate);
+    Py_VISIT(g->frame_cls);
+    Py_VISIT(g->packet_cls);
+    Py_VISIT(g->agent);
+    Py_VISIT(g->handlers);
+    Py_VISIT(g->liveness);
+    for (Py_ssize_t i = 0; i < g->nkinds; i++)
+        Py_VISIT(g->kinds[i].cls);
+    HeardTable *tables[2] = {&g->cur, &g->old};
+    for (int t = 0; t < 2; t++)
+        for (Py_ssize_t i = 0; i < tables[t]->cap; i++) {
+            Py_VISIT(tables[t]->cells[i].key);
+            Py_VISIT(tables[t]->cells[i].node);
+        }
+    return 0;
+}
+
+static int
+Guard_clear(GuardObj *g)
+{
+    Py_CLEAR(g->sim);
+    Py_CLEAR(g->monitor);
+    Py_CLEAR(g->owner);
+    Py_CLEAR(g->first);
+    Py_CLEAR(g->second);
+    Py_CLEAR(g->expectations);
+    Py_CLEAR(g->observe_body);
+    Py_CLEAR(g->packet_role);
+    Py_CLEAR(g->packet_key);
+    Py_CLEAR(g->active);
+    Py_CLEAR(g->revoked);
+    Py_CLEAR(g->v_fabricate);
+    Py_CLEAR(g->frame_cls);
+    Py_CLEAR(g->packet_cls);
+    Py_CLEAR(g->agent);
+    Py_CLEAR(g->handlers);
+    Py_CLEAR(g->liveness);
+    while (g->nkinds > 0) {
+        g->nkinds--;
+        Py_CLEAR(g->kinds[g->nkinds].cls);
+    }
+    heard_clear(&g->cur);
+    heard_clear(&g->old);
+    return 0;
+}
+
+static void
+Guard_dealloc(GuardObj *g)
+{
+    PyObject_GC_UnTrack(g);
+    Guard_clear(g);
+    heard_free(&g->cur);
+    heard_free(&g->old);
+    PyMem_Free(g->kinds);
+    Py_TYPE(g)->tp_free((PyObject *)g);
+}
+
+static PyObject *
+Guard_bind(GuardObj *g, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"agent", "handlers", "liveness",
+                             "second_hop_check", NULL};
+    PyObject *agent, *handlers, *liveness;
+    int second_hop_check;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "$OO!Op", kwlist, &agent,
+                                     &PyDict_Type, &handlers, &liveness,
+                                     &second_hop_check))
+        return NULL;
+    if (guard_check(g) < 0)
+        return NULL;
+    Py_XSETREF(g->agent, Py_NewRef(agent));
+    Py_XSETREF(g->handlers, Py_NewRef(handlers));
+    Py_XSETREF(g->liveness, liveness == Py_None ? NULL : Py_NewRef(liveness));
+    g->second_hop_check = (char)second_hop_check;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+Guard_receive(GuardObj *g, PyObject *frame)
+{
+    if (guard_check(g) < 0)
+        return NULL;
+    if (!g->agent) {
+        PyErr_SetString(PyExc_RuntimeError, "guard is not bound to an agent");
+        return NULL;
+    }
+    if (g->liveness && discard(PyObject_CallMethodOneArg(
+                           g->liveness, str_note_frame, frame)) < 0)
+        return NULL;
+    if (g->activated) {
+        int verdict = guard_admit(g, frame);
+        if (verdict <= 0)
+            return verdict < 0 ? NULL : Py_NewRef(Py_False);
+    }
+    PyObject *packet = frame_get(g, frame, F_PACKET);
+    if (!packet)
+        return NULL;
+    PyObject *handler = PyDict_GetItemWithError(g->handlers,
+                                                (PyObject *)Py_TYPE(packet));
+    Py_DECREF(packet);
+    if (!handler) {
+        if (PyErr_Occurred())
+            return NULL;
+        Py_RETURN_TRUE;
+    }
+    if (call_one(handler, frame) < 0)
+        return NULL;
+    Py_RETURN_TRUE;
+}
+
+static PyObject *
+Guard_observe(GuardObj *g, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs < 1 || nargs > 2) {
+        PyErr_SetString(PyExc_TypeError, "observe(frame, own=False)");
+        return NULL;
+    }
+    int own = nargs == 2 ? PyObject_IsTrue(args[1]) : 0;
+    if (own < 0 || guard_check(g) < 0 || guard_observe(g, args[0], own) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+Guard_remember(GuardObj *g, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError, "remember(key, node, now)");
+        return NULL;
+    }
+    double now = PyFloat_AsDouble(args[2]);
+    if (now == -1.0 && PyErr_Occurred())
+        return NULL;
+    Py_hash_t hash = PyObject_Hash(args[0]);
+    if (hash == -1 && PyErr_Occurred())
+        return NULL;
+    if (guard_check(g) < 0 || guard_remember(g, args[0], hash, args[1], now) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+Guard_heard(GuardObj *g, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "heard(key, node)");
+        return NULL;
+    }
+    Py_hash_t hash = PyObject_Hash(args[0]);
+    if (hash == -1 && PyErr_Occurred())
+        return NULL;
+    if (guard_check(g) < 0)
+        return NULL;
+    int heard = guard_heard(g, args[0], hash, args[1]);
+    return heard < 0 ? NULL : PyBool_FromLong(heard);
+}
+
+static PyObject *
+Guard_clear_store(GuardObj *g, PyObject *Py_UNUSED(ignored))
+{
+    heard_clear(&g->cur);
+    heard_clear(&g->old);
+    g->cutoff = -Py_HUGE_VAL;
+    g->rotated_at = -Py_HUGE_VAL;
+    Py_RETURN_NONE;
+}
+
+/* One generation's stamps, in table order. */
+static PyObject *
+heard_stamps(HeardTable *t)
+{
+    PyObject *stamps = PyList_New(0);
+    for (Py_ssize_t i = 0; stamps && i < t->cap; i++) {
+        if (!t->cells[i].key)
+            continue;
+        PyObject *stamp = PyFloat_FromDouble(t->cells[i].stamp);
+        if (!stamp || PyList_Append(stamps, stamp) < 0)
+            Py_CLEAR(stamps);
+        Py_XDECREF(stamp);
+    }
+    return stamps;
+}
+
+static PyObject *
+Guard_stamps(GuardObj *g, PyObject *Py_UNUSED(ignored))
+{
+    PyObject *cur = heard_stamps(&g->cur);
+    PyObject *old = cur ? heard_stamps(&g->old) : NULL;
+    PyObject *result = old ? PyTuple_Pack(2, cur, old) : NULL;
+    Py_XDECREF(cur);
+    Py_XDECREF(old);
+    return result;
+}
+
+static PyMethodDef Guard_methods[] = {
+    {"bind", (PyCFunction)(void (*)(void))Guard_bind,
+     METH_VARARGS | METH_KEYWORDS,
+     "bind(*, agent, handlers, liveness, second_hop_check): the agent side."},
+    {"receive", (PyCFunction)Guard_receive, METH_O,
+     "The agent's receive hook: False rejects the frame."},
+    {"observe", (PyCFunction)Guard_observe, METH_FASTCALL,
+     "observe(frame, own=False): the monitor's judgement of one frame."},
+    {"remember", (PyCFunction)Guard_remember, METH_FASTCALL,
+     "remember(key, node, now): stamp node as heard sending key."},
+    {"heard", (PyCFunction)Guard_heard, METH_FASTCALL,
+     "heard(key, node): whether node was heard sending key."},
+    {"clear", (PyCFunction)Guard_clear_store, METH_NOARGS,
+     "Empty the overheard store."},
+    {"stamps", (PyCFunction)Guard_stamps, METH_NOARGS,
+     "The overheard store's stamps, as (current, old) generation lists."},
+    {NULL}
+};
+
+static PyMemberDef Guard_members[] = {
+    {"activated", T_BOOL, offsetof(GuardObj, activated), 0,
+     "Whether receive() runs the monitor and the legitimacy checks."},
+    {NULL}
+};
+
+static PyTypeObject GuardType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._ckernel.Guard",
+    .tp_basicsize = sizeof(GuardObj),
+    .tp_dealloc = (destructor)Guard_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_traverse = (traverseproc)Guard_traverse,
+    .tp_clear = (inquiry)Guard_clear,
+    .tp_methods = Guard_methods,
+    .tp_members = Guard_members,
+    .tp_new = Guard_new,
+    .tp_doc = "LITEWORP's per-frame receive hook and overheard store "
+              "(see LocalMonitor).",
+};
+
+/* ------------------------------------------------------------------ */
 /* Module                                                             */
 /* ------------------------------------------------------------------ */
 static PyObject *
@@ -1828,13 +2745,28 @@ PyMODINIT_FUNC
 PyInit__ckernel(void)
 {
     if (PyType_Ready(&EventType) < 0 || PyType_Ready(&SimType) < 0 ||
-        PyType_Ready(&BatchType) < 0 || PyType_Ready(&MediumType) < 0)
+        PyType_Ready(&BatchType) < 0 || PyType_Ready(&MediumType) < 0 ||
+        PyType_Ready(&GuardType) < 0)
         return NULL;
     struct { PyObject **slot; const char *text; } names[] = {
         {&str_link_dst, "link_dst"}, {&str_describe, "describe"},
         {&str_emit, "emit"}, {&str_rx_lost, "rx_lost"},
         {&str_receiver, "receiver"}, {&str_collided, "collided"},
         {&str_lost, "lost"}, {&str_on_outcome, "on_outcome"},
+        {&str_observe, "observe"}, {&str_key, "key"}, {&str_dkey, "_key"},
+        {&str_origin, "origin"}, {&str_destination, "destination"},
+        {&str_inner_key, "inner_key"}, {&str_cancel, "cancel"},
+        {&str_note_watch_size, "_note_watch_size"},
+        {&str_accuse, "_accuse"}, {&str_add_expectation, "_add_expectation"},
+        {&str_watch_request_forwarders, "_watch_request_forwarders"},
+        {&str_reject, "_reject"}, {&str_note_frame, "note_frame"},
+        {&str_last_loss, "_last_loss"},
+        {&str_fabrications_seen, "fabrications_seen"},
+        {&str_suppressed_accusations, "suppressed_accusations"},
+        {&str_status, "status"}, {&str_fabrication, "fabrication"},
+        {&str_nonneighbor, "nonneighbor"}, {&str_revoked, "revoked"},
+        {&str_secondhop, "secondhop"}, {&str_packet, "packet"},
+        {&str_transmitter, "transmitter"}, {&str_prev_hop, "prev_hop"},
     };
     for (size_t i = 0; i < sizeof(names) / sizeof(names[0]); i++)
         if (!*names[i].slot &&
@@ -1846,6 +2778,7 @@ PyInit__ckernel(void)
     if (PyModule_AddObjectRef(m, "Event", (PyObject *)&EventType) < 0 ||
         PyModule_AddObjectRef(m, "Simulator", (PyObject *)&SimType) < 0 ||
         PyModule_AddObjectRef(m, "Medium", (PyObject *)&MediumType) < 0 ||
+        PyModule_AddObjectRef(m, "Guard", (PyObject *)&GuardType) < 0 ||
         PyModule_AddIntConstant(m, "NSLOTS", (long)NSLOTS) < 0 ||
         PyModule_AddObject(m, "DEFAULT_WIDTH",
                            PyFloat_FromDouble(DEFAULT_WIDTH)) < 0) {

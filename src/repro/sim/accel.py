@@ -1,12 +1,15 @@
 """Build and select the C-accelerated event kernel.
 
-The hot paths of every experiment are the event dispatch loop and the
-channel's per-reception fan-out, and the pure-Python
-:class:`repro.sim.engine.Simulator` and per-receiver channel top out well
-below what 1000-node campaigns need.  This module compiles ``_ckernel.c``
-(the kernel's ``Simulator`` and the channel's ``Medium``) on demand with
-the system C compiler, caches the shared object next to the source, and
-hands out whichever kernel is active.
+The hot paths of every experiment are the event dispatch loop, the
+channel's per-reception fan-out and LITEWORP's per-reception receive
+hook, and the pure-Python :class:`repro.sim.engine.Simulator`,
+per-receiver channel and guard logic top out well below what 1000-node
+campaigns need.  This module compiles ``_ckernel.c`` (the kernel's
+``Simulator``, the channel's ``Medium`` and LITEWORP's ``Guard``) on
+demand with the system C compiler, caches the shared object next to the
+source, and hands out whichever kernel is active.  The ``Medium`` and the
+``Guard`` follow the simulator (:func:`kernel_type`): a scenario on the C
+kernel uses both, one on the Python engine neither.
 
 Selection is controlled by the ``REPRO_ACCEL`` environment variable:
 
@@ -18,8 +21,8 @@ Selection is controlled by the ``REPRO_ACCEL`` environment variable:
   performance regression.
 
 :func:`reference_mode` switches the whole stack — kernel, channel medium,
-radio index — to the straightforward reference implementations for the
-duration of a ``with`` block.  The byte-identity
+LITEWORP guard, radio index — to the straightforward reference
+implementations for the duration of a ``with`` block.  The byte-identity
 benchmark uses it to run every scenario twice in one process and compare
 MetricsReports structurally.
 """
@@ -139,12 +142,12 @@ def enabled() -> bool:
 def features_enabled() -> bool:
     """Whether the radio's spatial grid index is active.
 
-    The grid is the one pure-Python fast path left (the channel follows
-    the kernel, see :func:`medium_type`).  Unlike :func:`enabled` this
-    does not require the C kernel to build — the grid is pure Python and
-    independently correct — but it honours REPRO_ACCEL=off and
-    :func:`reference_mode` so one switch flips the whole stack to the
-    reference implementations.
+    The grid is the one pure-Python fast path left (the channel and the
+    LITEWORP guard follow the kernel, see :func:`kernel_type`).  Unlike
+    :func:`enabled` this does not require the C kernel to build — the
+    grid is pure Python and independently correct — but it honours
+    REPRO_ACCEL=off and :func:`reference_mode` so one switch flips the
+    whole stack to the reference implementations.
     """
     return _reference_depth == 0 and accel_mode() != "off"
 
@@ -159,8 +162,8 @@ def reference_mode() -> Iterator[None]:
     """Force the reference implementations for the duration of the block.
 
     Scenarios built inside the block get the pure-Python kernel, hence
-    the channel's per-receiver reference path, and the brute-force radio
-    queries — the exact pre-rearchitecture stack, for in-process A/B
+    the channel's per-receiver reference path and LITEWORP's Python
+    receive hook, and the brute-force radio queries — the exact pre-rearchitecture stack, for in-process A/B
     identity runs.
     """
     global _reference_depth
@@ -183,16 +186,23 @@ def make_simulator(start_time: float = 0.0):
     return module.Simulator(start_time)
 
 
-def medium_type(sim):
-    """The C kernel's ``Medium`` type when ``sim`` is the C kernel's
-    ``Simulator``, else None (the channel then runs its reference path).
+def kernel_type(sim, name: str):
+    """The C kernel's type ``name`` when ``sim`` is the C kernel's
+    ``Simulator``, else None (the caller then runs its reference path).
 
-    Never builds the kernel: a C simulator exists only once it is loaded.
+    The one switch for every C type that works beside the kernel: the
+    channel's ``Medium`` and LITEWORP's ``Guard``.  Never builds the
+    kernel: a C simulator exists only once it is loaded.
     """
     module = _ckernel or None
     if module is not None and type(sim) is module.Simulator:
-        return module.Medium
+        return getattr(module, name)
     return None
+
+
+def medium_type(sim):
+    """The channel's C ``Medium`` for ``sim``, or None (see :func:`kernel_type`)."""
+    return kernel_type(sim, "Medium")
 
 
 def self_check() -> str:

@@ -188,14 +188,16 @@ class TraceLog:
             try:
                 sink.write(record)
             except OSError as exc:
-                self._degrade_sink(sink, exc)
+                self._degrade_sink(sink, exc, time)
         for callback in self._subscribers.get(kind, ()):
             callback(record)
         return record
 
-    def _degrade_sink(self, sink: Any, exc: OSError) -> None:
+    def _degrade_sink(self, sink: Any, exc: OSError, time: float) -> None:
         # An export sink hitting ENOSPC/EIO must not abort a multi-hour
         # run: detach it, keep what we can in memory, and say so loudly.
+        # The marker carries the time of the record whose write failed,
+        # so the resident trace stays in time order.
         try:
             self._sinks.remove(sink)
         except ValueError:
@@ -219,7 +221,7 @@ class TraceLog:
             RuntimeWarning,
             stacklevel=4,
         )
-        self.emit(0.0, "sink_degraded", sink=label, error=str(exc))
+        self.emit(time, "sink_degraded", sink=label, error=str(exc))
 
     def subscribe(self, kind: str, callback: Callable[[TraceRecord], None]) -> None:
         """Invoke ``callback`` for every future record of ``kind``."""

@@ -17,11 +17,15 @@ class Harness:
     """A tiny wired network for protocol-level tests.
 
     Builds sim + trace + network over a deterministic topology so tests can
-    attach agents by hand without the full scenario machinery.
+    attach agents by hand without the full scenario machinery.  The
+    simulator is an instance of the class attribute ``simcls``; test
+    classes that rerun a module on the C kernel swap it.
     """
 
+    simcls = Simulator
+
     def __init__(self, topology: Topology, seed: int = 0, **net_kwargs) -> None:
-        self.sim = Simulator()
+        self.sim = self.simcls()
         self.rng = RngRegistry(seed=seed)
         self.trace = TraceLog()
         self.topology = topology

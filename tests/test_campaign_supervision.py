@@ -442,6 +442,10 @@ def test_sink_io_error_degrades_to_ring_buffer(tmp_path):
     assert log.count("mac_drop") == 3
     (marker,) = log.of_kind("sink_degraded")
     assert "ENOSPC" in marker["error"] or "injected" in marker["error"]
+    # Stamped with the failed write's time, so the trace never runs backwards.
+    assert marker.time == 0.2
+    times = [record.time for record in log]
+    assert times == sorted(times)
 
 
 def test_sink_degradation_keeps_existing_capacity(tmp_path):

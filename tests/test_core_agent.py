@@ -1,5 +1,13 @@
 """Tests for the composed LITEWORP agent: legitimacy filters, send vetoes,
-and routing integration."""
+and routing integration.
+
+Every test runs on both receive hooks: the module-level tests on the
+pure-Python simulator (``LiteworpAgent._receive``) and again, through
+``TestOnCKernel`` at the bottom, on the C kernel's simulator, where the
+monitor's C ``Guard`` is the receive hook.
+"""
+
+import pytest
 
 from repro.core.agent import LiteworpAgent
 from repro.core.config import LiteworpConfig
@@ -9,6 +17,7 @@ from repro.net.packet import DataPacket, Frame, RouteReply, RouteRequest
 from repro.net.topology import grid_topology
 from repro.routing.config import RoutingConfig
 from repro.routing.ondemand import OnDemandRouting
+from repro.sim import accel
 from tests.conftest import Harness
 
 
@@ -199,3 +208,20 @@ def test_is_usable_before_activation():
         harness.sim, harness.node(0), keys.enroll(0), LiteworpConfig(), harness.trace
     )
     assert agent.is_usable(1)  # everything usable pre-activation
+
+
+# ----------------------------------------------------------------------
+# Every module-level test above, again on the C kernel's guard
+# ----------------------------------------------------------------------
+@pytest.mark.skipif(not accel.kernel_available(), reason="C kernel unavailable")
+class TestOnCKernel:
+    """The module-level tests, with the harness on the C kernel's simulator."""
+
+    @pytest.fixture(autouse=True)
+    def _ckernel(self, monkeypatch):
+        monkeypatch.setattr(Harness, "simcls", accel._load().Simulator)
+
+
+for _name, _test in list(globals().items()):
+    if _name.startswith("test_"):
+        setattr(TestOnCKernel, _name, staticmethod(_test))

@@ -3,9 +3,16 @@
 The monitor is driven directly with hand-built frames — no radio — so each
 behaviour (fabrication, drop, clearing, grace suppression, windows) is
 isolated.
+
+Every test that builds a monitor runs twice: at module level on the
+pure-Python simulator (the Python judgement body) and again, through
+``TestOnCKernel`` at the bottom, on the C kernel's simulator, where the
+monitor's C ``Guard`` judges each frame.
 """
 
 import inspect
+
+import pytest
 
 from repro.core import monitor as monitor_module
 from repro.core.config import LiteworpConfig
@@ -20,15 +27,20 @@ from repro.net.packet import (
     RouteReply,
     RouteRequest,
 )
+from repro.sim import accel
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceLog
 
 
 GUARD = 0
 
+# The simulator class build() uses; TestOnCKernel swaps in the C kernel's
+# for the duration of each of its tests.
+_default_simcls = [Simulator]
+
 
 def build(config=None, neighbors=(1, 2, 3)):
-    sim = Simulator()
+    sim = _default_simcls[0]()
     trace = TraceLog()
     table = NeighborTable(owner=GUARD)
     for n in neighbors:
@@ -246,6 +258,16 @@ def test_grace_expires():
     assert monitor.fabrications_seen == 1
 
 
+def test_grace_boundary_is_inclusive():
+    config = LiteworpConfig(fabrication_grace=1.0)
+    sim, monitor, table, detections, _ = build(config)
+    monitor.note_reception_loss(0.0)
+    sim.run(until=1.0)  # exactly fabrication_grace after the loss
+    monitor.observe(Frame(packet=req(), transmitter=2, prev_hop=1))
+    assert monitor.fabrications_seen == 0
+    assert monitor.suppressed_accusations == 1
+
+
 def test_loss_during_watch_suppresses_drop():
     config = LiteworpConfig(delta=0.5)
     sim, monitor, table, detections, _ = build(config)
@@ -385,3 +407,26 @@ def test_role_table_matches_type_chain_for_every_packet_type():
         # Read back from the table, not reclassified.
         assert monitor_module._ROLES[cls] == role
 
+
+
+# ----------------------------------------------------------------------
+# Every module-level test above, again on the C kernel's guard
+# ----------------------------------------------------------------------
+@pytest.mark.skipif(not accel.kernel_available(), reason="C kernel unavailable")
+class TestOnCKernel:
+    """The module-level tests, with build() on the C kernel's simulator."""
+
+    @pytest.fixture(autouse=True)
+    def _ckernel(self):
+        _default_simcls[0] = accel._load().Simulator
+        yield
+        _default_simcls[0] = Simulator
+
+    def test_monitor_has_a_guard(self):
+        _sim, monitor, *_ = build()
+        assert monitor.guard is not None
+
+
+for _name, _test in list(globals().items()):
+    if _name.startswith("test_") and "build" in _test.__code__.co_names:
+        setattr(TestOnCKernel, _name, staticmethod(_test))

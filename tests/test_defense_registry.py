@@ -252,3 +252,28 @@ def test_watch_branches_byte_identical(seed):
         liteworp=LiteworpConfig(watch_request_drops=True, watch_data=True),
     )
     assert _report_digest(run_scenario(config)) == PINNED_WATCH_DIGESTS[seed]
+
+
+#: SHA-256 of the canonical report JSON of LITEWORP against the wormholes
+#: its legitimacy checks reject, per (attack mode, seed): the relay and
+#: high-power runs make 60–382 non-neighbour rejects each and the
+#: encapsulation runs 54–88 revoked rejects.  The pins above run only the
+#: out-of-band mode, whose rejects are all ``revoked``.
+PINNED_ATTACK_DIGESTS = {
+    ("encapsulation", 7): "de87a2af850f640c4ceefb441b7575d4f60ed3b31b51cfaa6034f5770f2e428f",
+    ("encapsulation", 11): "a6f8f2cbc71edf945baf78084be6ddf0fd60c6656df61b386aff39d0c56dacef",
+    ("highpower", 7): "6a8df4da7f715a69ec3d9ee4da2d2eb16986e9bbb7a5bca8b797d162f4046ab2",
+    ("highpower", 11): "93bb995ee7383b096a82a8cb56d77e0627db70485c640cc3cb2273fc701aefc7",
+    ("relay", 7): "cfe05b15fe67c7997652234b1e8b489d173b524f7dea1aa9abf676bfe725aefc",
+    ("relay", 11): "dbca88d678a0c0eccaac1918f57dd1350306caa5a9aaa2a9b850d034bc3b94fb",
+}
+
+
+@pytest.mark.parametrize("attack,seed", sorted(PINNED_ATTACK_DIGESTS))
+def test_reject_paths_byte_identical(attack, seed):
+    config = ScenarioConfig(
+        n_nodes=24, duration=80.0, seed=seed, attack_mode=attack,
+        n_malicious=2 if attack == "encapsulation" else 1, attack_start=20.0,
+        defense="liteworp",
+    )
+    assert _report_digest(run_scenario(config)) == PINNED_ATTACK_DIGESTS[(attack, seed)]

@@ -6,18 +6,47 @@ The store keeps two generations of plain dicts, the cutoff of the latest
 ``OrderedDict`` the store originally replaced: every ``_remember`` moves
 its key to the end and evicts from the head every entry stamped before the
 cutoff.
+
+The test runs twice: at module level against the Python store
+(``_remember``/``_heard``) and, through ``TestOnCKernel``, against the C
+``Guard``'s store that replaces it on the C kernel's simulator.
 """
 
 from collections import OrderedDict
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import LiteworpConfig
 from repro.core.monitor import LocalMonitor
 from repro.core.tables import NeighborTable
+from repro.sim import accel
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceLog
+
+# The simulator class the test builds its monitor on; TestOnCKernel swaps
+# in the C kernel's.
+_default_simcls = [Simulator]
+
+
+def remember(monitor, watch_key, now):
+    if monitor.guard is None:
+        monitor._remember(watch_key, now)
+    else:
+        monitor.guard.remember(*watch_key, now)
+
+
+def heard(monitor, watch_key):
+    if monitor.guard is None:
+        return monitor._heard(watch_key)
+    return monitor.guard.heard(*watch_key)
+
+
+def current_stamps(monitor):
+    if monitor.guard is None:
+        return monitor._overheard.values()
+    return monitor.guard.stamps()[0]
 
 
 class EagerStore:
@@ -77,7 +106,7 @@ steps = st.lists(
 @given(window=st.sampled_from([0.25, 1.0, 2.5, 10.0]), script=steps)
 def test_overheard_store_matches_eager_eviction(window, script):
     monitor = LocalMonitor(
-        Simulator(),
+        _default_simcls[0](),
         0,
         NeighborTable(owner=0),
         LiteworpConfig(overheard_window=window),
@@ -90,7 +119,7 @@ def test_overheard_store_matches_eager_eviction(window, script):
         if step[0] == "remember":
             _, watch_key, gap = step
             now += gap
-            monitor._remember(watch_key, now)
+            remember(monitor, watch_key, now)
             reference.remember(watch_key, now)
         elif step[0] == "heard":
             watch_key = step[1]
@@ -99,6 +128,21 @@ def test_overheard_store_matches_eager_eviction(window, script):
             monitor.reset()
             reference.reset()
         for watch_key in KEYS:
-            assert monitor._heard(watch_key) == reference.heard(watch_key)
+            assert heard(monitor, watch_key) == reference.heard(watch_key)
     # Rotation bounds the current generation: nothing older than a window.
-    assert all(stamp >= now - window for stamp in monitor._overheard.values())
+    assert all(stamp >= now - window for stamp in current_stamps(monitor))
+
+
+@pytest.mark.skipif(not accel.kernel_available(), reason="C kernel unavailable")
+class TestOnCKernel:
+    """The property, against the C guard's overheard store."""
+
+    @pytest.fixture(autouse=True)
+    def _ckernel(self):
+        _default_simcls[0] = accel._load().Simulator
+        yield
+        _default_simcls[0] = Simulator
+
+    test_overheard_store_matches_eager_eviction = staticmethod(
+        test_overheard_store_matches_eager_eviction
+    )
