@@ -19,10 +19,11 @@ Five verbs, one noun family:
 - :func:`run` — one scenario, one :class:`MetricsReport`.
 - :func:`sweep` — N replications of one config (parallel + cached).
 - :func:`campaign` — a declarative grid of configs with journaled resume
-  (see :mod:`repro.experiments.campaign`).
+  (:func:`~repro.experiments.campaign.run_campaign` itself).
 - :func:`matrix` — every registered defense × every requested attack
   mode, one journaled campaign per attack, folded into a single
-  :class:`MatrixReport` (see :mod:`repro.experiments.matrix`).
+  :class:`MatrixReport` (:func:`~repro.experiments.matrix.run_matrix`
+  itself).
 - :func:`report` — a markdown/JSON run report from a trace export.
 
 plus the config/result types those verbs exchange, re-exported under
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
-from typing import Any, List, Mapping, Optional, Sequence, Union
+from typing import Any, List, Optional, Sequence, Union
 
 from repro.defenses import (
     Defense,
@@ -50,7 +51,6 @@ from repro.experiments.cache import ResultCache
 from repro.experiments.campaign import (
     CampaignResult,
     CampaignSpec,
-    ExecutionBackend,
     RetryPolicy,
     SupervisionPolicy,
     load_spec,
@@ -112,91 +112,15 @@ def sweep(
     return average_runs(config, runs, jobs=jobs, cache=cache)
 
 
-def campaign(
-    spec: Union[CampaignSpec, Mapping[str, Any], str, Path],
-    *,
-    backend: Union[str, ExecutionBackend] = "inline",
-    jobs: Optional[int] = None,
-    cache: Optional[Union[ResultCache, str, Path]] = None,
-    journal: Optional[Union[str, Path]] = None,
-    resume: bool = False,
-    retry: RetryPolicy = RetryPolicy(),
-    supervision: SupervisionPolicy = SupervisionPolicy(),
-    max_jobs: Optional[int] = None,
-    stop: Optional[Any] = None,
-    fsync: bool = True,
-) -> CampaignResult:
-    """Execute (or resume) a campaign spec; see
-    :mod:`repro.experiments.campaign` for the full semantics.
+#: Execute (or resume) a campaign spec — a :class:`CampaignSpec`, a
+#: spec-shaped mapping, or a path to a TOML/JSON file; see
+#: :func:`repro.experiments.campaign.run_campaign`.
+campaign = run_campaign
 
-    ``spec`` may be a :class:`CampaignSpec`, a spec-shaped mapping, or a
-    path to a TOML/JSON file.  ``supervision`` configures per-job
-    timeouts and poison-job quarantine; ``stop`` is a zero-argument
-    callable polled for graceful interruption.
-    """
-    if isinstance(cache, (str, Path)):
-        cache = ResultCache(cache)
-    return run_campaign(
-        spec,
-        backend=backend,
-        jobs=jobs,
-        cache=cache,
-        journal=journal,
-        resume=resume,
-        retry=retry,
-        supervision=supervision,
-        max_jobs=max_jobs,
-        stop=stop,
-        fsync=fsync,
-    )
-
-
-def matrix(
-    spec: Optional[MatrixSpec] = None,
-    *,
-    journal_dir: Union[str, Path] = "matrix-journals",
-    backend: Union[str, ExecutionBackend] = "inline",
-    jobs: Optional[int] = None,
-    cache: Optional[Union[ResultCache, str, Path]] = None,
-    resume: bool = False,
-    retry: RetryPolicy = RetryPolicy(),
-    supervision: SupervisionPolicy = SupervisionPolicy(),
-    max_jobs: Optional[int] = None,
-    stop: Optional[Any] = None,
-    fsync: bool = True,
-    **overrides: Any,
-) -> MatrixResult:
-    """Run (or resume) a defense × attack matrix; see
-    :mod:`repro.experiments.matrix` for the full semantics.
-
-    ``spec`` defaults to every registered defense over the default attack
-    columns; keyword overrides construct or adjust it::
-
-        api.matrix(runs=3, attacks=("outofband", "relay"))
-        api.matrix(spec, journal_dir="out", resume=True)
-
-    When the result is complete, ``result.report`` is the rendered
-    :class:`MatrixReport` (markdown + JSON).
-    """
-    if spec is None:
-        spec = MatrixSpec(**overrides)
-    elif overrides:
-        spec = dataclasses.replace(spec, **overrides)
-    if isinstance(cache, (str, Path)):
-        cache = ResultCache(cache)
-    return run_matrix(
-        spec,
-        journal_dir=journal_dir,
-        backend=backend,
-        jobs=jobs,
-        cache=cache,
-        resume=resume,
-        retry=retry,
-        supervision=supervision,
-        max_jobs=max_jobs,
-        stop=stop,
-        fsync=fsync,
-    )
+#: Run (or resume) a defense × attack :class:`MatrixSpec` into a journal
+#: directory; ``result.report`` is the :class:`MatrixReport` once the
+#: matrix is complete.  See :func:`repro.experiments.matrix.run_matrix`.
+matrix = run_matrix
 
 
 def report(

@@ -100,14 +100,52 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="bound the in-memory trace to the newest N "
                                      "records (sinks still see everything)")
 
+    def add_scenario_options(sub_parser: argparse.ArgumentParser) -> None:
+        """One scenario's flags (``run``, ``trace export``, ``report``);
+        :func:`_scenario_config` reads them back."""
+        sub_parser.add_argument("--nodes", type=int, default=50)
+        sub_parser.add_argument("--duration", type=float, default=240.0)
+        sub_parser.add_argument("--seed", type=int, default=1)
+        sub_parser.add_argument("--attack", choices=ATTACK_MODES, default="outofband")
+        sub_parser.add_argument("--malicious", type=int, default=2)
+        sub_parser.add_argument("--attack-start", type=float, default=40.0)
+        sub_parser.add_argument("--defense", choices=DEFENSES, default="liteworp")
+
+    def add_campaign_options(sub_parser: argparse.ArgumentParser) -> None:
+        """Flags ``campaign run`` and ``matrix`` share; :func:`_run_journaled`
+        reads them back."""
+        sub_parser.add_argument("--backend", choices=("inline", "process"),
+                                default="inline",
+                                help="execution backend (default inline)")
+        sub_parser.add_argument("--jobs", type=int, default=0, metavar="N",
+                                help="workers for the process backend "
+                                     "(0/1 serial, -1 one per CPU)")
+        sub_parser.add_argument("--resume", action="store_true",
+                                help="skip every job already journaled")
+        sub_parser.add_argument("--max-jobs", type=int, default=None, metavar="N",
+                                help="execute at most N new jobs in all, then stop "
+                                     "(exit 75; resume later with --resume)")
+        sub_parser.add_argument("--retries", type=int, default=2, metavar="N",
+                                help="per-job retries on worker crash (default 2)")
+        sub_parser.add_argument("--timeout", type=float, default=None,
+                                metavar="SECONDS",
+                                help="per-job wall-clock timeout; hung workers "
+                                     "are preempted (default: none)")
+        sub_parser.add_argument("--no-fsync", dest="fsync", action="store_false",
+                                help="skip fsync on journal/cache writes (faster, "
+                                     "not crash-durable)")
+        sub_parser.add_argument("--no-cache", dest="use_cache", action="store_false",
+                                help="do not read or write the on-disk result cache")
+        sub_parser.add_argument("--cache-dir", default=".repro-cache",
+                                help="result cache directory (default .repro-cache)")
+        sub_parser.add_argument("--out", default=None, metavar="FILE",
+                                help="write the result JSON (campaign aggregate "
+                                     "or matrix payload) to this path")
+        sub_parser.add_argument("--quiet", action="store_true",
+                                help="suppress per-job progress lines on stderr")
+
     run_p = sub.add_parser("run", help="run one scenario and print the report")
-    run_p.add_argument("--nodes", type=int, default=50)
-    run_p.add_argument("--duration", type=float, default=240.0)
-    run_p.add_argument("--seed", type=int, default=1)
-    run_p.add_argument("--attack", choices=ATTACK_MODES, default="outofband")
-    run_p.add_argument("--malicious", type=int, default=2)
-    run_p.add_argument("--attack-start", type=float, default=40.0)
-    run_p.add_argument("--defense", choices=DEFENSES, default="liteworp")
+    add_scenario_options(run_p)
     run_p.add_argument("--json", dest="json_path", default=None,
                        help="also write the metric report as JSON to this path")
 
@@ -139,50 +177,24 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="execute a TOML/JSON campaign spec (journaled, resumable)"
     )
     crun_p.add_argument("spec", help="campaign spec file (.toml or .json)")
-    crun_p.add_argument("--backend", choices=("inline", "process"),
-                        default="inline",
-                        help="execution backend (default inline)")
-    crun_p.add_argument("--jobs", type=int, default=0, metavar="N",
-                        help="workers for the process backend "
-                             "(0/1 serial, -1 one per CPU)")
+    add_campaign_options(crun_p)
     crun_p.add_argument("--journal", default=None, metavar="FILE",
                         help="completion journal path (default: next to the "
                              "spec as <spec>.journal.jsonl)")
     crun_p.add_argument("--no-journal", dest="journaled", action="store_false",
                         help="disable the completion journal (and resume)")
-    crun_p.add_argument("--resume", action="store_true",
-                        help="skip every job the journal already records")
-    crun_p.add_argument("--max-jobs", type=int, default=None, metavar="N",
-                        help="execute at most N new jobs, then stop "
-                             "(exit 75; resume later with --resume)")
-    crun_p.add_argument("--retries", type=int, default=2, metavar="N",
-                        help="per-job retries on worker crash (default 2)")
-    crun_p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                        help="per-job wall-clock timeout; hung workers are "
-                             "preempted (default: none)")
     crun_p.add_argument("--no-quarantine", dest="quarantine",
                         action="store_false",
                         help="abort the campaign when a job exhausts its "
                              "retries instead of dead-lettering it")
-    crun_p.add_argument("--no-fsync", dest="fsync", action="store_false",
-                        help="skip fsync on journal/cache writes (faster, "
-                             "not crash-durable)")
     crun_p.add_argument("--harness-faults", default=None, metavar="FILE",
                         help="inject a harness fault plan (JSON) for chaos "
                              "testing")
     crun_p.add_argument("--fault-state", default=None, metavar="DIR",
                         help="fault firing-state directory (share between "
                              "run and resume; default <FILE>.state)")
-    crun_p.add_argument("--no-cache", dest="use_cache", action="store_false",
-                        help="do not read or write the on-disk result cache")
-    crun_p.add_argument("--cache-dir", default=".repro-cache",
-                        help="result cache directory (default .repro-cache)")
-    crun_p.add_argument("--out", default=None, metavar="FILE",
-                        help="write the aggregate JSON to this path")
     crun_p.add_argument("--trace-out", default=None, metavar="FILE",
                         help="stream campaign_job progress records to this JSONL file")
-    crun_p.add_argument("--quiet", action="store_true",
-                        help="suppress per-job progress lines on stderr")
 
     cplan_p = campaign_sub.add_parser(
         "plan", help="compile a spec and print its job list without running"
@@ -231,38 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
     matrix_p.add_argument("--attack-start", type=float, default=30.0)
     matrix_p.add_argument("--runs", type=int, default=2, metavar="N",
                           help="replications per cell (default 2)")
-    matrix_p.add_argument("--backend", choices=("inline", "process"),
-                          default="inline",
-                          help="execution backend (default inline)")
-    matrix_p.add_argument("--jobs", type=int, default=0, metavar="N",
-                          help="workers for the process backend "
-                               "(0/1 serial, -1 one per CPU)")
+    add_campaign_options(matrix_p)
     matrix_p.add_argument("--journal-dir", default=".repro-matrix",
                           help="per-attack journal directory "
                                "(default .repro-matrix)")
-    matrix_p.add_argument("--resume", action="store_true",
-                          help="skip every job the journals already record")
-    matrix_p.add_argument("--max-jobs", type=int, default=None, metavar="N",
-                          help="execute at most N new jobs across the whole "
-                               "matrix, then stop (exit 75; --resume later)")
-    matrix_p.add_argument("--retries", type=int, default=2, metavar="N",
-                          help="per-job retries on worker crash (default 2)")
-    matrix_p.add_argument("--timeout", type=float, default=None,
-                          metavar="SECONDS",
-                          help="per-job wall-clock timeout (default: none)")
-    matrix_p.add_argument("--no-fsync", dest="fsync", action="store_false",
-                          help="skip fsync on journal/cache writes")
-    matrix_p.add_argument("--no-cache", dest="use_cache", action="store_false",
-                          help="do not read or write the on-disk result cache")
-    matrix_p.add_argument("--cache-dir", default=".repro-cache",
-                          help="result cache directory (default .repro-cache)")
-    matrix_p.add_argument("--out", default=None, metavar="FILE",
-                          help="write the matrix JSON payload to this path")
     matrix_p.add_argument("--md", dest="md_path", default=None, metavar="FILE",
                           help="write the markdown matrix to this path "
                                "(default: print to stdout)")
-    matrix_p.add_argument("--quiet", action="store_true",
-                          help="suppress per-job progress lines on stderr")
 
     bench_p = sub.add_parser("bench", help="microbenchmark suite; writes BENCH_*.json")
     bench_mode = bench_p.add_mutually_exclusive_group()
@@ -302,13 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     export_p.add_argument("--out", required=True, metavar="FILE",
                           help="JSONL output path (appended; delete to restart)")
-    export_p.add_argument("--nodes", type=int, default=50)
-    export_p.add_argument("--duration", type=float, default=240.0)
-    export_p.add_argument("--seed", type=int, default=1)
-    export_p.add_argument("--attack", choices=ATTACK_MODES, default="outofband")
-    export_p.add_argument("--malicious", type=int, default=2)
-    export_p.add_argument("--attack-start", type=float, default=40.0)
-    export_p.add_argument("--defense", choices=DEFENSES, default="liteworp")
+    add_scenario_options(export_p)
     export_p.add_argument("--strict", action="store_true",
                           help="schema-validate every record while emitting")
     export_p.add_argument("--ring", type=int, default=None, metavar="N",
@@ -338,13 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     report_p.add_argument("--live", action="store_true",
                           help="run a scenario and report on its live trace "
                                "instead of reading an export")
-    report_p.add_argument("--nodes", type=int, default=50)
-    report_p.add_argument("--duration", type=float, default=240.0)
-    report_p.add_argument("--seed", type=int, default=1)
-    report_p.add_argument("--attack", choices=ATTACK_MODES, default="outofband")
-    report_p.add_argument("--malicious", type=int, default=2)
-    report_p.add_argument("--attack-start", type=float, default=40.0)
-    report_p.add_argument("--defense", choices=DEFENSES, default="liteworp")
+    add_scenario_options(report_p)
     report_p.add_argument("--theta", type=int, default=3,
                           help="alert quorum the analysis assumes (default 3)")
     report_p.add_argument("--step", type=float, default=None, metavar="SECONDS",
@@ -365,8 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    config = ScenarioConfig(
+def _scenario_config(args: argparse.Namespace, obs: Optional["ObsConfig"] = None) -> ScenarioConfig:
+    """The scenario ``add_scenario_options``' flags describe."""
+    return ScenarioConfig(
         n_nodes=args.nodes,
         duration=args.duration,
         seed=args.seed,
@@ -374,8 +350,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
         n_malicious=args.malicious if args.attack != "none" else 0,
         attack_start=args.attack_start,
         defense=args.defense,
+        obs=obs,
     )
-    scenario = build_scenario(config)
+
+
+def _write(path_str: str, text: str, label: str, err: bool = False) -> None:
+    """Write ``text`` to ``path_str`` (creating parent directories) and say
+    so on stdout, or on stderr when stdout carries the command's output."""
+    import pathlib
+
+    path = pathlib.Path(path_str)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+    print(f"{label} written to {path}", file=sys.stderr if err else sys.stdout)
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    scenario = build_scenario(_scenario_config(args))
     report = scenario.run()
     print(f"attack={args.attack} defense={args.defense} "
           f"nodes={args.nodes} duration={args.duration}s seed={args.seed}")
@@ -390,12 +381,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"isolated node {node:3d}     : {report.isolation_latency(node):.1f} s latency")
     if args.json_path:
         import json
-        import pathlib
 
-        path = pathlib.Path(args.json_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-        print(f"report written to {path}")
+        _write(args.json_path, json.dumps(report.to_dict(), indent=2) + "\n", "report")
     return 0
 
 
@@ -457,19 +444,103 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return handlers[args.campaign_command](args)
 
 
-def _campaign_run(args: argparse.Namespace) -> int:
-    import pathlib
+def _run_journaled(args: argparse.Namespace, noun: str, runner, spec, *,
+                   summary_to_stderr: bool = False, **options) -> tuple:
+    """Run ``runner(spec, ...)`` — ``run_campaign`` or ``run_matrix`` —
+    with the flags ``add_campaign_options`` declared, and print its summary.
+
+    Returns ``(exit code, result)``: 1 on a :class:`CampaignError`, 75
+    (EX_TEMPFAIL: partial progress, safe to resume) with the reason on
+    stderr when the run is incomplete, else 0.
+    """
     import signal
 
     from repro.experiments.campaign import (
         CampaignError,
         RetryPolicy,
         SupervisionPolicy,
-        load_spec,
         make_backend,
-        run_campaign,
     )
-    from repro.obs.progress import CampaignProgress
+
+    cache = None
+    if args.use_cache:
+        from repro.experiments.cache import ResultCache
+
+        cache = ResultCache(args.cache_dir, fsync=args.fsync)
+    progress = None
+    if not args.quiet:
+        from repro.obs.progress import CampaignProgress
+
+        progress = CampaignProgress(printer=lambda line: print(line, file=sys.stderr))
+
+    # Graceful shutdown: the first SIGINT/SIGTERM flips a flag the runner
+    # polls between jobs, so the journal gets a final "interrupt" line
+    # and the process exits 75 (resumable) instead of dying with a bare
+    # traceback.  A second signal falls through to the default handling.
+    signalled: List[int] = []
+
+    def _handle_signal(signum: int, frame: object) -> None:
+        if signalled:
+            raise KeyboardInterrupt
+        signalled.append(signum)
+        print(f"\n{signal.Signals(signum).name} received — finishing in-flight "
+              f"jobs and flushing the journal (again to abort hard)", file=sys.stderr)
+
+    previous_handlers = {}
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        try:
+            previous_handlers[signum] = signal.signal(signum, _handle_signal)
+        except (ValueError, OSError):
+            pass  # non-main thread or unsupported platform
+    try:
+        result = runner(
+            spec,
+            backend=make_backend(args.backend, jobs=args.jobs or None),
+            cache=cache,
+            resume=args.resume,
+            retry=RetryPolicy(retries=args.retries),
+            # Only ``campaign run`` has --no-quarantine.
+            supervision=SupervisionPolicy(
+                timeout=args.timeout, quarantine=getattr(args, "quarantine", True)
+            ),
+            progress=progress,
+            max_jobs=args.max_jobs,
+            stop=lambda: bool(signalled),
+            fsync=args.fsync,
+            **options,
+        )
+    except CampaignError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1, None
+    finally:
+        for signum, handler in previous_handlers.items():
+            try:
+                signal.signal(signum, handler)
+            except (ValueError, OSError):
+                pass
+
+    print(result.format(), file=sys.stderr if summary_to_stderr else sys.stdout)
+    if result.complete:
+        return 0, result
+    if result.interrupted == "signal":
+        reason = f"{noun} interrupted by signal"
+    elif result.interrupted == "torn_write":
+        reason = (f"{noun} stopped by an injected torn journal write; "
+                  f"run 'repro campaign doctor' before resuming")
+    elif result.dead_lettered:
+        reason = (f"{noun} finished with {result.dead_lettered} "
+                  f"dead-lettered job(s); see the journal for tracebacks")
+    else:
+        reason = f"{noun} stopped after --max-jobs {args.max_jobs}"
+    print(f"{reason}; {result.completed_jobs}/{result.total_jobs} jobs "
+          f"journaled — rerun with --resume to finish", file=sys.stderr)
+    return 75, result
+
+
+def _campaign_run(args: argparse.Namespace) -> int:
+    import pathlib
+
+    from repro.experiments.campaign import CampaignError, load_spec, run_campaign
 
     try:
         spec = load_spec(args.spec)
@@ -485,18 +556,6 @@ def _campaign_run(args: argparse.Namespace) -> int:
     elif args.resume:
         print("error: --resume needs a journal (drop --no-journal)", file=sys.stderr)
         return 1
-
-    cache = None
-    if args.use_cache:
-        from repro.experiments.cache import ResultCache
-
-        cache = ResultCache(args.cache_dir, fsync=args.fsync)
-
-    progress = None
-    if not args.quiet:
-        progress = CampaignProgress(
-            printer=lambda line: print(line, file=sys.stderr)
-        )
 
     trace = None
     if args.trace_out is not None:
@@ -524,97 +583,26 @@ def _campaign_run(args: argparse.Namespace) -> int:
         print(f"chaos: {len(plan)} harness fault(s) armed "
               f"(state {state_dir})", file=sys.stderr)
 
-    # Graceful shutdown: the first SIGINT/SIGTERM flips a flag the runner
-    # polls between jobs, so the journal gets a final "interrupt" line
-    # and the process exits 75 (resumable) instead of dying with a bare
-    # traceback.  A second signal falls through to the default handling.
-    signalled = {"stop": False}
-
-    def _handle_signal(signum: int, frame: object) -> None:
-        if signalled["stop"]:
-            raise KeyboardInterrupt
-        signalled["stop"] = True
-        name = signal.Signals(signum).name
-        print(f"\n{name} received — finishing in-flight jobs and flushing "
-              f"the journal (again to abort hard)", file=sys.stderr)
-
-    previous_handlers = {}
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            previous_handlers[signum] = signal.signal(signum, _handle_signal)
-        except (ValueError, OSError):
-            pass  # non-main thread or unsupported platform
-
     try:
-        result = run_campaign(
-            spec,
-            backend=make_backend(args.backend, jobs=args.jobs or None),
-            cache=cache,
-            journal=journal,
-            resume=args.resume,
-            retry=RetryPolicy(retries=args.retries),
-            supervision=SupervisionPolicy(
-                timeout=args.timeout, quarantine=args.quarantine
-            ),
-            progress=progress,
-            trace=trace,
-            max_jobs=args.max_jobs,
-            stop=lambda: signalled["stop"],
-            fsync=args.fsync,
-            harness_faults=harness_faults,
+        code, result = _run_journaled(
+            args, "campaign", run_campaign, spec,
+            journal=journal, trace=trace, harness_faults=harness_faults,
         )
-    except CampaignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     finally:
-        for signum, handler in previous_handlers.items():
-            try:
-                signal.signal(signum, handler)
-            except (ValueError, OSError):
-                pass
         if trace is not None:
             trace.close_sinks()
-
-    if not result.complete:
-        print(result.format())
-        if result.interrupted == "signal":
-            reason = "campaign interrupted by signal"
-        elif result.interrupted == "torn_write":
-            reason = ("campaign stopped by an injected torn journal write; "
-                      "run 'repro campaign doctor' before resuming")
-        elif result.dead_lettered:
-            reason = (f"campaign finished with {result.dead_lettered} "
-                      f"dead-lettered job(s); see the journal for tracebacks")
-        else:
-            reason = f"campaign stopped after --max-jobs {args.max_jobs}"
-        print(f"{reason}; {result.completed_jobs}/{result.total_jobs} jobs "
-              f"journaled — rerun with --resume to finish", file=sys.stderr)
-        return 75  # EX_TEMPFAIL: partial progress, safe to resume
-    print(result.format())
-    if args.out:
-        path = pathlib.Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(result.to_json())
-        print(f"aggregate JSON written to {path}", file=sys.stderr)
-    return 0
+    if code == 0 and args.out:
+        _write(args.out, result.to_json(), "aggregate JSON", err=True)
+    return code
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
-    import pathlib
-    import signal
-
-    from repro.experiments.campaign import (
-        CampaignError,
-        RetryPolicy,
-        SupervisionPolicy,
-        make_backend,
-    )
+    from repro.experiments.campaign import CampaignError
     from repro.experiments.matrix import (
         DEFAULT_MATRIX_ATTACKS,
         MatrixSpec,
         run_matrix,
     )
-    from repro.obs.progress import CampaignProgress
 
     try:
         spec = MatrixSpec(
@@ -633,86 +621,19 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    cache = None
-    if args.use_cache:
-        from repro.experiments.cache import ResultCache
-
-        cache = ResultCache(args.cache_dir, fsync=args.fsync)
-
-    progress = None
-    if not args.quiet:
-        progress = CampaignProgress(
-            printer=lambda line: print(line, file=sys.stderr)
-        )
-
-    # Same graceful-shutdown contract as ``campaign run``: first signal
-    # stops between jobs (journals flushed, exit 75), second aborts hard.
-    signalled = {"stop": False}
-
-    def _handle_signal(signum: int, frame: object) -> None:
-        if signalled["stop"]:
-            raise KeyboardInterrupt
-        signalled["stop"] = True
-        name = signal.Signals(signum).name
-        print(f"\n{name} received — finishing in-flight jobs and flushing "
-              f"the journals (again to abort hard)", file=sys.stderr)
-
-    previous_handlers = {}
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            previous_handlers[signum] = signal.signal(signum, _handle_signal)
-        except (ValueError, OSError):
-            pass  # non-main thread or unsupported platform
-
-    try:
-        result = run_matrix(
-            spec,
-            journal_dir=args.journal_dir,
-            backend=make_backend(args.backend, jobs=args.jobs or None),
-            cache=cache,
-            resume=args.resume,
-            retry=RetryPolicy(retries=args.retries),
-            supervision=SupervisionPolicy(timeout=args.timeout),
-            progress=progress,
-            max_jobs=args.max_jobs,
-            stop=lambda: signalled["stop"],
-            fsync=args.fsync,
-        )
-    except CampaignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        for signum, handler in previous_handlers.items():
-            try:
-                signal.signal(signum, handler)
-            except (ValueError, OSError):
-                pass
-
-    print(result.format(), file=sys.stderr)
-    if not result.complete:
-        if result.interrupted == "signal":
-            reason = "matrix interrupted by signal"
-        elif args.max_jobs is not None:
-            reason = f"matrix stopped after --max-jobs {args.max_jobs}"
-        else:
-            reason = "matrix stopped before completing"
-        print(f"{reason}; {result.completed_jobs}/{spec.total_jobs()} jobs "
-              f"journaled — rerun with --resume to finish", file=sys.stderr)
-        return 75  # EX_TEMPFAIL: partial progress, safe to resume
-    report = result.report
-    markdown = report.to_markdown()
+    code, result = _run_journaled(
+        args, "matrix", run_matrix, spec,
+        summary_to_stderr=True, journal_dir=args.journal_dir,
+    )
+    if code:
+        return code
+    markdown = result.report.to_markdown()
     if args.md_path:
-        path = pathlib.Path(args.md_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(markdown)
-        print(f"markdown matrix written to {path}", file=sys.stderr)
+        _write(args.md_path, markdown, "markdown matrix", err=True)
     else:
         print(markdown, end="")
     if args.out:
-        path = pathlib.Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(report.to_json())
-        print(f"matrix JSON written to {path}", file=sys.stderr)
+        _write(args.out, result.report.to_json(), "matrix JSON", err=True)
     return 0
 
 
@@ -855,12 +776,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     print(result.format())
     if args.json_path:
         import json
-        import pathlib
 
-        path = pathlib.Path(args.json_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(result.robustness.to_dict(), indent=2) + "\n")
-        print(f"report written to {path}")
+        _write(args.json_path, json.dumps(result.robustness.to_dict(), indent=2) + "\n", "report")
     return 0
 
 
@@ -876,17 +793,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _trace_export(args: argparse.Namespace) -> int:
     from repro.obs.config import ObsConfig
 
-    config = ScenarioConfig(
-        n_nodes=args.nodes,
-        duration=args.duration,
-        seed=args.seed,
-        attack_mode=args.attack,
-        n_malicious=args.malicious if args.attack != "none" else 0,
-        attack_start=args.attack_start,
-        defense=args.defense,
-        obs=ObsConfig(trace_path=args.out, strict=args.strict, ring_capacity=args.ring),
-    )
-    scenario = build_scenario(config)
+    obs = ObsConfig(trace_path=args.out, strict=args.strict, ring_capacity=args.ring)
+    scenario = build_scenario(_scenario_config(args, obs))
     scenario.run()
     print(f"exported {scenario.trace.total_emitted} records to {args.out}")
     print(f"peak resident records : {scenario.trace.peak_resident}")
@@ -953,7 +861,6 @@ def _trace_stats(args: argparse.Namespace) -> int:
         print(f"  {kind:28s} {count}")
     if args.json_path:
         import json
-        import pathlib
 
         payload = {
             "records": total,
@@ -962,10 +869,7 @@ def _trace_stats(args: argparse.Namespace) -> int:
             "last_time": last_time,
             "kinds": dict(kinds),
         }
-        path = pathlib.Path(args.json_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"stats written to {path}")
+        _write(args.json_path, json.dumps(payload, indent=2, sort_keys=True) + "\n", "stats")
     return 0
 
 
@@ -1000,8 +904,6 @@ def _trace_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    import pathlib
-
     from repro.obs.report import ReportBuilder, build_report
 
     if args.live and args.file:
@@ -1013,22 +915,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 1
     if args.live:
-        config = ScenarioConfig(
-            n_nodes=args.nodes,
-            duration=args.duration,
-            seed=args.seed,
-            attack_mode=args.attack,
-            n_malicious=args.malicious if args.attack != "none" else 0,
-            attack_start=args.attack_start,
-            defense=args.defense,
-        )
+        obs = None
         if args.out is not None:
-            import dataclasses
-
             from repro.obs.config import ObsConfig
 
-            config = dataclasses.replace(config, obs=ObsConfig(trace_path=args.out))
-        scenario = build_scenario(config)
+            obs = ObsConfig(trace_path=args.out)
+        scenario = build_scenario(_scenario_config(args, obs))
         builder = ReportBuilder(theta=args.theta, step=args.step)
         builder.attach(scenario.trace)
         scenario.run()
@@ -1042,17 +934,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
     # Status notices go to stderr: stdout may *be* the markdown report,
     # and piping it into a file must not capture bookkeeping lines.
     if args.md_path:
-        path = pathlib.Path(args.md_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(markdown)
-        print(f"markdown report written to {path}", file=sys.stderr)
+        _write(args.md_path, markdown, "markdown report", err=True)
     else:
         print(markdown, end="")
     if args.json_path:
-        path = pathlib.Path(args.json_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(report.to_json())
-        print(f"JSON payload written to {path}", file=sys.stderr)
+        _write(args.json_path, report.to_json(), "JSON payload", err=True)
     return 0
 
 

@@ -196,3 +196,10 @@ class ResultCache:
     def stats(self) -> Dict[str, int]:
         """Hit/miss counters since construction."""
         return {"hits": self.hits, "misses": self.misses}
+
+
+def open_cache(
+    cache: Union[ResultCache, str, pathlib.Path, None],
+) -> Optional[ResultCache]:
+    """``cache`` itself, or a :class:`ResultCache` rooted at a directory path."""
+    return ResultCache(cache) if isinstance(cache, (str, pathlib.Path)) else cache

@@ -21,7 +21,8 @@ campaign is built to be killed:
   previous writer died mid-append is self-healed on reopen (the
   unterminated tail fragment is truncated before new lines land).
   Resuming loads the journal, skips every recorded job, and produces
-  byte-identical aggregates to an uninterrupted run.
+  byte-identical aggregates to an uninterrupted run.  The format, its
+  writer and its one reader live in :mod:`repro.experiments.journal`.
 - **Pluggable execution** — ``inline`` (serial, in-process) and
   ``process`` (a worker pool, one future per job) backends share one
   retry/backoff loop: a crashed worker fails only its own job, which is
@@ -62,7 +63,6 @@ import itertools
 import json
 import os
 import time
-import traceback as traceback_module
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
@@ -73,7 +73,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.experiments.cache import ResultCache, config_digest
+from repro.experiments.cache import ResultCache, config_digest, open_cache
+from repro.experiments.journal import (
+    CampaignError,
+    CampaignJournal,
+    JournalState,
+    load_journal,
+)
 from repro.experiments.scenario import ScenarioConfig, run_scenario
 from repro.experiments.seeds import child_seed
 from repro.experiments.stats import summarize, summarize_optional
@@ -82,15 +88,6 @@ from repro.metrics.collector import MetricsReport
 from repro.obs.progress import CampaignProgress
 from repro.obs.spans import span
 from repro.sim.trace import TraceLog
-
-#: Journal line format version (bump on shape changes; old journals are
-#: rejected with a clear error rather than misread).
-JOURNAL_VERSION = 1
-
-
-class CampaignError(RuntimeError):
-    """A campaign could not be compiled, resumed, or completed."""
-
 
 class JobTimeoutError(CampaignError):
     """A job exceeded the supervision wall-clock timeout."""
@@ -333,281 +330,6 @@ def compile_campaign(spec: CampaignSpec) -> List[CampaignJob]:
                     )
                 )
         return jobs
-
-
-# ----------------------------------------------------------------------
-# Journal: append-only completion log
-# ----------------------------------------------------------------------
-@dataclass
-class JournalState:
-    """Parsed journal contents (see :func:`load_journal`)."""
-
-    spec_digest: Optional[str] = None
-    total_jobs: Optional[int] = None
-    reports: Dict[str, MetricsReport] = field(default_factory=dict)
-    partial_lines: int = 0
-    interrupts: int = 0
-    dead_letters: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.reports)
-
-
-class CampaignJournal:
-    """Append-only JSONL journal of completed campaign jobs.
-
-    Crash-consistency discipline:
-
-    - every entry is one line-buffered ``O_APPEND`` write, fsynced by
-      default (``fsync=False`` trades durability for speed — the bench
-      measures the difference);
-    - reopening a journal whose previous writer died mid-append
-      truncates the unterminated tail fragment first (the bytes are
-      unrecoverable; the job simply re-runs on resume), so a fresh
-      ``begin`` line can never be glued onto a torn one;
-    - with a :class:`~repro.faults.harness.HarnessFaultController`
-      attached, planned :class:`~repro.faults.harness.TornJournalWrite`
-      faults cut a completion append short and raise
-      :class:`~repro.faults.harness.HarnessInterrupt` — the reproducible
-      stand-in for dying at the worst possible byte.
-    """
-
-    def __init__(
-        self,
-        path: Union[str, Path],
-        fsync: bool = True,
-        faults: Optional[HarnessFaultController] = None,
-    ) -> None:
-        self.path = Path(path)
-        self.fsync = fsync
-        self.faults = faults
-        self._handle = None
-        self.entries_written = 0
-        self.completions = 0
-        self.torn = False
-        self.repaired_tail_bytes = 0
-
-    def _repair_tail(self) -> None:
-        # A writer killed mid-append leaves an unterminated final line;
-        # appending after it would glue two entries into one corrupt
-        # mid-file line.  Truncate back to the last newline instead.
-        try:
-            size = self.path.stat().st_size
-        except OSError:
-            return
-        if size == 0:
-            return
-        with open(self.path, "rb+") as handle:
-            handle.seek(size - 1)
-            if handle.read(1) == b"\n":
-                return
-            last_newline = -1
-            position = size
-            while position > 0 and last_newline < 0:
-                start = max(0, position - 4096)
-                handle.seek(start)
-                chunk = handle.read(position - start)
-                found = chunk.rfind(b"\n")
-                if found >= 0:
-                    last_newline = start + found
-                position = start
-            handle.truncate(last_newline + 1)
-            if self.fsync:
-                handle.flush()
-                os.fsync(handle.fileno())
-        self.repaired_tail_bytes = size - (last_newline + 1)
-
-    def _write_raw(self, text: str) -> None:
-        if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._repair_tail()
-            self._handle = open(self.path, "a", buffering=1, encoding="utf-8")
-        self._handle.write(text)
-        if self.fsync:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-
-    def _append(self, payload: Dict[str, Any]) -> None:
-        self._write_raw(json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n")
-        self.entries_written += 1
-
-    def begin(self, spec: CampaignSpec, total_jobs: int) -> None:
-        """Record a (re)start: spec identity + compiled job count."""
-        with span("campaign.journal"):
-            self._append(
-                {
-                    "event": "begin",
-                    "version": JOURNAL_VERSION,
-                    "campaign": spec.name,
-                    "spec": spec.digest(),
-                    "jobs": total_jobs,
-                }
-            )
-
-    def record(self, job: CampaignJob, report: MetricsReport) -> None:
-        """Record one completed job with its full-fidelity report state.
-
-        Raises :class:`~repro.faults.harness.HarnessInterrupt` when an
-        injected torn write fires on this completion entry — the partial
-        line is on disk, nothing else is, and the caller must stop as if
-        the process died.
-        """
-        with span("campaign.journal"):
-            payload = {
-                "event": "complete",
-                "digest": job.digest,
-                "index": job.index,
-                "point": {axis: value for axis, value in job.point},
-                "replication": job.replication,
-                "seed": job.config.seed,
-                "report": report.to_state(),
-            }
-            entry = self.completions
-            self.completions += 1
-            if self.faults is not None:
-                fault = self.faults.claim_torn_write(entry)
-                if fault is not None:
-                    line = (
-                        json.dumps(payload, separators=(",", ":"), sort_keys=True)
-                        + "\n"
-                    )
-                    keep = max(1, int(len(line) * fault.fraction))
-                    self._write_raw(line[:keep])
-                    self.torn = True
-                    raise HarnessInterrupt(
-                        f"injected torn journal write at completion entry {entry}"
-                    )
-            self._append(payload)
-
-    def dead_letter(
-        self, job: CampaignJob, error: BaseException, attempts: int
-    ) -> None:
-        """Quarantine a poison job: record its identity and traceback so
-        the campaign can continue (and a human can post-mortem)."""
-        with span("campaign.journal"):
-            self._append(
-                {
-                    "event": "dead_letter",
-                    "digest": job.digest,
-                    "index": job.index,
-                    "point": {axis: value for axis, value in job.point},
-                    "replication": job.replication,
-                    "attempts": attempts,
-                    "error": f"{type(error).__name__}: {error}",
-                    "traceback": "".join(
-                        traceback_module.format_exception(
-                            type(error), error, error.__traceback__
-                        )
-                    ),
-                }
-            )
-
-    def interrupt(self, reason: str, completed: int) -> None:
-        """Record a graceful stop (signal / --max-jobs) as the final
-        journal line, so post-mortems can tell a clean interrupt from a
-        crash."""
-        if self.torn:
-            # The previous append was deliberately left unterminated;
-            # writing after it would corrupt the torn line further.
-            return
-        with span("campaign.journal"):
-            self._append(
-                {"event": "interrupt", "reason": reason, "completed": completed}
-            )
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "CampaignJournal":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-
-def load_journal(
-    path: Union[str, Path], tolerate_partial: bool = True
-) -> JournalState:
-    """Parse a campaign journal back into completed-job reports.
-
-    A truncated *final* line (the writer was killed mid-append) is
-    skipped and counted when ``tolerate_partial`` is set; mid-file
-    corruption and version/spec mismatches raise :class:`CampaignError`
-    naming the line, its byte offset, and the ``repro campaign doctor``
-    invocation that can repair the file.
-    """
-    path = Path(path)
-    state = JournalState()
-    try:
-        handle = open(path, "rb")
-    except OSError as exc:
-        raise CampaignError(f"cannot read campaign journal {path}: {exc}") from exc
-    offset = 0
-    with handle:
-        # Binary iteration keeps byte offsets exact even when the damage
-        # is invalid UTF-8 (a diagnostic must never crash on the very
-        # bytes it is diagnosing).
-        for lineno, line in enumerate(handle, start=1):
-            line_offset = offset
-            offset += len(line)
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                payload = json.loads(stripped)
-                if not isinstance(payload, dict):
-                    raise ValueError(
-                        f"entry is {type(payload).__name__}, not an object"
-                    )
-            except ValueError as exc:  # JSON or UTF-8 decode failure
-                if tolerate_partial and not handle.read().strip():
-                    state.partial_lines += 1
-                    break
-                raise CampaignError(
-                    f"{path}:{lineno}: corrupt journal line at byte offset "
-                    f"{line_offset}: {exc}; run 'repro campaign doctor "
-                    f"{path} --repair' to quarantine it"
-                ) from exc
-            event = payload.get("event")
-            if event == "begin":
-                version = payload.get("version")
-                if version != JOURNAL_VERSION:
-                    raise CampaignError(
-                        f"{path}:{lineno}: journal version {version!r} "
-                        f"(this build writes {JOURNAL_VERSION}); run "
-                        f"'repro campaign doctor {path}' to audit it"
-                    )
-                spec_digest = payload.get("spec")
-                if state.spec_digest is not None and spec_digest != state.spec_digest:
-                    raise CampaignError(
-                        f"{path}:{lineno}: journal mixes two campaign specs"
-                    )
-                state.spec_digest = spec_digest
-                state.total_jobs = payload.get("jobs")
-            elif event == "complete":
-                try:
-                    report = MetricsReport.from_state(payload["report"])
-                    digest = payload["digest"]
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise CampaignError(
-                        f"{path}:{lineno}: malformed completion entry at byte "
-                        f"offset {line_offset}: {exc}; run 'repro campaign "
-                        f"doctor {path} --repair' to quarantine it"
-                    ) from exc
-                state.reports[digest] = report
-            elif event == "dead_letter":
-                digest = payload.get("digest")
-                if digest is not None:
-                    state.dead_letters[digest] = payload
-            elif event == "interrupt":
-                state.interrupts += 1
-            else:
-                raise CampaignError(
-                    f"{path}:{lineno}: unknown journal event {event!r}"
-                )
-    return state
 
 
 # ----------------------------------------------------------------------
@@ -1008,6 +730,13 @@ class CampaignResult:
     def completed_jobs(self) -> int:
         return self.executed + self.from_cache + self.from_journal
 
+    @property
+    def stopped_early(self) -> bool:
+        """Dispatch stopped before every job was tried: a stop signal,
+        ``max_jobs`` or a torn write.  A run that only dead-lettered jobs
+        tried them all."""
+        return self.completed_jobs + self.dead_lettered < self.total_jobs
+
     def to_json(self) -> str:
         """Deterministic aggregate JSON (the campaign's published output)."""
         if self.aggregate is None:
@@ -1145,22 +874,37 @@ class CampaignRunner:
     def _should_stop(self) -> bool:
         return self.stop is not None and bool(self.stop())
 
-    def _note(self, job: CampaignJob, source: str, started: float) -> None:
+    def _emit(self, run: "_Run", kind: str, **fields: Any) -> None:
+        if self.trace is not None:
+            self.trace.emit(time.perf_counter() - run.started, kind, **fields)
+
+    def _note(self, run: "_Run", job: CampaignJob, source: str) -> None:
+        run.done[source] += 1
         if self.progress is not None:
             self.progress.job_done(source)
-        if self.trace is not None:
-            self.trace.emit(
-                time.perf_counter() - started,
-                "campaign_job",
-                job=job.index,
-                digest=job.digest[:12],
-                source=source,
-                replication=job.replication,
-            )
+        self._emit(
+            run, "campaign_job",
+            job=job.index, digest=job.digest[:12], source=source, replication=job.replication,
+        )
 
-    def _emit(self, started: float, kind: str, **fields: Any) -> None:
-        if self.trace is not None:
-            self.trace.emit(time.perf_counter() - started, kind, **fields)
+    def _complete(self, run: "_Run", job: CampaignJob, report: MetricsReport, source: str) -> bool:
+        """Record ``job`` as done from ``source`` (``cache`` or ``run``).
+
+        Returns False when an injected torn write stops the campaign: the
+        torn line never became durable, so the job is *not* complete and
+        a resume re-runs it.
+        """
+        try:
+            if run.journal is not None:
+                run.journal.record(job, report)
+        except HarnessInterrupt:
+            run.interrupted = "torn_write"
+            return False
+        run.reports[job.index] = report
+        if source == "run" and self.cache is not None:
+            self.cache.put(job.config, report)
+        self._note(run, job, source)
+        return True
 
     # -- the run -------------------------------------------------------
     def run(self, configs: Optional[Sequence[ScenarioConfig]] = None) -> CampaignResult:
@@ -1169,7 +913,6 @@ class CampaignRunner:
         An explicit config list is not aggregated; its reports come back
         in input order as ``result.reports``.
         """
-        started = time.perf_counter()
         if configs is None:
             jobs = compile_campaign(self.spec)
         else:
@@ -1177,13 +920,9 @@ class CampaignRunner:
                 CampaignJob(index, (), index, config, config_digest(config))
                 for index, config in enumerate(configs)
             ]
+        run = _Run(jobs=jobs, started=time.perf_counter())
         if self.progress is not None:
             self.progress.start(total=len(jobs), name=self.spec.name)
-        reports: Dict[int, MetricsReport] = {}
-        from_journal = from_cache = executed = retried = 0
-        timeouts = 0
-        dead_lettered: List[int] = []
-        interrupted: Optional[str] = None
 
         if self.resume and self.journal_path is not None and self.journal_path.exists():
             with span("campaign.resume"):
@@ -1196,247 +935,228 @@ class CampaignRunner:
             for job in jobs:
                 report = state.reports.get(job.digest)
                 if report is not None:
-                    reports[job.index] = report
-                    from_journal += 1
-                    self._note(job, "journal", started)
+                    run.reports[job.index] = report
+                    self._note(run, job, "journal")
 
-        journal = (
-            CampaignJournal(
+        if self.journal_path is not None:
+            run.journal = CampaignJournal(
                 self.journal_path, fsync=self.fsync, faults=self.harness_faults
             )
-            if self.journal_path is not None
-            else None
-        )
         truncated = False
         try:
-            if journal is not None:
-                journal.begin(self.spec, total_jobs=len(jobs))
-
-            pending = [job for job in jobs if job.index not in reports]
+            if run.journal is not None:
+                run.journal.begin(self.spec, total_jobs=len(jobs))
+            pending = [job for job in jobs if job.index not in run.reports]
             if self.cache is not None:
-                with span("campaign.cache"):
-                    still: List[CampaignJob] = []
-                    for job in pending:
-                        exporting = (
-                            job.config.obs is not None
-                            and job.config.obs.trace_path is not None
-                        )
-                        cached = None if exporting else self.cache.get(job.config)
-                        if cached is not None:
-                            try:
-                                if journal is not None:
-                                    journal.record(job, cached)
-                            except HarnessInterrupt:
-                                interrupted = "torn_write"
-                                break
-                            reports[job.index] = cached
-                            from_cache += 1
-                            self._note(job, "cache", started)
-                        else:
-                            still.append(job)
-                    pending = still
-
+                pending = self._serve_from_cache(run, pending)
             if self.max_jobs is not None and len(pending) > self.max_jobs:
                 pending = pending[: self.max_jobs]
                 truncated = True
-
-            by_index = {job.index: job for job in jobs}
-            worker = self.worker
-            if self.harness_faults is not None:
-                worker = self.harness_faults.wrap_worker(
-                    worker, {job.digest: job.index for job in jobs}
-                )
-            batch = [(job.index, job.config) for job in pending]
-            fail_counts: Dict[int, int] = {}
-            wave = 0
-            isolate = False
-            # Progress guard: every productive wave either completes,
-            # dead-letters, or burns a retry; anything past this bound is
-            # supervision spinning its wheels.
-            max_waves = self.retry.retries + len(batch) + 3
             with span("campaign.execute"):
-                while batch and interrupted is None:
-                    if self._should_stop():
-                        interrupted = "signal"
-                        break
-                    wave += 1
-                    if wave > max_waves:
-                        raise CampaignError(
-                            f"supervision made no progress after {wave - 1} "
-                            f"dispatch waves; aborting"
-                        )
-                    results, failures = self.backend.run_batch(
-                        worker,
-                        batch,
-                        timeout=self.supervision.timeout,
-                        should_stop=self.stop,
-                        isolate=isolate,
-                    )
-                    isolate = False
-                    # A worker can finish yet hand back garbage (injected
-                    # payload corruption, a broken custom worker): validate
-                    # before anything touches the journal or cache.
-                    for index in sorted(results):
-                        if not isinstance(results[index], MetricsReport):
-                            failures[index] = CorruptResultError(
-                                f"worker returned "
-                                f"{type(results[index]).__name__!r}, "
-                                f"not a MetricsReport"
-                            )
-                    torn = False
-                    for index in sorted(results):
-                        if index in failures:
-                            continue
-                        job = by_index[index]
-                        report = results[index]
-                        try:
-                            if journal is not None:
-                                journal.record(job, report)
-                        except HarnessInterrupt:
-                            # The torn line never became durable: the job
-                            # is *not* complete; resume re-runs it.
-                            interrupted = "torn_write"
-                            torn = True
-                            break
-                        reports[index] = report
-                        executed += 1
-                        if self.cache is not None:
-                            self.cache.put(job.config, report)
-                        self._note(job, "run", started)
-                    if torn:
-                        break
-
-                    retry_keys: List[int] = []
-                    dead_now: List[int] = []
-                    for index in sorted(failures):
-                        exc = failures[index]
-                        if isinstance(exc, JobTimeoutError):
-                            timeouts += 1
-                            if self.progress is not None:
-                                self.progress.timeout(1)
-                            self._emit(
-                                started,
-                                "worker_timeout",
-                                job=index,
-                                digest=by_index[index].digest[:12],
-                                seconds=self.supervision.timeout,
-                            )
-                        if getattr(exc, "collateral", False):
-                            retry_keys.append(index)
-                            continue
-                        fail_counts[index] = fail_counts.get(index, 0) + 1
-                        if fail_counts[index] > self.retry.retries:
-                            dead_now.append(index)
-                        else:
-                            retry_keys.append(index)
-
-                    if dead_now and not self.supervision.quarantine:
-                        causes = "; ".join(
-                            f"{by_index[i].label()}: {failures[i]}"
-                            for i in dead_now[:3]
-                        )
-                        raise CampaignError(
-                            f"{len(dead_now)} job(s) failed after "
-                            f"{self.retry.retries} retr(ies): {causes}"
-                        ) from failures[dead_now[0]]
-                    for index in dead_now:
-                        job = by_index[index]
-                        if journal is not None:
-                            journal.dead_letter(
-                                job, failures[index], attempts=fail_counts[index]
-                            )
-                        dead_lettered.append(index)
-                        if self.progress is not None:
-                            self.progress.dead_letter(1)
-                        self._emit(
-                            started,
-                            "campaign_dead_letter",
-                            job=index,
-                            digest=job.digest[:12],
-                            error=f"{type(failures[index]).__name__}: "
-                            f"{failures[index]}",
-                            attempts=fail_counts[index],
-                        )
-
-                    # Jobs the backend returned in neither dict were never
-                    # dispatched — that only happens on a graceful stop.
-                    missing = [
-                        key
-                        for key, _config in batch
-                        if key not in results and key not in failures
-                    ]
-                    if missing:
-                        if self._should_stop():
-                            interrupted = "signal"
-                            break
-                        retry_keys.extend(missing)
-
-                    if not retry_keys:
-                        break
-                    # If any failure this wave broke its whole pool, probe
-                    # the suspects one-per-pool next wave so the poison job
-                    # is identified instead of dragging innocents down.
-                    isolate = any(
-                        isinstance(failures.get(index), (BrokenExecutor, WorkerLostError))
-                        for index in retry_keys
-                    )
-                    retried += len(retry_keys)
-                    if self.progress is not None:
-                        self.progress.retry(len(retry_keys))
-                    self._emit(
-                        started, "campaign_retry", count=len(retry_keys), wave=wave
-                    )
-                    delay = self.retry.delay(wave)
-                    if delay > 0:
-                        self.sleep(delay)
-                    batch = [
-                        (index, by_index[index].config)
-                        for index in sorted(retry_keys)
-                    ]
-
-            if journal is not None:
-                if interrupted is not None:
-                    journal.interrupt(reason=interrupted, completed=len(reports))
+                self._execute(run, pending)
+            if run.journal is not None:
+                if run.interrupted is not None:
+                    run.journal.interrupt(reason=run.interrupted, completed=len(run.reports))
                 elif truncated:
-                    journal.interrupt(reason="max_jobs", completed=len(reports))
+                    run.journal.interrupt(reason="max_jobs", completed=len(run.reports))
         finally:
-            if journal is not None:
-                journal.close()
+            if run.journal is not None:
+                run.journal.close()
 
-        if interrupted is not None:
+        if run.interrupted is not None:
             if self.progress is not None:
-                self.progress.interrupt(interrupted)
+                self.progress.interrupt(run.interrupted)
             self._emit(
-                started, "campaign_interrupted",
-                reason=interrupted, completed=len(reports),
+                run, "campaign_interrupted",
+                reason=run.interrupted, completed=len(run.reports),
             )
         complete = (
-            len(reports) == len(jobs)
+            len(run.reports) == len(jobs)
             and not truncated
-            and interrupted is None
-            and not dead_lettered
+            and run.interrupted is None
+            and not run.dead_lettered
         )
         aggregate = None
         ordered: List[MetricsReport] = []
         if complete and configs is None:
             with span("campaign.aggregate"):
-                aggregate = aggregate_campaign(self.spec, jobs, reports)
+                aggregate = aggregate_campaign(self.spec, jobs, run.reports)
         elif complete:
-            ordered = [reports[job.index] for job in jobs]
+            ordered = [run.reports[job.index] for job in jobs]
         return CampaignResult(
             spec=self.spec,
             total_jobs=len(jobs),
-            executed=executed,
-            from_cache=from_cache,
-            from_journal=from_journal,
-            retried=retried,
+            executed=run.done["run"],
+            from_cache=run.done["cache"],
+            from_journal=run.done["journal"],
+            retried=run.retried,
             complete=complete,
             aggregate=aggregate,
-            timeouts=timeouts,
-            dead_lettered=len(dead_lettered),
-            interrupted=interrupted,
+            timeouts=run.timeouts,
+            dead_lettered=run.dead_lettered,
+            interrupted=run.interrupted,
             reports=ordered,
         )
+
+    def _serve_from_cache(self, run: "_Run", pending: List[CampaignJob]) -> List[CampaignJob]:
+        """Complete every pending job the result cache holds; return the
+        misses.  Jobs that stream a trace export skip the read (their
+        records must hit the sink)."""
+        with span("campaign.cache"):
+            missed: List[CampaignJob] = []
+            for job in pending:
+                exporting = job.config.obs is not None and job.config.obs.trace_path is not None
+                cached = None if exporting else self.cache.get(job.config)
+                if cached is None:
+                    missed.append(job)
+                elif not self._complete(run, job, cached, "cache"):
+                    break
+            return missed
+
+    def _execute(self, run: "_Run", pending: List[CampaignJob]) -> None:
+        """Dispatch ``pending`` in waves until each job is done, dead-lettered
+        or abandoned by a stop; failed jobs are retried with backoff."""
+        by_index = {job.index: job for job in run.jobs}
+        worker = self.worker
+        if self.harness_faults is not None:
+            worker = self.harness_faults.wrap_worker(
+                worker, {job.digest: job.index for job in run.jobs}
+            )
+        batch = [(job.index, job.config) for job in pending]
+        fail_counts: Dict[int, int] = {}
+        wave = 0
+        isolate = False
+        # Progress guard: every productive wave either completes,
+        # dead-letters, or burns a retry; anything past this bound is
+        # supervision spinning its wheels.
+        max_waves = self.retry.retries + len(batch) + 3
+        while batch and run.interrupted is None:
+            if self._should_stop():
+                run.interrupted = "signal"
+                return
+            wave += 1
+            if wave > max_waves:
+                raise CampaignError(
+                    f"supervision made no progress after {wave - 1} "
+                    f"dispatch waves; aborting"
+                )
+            results, failures = self.backend.run_batch(
+                worker,
+                batch,
+                timeout=self.supervision.timeout,
+                should_stop=self.stop,
+                isolate=isolate,
+            )
+            # A worker can finish yet hand back garbage (injected payload
+            # corruption, a broken custom worker): validate before
+            # anything touches the journal or cache.
+            for index in sorted(results):
+                if not isinstance(results[index], MetricsReport):
+                    failures[index] = CorruptResultError(
+                        f"worker returned {type(results[index]).__name__!r}, "
+                        f"not a MetricsReport"
+                    )
+            for index in sorted(results):
+                if index not in failures and not self._complete(
+                    run, by_index[index], results[index], "run"
+                ):
+                    return
+            retry_keys = self._triage(run, failures, fail_counts, by_index)
+            # Jobs the backend returned in neither dict were never
+            # dispatched — that only happens on a graceful stop.
+            missing = [
+                key for key, _config in batch if key not in results and key not in failures
+            ]
+            if missing:
+                if self._should_stop():
+                    run.interrupted = "signal"
+                    return
+                retry_keys.extend(missing)
+            if not retry_keys:
+                return
+            # If any failure this wave broke its whole pool, probe the
+            # suspects one-per-pool next wave so the poison job is
+            # identified instead of dragging innocents down.
+            isolate = any(
+                isinstance(failures.get(index), (BrokenExecutor, WorkerLostError))
+                for index in retry_keys
+            )
+            run.retried += len(retry_keys)
+            if self.progress is not None:
+                self.progress.retry(len(retry_keys))
+            self._emit(run, "campaign_retry", count=len(retry_keys), wave=wave)
+            delay = self.retry.delay(wave)
+            if delay > 0:
+                self.sleep(delay)
+            batch = [(index, by_index[index].config) for index in sorted(retry_keys)]
+
+    def _triage(
+        self,
+        run: "_Run",
+        failures: Dict[int, BaseException],
+        fail_counts: Dict[int, int],
+        by_index: Dict[int, CampaignJob],
+    ) -> List[int]:
+        """Count this wave's failures; dead-letter the jobs out of retries
+        (or raise without quarantine) and return the keys to retry."""
+        retry_keys: List[int] = []
+        dead_now: List[int] = []
+        for index in sorted(failures):
+            exc = failures[index]
+            if isinstance(exc, JobTimeoutError):
+                run.timeouts += 1
+                if self.progress is not None:
+                    self.progress.timeout(1)
+                self._emit(
+                    run, "worker_timeout",
+                    job=index, digest=by_index[index].digest[:12], seconds=self.supervision.timeout,
+                )
+            if getattr(exc, "collateral", False):
+                retry_keys.append(index)
+                continue
+            fail_counts[index] = fail_counts.get(index, 0) + 1
+            if fail_counts[index] > self.retry.retries:
+                dead_now.append(index)
+            else:
+                retry_keys.append(index)
+
+        if dead_now and not self.supervision.quarantine:
+            causes = "; ".join(
+                f"{by_index[i].label()}: {failures[i]}" for i in dead_now[:3]
+            )
+            raise CampaignError(
+                f"{len(dead_now)} job(s) failed after "
+                f"{self.retry.retries} retr(ies): {causes}"
+            ) from failures[dead_now[0]]
+        for index in dead_now:
+            job, error = by_index[index], failures[index]
+            if run.journal is not None:
+                run.journal.dead_letter(job, error, attempts=fail_counts[index])
+            run.dead_lettered += 1
+            if self.progress is not None:
+                self.progress.dead_letter(1)
+            self._emit(
+                run, "campaign_dead_letter",
+                job=index, digest=job.digest[:12],
+                error=f"{type(error).__name__}: {error}", attempts=fail_counts[index],
+            )
+        return retry_keys
+
+
+@dataclass
+class _Run:
+    """Bookkeeping of one :meth:`CampaignRunner.run` call."""
+
+    jobs: List[CampaignJob]
+    started: float
+    journal: Optional[CampaignJournal] = None
+    reports: Dict[int, MetricsReport] = field(default_factory=dict)
+    #: Completed jobs by source: ``journal``, ``cache`` or ``run``.
+    done: Dict[str, int] = field(default_factory=lambda: {"journal": 0, "cache": 0, "run": 0})
+    retried: int = 0
+    timeouts: int = 0
+    dead_lettered: int = 0
+    interrupted: Optional[str] = None
 
 
 def run_campaign(
@@ -1444,7 +1164,7 @@ def run_campaign(
     *,
     backend: Union[str, ExecutionBackend] = "inline",
     jobs: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
+    cache: Optional[Union[ResultCache, str, Path]] = None,
     journal: Optional[Union[str, Path]] = None,
     resume: bool = False,
     retry: RetryPolicy = RetryPolicy(),
@@ -1461,7 +1181,8 @@ def run_campaign(
     ``spec`` may be a :class:`CampaignSpec`, a dict in the
     :meth:`CampaignSpec.from_dict` shape, or a path to a TOML/JSON spec
     file.  ``backend`` is a name (``inline`` or ``process``) or a
-    ready :class:`ExecutionBackend` instance.
+    ready :class:`ExecutionBackend` instance.  ``cache`` may be a
+    :class:`~repro.experiments.cache.ResultCache` or a directory path.
     """
     if isinstance(spec, (str, Path)):
         spec = load_spec(spec)
@@ -1472,7 +1193,7 @@ def run_campaign(
     runner = CampaignRunner(
         spec,
         backend,
-        cache=cache,
+        cache=open_cache(cache),
         journal_path=journal,
         resume=resume,
         retry=retry,
@@ -1502,13 +1223,11 @@ def run_sweep(
     chained from the worker's exception.  ``cache`` may be a
     :class:`~repro.experiments.cache.ResultCache` or a directory path.
     """
-    if isinstance(cache, (str, Path)):
-        cache = ResultCache(cache)
     backend = InlineBackend() if resolve_jobs(jobs) == 1 else ProcessBackend(jobs)
     runner = CampaignRunner(
         CampaignSpec(name="sweep"),
         backend,
-        cache=cache,
+        cache=open_cache(cache),
         retry=RetryPolicy(retries=0),
         supervision=SupervisionPolicy(quarantine=False),
     )

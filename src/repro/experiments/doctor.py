@@ -4,8 +4,11 @@ A campaign journal is append-only JSONL, fsynced line by line — but the
 world still finds ways to damage it: a writer killed mid-append leaves a
 torn tail, a bad disk flips bytes mid-file, an old binary leaves
 version-skewed entries, two campaigns accidentally share one path.
-:func:`load_journal <repro.experiments.campaign.load_journal>` refuses
-to guess about such files; this module is the guessing that *is* safe:
+:func:`~repro.experiments.journal.load_journal` refuses to guess about
+such files; this module is the guessing that *is* safe.  Both read the
+journal through one classifier,
+:func:`~repro.experiments.journal.scan_journal`, so they agree on every
+line:
 
 - :func:`audit_journal` classifies every defect with its line number and
   byte offset, without modifying anything;
@@ -27,40 +30,20 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from repro.experiments.cache import CACHE_SCHEMA_VERSION
-from repro.experiments.campaign import JOURNAL_VERSION, CampaignError
+from repro.experiments.journal import (
+    PROBLEM_KINDS,
+    JournalLine,
+    Problem,
+    scan_journal,
+)
 from repro.metrics.collector import MetricsReport
 from repro.obs.spans import span
-
-#: Journal events this build understands.
-KNOWN_EVENTS = ("begin", "complete", "dead_letter", "interrupt")
-
-#: Problem classification (stable strings; tests and CI grep for them).
-PROBLEM_KINDS = (
-    "torn_tail",        # unterminated final line (writer died mid-append)
-    "corrupt",          # line is not valid JSON
-    "bad_version",      # begin entry from a different JOURNAL_VERSION
-    "malformed_entry",  # valid JSON but required fields missing/broken
-    "unknown_event",    # event tag this build does not know
-    "spec_mix",         # journal interleaves two campaign specs
-)
-
-
-@dataclass(frozen=True)
-class Problem:
-    """One defect found in a journal, pinned to its exact location."""
-
-    lineno: int
-    offset: int
-    kind: str
-    message: str
-
-    def format(self) -> str:
-        return f"line {self.lineno} (byte {self.offset}): {self.kind}: {self.message}"
 
 
 @dataclass
@@ -96,122 +79,23 @@ class JournalAudit:
         return "\n".join(lines)
 
 
-def _classify_line(
-    payload: Dict[str, Any], lineno: int, offset: int, spec_digests: List[str]
-) -> Optional[Problem]:
-    event = payload.get("event")
-    if event == "begin":
-        version = payload.get("version")
-        if version != JOURNAL_VERSION:
-            return Problem(
-                lineno, offset, "bad_version",
-                f"journal version {version!r}, this build writes {JOURNAL_VERSION}",
-            )
-        digest = payload.get("spec")
-        if isinstance(digest, str):
-            if digest not in spec_digests:
-                spec_digests.append(digest)
-            if len(spec_digests) > 1:
-                return Problem(
-                    lineno, offset, "spec_mix",
-                    f"begin for spec {digest[:16]} in a journal opened by "
-                    f"spec {spec_digests[0][:16]}",
-                )
-        return None
-    if event == "complete":
-        try:
-            MetricsReport.from_state(payload["report"])
-            digest = payload["digest"]
-        except (KeyError, TypeError, ValueError) as exc:
-            return Problem(
-                lineno, offset, "malformed_entry",
-                f"completion entry does not decode to a report: {exc}",
-            )
-        if not isinstance(digest, str):
-            return Problem(
-                lineno, offset, "malformed_entry",
-                f"completion digest is {type(digest).__name__}, not a string",
-            )
-        return None
-    if event == "dead_letter":
-        if not isinstance(payload.get("digest"), str):
-            return Problem(
-                lineno, offset, "malformed_entry",
-                "dead_letter entry without a job digest",
-            )
-        return None
-    if event == "interrupt":
-        return None
-    return Problem(
-        lineno, offset, "unknown_event", f"unknown journal event {event!r}"
+def _scan(path: Path) -> Tuple[JournalAudit, List[JournalLine]]:
+    """The audit of ``path`` plus every line :func:`scan_journal` read."""
+    lines = list(scan_journal(path))
+    healthy = Counter(line.event for line in lines if line.problem is None)
+    audit = JournalAudit(
+        path=path,
+        lines=len(lines),
+        begins=healthy["begin"],
+        completes=healthy["complete"],
+        dead_letters=healthy["dead_letter"],
+        interrupts=healthy["interrupt"],
+        spec_digests=list(
+            dict.fromkeys(line.spec for line in lines if line.event == "begin" and line.spec)
+        ),
+        problems=[line.problem for line in lines if line.problem is not None],
     )
-
-
-def _scan(path: Path) -> Tuple[JournalAudit, List[Tuple[bytes, Optional[str], Optional[Problem]]]]:
-    """Parse the journal byte-exactly.
-
-    Returns the audit plus one ``(raw_line, spec_digest, problem)`` tuple
-    per physical line — ``raw_line`` preserves the original bytes
-    (including the torn, newline-less tail) so repair can rewrite the
-    file without re-encoding anything, and ``spec_digest`` attributes the
-    line to the campaign whose ``begin`` most recently preceded it.
-    """
-    audit = JournalAudit(path=path)
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise CampaignError(f"cannot read campaign journal {path}: {exc}") from exc
-    records: List[Tuple[bytes, Optional[str], Optional[Problem]]] = []
-    offset = 0
-    current_spec: Optional[str] = None
-    lineno = 0
-    while offset < len(data):
-        end = data.find(b"\n", offset)
-        torn = end < 0
-        raw = data[offset:] if torn else data[offset : end + 1]
-        line_offset = offset
-        offset = len(data) if torn else end + 1
-        lineno += 1
-        stripped = raw.strip()
-        if not stripped:
-            records.append((raw, current_spec, None))
-            continue
-        audit.lines += 1
-        if torn:
-            problem = Problem(
-                lineno, line_offset, "torn_tail",
-                f"unterminated final line ({len(raw)} bytes); the writer "
-                f"died mid-append",
-            )
-            audit.problems.append(problem)
-            records.append((raw, current_spec, problem))
-            continue
-        try:
-            payload = json.loads(stripped)
-            if not isinstance(payload, dict):
-                raise ValueError(f"entry is {type(payload).__name__}, not an object")
-        except ValueError as exc:
-            problem = Problem(lineno, line_offset, "corrupt", str(exc))
-            audit.problems.append(problem)
-            records.append((raw, current_spec, problem))
-            continue
-        problem = _classify_line(payload, lineno, line_offset, audit.spec_digests)
-        event = payload.get("event")
-        if event == "begin" and isinstance(payload.get("spec"), str):
-            current_spec = payload["spec"]
-            if problem is None:
-                audit.begins += 1
-        elif problem is None:
-            if event == "complete":
-                audit.completes += 1
-            elif event == "dead_letter":
-                audit.dead_letters += 1
-            elif event == "interrupt":
-                audit.interrupts += 1
-        if problem is not None:
-            audit.problems.append(problem)
-        records.append((raw, current_spec, problem))
-    return audit, records
+    return audit, lines
 
 
 def audit_journal(path: Union[str, Path]) -> JournalAudit:
@@ -263,20 +147,19 @@ def repair_journal(
         path = Path(path)
         audit, records = _scan(path)
         needs_spec_filter = spec_digest is not None and any(
-            spec != spec_digest for _raw, spec, _problem in records if spec is not None
+            line.spec not in (None, spec_digest) for line in records
         )
         if audit.healthy and not needs_spec_filter:
             return RepairResult(audit=audit)
         keep: List[bytes] = []
         quarantine: List[bytes] = []
         kept = quarantined = dropped_foreign = 0
-        for raw, spec, problem in records:
-            if not raw.strip():
-                continue
-            if problem is not None:
+        for line in records:
+            raw = line.raw
+            if line.problem is not None:
                 quarantine.append(raw if raw.endswith(b"\n") else raw + b"\n")
                 quarantined += 1
-            elif spec_digest is not None and spec is not None and spec != spec_digest:
+            elif spec_digest is not None and line.spec not in (None, spec_digest):
                 quarantine.append(raw)
                 dropped_foreign += 1
             else:
@@ -396,7 +279,6 @@ def repair_cache(root: Union[str, Path]) -> List[CacheProblem]:
 
 
 __all__ = [
-    "KNOWN_EVENTS",
     "PROBLEM_KINDS",
     "CacheProblem",
     "JournalAudit",

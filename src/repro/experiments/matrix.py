@@ -35,7 +35,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.attacks.coordinator import TUNNEL_MODES
 from repro.defenses import available_defenses, get_defense
-from repro.experiments.cache import ResultCache
+from repro.experiments.cache import ResultCache, open_cache
 from repro.experiments.campaign import (
     CampaignError,
     CampaignResult,
@@ -297,6 +297,14 @@ class MatrixResult:
         return sum(r.completed_jobs for r in self.campaigns.values())
 
     @property
+    def total_jobs(self) -> int:
+        return self.spec.total_jobs()
+
+    @property
+    def dead_lettered(self) -> int:
+        return sum(r.dead_lettered for r in self.campaigns.values())
+
+    @property
     def interrupted(self) -> Optional[str]:
         for result in self.campaigns.values():
             if result.interrupted is not None:
@@ -306,24 +314,30 @@ class MatrixResult:
     def format(self) -> str:
         """Stable one-screen execution summary (the report renders the
         matrix itself)."""
-        lines = [
+        header = (
             f"matrix {self.spec.name}"
             f" cells={len(self.spec.attacks) * len(self.spec.defenses)}"
-            f" jobs={self.spec.total_jobs()}"
+            f" jobs={self.total_jobs}"
             f" completed={self.completed_jobs}"
             f" complete={'yes' if self.complete else 'no'}"
-        ]
+        )
+        if self.dead_lettered:
+            header += f" dead_lettered={self.dead_lettered}"
+        lines = [header]
         for attack in self.spec.attacks:
             result = self.campaigns.get(attack)
             if result is None:
                 lines.append(f"  {attack:<14s} not started")
-            else:
-                lines.append(
-                    f"  {attack:<14s} executed={result.executed}"
-                    f" cache={result.from_cache}"
-                    f" journal={result.from_journal}"
-                    f" complete={'yes' if result.complete else 'no'}"
-                )
+                continue
+            line = (
+                f"  {attack:<14s} executed={result.executed}"
+                f" cache={result.from_cache}"
+                f" journal={result.from_journal}"
+                f" complete={'yes' if result.complete else 'no'}"
+            )
+            if result.dead_lettered:
+                line += f" dead_lettered={result.dead_lettered}"
+            lines.append(line)
         return "\n".join(lines)
 
 
@@ -333,7 +347,7 @@ def run_matrix(
     journal_dir: Union[str, Path],
     backend: Union[str, ExecutionBackend] = "inline",
     jobs: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
+    cache: Optional[Union[ResultCache, str, Path]] = None,
     resume: bool = False,
     retry: RetryPolicy = RetryPolicy(),
     supervision: SupervisionPolicy = SupervisionPolicy(),
@@ -343,25 +357,27 @@ def run_matrix(
     stop: Optional[Callable[[], bool]] = None,
     fsync: bool = True,
 ) -> MatrixResult:
-    """Run (or resume) every per-attack campaign, then aggregate.
+    """Run (or resume) every per-attack campaign, then aggregate (the
+    :func:`repro.api.matrix` entry point).
 
     The journal directory is mandatory: the aggregation reloads the
     journals, so an unjournaled matrix could never render its report.
-    ``max_jobs`` budgets *new* jobs across the whole matrix; when the
-    budget runs out (or ``stop`` fires) the result comes back incomplete
-    and a later ``resume=True`` call picks up where it stopped,
-    producing a byte-identical report to an uninterrupted run.
+    ``cache`` may be a :class:`~repro.experiments.cache.ResultCache` or a
+    directory path.  ``max_jobs`` budgets *new* jobs across the whole
+    matrix; when the budget runs out (or ``stop`` fires) the result comes
+    back incomplete and a later ``resume=True`` call picks up where it
+    stopped, producing a byte-identical report to an uninterrupted run.
+    A column whose only gap is dead-lettered jobs does not stop the
+    later columns; the result stays incomplete, with no report, and a
+    resume retries the poison jobs.
     """
+    cache = open_cache(cache)
     campaigns: Dict[str, CampaignResult] = {}
-    complete = True
-    remaining = max_jobs
     with span("matrix.run"):
         for attack in spec.attacks:
             if stop is not None and stop():
-                complete = False
                 break
-            if remaining is not None and remaining <= 0:
-                complete = False
+            if max_jobs is not None and max_jobs <= 0:
                 break
             result = run_campaign(
                 spec.campaign_for(attack),
@@ -374,16 +390,18 @@ def run_matrix(
                 supervision=supervision,
                 progress=progress,
                 trace=trace,
-                max_jobs=remaining,
+                max_jobs=max_jobs,
                 stop=stop,
                 fsync=fsync,
             )
             campaigns[attack] = result
-            if remaining is not None:
-                remaining -= result.executed
-            if not result.complete:
-                complete = False
+            if max_jobs is not None:
+                max_jobs -= result.executed
+            if result.stopped_early:
                 break
+    complete = len(campaigns) == len(spec.attacks) and all(
+        result.complete for result in campaigns.values()
+    )
     report = aggregate_matrix(spec, journal_dir) if complete else None
     return MatrixResult(
         spec=spec, campaigns=campaigns, complete=complete, report=report
