@@ -95,8 +95,7 @@ class TunnelRouting(_ActivatableRouting):
         key = request.key()
         if key in self._seen_requests:
             return
-        self._seen_requests.add(key)
-        self._reverse[key] = frame.transmitter
+        self._seen_requests[key] = frame.transmitter
         self.coordinator.tunnel_request(me, request)
 
     def receive_tunneled_request(self, request: RouteRequest, from_colluder: NodeId) -> None:
@@ -107,7 +106,7 @@ class TunnelRouting(_ActivatableRouting):
         key = request.key()
         if key in self._seen_requests:
             return
-        self._seen_requests.add(key)
+        self._seen_requests[key] = None
         self._tunnel_peer[(request.origin, request.request_id)] = from_colluder
         self.coordinator.mark_tainted(request.origin, request.request_id)
         self.coordinator.note_activity(me)
@@ -141,7 +140,7 @@ class TunnelRouting(_ActivatableRouting):
         if not self.active:
             return
         me = self.node.node_id
-        next_hop = self._reverse.get(("REQ", reply.origin, reply.request_id))
+        next_hop = self._seen_requests.get(("REQ", reply.origin, reply.request_id))
         if next_hop is None:
             self.trace.emit(
                 self.sim.now, "wormhole_rep_stranded", node=me,

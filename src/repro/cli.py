@@ -45,8 +45,9 @@ the top cumulative hot spots afterwards.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from repro.analysis.cost import CostModel
 from repro.analysis.coverage import (
@@ -340,18 +341,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _ConfigError(Exception):
+    """A config built from a command's flags is invalid; :func:`main`
+    prints it as one line and exits 1."""
+
+
+@contextlib.contextmanager
+def _flag_config() -> Iterator[None]:
+    """Wrap the construction of a config from flags: its ``ValueError``
+    becomes a :class:`_ConfigError`.  Only construction is wrapped, so a
+    ``ValueError`` from the run itself still surfaces as a traceback."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _ConfigError(str(exc)) from None
+
+
 def _scenario_config(args: argparse.Namespace, obs: Optional["ObsConfig"] = None) -> ScenarioConfig:
     """The scenario ``add_scenario_options``' flags describe."""
-    return ScenarioConfig(
-        n_nodes=args.nodes,
-        duration=args.duration,
-        seed=args.seed,
-        attack_mode=args.attack,
-        n_malicious=args.malicious if args.attack != "none" else 0,
-        attack_start=args.attack_start,
-        defense=args.defense,
-        obs=obs,
-    )
+    with _flag_config():
+        return ScenarioConfig(
+            n_nodes=args.nodes,
+            duration=args.duration,
+            seed=args.seed,
+            attack_mode=args.attack,
+            n_malicious=args.malicious if args.attack != "none" else 0,
+            attack_start=args.attack_start,
+            defense=args.defense,
+            obs=obs,
+        )
 
 
 def _write(path_str: str, text: str, label: str, err: bool = False) -> None:
@@ -395,7 +413,8 @@ def _obs_from_args(args: argparse.Namespace) -> Optional["ObsConfig"]:
         return None
     from repro.obs.config import ObsConfig
 
-    return ObsConfig(trace_path=trace_out, strict=strict, ring_capacity=ring)
+    with _flag_config():
+        return ObsConfig(trace_path=trace_out, strict=strict, ring_capacity=ring)
 
 
 def _sweep_kwargs(args: argparse.Namespace) -> dict:
@@ -423,12 +442,13 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     nodes = args.nodes if args.nodes is not None else defaults["nodes"]
     duration = args.duration if args.duration is not None else defaults["duration"]
     runs = args.runs if args.runs is not None else defaults["runs"]
-    if number == "10":
-        base = ScenarioConfig(n_nodes=nodes, avg_neighbors=15.0,
-                              duration=duration, seed=args.seed, attack_start=50.0)
-    else:
-        base = ScenarioConfig(n_nodes=nodes, duration=duration,
-                              seed=args.seed, attack_start=50.0)
+    with _flag_config():
+        if number == "10":
+            base = ScenarioConfig(n_nodes=nodes, avg_neighbors=15.0,
+                                  duration=duration, seed=args.seed, attack_start=50.0)
+        else:
+            base = ScenarioConfig(n_nodes=nodes, duration=duration,
+                                  seed=args.seed, attack_start=50.0)
     runner = {"8": run_fig8, "9": run_fig9, "10": run_fig10}[number]
     print(runner(base=base, runs=runs, **_sweep_kwargs(args)).format())
     return 0
@@ -605,14 +625,16 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     )
 
     try:
-        spec = MatrixSpec(
-            name=args.name,
-            base=ScenarioConfig(
+        with _flag_config():
+            base = ScenarioConfig(
                 n_nodes=args.nodes,
                 duration=args.duration,
                 seed=args.seed,
                 attack_start=args.attack_start,
-            ),
+            )
+        spec = MatrixSpec(
+            name=args.name,
+            base=base,
             defenses=tuple(args.defenses) if args.defenses else (),
             attacks=tuple(args.attacks) if args.attacks else DEFAULT_MATRIX_ATTACKS,
             runs=args.runs,
@@ -762,16 +784,27 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    config = ChaosConfig(
-        n_nodes=args.nodes,
-        duration=args.duration,
-        seed=args.seed,
-        crash_fraction=args.crash_fraction,
-        recover_fraction=args.recover_fraction,
-        loss_probability=args.loss,
-        liveness=args.liveness,
-        obs=_obs_from_args(args),
-    )
+    # The fault schedule's defaults are set for the default run length;
+    # a shorter or longer run stretches them by the same factor.
+    defaults = ChaosConfig()
+    scale = args.duration / defaults.duration
+    with _flag_config():
+        config = ChaosConfig(
+            n_nodes=args.nodes,
+            duration=args.duration,
+            seed=args.seed,
+            attack_start=defaults.attack_start * scale,
+            crash_fraction=args.crash_fraction,
+            crash_at=defaults.crash_at * scale,
+            recover_fraction=args.recover_fraction,
+            downtime=defaults.downtime * scale,
+            loss_probability=args.loss,
+            loss_at=defaults.loss_at * scale,
+            loss_duration=defaults.loss_duration * scale,
+            liveness=args.liveness,
+            obs=_obs_from_args(args),
+        )
+        config.scenario_config()  # the scenario's own checks (node count, ...)
     result = run_chaos(config)
     print(result.format())
     if args.json_path:
@@ -793,7 +826,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _trace_export(args: argparse.Namespace) -> int:
     from repro.obs.config import ObsConfig
 
-    obs = ObsConfig(trace_path=args.out, strict=args.strict, ring_capacity=args.ring)
+    with _flag_config():
+        obs = ObsConfig(trace_path=args.out, strict=args.strict, ring_capacity=args.ring)
     scenario = build_scenario(_scenario_config(args, obs))
     scenario.run()
     print(f"exported {scenario.trace.total_emitted} records to {args.out}")
@@ -985,13 +1019,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Parse ``argv`` (default: ``sys.argv[1:]``) and run the command."""
     args = build_parser().parse_args(argv)
     command = _COMMANDS[args.command]
-    if not args.profile:
-        return command(args)
-    import cProfile
-    import pstats
+    try:
+        if not args.profile:
+            return command(args)
+        import cProfile
+        import pstats
 
-    profiler = cProfile.Profile()
-    exit_code = profiler.runcall(command, args)
+        profiler = cProfile.Profile()
+        exit_code = profiler.runcall(command, args)
+    except _ConfigError as exc:
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 1
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.strip_dirs().sort_stats("cumulative")
     print(f"\n--- cProfile: top {args.profile_top} by cumulative time ---")

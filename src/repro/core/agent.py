@@ -32,7 +32,7 @@ revocations stay sticky across reboots.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, FrozenSet, Optional
 
 from repro.core.config import LiteworpConfig
 from repro.core.discovery import NeighborDiscovery, install_oracle_tables
@@ -80,7 +80,7 @@ class LiteworpAgent:
         self.activated = False
         self.rejects: Dict[str, int] = {"nonneighbor": 0, "revoked": 0, "secondhop": 0}
         self._router: Optional[OnDemandRouting] = None
-        self._oracle_adjacency: Optional[Dict[NodeId, tuple]] = None
+        self._oracle: Optional[tuple] = None  # install_oracle's arguments, replayed on a reboot
         self.liveness: Optional[LivenessManager] = None
         # Handler of each packet type the agent consumes once accepted.
         self._handlers: Dict[type, Callable[[Frame], None]] = {
@@ -124,10 +124,15 @@ class LiteworpAgent:
         )
         self.discovery.start()
 
-    def install_oracle(self, adjacency: Dict[NodeId, tuple]) -> None:
-        """Install ground-truth neighbor tables and activate immediately."""
-        self._oracle_adjacency = adjacency
-        install_oracle_tables(self.table, self.node.node_id, adjacency)
+    def install_oracle(
+        self,
+        adjacency: Dict[NodeId, tuple],
+        neighbor_sets: Optional[Dict[NodeId, FrozenSet[NodeId]]] = None,
+    ) -> None:
+        """Install ground-truth neighbor tables and activate immediately
+        (``neighbor_sets``: see :func:`install_oracle_tables`)."""
+        self._oracle = (adjacency, neighbor_sets)
+        install_oracle_tables(self.table, self.node.node_id, adjacency, neighbor_sets)
         self.activate()
 
     def activate(self) -> None:
@@ -173,8 +178,8 @@ class LiteworpAgent:
         discovery protocol runs again.  Either way revocations are sticky
         (``install_oracle_tables`` and discovery both go through
         ``add_neighbor``, which never resurrects a tombstone)."""
-        if self._oracle_adjacency is not None:
-            self.install_oracle(self._oracle_adjacency)
+        if self._oracle is not None:
+            self.install_oracle(*self._oracle)
         else:
             self.start_discovery()
 

@@ -17,7 +17,7 @@ message-driven protocol here is exercised by its own tests and example.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Optional, Set
+from typing import Callable, Dict, FrozenSet, Optional, Set
 
 from repro.core.config import LiteworpConfig
 from repro.core.tables import NeighborTable
@@ -162,12 +162,18 @@ def install_oracle_tables(
     table: NeighborTable,
     owner: NodeId,
     adjacency: Dict[NodeId, tuple],
+    neighbor_sets: Optional[Dict[NodeId, FrozenSet[NodeId]]] = None,
 ) -> None:
     """Populate a node's tables directly from ground truth.
 
     Equivalent to a lossless run of the discovery protocol; used by the
     experiments (the paper assumes discovery is secure and complete).
+    ``neighbor_sets`` holds each node's adjacency as one frozenset that
+    every table can store as is, so a neighbour list is held once per
+    network instead of once per neighbour; without it each table builds
+    its own copies.
     """
+    lists = adjacency if neighbor_sets is None else neighbor_sets
     for neighbor in adjacency[owner]:
         table.add_neighbor(neighbor)
-        table.set_neighbor_list(neighbor, tuple(adjacency[neighbor]))
+        table.set_neighbor_list(neighbor, lists[neighbor])

@@ -16,7 +16,7 @@ window, T").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 NodeId = int
 
@@ -114,8 +114,9 @@ class NeighborTable:
     # ------------------------------------------------------------------
     # Second hop
     # ------------------------------------------------------------------
-    def set_neighbor_list(self, node: NodeId, neighbor_list: Tuple[NodeId, ...]) -> None:
-        """Store the verified neighbor list ``R_node``."""
+    def set_neighbor_list(self, node: NodeId, neighbor_list: Iterable[NodeId]) -> None:
+        """Store the verified neighbor list ``R_node`` (a frozenset is
+        stored as is, so tables may share one)."""
         self._second[node] = frozenset(neighbor_list)
 
     def knows_second_hop(self, node: NodeId) -> bool:

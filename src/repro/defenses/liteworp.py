@@ -84,11 +84,15 @@ class LiteworpDefense(Defense):
         ctx.agents[node_id].attach_router(router)
 
     def finalize(self, ctx: DefenseContext) -> None:
-        for _, agent in ctx.agents.items():
-            if ctx.config.oracle_neighbors:
-                agent.install_oracle(ctx.adjacency)
-            else:
+        if not ctx.config.oracle_neighbors:
+            for agent in ctx.agents.values():
                 agent.start_discovery()
+            return
+        # One frozenset per neighbour list, shared by every table that
+        # stores it (a node's list is stored by each of its neighbours).
+        neighbor_sets = {node: frozenset(ns) for node, ns in ctx.adjacency.items()}
+        for agent in ctx.agents.values():
+            agent.install_oracle(ctx.adjacency, neighbor_sets)
 
     def node_counters(self, ctx: DefenseContext) -> Dict[NodeId, Dict[str, int]]:
         from repro.obs.counters import snapshot_counters

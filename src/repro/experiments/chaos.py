@@ -81,6 +81,8 @@ class ChaosConfig:
     obs: Optional["ObsConfig"] = None
 
     def __post_init__(self) -> None:
+        if self.duration <= 0:
+            raise ValueError(f"duration must be positive, got {self.duration!r}")
         if not 0.0 <= self.crash_fraction <= 1.0:
             raise ValueError(
                 f"crash_fraction must be in [0, 1], got {self.crash_fraction!r}"

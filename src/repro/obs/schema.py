@@ -17,7 +17,7 @@ validates exported JSONL files against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.sim.trace import TraceLog, TraceRecord
 
@@ -62,12 +62,16 @@ class SchemaRegistry:
 
     def __init__(self, schemas: Iterable[TraceSchema] = ()) -> None:
         self._schemas: Dict[str, TraceSchema] = {}
+        # (kind, field names) pairs that passed validate(): a record's
+        # verdict depends on nothing else, so each layout is checked once.
+        self._passed: Set[Tuple[str, Tuple[str, ...]]] = set()
         for schema in schemas:
             self.register(schema)
 
     def register(self, schema: TraceSchema) -> TraceSchema:
         """Add (or replace) the schema for one kind."""
         self._schemas[schema.kind] = schema
+        self._passed.clear()
         return schema
 
     def declare(
@@ -113,9 +117,13 @@ class SchemaRegistry:
 
     def validate(self, record: TraceRecord) -> None:
         """Raise :class:`TraceSchemaError` if ``record`` is malformed."""
+        layout = (record._kind, record._names)
+        if layout in self._passed:
+            return
         problems = self.errors(record)
         if problems:
             raise TraceSchemaError("; ".join(problems))
+        self._passed.add(layout)
 
     def markdown_table(self) -> str:
         """The registry rendered as a GitHub-flavored markdown table

@@ -6,19 +6,27 @@ emitted record to each attached sink *before* ring-buffer eviction, so a
 sink always observes the complete trace even when the in-memory log is
 bounded.
 
-:class:`JsonlSink` is the workhorse: one JSON object per line, opened in
-append mode with line buffering so each record is a single atomic
-``O_APPEND`` write — parallel sweep workers can safely share one file.
-Every line carries a ``run`` tag so multi-replication exports can be
-regrouped per run downstream (``repro trace check`` does exactly that).
+:class:`JsonlSink` is the workhorse: one JSON object per line, written to
+an unbuffered append-mode file with one ``write`` per line, so each
+record is a single atomic ``O_APPEND`` write — parallel sweep workers can
+safely share one file.  Every line carries a ``run`` tag so
+multi-replication exports can be regrouped per run downstream
+(``repro trace check`` does exactly that).
+
+:func:`record_to_json` is the reference encoding.  When the C kernel is
+enabled (:func:`repro.sim.accel.enabled`) the sink encodes each line with
+the kernel's ``encode_line`` instead, which yields the same bytes and
+returns None for any value it does not handle (sets, dicts, subclasses,
+NaN/inf); such a record then goes through :func:`record_to_json`.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
+from repro.sim import accel
 from repro.sim.trace import TraceRecord
 
 
@@ -63,13 +71,30 @@ def record_from_json(line: str) -> TraceRecord:
     return TraceRecord(time=payload["time"], kind=payload["kind"], fields=fields)
 
 
+#: Encoded layouts for the C line encoder, one per interned field-name
+#: tuple: ``(value index, b'"name":')`` pairs in sorted-name order, the
+#: order ``json.dumps(..., sort_keys=True)`` writes the fields in.
+_LINE_LAYOUTS: Dict[Tuple[str, ...], Tuple[Tuple[int, bytes], ...]] = {}
+
+
+def _line_layout(names: Tuple[str, ...]) -> Tuple[Tuple[int, bytes], ...]:
+    layout = tuple(
+        (index, (json.dumps(name) + ":").encode())
+        for index, name in sorted(enumerate(names), key=lambda pair: pair[1])
+    )
+    _LINE_LAYOUTS[names] = layout
+    return layout
+
+
 class JsonlSink:
     """Append-only JSONL file sink, safe for concurrent writers.
 
-    The file is opened lazily on the first write with ``buffering=1``
-    (line buffered) in append mode, so every record is flushed as one
-    atomic append — multiple sweep workers may stream into the same path
-    without interleaving partial lines.
+    The file is opened lazily on the first write, unbuffered in append
+    mode, and every record goes out as one ``write`` of its whole line
+    (a short write is continued) — multiple sweep workers may stream into
+    the same path without interleaving partial lines.  The line encoder
+    is chosen at open: the C kernel's when it is enabled, else
+    :func:`record_to_json`.
     """
 
     def __init__(
@@ -80,16 +105,38 @@ class JsonlSink:
     ) -> None:
         self.path = Path(path)
         self.run = run
-        self._mode = "a" if append else "w"
+        self._mode = "ab" if append else "wb"
         self._handle = None
+        self._encode: Optional[Callable[..., Optional[bytes]]] = None
+        self._run_part = b"" if run is None else (
+            ',"run":' + json.dumps(_jsonable(run), separators=(",", ":"), sort_keys=True)
+        ).encode()
         self.records_written = 0
+
+    def _open(self) -> None:
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._handle = open(self.path, self._mode, buffering=0)
+        self._mode = "ab"  # reopen after close never truncates
+        self._encode = accel.kernel_function("encode_line")
 
     def write(self, record: TraceRecord) -> None:
         if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = open(self.path, self._mode, buffering=1, encoding="utf-8")
-            self._mode = "a"  # reopen after close never truncates
-        self._handle.write(record_to_json(record, run=self.run) + "\n")
+            self._open()
+        line = None
+        if self._encode is not None:
+            names = record._names
+            layout = _LINE_LAYOUTS.get(names)
+            if layout is None:
+                layout = _line_layout(names)
+            line = self._encode(
+                layout, record._values, record._kind, record._time, self._run_part
+            )
+        if line is None:
+            line = (record_to_json(record, run=self.run) + "\n").encode()
+        written = self._handle.write(line)
+        while written < len(line):
+            line = line[written:]
+            written = self._handle.write(line)
         self.records_written += 1
 
     def close(self) -> None:

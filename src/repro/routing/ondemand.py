@@ -86,9 +86,11 @@ class OnDemandRouting:
         self.routes = RouteTable(config.route_timeout)
         # Hook overridden by LITEWORP: "may this neighbor be used as a hop?"
         self.usable: Callable[[NodeId], bool] = lambda _n: True
-        self._seen_requests: set = set()
-        # Keyed by the request's shared key tuple (see Packet.key).
-        self._reverse: Dict[PacketKey, NodeId] = {}
+        # Every route request seen, keyed by its shared key tuple (see
+        # Packet.key), mapped to the neighbour it came from: the reverse
+        # hop for its reply.  Own (and, at a colluder, tunnelled) requests
+        # map to None.
+        self._seen_requests: Dict[PacketKey, Optional[NodeId]] = {}
         self._pending: Dict[NodeId, _PendingDiscovery] = {}
         self._candidates: Dict[RequestKey, _ReplyCandidates] = {}
         self._copy_counts: Dict[Tuple, int] = {}
@@ -160,7 +162,7 @@ class OnDemandRouting:
             hop_count=0,
             path=(self.node.node_id,),
         )
-        self._seen_requests.add(request.key())
+        self._seen_requests[request.key()] = None
         self.trace.emit(
             self.sim.now,
             "route_request_sent",
@@ -241,8 +243,7 @@ class OnDemandRouting:
             if key in self._copy_counts:
                 self._copy_counts[key] += 1
             return
-        self._seen_requests.add(key)
-        self._reverse[key] = frame.transmitter
+        self._seen_requests[key] = frame.transmitter
         self._forward_request(frame, request)
 
     def _forward_request(self, frame: Frame, request: RouteRequest) -> None:
@@ -338,7 +339,7 @@ class OnDemandRouting:
             )
             self._flush_queue(reply.target)
             return
-        next_hop = self._reverse.get(("REQ", reply.origin, reply.request_id))
+        next_hop = self._seen_requests.get(("REQ", reply.origin, reply.request_id))
         if next_hop is None:
             self._announce_cannot_forward(reply)
             return

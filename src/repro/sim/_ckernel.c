@@ -2717,6 +2717,199 @@ static PyTypeObject GuardType = {
 };
 
 /* ------------------------------------------------------------------ */
+/* Trace line encoder                                                 */
+/* ------------------------------------------------------------------ */
+/* encode_line() builds one line of repro.obs.sinks.JsonlSink's export,
+ * byte for byte what record_to_json(record, run) + "\n" gives:
+ *
+ *   {"fields":{<name>:<value>,...},"kind":<kind><run part>,"time":<time>}
+ *
+ * The layout (one (value index, b'"name":') pair per field, sorted by
+ * name) and the run part (b',"run":<tag>' or b'') are encoded once per
+ * record layout and per sink by the caller.  Values are exact int,
+ * finite float (float.__repr__), str (through json's own
+ * encode_basestring_ascii), bool and None, and exact tuples and lists of
+ * these.  Anything else — sets, dicts, subclasses, NaN/inf, nesting
+ * deeper than LINE_MAX_DEPTH — makes encode_line return None, and the
+ * caller runs record_to_json, which stays the reference. */
+
+#define LINE_MAX_DEPTH 16
+
+typedef struct {
+    char *buf;
+    Py_ssize_t len, cap;
+    char small[512];
+} LineBuf;
+
+static PyObject *encode_ascii = NULL;   /* json.encoder.encode_basestring_ascii */
+
+/* Each helper returns 1 when it encoded, 0 for a value it does not
+ * handle and -1 with an exception set. */
+static int
+lb_put(LineBuf *b, const char *s, Py_ssize_t n)
+{
+    if (b->len + n > b->cap) {
+        Py_ssize_t cap = b->cap;
+        while (b->len + n > cap)
+            cap *= 2;
+        char *grown = b->buf == b->small ? PyMem_Malloc(cap)
+                                         : PyMem_Realloc(b->buf, cap);
+        if (!grown) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        if (b->buf == b->small)
+            memcpy(grown, b->small, b->len);
+        b->buf = grown;
+        b->cap = cap;
+    }
+    memcpy(b->buf + b->len, s, n);
+    b->len += n;
+    return 1;
+}
+
+static int
+lb_put_ascii(LineBuf *b, PyObject *text)
+{
+    if (!text)
+        return -1;
+    Py_ssize_t n;
+    const char *s = PyUnicode_AsUTF8AndSize(text, &n);
+    int ok = s ? lb_put(b, s, n) : -1;
+    Py_DECREF(text);
+    return ok;
+}
+
+static int
+lb_put_bytes(LineBuf *b, PyObject *bytes)
+{
+    if (!PyBytes_Check(bytes)) {
+        PyErr_SetString(PyExc_TypeError, "encode_line expects bytes parts");
+        return -1;
+    }
+    return lb_put(b, PyBytes_AS_STRING(bytes), PyBytes_GET_SIZE(bytes));
+}
+
+static int
+enc_value(LineBuf *b, PyObject *v, int depth)
+{
+    if (v == Py_None)
+        return lb_put(b, "null", 4);
+    if (v == Py_True)
+        return lb_put(b, "true", 4);
+    if (v == Py_False)
+        return lb_put(b, "false", 5);
+    if (PyLong_CheckExact(v)) {
+        int overflow;
+        long long x = PyLong_AsLongLongAndOverflow(v, &overflow);
+        if (overflow)
+            return lb_put_ascii(b, PyObject_Repr(v));
+        char digits[24];
+        return lb_put(b, digits, snprintf(digits, sizeof digits, "%lld", x));
+    }
+    if (PyFloat_CheckExact(v)) {
+        double x = PyFloat_AS_DOUBLE(v);
+        if (!isfinite(x))
+            return 0;
+        char *repr = PyOS_double_to_string(x, 'r', 0, Py_DTSF_ADD_DOT_0, NULL);
+        if (!repr)
+            return -1;
+        int ok = lb_put(b, repr, (Py_ssize_t)strlen(repr));
+        PyMem_Free(repr);
+        return ok;
+    }
+    if (PyUnicode_CheckExact(v))
+        return lb_put_ascii(b, PyObject_CallOneArg(encode_ascii, v));
+    int is_list = PyList_CheckExact(v);
+    if (!is_list && !PyTuple_CheckExact(v))
+        return 0;
+    if (depth >= LINE_MAX_DEPTH)
+        return 0;
+    if (lb_put(b, "[", 1) < 0)
+        return -1;
+    for (Py_ssize_t i = 0; i < Py_SIZE(v); i++) {
+        PyObject *item = is_list ? PyList_GET_ITEM(v, i) : PyTuple_GET_ITEM(v, i);
+        int ok = i ? lb_put(b, ",", 1) : 1;
+        if (ok > 0)
+            ok = enc_value(b, item, depth + 1);
+        if (ok <= 0)
+            return ok;
+    }
+    return lb_put(b, "]", 1);
+}
+
+static int
+enc_line(LineBuf *b, PyObject *layout, PyObject *values, PyObject *kind,
+         PyObject *time, PyObject *run)
+{
+    if (!PyTuple_Check(layout) || !PyTuple_Check(values)) {
+        PyErr_SetString(PyExc_TypeError, "encode_line expects tuples");
+        return -1;
+    }
+    if (!PyUnicode_CheckExact(kind) ||
+        !(PyFloat_CheckExact(time) || PyLong_CheckExact(time)))
+        return 0;
+    int ok = lb_put(b, "{\"fields\":{", 11);
+    for (Py_ssize_t i = 0; ok > 0 && i < PyTuple_GET_SIZE(layout); i++) {
+        PyObject *pair = PyTuple_GET_ITEM(layout, i);
+        Py_ssize_t index = PyTuple_Check(pair) && PyTuple_GET_SIZE(pair) == 2
+                               ? PyLong_AsSsize_t(PyTuple_GET_ITEM(pair, 0))
+                               : -1;
+        if (index < 0 || index >= PyTuple_GET_SIZE(values)) {
+            if (!PyErr_Occurred())
+                PyErr_SetString(PyExc_ValueError, "encode_line: bad layout");
+            return -1;
+        }
+        if (i && lb_put(b, ",", 1) < 0)
+            return -1;
+        ok = lb_put_bytes(b, PyTuple_GET_ITEM(pair, 1));
+        if (ok > 0)
+            ok = enc_value(b, PyTuple_GET_ITEM(values, index), 0);
+    }
+    if (ok > 0)
+        ok = lb_put(b, "},\"kind\":", 9);
+    if (ok > 0)
+        ok = enc_value(b, kind, 0);
+    if (ok > 0)
+        ok = lb_put_bytes(b, run);
+    if (ok > 0)
+        ok = lb_put(b, ",\"time\":", 8);
+    if (ok > 0)
+        ok = enc_value(b, time, 0);
+    if (ok > 0)
+        ok = lb_put(b, "}\n", 2);
+    return ok;
+}
+
+static PyObject *
+encode_line(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 5) {
+        PyErr_SetString(PyExc_TypeError,
+                        "encode_line(layout, values, kind, time, run)");
+        return NULL;
+    }
+    if (!encode_ascii) {
+        PyObject *json_encoder = PyImport_ImportModule("json.encoder");
+        if (!json_encoder)
+            return NULL;
+        encode_ascii = PyObject_GetAttrString(json_encoder,
+                                              "encode_basestring_ascii");
+        Py_DECREF(json_encoder);
+        if (!encode_ascii)
+            return NULL;
+    }
+    LineBuf b = {.len = 0, .cap = sizeof b.small};
+    b.buf = b.small;
+    int ok = enc_line(&b, args[0], args[1], args[2], args[3], args[4]);
+    PyObject *line = ok > 0 ? PyBytes_FromStringAndSize(b.buf, b.len)
+                   : ok == 0 ? Py_NewRef(Py_None) : NULL;
+    if (b.buf != b.small)
+        PyMem_Free(b.buf);
+    return line;
+}
+
+/* ------------------------------------------------------------------ */
 /* Module                                                             */
 /* ------------------------------------------------------------------ */
 static PyObject *
@@ -2730,6 +2923,9 @@ set_error_class(PyObject *module, PyObject *cls)
 static PyMethodDef module_methods[] = {
     {"_set_error_class", set_error_class, METH_O,
      "Install the SimulationError class raised for scheduler misuse."},
+    {"encode_line", (PyCFunction)encode_line, METH_FASTCALL,
+     "encode_line(layout, values, kind, time, run) -> one JSONL line as "
+     "bytes, or None when a value needs the reference encoder."},
     {NULL}
 };
 

@@ -200,6 +200,16 @@ def kernel_type(sim, name: str):
     return None
 
 
+def kernel_function(name: str):
+    """The C kernel's module-level function ``name`` when accelerated
+    paths are enabled (:func:`enabled`), else None (the caller then runs
+    its reference path).  The trace sink's line encoder is chosen here."""
+    if not enabled():
+        return None
+    module = _load()
+    return getattr(module, name) if module is not None else None
+
+
 def medium_type(sim):
     """The channel's C ``Medium`` for ``sim``, or None (see :func:`kernel_type`)."""
     return kernel_type(sim, "Medium")

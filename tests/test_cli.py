@@ -261,3 +261,72 @@ def test_chaos_parser_defaults():
     assert args.seed == 9
     assert args.crash_fraction == 0.2
     assert args.loss == 0.10
+
+
+@pytest.mark.parametrize("argv, command", [
+    (["run", "--nodes", "5", "--duration", "-1"], "run"),
+    (["chaos", "--duration", "-1"], "chaos"),
+    (["chaos", "--nodes", "2"], "chaos"),
+    (["chaos", "--crash-fraction", "2"], "chaos"),
+    (["figure", "8", "--nodes", "2"], "figure"),
+    (["trace", "export", "--out", "unused.jsonl", "--ring", "0"], "trace"),
+    (["report", "--live", "--duration", "0"], "report"),
+])
+def test_invalid_config_is_one_error_line_and_exit_1(argv, command, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"repro {command}: error: ")
+
+
+def test_run_time_value_error_is_not_swallowed(monkeypatch):
+    """Only config construction is guarded: a ValueError from the run
+    itself still propagates."""
+    import repro.cli as cli
+
+    def broken_run(config):
+        raise ValueError("raised by the run")
+
+    monkeypatch.setattr(cli, "run_chaos", broken_run)
+    with pytest.raises(ValueError, match="raised by the run"):
+        main(["chaos", "--nodes", "20", "--duration", "60"])
+
+
+class _Captured(Exception):
+    """Raised in place of the chaos run, carrying the config it got."""
+
+
+def _chaos_config(monkeypatch, argv):
+    import repro.cli as cli
+
+    def capture(config):
+        raise _Captured(config)
+
+    monkeypatch.setattr(cli, "run_chaos", capture)
+    with pytest.raises(_Captured) as caught:
+        main(argv)
+    return caught.value.args[0]
+
+
+def test_chaos_time_defaults_follow_duration(monkeypatch):
+    from repro.experiments.chaos import ChaosConfig
+
+    config = _chaos_config(monkeypatch, ["chaos", "--duration", "60"])
+    defaults = ChaosConfig()
+    for name in ("attack_start", "crash_at", "loss_at", "loss_duration", "downtime"):
+        assert getattr(config, name) == getattr(defaults, name) / 4
+
+
+def test_chaos_default_duration_keeps_default_schedule(monkeypatch):
+    from dataclasses import replace
+
+    from repro.experiments.chaos import ChaosConfig
+
+    config = _chaos_config(monkeypatch, ["chaos", "--seed", "1"])
+    assert config == replace(ChaosConfig(seed=1), obs=None)
+
+
+def test_chaos_short_run_completes(capsys):
+    assert main(["chaos", "--nodes", "20", "--duration", "60", "--seed", "3"]) == 0
+    assert "wormhole detected" in capsys.readouterr().out
