@@ -26,18 +26,44 @@ transmission.  Otherwise (``REPRO_ACCEL=off``, :func:`accel.reference_mode`,
 no C compiler) :class:`Channel` runs its per-receiver reference path,
 one finish event per reception.  Both give the same deliveries, losses,
 RNG draws, trace records and hook order.
+
+The medium also takes the Python glue out of each reception, under one
+wrapper rule: it enters a body itself only while the class still holds
+the function it replaces, and otherwise calls the method as the
+reference path does, so a wrapper installed on the class (the layer
+tracer of ``benchmarks/e2e`` installs them) sees every call.
+
+- **Delivery.** A node attached with ``Node.deliver`` as its handler
+  (:data:`repro.net.node.NODE_DELIVER`, on a class that has not replaced
+  it) has that method's body run by the medium: the ``alive`` check,
+  ``frames_received``, the observers, the filters (a False verdict counts
+  in ``frames_rejected`` and stops), then the listeners, on the node's own
+  lists.  Any other handler, a wrapped ``Node.deliver`` included, is
+  called.
+- **Loss records.** While ``type(trace).emit`` is ``TraceLog.emit``
+  (:data:`repro.sim.trace.TRACE_EMIT`), the medium builds each
+  ``rx_lost`` record itself, with the field names and values
+  ``emit(now, "rx_lost", receiver=..., collided=..., **frame.describe())``
+  would give them, reading the frame's slots and the packet's cached key,
+  and hands it to ``TraceLog._publish``, the method ``emit`` ends in.
+  Otherwise it calls ``emit``.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.net.packet import Frame, NodeId
+from repro.net.packet import Frame, NodeId, Packet
 from repro.net.radio import UnitDiskRadio
 from repro.sim import accel
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import TraceLog
+from repro.sim.trace import _LAYOUTS, TRACE_EMIT, TraceLog, TraceRecord
+
+#: An ``rx_lost`` record's field names, in the order the reference path
+#: emits them, interned as ``TraceRecord`` interns every layout.
+RX_LOST_NAMES = ("receiver", "collided", "packet", "tx", "dst", "prev")
+RX_LOST_NAMES = _LAYOUTS.setdefault(RX_LOST_NAMES, RX_LOST_NAMES)
 
 
 class Reception:
@@ -143,10 +169,14 @@ class Channel:
         self._medium = None
         medium_type = accel.medium_type(sim)
         if medium_type is not None:
+            records = {} if trace is None else {
+                "records": (TRACE_EMIT, TraceRecord, RX_LOST_NAMES, Frame, Packet)
+            }
             self._medium = medium_type(
                 sim, radio.coverage_with_distance, self._rng.random, trace,
                 self._capture_ratio, self._ambient_loss,
                 self._tx_observers, self._reception_observers, Reception,
+                **records,
             )
             # Carrier sense is the MAC's per-attempt query: bind it to the
             # medium directly instead of going through a Python frame.
@@ -164,10 +194,13 @@ class Channel:
     # Wiring
     # ------------------------------------------------------------------
     def attach(self, node: NodeId, handler: Callable[[Frame], None]) -> None:
-        """Register the frame-delivery handler for ``node``."""
+        """Register the frame-delivery handler for ``node``.
+
+        On the C medium a ``Node.deliver`` handler is not called: the
+        medium runs its body on the node's lists (module docstring)."""
         self._delivery_handlers[node] = handler
         if self._medium is not None:
-            self._medium.attach(node, handler)
+            self._medium.attach(node, handler, _pipeline_owner(handler))
 
     def set_deaf(self, node: NodeId, deaf: bool) -> None:
         """Switch ``node``'s radio off (crashed / depleted) or back on.
@@ -389,3 +422,15 @@ class Channel:
             handler(reception.frame)
         if outcome is not None:
             outcome(True)
+
+
+def _pipeline_owner(handler: Callable[[Frame], None]) -> Optional[object]:
+    """The node whose pipeline the medium may run in place of ``handler``:
+    ``handler.__self__`` when ``handler`` is the reference
+    ``Node.deliver`` bound to a node whose class still has it, else None."""
+    from repro.net.node import NODE_DELIVER  # repro.net.node imports this module
+
+    owner = getattr(handler, "__self__", None)
+    if getattr(handler, "__func__", None) is NODE_DELIVER and type(owner).deliver is NODE_DELIVER:
+        return owner
+    return None

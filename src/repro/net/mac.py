@@ -9,10 +9,16 @@ to carrier sensing with binary-exponential backoff.
 The MAC gives up on a frame after ``max_attempts`` busy senses and reports
 it via a trace record — such losses count toward the natural-loss budget of
 the experiments.
+
+Every jitter and backoff delay is drawn as ``w * rng.random()``: for a
+window ``w >= 0`` that is bit for bit ``rng.uniform(0.0, w)`` (which
+computes ``0.0 + (w - 0.0) * random()``) from the same single draw,
+without ``uniform``'s Python frame.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -114,7 +120,7 @@ class CsmaMac:
         effective = self._config.default_jitter if jitter is None else jitter
         if not self._busy:
             self._busy = True
-            delay = self._rng.uniform(0.0, effective) if effective > 0 else 0.0
+            delay = effective * self._rng.random() if effective > 0 else 0.0
             self._sim.schedule(delay, self._attempt, 0)
 
     def _attempt(self, attempt: int) -> None:
@@ -132,7 +138,7 @@ class CsmaMac:
                 self._next_frame()
                 return
             window = self._config.base_backoff * (2 ** attempt)
-            self._sim.schedule(self._rng.uniform(0.0, window), self._attempt, attempt + 1)
+            self._sim.schedule(window * self._rng.random(), self._attempt, attempt + 1)
             return
         frame, tx_range, tries = self._queue.popleft()
         if frame.link_dst is not None and self._config.arq_retries > 0:
@@ -140,9 +146,7 @@ class CsmaMac:
                 self._node,
                 frame,
                 tx_range=tx_range,
-                on_unicast_outcome=lambda ok, f=frame, r=tx_range, t=tries: self._arq_outcome(
-                    ok, f, r, t
-                ),
+                on_unicast_outcome=functools.partial(self._arq_outcome, frame, tx_range, tries),
             )
             self.sent += 1
             return
@@ -150,16 +154,14 @@ class CsmaMac:
         self.sent += 1
         self._sim.schedule(duration, self._next_frame)
 
-    def _arq_outcome(self, delivered: bool, frame: Frame, tx_range: Optional[float], tries: int) -> None:
+    def _arq_outcome(self, frame: Frame, tx_range: Optional[float], tries: int, delivered: bool) -> None:
         if not self.enabled:
             self._busy = False
             return
         if not delivered and tries < self._config.arq_retries:
             # Retransmit ahead of anything queued later, after a short backoff.
             self._queue.appendleft((frame, tx_range, tries + 1))
-            self._sim.schedule(
-                self._rng.uniform(0.0, self._config.base_backoff), self._attempt, 0
-            )
+            self._sim.schedule(self._config.base_backoff * self._rng.random(), self._attempt, 0)
             return
         if not delivered:
             self.arq_failures += 1
@@ -171,6 +173,6 @@ class CsmaMac:
 
     def _next_frame(self) -> None:
         if self._queue:
-            self._sim.schedule(self._rng.uniform(0.0, self._config.base_backoff), self._attempt, 0)
+            self._sim.schedule(self._config.base_backoff * self._rng.random(), self._attempt, 0)
         else:
             self._busy = False

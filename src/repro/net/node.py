@@ -15,6 +15,16 @@ through a two-stage pipeline:
 **Observers** run on every frame before filtering, so a rejected frame is
 still *observable* (the relay attacker and the RTT and SND defenses tap
 frames here).
+
+:meth:`Node.deliver` is the reference body of that pipeline.  On the C
+kernel's simulator the channel's ``Medium`` runs the same steps itself,
+in the same order, on the node's own (shared) observer, filter and
+listener lists, so a reception costs no Python frame of its own.  It does
+so only while the handler the channel was given is ``Node.deliver`` as
+defined here (:data:`NODE_DELIVER`) and the node's class still has it: a
+subclass's override, or a wrapper installed on ``Node.deliver`` before
+the network is wired, is called as the handler for every reception (see
+:meth:`repro.net.channel.Channel.attach`).
 """
 
 from __future__ import annotations
@@ -109,7 +119,8 @@ class Node:
     # Receive path (channel delivery handler)
     # ------------------------------------------------------------------
     def deliver(self, frame: Frame) -> None:
-        """Entry point registered with the channel."""
+        """Entry point registered with the channel (the C medium runs this
+        body itself for a node wired with it, see the module docstring)."""
         if not self.alive:
             return
         self.frames_received += 1
@@ -133,8 +144,7 @@ class Node:
         tx_range: Optional[float] = None,
     ) -> bool:
         """Broadcast ``packet``; returns False if a send filter vetoed it."""
-        frame = Frame(packet=packet, transmitter=self.node_id, link_dst=None, prev_hop=prev_hop)
-        return self._submit(frame, jitter, tx_range)
+        return self._submit(Frame(packet, self.node_id, None, prev_hop), jitter, tx_range)
 
     def unicast(
         self,
@@ -145,10 +155,7 @@ class Node:
         tx_range: Optional[float] = None,
     ) -> bool:
         """Send ``packet`` to ``next_hop``; still overheard by all in range."""
-        frame = Frame(
-            packet=packet, transmitter=self.node_id, link_dst=next_hop, prev_hop=prev_hop
-        )
-        return self._submit(frame, jitter, tx_range)
+        return self._submit(Frame(packet, self.node_id, next_hop, prev_hop), jitter, tx_range)
 
     def raw_send(self, frame: Frame, jitter: Optional[float] = None, tx_range: Optional[float] = None) -> bool:
         """Transmit an arbitrary pre-built frame (attack code uses this to
@@ -166,3 +173,9 @@ class Node:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Node {self.node_id} @ ({self.position[0]:.1f}, {self.position[1]:.1f})>"
+
+
+#: The receive pipeline's reference body.  The channel compares handlers
+#: against this function, not against whatever ``Node.deliver`` is at
+#: wiring time, so a wrapper installed on the class is never bypassed.
+NODE_DELIVER = Node.deliver

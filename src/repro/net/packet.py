@@ -51,7 +51,7 @@ class Packet:
         key = self._key
         if key is None:
             key = self._make_key()
-            object.__setattr__(self, "_key", key)
+            _set_key(self, key)
         return key
 
     def _make_key(self) -> Tuple[Any, ...]:
@@ -143,6 +143,22 @@ class RouteRequest(Packet):
     hop_count: int = 0
     path: Tuple[NodeId, ...] = ()
 
+    def __init__(
+        self,
+        origin: NodeId = 0,
+        request_id: int = 0,
+        target: NodeId = 0,
+        hop_count: int = 0,
+        path: Tuple[NodeId, ...] = (),
+    ) -> None:
+        _set_uid(self, next(_packet_uids))
+        _set_key(self, None)
+        _set_req_origin(self, origin)
+        _set_req_request_id(self, request_id)
+        _set_req_target(self, target)
+        _set_req_hop_count(self, hop_count)
+        _set_req_path(self, path)
+
     def _make_key(self) -> Tuple[Any, ...]:
         return ("REQ", self.origin, self.request_id)
 
@@ -158,13 +174,9 @@ class RouteRequest(Packet):
         """Copy of the request as rebroadcast by ``node`` (one more hop),
         sharing this request's key tuple."""
         copy = RouteRequest(
-            origin=self.origin,
-            request_id=self.request_id,
-            target=self.target,
-            hop_count=self.hop_count + 1,
-            path=self.path + (node,),
+            self.origin, self.request_id, self.target, self.hop_count + 1, self.path + (node,)
         )
-        object.__setattr__(copy, "_key", self.key())
+        _set_key(copy, self.key())
         return copy
 
 
@@ -182,6 +194,22 @@ class RouteReply(Packet):
     target: NodeId = 0
     hop_count: int = 0
     path: Tuple[NodeId, ...] = ()
+
+    def __init__(
+        self,
+        origin: NodeId = 0,
+        request_id: int = 0,
+        target: NodeId = 0,
+        hop_count: int = 0,
+        path: Tuple[NodeId, ...] = (),
+    ) -> None:
+        _set_uid(self, next(_packet_uids))
+        _set_key(self, None)
+        _set_rep_origin(self, origin)
+        _set_rep_request_id(self, request_id)
+        _set_rep_target(self, target)
+        _set_rep_hop_count(self, hop_count)
+        _set_rep_path(self, path)
 
     def _make_key(self) -> Tuple[Any, ...]:
         return ("REP", self.origin, self.request_id)
@@ -204,6 +232,22 @@ class DataPacket(Packet):
     flow_id: int = 0
     sequence: int = 0
     payload_size: int = 64
+
+    def __init__(
+        self,
+        origin: NodeId = 0,
+        destination: NodeId = 0,
+        flow_id: int = 0,
+        sequence: int = 0,
+        payload_size: int = 64,
+    ) -> None:
+        _set_uid(self, next(_packet_uids))
+        _set_key(self, None)
+        _set_data_origin(self, origin)
+        _set_data_destination(self, destination)
+        _set_data_flow_id(self, flow_id)
+        _set_data_sequence(self, sequence)
+        _set_data_payload_size(self, payload_size)
 
     def _make_key(self) -> Tuple[Any, ...]:
         return ("DATA", self.origin, self.flow_id, self.sequence)
@@ -470,6 +514,20 @@ class Frame:
     prev_hop: Optional[NodeId] = None
     leash: Optional[Any] = None
 
+    def __init__(
+        self,
+        packet: Packet,
+        transmitter: NodeId,
+        link_dst: Optional[NodeId] = None,
+        prev_hop: Optional[NodeId] = None,
+        leash: Optional[Any] = None,
+    ) -> None:
+        _set_frame_packet(self, packet)
+        _set_frame_transmitter(self, transmitter)
+        _set_frame_link_dst(self, link_dst)
+        _set_frame_prev_hop(self, prev_hop)
+        _set_frame_leash(self, leash)
+
     @property
     def is_broadcast(self) -> bool:
         """Whether the frame has no specific link-layer destination."""
@@ -489,3 +547,27 @@ class Frame:
             "dst": self.link_dst,
             "prev": self.prev_hop,
         }
+
+
+def _slot_setters(cls: type, *names: str) -> Tuple[Any, ...]:
+    """The ``__set__`` of each named slot's member descriptor on ``cls``
+    (the hand-written ``__init__``s above write through these, which a
+    frozen dataclass's ``__setattr__`` does not intercept)."""
+    return tuple(cls.__dict__[name].__set__ for name in names)
+
+
+_set_uid, _set_key = _slot_setters(Packet, "uid", "_key")
+(
+    _set_req_origin, _set_req_request_id, _set_req_target, _set_req_hop_count, _set_req_path,
+) = _slot_setters(RouteRequest, "origin", "request_id", "target", "hop_count", "path")
+(
+    _set_rep_origin, _set_rep_request_id, _set_rep_target, _set_rep_hop_count, _set_rep_path,
+) = _slot_setters(RouteReply, "origin", "request_id", "target", "hop_count", "path")
+(
+    _set_data_origin, _set_data_destination, _set_data_flow_id, _set_data_sequence,
+    _set_data_payload_size,
+) = _slot_setters(DataPacket, "origin", "destination", "flow_id", "sequence", "payload_size")
+(
+    _set_frame_packet, _set_frame_transmitter, _set_frame_link_dst, _set_frame_prev_hop,
+    _set_frame_leash,
+) = _slot_setters(Frame, "packet", "transmitter", "link_dst", "prev_hop", "leash")

@@ -96,6 +96,9 @@ class OnDemandRouting:
         self._copy_counts: Dict[Tuple, int] = {}
         self._request_counter = 0
         self._sequence_counter = 0
+        # Whether on_frame may drop a duplicate request itself: only while
+        # _on_request is this class's (attack agents override it).
+        self._dedup_first = type(self)._on_request is OnDemandRouting._on_request
         node.add_listener(self.on_frame)
 
     # ------------------------------------------------------------------
@@ -218,8 +221,23 @@ class OnDemandRouting:
     # Frame dispatch
     # ------------------------------------------------------------------
     def on_frame(self, frame: Frame) -> None:
-        """Listener entry point: accepted frames, addressed or overheard."""
+        """Listener entry point: accepted frames, addressed or overheard.
+
+        Most route requests a node hears are copies of a flood it already
+        joined.  While ``_on_request`` is this class's own, such a copy
+        (its cached key already seen, its target another node) only bumps
+        its suppression counter, so that is done here, before the
+        dispatch.  A node's own request is in ``_seen_requests`` too but
+        never in ``_copy_counts``, so an echo of it changes nothing.
+        """
         packet = frame.packet
+        if packet.__class__ is RouteRequest and self._dedup_first:
+            key = packet._key
+            if key is not None and key in self._seen_requests and packet.target != self.node.node_id:
+                counts = self._copy_counts
+                if key in counts:
+                    counts[key] += 1
+                return
         if isinstance(packet, RouteRequest):
             self._on_request(frame, packet)
         elif isinstance(packet, RouteReply):
@@ -263,7 +281,8 @@ class OnDemandRouting:
         key = request.key()
         self._copy_counts[key] = 0
         self.sim.schedule(
-            self.rng.uniform(0.0, self.config.forward_jitter),
+            # Bit for bit rng.uniform(0.0, forward_jitter), one draw.
+            self.config.forward_jitter * self.rng.random(),
             self._forward_decision,
             frame.transmitter,
             request,

@@ -957,7 +957,77 @@ static PyTypeObject SimType = {
  * it finishes unlinks what it still holds. */
 
 static PyObject *str_link_dst, *str_describe, *str_emit, *str_rx_lost,
-    *str_receiver, *str_collided, *str_lost, *str_on_outcome;
+    *str_receiver, *str_collided, *str_lost, *str_on_outcome, *str_packet,
+    *str_transmitter, *str_prev_hop, *str_key, *str_dkey, *str_publish,
+    *str_alive, *str_frames_received, *str_frames_rejected, *str_observers,
+    *str_filters, *str_listeners, *str_rtime, *str_rkind, *str_rnames,
+    *str_rvalues;
+
+/* Frame slots read by offset. */
+enum { F_PACKET, F_TRANSMITTER, F_LINK_DST, F_PREV_HOP, F_COUNT };
+static PyObject **frame_names[F_COUNT] = {&str_packet, &str_transmitter,
+                                          &str_link_dst, &str_prev_hop};
+/* A Node's pipeline lists, in Node.deliver's order. */
+static PyObject **pipe_names[3] = {&str_observers, &str_filters,
+                                   &str_listeners};
+enum { P_NODE, P_OBSERVERS, P_FILTERS, P_LISTENERS, P_COUNT };
+/* TraceRecord's slots. */
+static PyObject **record_names[4] = {&str_rtime, &str_rkind, &str_rnames,
+                                     &str_rvalues};
+
+/* Offset of `cls`'s object slot `name`, or -1. */
+static Py_ssize_t
+slot_offset(PyTypeObject *cls, PyObject *name)
+{
+    PyObject *descr = _PyType_Lookup(cls, name);
+    if (descr && Py_IS_TYPE(descr, &PyMemberDescr_Type)) {
+        PyMemberDef *def = ((PyMemberDescrObject *)descr)->d_member;
+        if (def->type == T_OBJECT_EX)
+            return def->offset;
+    }
+    return -1;
+}
+
+/* obj.name as a new reference, from the slot at `offset` when >= 0. */
+static inline PyObject *
+slot_get(PyObject *obj, Py_ssize_t offset, PyObject *name)
+{
+    if (offset >= 0) {
+        PyObject *value = *(PyObject **)((char *)obj + offset);
+        if (value)
+            return Py_NewRef(value);
+    }
+    /* Generic lookup; it also raises AttributeError for an unset slot. */
+    return PyObject_GetAttr(obj, name);
+}
+
+/* 0 for a call's result (dropped), -1 for its failure. */
+static int
+discard(PyObject *r)
+{
+    if (!r)
+        return -1;
+    Py_DECREF(r);
+    return 0;
+}
+
+/* obj.name += 1 */
+static int
+increment(PyObject *obj, PyObject *name)
+{
+    PyObject *value = PyObject_GetAttr(obj, name);
+    if (!value)
+        return -1;
+    PyObject *one = PyLong_FromLong(1);
+    PyObject *sum = one ? PyNumber_Add(value, one) : NULL;
+    Py_DECREF(value);
+    Py_XDECREF(one);
+    if (!sum)
+        return -1;
+    int rc = PyObject_SetAttr(obj, name, sum);
+    Py_DECREF(sum);
+    return rc;
+}
 
 typedef struct Rx Rx;
 struct Rx {
@@ -975,6 +1045,9 @@ typedef struct {
 typedef struct {
     PyObject *id;           /* node id */
     PyObject *handler;      /* delivery handler; NULL while detached */
+    /* The Node whose deliver body the medium runs and its pipeline
+     * lists, or all NULL to call `handler`. */
+    PyObject *pipe[P_COUNT];
     PyObject *loss;         /* loss handler or NULL */
     PyObject *cov_key;      /* the coverage sequence `cov` was built from */
     CovItem *cov;
@@ -995,6 +1068,12 @@ typedef struct {
     PyObject *tx_observers; /* Channel's lists, shared so additions apply */
     PyObject *rx_observers;
     PyObject *reception_cls;
+    /* rx_lost records are built here while trace's emit is `emit`;
+     * NULL when there is no trace. */
+    PyObject *emit, *record_cls, *rx_lost_names;
+    PyTypeObject *frame_cls, *packet_cls;
+    PyObject *describe, *key;   /* Frame.describe, Packet.key */
+    Py_ssize_t frame_off[F_COUNT], key_off, record_off[4];
     PyObject *index;        /* node id -> slot */
     Slot *slots;            /* freed only in dealloc: batches point in */
     Py_ssize_t nslots, cap_slots;
@@ -1292,10 +1371,70 @@ make_reception(MediumObj *m, BatchObj *b, Rx *rx, PyObject *outcome)
     return rec;
 }
 
+/* The rx_lost record's values, in the order of emit(now, "rx_lost",
+ * receiver=..., collided=..., **frame.describe()); NULL with no error
+ * set when the frame is not a plain Frame with Frame.describe. */
+static PyObject *
+rx_lost_values(MediumObj *m, PyObject *frame, PyObject *receiver, Rx *rx)
+{
+    if (Py_TYPE(frame) != m->frame_cls ||
+        _PyType_Lookup(m->frame_cls, str_describe) != m->describe)
+        return NULL;
+    PyObject *packet = slot_get(frame, m->frame_off[F_PACKET], str_packet);
+    if (!packet)
+        return NULL;
+    /* packet.key(), from the cached slot while key() is Packet's. */
+    PyTypeObject *cls = Py_TYPE(packet);
+    PyObject *key = NULL;
+    if (m->key_off >= 0 && _PyType_Lookup(cls, str_key) == m->key &&
+        PyType_IsSubtype(cls, m->packet_cls))
+        key = *(PyObject **)((char *)packet + m->key_off);
+    key = key && key != Py_None ? Py_NewRef(key)
+                                : PyObject_CallMethodNoArgs(packet, str_key);
+    Py_DECREF(packet);
+    PyObject *values = key ? PyTuple_New(6) : NULL;
+    if (!values) {
+        Py_XDECREF(key);
+        return NULL;
+    }
+    PyTuple_SET_ITEM(values, 0, Py_NewRef(receiver));
+    PyTuple_SET_ITEM(values, 1, Py_NewRef(rx->collided ? Py_True : Py_False));
+    PyTuple_SET_ITEM(values, 2, key);
+    for (int f = F_TRANSMITTER; f < F_COUNT; f++) {
+        PyObject *v = slot_get(frame, m->frame_off[f], *frame_names[f]);
+        if (!v) {
+            Py_DECREF(values);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(values, f + 2, v);
+    }
+    return values;
+}
+
 static int
 emit_rx_lost(MediumObj *m, BatchObj *b, PyObject *receiver, Rx *rx,
              PyObject *now)
 {
+    if (m->emit && _PyType_Lookup(Py_TYPE(m->trace), str_emit) == m->emit) {
+        PyObject *values = rx_lost_values(m, b->frame, receiver, rx);
+        if (values) {
+            PyTypeObject *cls = (PyTypeObject *)m->record_cls;
+            PyObject *rec = cls->tp_alloc(cls, 0);
+            if (!rec) {
+                Py_DECREF(values);
+                return -1;
+            }
+            PyObject *parts[4] = {now, str_rx_lost, m->rx_lost_names, values};
+            for (int i = 0; i < 4; i++)
+                *(PyObject **)((char *)rec + m->record_off[i]) = Py_NewRef(parts[i]);
+            Py_DECREF(values);
+            int rc = discard(PyObject_CallMethodOneArg(m->trace, str_publish, rec));
+            Py_DECREF(rec);
+            return rc;
+        }
+        if (PyErr_Occurred())
+            return -1;
+    }
     PyObject *emit = PyObject_GetAttr(m->trace, str_emit);
     if (!emit)
         return -1;
@@ -1321,6 +1460,61 @@ done:
         return -1;
     Py_DECREF(r);
     return 0;
+}
+
+/* Node.deliver's body: the alive check, the count, the observers, the
+ * filters (a False verdict counts a rejection and stops), the listeners.
+ * The lists are the node's own, read by index as a for loop reads them,
+ * so a hook added during delivery runs as it would there. */
+static int
+run_pipeline(PyObject *const *pipe, PyObject *frame)
+{
+    PyObject *node = pipe[P_NODE];
+    PyObject *alive = PyObject_GetAttr(node, str_alive);
+    if (!alive)
+        return -1;
+    int rc = PyObject_IsTrue(alive);
+    Py_DECREF(alive);
+    if (rc <= 0)
+        return rc;
+    if (increment(node, str_frames_received) < 0)
+        return -1;
+    PyObject *observers = pipe[P_OBSERVERS], *filters = pipe[P_FILTERS],
+        *listeners = pipe[P_LISTENERS];
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(observers); i++)
+        if (call_one(PyList_GET_ITEM(observers, i), frame) < 0)
+            return -1;
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(filters); i++) {
+        PyObject *check = Py_NewRef(PyList_GET_ITEM(filters, i));
+        PyObject *r = PyObject_CallOneArg(check, frame);
+        Py_DECREF(check);
+        if (!r)
+            return -1;
+        int pass = PyObject_IsTrue(r);
+        Py_DECREF(r);
+        if (pass <= 0)
+            return pass < 0 ? -1 : increment(node, str_frames_rejected);
+    }
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(listeners); i++)
+        if (call_one(PyList_GET_ITEM(listeners, i), frame) < 0)
+            return -1;
+    return 0;
+}
+
+/* Hand a decodable frame to its receiver: the node's pipeline, or the
+ * handler.  References are taken first: callbacks may grow the slots. */
+static int
+medium_deliver(Slot *s, PyObject *frame)
+{
+    if (!s->pipe[P_NODE])
+        return s->handler ? call_one(s->handler, frame) : 0;
+    PyObject *pipe[P_COUNT];
+    for (int p = 0; p < P_COUNT; p++)
+        pipe[p] = Py_NewRef(s->pipe[p]);
+    int rc = run_pipeline(pipe, frame);
+    for (int p = 0; p < P_COUNT; p++)
+        Py_DECREF(pipe[p]);
+    return rc;
 }
 
 /* Finish one (already unlinked) reception: observers, then the loss
@@ -1355,8 +1549,7 @@ finish_rx(MediumObj *m, BatchObj *b, Rx *rx, PyObject *now)
             return -1;
         return outcome ? call_one(outcome, Py_False) : 0;
     }
-    PyObject *handler = m->slots[rx->slot].handler;
-    if (handler && call_one(handler, b->frame) < 0)
+    if (medium_deliver(&m->slots[rx->slot], b->frame) < 0)
         return -1;
     return outcome ? call_one(outcome, Py_True) : 0;
 }
@@ -1404,17 +1597,31 @@ Medium_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"sim", "coverage", "random", "trace",
                              "capture_ratio", "ambient_loss", "tx_observers",
-                             "rx_observers", "reception_cls", NULL};
+                             "rx_observers", "reception_cls", "records", NULL};
     PyObject *sim, *coverage, *random, *trace, *tx_observers, *rx_observers,
-        *reception_cls;
+        *reception_cls, *emit = NULL, *record_cls = NULL, *names = NULL,
+        *frame_cls = NULL, *packet_cls = NULL;
     double capture_ratio, ambient_loss;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O!OOOddO!O!O", kwlist,
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O!OOOddO!O!O|$(OO!O!O!O!)", kwlist,
                                      &SimType, &sim, &coverage, &random,
                                      &trace, &capture_ratio, &ambient_loss,
                                      &PyList_Type, &tx_observers,
                                      &PyList_Type, &rx_observers,
-                                     &reception_cls))
+                                     &reception_cls, &emit,
+                                     &PyType_Type, &record_cls,
+                                     &PyTuple_Type, &names,
+                                     &PyType_Type, &frame_cls,
+                                     &PyType_Type, &packet_cls))
         return NULL;
+    Py_ssize_t record_off[4];
+    if (emit) {
+        for (int i = 0; i < 4; i++)
+            if ((record_off[i] = slot_offset((PyTypeObject *)record_cls,
+                                             *record_names[i])) < 0) {
+                PyErr_SetString(PyExc_TypeError, "record_cls lacks its slots");
+                return NULL;
+            }
+    }
     MediumObj *m = (MediumObj *)type->tp_alloc(type, 0);
     if (!m)
         return NULL;
@@ -1430,6 +1637,19 @@ Medium_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     m->tx_observers = Py_NewRef(tx_observers);
     m->rx_observers = Py_NewRef(rx_observers);
     m->reception_cls = Py_NewRef(reception_cls);
+    if (emit) {
+        m->emit = Py_NewRef(emit);
+        m->record_cls = Py_NewRef(record_cls);
+        m->rx_lost_names = Py_NewRef(names);
+        m->frame_cls = (PyTypeObject *)Py_NewRef(frame_cls);
+        m->packet_cls = (PyTypeObject *)Py_NewRef(packet_cls);
+        m->describe = Py_XNewRef(_PyType_Lookup(m->frame_cls, str_describe));
+        m->key = Py_XNewRef(_PyType_Lookup(m->packet_cls, str_key));
+        m->key_off = slot_offset(m->packet_cls, str_dkey);
+        for (int f = 0; f < F_COUNT; f++)
+            m->frame_off[f] = slot_offset(m->frame_cls, *frame_names[f]);
+        memcpy(m->record_off, record_off, sizeof(record_off));
+    }
     m->capture_ratio = capture_ratio;
     m->ambient_loss = ambient_loss;
     return (PyObject *)m;
@@ -1445,10 +1665,19 @@ Medium_traverse(MediumObj *m, visitproc visit, void *arg)
     Py_VISIT(m->tx_observers);
     Py_VISIT(m->rx_observers);
     Py_VISIT(m->reception_cls);
+    Py_VISIT(m->emit);
+    Py_VISIT(m->record_cls);
+    Py_VISIT(m->rx_lost_names);
+    Py_VISIT(m->frame_cls);
+    Py_VISIT(m->packet_cls);
+    Py_VISIT(m->describe);
+    Py_VISIT(m->key);
     Py_VISIT(m->index);
     for (Py_ssize_t i = 0; i < m->nslots; i++) {
         Py_VISIT(m->slots[i].id);
         Py_VISIT(m->slots[i].handler);
+        for (int p = 0; p < P_COUNT; p++)
+            Py_VISIT(m->slots[i].pipe[p]);
         Py_VISIT(m->slots[i].loss);
         Py_VISIT(m->slots[i].cov_key);
     }
@@ -1467,10 +1696,19 @@ Medium_clear(MediumObj *m)
     Py_CLEAR(m->tx_observers);
     Py_CLEAR(m->rx_observers);
     Py_CLEAR(m->reception_cls);
+    Py_CLEAR(m->emit);
+    Py_CLEAR(m->record_cls);
+    Py_CLEAR(m->rx_lost_names);
+    Py_CLEAR(m->frame_cls);
+    Py_CLEAR(m->packet_cls);
+    Py_CLEAR(m->describe);
+    Py_CLEAR(m->key);
     Py_CLEAR(m->index);
     for (Py_ssize_t i = 0; i < m->nslots; i++) {
         Py_CLEAR(m->slots[i].id);
         Py_CLEAR(m->slots[i].handler);
+        for (int p = 0; p < P_COUNT; p++)
+            Py_CLEAR(m->slots[i].pipe[p]);
         Py_CLEAR(m->slots[i].loss);
         Py_CLEAR(m->slots[i].cov_key);
     }
@@ -1490,17 +1728,39 @@ Medium_dealloc(MediumObj *m)
     Py_TYPE(m)->tp_free((PyObject *)m);
 }
 
+/* attach(node, handler, owner=None).  With an owner (a Node whose
+ * handler is Node.deliver, see Channel.attach) the medium runs the
+ * pipeline on the owner's own lists instead of calling the handler. */
 static PyObject *
 Medium_attach(MediumObj *m, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError, "attach(node, handler)");
+    if (nargs != 2 && nargs != 3) {
+        PyErr_SetString(PyExc_TypeError, "attach(node, handler, owner=None)");
         return NULL;
     }
-    Py_ssize_t s = medium_slot_new(m, args[0]);
+    PyObject *pipe[P_COUNT] = {NULL};
+    Py_ssize_t s = -1;
+    if (nargs == 3 && args[2] != Py_None) {
+        pipe[P_NODE] = Py_NewRef(args[2]);
+        for (int p = P_OBSERVERS; p < P_COUNT; p++)
+            if (!(pipe[p] = PyObject_GetAttr(args[2], *pipe_names[p - 1])) ||
+                !PyList_CheckExact(pipe[p])) {
+                if (pipe[p])
+                    PyErr_SetString(PyExc_TypeError, "pipeline hooks must be lists");
+                goto done;
+            }
+    }
+    if ((s = medium_slot_new(m, args[0])) < 0)
+        goto done;
+    Slot *slot = &m->slots[s];
+    Py_XSETREF(slot->handler, Py_NewRef(args[1]));
+    for (int p = 0; p < P_COUNT; p++)
+        Py_XSETREF(slot->pipe[p], Py_XNewRef(pipe[p]));
+done:
+    for (int p = 0; p < P_COUNT; p++)
+        Py_XDECREF(pipe[p]);
     if (s < 0)
         return NULL;
-    Py_XSETREF(m->slots[s].handler, Py_NewRef(args[1]));
     Py_RETURN_NONE;
 }
 
@@ -1761,7 +2021,7 @@ Medium_get_collisions(MediumObj *m, void *closure)
 
 static PyMethodDef Medium_methods[] = {
     {"attach", (PyCFunction)Medium_attach, METH_FASTCALL,
-     "attach(node, handler): set node's delivery handler."},
+     "attach(node, handler, owner=None): set node's delivery handler."},
     {"set_loss_handler", (PyCFunction)Medium_set_loss_handler, METH_FASTCALL,
      "set_loss_handler(node, handler): notify node of lost receptions."},
     {"set_deaf", (PyCFunction)Medium_set_deaf, METH_FASTCALL,
@@ -1825,21 +2085,14 @@ static PyTypeObject MediumType = {
  * first sight and Packet.key() while a key is not cached.  The watch
  * buffer is the monitor's own dict. */
 
-static PyObject *str_observe, *str_key, *str_dkey, *str_origin,
-    *str_destination, *str_inner_key, *str_cancel, *str_note_watch_size,
+static PyObject *str_observe, *str_origin, *str_destination, *str_inner_key, *str_cancel, *str_note_watch_size,
     *str_accuse, *str_add_expectation, *str_watch_request_forwarders,
     *str_reject, *str_note_frame, *str_last_loss, *str_fabrications_seen,
     *str_suppressed_accusations, *str_status, *str_fabrication,
-    *str_nonneighbor, *str_revoked, *str_secondhop, *str_packet,
-    *str_transmitter, *str_prev_hop;
+    *str_nonneighbor, *str_revoked, *str_secondhop;
 
 /* The same numbering as repro.core.monitor's ROLE_* constants. */
 enum { ROLE_RERR, ROLE_DATA, ROLE_IGNORED, ROLE_REQ, ROLE_REP, ROLE_OTHER };
-
-/* Frame slots read by offset. */
-enum { F_PACKET, F_TRANSMITTER, F_LINK_DST, F_PREV_HOP, F_COUNT };
-static PyObject **frame_names[F_COUNT] = {&str_packet, &str_transmitter,
-                                          &str_link_dst, &str_prev_hop};
 
 typedef struct {
     PyObject *key;          /* packet key; NULL marks an empty cell */
@@ -1891,32 +2144,6 @@ typedef struct {
 } GuardObj;
 
 static PyTypeObject GuardType;
-
-/* Offset of `cls`'s object slot `name`, or -1. */
-static Py_ssize_t
-slot_offset(PyTypeObject *cls, PyObject *name)
-{
-    PyObject *descr = _PyType_Lookup(cls, name);
-    if (descr && Py_IS_TYPE(descr, &PyMemberDescr_Type)) {
-        PyMemberDef *def = ((PyMemberDescrObject *)descr)->d_member;
-        if (def->type == T_OBJECT_EX)
-            return def->offset;
-    }
-    return -1;
-}
-
-/* obj.name as a new reference, from the slot at `offset` when >= 0. */
-static inline PyObject *
-slot_get(PyObject *obj, Py_ssize_t offset, PyObject *name)
-{
-    if (offset >= 0) {
-        PyObject *value = *(PyObject **)((char *)obj + offset);
-        if (value)
-            return Py_NewRef(value);
-    }
-    /* Generic lookup; it also raises AttributeError for an unset slot. */
-    return PyObject_GetAttr(obj, name);
-}
 
 static inline PyObject *
 frame_get(GuardObj *g, PyObject *frame, int field)
@@ -2156,34 +2383,6 @@ status_is(PyObject *record, PyObject *status)
     int eq = PyObject_RichCompareBool(value, status, Py_EQ);
     Py_DECREF(value);
     return eq;
-}
-
-/* 0 for a call's result (dropped), -1 for its failure. */
-static int
-discard(PyObject *r)
-{
-    if (!r)
-        return -1;
-    Py_DECREF(r);
-    return 0;
-}
-
-/* obj.name += 1 */
-static int
-increment(PyObject *obj, PyObject *name)
-{
-    PyObject *value = PyObject_GetAttr(obj, name);
-    if (!value)
-        return -1;
-    PyObject *one = PyLong_FromLong(1);
-    PyObject *sum = one ? PyNumber_Add(value, one) : NULL;
-    Py_DECREF(value);
-    Py_XDECREF(one);
-    if (!sum)
-        return -1;
-    int rc = PyObject_SetAttr(obj, name, sum);
-    Py_DECREF(sum);
-    return rc;
 }
 
 /* expectations.pop((key, node)): cancel the pending deadline, then
@@ -2963,6 +3162,13 @@ PyInit__ckernel(void)
         {&str_nonneighbor, "nonneighbor"}, {&str_revoked, "revoked"},
         {&str_secondhop, "secondhop"}, {&str_packet, "packet"},
         {&str_transmitter, "transmitter"}, {&str_prev_hop, "prev_hop"},
+        {&str_publish, "_publish"}, {&str_alive, "alive"},
+        {&str_frames_received, "frames_received"},
+        {&str_frames_rejected, "frames_rejected"},
+        {&str_observers, "_observers"}, {&str_filters, "_filters"},
+        {&str_listeners, "_listeners"}, {&str_rtime, "_time"},
+        {&str_rkind, "_kind"}, {&str_rnames, "_names"},
+        {&str_rvalues, "_values"},
     };
     for (size_t i = 0; i < sizeof(names) / sizeof(names[0]); i++)
         if (!*names[i].slot &&

@@ -177,7 +177,13 @@ class TraceLog:
 
     def emit(self, time: float, kind: str, **fields: Any) -> TraceRecord:
         """Record a fact and notify validator, sinks, and subscribers."""
-        record = TraceRecord(time, kind, fields)
+        return self._publish(TraceRecord(time, kind, fields))
+
+    def _publish(self, record: TraceRecord) -> TraceRecord:
+        """Validate, store, count and hand on one built record: the one
+        path every record takes.  :meth:`emit` builds its record and calls
+        this; so does the channel's C medium for the ``rx_lost`` records
+        it builds itself while ``emit`` is this class's own."""
         if self._validator is not None:
             self._validator(record)
         self._records.append(record)
@@ -188,8 +194,8 @@ class TraceLog:
             try:
                 sink.write(record)
             except OSError as exc:
-                self._degrade_sink(sink, exc, time)
-        for callback in self._subscribers.get(kind, ()):
+                self._degrade_sink(sink, exc, record._time)
+        for callback in self._subscribers.get(record._kind, ()):
             callback(record)
         return record
 
@@ -219,7 +225,7 @@ class TraceLog:
             f"trace sink {label} failed ({exc}); sink detached, falling "
             f"back to in-memory ring buffer (capacity {self.capacity})",
             RuntimeWarning,
-            stacklevel=4,
+            stacklevel=5,
         )
         self.emit(time, "sink_degraded", sink=label, error=str(exc))
 
@@ -290,3 +296,9 @@ class TraceLog:
     def clear(self) -> None:
         """Drop all stored records (subscribers and sinks are kept)."""
         self._records.clear()
+
+
+#: ``TraceLog.emit`` as defined here.  The channel's C medium builds
+#: ``rx_lost`` records itself only while a log's class still holds this
+#: function, so a wrapper installed on ``TraceLog.emit`` sees every record.
+TRACE_EMIT = TraceLog.emit
