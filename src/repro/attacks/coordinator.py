@@ -70,6 +70,11 @@ class WormholeCoordinator:
         self.agents[node_id] = agent
         self.drops[node_id] = 0
 
+    def release(self) -> None:
+        """Forget the colluding agents, which point back here: the end of
+        a run.  The ground truth (drops, taint, activity) stays."""
+        self.agents.clear()
+
     def activate_at(self, start_time: float) -> None:
         """Schedule the attack to begin at ``start_time``."""
         self.attack_start = start_time

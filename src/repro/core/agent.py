@@ -148,6 +148,20 @@ class LiteworpAgent:
         router.usable = self.is_usable
         self.isolation.on_revocation(lambda bad: router.routes.evict_via(bad))
 
+    def release(self) -> None:
+        """Unhook the agent at the end of a run: drop the links back to it
+        (the guard's monitor and agent binding, the router's ``usable``,
+        liveness's ``on_dead``, discovery's ``on_complete``).  Counters
+        and tables stay readable."""
+        if self.monitor.guard is not None:
+            self.monitor.guard.release()
+        if self._router is not None:
+            self._router.usable = _always_usable
+        if self.liveness is not None:
+            self.liveness.on_dead = None
+        if self.discovery is not None:
+            self.discovery.on_complete = None
+
     # ------------------------------------------------------------------
     # Crash / recovery and neighbor liveness
     # ------------------------------------------------------------------
@@ -264,3 +278,7 @@ class LiteworpAgent:
             reason=reason,
             **frame.describe(),
         )
+
+
+def _always_usable(_node: NodeId) -> bool:
+    return True

@@ -23,11 +23,11 @@ Two contracts matter:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Mapping, Optional, Tuple
 
 from repro.net.packet import NodeId
+from repro.sim.rng import LazyStream
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.crypto.keys import PairwiseKeyManager
@@ -116,9 +116,10 @@ class DefenseContext:
     leash_agents: Dict[NodeId, Any] = field(default_factory=dict)
     state: Dict[str, Any] = field(default_factory=dict)
 
-    def node_stream(self, prefix: str, node_id: NodeId) -> random.Random:
-        """The named per-node RNG stream ``f"{prefix}:{node_id}"``."""
-        return self.rng.stream(f"{prefix}:{node_id}")
+    def node_stream(self, prefix: str, node_id: NodeId) -> LazyStream:
+        """The named per-node RNG stream ``f"{prefix}:{node_id}"``, created
+        on its first draw (:class:`~repro.sim.rng.LazyStream`)."""
+        return LazyStream(self.rng, f"{prefix}:{node_id}")
 
 
 class Defense:
@@ -135,6 +136,10 @@ class Defense:
             attach_honest(node, sim, ctx)    # honest nodes (before router)
             attach_router(node_id, router, ctx)  # honest nodes, after router
         finalize(ctx)                    # once, after the node loop
+
+    when the scenario is dropped::
+
+        release(ctx)                     # break the plugin's own cycles
 
     and at report time::
 
@@ -213,6 +218,13 @@ class Defense:
 
     def finalize(self, ctx: DefenseContext) -> None:
         """Called once after every node is wired (bootstrap kick-off)."""
+
+    def release(self, ctx: DefenseContext) -> None:
+        """Called once when the scenario is dropped, after its queue, its
+        channel and its nodes' hook lists are emptied: break the reference
+        cycles the plugin's own objects still form (an agent whose helper
+        holds a bound method of the agent), so the run is freed by
+        reference counting.  Counters must stay readable."""
 
     # ------------------------------------------------------------------
     # Metrics surface

@@ -94,6 +94,10 @@ class LiteworpDefense(Defense):
         for agent in ctx.agents.values():
             agent.install_oracle(ctx.adjacency, neighbor_sets)
 
+    def release(self, ctx: DefenseContext) -> None:
+        for agent in ctx.agents.values():
+            agent.release()
+
     def node_counters(self, ctx: DefenseContext) -> Dict[NodeId, Dict[str, int]]:
         from repro.obs.counters import snapshot_counters
 

@@ -202,6 +202,22 @@ class Scenario:
     defense: Optional[Defense] = None
     defense_ctx: Optional[DefenseContext] = None
 
+    def __del__(self) -> None:
+        # The run's objects form reference cycles (a node's hook lists hold
+        # agents that hold the node; the queue holds callbacks of objects
+        # that hold the simulator).  Breaking them at these hubs lets
+        # reference counting free the whole run the moment its scenario
+        # goes, whether it was run, failed mid-run or never started; the
+        # cyclic collector is not needed.  Sub-objects a caller kept keep
+        # their data (counters, trace records) but lose their hooks.
+        self.sim.release()
+        self.network.release()
+        self.traffic.release()
+        if self.coordinator is not None:
+            self.coordinator.release()
+        if self.defense is not None and self.defense_ctx is not None:
+            self.defense.release(self.defense_ctx)
+
     @property
     def honest_ids(self) -> Tuple[NodeId, ...]:
         """Node ids not under attacker control."""

@@ -239,6 +239,18 @@ class Channel:
         meter charges radios for listening either way)."""
         self._reception_observers.append(observer)
 
+    def release(self) -> None:
+        """Drop every handler, observer and in-flight reception, here and
+        in the medium: the end of a run's hooks.  The counters stay
+        readable."""
+        for hooks in (
+            self._delivery_handlers, self._loss_handlers, self._stampers,
+            self._in_flight, self._tx_observers, self._reception_observers,
+        ):
+            hooks.clear()
+        if self._medium is not None:
+            self._medium.release()
+
     # ------------------------------------------------------------------
     # Fault injection
     # ------------------------------------------------------------------

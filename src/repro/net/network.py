@@ -78,6 +78,13 @@ class Network:
                 lambda alive, n=node_id: self.channel.set_deaf(n, not alive)
             )
 
+    def release(self) -> None:
+        """Unwire the channel and every node (see :meth:`Channel.release`,
+        :meth:`Node.release`); frame counters and topology stay."""
+        self.channel.release()
+        for node in self.nodes.values():
+            node.release()
+
     # ------------------------------------------------------------------
     # Lookup helpers
     # ------------------------------------------------------------------

@@ -86,6 +86,15 @@ class Node:
         rejoin on reboot."""
         self._lifecycle_listeners.append(listener)
 
+    def release(self) -> None:
+        """Empty every hook list: the end of a run's wiring.  The counters
+        and the MAC stay."""
+        for hooks in (
+            self._filters, self._listeners, self._observers,
+            self._send_filters, self._lifecycle_listeners,
+        ):
+            hooks.clear()
+
     # ------------------------------------------------------------------
     # Fault lifecycle
     # ------------------------------------------------------------------

@@ -834,6 +834,46 @@ Sim_compact(SimObj *self, PyObject *Py_UNUSED(ignored))
     Py_RETURN_NONE;
 }
 
+/* The end of a simulator's life: empty the queue, cancelling each queued
+ * event and dropping its callback and arguments, so nothing stays
+ * reachable through them.  The entries are moved out first, because a
+ * dropped callback may run code that schedules again.  The clock and the
+ * counters stay readable. */
+static PyObject *
+Sim_release(SimObj *self, PyObject *Py_UNUSED(ignored))
+{
+    if (self->running) {
+        PyErr_SetString(error_class(), "cannot release a running simulator");
+        return NULL;
+    }
+    Py_ssize_t n = queue_total(self), k = 0;
+    EventObj **taken = PyMem_Malloc((size_t)(n ? n : 1) * sizeof(EventObj *));
+    if (!taken)
+        return PyErr_NoMemory();
+    for (unsigned i = 0; i < NSLOTS; i++) {
+        Bucket *b = &self->slots[i];
+        for (Py_ssize_t r = 0; r < b->size; r++)
+            taken[k++] = b->data[r].ev;
+        b->size = 0;
+        b->heapified = 0;
+    }
+    for (Py_ssize_t r = 0; r < self->far.size; r++)
+        taken[k++] = self->far.data[r].ev;
+    self->far.size = 0;
+    memset(self->bits, 0, sizeof(self->bits));
+    self->wheel_count = 0;
+    self->last_live = 0;
+    for (Py_ssize_t i = 0; i < k; i++) {
+        EventObj *ev = taken[i];
+        if (!ev->fired)
+            ev->cancelled = 1;
+        Event_clear_gc(ev);
+        Py_DECREF(ev);
+    }
+    PyMem_Free(taken);
+    Py_RETURN_NONE;
+}
+
 static PyObject *
 Sim_get_now(SimObj *self, void *closure)
 {
@@ -903,6 +943,8 @@ static PyMethodDef Sim_methods[] = {
      "Time of the next pending event, or None if the queue is empty."},
     {"compact", (PyCFunction)Sim_compact, METH_NOARGS,
      "Drop cancelled entries from the queue now (normally automatic)."},
+    {"release", (PyCFunction)Sim_release, METH_NOARGS,
+     "Cancel every queued event and drop it with its callback."},
     {NULL}
 };
 
@@ -2014,6 +2056,13 @@ Medium_is_busy(MediumObj *m, PyObject *node)
 }
 
 static PyObject *
+Medium_release(MediumObj *m, PyObject *Py_UNUSED(ignored))
+{
+    Medium_clear(m);
+    Py_RETURN_NONE;
+}
+
+static PyObject *
 Medium_get_collisions(MediumObj *m, void *closure)
 {
     return PyLong_FromUnsignedLongLong(m->collisions);
@@ -2036,6 +2085,8 @@ static PyMethodDef Medium_methods[] = {
      "Whether node is mid-transmission."},
     {"is_busy", (PyCFunction)Medium_is_busy, METH_O,
      "Carrier sense at node: own transmission or any audible one."},
+    {"release", (PyCFunction)Medium_release, METH_NOARGS,
+     "Drop every handler and reference; the counters stay readable."},
     {NULL}
 };
 
@@ -2839,6 +2890,13 @@ Guard_heard(GuardObj *g, PyObject *const *args, Py_ssize_t nargs)
 }
 
 static PyObject *
+Guard_release(GuardObj *g, PyObject *Py_UNUSED(ignored))
+{
+    Guard_clear(g);
+    Py_RETURN_NONE;
+}
+
+static PyObject *
 Guard_clear_store(GuardObj *g, PyObject *Py_UNUSED(ignored))
 {
     heard_clear(&g->cur);
@@ -2889,6 +2947,9 @@ static PyMethodDef Guard_methods[] = {
      "heard(key, node): whether node was heard sending key."},
     {"clear", (PyCFunction)Guard_clear_store, METH_NOARGS,
      "Empty the overheard store."},
+    {"release", (PyCFunction)Guard_release, METH_NOARGS,
+     "Drop the monitor, the agent binding, the store and every other "
+     "reference."},
     {"stamps", (PyCFunction)Guard_stamps, METH_NOARGS,
      "The overheard store's stamps, as (current, old) generation lists."},
     {NULL}

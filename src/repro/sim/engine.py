@@ -193,6 +193,24 @@ class Simulator:
         """How many times the queue has been compacted (introspection)."""
         return self._compactions
 
+    def release(self) -> None:
+        """Cancel every queued event and drop it with its callback.
+
+        The end of a simulator's life: nothing stays reachable through the
+        queue, so objects whose only cycle ran through a pending event are
+        freed by reference counting.  The clock and the counters stay
+        readable.
+        """
+        if self._running:
+            raise SimulationError("cannot release a running simulator")
+        heap, self._heap = self._heap, []
+        self._last_live = 0
+        for _, _, event in heap:
+            event.cancel()
+            event.callback = None
+            event.args = _NO_ARGS
+            event.kwargs = _NO_KWARGS
+
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------

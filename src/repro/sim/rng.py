@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import Dict
+from typing import Any, Dict
 
 
 class RngRegistry:
@@ -56,3 +56,34 @@ class RngRegistry:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngRegistry(seed={self._seed}, streams={sorted(self._streams)})"
+
+
+class LazyStream:
+    """A stand-in for ``registry.stream(name)`` that creates the stream on
+    its first draw.
+
+    A :class:`random.Random` holds 2.5 KiB of state from the moment it
+    exists, and some per-node streams are never drawn from (LITEWORP's,
+    when neighbour tables come from the oracle).  The stream's seed
+    depends only on the root seed and the name, so its draws are the same
+    whenever it is created.  Any attribute read creates (or finds) the
+    stream and forwards to it; methods are cached on this object as they
+    are handed out, so a later ``lazy.random()`` costs what it costs on
+    the stream itself.
+
+    >>> lazy = LazyStream(RngRegistry(seed=7), "liteworp:3")
+    >>> lazy.random() == RngRegistry(seed=7).stream("liteworp:3").random()
+    True
+    """
+
+    def __init__(self, registry: RngRegistry, name: str) -> None:
+        self._registry = registry
+        self._name = name
+
+    def __getattr__(self, attr: str) -> Any:
+        if attr in ("_registry", "_name"):  # not set yet (copy, unpickling)
+            raise AttributeError(attr)
+        value = getattr(self._registry.stream(self._name), attr)
+        if callable(value):
+            self.__dict__[attr] = value
+        return value

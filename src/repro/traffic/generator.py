@@ -109,6 +109,12 @@ class TrafficGenerator:
         for timer in self._dest_timers.values():
             timer.stop()
 
+    def release(self) -> None:
+        """Drop the source timers, whose callbacks point back here: the
+        end of a run.  ``packets_originated`` stays readable."""
+        self._timers.clear()
+        self._dest_timers.clear()
+
     def current_destination(self, source: NodeId) -> Optional[NodeId]:
         """The destination ``source`` is currently sending to."""
         return self._destinations.get(source)

@@ -1,6 +1,6 @@
 """Unit tests for named RNG streams."""
 
-from repro.sim.rng import RngRegistry
+from repro.sim.rng import LazyStream, RngRegistry
 
 
 def test_same_name_returns_same_stream():
@@ -56,3 +56,26 @@ def test_fork_is_deterministic():
 
 def test_seed_property():
     assert RngRegistry(seed=17).seed == 17
+
+
+def test_lazy_stream_draws_like_an_eager_one():
+    eager = RngRegistry(seed=11).stream("liteworp:7")
+    reg = RngRegistry(seed=11)
+    reg.stream("noise").random()  # drawing other streams first changes nothing
+    lazy = LazyStream(reg, "liteworp:7")
+    assert "liteworp:7" not in reg._streams  # no state before the first draw
+    draws = [lazy.random(), lazy.uniform(0.0, 3.0), lazy.expovariate(2.0), lazy.random()]
+    assert draws == [
+        eager.random(), eager.uniform(0.0, 3.0), eager.expovariate(2.0), eager.random()
+    ]
+    # From its first draw on, the stand-in is the registry's stream.
+    assert reg.stream("liteworp:7").getstate() == eager.getstate()
+
+
+def test_defense_streams_are_created_on_first_draw():
+    from repro.experiments.scenario import ScenarioConfig, build_scenario
+
+    scenario = build_scenario(ScenarioConfig(n_nodes=12, duration=10.0, attack_start=5.0))
+    # With oracle neighbour tables LITEWORP never draws from its streams.
+    assert not any(name.startswith("liteworp:") for name in scenario.rng._streams)
+    assert any(name.startswith("routing:") for name in scenario.rng._streams)
