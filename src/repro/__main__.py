@@ -1,12 +1,7 @@
 """Entry point for ``python -m repro``."""
 
-import signal
 import sys
 
 from repro.cli import main
-
-if hasattr(signal, "SIGPIPE"):
-    # Die quietly when piped into `head` etc. instead of tracebacking.
-    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
 
 sys.exit(main())

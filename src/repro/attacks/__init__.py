@@ -21,8 +21,8 @@ Protocol deviation (3.5)        :class:`RushingRouting`        **not** detected 
 ==============================  =============================  ==========================
 
 Tunnelled modes are orchestrated by :class:`WormholeCoordinator`, which
-also provides the ground truth the metrics need (which discoveries were
-tainted, when each colluder first acted, how many packets it swallowed).
+also provides the ground truth the metrics need (when each colluder first
+acted, how many packets it swallowed).
 """
 
 from repro.attacks.agents import HighPowerRouting, RelayAttacker, RushingRouting, TunnelRouting

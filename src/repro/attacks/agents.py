@@ -108,7 +108,6 @@ class TunnelRouting(_ActivatableRouting):
             return
         self._seen_requests[key] = None
         self._tunnel_peer[(request.origin, request.request_id)] = from_colluder
-        self.coordinator.mark_tainted(request.origin, request.request_id)
         self.coordinator.note_activity(me)
         # One hop more than the near end saw: the tunnel hops are hidden.
         forged = request.forwarded_by(me)

@@ -6,16 +6,15 @@ models it) or with a per-hop *encapsulation* delay along the multihop path
 between the colluders (the paper assumes "the colluding nodes always have a
 route between them").
 
-It is also the experiments' ground-truth ledger: which route discoveries
-the wormhole touched (``tainted``), when each colluder first acted
-(isolation-latency measurement starts there), and how many data packets
-each end swallowed.
+It is also the experiments' ground-truth ledger: when each colluder first
+acted (isolation-latency measurement starts there) and how many data
+packets each end swallowed.
 """
 
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.net.network import Network
 from repro.net.packet import NodeId, RouteReply, RouteRequest
@@ -54,7 +53,6 @@ class WormholeCoordinator:
         self.rng = rng or random.Random(0)
         self.colluders: List[NodeId] = []
         self.agents: Dict[NodeId, "TunnelRouting"] = {}
-        self.tainted: Set[Tuple[NodeId, int]] = set()
         self.first_activity: Dict[NodeId, float] = {}
         self.drops: Dict[NodeId, int] = {}
         self.attack_start: Optional[float] = None
@@ -133,21 +131,8 @@ class WormholeCoordinator:
             self.first_activity[node] = self.sim.now
             self.trace.emit(self.sim.now, "wormhole_activity", node=node)
 
-    def mark_tainted(self, origin: NodeId, request_id: int) -> None:
-        """Mark a route discovery as wormhole-influenced."""
-        self.tainted.add((origin, request_id))
-
-    def is_tainted(self, origin: NodeId, request_id: int) -> bool:
-        """Whether the wormhole touched discovery ``(origin, request_id)``."""
-        return (origin, request_id) in self.tainted
-
     def note_drop(self, node: NodeId, packet_key: Tuple) -> None:
         """Record a data packet swallowed by colluder ``node``."""
         self.note_activity(node)
         self.drops[node] = self.drops.get(node, 0) + 1
         self.trace.emit(self.sim.now, "malicious_drop", node=node, packet=packet_key)
-
-    @property
-    def total_drops(self) -> int:
-        """Data packets swallowed by all colluders."""
-        return sum(self.drops.values())

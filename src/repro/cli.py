@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from typing import Iterator, List, Optional
 
@@ -503,8 +504,8 @@ def _run_journaled(args: argparse.Namespace, noun: str, runner, spec, *,
         if signalled:
             raise KeyboardInterrupt
         signalled.append(signum)
-        print(f"\n{signal.Signals(signum).name} received — finishing in-flight "
-              f"jobs and flushing the journal (again to abort hard)", file=sys.stderr)
+        print(f"\n{signal.Signals(signum).name} received — stopping dispatch "
+              f"and flushing the journal (again to abort hard)", file=sys.stderr)
 
     previous_handlers = {}
     for signum in (signal.SIGINT, signal.SIGTERM):
@@ -1016,7 +1017,25 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Parse ``argv`` (default: ``sys.argv[1:]``) and run the command."""
+    """Parse ``argv`` (default: ``sys.argv[1:]``) and run the command.
+
+    A reader that closes stdout early (``| head``) ends the command
+    quietly with exit 1.  SIGPIPE stays ignored, so a broken worker pipe
+    is an ``OSError`` the campaign supervisor handles, not a signal that
+    kills the CLI.
+    """
+    try:
+        exit_code = _run_command(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at /dev/null so the interpreter's final flush of
+        # the unwritten buffer does not raise a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return exit_code
+
+
+def _run_command(argv: Optional[List[str]]) -> int:
     args = build_parser().parse_args(argv)
     command = _COMMANDS[args.command]
     try:

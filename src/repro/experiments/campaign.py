@@ -24,20 +24,20 @@ campaign is built to be killed:
   byte-identical aggregates to an uninterrupted run.  The format, its
   writer and its one reader live in :mod:`repro.experiments.journal`.
 - **Pluggable execution** — ``inline`` (serial, in-process) and
-  ``process`` (a worker pool, one future per job) backends share one
-  retry/backoff loop: a crashed worker fails only its own job, which is
-  re-dispatched up to :class:`RetryPolicy.retries` times.
+  ``process`` (worker processes the backend owns, one pipe each)
+  backends share one retry/backoff loop: a crashed worker fails only
+  its own job, which is re-dispatched up to :class:`RetryPolicy.retries`
+  times.
 - **Supervision** — a :class:`SupervisionPolicy` adds per-job wall-clock
-  timeouts (hung workers are preempted and their pool torn down), result
-  payload validation, and poison-job quarantine: a job that keeps
-  killing its worker is dead-lettered to the journal with its traceback
-  instead of wedging the campaign.  Crash-suspect jobs are re-dispatched
-  in *isolation* (one fresh single-worker pool each) so a poison job
-  cannot take innocent neighbours down with it twice.
+  timeouts (a hung job's worker is killed and replaced; no other job is
+  touched), result payload validation, and poison-job quarantine: a job
+  that keeps killing its worker is dead-lettered to the journal with its
+  traceback instead of wedging the campaign.
 - **Interruptibility** — a ``stop`` callable (the CLI wires SIGINT /
   SIGTERM to it) halts dispatch between jobs, flushes a final
   ``interrupt`` journal line, and reports the partial result; the CLI
-  exits 75 exactly like ``--max-jobs``.
+  exits 75 exactly like ``--max-jobs``.  Jobs in flight on the process
+  backend are ended with their workers and left for the resume.
 
 An explicit-list sweep is the same loop with no journal, no aggregate,
 no retries and no quarantine: a failing scenario raises
@@ -61,15 +61,13 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import multiprocessing
 import os
+import pickle
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    wait,
-)
+import traceback
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -94,19 +92,11 @@ class JobTimeoutError(CampaignError):
 
 
 class WorkerLostError(CampaignError):
-    """A worker (or its whole pool) died before the job finished."""
+    """A worker process died before its job finished."""
 
 
 class CorruptResultError(CampaignError):
     """A worker completed but returned a payload that is not a report."""
-
-
-class WorkerPreempted(CampaignError):
-    """A job was torn down through no fault of its own (its pool was
-    killed because a *neighbour* hung or crashed).  Collateral failures
-    are always re-dispatched and never count toward dead-lettering."""
-
-    collateral = True
 
 
 # ----------------------------------------------------------------------
@@ -132,7 +122,7 @@ def replication_configs(config: ScenarioConfig, runs: int) -> List[ScenarioConfi
 
 
 def run_config(config: ScenarioConfig) -> MetricsReport:
-    """Module-level worker body (must be picklable for process pools)."""
+    """Module-level worker body (must be picklable for process workers)."""
     return run_scenario(config)
 
 
@@ -348,13 +338,11 @@ class ExecutionBackend:
     failed jobs.  Supervision hooks:
 
     - ``timeout`` — per-job wall-clock seconds; overdue jobs fail with
-      :class:`JobTimeoutError` (the process backend preempts the hung
-      worker by tearing the pool down; inline enforces post-hoc).
+      :class:`JobTimeoutError` (the process backend kills the hung
+      job's worker; inline enforces post-hoc).
     - ``should_stop`` — polled between jobs/completions; when it turns
-      true the backend returns early, leaving undispatched items in
+      true the backend returns early, leaving every unfinished item in
       *neither* dict.
-    - ``isolate`` — run each item in its own fresh single-worker pool so
-      a crash is attributed to exactly one job (the poison-job probe).
     """
 
     name = "abstract"
@@ -366,7 +354,6 @@ class ExecutionBackend:
         *,
         timeout: Optional[float] = None,
         should_stop: Optional[Callable[[], bool]] = None,
-        isolate: bool = False,
     ) -> Tuple[Dict[int, MetricsReport], Dict[int, BaseException]]:
         raise NotImplementedError
 
@@ -382,7 +369,7 @@ class InlineBackend(ExecutionBackend):
 
     name = "inline"
 
-    def run_batch(self, fn, items, *, timeout=None, should_stop=None, isolate=False):
+    def run_batch(self, fn, items, *, timeout=None, should_stop=None):
         results: Dict[int, MetricsReport] = {}
         failures: Dict[int, BaseException] = {}
         for key, config in items:
@@ -404,23 +391,14 @@ class InlineBackend(ExecutionBackend):
         return results, failures
 
 
-def _future_error(future: Any) -> Optional[BaseException]:
-    """The future's exception, with cancellation reported as an error
-    rather than raised (``Future.exception()`` raises on cancelled)."""
-    try:
-        return future.exception()
-    except BaseException as exc:  # noqa: BLE001 - CancelledError
-        return exc
-
-
 def _reset_worker_signals() -> None:
-    """Restore default signal dispositions in pool worker processes.
+    """Restore default signal dispositions in backend worker processes.
 
     Fork-started workers inherit whatever SIGINT/SIGTERM handlers the
-    parent CLI installed, which would make them *survive* the
-    ``terminate()`` used to preempt hung jobs (the inherited handler
-    merely sets the parent's stop flag).  Workers must die on SIGTERM
-    and leave Ctrl-C handling to the supervising parent.
+    parent CLI installed, which would make them *survive* a SIGTERM
+    sent to the process group (the inherited handler merely sets the
+    parent's stop flag).  Workers must die on SIGTERM and leave Ctrl-C
+    handling to the supervising parent.
     """
     import signal as signal_module
 
@@ -431,10 +409,79 @@ def _reset_worker_signals() -> None:
         pass
 
 
+class _RemoteTraceback(Exception):
+    """A worker-side traceback, chained as ``__cause__`` of the error the
+    parent records, so journal tracebacks show the worker's frames."""
+
+    def __str__(self) -> str:
+        return f'\n"""\n{self.args[0]}"""'
+
+
+def _portable_error(exc: BaseException) -> Tuple[BaseException, str]:
+    """``exc`` (or, if it does not survive pickling, a stand-in carrying
+    its type name and message) and its formatted traceback."""
+    text = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+    try:
+        return pickle.loads(pickle.dumps(exc)), text
+    except Exception:  # noqa: BLE001 - any pickling failure gets the stand-in
+        return CampaignError(f"{type(exc).__name__}: {exc}"), text
+
+
+def _worker_loop(conn: Any, fn: JobFn) -> None:
+    """Body of one backend worker: run every config received on ``conn``
+    and answer ``(True, report)`` or ``(False, (error, traceback))``,
+    until the parent closes the pipe.  A job that exits the process
+    (``sys.exit``, ``os._exit``, a signal) is seen by the parent as a
+    lost worker."""
+    _reset_worker_signals()
+    while True:
+        try:
+            config = conn.recv()
+        except EOFError:
+            return
+        try:
+            conn.send((True, fn(config)))
+        except Exception as exc:  # noqa: BLE001 - every job failure goes to the parent
+            conn.send((False, _portable_error(exc)))
+
+
+class _Worker:
+    """One worker process, the parent's end of its duplex pipe, and the
+    key and dispatch time of the last job sent to it."""
+
+    def __init__(self, context: Any, fn: JobFn) -> None:
+        self.conn, child = context.Pipe()
+        self.process = context.Process(target=_worker_loop, args=(child, fn))
+        self.process.start()
+        child.close()
+        self.key: Optional[int] = None
+        self.started = 0.0
+
+    def dispatch(self, key: int, config: ScenarioConfig) -> None:
+        self.key, self.started = key, time.monotonic()
+        try:
+            self.conn.send(config)
+        except OSError:
+            pass  # the worker is dead: the supervisor reads its EOF next
+
+    def retire(self) -> Optional[int]:
+        """Kill the process (a no-op if it already exited) and reap it;
+        return its exit code."""
+        self.conn.close()
+        self.process.kill()
+        self.process.join()
+        return self.process.exitcode
+
+
 class ProcessBackend(ExecutionBackend):
-    """Process-pool execution: jobs are dispatched to the picklable
-    :func:`run_config` worker body, one future per job so a crashed worker
-    fails only its own job.
+    """Process execution on ``resolve_jobs(jobs)`` worker processes the
+    backend starts itself, one duplex pipe each.
+
+    The supervisor knows which job each worker holds, so it acts on one
+    worker at a time: an overdue job's worker is killed and replaced, and
+    a worker that dies fails only its own job with
+    :class:`WorkerLostError`.  No other job is touched.  A job that
+    raises comes back with its worker-side traceback as ``__cause__``.
     """
 
     name = "process"
@@ -442,49 +489,14 @@ class ProcessBackend(ExecutionBackend):
     def __init__(self, jobs: Optional[int] = None) -> None:
         self.jobs = jobs
 
-    def _kill(self, executor: ProcessPoolExecutor) -> None:
-        """Tear an executor down without waiting for hung workers.
-
-        ``ProcessPoolExecutor`` offers no per-future kill, so preemption
-        is wholesale: terminate the worker processes, then discard the
-        pool."""
-        processes = getattr(executor, "_processes", None)
-        if processes:
-            for process in list(processes.values()):
-                try:
-                    process.terminate()
-                except Exception:  # noqa: BLE001 - already-dead workers
-                    pass
-        executor.shutdown(wait=False, cancel_futures=True)
-
-    def run_batch(self, fn, items, *, timeout=None, should_stop=None, isolate=False):
+    def run_batch(self, fn, items, *, timeout=None, should_stop=None):
         results: Dict[int, MetricsReport] = {}
         failures: Dict[int, BaseException] = {}
-        if not items:
-            return results, failures
-        if isolate:
-            # Poison-probe mode: one fresh single-worker pool per job, so
-            # a pool-killing crash is attributed to exactly that job.
-            for key, config in items:
-                if should_stop is not None and should_stop():
-                    break
-                sub_results, sub_failures = self._run_window(
-                    fn, [(key, config)], 1, timeout, should_stop
-                )
-                results.update(sub_results)
-                failures.update(sub_failures)
-            return results, failures
-        workers = min(resolve_jobs(self.jobs), len(items))
-        return self._run_window(fn, list(items), max(1, workers), timeout, should_stop)
-
-    def _run_window(self, fn, queue, workers, timeout, should_stop):
-        results: Dict[int, MetricsReport] = {}
-        failures: Dict[int, BaseException] = {}
-        executor = ProcessPoolExecutor(
-            max_workers=workers, initializer=_reset_worker_signals
-        )
-        inflight: Dict[Any, Tuple[int, float]] = {}
-        broken = False
+        queue = list(reversed(items))
+        workers = resolve_jobs(self.jobs)
+        context = multiprocessing.get_context()
+        idle: List[_Worker] = []
+        busy: Dict[Any, _Worker] = {}
         if timeout is not None:
             poll = max(0.01, min(0.1, timeout / 4.0))
         elif should_stop is not None:
@@ -492,96 +504,53 @@ class ProcessBackend(ExecutionBackend):
         else:
             poll = None
         try:
-            while queue or inflight:
-                # Keep at most ``workers`` jobs in flight so a job's
-                # wall clock starts at dispatch, not at batch submission
-                # (a queued job must not "time out" while waiting).
-                while queue and len(inflight) < workers:
-                    key, config = queue.pop(0)
+            while True:
+                # A job's wall clock starts when it reaches a worker, not
+                # when the batch was handed over.  Workers start on first
+                # use; a dead or killed one is simply not reused.
+                while queue and len(busy) < workers:
+                    worker = idle.pop() if idle else _Worker(context, fn)
+                    worker.dispatch(*queue.pop())
+                    busy[worker.conn] = worker
+                if not busy:
+                    return results, failures
+                for conn in wait(list(busy), timeout=poll):
+                    worker = busy.pop(conn)
                     try:
-                        future = executor.submit(fn, config)
-                    except BaseException as exc:  # noqa: BLE001 - pool already broken
-                        failures[key] = exc
-                        broken = True
-                        break
-                    inflight[future] = (key, time.monotonic())
-                if broken:
-                    break
-                if not inflight:
-                    continue
-                try:
-                    done, _ = wait(
-                        set(inflight), timeout=poll, return_when=FIRST_COMPLETED
-                    )
-                except BaseException:  # noqa: BLE001 - pool died under wait
-                    broken = True
-                    break
-                for future in done:
-                    key, _started = inflight.pop(future)
-                    try:
-                        results[key] = future.result()
-                    except Exception as exc:  # noqa: BLE001 - collected for retry
-                        failures[key] = exc
-                        if isinstance(exc, BrokenExecutor):
-                            broken = True
-                if broken:
-                    break
+                        ok, payload = conn.recv()
+                    except (EOFError, OSError):
+                        failures[worker.key] = WorkerLostError(
+                            f"worker exited with code {worker.retire()} "
+                            f"before the job finished"
+                        )
+                        continue
+                    except Exception as exc:  # noqa: BLE001 - payload did not unpickle
+                        failures[worker.key] = exc
+                    else:
+                        if ok:
+                            results[worker.key] = payload
+                        else:
+                            error, text = payload
+                            error.__cause__ = _RemoteTraceback(text)
+                            failures[worker.key] = error
+                    idle.append(worker)
                 if should_stop is not None and should_stop():
-                    # Graceful stop: abandon in-flight work silently (the
-                    # runner sees the missing keys and records the
-                    # interruption); nothing is marked failed.
-                    self._kill(executor)
-                    inflight.clear()
-                    queue.clear()
+                    # In-flight jobs end with their workers below and land
+                    # in neither dict; the runner leaves them for resume.
                     return results, failures
                 if timeout is not None:
                     now = time.monotonic()
-                    overdue = [
-                        future
-                        for future, (_key, started) in inflight.items()
-                        if now - started > timeout
-                    ]
-                    if overdue:
-                        for future in overdue:
-                            key, started = inflight.pop(future)
-                            failures[key] = JobTimeoutError(
+                    for conn, worker in list(busy.items()):
+                        if now - worker.started > timeout:
+                            del busy[conn]
+                            worker.retire()
+                            failures[worker.key] = JobTimeoutError(
                                 f"job exceeded the {timeout:g}s wall-clock "
-                                f"timeout ({now - started:.3f}s elapsed)"
+                                f"timeout ({now - worker.started:.3f}s elapsed)"
                             )
-                        # No per-worker kill exists, so preempt wholesale:
-                        # the pool dies, innocents come back as collateral.
-                        self._kill(executor)
-                        for future, (key, _started) in inflight.items():
-                            if future.done() and _future_error(future) is None:
-                                results[key] = future.result()
-                            else:
-                                failures[key] = WorkerPreempted(
-                                    "pool torn down while a neighbour job hung"
-                                )
-                        inflight.clear()
-                        for key, _config in queue:
-                            failures[key] = WorkerPreempted(
-                                "pool torn down before dispatch"
-                            )
-                        queue.clear()
-                        return results, failures
-            if broken:
-                # The pool itself died: in-flight jobs are crash suspects
-                # (counted failures); never-dispatched ones are collateral.
-                for future, (key, _started) in list(inflight.items()):
-                    if key in results or key in failures:
-                        continue
-                    exc = _future_error(future) if future.done() else None
-                    failures[key] = exc if exc is not None else WorkerLostError(
-                        "worker pool broke before the job finished"
-                    )
-                for key, _config in queue:
-                    failures[key] = WorkerPreempted("pool broke before dispatch")
         finally:
-            # A broken pool is discarded wholesale; the next wave gets a
-            # fresh one.
-            executor.shutdown(wait=False, cancel_futures=True)
-        return results, failures
+            for worker in idle + list(busy.values()):
+                worker.retire()
 
 
 BACKENDS: Dict[str, Callable[..., ExecutionBackend]] = {
@@ -1025,7 +994,6 @@ class CampaignRunner:
         batch = [(job.index, job.config) for job in pending]
         fail_counts: Dict[int, int] = {}
         wave = 0
-        isolate = False
         # Progress guard: every productive wave either completes,
         # dead-letters, or burns a retry; anything past this bound is
         # supervision spinning its wheels.
@@ -1045,7 +1013,6 @@ class CampaignRunner:
                 batch,
                 timeout=self.supervision.timeout,
                 should_stop=self.stop,
-                isolate=isolate,
             )
             # A worker can finish yet hand back garbage (injected payload
             # corruption, a broken custom worker): validate before
@@ -1062,8 +1029,8 @@ class CampaignRunner:
                 ):
                     return
             retry_keys = self._triage(run, failures, fail_counts, by_index)
-            # Jobs the backend returned in neither dict were never
-            # dispatched — that only happens on a graceful stop.
+            # Jobs the backend returned in neither dict never finished —
+            # that only happens on a graceful stop.
             missing = [
                 key for key, _config in batch if key not in results and key not in failures
             ]
@@ -1074,13 +1041,6 @@ class CampaignRunner:
                 retry_keys.extend(missing)
             if not retry_keys:
                 return
-            # If any failure this wave broke its whole pool, probe the
-            # suspects one-per-pool next wave so the poison job is
-            # identified instead of dragging innocents down.
-            isolate = any(
-                isinstance(failures.get(index), (BrokenExecutor, WorkerLostError))
-                for index in retry_keys
-            )
             run.retried += len(retry_keys)
             if self.progress is not None:
                 self.progress.retry(len(retry_keys))
@@ -1111,9 +1071,6 @@ class CampaignRunner:
                     run, "worker_timeout",
                     job=index, digest=by_index[index].digest[:12], seconds=self.supervision.timeout,
                 )
-            if getattr(exc, "collateral", False):
-                retry_keys.append(index)
-                continue
             fail_counts[index] = fail_counts.get(index, 0) + 1
             if fail_counts[index] > self.retry.retries:
                 dead_now.append(index)
@@ -1218,7 +1175,7 @@ def run_sweep(
     averages' path through :class:`CampaignRunner`.
 
     ``jobs`` picks the backend (:func:`resolve_jobs` of 1 runs inline,
-    anything else a process pool of that size).  There are no retries and
+    anything else that many worker processes).  There are no retries and
     no quarantine: a failing scenario raises :class:`CampaignError`
     chained from the worker's exception.  ``cache`` may be a
     :class:`~repro.experiments.cache.ResultCache` or a directory path.
@@ -1252,7 +1209,6 @@ __all__ = [
     "RetryPolicy",
     "SupervisionPolicy",
     "WorkerLostError",
-    "WorkerPreempted",
     "aggregate_campaign",
     "apply_overrides",
     "compile_campaign",

@@ -63,10 +63,6 @@ class Fig8Result:
     times: Tuple[float, ...]
     series: Dict[Tuple[int, bool], Tuple[float, ...]]  # (M, liteworp) -> counts
 
-    def final_drops(self, n_malicious: int, liteworp: bool) -> float:
-        """Cumulative drops at the horizon for one configuration."""
-        return self.series[(n_malicious, liteworp)][-1]
-
     def format(self) -> str:
         """Human-readable table of the four curves."""
         lines = ["time     " + "".join(

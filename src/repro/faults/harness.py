@@ -25,7 +25,7 @@ Fault taxonomy
 --------------
 ``WorkerCrash``
     The worker executing the target job dies: ``hard`` crashes call
-    ``os._exit`` (killing the pool process — the poison-job path),
+    ``os._exit`` (killing the worker process — the poison-job path),
     otherwise an :class:`InjectedWorkerCrash` is raised (a clean per-job
     failure).
 ``WorkerHang``
@@ -446,8 +446,8 @@ def _claim(state_dir: Path, fault: HarnessFault) -> bool:
 class FaultyWorker:
     """Picklable worker wrapper injecting job-targeted harness faults.
 
-    Process-pool backends pickle the worker into each pool process; the
-    wrapper carries only plain data (the plan, the state directory path,
+    The process backend may pickle the worker into each worker process;
+    the wrapper carries only plain data (the plan, the state directory path,
     and the digest→index map), so it crosses that boundary intact and
     the marker-file claims stay atomic across workers.
     """
@@ -476,8 +476,8 @@ class FaultyWorker:
                     continue
                 if isinstance(fault, WorkerCrash):
                     if fault.hard:
-                        # A hard crash takes the whole pool process with
-                        # it — the poison-job path the supervisor must
+                        # A hard crash takes the worker process with it —
+                        # the poison-job path the supervisor must
                         # quarantine, not a tidy exception.
                         os._exit(23)
                     raise InjectedWorkerCrash(

@@ -134,9 +134,13 @@ Event_repr(EventObj *self)
 {
     const char *state = self->cancelled ? "cancelled"
                         : (self->fired ? "fired" : "pending");
-    return PyUnicode_FromFormat("<Event t=%R %R [%s]>",
-                                PyFloat_FromDouble(self->time),
-                                self->callback, state);
+    PyObject *time = PyFloat_FromDouble(self->time);
+    if (time == NULL)
+        return NULL;
+    PyObject *repr = PyUnicode_FromFormat("<Event t=%R %R [%s]>", time,
+                                          self->callback, state);
+    Py_DECREF(time);
+    return repr;
 }
 
 static PyMethodDef Event_methods[] = {
@@ -669,9 +673,13 @@ Sim_schedule_at(SimObj *self, PyObject *const *args, Py_ssize_t nargs,
         return NULL;
     }
     if (time < self->now) {
-        PyErr_Format(error_class(),
-                     "cannot schedule in the past: t=%R < now=%R", args[0],
-                     PyFloat_FromDouble(self->now));
+        PyObject *now = PyFloat_FromDouble(self->now);
+        if (now != NULL) {
+            PyErr_Format(error_class(),
+                         "cannot schedule in the past: t=%R < now=%R",
+                         args[0], now);
+            Py_DECREF(now);
+        }
         return NULL;
     }
     return schedule_common(self, time, args, nargs, kwnames);
@@ -734,8 +742,13 @@ Sim_run(SimObj *self, PyObject *const *args, Py_ssize_t nargs,
         if (until == -1.0 && PyErr_Occurred())
             return NULL;
         if (until < self->now) {
-            PyErr_Format(error_class(), "until=%R is in the past (now=%R)",
-                         until_obj, PyFloat_FromDouble(self->now));
+            PyObject *now = PyFloat_FromDouble(self->now);
+            if (now != NULL) {
+                PyErr_Format(error_class(),
+                             "until=%R is in the past (now=%R)", until_obj,
+                             now);
+                Py_DECREF(now);
+            }
             return NULL;
         }
     }

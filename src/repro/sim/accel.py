@@ -33,7 +33,6 @@ import contextlib
 import importlib
 import os
 import subprocess
-import sys
 import sysconfig
 import tempfile
 import threading
@@ -214,12 +213,3 @@ def medium_type(sim):
     """The channel's C ``Medium`` for ``sim``, or None (see :func:`kernel_type`)."""
     return kernel_type(sim, "Medium")
 
-
-def self_check() -> str:
-    """One-line status string for diagnostics (used by ``repro bench``)."""
-    mode = accel_mode()
-    if mode == "off":
-        return "accel: off (REPRO_ACCEL=off)"
-    if kernel_available():
-        return f"accel: C kernel active (mode={mode}, {sys.implementation.name})"
-    return f"accel: unavailable, pure-Python fallback (mode={mode})"

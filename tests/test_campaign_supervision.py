@@ -4,6 +4,8 @@ the acceptance proof that a campaign run under injected harness churn
 resumes to byte-identical aggregates versus a fault-free run."""
 
 import json
+import multiprocessing
+import time
 
 import pytest
 
@@ -26,6 +28,7 @@ from repro.faults.harness import (
     TornJournalWrite,
     WorkerCrash,
     WorkerHang,
+    WorkerSlowdown,
 )
 from repro.metrics.collector import MetricsReport
 
@@ -134,16 +137,18 @@ def test_quarantine_off_raises_like_before(tmp_path):
 # Poison quarantine keeps the campaign going
 # ----------------------------------------------------------------------
 class _PoisonWorker(_FakeWorker):
-    """Fails every attempt at one specific job digest; instant otherwise."""
+    """Raises ``error`` on every attempt at one specific job digest;
+    instant otherwise."""
 
-    def __init__(self, poison_digest):
+    def __init__(self, poison_digest, error=None):
         self.poison_digest = poison_digest
+        self.error = error or RuntimeError("poison payload")
 
     def __call__(self, config):
         from repro.experiments.cache import config_digest
 
         if config_digest(config) == self.poison_digest:
-            raise RuntimeError("poison payload")
+            raise self.error
         return super().__call__(config)
 
 
@@ -369,6 +374,106 @@ def test_process_hard_crash_is_dead_lettered_without_collateral(tmp_path):
     state = load_journal(journal)
     assert len(state.dead_letters) == 1
     assert len(state.reports) == result.total_jobs - 1
+
+
+def test_process_timeout_charges_only_the_hung_job(tmp_path):
+    # Job 2 starts on job 1's worker at 1.5 s and is still running when
+    # job 0 passes its 2 s deadline: only job 0's worker is killed.
+    spec = tiny_spec(runs=2)
+    controller = HarnessFaultController(
+        HarnessFaultPlan.of(
+            WorkerHang(job=0),
+            WorkerSlowdown(job=1, seconds=1.5),
+            WorkerSlowdown(job=2, seconds=1.5),
+        ),
+        tmp_path / "fault-state",
+    )
+    result = CampaignRunner(
+        spec,
+        make_backend("process", jobs=2),
+        worker=_FakeWorker(),
+        retry=RetryPolicy(retries=2, backoff=0.0),
+        supervision=SupervisionPolicy(timeout=2.0),
+        harness_faults=controller,
+        sleep=lambda _s: None,
+    ).run()
+    assert result.complete
+    assert result.timeouts == 1
+    assert result.retried == 1
+
+
+def test_process_workers_never_outlive_run(tmp_path):
+    spec = tiny_spec(runs=2)
+
+    def run(name, worker, plan=(), **kwargs):
+        return CampaignRunner(
+            spec,
+            make_backend("process", jobs=2),
+            worker=worker,
+            journal_path=tmp_path / f"{name}.jsonl",
+            retry=RetryPolicy(retries=0, backoff=0.0),
+            harness_faults=HarnessFaultController(
+                HarnessFaultPlan.of(*plan), tmp_path / "fault-state"
+            ),
+            sleep=lambda _s: None,
+            **kwargs,
+        ).run()
+
+    timed_out = run(
+        "hang", _FakeWorker(), [WorkerHang(job=1)], supervision=SupervisionPolicy(timeout=0.5)
+    )
+    assert timed_out.timeouts == 1
+    assert multiprocessing.active_children() == []
+
+    crashed = run("crash", _FakeWorker(), [WorkerCrash(job=2, hard=True)])
+    assert crashed.dead_lettered == 1
+    (payload,) = load_journal(tmp_path / "crash.jsonl").dead_letters.values()
+    assert "WorkerLostError: worker exited with code 23" in payload["error"]
+    assert multiprocessing.active_children() == []
+
+    # A stop ends the in-flight jobs instead of waiting for them.
+    started = time.monotonic()
+    stopped = run("stop", _SlowWorker(30.0), stop=lambda: time.monotonic() > started + 0.5)
+    assert stopped.interrupted == "signal"
+    assert stopped.executed == 0
+    assert time.monotonic() - started < 10.0
+    assert multiprocessing.active_children() == []
+
+
+class _Unpicklable(Exception):
+    """Pickles, but cannot be rebuilt from its args."""
+
+    def __init__(self, message, extra):
+        super().__init__(message)
+        self.extra = extra
+
+
+@pytest.mark.parametrize(
+    "error, shown",
+    [
+        (RuntimeError("poison payload"), "RuntimeError: poison payload"),
+        (_Unpicklable("odd payload", 1), "CampaignError: _Unpicklable: odd payload"),
+    ],
+    ids=["picklable", "stand-in"],
+)
+def test_process_dead_letter_keeps_worker_traceback(tmp_path, error, shown):
+    from repro.experiments.campaign import compile_campaign
+
+    spec = tiny_spec(runs=1)
+    journal = tmp_path / "remote.jsonl"
+    result = CampaignRunner(
+        spec,
+        make_backend("process", jobs=2),
+        worker=_PoisonWorker(compile_campaign(spec)[0].digest, error),
+        journal_path=journal,
+        retry=RetryPolicy(retries=0, backoff=0.0),
+        sleep=lambda _s: None,
+    ).run()
+    assert result.dead_lettered == 1
+    (payload,) = load_journal(journal).dead_letters.values()
+    assert payload["error"] == shown
+    # The raise site exists only in the worker process.
+    assert "in __call__\n    raise self.error" in payload["traceback"]
 
 
 def test_acceptance_chaos_run_resumes_byte_identical(tmp_path):

@@ -12,6 +12,7 @@ import os
 import random
 import shutil
 import subprocess
+import sys
 import weakref
 
 import pytest
@@ -214,6 +215,41 @@ def test_ckernel_collects_reference_cycles():
     ref = make_cycle()
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.skipif(not accel.kernel_available(), reason="C kernel unavailable")
+def test_ckernel_repr_and_past_time_errors_do_not_leak():
+    module = accel._load()
+    sim = module.Simulator()
+    event = sim.schedule(1.0, lambda: None)
+    sim.schedule(2.0, lambda: None)
+    sim.run(until=1.5)
+
+    def repeat(action):
+        action()  # first call warms any caches
+        before = sys.getallocatedblocks()
+        for _ in range(2000):
+            action()
+        return sys.getallocatedblocks() - before
+
+    # Plain try/except: pytest.raises keeps a traceback cycle alive.
+    def schedule_in_past():
+        try:
+            sim.schedule_at(0.5, None)
+        except SimulationError:
+            return
+        raise AssertionError("scheduling in the past did not raise")
+
+    def run_until_past():
+        try:
+            sim.run(until=0.5)
+        except SimulationError:
+            return
+        raise AssertionError("running until the past did not raise")
+
+    # A leaked float per call would grow the heap by 2,000 blocks.
+    for action in (lambda: repr(event), schedule_in_past, run_until_past):
+        assert repeat(action) < 100
 
 
 @pytest.mark.skipif(
