@@ -1,4 +1,10 @@
-"""Unit tests for the CSMA MAC: queueing, carrier sense, backoff, ARQ."""
+"""Unit tests for the CSMA MAC: queueing, carrier sense, backoff, ARQ.
+
+Every test runs on both stacks: the module-level tests on the pure-Python
+simulator (the reference ``CsmaMac``) and again, through ``TestOnCKernel``
+at the bottom, on the C kernel's simulator, where the channel's
+``Medium`` runs the MAC.
+"""
 
 import random
 
@@ -8,13 +14,30 @@ from repro.net.channel import Channel
 from repro.net.mac import CsmaMac, MacConfig
 from repro.net.packet import DataPacket, Frame
 from repro.net.radio import UnitDiskRadio
+from repro.sim import accel
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceLog
 
+# The simulator class build() uses; TestOnCKernel swaps in the C kernel's
+# for the duration of each of its tests.
+_simcls = [Simulator]
 
-def build(positions, mac_config=None):
-    sim = Simulator()
+
+class CountingRandom(random.Random):
+    """A stream that counts its draws: the MAC draws once per jitter and
+    once per backoff, so the count tells how many senses found the medium
+    busy, on either stack."""
+
+    draws = 0
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+
+def build(positions, mac_config=None, rng_class=random.Random):
+    sim = _simcls[0]()
     radio = UnitDiskRadio(positions, default_range=30.0)
     trace = TraceLog()
     channel = Channel(sim, radio, RngRegistry(0), trace=trace)
@@ -23,7 +46,7 @@ def build(positions, mac_config=None):
     for node in positions:
         channel.attach(node, inboxes[node].append)
         macs[node] = CsmaMac(
-            sim, channel, node, random.Random(node),
+            sim, channel, node, rng_class(node),
             config=mac_config or MacConfig(), trace=trace,
         )
     return sim, channel, macs, inboxes, trace
@@ -146,3 +169,78 @@ def test_invalid_config_rejected():
         MacConfig(default_jitter=-1)
     with pytest.raises(ValueError):
         MacConfig(arq_retries=-1)
+
+
+# ----------------------------------------------------------------------
+# Crash and reboot
+# ----------------------------------------------------------------------
+def _blocked_drop(reboot):
+    """Send a frame at t=0.02 while a 40 s transmission holds the medium;
+    with ``reboot`` the MAC first serves another frame from t=0 and is
+    disabled and enabled at t=0.01 with that frame's backoff pending.
+    Returns the new frame's drop time and the draws made for it."""
+    config = MacConfig(base_backoff=0.01, max_attempts=3)
+    sim, channel, macs, _, trace = build({0: (0, 0), 1: (10, 0)}, config, CountingRandom)
+    mac = macs[0]
+    channel.transmit(1, Frame(DataPacket(origin=1, destination=9, payload_size=200_000), 1))
+    if reboot:
+        mac.send(frame(0), jitter=0.0)
+        sim.run(until=0.01)
+        mac.disable()
+        mac.enable()
+    sim.run(until=0.02)
+    rng = mac._rng
+    rng.seed(7)
+    rng.draws = 0
+    mac.send(frame(0), jitter=0.0)
+    sim.run(until=1.0)
+    drops = [record.time for record in trace if record.kind == "mac_drop"]
+    return drops, rng.draws, mac.dropped
+
+
+def test_reboot_starts_a_fresh_attempt_count():
+    """A frame sent after a reboot gets its own attempts, not a backoff
+    timer left over from before the crash (which, pending past t=0.02,
+    used to serve it with the old attempt count: one sense, no draw)."""
+    fresh = _blocked_drop(reboot=False)
+    rebooted = _blocked_drop(reboot=True)
+    assert fresh[1] == 2  # three busy senses: two backoffs, then the drop
+    assert rebooted[:2] == fresh[:2]
+    assert (fresh[2], rebooted[2]) == (1, 2)  # the crash dropped the first frame
+
+
+def test_outcome_of_a_unicast_in_flight_at_a_crash_is_ignored():
+    """The ACK (or its absence) for a frame sent before a crash must not
+    requeue that frame into the rebooted MAC."""
+    config = MacConfig(arq_retries=3)
+    sim, channel, macs, inboxes, _ = build({0: (0, 0), 1: (100, 0)}, config)
+    mac = macs[0]
+    mac.send(frame(0, dst=1), jitter=0.0)
+    sim.run(until=1e-6)
+    assert mac.sent == 1
+    mac.disable()
+    mac.enable()
+    sim.run()
+    assert (mac.sent, mac.arq_failures, mac.queue_length) == (1, 0, 0)
+    mac.send(frame(0, dst=1), jitter=0.0)
+    sim.run()
+    assert (mac.sent, mac.arq_failures) == (1 + 4, 1)
+
+
+# ----------------------------------------------------------------------
+# Every module-level test above, again on the C kernel
+# ----------------------------------------------------------------------
+@pytest.mark.skipif(not accel.kernel_available(), reason="C kernel unavailable")
+class TestOnCKernel:
+    """The module-level tests, with build() on the C kernel's simulator."""
+
+    @pytest.fixture(autouse=True)
+    def _ckernel(self):
+        _simcls[0] = accel._load().Simulator
+        yield
+        _simcls[0] = Simulator
+
+
+for _name, _test in list(globals().items()):
+    if _name.startswith("test_"):
+        setattr(TestOnCKernel, _name, staticmethod(_test))
