@@ -9,6 +9,7 @@ with the out-of-band wormhole.
 
 from __future__ import annotations
 
+import gc
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -230,9 +231,17 @@ class Scenario:
 
         with span("scenario.run"):
             self.traffic.start()
+            # A run makes no cyclic garbage (its cycles are broken when the
+            # scenario goes, see __del__), so the cyclic collector would
+            # only walk the growing trace and tables over and over: it is
+            # paused for the run and the caller's setting restored after.
+            collecting = gc.isenabled()
+            gc.disable()
             try:
                 self.sim.run(until=self.config.duration)
             finally:
+                if collecting:
+                    gc.enable()
                 # Flush streamed trace exports even when a strict-mode schema
                 # violation (or any other error) aborts the run mid-flight.
                 self.trace.close_sinks()

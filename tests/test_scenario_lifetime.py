@@ -117,6 +117,56 @@ def test_dropped_scenario_leaves_nothing(overrides, reference):
     assert alive == []
 
 
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc_on", "gc_off"])
+def test_run_pauses_the_collector_and_leaves_it_nothing(collecting):
+    """``Scenario.run`` pauses the cyclic collector for the run.  Under
+    every defense and a crash-recover plan the run leaves no cyclic
+    garbage for it, and the caller's setting comes back as it was."""
+    configs = [
+        small_config(defense=defense)
+        for defense in ("none", "liteworp", "rtt", "snd", "temporal_leash")
+    ] + [
+        small_config(
+            liteworp=LiteworpConfig(heartbeat_period=2.0, alert_retries=2),
+            fault_plan=FaultPlan.of(CrashRecover(at=12.0, node=3, downtime=5.0)),
+        )
+    ]
+    enabled = gc.isenabled()
+    gc.collect()
+    try:
+        for config in configs:
+            gc.disable()
+            if collecting:
+                gc.enable()
+            seen = []
+            scenario = build_scenario(config)
+            scenario.sim.schedule_at(5.0, lambda: seen.append(gc.isenabled()))
+            scenario.run()
+            assert seen == [False]
+            assert gc.isenabled() == collecting
+            del scenario
+            gc.disable()
+            assert gc.collect() == 0, config.defense
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_run_that_raised_restores_the_collector(tmp_path):
+    obs = ObsConfig(strict=True, trace_path=str(tmp_path / "trace.jsonl"))
+    enabled = gc.isenabled()
+    gc.enable()
+    try:
+        scenario = build_scenario(small_config(obs=obs))
+        scenario.sim.schedule_at(15.0, scenario.network.emit, "undeclared_kind")
+        with pytest.raises(TraceSchemaError):
+            scenario.run()
+        assert gc.isenabled()
+    finally:
+        if not enabled:
+            gc.disable()
+
+
 def test_scenario_never_run_is_freed():
     with survivors() as alive:
         scenario = build_scenario(small_config())
