@@ -284,11 +284,9 @@ class MetricsCollector:
     def attach_network(self, network) -> None:
         """Observe physical transmissions so malicious route replies can be
         attributed with ground truth."""
-        network.channel.add_tx_observer(self._on_physical_tx)
+        network.channel.add_tx_observer(self._on_physical_tx, senders=self.malicious)
 
     def _on_physical_tx(self, sender: NodeId, frame, time: float) -> None:
-        if sender not in self.malicious:
-            return
         packet = frame.packet
         key = getattr(packet, "key", None)
         if key is None:

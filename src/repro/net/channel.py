@@ -47,11 +47,20 @@ tracer of ``benchmarks/e2e`` installs them) sees every call.
   would give them, reading the frame's slots and the packet's cached key,
   and hands it to ``TraceLog._publish``, the method ``emit`` ends in.
   Otherwise it calls ``emit``.
+- **Transmission.** While the channel's class still has
+  :data:`CHANNEL_TRANSMIT`, a MAC built on it may run in the medium
+  (:mod:`repro.net.mac`); the medium then runs :meth:`Channel.transmit`'s
+  body for it (the frame stamper, the air time from the frame's size,
+  ``transmissions += 1``, the tx observers) and reads each sender's
+  receivers from a per-(sender, range) table compiled once from the
+  radio, the network being static.  A MAC kept in Python, a wrapped
+  ``Channel.transmit`` included, calls the method for every frame.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+import random
+from typing import TYPE_CHECKING, Callable, Collection, Dict, List, Optional, Set, Tuple
 
 from repro.net.packet import Frame, NodeId, Packet
 from repro.net.radio import UnitDiskRadio
@@ -59,6 +68,9 @@ from repro.sim import accel
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import _LAYOUTS, TRACE_EMIT, TraceLog, TraceRecord
+
+if TYPE_CHECKING:  # repro.net.mac imports this module
+    from repro.net.mac import MacConfig
 
 #: An ``rx_lost`` record's field names, in the order the reference path
 #: emits them, interned as ``TraceRecord`` interns every layout.
@@ -162,26 +174,40 @@ class Channel:
         self._deaf: Set[NodeId] = set()
         self._stampers: Dict[NodeId, Callable[[Frame], Frame]] = {}
         self._loss_handlers: Dict[NodeId, Callable[[float], None]] = {}
-        self._tx_observers: List[Callable[[NodeId, Frame, float], None]] = []
+        # (observer, senders) pairs; senders None observes every sender.
+        self._tx_observers: List[
+            Tuple[Callable[[NodeId, Frame, float], None], Optional[Collection[NodeId]]]
+        ] = []
         self._reception_observers: List[Callable[[Reception], None]] = []
-        self.transmissions = 0
+        self._transmissions = 0
         self._collisions = 0
         self._medium = None
         medium_type = accel.medium_type(sim)
         if medium_type is not None:
             records = {} if trace is None else {
-                "records": (TRACE_EMIT, TraceRecord, RX_LOST_NAMES, Frame, Packet)
+                "records": (TRACE_EMIT, TraceRecord, RX_LOST_NAMES, Packet)
             }
+            # The radio's range overrides are read per transmission, as
+            # radio.tx_range reads them: an attacker may raise its range
+            # mid-run.
             self._medium = medium_type(
                 sim, radio.coverage_with_distance, self._rng.random, trace,
                 self._capture_ratio, self._ambient_loss,
                 self._tx_observers, self._reception_observers, Reception,
+                self._bandwidth, radio._range_overrides, radio.default_range, Frame,
                 **records,
             )
             # Carrier sense is the MAC's per-attempt query: bind it to the
             # medium directly instead of going through a Python frame.
             self.is_busy = self._medium.is_busy  # type: ignore[method-assign]
             self.is_transmitting = self._medium.is_transmitting  # type: ignore[method-assign]
+
+    @property
+    def transmissions(self) -> int:
+        """Frames put on the air so far."""
+        if self._medium is not None:
+            return self._medium.transmissions
+        return self._transmissions
 
     @property
     def collisions(self) -> int:
@@ -220,6 +246,8 @@ class Channel:
         MAC queueing).  A node that re-sends someone else's frame without
         a stamper of its own leaves the original stamp in place."""
         self._stampers[node] = stamper
+        if self._medium is not None:
+            self._medium.set_stamper(node, stamper)
 
     def attach_loss_handler(self, node: NodeId, handler: Callable[[float], None]) -> None:
         """Notify ``node`` when it loses a reception (a real radio senses a
@@ -230,14 +258,35 @@ class Channel:
         if self._medium is not None:
             self._medium.set_loss_handler(node, handler)
 
-    def add_tx_observer(self, observer: Callable[[NodeId, Frame, float], None]) -> None:
-        """Observe every physical transmission (used by tests and metrics)."""
-        self._tx_observers.append(observer)
+    def add_tx_observer(
+        self,
+        observer: Callable[[NodeId, Frame, float], None],
+        senders: Optional[Collection[NodeId]] = None,
+    ) -> None:
+        """Observe every physical transmission, or only those of
+        ``senders`` (used by tests, defenses and metrics)."""
+        self._tx_observers.append((observer, senders))
 
     def add_reception_observer(self, observer: Callable[[Reception], None]) -> None:
         """Observe every finished reception, decodable or not (the energy
         meter charges radios for listening either way)."""
         self._reception_observers.append(observer)
+
+    def medium_mac(
+        self, node: NodeId, rng: random.Random, config: MacConfig, trace: Optional[TraceLog]
+    ) -> Optional[object]:
+        """A handle to ``node``'s MAC run by the C medium, or None.
+
+        None unless the channel has a medium and its class still has
+        :data:`CHANNEL_TRANSMIT` (the MAC's transmissions then skip the
+        method; see the module docstring).  ``rng`` is the node's ``mac:``
+        stream."""
+        if self._medium is None or type(self).transmit is not CHANNEL_TRANSMIT:
+            return None
+        return self._medium.mac(
+            node, rng.random, trace, config.base_backoff, config.max_attempts,
+            config.default_jitter, config.arq_retries,
+        )
 
     def release(self) -> None:
         """Drop every handler, observer and in-flight reception, here and
@@ -326,14 +375,13 @@ class Channel:
         the frame.  This models the link-layer acknowledgment of the MAC
         (the ACK itself is not simulated; it is short enough to ignore).
         """
+        if self._medium is not None:
+            return self._medium.transmit(sender, frame, tx_range, on_unicast_outcome)
         stamper = self._stampers.get(sender)
         if stamper is not None:
             frame = stamper(frame)
         duration = self.duration_of(frame)
-        self.transmissions += 1
-        if self._medium is not None:
-            self._medium.transmit(sender, frame, duration, tx_range, on_unicast_outcome)
-            return duration
+        self._transmissions += 1
         now = self._sim.now
         end = now + duration
         self._tx_until[sender] = max(self._tx_until.get(sender, 0.0), end)
@@ -344,8 +392,9 @@ class Channel:
                 reception.collided = True
                 self._collisions += 1
 
-        for observer in self._tx_observers:
-            observer(sender, frame, now)
+        for observer, senders in self._tx_observers:
+            if senders is None or sender in senders:
+                observer(sender, frame, now)
 
         # Everything below runs once per transmission for every in-range
         # receiver — the innermost loop of the whole simulator.  The
@@ -446,3 +495,8 @@ def _pipeline_owner(handler: Callable[[Frame], None]) -> Optional[object]:
     if getattr(handler, "__func__", None) is NODE_DELIVER and type(owner).deliver is NODE_DELIVER:
         return owner
     return None
+
+
+#: The reference body of a transmission.  A MAC runs in the C medium only
+#: while its channel's class still has this function (module docstring).
+CHANNEL_TRANSMIT = Channel.transmit

@@ -60,7 +60,9 @@ class Packet:
 
     @property
     def size_bytes(self) -> int:
-        """On-air size, used for transmission-duration computation."""
+        """On-air size, used for transmission-duration computation.  A
+        subclass whose size does not depend on its fields gives it as a
+        plain class attribute, which costs no call to read."""
         raise NotImplementedError
 
     @property
@@ -80,9 +82,7 @@ class HelloPacket(Packet):
     def _make_key(self) -> Tuple[Any, ...]:
         return ("HELLO", self.sender)
 
-    @property
-    def size_bytes(self) -> int:
-        return 16
+    size_bytes = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,9 +96,7 @@ class HelloReplyPacket(Packet):
     def _make_key(self) -> Tuple[Any, ...]:
         return ("HELLO_REPLY", self.sender, self.announcer)
 
-    @property
-    def size_bytes(self) -> int:
-        return 24
+    size_bytes = 24
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,9 +160,7 @@ class RouteRequest(Packet):
     def _make_key(self) -> Tuple[Any, ...]:
         return ("REQ", self.origin, self.request_id)
 
-    @property
-    def size_bytes(self) -> int:
-        return 32
+    size_bytes = 32
 
     @property
     def monitored(self) -> bool:
@@ -276,9 +272,7 @@ class RouteErrorPacket(Packet):
     def _make_key(self) -> Tuple[Any, ...]:
         return ("RERR", self.reporter) + self.inner_key
 
-    @property
-    def size_bytes(self) -> int:
-        return 24
+    size_bytes = 24
 
 
 @dataclass(frozen=True, slots=True)
@@ -296,9 +290,7 @@ class HeartbeatPacket(Packet):
     def _make_key(self) -> Tuple[Any, ...]:
         return ("HBEAT", self.sender, self.sequence)
 
-    @property
-    def size_bytes(self) -> int:
-        return 12
+    size_bytes = 12
 
 
 @dataclass(frozen=True, slots=True)
@@ -312,9 +304,7 @@ class ProbePacket(Packet):
     def _make_key(self) -> Tuple[Any, ...]:
         return ("PROBE", self.sender, self.target, self.nonce)
 
-    @property
-    def size_bytes(self) -> int:
-        return 16
+    size_bytes = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -328,9 +318,7 @@ class ProbeAckPacket(Packet):
     def _make_key(self) -> Tuple[Any, ...]:
         return ("PROBE_ACK", self.sender, self.target, self.nonce)
 
-    @property
-    def size_bytes(self) -> int:
-        return 16
+    size_bytes = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -371,9 +359,7 @@ class AlertPacket(Packet):
     def _make_key(self) -> Tuple[Any, ...]:
         return ("ALERT", self.guard, self.accused, self.recipient)
 
-    @property
-    def size_bytes(self) -> int:
-        return 24
+    size_bytes = 24
 
 
 @dataclass(frozen=True, slots=True)
@@ -396,9 +382,7 @@ class AlertAckPacket(Packet):
     def _make_key(self) -> Tuple[Any, ...]:
         return ("ALERT_ACK", self.sender, self.guard, self.accused)
 
-    @property
-    def size_bytes(self) -> int:
-        return 24
+    size_bytes = 24
 
 
 @dataclass(frozen=True, slots=True)
@@ -418,9 +402,7 @@ class RttProbePacket(Packet):
     def _make_key(self) -> Tuple[Any, ...]:
         return ("RTT_PROBE", self.sender, self.target, self.nonce)
 
-    @property
-    def size_bytes(self) -> int:
-        return 16
+    size_bytes = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -434,9 +416,7 @@ class RttEchoPacket(Packet):
     def _make_key(self) -> Tuple[Any, ...]:
         return ("RTT_ECHO", self.sender, self.target, self.nonce)
 
-    @property
-    def size_bytes(self) -> int:
-        return 16
+    size_bytes = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -455,9 +435,7 @@ class SndChallengePacket(Packet):
     def _make_key(self) -> Tuple[Any, ...]:
         return ("SND_CHAL", self.sender, self.target, self.nonce)
 
-    @property
-    def size_bytes(self) -> int:
-        return 16
+    size_bytes = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -477,9 +455,7 @@ class SndResponsePacket(Packet):
     def _make_key(self) -> Tuple[Any, ...]:
         return ("SND_RESP", self.sender, self.target, self.nonce)
 
-    @property
-    def size_bytes(self) -> int:
-        return 24
+    size_bytes = 24
 
 
 @dataclass(frozen=True, slots=True)
