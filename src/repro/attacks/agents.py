@@ -251,11 +251,12 @@ class RushingRouting(_ActivatableRouting):
         self.trace.emit(self.sim.now, "wormhole_activity", node=self.node.node_id)
 
     def _forward_request(self, frame: Frame, request: RouteRequest) -> None:
-        jitter = 0.0 if self.active else None
+        if not self.active:
+            # Honest until activated: jitter and counter-based suppression.
+            super()._forward_request(frame, request)
+            return
         self.node.broadcast(
-            request.forwarded_by(self.node.node_id),
-            prev_hop=frame.transmitter,
-            jitter=jitter if jitter is not None else self.config.forward_jitter,
+            request.forwarded_by(self.node.node_id), prev_hop=frame.transmitter, jitter=0.0
         )
 
     def _on_data(self, frame: Frame, packet: DataPacket) -> None:

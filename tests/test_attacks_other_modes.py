@@ -3,8 +3,13 @@ transmission, packet relay, and protocol deviation (rushing)."""
 
 import pytest
 
-from repro.experiments.scenario import ScenarioConfig, build_scenario
+from repro.attacks.agents import RushingRouting
 from repro.core.config import LiteworpConfig
+from repro.experiments.scenario import ScenarioConfig, build_scenario
+from repro.net.packet import Frame, RouteRequest
+from repro.net.topology import grid_topology
+from repro.routing.config import RoutingConfig
+from tests.conftest import Harness
 
 
 def config(mode, protected=True, seed=5, **kwargs):
@@ -134,3 +139,31 @@ def test_rushing_detected_with_watch_data_extension():
     report = scenario.run()
     attacker = scenario.malicious_ids[0]
     assert scenario.trace.count("guard_detection", accused=attacker) > 0
+
+
+def test_inactive_rusher_suppresses_like_an_honest_node():
+    """Before activation the rusher forwards as an honest node does: it
+    waits its jitter and cancels the rebroadcast once it has overheard
+    ``suppression_threshold`` copies.  Once active it rebroadcasts at once."""
+    harness = Harness(grid_topology(columns=3, rows=1, spacing=20.0, tx_range=30.0))
+    routing = RoutingConfig(forward_jitter=0.5, suppression_threshold=2)
+    rusher = RushingRouting(
+        harness.sim, harness.node(1), routing, harness.trace, harness.rng.stream("routing:1")
+    )
+    request = RouteRequest(origin=0, request_id=1, target=9, path=(0,))
+    request.key()
+    node = harness.node(1)
+    node.deliver(Frame(request, 0))
+    # Two copies overheard inside the jitter window cancel the rebroadcast.
+    for transmitter in (2, 0):
+        node.deliver(Frame(request.forwarded_by(transmitter), transmitter))
+    harness.run(5.0)
+    assert node.mac.sent == 0
+    assert rusher._copy_counts == {}
+
+    rusher.activate()
+    fresh = RouteRequest(origin=0, request_id=2, target=9, path=(0,))
+    fresh.key()
+    node.deliver(Frame(fresh, 0))
+    harness.run(10.0)
+    assert node.mac.sent == 1
