@@ -46,7 +46,9 @@ tracer of ``benchmarks/e2e`` installs them) sees every call.
   ``emit(now, "rx_lost", receiver=..., collided=..., **frame.describe())``
   would give them, reading the frame's slots and the packet's cached key,
   and hands it to ``TraceLog._publish``, the method ``emit`` ends in.
-  Otherwise it calls ``emit``.
+  Otherwise it calls ``emit``.  While ``_publish`` too is the reference
+  (:data:`repro.sim.trace.TRACE_PUBLISH`) and only the log's store sees
+  the record, the medium runs its body as well.
 - **Transmission.** While the channel's class still has
   :data:`CHANNEL_TRANSMIT`, a MAC built on it may run in the medium
   (:mod:`repro.net.mac`); the medium then runs :meth:`Channel.transmit`'s
@@ -67,7 +69,7 @@ from repro.net.radio import UnitDiskRadio
 from repro.sim import accel
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import _LAYOUTS, TRACE_EMIT, TraceLog, TraceRecord
+from repro.sim.trace import _LAYOUTS, TRACE_EMIT, TRACE_PUBLISH, TraceLog, TraceRecord
 
 if TYPE_CHECKING:  # repro.net.mac imports this module
     from repro.net.mac import MacConfig
@@ -185,7 +187,7 @@ class Channel:
         medium_type = accel.medium_type(sim)
         if medium_type is not None:
             records = {} if trace is None else {
-                "records": (TRACE_EMIT, TraceRecord, RX_LOST_NAMES, Packet)
+                "records": (TRACE_EMIT, TRACE_PUBLISH, TraceRecord, RX_LOST_NAMES, Packet)
             }
             # The radio's range overrides are read per transmission, as
             # radio.tx_range reads them: an attacker may raise its range

@@ -188,3 +188,7 @@ class Node:
 #: against this function, not against whatever ``Node.deliver`` is at
 #: wiring time, so a wrapper installed on the class is never bypassed.
 NODE_DELIVER = Node.deliver
+#: The send path's reference methods.  The C medium builds and submits a
+#: forwarder's rebroadcast itself only for a node whose class still has
+#: both (see :mod:`repro.routing.ondemand`).
+NODE_SEND = {name: Node.__dict__[name] for name in ("broadcast", "_submit")}

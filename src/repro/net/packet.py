@@ -525,6 +525,12 @@ class Frame:
         }
 
 
+#: The reference copy of a rebroadcast request.  The C medium makes the
+#: copy itself only while ``RouteRequest.forwarded_by`` is this function
+#: (see :mod:`repro.routing.ondemand`).
+REQUEST_FORWARDED_BY = RouteRequest.forwarded_by
+
+
 def _slot_setters(cls: type, *names: str) -> Tuple[Any, ...]:
     """The ``__set__`` of each named slot's member descriptor on ``cls``
     (the hand-written ``__init__``s above write through these, which a

@@ -18,6 +18,42 @@ Attack agents subclass this class and override the small protected hooks
 (``_forward_request``, ``_forward_reply``, ``_forward_data``) rather than
 reimplementing the protocol.
 
+:class:`OnDemandRouting` is the reference implementation.  On the C
+kernel's simulator, for an agent whose node's MAC the channel's
+``Medium`` runs (:mod:`repro.net.mac`), the medium also runs the flood's
+common paths (``repro/sim/_ckernel.c``).  The agent's ``_seen_requests``
+and ``_copy_counts``, its node, the config's ``forward_jitter`` and
+``suppression_threshold`` and the ``random`` of its ``routing:`` stream
+are kept in the node's slot.  When the node's pipeline reaches this
+agent's listener, the medium handles, without a Python frame, a duplicate
+request (its copy count goes up), an overheard reply or data packet
+addressed to another node (nothing happens) and a first copy at a
+forwarder (the reverse pointer and a zero count are stored, and the
+rebroadcast decision is scheduled with the same draw, time and sequence
+number as :meth:`_forward_request`'s).  The decision itself is
+:meth:`_forward_decision` with :meth:`RouteRequest.forwarded_by`,
+``Node.broadcast`` and ``Node._submit``: the count is popped and tested,
+the copy and its ``Frame`` are built (the copy's ``uid`` drawn at the
+same moment), then come the ``alive`` check, the node's send filters and
+the MAC's ``send``.  Everything else calls :meth:`on_frame`: a request at
+its target or origin, an addressed reply or data packet, other packets, a
+config with ``suppression_threshold == 0`` or ``forward_jitter == 0``,
+and a request whose key is not cached yet.
+
+The wrapper rule, checked once when the agent is built
+(:func:`runs_in_medium`): the medium runs the flood only while the
+agent's class still resolves ``on_frame``, ``_on_request``,
+``_forward_request`` and ``_forward_decision`` to this class's functions
+(:data:`FLOOD_METHODS`), the node's class still has the reference
+``broadcast`` and ``_submit`` (:data:`repro.net.node.NODE_SEND`) and
+``RouteRequest.forwarded_by`` is the original.  Per frame it stands in
+only for the listener that is this agent's bound
+:data:`ONDEMAND_ON_FRAME`.  So the attack agents that override a hook,
+and the layer tracer of ``benchmarks/e2e``, which wraps ``on_frame`` on
+the class before it builds a scenario, keep the Python path for every
+frame; ``REPRO_ACCEL=off``, :func:`repro.sim.accel.reference_mode` and a
+missing compiler do the same.
+
 Trace kinds emitted: ``data_origin``, ``data_delivered``, ``data_no_route``,
 ``data_blocked``, ``data_discovery_failed``, ``route_established``,
 ``rep_stranded``, ``route_request_sent``.
@@ -29,14 +65,16 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.net.node import Node
+from repro.net.node import NODE_SEND, Node
 from repro.net.packet import (
+    REQUEST_FORWARDED_BY,
     DataPacket,
     Frame,
     NodeId,
     RouteErrorPacket,
     RouteReply,
     RouteRequest,
+    _packet_uids,
 )
 from repro.routing.cache import RouteTable
 from repro.routing.config import RoutingConfig
@@ -100,6 +138,14 @@ class OnDemandRouting:
         # _on_request is this class's (attack agents override it).
         self._dedup_first = type(self)._on_request is OnDemandRouting._on_request
         node.add_listener(self.on_frame)
+        # The C medium runs the flood's common paths while it runs the
+        # node's MAC and the wrapper rule holds (module docstring).
+        medium_mac = getattr(node.mac, "_medium_mac", None)
+        if medium_mac is not None and runs_in_medium(self):
+            medium_mac.flood(
+                self, sim, node, self._seen_requests, self._copy_counts, rng.random,
+                config.forward_jitter, config.suppression_threshold, _FLOOD_CLASSES,
+            )
 
     # ------------------------------------------------------------------
     # Application interface
@@ -430,3 +476,29 @@ class OnDemandRouting:
     ) -> None:
         """Data forwarding hook; honest nodes announce truthfully."""
         self.node.unicast(packet, next_hop=next_hop, prev_hop=prev_hop)
+
+
+#: The listener the C medium stands in for (module docstring).
+ONDEMAND_ON_FRAME = OnDemandRouting.on_frame
+#: The reference methods whose bodies the C medium runs: an agent whose
+#: class resolves any of these names to another function keeps the
+#: Python path (module docstring).
+FLOOD_METHODS = {
+    name: OnDemandRouting.__dict__[name]
+    for name in ("on_frame", "_on_request", "_forward_request", "_forward_decision")
+}
+#: What the medium needs of the flood's classes: the listener, the packet
+#: classes ``on_frame`` dispatches on, and the counter a copy's uid comes from.
+_FLOOD_CLASSES = (ONDEMAND_ON_FRAME, RouteRequest, RouteReply, DataPacket, _packet_uids)
+
+
+def runs_in_medium(agent: OnDemandRouting) -> bool:
+    """Whether the wrapper rule lets the C medium run ``agent``'s flood:
+    its class and its node's class still have the reference methods, and
+    ``RouteRequest.forwarded_by`` is the original (module docstring)."""
+    cls, node_cls = type(agent), type(agent.node)
+    return (
+        all(getattr(cls, name) is fn for name, fn in FLOOD_METHODS.items())
+        and all(getattr(node_cls, name) is fn for name, fn in NODE_SEND.items())
+        and RouteRequest.forwarded_by is REQUEST_FORWARDED_BY
+    )

@@ -27,13 +27,14 @@
  * campaigns stop carrying dead entries (see maybe_compact).
  *
  * The Medium type further down runs the wireless channel's
- * per-reception work for repro.net.channel.Channel, and each node's CSMA
- * MAC for repro.net.mac.CsmaMac, and pushes their events straight into
- * this queue.
+ * per-reception work for repro.net.channel.Channel, each node's CSMA MAC
+ * for repro.net.mac.CsmaMac and the route-request flood of each honest
+ * repro.routing.ondemand.OnDemandRouting, and pushes their events
+ * straight into this queue.
  *
  * Built on demand by repro.sim.accel; the pure-Python engine,
- * Channel's per-receiver path and CsmaMac remain the reference
- * implementations and the fallback.
+ * Channel's per-receiver path, CsmaMac and OnDemandRouting remain the
+ * reference implementations and the fallback.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -1019,7 +1020,10 @@ static PyObject *str_link_dst, *str_describe, *str_emit, *str_rx_lost,
     *str_alive, *str_frames_received, *str_frames_rejected, *str_observers,
     *str_filters, *str_listeners, *str_rtime, *str_rkind, *str_rnames,
     *str_rvalues, *str_size_bytes, *str_mac_drop, *str_arq_failure, *str_node,
-    *str_frame, *str_jitter, *str_tx_range, *str_leash;
+    *str_frame, *str_jitter, *str_tx_range, *str_leash, *str_validator,
+    *str_sinks, *str_subscribers, *str_records, *str_append, *str_total_emitted,
+    *str_peak_resident, *str_request_id, *str_target, *str_hop_count, *str_path,
+    *str_uid, *str_node_id, *str_send_filters, *str_origin;
 
 /* Frame slots read by offset. */
 enum { F_PACKET, F_TRANSMITTER, F_LINK_DST, F_PREV_HOP, F_COUNT };
@@ -1032,6 +1036,14 @@ enum { P_NODE, P_OBSERVERS, P_FILTERS, P_LISTENERS, P_COUNT };
 /* TraceRecord's slots. */
 static PyObject **record_names[4] = {&str_rtime, &str_rkind, &str_rnames,
                                      &str_rvalues};
+/* RouteRequest's slots, read and written by offset. */
+enum { R_UID, R_KEY, R_ORIGIN, R_REQUEST_ID, R_TARGET, R_HOP_COUNT, R_PATH,
+       R_COUNT };
+static PyObject **request_names[R_COUNT] = {&str_uid, &str_dkey, &str_origin,
+                                            &str_request_id, &str_target,
+                                            &str_hop_count, &str_path};
+/* The jitter of a forwarder's rebroadcast: Node.broadcast(..., jitter=0.0). */
+static PyObject *float_zero;
 
 /* Offset of `cls`'s object slot `name`, or -1. */
 static Py_ssize_t
@@ -1114,6 +1126,18 @@ typedef struct {
     long tries;
 } MacItem;
 
+/* A node's OnDemandRouting while the medium runs its flood (see
+ * Mac_flood); `agent` is NULL for a slot no agent is wired to. */
+typedef struct {
+    PyObject *agent, *node;
+    PyObject *me;           /* node.node_id */
+    PyObject *seen, *counts;  /* the agent's _seen_requests, _copy_counts */
+    PyObject *random;       /* the node's routing: stream's random() */
+    PyObject *send_filters; /* node._send_filters, shared */
+    double jitter;          /* RoutingConfig.forward_jitter */
+    long threshold;         /* RoutingConfig.suppression_threshold */
+} Flood;
+
 /* A node's CSMA MAC (repro.net.mac.CsmaMac's state) while the medium
  * runs it; `random` is NULL for a slot no MAC is wired to. */
 typedef struct {
@@ -1142,6 +1166,7 @@ typedef struct {
     Py_ssize_t *blocked;    /* slots whose link to this one is down */
     Py_ssize_t nblocked, cap_blocked;
     Mac mac;
+    Flood flood;
     char deaf;
 } Slot;
 
@@ -1154,13 +1179,20 @@ typedef struct {
     PyObject *tx_observers; /* Channel's lists, shared so additions apply */
     PyObject *rx_observers;
     PyObject *reception_cls;
-    /* rx_lost records are built here while trace's emit is `emit`;
-     * NULL when there is no trace. */
-    PyObject *emit, *record_cls, *rx_lost_names;
+    /* rx_lost records are built here while trace's emit is `emit`, and
+     * stored here while its _publish is `publish`; NULL when there is no
+     * trace. */
+    PyObject *emit, *publish, *record_cls, *rx_lost_names;
     PyTypeObject *frame_cls, *packet_cls;
     /* Frame.describe, Frame.size_bytes, Packet.key */
     PyObject *describe, *frame_size, *key;
     Py_ssize_t frame_off[F_COUNT], leash_off, key_off, record_off[4];
+    /* The flood (Mac_flood): OnDemandRouting.on_frame, the packet classes
+     * on_frame dispatches on and packet.py's uid counter; NULL until an
+     * agent is wired. */
+    PyObject *on_frame, *packet_uids;
+    PyTypeObject *request_cls, *reply_cls, *data_cls;
+    Py_ssize_t request_off[R_COUNT];
     PyObject *index;        /* node id -> slot */
     PyObject *overrides;    /* the radio's node id -> transmit range */
     Slot *slots;            /* freed only in dealloc: batches point in */
@@ -1187,6 +1219,8 @@ static PyTypeObject MediumType;
 static PyTypeObject BatchType;
 static PyTypeObject MacEventType;
 static void mac_clear_queue(Mac *q);
+static void flood_clear(Flood *f);
+static int flood_receive(MediumObj *m, Py_ssize_t s, PyObject *frame);
 
 static void
 rx_link(Slot *s, Rx *rx)
@@ -1546,6 +1580,64 @@ emit_call(PyObject *trace, PyObject *now, PyObject *kind, PyObject *fields,
     return discard(r);
 }
 
+/* TraceLog._publish's body for a record only the store sees: no
+ * validator, no sink and no rx_lost subscriber.  1 when one of those is
+ * there (the method must run), 0 once stored, -1 on error. */
+static int
+store_record(PyObject *trace, PyObject *record)
+{
+    PyObject *validator = NULL, *sinks = NULL, *subscribers = NULL,
+        *records = NULL, *peak = NULL, *size = NULL;
+    int rc = -1;
+    if (!(validator = PyObject_GetAttr(trace, str_validator)) ||
+        !(sinks = PyObject_GetAttr(trace, str_sinks)) ||
+        !(subscribers = PyObject_GetAttr(trace, str_subscribers)))
+        goto done;
+    rc = 1;
+    if (validator != Py_None || !PyList_CheckExact(sinks) || PyList_GET_SIZE(sinks) ||
+        !PyDict_CheckExact(subscribers) ||
+        (rc = PyDict_Contains(subscribers, str_rx_lost)) != 0)
+        goto done;
+    rc = -1;
+    if (!(records = PyObject_GetAttr(trace, str_records)))
+        goto done;
+    if (PyList_CheckExact(records) ? PyList_Append(records, record) < 0
+        : discard(PyObject_CallMethodOneArg(records, str_append, record)) < 0)
+        goto done;
+    if (increment(trace, str_total_emitted) < 0)
+        goto done;
+    Py_ssize_t resident = PyObject_Size(records);
+    if (resident < 0 || !(peak = PyObject_GetAttr(trace, str_peak_resident)) ||
+        !(size = PyLong_FromSsize_t(resident)))
+        goto done;
+    int higher = PyObject_RichCompareBool(size, peak, Py_GT);
+    if (higher > 0)
+        higher = PyObject_SetAttr(trace, str_peak_resident, size);
+    rc = higher < 0 ? -1 : 0;
+done:
+    Py_XDECREF(validator);
+    Py_XDECREF(sinks);
+    Py_XDECREF(subscribers);
+    Py_XDECREF(records);
+    Py_XDECREF(peak);
+    Py_XDECREF(size);
+    return rc;
+}
+
+/* trace._publish(record), its body run by store_record while the log's
+ * class has the reference method. */
+static int
+publish_record(MediumObj *m, PyObject *record)
+{
+    PyObject *trace = m->trace;
+    if (_PyType_Lookup(Py_TYPE(trace), str_publish) == m->publish) {
+        int rc = store_record(trace, record);
+        if (rc <= 0)
+            return rc;
+    }
+    return discard(PyObject_CallMethodOneArg(trace, str_publish, record));
+}
+
 static int
 emit_rx_lost(MediumObj *m, BatchObj *b, PyObject *receiver, Rx *rx,
              PyObject *now)
@@ -1563,7 +1655,7 @@ emit_rx_lost(MediumObj *m, BatchObj *b, PyObject *receiver, Rx *rx,
             for (int i = 0; i < 4; i++)
                 *(PyObject **)((char *)rec + m->record_off[i]) = Py_NewRef(parts[i]);
             Py_DECREF(values);
-            int rc = discard(PyObject_CallMethodOneArg(m->trace, str_publish, rec));
+            int rc = publish_record(m, rec);
             Py_DECREF(rec);
             return rc;
         }
@@ -1578,12 +1670,24 @@ emit_rx_lost(MediumObj *m, BatchObj *b, PyObject *receiver, Rx *rx,
     return emit_call(m->trace, now, str_rx_lost, fields, b->frame);
 }
 
+/* Whether `listener` is the on_frame of the agent whose flood slot s
+ * runs (Mac_flood): then flood_receive stands in for the call. */
+static inline int
+flood_listener(MediumObj *m, Py_ssize_t s, PyObject *listener)
+{
+    PyObject *agent = m->slots[s].flood.agent;
+    return agent && PyMethod_Check(listener) &&
+           PyMethod_GET_FUNCTION(listener) == m->on_frame &&
+           PyMethod_GET_SELF(listener) == agent;
+}
+
 /* Node.deliver's body: the alive check, the count, the observers, the
  * filters (a False verdict counts a rejection and stops), the listeners.
  * The lists are the node's own, read by index as a for loop reads them,
- * so a hook added during delivery runs as it would there. */
+ * so a hook added during delivery runs as it would there.  The routing
+ * agent's listener runs in flood_receive while slot s runs its flood. */
 static int
-run_pipeline(PyObject *const *pipe, PyObject *frame)
+run_pipeline(MediumObj *m, Py_ssize_t s, PyObject *const *pipe, PyObject *frame)
 {
     PyObject *node = pipe[P_NODE];
     PyObject *alive = PyObject_GetAttr(node, str_alive);
@@ -1611,23 +1715,30 @@ run_pipeline(PyObject *const *pipe, PyObject *frame)
         if (pass <= 0)
             return pass < 0 ? -1 : increment(node, str_frames_rejected);
     }
-    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(listeners); i++)
-        if (call_one(PyList_GET_ITEM(listeners, i), frame) < 0)
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(listeners); i++) {
+        PyObject *listener = Py_NewRef(PyList_GET_ITEM(listeners, i));
+        int rc = flood_listener(m, s, listener) ? flood_receive(m, s, frame) : 1;
+        if (rc > 0)
+            rc = call_one(listener, frame);
+        Py_DECREF(listener);
+        if (rc < 0)
             return -1;
+    }
     return 0;
 }
 
 /* Hand a decodable frame to its receiver: the node's pipeline, or the
  * handler.  References are taken first: callbacks may grow the slots. */
 static int
-medium_deliver(Slot *s, PyObject *frame)
+medium_deliver(MediumObj *m, Py_ssize_t s, PyObject *frame)
 {
-    if (!s->pipe[P_NODE])
-        return s->handler ? call_one(s->handler, frame) : 0;
+    Slot *slot = &m->slots[s];
+    if (!slot->pipe[P_NODE])
+        return slot->handler ? call_one(slot->handler, frame) : 0;
     PyObject *pipe[P_COUNT];
     for (int p = 0; p < P_COUNT; p++)
-        pipe[p] = Py_NewRef(s->pipe[p]);
-    int rc = run_pipeline(pipe, frame);
+        pipe[p] = Py_NewRef(slot->pipe[p]);
+    int rc = run_pipeline(m, s, pipe, frame);
     for (int p = 0; p < P_COUNT; p++)
         Py_DECREF(pipe[p]);
     return rc;
@@ -1665,7 +1776,7 @@ finish_rx(MediumObj *m, BatchObj *b, Rx *rx, PyObject *now)
             return -1;
         return outcome ? call_one(outcome, Py_False) : 0;
     }
-    if (medium_deliver(&m->slots[rx->slot], b->frame) < 0)
+    if (medium_deliver(m, rx->slot, b->frame) < 0)
         return -1;
     return outcome ? call_one(outcome, Py_True) : 0;
 }
@@ -1717,17 +1828,17 @@ Medium_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
                              "overrides", "default_range", "frame_cls",
                              "records", NULL};
     PyObject *sim, *coverage, *random, *trace, *tx_observers, *rx_observers,
-        *reception_cls, *overrides, *frame_cls, *emit = NULL,
+        *reception_cls, *overrides, *frame_cls, *emit = NULL, *publish = NULL,
         *record_cls = NULL, *names = NULL, *packet_cls = NULL;
     double capture_ratio, ambient_loss, bandwidth, default_range;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O!OOOddO!O!OdO!dO!|$(OO!O!O!)", kwlist,
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O!OOOddO!O!OdO!dO!|$(OOO!O!O!)", kwlist,
                                      &SimType, &sim, &coverage, &random,
                                      &trace, &capture_ratio, &ambient_loss,
                                      &PyList_Type, &tx_observers,
                                      &PyList_Type, &rx_observers,
                                      &reception_cls, &bandwidth,
                                      &PyDict_Type, &overrides, &default_range,
-                                     &PyType_Type, &frame_cls, &emit,
+                                     &PyType_Type, &frame_cls, &emit, &publish,
                                      &PyType_Type, &record_cls,
                                      &PyTuple_Type, &names,
                                      &PyType_Type, &packet_cls))
@@ -1764,6 +1875,7 @@ Medium_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     m->leash_off = slot_offset(m->frame_cls, str_leash);
     if (emit) {
         m->emit = Py_NewRef(emit);
+        m->publish = Py_NewRef(publish);
         m->record_cls = Py_NewRef(record_cls);
         m->rx_lost_names = Py_NewRef(names);
         m->packet_cls = (PyTypeObject *)Py_NewRef(packet_cls);
@@ -1790,6 +1902,7 @@ Medium_traverse(MediumObj *m, visitproc visit, void *arg)
     Py_VISIT(m->rx_observers);
     Py_VISIT(m->reception_cls);
     Py_VISIT(m->emit);
+    Py_VISIT(m->publish);
     Py_VISIT(m->record_cls);
     Py_VISIT(m->rx_lost_names);
     Py_VISIT(m->frame_cls);
@@ -1797,6 +1910,11 @@ Medium_traverse(MediumObj *m, visitproc visit, void *arg)
     Py_VISIT(m->describe);
     Py_VISIT(m->frame_size);
     Py_VISIT(m->key);
+    Py_VISIT(m->on_frame);
+    Py_VISIT(m->packet_uids);
+    Py_VISIT(m->request_cls);
+    Py_VISIT(m->reply_cls);
+    Py_VISIT(m->data_cls);
     Py_VISIT(m->index);
     Py_VISIT(m->overrides);
     for (Py_ssize_t i = 0; i < m->nslots; i++) {
@@ -1813,6 +1931,13 @@ Medium_traverse(MediumObj *m, visitproc visit, void *arg)
             Py_VISIT(s->mac.queue[(s->mac.head + q) % s->mac.cap].frame);
             Py_VISIT(s->mac.queue[(s->mac.head + q) % s->mac.cap].tx_range);
         }
+        Py_VISIT(s->flood.agent);
+        Py_VISIT(s->flood.node);
+        Py_VISIT(s->flood.me);
+        Py_VISIT(s->flood.seen);
+        Py_VISIT(s->flood.counts);
+        Py_VISIT(s->flood.random);
+        Py_VISIT(s->flood.send_filters);
     }
     return 0;
 }
@@ -1831,6 +1956,7 @@ Medium_clear(MediumObj *m)
     Py_CLEAR(m->rx_observers);
     Py_CLEAR(m->reception_cls);
     Py_CLEAR(m->emit);
+    Py_CLEAR(m->publish);
     Py_CLEAR(m->record_cls);
     Py_CLEAR(m->rx_lost_names);
     Py_CLEAR(m->frame_cls);
@@ -1838,6 +1964,11 @@ Medium_clear(MediumObj *m)
     Py_CLEAR(m->describe);
     Py_CLEAR(m->frame_size);
     Py_CLEAR(m->key);
+    Py_CLEAR(m->on_frame);
+    Py_CLEAR(m->packet_uids);
+    Py_CLEAR(m->request_cls);
+    Py_CLEAR(m->reply_cls);
+    Py_CLEAR(m->data_cls);
     Py_CLEAR(m->index);
     Py_CLEAR(m->overrides);
     for (Py_ssize_t i = 0; i < m->nslots; i++) {
@@ -1851,6 +1982,7 @@ Medium_clear(MediumObj *m)
         Py_CLEAR(s->mac.random);
         Py_CLEAR(s->mac.trace);
         mac_clear_queue(&s->mac);
+        flood_clear(&s->flood);
     }
     return 0;
 }
@@ -2244,11 +2376,12 @@ Medium_get_transmissions(MediumObj *m, void *closure)
  * MacEvent in place of a bound method and its arguments, so event
  * counts, RNG draws and trace records are those of the reference. */
 
-enum { EV_ATTEMPT, EV_NEXT, EV_ACK };
+enum { EV_ATTEMPT, EV_NEXT, EV_ACK, EV_DECIDE };
 
-/* One scheduled MAC step (CsmaMac._attempt / _next_frame), or the ARQ
+/* One scheduled MAC step (CsmaMac._attempt / _next_frame), the ARQ
  * callback of a unicast in service (CsmaMac._acked), called with the
- * delivered flag. */
+ * delivered flag, or a forwarder's rebroadcast decision
+ * (OnDemandRouting._forward_decision, see the flood section below). */
 typedef struct {
     PyObject_HEAD
     vectorcallfunc vectorcall;
@@ -2256,7 +2389,9 @@ typedef struct {
     Py_ssize_t slot;
     unsigned long long epoch;
     long count;                   /* EV_ATTEMPT: attempt; EV_ACK: tries */
-    PyObject *frame, *tx_range;   /* EV_ACK only */
+    /* EV_ACK: the frame and its tx_range; EV_DECIDE: the request and the
+     * neighbour it came from. */
+    PyObject *frame, *tx_range;
     int kind;
 } MacEventObj;
 
@@ -2269,6 +2404,8 @@ typedef struct {
 
 static PyObject *MacEvent_vectorcall(MacEventObj *ev, PyObject *const *args,
                                      size_t nargsf, PyObject *kwnames);
+static int flood_decide(MediumObj *m, Py_ssize_t s, PyObject *request,
+                        PyObject *prev_hop);
 
 static int
 mac_push(Mac *q, PyObject *frame, PyObject *tx_range, long tries, int front)
@@ -2353,12 +2490,15 @@ mac_event(MediumObj *m, Py_ssize_t s, int kind, unsigned long long epoch,
     return ev;
 }
 
-/* sim.schedule(delay, <MAC step>) with the engine's checks on delay. */
+/* sim.schedule(delay, ev) with the engine's checks on delay; takes over
+ * the reference to `ev` (NULL after a failure). */
 static int
-mac_schedule(MediumObj *m, Py_ssize_t s, double delay, int kind,
-             unsigned long long epoch, long attempt)
+medium_schedule(MediumObj *m, MacEventObj *ev, double delay)
 {
+    if (!ev)
+        return -1;
     if (!isfinite(delay) || delay < 0.0) {
+        Py_DECREF(ev);
         PyObject *d = PyFloat_FromDouble(delay);
         if (d) {
             PyErr_Format(error_class(), "delay must be %s, got %R",
@@ -2367,13 +2507,18 @@ mac_schedule(MediumObj *m, Py_ssize_t s, double delay, int kind,
         }
         return -1;
     }
-    MacEventObj *ev = mac_event(m, s, kind, epoch, attempt, NULL, NULL);
-    if (!ev)
-        return -1;
     PyObject *queued = sim_push(m->sim, m->sim->now + delay, (PyObject *)ev,
                                 NULL, NULL);
     Py_DECREF(ev);
     return discard(queued);
+}
+
+/* sim.schedule(delay, <MAC step>) */
+static int
+mac_schedule(MediumObj *m, Py_ssize_t s, double delay, int kind,
+             unsigned long long epoch, long attempt)
+{
+    return medium_schedule(m, mac_event(m, s, kind, epoch, attempt, NULL, NULL), delay);
 }
 
 /* A backoff of `window * random()` before attempt 0 or the next. */
@@ -2519,7 +2664,7 @@ MacEvent_vectorcall(MacEventObj *ev, PyObject *const *args, size_t nargsf,
     if (nargs != (ev->kind == EV_ACK) || (kwnames && PyTuple_GET_SIZE(kwnames))) {
         PyErr_SetString(PyExc_TypeError, ev->kind == EV_ACK
                         ? "a MAC ACK callback takes one argument, delivered"
-                        : "a MAC event takes no arguments");
+                        : "a medium event takes no arguments");
         return NULL;
     }
     MediumObj *m = ev->medium;
@@ -2530,6 +2675,8 @@ MacEvent_vectorcall(MacEventObj *ev, PyObject *const *args, size_t nargsf,
         rc = mac_attempt(m, ev->slot, ev->epoch, ev->count);
     else if (ev->kind == EV_NEXT)
         rc = mac_next(m, ev->slot, ev->epoch);
+    else if (ev->kind == EV_DECIDE)
+        rc = flood_decide(m, ev->slot, ev->frame, ev->tx_range);
     else {
         int delivered = PyObject_IsTrue(args[0]);
         rc = delivered < 0 ? -1 : mac_acked(m, ev, delivered);
@@ -2578,8 +2725,219 @@ static PyTypeObject MacEventType = {
                 Py_TPFLAGS_HAVE_VECTORCALL,
     .tp_traverse = (traverseproc)MacEvent_traverse,
     .tp_clear = (inquiry)MacEvent_clear,
-    .tp_doc = "A scheduled step of a MAC the medium runs.",
+    .tp_doc = "A scheduled step of a MAC or a flood the medium runs.",
 };
+
+/* ------------------------------------------------------------------ */
+/* Flood: repro.routing.ondemand.OnDemandRouting run by the medium     */
+/* ------------------------------------------------------------------ */
+/* An honest routing agent wired with Mac.flood (see
+ * OnDemandRouting.__init__) keeps its two dicts, its node and its
+ * config in its node's slot.  While a listener the pipeline reaches is
+ * that agent's bound OnDemandRouting.on_frame, flood_receive stands in
+ * for the call and runs on_frame's common paths: a duplicate request
+ * bumps its copy count, an overheard reply or data packet does nothing,
+ * and a first copy at a forwarder is remembered and its rebroadcast
+ * decision scheduled, with the same draw, time and sequence number as
+ * _forward_request's sim.schedule.  The decision (flood_decide) is
+ * _forward_decision: pop the count, test it against the threshold, make
+ * RouteRequest.forwarded_by's copy (drawing its uid then) and
+ * Node.broadcast's Frame by slot offset, then Node._submit's alive check
+ * and send filters and the slot's MAC send with jitter 0.0.  Everything
+ * else -- a request at its target or origin, an addressed reply or data
+ * packet, other packets, a config with suppression or jitter off, a key
+ * not yet cached -- calls the listener. */
+
+/* An object slot of `obj` at `offset` (borrowed; NULL while unset). */
+#define SLOT_AT(obj, offset) (*(PyObject **)((char *)(obj) + (offset)))
+
+static void
+flood_clear(Flood *f)
+{
+    Py_CLEAR(f->agent);
+    Py_CLEAR(f->node);
+    Py_CLEAR(f->me);
+    Py_CLEAR(f->seen);
+    Py_CLEAR(f->counts);
+    Py_CLEAR(f->random);
+    Py_CLEAR(f->send_filters);
+}
+
+/* counts[key] += 1, if counts holds key. */
+static int
+flood_count(PyObject *counts, PyObject *key)
+{
+    PyObject *count = PyDict_GetItemWithError(counts, key);
+    if (!count)
+        return PyErr_Occurred() ? -1 : 0;
+    PyObject *one = PyLong_FromLong(1);
+    PyObject *more = one ? PyNumber_Add(count, one) : NULL;
+    Py_XDECREF(one);
+    if (!more)
+        return -1;
+    int rc = PyDict_SetItem(counts, key, more);
+    Py_DECREF(more);
+    return rc;
+}
+
+/* OnDemandRouting.on_frame for slot s's agent: 0 when done here, 1 when
+ * the listener must run, -1 on error. */
+static int
+flood_receive(MediumObj *m, Py_ssize_t s, PyObject *frame)
+{
+    if (Py_TYPE(frame) != m->frame_cls)
+        return 1;
+    PyObject *packet = SLOT_AT(frame, m->frame_off[F_PACKET]);
+    if (!packet)
+        return 1;
+    Flood *f = &m->slots[s].flood;
+    PyTypeObject *cls = Py_TYPE(packet);
+    if (cls == m->reply_cls || cls == m->data_cls) {
+        /* Overheard, addressed to another node: nothing to do. */
+        PyObject *dst = SLOT_AT(frame, m->frame_off[F_LINK_DST]);
+        return dst ? PyObject_RichCompareBool(dst, f->me, Py_EQ) : 1;
+    }
+    if (cls != m->request_cls)
+        return 1;
+    PyObject *key = SLOT_AT(packet, m->request_off[R_KEY]),
+             *target = SLOT_AT(packet, m->request_off[R_TARGET]),
+             *origin = SLOT_AT(packet, m->request_off[R_ORIGIN]),
+             *prev_hop = SLOT_AT(frame, m->frame_off[F_TRANSMITTER]);
+    if (!key || key == Py_None || !target || !origin || !prev_hop)
+        return 1;
+    int rc = PyObject_RichCompareBool(target, f->me, Py_EQ);
+    if (rc)
+        return rc;
+    if ((rc = PyDict_Contains(f->seen, key)) != 0)
+        return rc < 0 ? -1 : flood_count(f->counts, key);
+    if ((rc = PyObject_RichCompareBool(origin, f->me, Py_EQ)) != 0)
+        return rc;
+    if (f->threshold == 0 || f->jitter == 0.0)
+        return 1;
+    /* The first copy at a forwarder: remember the neighbour it came from,
+     * open its copy count, and decide after forward_jitter * random(). */
+    PyObject *zero = PyLong_FromLong(0);
+    if (!zero || PyDict_SetItem(f->seen, key, prev_hop) < 0 ||
+        PyDict_SetItem(f->counts, key, zero) < 0) {
+        Py_XDECREF(zero);
+        return -1;
+    }
+    Py_DECREF(zero);
+    double jitter = f->jitter;
+    MacEventObj *ev = mac_event(m, s, EV_DECIDE, 0, 0, packet, prev_hop);
+    PyObject *random = Py_NewRef(f->random);
+    PyObject *u = ev ? PyObject_CallNoArgs(random) : NULL;
+    Py_DECREF(random);
+    double draw = u ? PyFloat_AsDouble(u) : -1.0;
+    Py_XDECREF(u);
+    if ((draw == -1.0 && PyErr_Occurred()) || !ev || medium_check(m) < 0) {
+        Py_XDECREF(ev);
+        return -1;
+    }
+    return medium_schedule(m, ev, jitter * draw);
+}
+
+/* RouteRequest.forwarded_by(node): the copy one hop on, sharing the
+ * request's key tuple, its uid the next of packet.py's counter. */
+static PyObject *
+request_copy(MediumObj *m, PyObject *request, PyObject *node)
+{
+    PyObject *field[R_COUNT] = {NULL}, *copy = NULL;
+    for (int r = R_KEY; r < R_COUNT; r++)
+        if (!(field[r] = slot_get(request, m->request_off[r], *request_names[r])))
+            goto done;
+    PyObject *one = PyLong_FromLong(1), *tail = PyTuple_Pack(1, node);
+    Py_SETREF(field[R_HOP_COUNT], one && tail ? PyNumber_Add(field[R_HOP_COUNT], one) : NULL);
+    if (field[R_HOP_COUNT])
+        Py_SETREF(field[R_PATH], PyNumber_Add(field[R_PATH], tail));
+    Py_XDECREF(one);
+    Py_XDECREF(tail);
+    if (!field[R_HOP_COUNT] || !field[R_PATH])
+        goto done;
+    if (!(field[R_UID] = PyIter_Next(m->packet_uids))) {
+        if (!PyErr_Occurred())
+            PyErr_SetNone(PyExc_StopIteration);
+        goto done;
+    }
+    if ((copy = m->request_cls->tp_alloc(m->request_cls, 0)))
+        for (int r = 0; r < R_COUNT; r++) {
+            SLOT_AT(copy, m->request_off[r]) = field[r];
+            field[r] = NULL;
+        }
+done:
+    for (int r = 0; r < R_COUNT; r++)
+        Py_XDECREF(field[r]);
+    return copy;
+}
+
+/* Node.broadcast(packet, prev_hop=prev_hop, jitter=0.0) from slot s's
+ * node: its Frame, then Node._submit's alive check and send filters, then
+ * the MAC's send. */
+static int
+flood_broadcast(MediumObj *m, Py_ssize_t s, PyObject *packet, PyObject *prev_hop)
+{
+    Flood *f = &m->slots[s].flood;
+    PyObject *node = Py_NewRef(f->node), *filters = Py_NewRef(f->send_filters);
+    PyObject *frame = m->frame_cls->tp_alloc(m->frame_cls, 0);
+    int rc = -1;
+    if (!frame)
+        goto done;
+    SLOT_AT(frame, m->frame_off[F_PACKET]) = Py_NewRef(packet);
+    SLOT_AT(frame, m->frame_off[F_TRANSMITTER]) = Py_NewRef(f->me);
+    SLOT_AT(frame, m->frame_off[F_LINK_DST]) = Py_NewRef(Py_None);
+    SLOT_AT(frame, m->frame_off[F_PREV_HOP]) = Py_NewRef(prev_hop);
+    SLOT_AT(frame, m->leash_off) = Py_NewRef(Py_None);
+    PyObject *alive = PyObject_GetAttr(node, str_alive);
+    rc = alive ? PyObject_IsTrue(alive) : -1;
+    Py_XDECREF(alive);
+    for (Py_ssize_t i = 0; rc > 0 && i < PyList_GET_SIZE(filters); i++) {
+        PyObject *check = Py_NewRef(PyList_GET_ITEM(filters, i));
+        PyObject *verdict = PyObject_CallOneArg(check, frame);
+        Py_DECREF(check);
+        rc = verdict ? PyObject_IsTrue(verdict) : -1;
+        Py_XDECREF(verdict);
+    }
+    if (rc > 0)
+        rc = medium_check(m) < 0 ? -1 : mac_send(m, s, frame, float_zero, Py_None);
+done:
+    Py_XDECREF(frame);
+    Py_DECREF(node);
+    Py_DECREF(filters);
+    return rc < 0 ? -1 : 0;
+}
+
+/* OnDemandRouting._forward_decision(prev_hop, request) for slot s's agent. */
+static int
+flood_decide(MediumObj *m, Py_ssize_t s, PyObject *request, PyObject *prev_hop)
+{
+    Flood *f = &m->slots[s].flood;
+    if (!f->agent) {
+        PyErr_SetString(PyExc_RuntimeError, "the flood has been cleared");
+        return -1;
+    }
+    PyObject *key = slot_get(request, m->request_off[R_KEY], str_dkey);
+    if (!key)
+        return -1;
+    /* extra_copies = counts.pop(key, 0) */
+    long extra = 0;
+    PyObject *count = PyDict_GetItemWithError(f->counts, key);
+    if (count && (((extra = PyLong_AsLong(count)) == -1 && PyErr_Occurred()) ||
+                  PyDict_DelItem(f->counts, key) < 0))
+        count = NULL;
+    Py_DECREF(key);
+    if (!count && PyErr_Occurred())
+        return -1;
+    if (extra >= f->threshold)
+        return 0;
+    PyObject *me = Py_NewRef(f->me);
+    PyObject *copy = request_copy(m, request, me);
+    Py_DECREF(me);
+    if (!copy)
+        return -1;
+    int rc = flood_broadcast(m, s, copy, prev_hop);
+    Py_DECREF(copy);
+    return rc;
+}
 
 /* ---- the handle ---------------------------------------------------- */
 /* send(frame, jitter=None, tx_range=None) */
@@ -2633,6 +2991,70 @@ Mac_enable(MacObj *self, PyObject *Py_UNUSED(ignored))
     Py_RETURN_NONE;
 }
 
+/* flood(agent, sim, node, seen, counts, random, forward_jitter,
+ *       suppression_threshold, classes) -> bool: run the agent's flood in
+ * this MAC's slot (see OnDemandRouting.__init__; the flood section above).
+ * `classes` is (OnDemandRouting.on_frame, RouteRequest, RouteReply,
+ * DataPacket, packet._packet_uids).  False, with nothing wired, when the
+ * agent's simulator is not the medium's, a dict is not a plain dict or
+ * the slot already runs an agent. */
+static PyObject *
+Mac_flood(MacObj *self, PyObject *args)
+{
+    PyObject *agent, *sim, *node, *seen, *counts, *random, *on_frame, *uids;
+    PyTypeObject *request_cls, *reply_cls, *data_cls;
+    double jitter;
+    long threshold;
+    if (!PyArg_ParseTuple(args, "OOOOOOdl(OO!O!O!O)", &agent, &sim, &node, &seen,
+                          &counts, &random, &jitter, &threshold, &on_frame,
+                          &PyType_Type, &request_cls, &PyType_Type, &reply_cls,
+                          &PyType_Type, &data_cls, &uids))
+        return NULL;
+    MediumObj *m = self->medium;
+    if (medium_check(m) < 0)
+        return NULL;
+    Flood *f = &m->slots[self->slot].flood;
+    if ((PyObject *)m->sim != sim || !PyDict_CheckExact(seen) ||
+        !PyDict_CheckExact(counts) || f->agent)
+        Py_RETURN_FALSE;
+    Py_ssize_t offsets[R_COUNT];
+    int laid_out = m->leash_off >= 0;
+    for (int r = 0; r < R_COUNT; r++)
+        laid_out &= (offsets[r] = slot_offset(request_cls, *request_names[r])) >= 0;
+    for (int i = 0; i < F_COUNT; i++)
+        laid_out &= m->frame_off[i] >= 0;
+    if (!laid_out) {
+        PyErr_SetString(PyExc_TypeError, "the request or frame class lacks its slots");
+        return NULL;
+    }
+    PyObject *me = PyObject_GetAttr(node, str_node_id);
+    PyObject *filters = me ? PyObject_GetAttr(node, str_send_filters) : NULL;
+    if (filters && !PyList_CheckExact(filters)) {
+        PyErr_SetString(PyExc_TypeError, "send filters must be a list");
+        Py_CLEAR(filters);
+    }
+    if (!filters) {
+        Py_XDECREF(me);
+        return NULL;
+    }
+    f->agent = Py_NewRef(agent);
+    f->node = Py_NewRef(node);
+    f->me = me;
+    f->seen = Py_NewRef(seen);
+    f->counts = Py_NewRef(counts);
+    f->random = Py_NewRef(random);
+    f->send_filters = filters;
+    f->jitter = jitter;
+    f->threshold = threshold;
+    Py_XSETREF(m->on_frame, Py_NewRef(on_frame));
+    Py_XSETREF(m->packet_uids, Py_NewRef(uids));
+    Py_XSETREF(m->request_cls, (PyTypeObject *)Py_NewRef(request_cls));
+    Py_XSETREF(m->reply_cls, (PyTypeObject *)Py_NewRef(reply_cls));
+    Py_XSETREF(m->data_cls, (PyTypeObject *)Py_NewRef(data_cls));
+    memcpy(m->request_off, offsets, sizeof(offsets));
+    Py_RETURN_TRUE;
+}
+
 static PyObject *
 Mac_get(MacObj *self, void *closure)
 {
@@ -2642,7 +3064,8 @@ Mac_get(MacObj *self, void *closure)
     case 1: return PyLong_FromUnsignedLongLong(mac->dropped);
     case 2: return PyLong_FromUnsignedLongLong(mac->arq_failures);
     case 3: return PyLong_FromSsize_t(mac->len);
-    default: return PyBool_FromLong(mac->enabled);
+    case 4: return PyBool_FromLong(mac->enabled);
+    default: return PyBool_FromLong(self->medium->slots[self->slot].flood.agent != NULL);
     }
 }
 
@@ -2666,6 +3089,10 @@ static PyMethodDef Mac_methods[] = {
      "send(frame, jitter=None, tx_range=None): CsmaMac.send."},
     {"disable", (PyCFunction)Mac_disable, METH_NOARGS, "CsmaMac.disable."},
     {"enable", (PyCFunction)Mac_enable, METH_NOARGS, "CsmaMac.enable."},
+    {"flood", (PyCFunction)Mac_flood, METH_VARARGS,
+     "flood(agent, sim, node, seen, counts, random, forward_jitter, "
+     "suppression_threshold, classes) -> whether the medium runs the "
+     "agent's route-request flood."},
     {NULL}
 };
 
@@ -2675,6 +3102,8 @@ static PyGetSetDef Mac_getset[] = {
     {"arq_failures", (getter)Mac_get, NULL, "Unicasts never acknowledged.", (void *)2},
     {"queue_length", (getter)Mac_get, NULL, "Frames waiting for the medium.", (void *)3},
     {"enabled", (getter)Mac_get, NULL, "Whether the MAC serves frames.", (void *)4},
+    {"floods", (getter)Mac_get, NULL,
+     "Whether the medium runs a routing agent's flood in this slot.", (void *)5},
     {NULL}
 };
 
@@ -2815,7 +3244,7 @@ static PyTypeObject MediumType = {
  * first sight and Packet.key() while a key is not cached.  The watch
  * buffer is the monitor's own dict. */
 
-static PyObject *str_observe, *str_origin, *str_destination, *str_inner_key, *str_cancel, *str_note_watch_size,
+static PyObject *str_observe, *str_destination, *str_inner_key, *str_cancel, *str_note_watch_size,
     *str_accuse, *str_add_expectation, *str_watch_request_forwarders,
     *str_reject, *str_note_frame, *str_last_loss, *str_fabrications_seen,
     *str_suppressed_accusations, *str_status, *str_fabrication,
@@ -3913,11 +4342,20 @@ PyInit__ckernel(void)
         {&str_mac_drop, "mac_drop"}, {&str_arq_failure, "arq_failure"},
         {&str_node, "node"}, {&str_frame, "frame"}, {&str_jitter, "jitter"},
         {&str_tx_range, "tx_range"}, {&str_leash, "leash"},
+        {&str_validator, "_validator"}, {&str_sinks, "_sinks"},
+        {&str_subscribers, "_subscribers"}, {&str_records, "_records"},
+        {&str_append, "append"}, {&str_total_emitted, "total_emitted"},
+        {&str_peak_resident, "peak_resident"}, {&str_request_id, "request_id"},
+        {&str_target, "target"}, {&str_hop_count, "hop_count"},
+        {&str_path, "path"}, {&str_uid, "uid"}, {&str_node_id, "node_id"},
+        {&str_send_filters, "_send_filters"},
     };
     for (size_t i = 0; i < sizeof(names) / sizeof(names[0]); i++)
         if (!*names[i].slot &&
             !(*names[i].slot = PyUnicode_InternFromString(names[i].text)))
             return NULL;
+    if (!float_zero && !(float_zero = PyFloat_FromDouble(0.0)))
+        return NULL;
     PyObject *m = PyModule_Create(&ckernel_module);
     if (!m)
         return NULL;

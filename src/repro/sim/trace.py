@@ -183,7 +183,14 @@ class TraceLog:
         """Validate, store, count and hand on one built record: the one
         path every record takes.  :meth:`emit` builds its record and calls
         this; so does the channel's C medium for the ``rx_lost`` records
-        it builds itself while ``emit`` is this class's own."""
+        it builds itself while ``emit`` is this class's own.
+
+        The medium also runs this body itself for such a record, but only
+        while the log's class still has this method (:data:`TRACE_PUBLISH`)
+        and nothing but the store sees the record: no validator, no sink,
+        no ``rx_lost`` subscriber.  It then appends the record, counts it
+        in ``total_emitted`` and raises ``peak_resident`` as this method
+        does; otherwise it calls the method."""
         if self._validator is not None:
             self._validator(record)
         self._records.append(record)
@@ -302,3 +309,6 @@ class TraceLog:
 #: ``rx_lost`` records itself only while a log's class still holds this
 #: function, so a wrapper installed on ``TraceLog.emit`` sees every record.
 TRACE_EMIT = TraceLog.emit
+#: ``TraceLog._publish`` as defined here; the medium runs its body for an
+#: ``rx_lost`` record only while a log's class still holds this function.
+TRACE_PUBLISH = TraceLog._publish
