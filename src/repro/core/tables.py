@@ -15,7 +15,6 @@ window, T").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 NodeId = int
@@ -24,13 +23,40 @@ STATUS_ACTIVE = "active"
 STATUS_REVOKED = "revoked"
 
 
-@dataclass
 class NeighborRecord:
-    """Per-neighbor state: status plus timestamped MalC increments."""
+    """Per-neighbor state: status plus timestamped MalC increments.
 
-    node: NodeId
-    status: str = STATUS_ACTIVE
-    malc_events: List[Tuple[float, int]] = field(default_factory=list)
+    Slotted, so LITEWORP's C guard reads ``status`` by offset for every
+    frame it judges.  A subclass that makes ``status`` anything but a
+    plain slot (a property, say) is read through attribute access.
+    """
+
+    __slots__ = ("node", "status", "malc_events")
+
+    def __init__(
+        self,
+        node: NodeId,
+        status: str = STATUS_ACTIVE,
+        malc_events: Optional[List[Tuple[float, int]]] = None,
+    ) -> None:
+        self.node = node
+        self.status = status
+        self.malc_events: List[Tuple[float, int]] = [] if malc_events is None else malc_events
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(node={self.node!r}, status={self.status!r}, "
+            f"malc_events={self.malc_events!r})"
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.node, self.status, self.malc_events) == (
+            other.node, other.status, other.malc_events,  # type: ignore[attr-defined]
+        )
+
+    __hash__ = None  # type: ignore[assignment]  # mutable, compared by value
 
     def malc(self, now: float, window: float) -> int:
         """MalC value over the trailing ``window`` seconds (prunes old)."""

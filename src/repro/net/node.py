@@ -41,7 +41,22 @@ LifecycleListener = Callable[[bool], None]
 
 
 class Node:
-    """A network participant: id, position, MAC, and a protocol pipeline."""
+    """A network participant: id, position, MAC, and a protocol pipeline.
+
+    Slotted, so the C medium reads ``alive`` and bumps the frame counters
+    by offset for every reception.  ``__dict__`` and ``__weakref__`` keep
+    instances open to extra attributes, weak references and ``__class__``
+    reassignment to a plain subclass; a subclass that makes ``alive`` or a
+    counter anything but a plain slot is read and written through
+    attribute access.
+    """
+
+    __slots__ = (
+        "node_id", "position", "mac", "alive", "clock_skew",
+        "_filters", "_listeners", "_observers", "_send_filters", "_lifecycle_listeners",
+        "frames_received", "frames_rejected", "crashes",
+        "__dict__", "__weakref__",
+    )
 
     def __init__(self, node_id: NodeId, position: Tuple[float, float], mac: CsmaMac) -> None:
         self.node_id = node_id

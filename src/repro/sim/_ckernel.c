@@ -30,7 +30,7 @@
  * per-reception work for repro.net.channel.Channel, each node's CSMA MAC
  * for repro.net.mac.CsmaMac and the route-request flood of each honest
  * repro.routing.ondemand.OnDemandRouting, and pushes their events
- * straight into this queue.
+ * straight into this queue as steps: entries without an Event handle.
  *
  * Built on demand by repro.sim.accel; the pure-Python engine,
  * Channel's per-receiver path, CsmaMac and OnDemandRouting remain the
@@ -185,14 +185,87 @@ static PyTypeObject EventType = {
     .tp_doc = "A scheduled callback (accelerated kernel).",
 };
 
+/* ev's callback(*args, **kwargs) */
+static PyObject *
+call_event(EventObj *ev)
+{
+    if (ev->kwargs) {
+        PyObject *args = ev->args;
+        if (!args) {
+            args = PyTuple_New(0);
+            if (!args)
+                return NULL;
+            PyObject *r = PyObject_Call(ev->callback, args, ev->kwargs);
+            Py_DECREF(args);
+            return r;
+        }
+        return PyObject_Call(ev->callback, args, ev->kwargs);
+    }
+    if (ev->args)
+        return PyObject_CallObject(ev->callback, ev->args);
+    return PyObject_CallNoArgs(ev->callback);
+}
+
+/* 0 for a call's result (dropped), -1 for its failure. */
+static int
+discard(PyObject *r)
+{
+    if (!r)
+        return -1;
+    Py_DECREF(r);
+    return 0;
+}
+
 /* ------------------------------------------------------------------ */
 /* Queue storage                                                      */
 /* ------------------------------------------------------------------ */
+/* A queue entry is either an Event, the handle schedule() returns, or a
+ * step: one of the Medium's own events (a MAC attempt or next-frame, a
+ * flood decision, a transmission's finish), which no Python code ever
+ * sees and so needs no handle.  A step is a plain C struct the queue
+ * owns; it cannot be cancelled, so it is always live.  Both kinds take
+ * a sequence number from the same counter, so they interleave exactly as
+ * Events would. */
+typedef struct Step Step;       /* see "Steps" in the Medium section */
+static int step_fire(Step *st);
+static void step_free(Step *st);
+static int step_traverse(Step *st, visitproc visit, void *arg);
+
 typedef struct {
     double time;
     unsigned long long seq;
-    EventObj *ev;               /* strong reference */
+    EventObj *ev;               /* strong reference, or NULL for a step */
+    Step *step;                 /* owned, or NULL for an Event */
 } Entry;
+
+/* Whether popping the entry does nothing: a cancelled or fired Event. */
+static inline int
+entry_dead(const Entry *e)
+{
+    return e->ev && (e->ev->cancelled || e->ev->fired);
+}
+
+/* Release what the queue holds of an entry. */
+static void
+entry_drop(Entry e)
+{
+    if (e.step)
+        step_free(e.step);
+    else
+        Py_DECREF(e.ev);
+}
+
+/* Run a popped live entry and release it; 0, or -1 with an error set. */
+static int
+entry_fire(Entry e)
+{
+    if (e.step)
+        return step_fire(e.step);
+    e.ev->fired = 1;
+    PyObject *r = call_event(e.ev);
+    Py_DECREF(e.ev);
+    return discard(r);
+}
 
 #define ENTRY_LT(a, b) \
     ((a).time < (b).time || ((a).time == (b).time && (a).seq < (b).seq))
@@ -431,9 +504,8 @@ queue_compact(SimObj *self)
             continue;
         Py_ssize_t w = 0;
         for (Py_ssize_t r = 0; r < b->size; r++) {
-            EventObj *ev = b->data[r].ev;
-            if (ev->cancelled || ev->fired)
-                Py_DECREF(ev);
+            if (entry_dead(&b->data[r]))
+                Py_DECREF(b->data[r].ev);
             else
                 b->data[w++] = b->data[r];
         }
@@ -449,9 +521,8 @@ queue_compact(SimObj *self)
     Bucket *f = &self->far;
     Py_ssize_t w = 0;
     for (Py_ssize_t r = 0; r < f->size; r++) {
-        EventObj *ev = f->data[r].ev;
-        if (ev->cancelled || ev->fired)
-            Py_DECREF(ev);
+        if (entry_dead(&f->data[r]))
+            Py_DECREF(f->data[r].ev);
         else
             f->data[w++] = f->data[r];
     }
@@ -459,6 +530,21 @@ queue_compact(SimObj *self)
     heapify(f->data, w);
     self->compactions++;
     self->last_live = queue_total(self);
+}
+
+/* Entries that will still run: steps and pending Events. */
+static Py_ssize_t
+queue_live(SimObj *self)
+{
+    Py_ssize_t live = 0;
+    for (unsigned i = 0; i < NSLOTS; i++) {
+        Bucket *b = &self->slots[i];
+        for (Py_ssize_t r = 0; r < b->size; r++)
+            live += !entry_dead(&b->data[r]);
+    }
+    for (Py_ssize_t r = 0; r < self->far.size; r++)
+        live += !entry_dead(&self->far.data[r]);
+    return live;
 }
 
 /* Amortized compaction: when the queue has doubled since the last
@@ -469,18 +555,7 @@ maybe_compact(SimObj *self)
     Py_ssize_t total = queue_total(self);
     if (total < 8192 || total <= 2 * self->last_live)
         return;
-    Py_ssize_t live = 0;
-    for (unsigned i = 0; i < NSLOTS; i++) {
-        Bucket *b = &self->slots[i];
-        for (Py_ssize_t r = 0; r < b->size; r++) {
-            EventObj *ev = b->data[r].ev;
-            live += !(ev->cancelled || ev->fired);
-        }
-    }
-    for (Py_ssize_t r = 0; r < self->far.size; r++) {
-        EventObj *ev = self->far.data[r].ev;
-        live += !(ev->cancelled || ev->fired);
-    }
+    Py_ssize_t live = queue_live(self);
     if ((total - live) * 4 >= total)
         queue_compact(self);
     else
@@ -490,52 +565,81 @@ maybe_compact(SimObj *self)
 /* ------------------------------------------------------------------ */
 /* Simulator type methods                                             */
 /* ------------------------------------------------------------------ */
+/* Drop a bucket's entries, each Event cancelled and cleared first when
+ * `cancel`.  The bucket is emptied and its array detached before any
+ * entry is dropped, because dropping one may run code that schedules. */
+static void
+bucket_drain(Bucket *b, int cancel)
+{
+    Entry *data = b->data;
+    Py_ssize_t n = b->size;
+    memset(b, 0, sizeof(Bucket));
+    for (Py_ssize_t r = 0; r < n; r++) {
+        EventObj *ev = data[r].ev;
+        if (ev && cancel) {
+            if (!ev->fired)
+                ev->cancelled = 1;
+            Event_clear_gc(ev);
+        }
+        entry_drop(data[r]);
+    }
+    PyMem_Free(data);
+}
+
+/* Empty the queue (see bucket_drain). */
+static void
+queue_drain(SimObj *self, int cancel)
+{
+    for (unsigned i = 0; i < NSLOTS; i++) {
+        Bucket *b = &self->slots[i];
+        if (!b->data)
+            continue;
+        self->wheel_count -= b->size;
+        bit_clear(self, i);
+        bucket_drain(b, cancel);
+    }
+    bucket_drain(&self->far, cancel);
+    self->last_live = 0;
+}
+
 static void
 Sim_dealloc(SimObj *self)
 {
     PyObject_GC_UnTrack(self);
-    for (unsigned i = 0; i < NSLOTS; i++) {
-        Bucket *b = &self->slots[i];
-        for (Py_ssize_t r = 0; r < b->size; r++)
-            Py_DECREF(b->data[r].ev);
-        PyMem_Free(b->data);
-    }
-    for (Py_ssize_t r = 0; r < self->far.size; r++)
-        Py_DECREF(self->far.data[r].ev);
-    PyMem_Free(self->far.data);
+    queue_drain(self, 0);
     PyObject_GC_Del(self);
+}
+
+static int
+bucket_traverse(Bucket *b, visitproc visit, void *arg)
+{
+    for (Py_ssize_t r = 0; r < b->size; r++) {
+        if (!b->data[r].step)
+            Py_VISIT(b->data[r].ev);
+        else {
+            int vret = step_traverse(b->data[r].step, visit, arg);
+            if (vret)
+                return vret;
+        }
+    }
+    return 0;
 }
 
 static int
 Sim_traverse(SimObj *self, visitproc visit, void *arg)
 {
     for (unsigned i = 0; i < NSLOTS; i++) {
-        Bucket *b = &self->slots[i];
-        for (Py_ssize_t r = 0; r < b->size; r++)
-            Py_VISIT(b->data[r].ev);
+        int vret = bucket_traverse(&self->slots[i], visit, arg);
+        if (vret)
+            return vret;
     }
-    for (Py_ssize_t r = 0; r < self->far.size; r++)
-        Py_VISIT(self->far.data[r].ev);
-    return 0;
+    return bucket_traverse(&self->far, visit, arg);
 }
 
 static int
 Sim_clear_gc(SimObj *self)
 {
-    for (unsigned i = 0; i < NSLOTS; i++) {
-        Bucket *b = &self->slots[i];
-        Py_ssize_t n = b->size;
-        b->size = 0;
-        b->heapified = 0;
-        for (Py_ssize_t r = 0; r < n; r++)
-            Py_DECREF(b->data[r].ev);
-    }
-    memset(self->bits, 0, sizeof(self->bits));
-    self->wheel_count = 0;
-    Py_ssize_t n = self->far.size;
-    self->far.size = 0;
-    for (Py_ssize_t r = 0; r < n; r++)
-        Py_DECREF(self->far.data[r].ev);
+    queue_drain(self, 0);
     return 0;
 }
 
@@ -572,8 +676,7 @@ Sim_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 
 /* Scheduling core: queue callback(*args, **kwargs) at absolute time
  * `time` and return the new Event.  Takes over the references to args
- * (a tuple or NULL) and kwargs (a dict or NULL).  The channel medium
- * pushes its events straight through here. */
+ * (a tuple or NULL) and kwargs (a dict or NULL). */
 static PyObject *
 sim_push(SimObj *self, double time, PyObject *callback, PyObject *args,
          PyObject *kwargs)
@@ -600,6 +703,19 @@ sim_push(SimObj *self, double time, PyObject *callback, PyObject *args,
     }
     maybe_compact(self);
     return (PyObject *)ev;
+}
+
+/* Queue a step at absolute time `time`, taking it over; 0 or -1. */
+static int
+sim_push_step(SimObj *self, double time, Step *st)
+{
+    Entry e = {time, self->seq++, NULL, st};
+    if (queue_push(self, e) < 0) {
+        step_free(st);
+        return -1;
+    }
+    maybe_compact(self);
+    return 0;
 }
 
 /* schedule/schedule_at: args[1] is the callback, then its arguments. */
@@ -688,26 +804,6 @@ Sim_schedule_at(SimObj *self, PyObject *const *args, Py_ssize_t nargs,
 }
 
 static PyObject *
-call_event(EventObj *ev)
-{
-    if (ev->kwargs) {
-        PyObject *args = ev->args;
-        if (!args) {
-            args = PyTuple_New(0);
-            if (!args)
-                return NULL;
-            PyObject *r = PyObject_Call(ev->callback, args, ev->kwargs);
-            Py_DECREF(args);
-            return r;
-        }
-        return PyObject_Call(ev->callback, args, ev->kwargs);
-    }
-    if (ev->args)
-        return PyObject_CallObject(ev->callback, ev->args);
-    return PyObject_CallNoArgs(ev->callback);
-}
-
-static PyObject *
 Sim_run(SimObj *self, PyObject *const *args, Py_ssize_t nargs,
         PyObject *kwnames)
 {
@@ -775,20 +871,15 @@ Sim_run(SimObj *self, PyObject *const *args, Py_ssize_t nargs,
         if (has_until && b->data[0].time > until)
             break;
         Entry e = queue_pop_from(self, b);
-        EventObj *ev = e.ev;
-        if (ev->cancelled || ev->fired) {
-            Py_DECREF(ev);
+        if (entry_dead(&e)) {
+            Py_DECREF(e.ev);
             continue;
         }
         self->now = e.time;
-        ev->fired = 1;
-        PyObject *r = call_event(ev);
-        Py_DECREF(ev);
-        if (!r) {
+        if (entry_fire(e) < 0) {
             self->running = 0;
             return NULL;
         }
-        Py_DECREF(r);
         self->processed++;
         executed++;
         if (has_max && executed >= max_events)
@@ -808,18 +899,13 @@ Sim_step(SimObj *self, PyObject *Py_UNUSED(ignored))
         if (!b)
             break;
         Entry e = queue_pop_from(self, b);
-        EventObj *ev = e.ev;
-        if (ev->cancelled || ev->fired) {
-            Py_DECREF(ev);
+        if (entry_dead(&e)) {
+            Py_DECREF(e.ev);
             continue;
         }
         self->now = e.time;
-        ev->fired = 1;
-        PyObject *r = call_event(ev);
-        Py_DECREF(ev);
-        if (!r)
+        if (entry_fire(e) < 0)
             return NULL;
-        Py_DECREF(r);
         self->processed++;
         Py_RETURN_TRUE;
     }
@@ -833,8 +919,7 @@ Sim_peek_time(SimObj *self, PyObject *Py_UNUSED(ignored))
         Bucket *b = queue_min(self);
         if (!b)
             break;
-        EventObj *ev = b->data[0].ev;
-        if (!(ev->cancelled || ev->fired))
+        if (!entry_dead(&b->data[0]))
             return PyFloat_FromDouble(b->data[0].time);
         Entry e = queue_pop_from(self, b);
         Py_DECREF(e.ev);
@@ -850,10 +935,9 @@ Sim_compact(SimObj *self, PyObject *Py_UNUSED(ignored))
 }
 
 /* The end of a simulator's life: empty the queue, cancelling each queued
- * event and dropping its callback and arguments, so nothing stays
- * reachable through them.  The entries are moved out first, because a
- * dropped callback may run code that schedules again.  The clock and the
- * counters stay readable. */
+ * event and dropping its callback and arguments, and freeing each step,
+ * so nothing stays reachable through them.  The clock and the counters
+ * stay readable. */
 static PyObject *
 Sim_release(SimObj *self, PyObject *Py_UNUSED(ignored))
 {
@@ -861,31 +945,7 @@ Sim_release(SimObj *self, PyObject *Py_UNUSED(ignored))
         PyErr_SetString(error_class(), "cannot release a running simulator");
         return NULL;
     }
-    Py_ssize_t n = queue_total(self), k = 0;
-    EventObj **taken = PyMem_Malloc((size_t)(n ? n : 1) * sizeof(EventObj *));
-    if (!taken)
-        return PyErr_NoMemory();
-    for (unsigned i = 0; i < NSLOTS; i++) {
-        Bucket *b = &self->slots[i];
-        for (Py_ssize_t r = 0; r < b->size; r++)
-            taken[k++] = b->data[r].ev;
-        b->size = 0;
-        b->heapified = 0;
-    }
-    for (Py_ssize_t r = 0; r < self->far.size; r++)
-        taken[k++] = self->far.data[r].ev;
-    self->far.size = 0;
-    memset(self->bits, 0, sizeof(self->bits));
-    self->wheel_count = 0;
-    self->last_live = 0;
-    for (Py_ssize_t i = 0; i < k; i++) {
-        EventObj *ev = taken[i];
-        if (!ev->fired)
-            ev->cancelled = 1;
-        Event_clear_gc(ev);
-        Py_DECREF(ev);
-    }
-    PyMem_Free(taken);
+    queue_drain(self, 1);
     Py_RETURN_NONE;
 }
 
@@ -904,19 +964,7 @@ Sim_get_processed(SimObj *self, void *closure)
 static PyObject *
 Sim_get_pending_count(SimObj *self, void *closure)
 {
-    Py_ssize_t live = 0;
-    for (unsigned i = 0; i < NSLOTS; i++) {
-        Bucket *b = &self->slots[i];
-        for (Py_ssize_t r = 0; r < b->size; r++) {
-            EventObj *ev = b->data[r].ev;
-            live += !(ev->cancelled || ev->fired);
-        }
-    }
-    for (Py_ssize_t r = 0; r < self->far.size; r++) {
-        EventObj *ev = self->far.data[r].ev;
-        live += !(ev->cancelled || ev->fired);
-    }
-    return PyLong_FromSsize_t(live);
+    return PyLong_FromSsize_t(queue_live(self));
 }
 
 static PyObject *
@@ -1005,7 +1053,7 @@ static PyTypeObject SimType = {
  * or a set of them), admission (attached, link up, not deaf), the "receiver is
  * transmitting" collision, overlap and capture against every in-flight
  * reception, the ambient-loss draw and the unicast outcome.  It finishes
- * a transmission's receptions with one queued Batch event, in creation
+ * a transmission's receptions with one queued Batch step, in creation
  * order.  Rules, RNG draws, event order and hook calls are exactly those
  * of Channel's per-receiver reference path.
  *
@@ -1044,6 +1092,11 @@ static PyObject **request_names[R_COUNT] = {&str_uid, &str_dkey, &str_origin,
                                             &str_hop_count, &str_path};
 /* The jitter of a forwarder's rebroadcast: Node.broadcast(..., jitter=0.0). */
 static PyObject *float_zero;
+/* The 1 of every `+= 1`. */
+static PyObject *int_one;
+
+/* An object slot of `obj` at `offset` (borrowed; NULL while unset). */
+#define SLOT_AT(obj, offset) (*(PyObject **)((char *)(obj) + (offset)))
 
 /* Offset of `cls`'s object slot `name`, or -1. */
 static Py_ssize_t
@@ -1063,7 +1116,7 @@ static inline PyObject *
 slot_get(PyObject *obj, Py_ssize_t offset, PyObject *name)
 {
     if (offset >= 0) {
-        PyObject *value = *(PyObject **)((char *)obj + offset);
+        PyObject *value = SLOT_AT(obj, offset);
         if (value)
             return Py_NewRef(value);
     }
@@ -1071,13 +1124,47 @@ slot_get(PyObject *obj, Py_ssize_t offset, PyObject *name)
     return PyObject_GetAttr(obj, name);
 }
 
-/* 0 for a call's result (dropped), -1 for its failure. */
-static int
-discard(PyObject *r)
+/* The address of obj's slot for attribute `name` when that is a plain
+ * member slot of its class (one named in __slots__, read and written by
+ * generic attribute access), else NULL: a property, a class attribute,
+ * a custom __getattribute__ or __setattr__ takes the generic path. */
+static inline PyObject **
+member_slot(PyObject *obj, PyObject *name)
 {
-    if (!r)
-        return -1;
-    Py_DECREF(r);
+    PyTypeObject *cls = Py_TYPE(obj);
+    if (cls->tp_getattro != PyObject_GenericGetAttr ||
+        cls->tp_setattro != PyObject_GenericSetAttr)
+        return NULL;
+    PyObject *descr = _PyType_Lookup(cls, name);
+    /* A member of another class set on this one must not be used. */
+    if (!descr || !Py_IS_TYPE(descr, &PyMemberDescr_Type) ||
+        !PyObject_TypeCheck(obj, PyDescr_TYPE(descr)))
+        return NULL;
+    PyMemberDef *def = ((PyMemberDescrObject *)descr)->d_member;
+    if (def->type != T_OBJECT_EX || (def->flags & READONLY))
+        return NULL;
+    return &SLOT_AT(obj, def->offset);
+}
+
+/* obj.name, from its member slot when it has one. */
+static inline PyObject *
+attr_get(PyObject *obj, PyObject *name)
+{
+    PyObject **slot = member_slot(obj, name);
+    if (slot && *slot)
+        return Py_NewRef(*slot);
+    /* Generic lookup; it also raises AttributeError for an unset slot. */
+    return PyObject_GetAttr(obj, name);
+}
+
+/* obj.name = value */
+static int
+attr_set(PyObject *obj, PyObject *name, PyObject *value)
+{
+    PyObject **slot = member_slot(obj, name);
+    if (!slot)
+        return PyObject_SetAttr(obj, name, value);
+    Py_XSETREF(*slot, Py_NewRef(value));
     return 0;
 }
 
@@ -1085,17 +1172,27 @@ discard(PyObject *r)
 static int
 increment(PyObject *obj, PyObject *name)
 {
-    PyObject *value = PyObject_GetAttr(obj, name);
+    PyObject *value = attr_get(obj, name);
     if (!value)
         return -1;
-    PyObject *one = PyLong_FromLong(1);
-    PyObject *sum = one ? PyNumber_Add(value, one) : NULL;
+    PyObject *sum = PyNumber_Add(value, int_one);
     Py_DECREF(value);
-    Py_XDECREF(one);
     if (!sum)
         return -1;
-    int rc = PyObject_SetAttr(obj, name, sum);
+    int rc = attr_set(obj, name, sum);
     Py_DECREF(sum);
+    return rc;
+}
+
+/* Truth of obj.name */
+static int
+attr_true(PyObject *obj, PyObject *name)
+{
+    PyObject *value = attr_get(obj, name);
+    if (!value)
+        return -1;
+    int rc = PyObject_IsTrue(value);
+    Py_DECREF(value);
     return rc;
 }
 
@@ -1205,22 +1302,54 @@ typedef struct {
     unsigned long long collisions, transmissions;
 } MediumObj;
 
+/* ---- Steps --------------------------------------------------------- */
+/* The medium's own events, queued as steps (see Entry): a MAC attempt
+ * or next-frame step (CsmaMac._attempt / _next_frame), a forwarder's
+ * rebroadcast decision (OnDemandRouting._forward_decision), and the
+ * finish of a transmission's receptions, which is a Batch. */
+enum { EV_ATTEMPT, EV_NEXT, EV_DECIDE, EV_FINISH };
+
+struct Step {
+    MediumObj *medium;      /* strong reference */
+    int kind;
+    Py_ssize_t slot;
+    unsigned long long epoch;
+    long attempt;
+    PyObject *request, *prev_hop;   /* EV_DECIDE */
+};
+
+/* One transmission's receptions, finished by one EV_FINISH step. */
 typedef struct {
-    PyObject_VAR_HEAD
-    MediumObj *medium;
+    Step step;
     PyObject *frame;
     PyObject *on_outcome;   /* unicast outcome callback or NULL */
     double start, end;
     Py_ssize_t n, done;     /* receptions made / finished */
-    Rx rx[1];
-} BatchObj;
+    Rx rx[];
+} Batch;
 
 static PyTypeObject MediumType;
-static PyTypeObject BatchType;
-static PyTypeObject MacEventType;
+static PyTypeObject AckType;
 static void mac_clear_queue(Mac *q);
 static void flood_clear(Flood *f);
 static int flood_receive(MediumObj *m, Py_ssize_t s, PyObject *frame);
+static int batch_finish(MediumObj *m, Batch *b);
+static int mac_attempt(MediumObj *m, Py_ssize_t s, unsigned long long epoch,
+                       long attempt);
+static int mac_next(MediumObj *m, Py_ssize_t s, unsigned long long epoch);
+static int flood_decide(MediumObj *m, Py_ssize_t s, PyObject *request,
+                        PyObject *prev_hop);
+typedef struct GuardObj GuardObj;
+static int guard_receive(GuardObj *g, PyObject *frame);
+static PyObject *Guard_receive(GuardObj *g, PyObject *frame);
+
+/* frame.<field>, by offset for a frame of the medium's Frame class. */
+static inline PyObject *
+frame_field(MediumObj *m, PyObject *frame, int field)
+{
+    Py_ssize_t offset = Py_TYPE(frame) == m->frame_cls ? m->frame_off[field] : -1;
+    return slot_get(frame, offset, *frame_names[field]);
+}
 
 static void
 rx_link(Slot *s, Rx *rx)
@@ -1441,69 +1570,131 @@ call_one(PyObject *callable, PyObject *arg)
 }
 
 /* ------------------------------------------------------------------ */
-/* Batch: one transmission's receptions, finished by one event        */
+/* Steps and batches                                                  */
 /* ------------------------------------------------------------------ */
-static BatchObj *
+static Step *
+step_new(MediumObj *m, int kind, Py_ssize_t s, unsigned long long epoch,
+         long attempt)
+{
+    Step *st = PyMem_Malloc(sizeof(Step));
+    if (!st) {
+        PyErr_NoMemory();
+        return NULL;
+    }
+    *st = (Step){(MediumObj *)Py_NewRef((PyObject *)m), kind, s, epoch, attempt,
+                 NULL, NULL};
+    return st;
+}
+
+static Batch *
 batch_new(MediumObj *m, PyObject *frame, PyObject *on_outcome,
           double start, double end, Py_ssize_t capacity)
 {
-    BatchObj *b = PyObject_GC_NewVar(BatchObj, &BatchType, capacity);
-    if (!b)
+    Batch *b = PyMem_Malloc(sizeof(Batch) + (size_t)capacity * sizeof(Rx));
+    if (!b) {
+        PyErr_NoMemory();
         return NULL;
-    b->medium = (MediumObj *)Py_NewRef((PyObject *)m);
+    }
+    b->step = (Step){(MediumObj *)Py_NewRef((PyObject *)m), EV_FINISH, 0, 0, 0,
+                     NULL, NULL};
     b->frame = Py_NewRef(frame);
     b->on_outcome = Py_XNewRef(on_outcome);
     b->start = start;
     b->end = end;
     b->n = 0;
     b->done = 0;
-    PyObject_GC_Track((PyObject *)b);
     return b;
 }
 
+/* Take the unfinished receptions out of their receivers' lists. */
 static void
-batch_unlink_all(BatchObj *b)
+batch_unlink_all(Batch *b)
 {
-    if (!b->medium)
-        return;
+    Slot *slots = b->step.medium->slots;
     for (Py_ssize_t i = b->done; i < b->n; i++)
-        rx_unlink(&b->medium->slots[b->rx[i].slot], &b->rx[i]);
-}
-
-static void
-Batch_dealloc(BatchObj *b)
-{
-    PyObject_GC_UnTrack(b);
-    batch_unlink_all(b);
-    Py_CLEAR(b->medium);
-    Py_CLEAR(b->frame);
-    Py_CLEAR(b->on_outcome);
-    PyObject_GC_Del(b);
-}
-
-static int
-Batch_traverse(BatchObj *b, visitproc visit, void *arg)
-{
-    Py_VISIT(b->medium);
-    Py_VISIT(b->frame);
-    Py_VISIT(b->on_outcome);
-    return 0;
-}
-
-static int
-Batch_clear(BatchObj *b)
-{
-    batch_unlink_all(b);
+        rx_unlink(&slots[b->rx[i].slot], &b->rx[i]);
     b->done = b->n;
-    Py_CLEAR(b->medium);
-    Py_CLEAR(b->frame);
-    Py_CLEAR(b->on_outcome);
+}
+
+/* Free a step and drop its references, the memory first: dropping one
+ * may run code. */
+static void
+step_free(Step *st)
+{
+    PyObject *refs[3] = {(PyObject *)st->medium, st->request, st->prev_hop};
+    if (st->kind == EV_FINISH) {
+        Batch *b = (Batch *)st;
+        batch_unlink_all(b);
+        refs[1] = b->frame;
+        refs[2] = b->on_outcome;
+    }
+    PyMem_Free(st);
+    for (int i = 0; i < 3; i++)
+        Py_XDECREF(refs[i]);
+}
+
+static int
+step_traverse(Step *st, visitproc visit, void *arg)
+{
+    Py_VISIT(st->medium);
+    if (st->kind == EV_FINISH) {
+        Py_VISIT(((Batch *)st)->frame);
+        Py_VISIT(((Batch *)st)->on_outcome);
+    } else {
+        Py_VISIT(st->request);
+        Py_VISIT(st->prev_hop);
+    }
     return 0;
+}
+
+/* Run a step popped from the queue, then free it. */
+static int
+step_fire(Step *st)
+{
+    MediumObj *m = st->medium;
+    int rc = medium_check(m);
+    if (rc == 0) {
+        switch (st->kind) {
+        case EV_ATTEMPT:
+            rc = mac_attempt(m, st->slot, st->epoch, st->attempt);
+            break;
+        case EV_NEXT:
+            rc = mac_next(m, st->slot, st->epoch);
+            break;
+        case EV_DECIDE:
+            rc = flood_decide(m, st->slot, st->request, st->prev_hop);
+            break;
+        default:
+            rc = batch_finish(m, (Batch *)st);
+        }
+    }
+    step_free(st);
+    return rc;
+}
+
+/* sim.schedule(delay, <step>) with the engine's checks on delay; takes
+ * over the step (NULL after a failure). */
+static int
+medium_schedule(MediumObj *m, Step *st, double delay)
+{
+    if (!st)
+        return -1;
+    if (!isfinite(delay) || delay < 0.0) {
+        step_free(st);
+        PyObject *d = PyFloat_FromDouble(delay);
+        if (d) {
+            PyErr_Format(error_class(), "delay must be %s, got %R",
+                         isfinite(delay) ? "non-negative" : "finite", d);
+            Py_DECREF(d);
+        }
+        return -1;
+    }
+    return sim_push_step(m->sim, m->sim->now + delay, st);
 }
 
 /* The Reception object reception observers are handed. */
 static PyObject *
-make_reception(MediumObj *m, BatchObj *b, Rx *rx, PyObject *outcome)
+make_reception(MediumObj *m, Batch *b, Rx *rx, PyObject *outcome)
 {
     PyObject *rec = PyObject_CallFunction(
         m->reception_cls, "OOddd", m->slots[rx->slot].id, b->frame,
@@ -1536,7 +1727,7 @@ rx_lost_values(MediumObj *m, PyObject *frame, PyObject *receiver, Rx *rx)
     PyObject *key = NULL;
     if (m->key_off >= 0 && _PyType_Lookup(cls, str_key) == m->key &&
         PyType_IsSubtype(cls, m->packet_cls))
-        key = *(PyObject **)((char *)packet + m->key_off);
+        key = SLOT_AT(packet, m->key_off);
     key = key && key != Py_None ? Py_NewRef(key)
                                 : PyObject_CallMethodNoArgs(packet, str_key);
     Py_DECREF(packet);
@@ -1557,6 +1748,23 @@ rx_lost_values(MediumObj *m, PyObject *frame, PyObject *receiver, Rx *rx)
         PyTuple_SET_ITEM(values, f + 2, v);
     }
     return values;
+}
+
+/* Whether v can be in no reference cycle: an exact None, bool, int,
+ * float or str, or an exact tuple of such values nested at most `depth`
+ * deep. */
+static int
+is_atomic(PyObject *v, int depth)
+{
+    if (v == Py_None || PyBool_Check(v) || PyLong_CheckExact(v) ||
+        PyFloat_CheckExact(v) || PyUnicode_CheckExact(v))
+        return 1;
+    if (depth == 0 || !PyTuple_CheckExact(v))
+        return 0;
+    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(v); i++)
+        if (!is_atomic(PyTuple_GET_ITEM(v, i), depth - 1))
+            return 0;
+    return 1;
 }
 
 /* trace.emit(now, kind, **fields, **frame.describe()); takes over
@@ -1589,9 +1797,9 @@ store_record(PyObject *trace, PyObject *record)
     PyObject *validator = NULL, *sinks = NULL, *subscribers = NULL,
         *records = NULL, *peak = NULL, *size = NULL;
     int rc = -1;
-    if (!(validator = PyObject_GetAttr(trace, str_validator)) ||
-        !(sinks = PyObject_GetAttr(trace, str_sinks)) ||
-        !(subscribers = PyObject_GetAttr(trace, str_subscribers)))
+    if (!(validator = attr_get(trace, str_validator)) ||
+        !(sinks = attr_get(trace, str_sinks)) ||
+        !(subscribers = attr_get(trace, str_subscribers)))
         goto done;
     rc = 1;
     if (validator != Py_None || !PyList_CheckExact(sinks) || PyList_GET_SIZE(sinks) ||
@@ -1599,7 +1807,7 @@ store_record(PyObject *trace, PyObject *record)
         (rc = PyDict_Contains(subscribers, str_rx_lost)) != 0)
         goto done;
     rc = -1;
-    if (!(records = PyObject_GetAttr(trace, str_records)))
+    if (!(records = attr_get(trace, str_records)))
         goto done;
     if (PyList_CheckExact(records) ? PyList_Append(records, record) < 0
         : discard(PyObject_CallMethodOneArg(records, str_append, record)) < 0)
@@ -1607,12 +1815,12 @@ store_record(PyObject *trace, PyObject *record)
     if (increment(trace, str_total_emitted) < 0)
         goto done;
     Py_ssize_t resident = PyObject_Size(records);
-    if (resident < 0 || !(peak = PyObject_GetAttr(trace, str_peak_resident)) ||
+    if (resident < 0 || !(peak = attr_get(trace, str_peak_resident)) ||
         !(size = PyLong_FromSsize_t(resident)))
         goto done;
     int higher = PyObject_RichCompareBool(size, peak, Py_GT);
     if (higher > 0)
-        higher = PyObject_SetAttr(trace, str_peak_resident, size);
+        higher = attr_set(trace, str_peak_resident, size);
     rc = higher < 0 ? -1 : 0;
 done:
     Py_XDECREF(validator);
@@ -1639,7 +1847,7 @@ publish_record(MediumObj *m, PyObject *record)
 }
 
 static int
-emit_rx_lost(MediumObj *m, BatchObj *b, PyObject *receiver, Rx *rx,
+emit_rx_lost(MediumObj *m, Batch *b, PyObject *receiver, Rx *rx,
              PyObject *now)
 {
     if (m->emit && _PyType_Lookup(Py_TYPE(m->trace), str_emit) == m->emit) {
@@ -1653,7 +1861,14 @@ emit_rx_lost(MediumObj *m, BatchObj *b, PyObject *receiver, Rx *rx,
             }
             PyObject *parts[4] = {now, str_rx_lost, m->rx_lost_names, values};
             for (int i = 0; i < 4; i++)
-                *(PyObject **)((char *)rec + m->record_off[i]) = Py_NewRef(parts[i]);
+                SLOT_AT(rec, m->record_off[i]) = Py_NewRef(parts[i]);
+            /* Made untracked when it cannot be in a reference cycle, so the
+             * collector does not walk every such record after the run. */
+            if (is_atomic(values, 2) && is_atomic(m->rx_lost_names, 1)) {
+                PyObject_GC_UnTrack(values);
+                if (PyType_IS_GC(cls))
+                    PyObject_GC_UnTrack(rec);
+            }
             Py_DECREF(values);
             int rc = publish_record(m, rec);
             Py_DECREF(rec);
@@ -1668,6 +1883,22 @@ emit_rx_lost(MediumObj *m, BatchObj *b, PyObject *receiver, Rx *rx,
          PyDict_SetItem(fields, str_collided, rx->collided ? Py_True : Py_False) < 0))
         Py_CLEAR(fields);
     return emit_call(m->trace, now, str_rx_lost, fields, b->frame);
+}
+
+/* check(frame)'s truth.  A guard's receive (LITEWORP's hook) is entered
+ * without the call protocol. */
+static inline int
+filter_pass(PyObject *check, PyObject *frame)
+{
+    if (PyCFunction_CheckExact(check) &&
+        PyCFunction_GET_FUNCTION(check) == (PyCFunction)Guard_receive)
+        return guard_receive((GuardObj *)PyCFunction_GET_SELF(check), frame);
+    PyObject *r = PyObject_CallOneArg(check, frame);
+    if (!r)
+        return -1;
+    int pass = PyObject_IsTrue(r);
+    Py_DECREF(r);
+    return pass;
 }
 
 /* Whether `listener` is the on_frame of the agent whose flood slot s
@@ -1690,11 +1921,7 @@ static int
 run_pipeline(MediumObj *m, Py_ssize_t s, PyObject *const *pipe, PyObject *frame)
 {
     PyObject *node = pipe[P_NODE];
-    PyObject *alive = PyObject_GetAttr(node, str_alive);
-    if (!alive)
-        return -1;
-    int rc = PyObject_IsTrue(alive);
-    Py_DECREF(alive);
+    int rc = attr_true(node, str_alive);
     if (rc <= 0)
         return rc;
     if (increment(node, str_frames_received) < 0)
@@ -1706,12 +1933,8 @@ run_pipeline(MediumObj *m, Py_ssize_t s, PyObject *const *pipe, PyObject *frame)
             return -1;
     for (Py_ssize_t i = 0; i < PyList_GET_SIZE(filters); i++) {
         PyObject *check = Py_NewRef(PyList_GET_ITEM(filters, i));
-        PyObject *r = PyObject_CallOneArg(check, frame);
+        int pass = filter_pass(check, frame);
         Py_DECREF(check);
-        if (!r)
-            return -1;
-        int pass = PyObject_IsTrue(r);
-        Py_DECREF(r);
         if (pass <= 0)
             return pass < 0 ? -1 : increment(node, str_frames_rejected);
     }
@@ -1747,7 +1970,7 @@ medium_deliver(MediumObj *m, Py_ssize_t s, PyObject *frame)
 /* Finish one (already unlinked) reception: observers, then the loss
  * path or delivery, then the unicast outcome. */
 static int
-finish_rx(MediumObj *m, BatchObj *b, Rx *rx, PyObject *now)
+finish_rx(MediumObj *m, Batch *b, Rx *rx, PyObject *now)
 {
     PyObject *outcome = rx->is_dst ? b->on_outcome : NULL;
     PyObject *observers = m->rx_observers;
@@ -1781,40 +2004,22 @@ finish_rx(MediumObj *m, BatchObj *b, Rx *rx, PyObject *now)
     return outcome ? call_one(outcome, Py_True) : 0;
 }
 
-/* The finish event.  Each reception is unlinked and fully handled before
+/* The finish step.  Each reception is unlinked and fully handled before
  * the next one starts; later ones stay in flight meanwhile, so a
  * re-entrant transmit sees the same medium as per-receiver events. */
-static PyObject *
-Batch_call(BatchObj *b, PyObject *args, PyObject *kwargs)
+static int
+batch_finish(MediumObj *m, Batch *b)
 {
-    MediumObj *m = b->medium;
-    if (!m || medium_check(m) < 0)
-        return NULL;
     PyObject *now = PyFloat_FromDouble(m->sim->now);
     int rc = now ? 0 : -1;
-    while (rc == 0 && b->done < b->n) {
+    while (rc == 0 && b->done < b->n && (rc = medium_check(m)) == 0) {
         Rx *rx = &b->rx[b->done++];
         rx_unlink(&m->slots[rx->slot], rx);
         rc = finish_rx(m, b, rx, now);
     }
     Py_XDECREF(now);
-    if (rc < 0)
-        return NULL;
-    Py_RETURN_NONE;
+    return rc;
 }
-
-static PyTypeObject BatchType = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro.sim._ckernel.Batch",
-    .tp_basicsize = offsetof(BatchObj, rx),
-    .tp_itemsize = sizeof(Rx),
-    .tp_dealloc = (destructor)Batch_dealloc,
-    .tp_call = (ternaryfunc)Batch_call,
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_traverse = (traverseproc)Batch_traverse,
-    .tp_clear = (inquiry)Batch_clear,
-    .tp_doc = "One transmission's receptions; calling it finishes them.",
-};
 
 /* ------------------------------------------------------------------ */
 /* Medium type methods                                                */
@@ -2122,7 +2327,7 @@ frame_bytes(MediumObj *m, PyObject *frame)
     double extra = 0.0;
     if (Py_TYPE(frame) == m->frame_cls && m->frame_size && m->leash_off >= 0 &&
         _PyType_Lookup(m->frame_cls, str_size_bytes) == m->frame_size &&
-        *(PyObject **)((char *)frame + m->leash_off) == Py_None) {
+        SLOT_AT(frame, m->leash_off) == Py_None) {
         PyObject *packet = slot_get(frame, m->frame_off[F_PACKET], str_packet);
         if (!packet)
             return -1.0;
@@ -2152,7 +2357,7 @@ medium_send(MediumObj *m, Py_ssize_t s, PyObject *frame, PyObject *tx_range,
         Py_INCREF(frame);
     if (!frame)
         return -1;
-    BatchObj *batch = NULL;
+    Batch *batch = NULL;
     double bytes = frame_bytes(m, frame);
     if (bytes == -1.0 && PyErr_Occurred())
         goto fail;
@@ -2201,7 +2406,7 @@ medium_send(MediumObj *m, Py_ssize_t s, PyObject *frame, PyObject *tx_range,
         goto fail;
     Py_ssize_t dst = -1;
     if (on_outcome) {
-        PyObject *link_dst = PyObject_GetAttr(frame, str_link_dst);
+        PyObject *link_dst = frame_field(m, frame, F_LINK_DST);
         if (!link_dst)
             goto fail;
         if (link_dst != Py_None)
@@ -2264,13 +2469,8 @@ medium_send(MediumObj *m, Py_ssize_t s, PyObject *frame, PyObject *tx_range,
         rx_link(&m->slots[r], rx);
     }
     Py_DECREF(frame);
-    if (batch) {
-        PyObject *ev = sim_push(sim, end, (PyObject *)batch, NULL, NULL);
-        Py_DECREF(batch);
-        if (!ev)
-            return -1;
-        Py_DECREF(ev);
-    }
+    if (batch && sim_push_step(sim, end, &batch->step) < 0)
+        return -1;
     if (on_outcome && !covered) {
         /* Destination out of range (or detached): the ACK never comes. */
         PyObject *no = PyTuple_Pack(1, Py_False);
@@ -2283,7 +2483,8 @@ medium_send(MediumObj *m, Py_ssize_t s, PyObject *frame, PyObject *tx_range,
     }
     return 0;
 fail:
-    Py_XDECREF(batch);
+    if (batch)
+        step_free(&batch->step);
     Py_DECREF(frame);
     return -1;
 }
@@ -2373,27 +2574,22 @@ Medium_get_transmissions(MediumObj *m, void *closure)
  * with Channel.transmit's body (medium_send).  Every event is scheduled
  * as CsmaMac schedules it -- same time, same order, the same
  * `w * random()` draw from the node's stream, the same epoch -- as a
- * MacEvent in place of a bound method and its arguments, so event
- * counts, RNG draws and trace records are those of the reference. */
+ * step in place of a bound method and its arguments, so event counts,
+ * RNG draws and trace records are those of the reference.  The ARQ
+ * callback of a unicast in service is an Ack object: it is the
+ * transmission's outcome callback, which reception observers see. */
 
-enum { EV_ATTEMPT, EV_NEXT, EV_ACK, EV_DECIDE };
-
-/* One scheduled MAC step (CsmaMac._attempt / _next_frame), the ARQ
- * callback of a unicast in service (CsmaMac._acked), called with the
- * delivered flag, or a forwarder's rebroadcast decision
- * (OnDemandRouting._forward_decision, see the flood section below). */
+/* CsmaMac._acked for a unicast in service, called with the delivered
+ * flag. */
 typedef struct {
     PyObject_HEAD
     vectorcallfunc vectorcall;
     MediumObj *medium;
     Py_ssize_t slot;
     unsigned long long epoch;
-    long count;                   /* EV_ATTEMPT: attempt; EV_ACK: tries */
-    /* EV_ACK: the frame and its tx_range; EV_DECIDE: the request and the
-     * neighbour it came from. */
+    long tries;
     PyObject *frame, *tx_range;
-    int kind;
-} MacEventObj;
+} AckObj;
 
 /* The handle CsmaMac holds: send(), disable(), enable() and counters. */
 typedef struct {
@@ -2402,10 +2598,8 @@ typedef struct {
     Py_ssize_t slot;
 } MacObj;
 
-static PyObject *MacEvent_vectorcall(MacEventObj *ev, PyObject *const *args,
-                                     size_t nargsf, PyObject *kwnames);
-static int flood_decide(MediumObj *m, Py_ssize_t s, PyObject *request,
-                        PyObject *prev_hop);
+static PyObject *Ack_vectorcall(AckObj *ack, PyObject *const *args,
+                                size_t nargsf, PyObject *kwnames);
 
 static int
 mac_push(Mac *q, PyObject *frame, PyObject *tx_range, long tries, int front)
@@ -2471,46 +2665,23 @@ mac_draw(MediumObj *m, Py_ssize_t s)
     return draw;
 }
 
-static MacEventObj *
-mac_event(MediumObj *m, Py_ssize_t s, int kind, unsigned long long epoch,
-          long count, PyObject *frame, PyObject *tx_range)
+/* The ARQ callback of a unicast of `frame` at its `tries`-th retry. */
+static AckObj *
+mac_ack(MediumObj *m, Py_ssize_t s, unsigned long long epoch, long tries,
+        PyObject *frame, PyObject *tx_range)
 {
-    MacEventObj *ev = PyObject_GC_New(MacEventObj, &MacEventType);
-    if (!ev)
+    AckObj *ack = PyObject_GC_New(AckObj, &AckType);
+    if (!ack)
         return NULL;
-    ev->vectorcall = (vectorcallfunc)MacEvent_vectorcall;
-    ev->medium = (MediumObj *)Py_NewRef((PyObject *)m);
-    ev->slot = s;
-    ev->epoch = epoch;
-    ev->count = count;
-    ev->frame = Py_XNewRef(frame);
-    ev->tx_range = Py_XNewRef(tx_range);
-    ev->kind = kind;
-    PyObject_GC_Track((PyObject *)ev);
-    return ev;
-}
-
-/* sim.schedule(delay, ev) with the engine's checks on delay; takes over
- * the reference to `ev` (NULL after a failure). */
-static int
-medium_schedule(MediumObj *m, MacEventObj *ev, double delay)
-{
-    if (!ev)
-        return -1;
-    if (!isfinite(delay) || delay < 0.0) {
-        Py_DECREF(ev);
-        PyObject *d = PyFloat_FromDouble(delay);
-        if (d) {
-            PyErr_Format(error_class(), "delay must be %s, got %R",
-                         isfinite(delay) ? "non-negative" : "finite", d);
-            Py_DECREF(d);
-        }
-        return -1;
-    }
-    PyObject *queued = sim_push(m->sim, m->sim->now + delay, (PyObject *)ev,
-                                NULL, NULL);
-    Py_DECREF(ev);
-    return discard(queued);
+    ack->vectorcall = (vectorcallfunc)Ack_vectorcall;
+    ack->medium = (MediumObj *)Py_NewRef((PyObject *)m);
+    ack->slot = s;
+    ack->epoch = epoch;
+    ack->tries = tries;
+    ack->frame = Py_NewRef(frame);
+    ack->tx_range = Py_NewRef(tx_range);
+    PyObject_GC_Track((PyObject *)ack);
+    return ack;
 }
 
 /* sim.schedule(delay, <MAC step>) */
@@ -2518,7 +2689,7 @@ static int
 mac_schedule(MediumObj *m, Py_ssize_t s, double delay, int kind,
              unsigned long long epoch, long attempt)
 {
-    return medium_schedule(m, mac_event(m, s, kind, epoch, attempt, NULL, NULL), delay);
+    return medium_schedule(m, step_new(m, kind, s, epoch, attempt), delay);
 }
 
 /* A backoff of `window * random()` before attempt 0 or the next. */
@@ -2610,14 +2781,13 @@ mac_attempt(MediumObj *m, Py_ssize_t s, unsigned long long epoch, long attempt)
     MacItem item = mac_pop(mac);
     int arq = mac->arq_retries > 0, rc = -1;
     double duration;
-    PyObject *link_dst = PyObject_GetAttr(item.frame, str_link_dst);
+    PyObject *link_dst = frame_field(m, item.frame, F_LINK_DST);
     if (!link_dst)
         goto done;
     arq = arq && link_dst != Py_None;
     Py_DECREF(link_dst);
     if (arq) {
-        MacEventObj *ack = mac_event(m, s, EV_ACK, epoch, item.tries,
-                                     item.frame, item.tx_range);
+        AckObj *ack = mac_ack(m, s, epoch, item.tries, item.frame, item.tx_range);
         rc = ack ? medium_send(m, s, item.frame, item.tx_range, (PyObject *)ack,
                                &duration) : -1;
         Py_XDECREF(ack);
@@ -2636,96 +2806,84 @@ done:
 
 /* CsmaMac._acked and _arq_outcome */
 static int
-mac_acked(MediumObj *m, MacEventObj *ev, int delivered)
+mac_acked(MediumObj *m, AckObj *ack, int delivered)
 {
-    Py_ssize_t s = ev->slot;
+    Py_ssize_t s = ack->slot;
     Mac *mac = &m->slots[s].mac;
-    if (ev->epoch != mac->epoch)
+    if (ack->epoch != mac->epoch)
         return 0;
-    if (!delivered && ev->count < mac->arq_retries) {
+    if (!delivered && ack->tries < mac->arq_retries) {
         /* Retransmit ahead of anything queued later, after a short backoff. */
-        if (mac_push(mac, ev->frame, ev->tx_range, ev->count + 1, 1) < 0)
+        if (mac_push(mac, ack->frame, ack->tx_range, ack->tries + 1, 1) < 0)
             return -1;
         return mac_backoff(m, s, mac->base_backoff, mac->epoch, 0);
     }
     if (!delivered) {
         mac->arq_failures++;
-        if (mac_emit(m, s, str_arq_failure, ev->frame) < 0)
+        if (mac_emit(m, s, str_arq_failure, ack->frame) < 0)
             return -1;
     }
     return mac_next(m, s, m->slots[s].mac.epoch);
 }
 
 static PyObject *
-MacEvent_vectorcall(MacEventObj *ev, PyObject *const *args, size_t nargsf,
-                    PyObject *kwnames)
+Ack_vectorcall(AckObj *ack, PyObject *const *args, size_t nargsf,
+               PyObject *kwnames)
 {
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    if (nargs != (ev->kind == EV_ACK) || (kwnames && PyTuple_GET_SIZE(kwnames))) {
-        PyErr_SetString(PyExc_TypeError, ev->kind == EV_ACK
-                        ? "a MAC ACK callback takes one argument, delivered"
-                        : "a medium event takes no arguments");
+    if (PyVectorcall_NARGS(nargsf) != 1 || (kwnames && PyTuple_GET_SIZE(kwnames))) {
+        PyErr_SetString(PyExc_TypeError,
+                        "a MAC ACK callback takes one argument, delivered");
         return NULL;
     }
-    MediumObj *m = ev->medium;
+    MediumObj *m = ack->medium;
     if (!m || medium_check(m) < 0)
         return NULL;
-    int rc;
-    if (ev->kind == EV_ATTEMPT)
-        rc = mac_attempt(m, ev->slot, ev->epoch, ev->count);
-    else if (ev->kind == EV_NEXT)
-        rc = mac_next(m, ev->slot, ev->epoch);
-    else if (ev->kind == EV_DECIDE)
-        rc = flood_decide(m, ev->slot, ev->frame, ev->tx_range);
-    else {
-        int delivered = PyObject_IsTrue(args[0]);
-        rc = delivered < 0 ? -1 : mac_acked(m, ev, delivered);
-    }
-    if (rc < 0)
+    int delivered = PyObject_IsTrue(args[0]);
+    if (delivered < 0 || mac_acked(m, ack, delivered) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
 
 static void
-MacEvent_dealloc(MacEventObj *ev)
+Ack_dealloc(AckObj *ack)
 {
-    PyObject_GC_UnTrack(ev);
-    Py_CLEAR(ev->medium);
-    Py_CLEAR(ev->frame);
-    Py_CLEAR(ev->tx_range);
-    PyObject_GC_Del(ev);
+    PyObject_GC_UnTrack(ack);
+    Py_CLEAR(ack->medium);
+    Py_CLEAR(ack->frame);
+    Py_CLEAR(ack->tx_range);
+    PyObject_GC_Del(ack);
 }
 
 static int
-MacEvent_traverse(MacEventObj *ev, visitproc visit, void *arg)
+Ack_traverse(AckObj *ack, visitproc visit, void *arg)
 {
-    Py_VISIT(ev->medium);
-    Py_VISIT(ev->frame);
-    Py_VISIT(ev->tx_range);
+    Py_VISIT(ack->medium);
+    Py_VISIT(ack->frame);
+    Py_VISIT(ack->tx_range);
     return 0;
 }
 
 static int
-MacEvent_clear(MacEventObj *ev)
+Ack_clear(AckObj *ack)
 {
-    Py_CLEAR(ev->medium);
-    Py_CLEAR(ev->frame);
-    Py_CLEAR(ev->tx_range);
+    Py_CLEAR(ack->medium);
+    Py_CLEAR(ack->frame);
+    Py_CLEAR(ack->tx_range);
     return 0;
 }
 
-static PyTypeObject MacEventType = {
+static PyTypeObject AckType = {
     PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro.sim._ckernel.MacEvent",
-    .tp_basicsize = sizeof(MacEventObj),
-    .tp_dealloc = (destructor)MacEvent_dealloc,
-    .tp_vectorcall_offset = offsetof(MacEventObj, vectorcall),
+    .tp_name = "repro.sim._ckernel.Ack",
+    .tp_basicsize = sizeof(AckObj),
+    .tp_dealloc = (destructor)Ack_dealloc,
+    .tp_vectorcall_offset = offsetof(AckObj, vectorcall),
     .tp_call = PyVectorcall_Call,
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC |
                 Py_TPFLAGS_HAVE_VECTORCALL,
-    .tp_traverse = (traverseproc)MacEvent_traverse,
-    .tp_clear = (inquiry)MacEvent_clear,
-    .tp_doc = "A scheduled step of a MAC or a flood the medium runs.",
+    .tp_traverse = (traverseproc)Ack_traverse,
+    .tp_clear = (inquiry)Ack_clear,
+    .tp_doc = "The ARQ callback of a unicast a medium-run MAC has in service.",
 };
 
 /* ------------------------------------------------------------------ */
@@ -2748,9 +2906,6 @@ static PyTypeObject MacEventType = {
  * packet, other packets, a config with suppression or jitter off, a key
  * not yet cached -- calls the listener. */
 
-/* An object slot of `obj` at `offset` (borrowed; NULL while unset). */
-#define SLOT_AT(obj, offset) (*(PyObject **)((char *)(obj) + (offset)))
-
 static void
 flood_clear(Flood *f)
 {
@@ -2763,19 +2918,24 @@ flood_clear(Flood *f)
     Py_CLEAR(f->send_filters);
 }
 
-/* counts[key] += 1, if counts holds key. */
+/* A duplicate of a seen request: counts[key] += 1 while its decision is
+ * pending.  1 when key is not a duplicate, else 0 or -1.  The counts
+ * are a subset of the seen requests, so they are looked up first: a
+ * copy heard within the jitter window costs two dict operations. */
 static int
-flood_count(PyObject *counts, PyObject *key)
+flood_count(Flood *f, PyObject *key)
 {
-    PyObject *count = PyDict_GetItemWithError(counts, key);
-    if (!count)
-        return PyErr_Occurred() ? -1 : 0;
-    PyObject *one = PyLong_FromLong(1);
-    PyObject *more = one ? PyNumber_Add(count, one) : NULL;
-    Py_XDECREF(one);
+    PyObject *count = PyDict_GetItemWithError(f->counts, key);
+    if (!count) {
+        if (PyErr_Occurred())
+            return -1;
+        int seen = PyDict_Contains(f->seen, key);
+        return seen < 0 ? -1 : !seen;
+    }
+    PyObject *more = PyNumber_Add(count, int_one);
     if (!more)
         return -1;
-    int rc = PyDict_SetItem(counts, key, more);
+    int rc = PyDict_SetItem(f->counts, key, more);
     Py_DECREF(more);
     return rc;
 }
@@ -2808,8 +2968,8 @@ flood_receive(MediumObj *m, Py_ssize_t s, PyObject *frame)
     int rc = PyObject_RichCompareBool(target, f->me, Py_EQ);
     if (rc)
         return rc;
-    if ((rc = PyDict_Contains(f->seen, key)) != 0)
-        return rc < 0 ? -1 : flood_count(f->counts, key);
+    if ((rc = flood_count(f, key)) <= 0)
+        return rc;
     if ((rc = PyObject_RichCompareBool(origin, f->me, Py_EQ)) != 0)
         return rc;
     if (f->threshold == 0 || f->jitter == 0.0)
@@ -2824,17 +2984,21 @@ flood_receive(MediumObj *m, Py_ssize_t s, PyObject *frame)
     }
     Py_DECREF(zero);
     double jitter = f->jitter;
-    MacEventObj *ev = mac_event(m, s, EV_DECIDE, 0, 0, packet, prev_hop);
+    Step *st = step_new(m, EV_DECIDE, s, 0, 0);
+    if (!st)
+        return -1;
+    st->request = Py_NewRef(packet);
+    st->prev_hop = Py_NewRef(prev_hop);
     PyObject *random = Py_NewRef(f->random);
-    PyObject *u = ev ? PyObject_CallNoArgs(random) : NULL;
+    PyObject *u = PyObject_CallNoArgs(random);
     Py_DECREF(random);
     double draw = u ? PyFloat_AsDouble(u) : -1.0;
     Py_XDECREF(u);
-    if ((draw == -1.0 && PyErr_Occurred()) || !ev || medium_check(m) < 0) {
-        Py_XDECREF(ev);
+    if ((draw == -1.0 && PyErr_Occurred()) || medium_check(m) < 0) {
+        step_free(st);
         return -1;
     }
-    return medium_schedule(m, ev, jitter * draw);
+    return medium_schedule(m, st, jitter * draw);
 }
 
 /* RouteRequest.forwarded_by(node): the copy one hop on, sharing the
@@ -2887,9 +3051,7 @@ flood_broadcast(MediumObj *m, Py_ssize_t s, PyObject *packet, PyObject *prev_hop
     SLOT_AT(frame, m->frame_off[F_LINK_DST]) = Py_NewRef(Py_None);
     SLOT_AT(frame, m->frame_off[F_PREV_HOP]) = Py_NewRef(prev_hop);
     SLOT_AT(frame, m->leash_off) = Py_NewRef(Py_None);
-    PyObject *alive = PyObject_GetAttr(node, str_alive);
-    rc = alive ? PyObject_IsTrue(alive) : -1;
-    Py_XDECREF(alive);
+    rc = attr_true(node, str_alive);
     for (Py_ssize_t i = 0; rc > 0 && i < PyList_GET_SIZE(filters); i++) {
         PyObject *check = Py_NewRef(PyList_GET_ITEM(filters, i));
         PyObject *verdict = PyObject_CallOneArg(check, frame);
@@ -3234,8 +3396,10 @@ static PyTypeObject MediumType = {
  * open-addressing table of (packet key, node) -> last stamp, rotated as
  * LocalMonitor._remember rotates its two dicts, so it gives the same
  * answers; keys and node ids match as they would in a dict.  Frames and
- * packets of the expected classes are read by slot offset; anything else
- * through attribute lookup.
+ * packets of the expected classes, and a neighbour record's status while
+ * it is a plain member slot, are read by slot offset; anything else
+ * through attribute lookup.  The agent's receive hook is entered directly
+ * when the medium runs the node's filters (filter_pass).
  *
  * Everything else stays in Python and is called by name on the rare
  * paths: the monitor's _accuse, _add_expectation, _note_watch_size,
@@ -3274,7 +3438,7 @@ typedef struct {
     Py_ssize_t off_key, off_origin, off_destination, off_inner_key;
 } PacketKind;
 
-typedef struct {
+struct GuardObj {
     PyObject_HEAD
     SimObj *sim;
     PyObject *monitor;
@@ -3283,6 +3447,7 @@ typedef struct {
     PyObject *second;       /* NeighborTable's second-hop dict */
     PyObject *expectations; /* the monitor's watch buffer */
     PyObject *observe_body; /* the function LocalMonitor defines as observe */
+    PyTypeObject *monitor_cls;  /* the monitor's class, read without the monitor */
     PyObject *packet_role;
     PyObject *packet_key;   /* Packet.key */
     PyObject *active, *revoked;     /* status values */
@@ -3300,7 +3465,7 @@ typedef struct {
     Py_ssize_t nkinds, cap_kinds;
     char enabled, watch_data, watch_request_drops, second_hop_check;
     char activated;
-} GuardObj;
+};
 
 static PyTypeObject GuardType;
 
@@ -3525,7 +3690,7 @@ static PyObject *
 packet_key(PyObject *packet, PacketKind *kind)
 {
     if (kind->off_key >= 0) {
-        PyObject *key = *(PyObject **)((char *)packet + kind->off_key);
+        PyObject *key = SLOT_AT(packet, kind->off_key);
         if (key && key != Py_None)
             return Py_NewRef(key);
     }
@@ -3536,7 +3701,7 @@ packet_key(PyObject *packet, PacketKind *kind)
 static int
 status_is(PyObject *record, PyObject *status)
 {
-    PyObject *value = PyObject_GetAttr(record, str_status);
+    PyObject *value = attr_get(record, str_status);
     if (!value)
         return -1;
     int eq = PyObject_RichCompareBool(value, status, Py_EQ);
@@ -3722,8 +3887,9 @@ static int
 guard_admit(GuardObj *g, PyObject *frame)
 {
     /* A wrapper installed on LocalMonitor.observe must see the frame, so
-     * the body is entered directly only while the class's own is there. */
-    if (_PyType_Lookup(Py_TYPE(g->monitor), str_observe) == g->observe_body) {
+     * the body is entered directly only while the monitor's class (as the
+     * guard was built) has its own. */
+    if (_PyType_Lookup(g->monitor_cls, str_observe) == g->observe_body) {
         if (guard_observe(g, frame, 0) < 0)
             return -1;
     } else if (discard(
@@ -3808,6 +3974,7 @@ Guard_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     g->expectations = Py_NewRef(expectations);
     g->v_fabricate = Py_NewRef(v_fabricate);
     g->observe_body = Py_NewRef(observe);
+    g->monitor_cls = (PyTypeObject *)Py_NewRef((PyObject *)Py_TYPE(monitor));
     g->packet_role = Py_NewRef(role);
     g->packet_key = Py_NewRef(packet_key_fn);
     g->frame_cls = (PyTypeObject *)Py_NewRef(frame_cls);
@@ -3836,6 +4003,7 @@ Guard_traverse(GuardObj *g, visitproc visit, void *arg)
     Py_VISIT(g->second);
     Py_VISIT(g->expectations);
     Py_VISIT(g->observe_body);
+    Py_VISIT(g->monitor_cls);
     Py_VISIT(g->packet_role);
     Py_VISIT(g->packet_key);
     Py_VISIT(g->active);
@@ -3867,6 +4035,7 @@ Guard_clear(GuardObj *g)
     Py_CLEAR(g->second);
     Py_CLEAR(g->expectations);
     Py_CLEAR(g->observe_body);
+    Py_CLEAR(g->monitor_cls);
     Py_CLEAR(g->packet_role);
     Py_CLEAR(g->packet_key);
     Py_CLEAR(g->active);
@@ -3917,37 +4086,40 @@ Guard_bind(GuardObj *g, PyObject *args, PyObject *kwds)
     Py_RETURN_NONE;
 }
 
-static PyObject *
-Guard_receive(GuardObj *g, PyObject *frame)
+/* The agent's receive hook: 1 accept, 0 reject, -1 error. */
+static int
+guard_receive(GuardObj *g, PyObject *frame)
 {
     if (guard_check(g) < 0)
-        return NULL;
+        return -1;
     if (!g->agent) {
         PyErr_SetString(PyExc_RuntimeError, "guard is not bound to an agent");
-        return NULL;
+        return -1;
     }
     if (g->liveness && discard(PyObject_CallMethodOneArg(
                            g->liveness, str_note_frame, frame)) < 0)
-        return NULL;
+        return -1;
     if (g->activated) {
         int verdict = guard_admit(g, frame);
         if (verdict <= 0)
-            return verdict < 0 ? NULL : Py_NewRef(Py_False);
+            return verdict;
     }
     PyObject *packet = frame_get(g, frame, F_PACKET);
     if (!packet)
-        return NULL;
+        return -1;
     PyObject *handler = PyDict_GetItemWithError(g->handlers,
                                                 (PyObject *)Py_TYPE(packet));
     Py_DECREF(packet);
-    if (!handler) {
-        if (PyErr_Occurred())
-            return NULL;
-        Py_RETURN_TRUE;
-    }
-    if (call_one(handler, frame) < 0)
-        return NULL;
-    Py_RETURN_TRUE;
+    if (!handler)
+        return PyErr_Occurred() ? -1 : 1;
+    return call_one(handler, frame) < 0 ? -1 : 1;
+}
+
+static PyObject *
+Guard_receive(GuardObj *g, PyObject *frame)
+{
+    int verdict = guard_receive(g, frame);
+    return verdict < 0 ? NULL : PyBool_FromLong(verdict);
 }
 
 static PyObject *
@@ -4309,8 +4481,8 @@ PyMODINIT_FUNC
 PyInit__ckernel(void)
 {
     if (PyType_Ready(&EventType) < 0 || PyType_Ready(&SimType) < 0 ||
-        PyType_Ready(&BatchType) < 0 || PyType_Ready(&MediumType) < 0 ||
-        PyType_Ready(&MacEventType) < 0 || PyType_Ready(&MacType) < 0 ||
+        PyType_Ready(&MediumType) < 0 ||
+        PyType_Ready(&AckType) < 0 || PyType_Ready(&MacType) < 0 ||
         PyType_Ready(&GuardType) < 0)
         return NULL;
     struct { PyObject **slot; const char *text; } names[] = {
@@ -4354,7 +4526,8 @@ PyInit__ckernel(void)
         if (!*names[i].slot &&
             !(*names[i].slot = PyUnicode_InternFromString(names[i].text)))
             return NULL;
-    if (!float_zero && !(float_zero = PyFloat_FromDouble(0.0)))
+    if ((!float_zero && !(float_zero = PyFloat_FromDouble(0.0))) ||
+        (!int_one && !(int_one = PyLong_FromLong(1))))
         return NULL;
     PyObject *m = PyModule_Create(&ckernel_module);
     if (!m)

@@ -143,7 +143,15 @@ class TraceLog:
         resident store to the newest ``capacity`` records (ring-buffer
         mode); evicted records are still delivered to subscribers and
         sinks, and counted in :attr:`dropped_records`.
+
+    Slotted, so the C medium reads the store and its counters by offset
+    when it stores an ``rx_lost`` record itself (see :meth:`_publish`).
     """
+
+    __slots__ = (
+        "capacity", "_records", "_subscribers", "_sinks", "_validator",
+        "total_emitted", "peak_resident", "degraded_sinks",
+    )
 
     def __init__(self, capacity: Optional[int] = None) -> None:
         if capacity is not None and capacity < 1:
