@@ -21,25 +21,30 @@ Quickstart
 True
 """
 
-from repro.analysis import CostModel, CoverageParams, detection_probability
-from repro.attacks import ATTACK_MODES, WormholeCoordinator, taxonomy_table
-from repro.core import LiteworpAgent, LiteworpConfig
-from repro.defenses.leash import LeashAgent, LeashConfig
-from repro.faults import FaultController, FaultPlan
-from repro.experiments import (
-    ScenarioConfig,
-    TABLE2,
-    build_scenario,
-    run_fig10,
-    run_fig8,
-    run_fig9,
-    run_scenario,
-)
-from repro.metrics import MetricsCollector, MetricsReport
-from repro.net import Network, NetworkConfig, Topology, generate_connected_topology
-from repro.routing import OnDemandRouting, RoutingConfig
-from repro.sim import Simulator
-from repro.traffic import TrafficConfig, TrafficGenerator
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.analysis import CostModel, CoverageParams, detection_probability
+    from repro.attacks import ATTACK_MODES, WormholeCoordinator, taxonomy_table
+    from repro.core import LiteworpAgent, LiteworpConfig
+    from repro.defenses.leash import LeashAgent, LeashConfig
+    from repro.faults import FaultController, FaultPlan
+    from repro.experiments import (
+        ScenarioConfig,
+        TABLE2,
+        build_scenario,
+        run_fig10,
+        run_fig8,
+        run_fig9,
+        run_scenario,
+    )
+    from repro.metrics import MetricsCollector, MetricsReport
+    from repro.net import Network, NetworkConfig, Topology, generate_connected_topology
+    from repro.routing import OnDemandRouting, RoutingConfig
+    from repro.sim import Simulator
+    from repro.traffic import TrafficConfig, TrafficGenerator
 
 __version__ = "1.0.0"
 
@@ -75,3 +80,20 @@ __all__ = [
     "run_scenario",
     "taxonomy_table",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.analysis": ("CostModel", "CoverageParams", "detection_probability"),
+    "repro.attacks": ("ATTACK_MODES", "WormholeCoordinator", "taxonomy_table"),
+    "repro.core": ("LiteworpAgent", "LiteworpConfig"),
+    "repro.defenses.leash": ("LeashAgent", "LeashConfig"),
+    "repro.faults": ("FaultController", "FaultPlan"),
+    "repro.experiments": (
+        "ScenarioConfig", "TABLE2", "build_scenario", "run_fig10", "run_fig8", "run_fig9",
+        "run_scenario",
+    ),
+    "repro.metrics": ("MetricsCollector", "MetricsReport"),
+    "repro.net": ("Network", "NetworkConfig", "Topology", "generate_connected_topology"),
+    "repro.routing": ("OnDemandRouting", "RoutingConfig"),
+    "repro.sim": ("Simulator",),
+    "repro.traffic": ("TrafficConfig", "TrafficGenerator"),
+})

@@ -7,26 +7,31 @@
   model (section 5.2).
 """
 
-from repro.analysis.coverage import (
-    CoverageParams,
-    density_for_detection,
-    detection_probability,
-    detection_vs_neighbors,
-    detection_vs_theta,
-    expected_guards,
-    false_alarm_probability,
-    false_alarm_vs_neighbors,
-    guard_region_area,
-    guard_region_area_min,
-    mean_guard_region_area,
-    min_guards,
-    per_guard_alert_probability,
-    per_guard_false_alarm_probability,
-)
-from repro.analysis.cost import (
-    CostModel,
-    CostReport,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.analysis.coverage import (
+        CoverageParams,
+        density_for_detection,
+        detection_probability,
+        detection_vs_neighbors,
+        detection_vs_theta,
+        expected_guards,
+        false_alarm_probability,
+        false_alarm_vs_neighbors,
+        guard_region_area,
+        guard_region_area_min,
+        mean_guard_region_area,
+        min_guards,
+        per_guard_alert_probability,
+        per_guard_false_alarm_probability,
+    )
+    from repro.analysis.cost import (
+        CostModel,
+        CostReport,
+    )
 
 __all__ = [
     "CostModel",
@@ -46,3 +51,14 @@ __all__ = [
     "per_guard_alert_probability",
     "per_guard_false_alarm_probability",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.analysis.coverage": (
+        "CoverageParams", "density_for_detection", "detection_probability",
+        "detection_vs_neighbors", "detection_vs_theta", "expected_guards",
+        "false_alarm_probability", "false_alarm_vs_neighbors", "guard_region_area",
+        "guard_region_area_min", "mean_guard_region_area", "min_guards",
+        "per_guard_alert_probability", "per_guard_false_alarm_probability",
+    ),
+    "repro.analysis.cost": ("CostModel", "CostReport"),
+})

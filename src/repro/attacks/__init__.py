@@ -25,9 +25,14 @@ also provides the ground truth the metrics need (when each colluder first
 acted, how many packets it swallowed).
 """
 
-from repro.attacks.agents import HighPowerRouting, RelayAttacker, RushingRouting, TunnelRouting
-from repro.attacks.coordinator import WormholeCoordinator
-from repro.attacks.taxonomy import ATTACK_MODES, AttackMode, taxonomy_table
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.attacks.agents import HighPowerRouting, RelayAttacker, RushingRouting, TunnelRouting
+    from repro.attacks.coordinator import WormholeCoordinator
+    from repro.attacks.taxonomy import ATTACK_MODES, AttackMode, taxonomy_table
 
 __all__ = [
     "ATTACK_MODES",
@@ -39,3 +44,11 @@ __all__ = [
     "WormholeCoordinator",
     "taxonomy_table",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.attacks.agents": (
+        "HighPowerRouting", "RelayAttacker", "RushingRouting", "TunnelRouting",
+    ),
+    "repro.attacks.coordinator": ("WormholeCoordinator",),
+    "repro.attacks.taxonomy": ("ATTACK_MODES", "AttackMode", "taxonomy_table"),
+})

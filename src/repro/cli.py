@@ -48,23 +48,14 @@ import argparse
 import contextlib
 import os
 import sys
-from typing import Iterator, List, Optional
+from typing import TYPE_CHECKING, Iterator, List, Optional
 
-from repro.analysis.cost import CostModel
-from repro.analysis.coverage import (
-    CoverageParams,
-    detection_vs_neighbors,
-    false_alarm_vs_neighbors,
-)
-from repro.attacks.taxonomy import taxonomy_table
-from repro.experiments.chaos import ChaosConfig, run_chaos
-from repro.experiments.figures import run_fig8, run_fig9, run_fig10
-from repro.experiments.scenario import (
-    ATTACK_MODES,
-    DEFENSES,
-    ScenarioConfig,
-    build_scenario,
-)
+from repro.defenses.registry import available_defenses
+from repro.experiments.parameters import ATTACK_MODES
+
+if TYPE_CHECKING:
+    from repro.experiments.scenario import ScenarioConfig
+    from repro.obs.config import ObsConfig
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,7 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub_parser.add_argument("--attack", choices=ATTACK_MODES, default="outofband")
         sub_parser.add_argument("--malicious", type=int, default=2)
         sub_parser.add_argument("--attack-start", type=float, default=40.0)
-        sub_parser.add_argument("--defense", choices=DEFENSES, default="liteworp")
+        sub_parser.add_argument("--defense", choices=("auto",) + available_defenses(),
+                                default="liteworp")
 
     def add_campaign_options(sub_parser: argparse.ArgumentParser) -> None:
         """Flags ``campaign run`` and ``matrix`` share; :func:`_run_journaled`
@@ -358,8 +350,10 @@ def _flag_config() -> Iterator[None]:
         raise _ConfigError(str(exc)) from None
 
 
-def _scenario_config(args: argparse.Namespace, obs: Optional["ObsConfig"] = None) -> ScenarioConfig:
+def _scenario_config(args: argparse.Namespace, obs: Optional[ObsConfig] = None) -> ScenarioConfig:
     """The scenario ``add_scenario_options``' flags describe."""
+    from repro.experiments.scenario import ScenarioConfig
+
     with _flag_config():
         return ScenarioConfig(
             n_nodes=args.nodes,
@@ -385,6 +379,8 @@ def _write(path_str: str, text: str, label: str, err: bool = False) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.experiments.scenario import build_scenario
+
     scenario = build_scenario(_scenario_config(args))
     report = scenario.run()
     print(f"attack={args.attack} defense={args.defense} "
@@ -405,7 +401,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _obs_from_args(args: argparse.Namespace) -> Optional["ObsConfig"]:
+def _obs_from_args(args: argparse.Namespace) -> Optional[ObsConfig]:
     """Build the ObsConfig requested by --trace-* flags (None when unused)."""
     trace_out = getattr(args, "trace_out", None)
     strict = getattr(args, "trace_strict", False)
@@ -438,6 +434,9 @@ _FIGURE_DEFAULTS = {
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    from repro.experiments.figures import run_fig8, run_fig9, run_fig10
+    from repro.experiments.scenario import ScenarioConfig
+
     number = args.number
     defaults = _FIGURE_DEFAULTS[number]
     nodes = args.nodes if args.nodes is not None else defaults["nodes"]
@@ -624,6 +623,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         MatrixSpec,
         run_matrix,
     )
+    from repro.experiments.scenario import ScenarioConfig
 
     try:
         with _flag_config():
@@ -785,6 +785,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
+    from repro.experiments.chaos import ChaosConfig, run_chaos
+
     # The fault schedule's defaults are set for the default run length;
     # a shorter or longer run stretches them by the same factor.
     defaults = ChaosConfig()
@@ -825,6 +827,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _trace_export(args: argparse.Namespace) -> int:
+    from repro.experiments.scenario import build_scenario
     from repro.obs.config import ObsConfig
 
     with _flag_config():
@@ -950,6 +953,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 1
     if args.live:
+        from repro.experiments.scenario import build_scenario
+
         obs = None
         if args.out is not None:
             from repro.obs.config import ObsConfig
@@ -978,6 +983,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig6(_args: argparse.Namespace) -> int:
+    from repro.analysis.coverage import (
+        CoverageParams,
+        detection_vs_neighbors,
+        false_alarm_vs_neighbors,
+    )
+
     params = CoverageParams()
     print("Figure 6(a): N_B vs P(detection)")
     for n_b, p in detection_vs_neighbors(range(4, 41, 2), params):
@@ -989,6 +1000,8 @@ def _cmd_fig6(_args: argparse.Namespace) -> int:
 
 
 def _cmd_cost(_args: argparse.Namespace) -> int:
+    from repro.analysis.cost import CostModel
+
     report = CostModel().report()
     for name, value, unit in report.rows():
         print(f"{name:30s} {value:12.3f} {unit}")
@@ -996,6 +1009,8 @@ def _cmd_cost(_args: argparse.Namespace) -> int:
 
 
 def _cmd_taxonomy(_args: argparse.Namespace) -> int:
+    from repro.attacks.taxonomy import taxonomy_table
+
     for name, count, requirements in taxonomy_table():
         print(f"{name:25s} | min nodes: {count} | requires: {requirements}")
     return 0

@@ -21,13 +21,18 @@ The protocol has three cooperating pieces, composed per node by
    guards have alerted (θ = detection confidence index).
 """
 
-from repro.core.agent import LiteworpAgent
-from repro.core.config import LiteworpConfig
-from repro.core.discovery import NeighborDiscovery
-from repro.core.isolation import IsolationManager
-from repro.core.liveness import ALIVE, DEAD, SUSPECT, LivenessManager
-from repro.core.monitor import LocalMonitor
-from repro.core.tables import NeighborTable
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.agent import LiteworpAgent
+    from repro.core.config import LiteworpConfig
+    from repro.core.discovery import NeighborDiscovery
+    from repro.core.isolation import IsolationManager
+    from repro.core.liveness import ALIVE, DEAD, SUSPECT, LivenessManager
+    from repro.core.monitor import LocalMonitor
+    from repro.core.tables import NeighborTable
 
 __all__ = [
     "ALIVE",
@@ -41,3 +46,13 @@ __all__ = [
     "NeighborDiscovery",
     "NeighborTable",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.core.agent": ("LiteworpAgent",),
+    "repro.core.config": ("LiteworpConfig",),
+    "repro.core.discovery": ("NeighborDiscovery",),
+    "repro.core.isolation": ("IsolationManager",),
+    "repro.core.liveness": ("ALIVE", "DEAD", "SUSPECT", "LivenessManager"),
+    "repro.core.monitor": ("LocalMonitor",),
+    "repro.core.tables": ("NeighborTable",),
+})

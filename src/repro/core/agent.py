@@ -32,12 +32,11 @@ revocations stay sticky across reboots.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, FrozenSet, Optional
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, Optional
 
 from repro.core.config import LiteworpConfig
 from repro.core.discovery import NeighborDiscovery, install_oracle_tables
 from repro.core.isolation import IsolationManager
-from repro.core.liveness import LivenessManager
 from repro.core.monitor import LocalMonitor
 from repro.core.tables import STATUS_REVOKED, NeighborTable
 from repro.crypto.keys import KeyStore
@@ -46,6 +45,9 @@ from repro.net.packet import AlertAckPacket, AlertPacket, Frame, NodeId, ProbePa
 from repro.routing.ondemand import OnDemandRouting
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceLog
+
+if TYPE_CHECKING:
+    from repro.core.liveness import LivenessManager
 
 
 class LiteworpAgent:
@@ -88,6 +90,8 @@ class LiteworpAgent:
             AlertAckPacket: self.isolation.on_frame,
         }
         if config.heartbeat_period is not None:
+            from repro.core.liveness import LivenessManager
+
             self.liveness = LivenessManager(
                 sim, node, self.table, config, trace, self.rng,
                 on_dead=self._neighbor_dead,

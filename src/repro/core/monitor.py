@@ -226,7 +226,8 @@ class LocalMonitor:
     # Collision awareness
     # ------------------------------------------------------------------
     def note_reception_loss(self, time: float) -> None:
-        """Record that the radio sensed a garbled reception at ``time``."""
+        """Record that the radio sensed a garbled reception at ``time``.
+        The C medium runs this body itself (:data:`MONITOR_NOTE_LOSS`)."""
         self._last_loss = time
 
     # ------------------------------------------------------------------
@@ -483,3 +484,10 @@ class LocalMonitor:
         if self.guard is not None:
             return self.guard.heard(key, transmitter)
         return self._heard((key, transmitter))
+
+
+#: The reference loss handler.  The C medium stores a loss's time on the
+#: monitor itself in place of calling it, but only while the monitor's
+#: class still has this function (:mod:`repro.net.channel`), so a wrapper
+#: installed on the class sees every call.
+MONITOR_NOTE_LOSS = LocalMonitor.note_reception_loss

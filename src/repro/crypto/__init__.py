@@ -12,9 +12,14 @@ probabilistic schemes the paper cites.  Authentication is HMAC-SHA256
 truncated to 8 bytes, which is unforgeable for simulation purposes.
 """
 
-from repro.crypto.auth import Authenticator, AuthError
-from repro.crypto.keys import KeyStore, PairwiseKeyManager
-from repro.crypto.replay import ReplayCache
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.crypto.auth import Authenticator, AuthError
+    from repro.crypto.keys import KeyStore, PairwiseKeyManager
+    from repro.crypto.replay import ReplayCache
 
 __all__ = [
     "AuthError",
@@ -23,3 +28,9 @@ __all__ = [
     "PairwiseKeyManager",
     "ReplayCache",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.crypto.auth": ("Authenticator", "AuthError"),
+    "repro.crypto.keys": ("KeyStore", "PairwiseKeyManager"),
+    "repro.crypto.replay": ("ReplayCache",),
+})

@@ -14,38 +14,43 @@ Downstream code should prefer the stable :mod:`repro.api` facade over
 importing from these modules directly.
 """
 
-from repro.experiments.campaign import (
-    CampaignResult,
-    CampaignRunner,
-    CampaignSpec,
-    compile_campaign,
-    load_spec,
-    run_campaign,
-)
-from repro.experiments.chaos import (
-    ChaosConfig,
-    ChaosResult,
-    make_chaos_plan,
-    run_chaos,
-)
-from repro.experiments.parameters import TABLE2, Table2Parameters
-from repro.experiments.records import ExperimentRecord, run_and_record
-from repro.experiments.scenario import (
-    Scenario,
-    ScenarioConfig,
-    average_runs,
-    build_scenario,
-    run_scenario,
-)
-from repro.experiments.stats import Summary, summarize, summarize_optional
-from repro.experiments.figures import (
-    Fig8Result,
-    Fig9Result,
-    Fig10Result,
-    run_fig8,
-    run_fig9,
-    run_fig10,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.experiments.campaign import (
+        CampaignResult,
+        CampaignRunner,
+        CampaignSpec,
+        compile_campaign,
+        load_spec,
+        run_campaign,
+    )
+    from repro.experiments.chaos import (
+        ChaosConfig,
+        ChaosResult,
+        make_chaos_plan,
+        run_chaos,
+    )
+    from repro.experiments.parameters import TABLE2, Table2Parameters
+    from repro.experiments.records import ExperimentRecord, run_and_record
+    from repro.experiments.scenario import (
+        Scenario,
+        ScenarioConfig,
+        average_runs,
+        build_scenario,
+        run_scenario,
+    )
+    from repro.experiments.stats import Summary, summarize, summarize_optional
+    from repro.experiments.figures import (
+        Fig8Result,
+        Fig9Result,
+        Fig10Result,
+        run_fig8,
+        run_fig9,
+        run_fig10,
+    )
 
 __all__ = [
     "CampaignResult",
@@ -77,3 +82,20 @@ __all__ = [
     "summarize",
     "summarize_optional",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.experiments.campaign": (
+        "CampaignResult", "CampaignRunner", "CampaignSpec", "compile_campaign",
+        "load_spec", "run_campaign",
+    ),
+    "repro.experiments.chaos": ("ChaosConfig", "ChaosResult", "make_chaos_plan", "run_chaos"),
+    "repro.experiments.parameters": ("TABLE2", "Table2Parameters"),
+    "repro.experiments.records": ("ExperimentRecord", "run_and_record"),
+    "repro.experiments.scenario": (
+        "Scenario", "ScenarioConfig", "average_runs", "build_scenario", "run_scenario",
+    ),
+    "repro.experiments.stats": ("Summary", "summarize", "summarize_optional"),
+    "repro.experiments.figures": (
+        "Fig8Result", "Fig9Result", "Fig10Result", "run_fig8", "run_fig9", "run_fig10",
+    ),
+})

@@ -5,6 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
+#: The selectable ``attack_mode`` values: no attack, then the launch modes
+#: of the paper's taxonomy (section 3) by their short names.
+ATTACK_MODES = ("none", "outofband", "encapsulation", "highpower", "relay", "rushing")
+
 
 @dataclass(frozen=True)
 class Table2Parameters:

@@ -13,7 +13,7 @@ import gc
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 from repro.attacks.agents import (
     HighPowerRouting,
@@ -25,17 +25,10 @@ from repro.attacks.coordinator import TUNNEL_MODES, WormholeCoordinator
 from repro.core.agent import LiteworpAgent
 from repro.core.config import LiteworpConfig
 from repro.crypto.keys import PairwiseKeyManager
-from repro.defenses import (
-    Defense,
-    DefenseContext,
-    DefenseSpec,
-    available_defenses,
-    get_defense,
-)
+from repro.defenses.base import Defense, DefenseContext, DefenseSpec
 from repro.defenses.leash import LeashAgent, LeashConfig
-from repro.experiments.cache import ResultCache
-from repro.faults.controller import FaultController
-from repro.faults.plan import FaultPlan
+from repro.defenses.registry import available_defenses, get_defense
+from repro.experiments.parameters import ATTACK_MODES
 from repro.metrics.collector import MetricsCollector, MetricsReport
 from repro.net.network import Network, NetworkConfig
 from repro.obs.config import ObsConfig
@@ -49,10 +42,13 @@ from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceLog
 from repro.traffic.generator import TrafficConfig, TrafficGenerator
 
-ATTACK_MODES = ("none", "outofband", "encapsulation", "highpower", "relay", "rushing")
+if TYPE_CHECKING:
+    from repro.experiments.cache import ResultCache
+    from repro.faults.controller import FaultController
+    from repro.faults.plan import FaultPlan
+
 #: The selectable ``defense=`` vocabulary at import time.  Validation is
-#: dynamic — plugins registered later become selectable immediately —
-#: but this snapshot is what the CLI offers as choices.
+#: dynamic — plugins registered later become selectable immediately.
 DEFENSES = ("auto",) + available_defenses()
 
 
@@ -356,6 +352,8 @@ def _build_scenario(config: ScenarioConfig) -> Scenario:
 
     fault_controller: Optional[FaultController] = None
     if config.fault_plan is not None and len(config.fault_plan):
+        from repro.faults.controller import FaultController
+
         fault_controller = FaultController(network)
         fault_controller.apply(config.fault_plan)
 

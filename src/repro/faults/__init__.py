@@ -19,33 +19,38 @@ Fault plans are pure data: the same plan applied to the same seeded
 scenario reproduces the exact same run, byte for byte.
 """
 
-from repro.faults.controller import FaultController
-from repro.faults.harness import (
-    CorruptResult,
-    HarnessFault,
-    HarnessFaultController,
-    HarnessFaultError,
-    HarnessFaultPlan,
-    HarnessInterrupt,
-    InjectedWorkerCrash,
-    SinkIOError,
-    TornJournalWrite,
-    WorkerCrash,
-    WorkerHang,
-    WorkerSlowdown,
-    load_harness_plan,
-)
-from repro.faults.plan import (
-    ClockDrift,
-    CrashRecover,
-    CrashStop,
-    EnergyDepletion,
-    Fault,
-    FaultPlan,
-    LinkFlap,
-    LossBurst,
-    MacSaturation,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.faults.controller import FaultController
+    from repro.faults.harness import (
+        CorruptResult,
+        HarnessFault,
+        HarnessFaultController,
+        HarnessFaultError,
+        HarnessFaultPlan,
+        HarnessInterrupt,
+        InjectedWorkerCrash,
+        SinkIOError,
+        TornJournalWrite,
+        WorkerCrash,
+        WorkerHang,
+        WorkerSlowdown,
+        load_harness_plan,
+    )
+    from repro.faults.plan import (
+        ClockDrift,
+        CrashRecover,
+        CrashStop,
+        EnergyDepletion,
+        Fault,
+        FaultPlan,
+        LinkFlap,
+        LossBurst,
+        MacSaturation,
+    )
 
 __all__ = [
     "ClockDrift",
@@ -72,3 +77,17 @@ __all__ = [
     "WorkerSlowdown",
     "load_harness_plan",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.faults.controller": ("FaultController",),
+    "repro.faults.harness": (
+        "CorruptResult", "HarnessFault", "HarnessFaultController", "HarnessFaultError",
+        "HarnessFaultPlan", "HarnessInterrupt", "InjectedWorkerCrash", "SinkIOError",
+        "TornJournalWrite", "WorkerCrash", "WorkerHang", "WorkerSlowdown",
+        "load_harness_plan",
+    ),
+    "repro.faults.plan": (
+        "ClockDrift", "CrashRecover", "CrashStop", "EnergyDepletion", "Fault", "FaultPlan",
+        "LinkFlap", "LossBurst", "MacSaturation",
+    ),
+})

@@ -17,34 +17,39 @@ optional link destination, and the *announced previous hop* that every
 forwarder must declare (paper section 4.2.1).
 """
 
-from repro.net.channel import Channel, Reception
-from repro.net.mac import CsmaMac, MacConfig
-from repro.net.node import Node
-from repro.net.network import Network, NetworkConfig
-from repro.net.packet import (
-    AlertAckPacket,
-    AlertPacket,
-    DataPacket,
-    Frame,
-    HeartbeatPacket,
-    HelloPacket,
-    HelloReplyPacket,
-    NeighborListPacket,
-    NoisePacket,
-    Packet,
-    ProbeAckPacket,
-    ProbePacket,
-    RouteReply,
-    RouteRequest,
-)
-from repro.net.radio import UnitDiskRadio
-from repro.net.topology import (
-    Topology,
-    field_side_for_density,
-    generate_connected_topology,
-    grid_topology,
-    uniform_topology,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.net.channel import Channel, Reception
+    from repro.net.mac import CsmaMac, MacConfig
+    from repro.net.node import Node
+    from repro.net.network import Network, NetworkConfig
+    from repro.net.packet import (
+        AlertAckPacket,
+        AlertPacket,
+        DataPacket,
+        Frame,
+        HeartbeatPacket,
+        HelloPacket,
+        HelloReplyPacket,
+        NeighborListPacket,
+        NoisePacket,
+        Packet,
+        ProbeAckPacket,
+        ProbePacket,
+        RouteReply,
+        RouteRequest,
+    )
+    from repro.net.radio import UnitDiskRadio
+    from repro.net.topology import (
+        Topology,
+        field_side_for_density,
+        generate_connected_topology,
+        grid_topology,
+        uniform_topology,
+    )
 
 __all__ = [
     "AlertAckPacket",
@@ -75,3 +80,20 @@ __all__ = [
     "grid_topology",
     "uniform_topology",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.net.channel": ("Channel", "Reception"),
+    "repro.net.mac": ("CsmaMac", "MacConfig"),
+    "repro.net.node": ("Node",),
+    "repro.net.network": ("Network", "NetworkConfig"),
+    "repro.net.packet": (
+        "AlertAckPacket", "AlertPacket", "DataPacket", "Frame", "HeartbeatPacket",
+        "HelloPacket", "HelloReplyPacket", "NeighborListPacket", "NoisePacket", "Packet",
+        "ProbeAckPacket", "ProbePacket", "RouteReply", "RouteRequest",
+    ),
+    "repro.net.radio": ("UnitDiskRadio",),
+    "repro.net.topology": (
+        "Topology", "field_side_for_density", "generate_connected_topology",
+        "grid_topology", "uniform_topology",
+    ),
+})

@@ -40,6 +40,11 @@ tracer of ``benchmarks/e2e`` installs them) sees every call.
   in ``frames_rejected`` and stops), then the listeners, on the node's own
   lists.  Any other handler, a wrapped ``Node.deliver`` included, is
   called.
+- **Loss time.** A loss handler that is the reference
+  ``LocalMonitor.note_reception_loss``
+  (:data:`repro.core.monitor.MONITOR_NOTE_LOSS`, on a class that has not
+  replaced it) is not called: the medium sets the monitor's
+  ``_last_loss`` to the loss's time, which is all the method does.
 - **Loss records.** While ``type(trace).emit`` is ``TraceLog.emit``
   (:data:`repro.sim.trace.TRACE_EMIT`), the medium builds each
   ``rx_lost`` record itself, with the field names and values
@@ -62,6 +67,7 @@ tracer of ``benchmarks/e2e`` installs them) sees every call.
 from __future__ import annotations
 
 import random
+import sys
 from typing import TYPE_CHECKING, Callable, Collection, Dict, List, Optional, Set, Tuple
 
 from repro.net.packet import Frame, NodeId, Packet
@@ -255,10 +261,14 @@ class Channel:
         """Notify ``node`` when it loses a reception (a real radio senses a
         garbled frame via energy detection / CRC failure even though it
         cannot decode it).  LITEWORP guards use this to withhold judgment
-        when their own observation was impaired."""
+        when their own observation was impaired.
+
+        On the C medium the reference ``LocalMonitor.note_reception_loss``
+        is not called: the medium stores the time itself (module
+        docstring)."""
         self._loss_handlers[node] = handler
         if self._medium is not None:
-            self._medium.set_loss_handler(node, handler)
+            self._medium.set_loss_handler(node, handler, _loss_owner(handler))
 
     def add_tx_observer(
         self,
@@ -495,6 +505,23 @@ def _pipeline_owner(handler: Callable[[Frame], None]) -> Optional[object]:
 
     owner = getattr(handler, "__self__", None)
     if getattr(handler, "__func__", None) is NODE_DELIVER and type(owner).deliver is NODE_DELIVER:
+        return owner
+    return None
+
+
+def _loss_owner(handler: Callable[[float], None]) -> Optional[object]:
+    """The monitor whose ``_last_loss`` the medium may set in place of
+    calling ``handler``: ``handler.__self__`` when ``handler`` is the
+    reference ``LocalMonitor.note_reception_loss`` bound to a monitor whose
+    class still has it, else None."""
+    # Looked up, not imported: the monitor sits above this layer, and a
+    # handler can be its method only once its module is loaded.
+    monitor = sys.modules.get("repro.core.monitor")
+    reference = getattr(monitor, "MONITOR_NOTE_LOSS", None)
+    owner = getattr(handler, "__self__", None)
+    if reference is not None and getattr(handler, "__func__", None) is reference and (
+        type(owner).note_reception_loss is reference
+    ):
         return owner
     return None
 

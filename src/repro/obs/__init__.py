@@ -32,25 +32,30 @@ production scale:
 See docs/OBSERVABILITY.md for the walkthrough and CLI examples.
 """
 
-from repro.obs.config import ObsConfig
-from repro.obs.counters import snapshot_counters
-from repro.obs.invariants import InvariantChecker, Violation
-from repro.obs.latency import (
-    LatencyDecomposer,
-    StageLatency,
-    summarize_decompositions,
-)
-from repro.obs.report import ReportBuilder, RunReport, build_report
-from repro.obs.schema import (
-    DEFAULT_REGISTRY,
-    SchemaRegistry,
-    TraceSchema,
-    TraceSchemaError,
-    install_strict,
-)
-from repro.obs.series import Series, SeriesRecorder, aggregate_bands
-from repro.obs.sinks import JsonlSink, MemorySink, ReadStats, read_jsonl
-from repro.obs.spans import SpanProfiler, activate, span
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.obs.config import ObsConfig
+    from repro.obs.counters import snapshot_counters
+    from repro.obs.invariants import InvariantChecker, Violation
+    from repro.obs.latency import (
+        LatencyDecomposer,
+        StageLatency,
+        summarize_decompositions,
+    )
+    from repro.obs.report import ReportBuilder, RunReport, build_report
+    from repro.obs.schema import (
+        DEFAULT_REGISTRY,
+        SchemaRegistry,
+        TraceSchema,
+        TraceSchemaError,
+        install_strict,
+    )
+    from repro.obs.series import Series, SeriesRecorder, aggregate_bands
+    from repro.obs.sinks import JsonlSink, MemorySink, ReadStats, read_jsonl
+    from repro.obs.spans import SpanProfiler, activate, span
 
 __all__ = [
     "DEFAULT_REGISTRY",
@@ -79,3 +84,18 @@ __all__ = [
     "span",
     "summarize_decompositions",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.obs.config": ("ObsConfig",),
+    "repro.obs.counters": ("snapshot_counters",),
+    "repro.obs.invariants": ("InvariantChecker", "Violation"),
+    "repro.obs.latency": ("LatencyDecomposer", "StageLatency", "summarize_decompositions"),
+    "repro.obs.report": ("ReportBuilder", "RunReport", "build_report"),
+    "repro.obs.schema": (
+        "DEFAULT_REGISTRY", "SchemaRegistry", "TraceSchema", "TraceSchemaError",
+        "install_strict",
+    ),
+    "repro.obs.series": ("Series", "SeriesRecorder", "aggregate_bands"),
+    "repro.obs.sinks": ("JsonlSink", "MemorySink", "ReadStats", "read_jsonl"),
+    "repro.obs.spans": ("SpanProfiler", "activate", "span"),
+})

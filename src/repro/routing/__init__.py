@@ -17,9 +17,14 @@ implemented here:
   discusses as a by-product defence against the encapsulation mode).
 """
 
-from repro.routing.cache import RouteEntry, RouteTable
-from repro.routing.config import RoutingConfig
-from repro.routing.ondemand import OnDemandRouting
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.routing.cache import RouteEntry, RouteTable
+    from repro.routing.config import RoutingConfig
+    from repro.routing.ondemand import OnDemandRouting
 
 __all__ = [
     "OnDemandRouting",
@@ -27,3 +32,9 @@ __all__ = [
     "RouteTable",
     "RoutingConfig",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.routing.cache": ("RouteEntry", "RouteTable"),
+    "repro.routing.config": ("RoutingConfig",),
+    "repro.routing.ondemand": ("OnDemandRouting",),
+})

@@ -15,10 +15,15 @@ scheduler:
   and experiment post-processing.
 """
 
-from repro.sim.engine import Event, Simulator, SimulationError
-from repro.sim.rng import RngRegistry
-from repro.sim.timers import PeriodicTimer
-from repro.sim.trace import TraceLog, TraceRecord
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.sim.engine import Event, Simulator, SimulationError
+    from repro.sim.rng import RngRegistry
+    from repro.sim.timers import PeriodicTimer
+    from repro.sim.trace import TraceLog, TraceRecord
 
 __all__ = [
     "Event",
@@ -29,3 +34,10 @@ __all__ = [
     "TraceLog",
     "TraceRecord",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.sim.engine": ("Event", "Simulator", "SimulationError"),
+    "repro.sim.rng": ("RngRegistry",),
+    "repro.sim.timers": ("PeriodicTimer",),
+    "repro.sim.trace": ("TraceLog", "TraceRecord"),
+})

@@ -1071,7 +1071,7 @@ static PyObject *str_link_dst, *str_describe, *str_emit, *str_rx_lost,
     *str_frame, *str_jitter, *str_tx_range, *str_leash, *str_validator,
     *str_sinks, *str_subscribers, *str_records, *str_append, *str_total_emitted,
     *str_peak_resident, *str_request_id, *str_target, *str_hop_count, *str_path,
-    *str_uid, *str_node_id, *str_send_filters, *str_origin;
+    *str_uid, *str_node_id, *str_send_filters, *str_origin, *str_last_loss;
 
 /* Frame slots read by offset. */
 enum { F_PACKET, F_TRANSMITTER, F_LINK_DST, F_PREV_HOP, F_COUNT };
@@ -1254,7 +1254,9 @@ typedef struct {
     /* The Node whose deliver body the medium runs and its pipeline
      * lists, or all NULL to call `handler`. */
     PyObject *pipe[P_COUNT];
-    PyObject *loss;         /* loss handler or NULL */
+    /* The loss handler, or with loss_store the monitor whose _last_loss
+     * the medium sets in its place; NULL for neither. */
+    PyObject *loss;
     PyObject *stamper;      /* frame stamper or NULL */
     Cov *covs;
     Py_ssize_t ncovs;
@@ -1264,7 +1266,7 @@ typedef struct {
     Py_ssize_t nblocked, cap_blocked;
     Mac mac;
     Flood flood;
-    char deaf;
+    char deaf, loss_store;
 } Slot;
 
 typedef struct {
@@ -1994,8 +1996,9 @@ finish_rx(MediumObj *m, Batch *b, Rx *rx, PyObject *now)
             if (rc < 0)
                 return -1;
         }
-        PyObject *loss = m->slots[rx->slot].loss;
-        if (loss && call_one(loss, now) < 0)
+        Slot *slot = &m->slots[rx->slot];
+        if (slot->loss && (slot->loss_store ? attr_set(slot->loss, str_last_loss, now)
+                                            : call_one(slot->loss, now)) < 0)
             return -1;
         return outcome ? call_one(outcome, Py_False) : 0;
     }
@@ -2243,17 +2246,23 @@ done:
     Py_RETURN_NONE;
 }
 
+/* set_loss_handler(node, handler, owner=None).  With an owner (the
+ * LocalMonitor whose reference note_reception_loss is `handler`, see
+ * Channel.attach_loss_handler) the medium sets owner._last_loss to the
+ * loss's time instead of calling the handler. */
 static PyObject *
 Medium_set_loss_handler(MediumObj *m, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError, "set_loss_handler(node, handler)");
+    if (nargs != 2 && nargs != 3) {
+        PyErr_SetString(PyExc_TypeError, "set_loss_handler(node, handler, owner=None)");
         return NULL;
     }
     Py_ssize_t s = medium_slot_new(m, args[0]);
     if (s < 0)
         return NULL;
-    Py_XSETREF(m->slots[s].loss, Py_NewRef(args[1]));
+    char store = nargs == 3 && args[2] != Py_None;
+    Py_XSETREF(m->slots[s].loss, Py_NewRef(args[store ? 2 : 1]));
+    m->slots[s].loss_store = store;
     Py_RETURN_NONE;
 }
 
@@ -3335,7 +3344,7 @@ static PyMethodDef Medium_methods[] = {
     {"attach", (PyCFunction)Medium_attach, METH_FASTCALL,
      "attach(node, handler, owner=None): set node's delivery handler."},
     {"set_loss_handler", (PyCFunction)Medium_set_loss_handler, METH_FASTCALL,
-     "set_loss_handler(node, handler): notify node of lost receptions."},
+     "set_loss_handler(node, handler, owner=None): notify node of lost receptions."},
     {"set_deaf", (PyCFunction)Medium_set_deaf, METH_FASTCALL,
      "set_deaf(node, deaf): switch node's radio off or back on."},
     {"set_link", (PyCFunction)Medium_set_link, METH_FASTCALL,
@@ -3410,7 +3419,7 @@ static PyTypeObject MediumType = {
 
 static PyObject *str_observe, *str_destination, *str_inner_key, *str_cancel, *str_note_watch_size,
     *str_accuse, *str_add_expectation, *str_watch_request_forwarders,
-    *str_reject, *str_note_frame, *str_last_loss, *str_fabrications_seen,
+    *str_reject, *str_note_frame, *str_fabrications_seen,
     *str_suppressed_accusations, *str_status, *str_fabrication,
     *str_nonneighbor, *str_revoked, *str_secondhop;
 

@@ -32,9 +32,7 @@ from __future__ import annotations
 import contextlib
 import importlib
 import os
-import subprocess
 import sysconfig
-import tempfile
 import threading
 from typing import Iterator, List, Optional
 
@@ -71,6 +69,10 @@ def _build_command(output: str) -> List[str]:
 
 def _build(ext_path: str) -> None:
     """Compile _ckernel.c into ext_path (atomic rename, safe under races)."""
+    # Imported here: a process whose kernel is already built never needs them.
+    import subprocess
+    import tempfile
+
     fd, tmp = tempfile.mkstemp(
         suffix=".so", prefix="_ckernel-", dir=os.path.dirname(ext_path)
     )

@@ -6,6 +6,15 @@ chosen at random and is changed using an exponential random distribution
 with rate μ."
 """
 
-from repro.traffic.generator import TrafficConfig, TrafficGenerator
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.traffic.generator import TrafficConfig, TrafficGenerator
 
 __all__ = ["TrafficConfig", "TrafficGenerator"]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.traffic.generator": ("TrafficConfig", "TrafficGenerator"),
+})

@@ -283,12 +283,12 @@ def test_invalid_config_is_one_error_line_and_exit_1(argv, command, capsys):
 def test_run_time_value_error_is_not_swallowed(monkeypatch):
     """Only config construction is guarded: a ValueError from the run
     itself still propagates."""
-    import repro.cli as cli
+    import repro.experiments.chaos as chaos
 
     def broken_run(config):
         raise ValueError("raised by the run")
 
-    monkeypatch.setattr(cli, "run_chaos", broken_run)
+    monkeypatch.setattr(chaos, "run_chaos", broken_run)
     with pytest.raises(ValueError, match="raised by the run"):
         main(["chaos", "--nodes", "20", "--duration", "60"])
 
@@ -298,12 +298,12 @@ class _Captured(Exception):
 
 
 def _chaos_config(monkeypatch, argv):
-    import repro.cli as cli
+    import repro.experiments.chaos as chaos
 
     def capture(config):
         raise _Captured(config)
 
-    monkeypatch.setattr(cli, "run_chaos", capture)
+    monkeypatch.setattr(chaos, "run_chaos", capture)
     with pytest.raises(_Captured) as caught:
         main(argv)
     return caught.value.args[0]

@@ -17,6 +17,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +90,87 @@ def test_register_unregister_roundtrip():
     finally:
         unregister_defense("custom_scheme")
     assert "custom_scheme" not in available_defenses()
+
+
+# ----------------------------------------------------------------------
+# Built-ins registered by name: each loads on its first get_defense
+# ----------------------------------------------------------------------
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _fresh(code):
+    """Run ``code`` in a new interpreter, where no defense is loaded yet;
+    its last line of output, as JSON."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    prologue = (
+        "import json, sys\n"
+        "from repro.defenses import available_defenses, get_defense, register_defense, unregister_defense\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", prologue + textwrap.dedent(code)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_listing_builtins_loads_none():
+    result = _fresh("""
+        listed = available_defenses()
+        loaded = [m for m in sys.modules if m.startswith("repro.defenses.") and m != "repro.defenses.registry"]
+        print(json.dumps([listed, loaded]))
+    """)
+    assert result == [list(BUILTINS), []]
+
+
+def test_builtin_name_is_taken_before_it_loads():
+    result = _fresh("""
+        from repro.defenses import registry
+        from repro.defenses.rtt import RttDefense
+
+        before = "rtt" in registry._REGISTRY
+        try:
+            register_defense(RttDefense())
+            message = None
+        except ValueError as exc:
+            message = str(exc)
+        print(json.dumps([before, message]))
+    """)
+    assert result == [False, "defense 'rtt' is already registered (<Defense 'rtt'>); "
+                             "pass replace=True to override"]
+
+
+def test_unregistered_builtin_is_gone():
+    result = _fresh("""
+        unregister_defense("snd")
+        try:
+            get_defense("snd")
+            message = None
+        except ValueError as exc:
+            message = str(exc)
+        print(json.dumps([message, "repro.defenses.snd" in sys.modules]))
+    """)
+    assert result == [
+        "unknown defense 'snd'; available: "
+        "('geo_leash', 'liteworp', 'none', 'rtt', 'temporal_leash')",
+        False,
+    ]
+
+
+def test_replace_over_unloaded_builtin_wins():
+    result = _fresh("""
+        from repro.defenses import Defense
+
+        class Mine(Defense):
+            name = "geo_leash"
+
+        mine = register_defense(Mine(), replace=True)
+        print(json.dumps([
+            get_defense("geo_leash") is mine,
+            available_defenses(),
+            "repro.defenses.leash" in sys.modules,
+        ]))
+    """)
+    assert result == [True, list(BUILTINS), False]
 
 
 # ----------------------------------------------------------------------

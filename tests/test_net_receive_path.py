@@ -1,8 +1,10 @@
 """The shared receive path on the C medium against the reference stack.
 
 On the C kernel's simulator the channel's ``Medium`` runs
-``Node.deliver``'s body itself and builds each ``rx_lost`` record without
-``TraceLog.emit`` (see the :mod:`repro.net.channel` docstring).  The
+``Node.deliver``'s body itself, builds each ``rx_lost`` record without
+``TraceLog.emit`` and stores a LITEWORP monitor's loss time without
+calling ``LocalMonitor.note_reception_loss`` (see the
+:mod:`repro.net.channel` docstring).  The
 differential tests run seeded scenarios under every defense that hooks
 the node pipeline (observers, filters, listeners, frame stampers) on both
 stacks, with a crash and a link flap, a ring-buffer trace and a strict
@@ -21,6 +23,7 @@ import weakref
 
 import pytest
 
+from repro.core.monitor import MONITOR_NOTE_LOSS, LocalMonitor
 from repro.experiments.scenario import ScenarioConfig, build_scenario
 from repro.faults.plan import CrashRecover, FaultPlan, LinkFlap
 from repro.net.network import Network
@@ -198,6 +201,48 @@ def test_wrapped_deliver_and_emit_see_every_call(monkeypatch):
     # the wrapper also sees the few handed to a crashed one (none here).
     assert counts["deliver"] == sum(received for received, _ in state["frames"].values())
     assert state == _run(config, reference=True)
+
+
+def _loss_times(scenario):
+    return {node: agent.monitor._last_loss for node, agent in scenario.agents.items()}
+
+
+def test_medium_stores_loss_time_without_python_frames():
+    config = _config("liteworp", seed=5, duration=30.0)
+    fast_calls, fast = _python_calls(MONITOR_NOTE_LOSS.__code__, config)
+    with accel.reference_mode():
+        ref_calls, ref = _python_calls(MONITOR_NOTE_LOSS.__code__, config)
+    assert fast_calls == 0 and ref_calls > 0
+    assert _loss_times(fast) == _loss_times(ref)
+    assert any(time > 0 for time in _loss_times(fast).values())
+
+
+def test_wrapped_or_overridden_loss_handler_sees_every_call(monkeypatch):
+    """A wrapper installed on the class, or a subclass override, is
+    called for every loss, as many times as on the reference stack."""
+    config = _config("liteworp", seed=5, duration=30.0)
+    counts = {"loss": 0}
+    monkeypatch.setattr(
+        LocalMonitor, "note_reception_loss",
+        _counting(counts, "loss", LocalMonitor.note_reception_loss),
+    )
+    fast = _run(config, reference=False)
+    fast_count, counts["loss"] = counts["loss"], 0
+    ref = _run(config, reference=True)
+    assert fast_count == counts["loss"] > 0
+    assert fast == ref
+    monkeypatch.undo()
+
+    overridden = []
+
+    class Tapped(LocalMonitor):
+        def note_reception_loss(self, time):
+            overridden.append(time)
+            super().note_reception_loss(time)
+
+    monkeypatch.setattr("repro.core.agent.LocalMonitor", Tapped)
+    assert _run(config, reference=False) == fast
+    assert len(overridden) == fast_count
 
 
 def test_emit_wrapped_after_build_sees_rx_lost(monkeypatch):
