@@ -19,23 +19,29 @@ reads; ``dir(pkg)`` lists every public name, loaded or not.
 from __future__ import annotations
 
 from importlib import import_module
-from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple, Union
 
 
 def lazy_exports(
-    namespace: Dict[str, Any], exports: Mapping[str, Sequence[str]]
+    namespace: Dict[str, Any], exports: Mapping[str, Sequence[Union[str, Tuple[str, str]]]]
 ) -> Tuple[Callable[[str], Any], Callable[[], List[str]]]:
     """The ``__getattr__`` and ``__dir__`` of the package whose globals are
-    ``namespace``; ``exports`` maps each submodule to the names it provides."""
+    ``namespace``; ``exports`` maps each submodule to the names it provides.
+    A ``(name, attribute)`` pair exports the submodule's ``attribute`` as
+    ``name``."""
     package = namespace["__name__"]
-    origin = {name: module for module, names in exports.items() for name in names}
+    origin: Dict[str, Tuple[str, str]] = {}
+    for module, names in exports.items():
+        for entry in names:
+            name, attribute = (entry, entry) if isinstance(entry, str) else entry
+            origin[name] = (module, attribute)
 
     def __getattr__(name: str) -> Any:
         try:
-            module = origin[name]
+            module, attribute = origin[name]
         except KeyError:
             raise AttributeError(f"module {package!r} has no attribute {name!r}") from None
-        value = namespace[name] = getattr(import_module(module), name)
+        value = namespace[name] = getattr(import_module(module), attribute)
         return value
 
     def __dir__() -> List[str]:

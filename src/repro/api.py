@@ -37,8 +37,9 @@ from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
-from typing import Any, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Union
 
+from repro._lazy import lazy_exports
 from repro.defenses import (
     Defense,
     DefenseContext,
@@ -48,19 +49,6 @@ from repro.defenses import (
     register_defense,
 )
 from repro.experiments.cache import ResultCache
-from repro.experiments.campaign import (
-    CampaignResult,
-    CampaignSpec,
-    RetryPolicy,
-    SupervisionPolicy,
-    load_spec,
-    run_campaign,
-)
-from repro.experiments.matrix import (
-    MatrixResult,
-    MatrixSpec,
-    run_matrix,
-)
 from repro.experiments.scenario import (
     ATTACK_MODES,
     DEFENSES,
@@ -72,8 +60,35 @@ from repro.experiments.scenario import (
 )
 from repro.metrics.collector import MetricsReport
 from repro.obs.config import ObsConfig
-from repro.obs.report import MatrixReport, RunReport, build_report
 from repro.sim.trace import TraceRecord
+
+if TYPE_CHECKING:
+    from repro.experiments.campaign import (
+        CampaignResult,
+        CampaignSpec,
+        RetryPolicy,
+        SupervisionPolicy,
+        load_spec,
+    )
+    from repro.experiments.campaign import run_campaign as campaign
+    from repro.experiments.matrix import MatrixResult, MatrixSpec
+    from repro.experiments.matrix import run_matrix as matrix
+    from repro.obs.report import MatrixReport, RunReport
+
+# The campaign stack and the report builder load on first use (PEP 562),
+# so ``import repro.api`` costs no more than a scenario does.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    # ``campaign`` executes (or resumes) a campaign spec — a CampaignSpec,
+    # a spec-shaped mapping, or a path to a TOML/JSON file.
+    "repro.experiments.campaign": (
+        ("campaign", "run_campaign"), "CampaignResult", "CampaignSpec",
+        "RetryPolicy", "SupervisionPolicy", "load_spec",
+    ),
+    # ``matrix`` runs (or resumes) a defense × attack MatrixSpec into a
+    # journal directory; ``result.report`` is its MatrixReport once complete.
+    "repro.experiments.matrix": (("matrix", "run_matrix"), "MatrixResult", "MatrixSpec"),
+    "repro.obs.report": ("MatrixReport", "RunReport"),
+})
 
 
 def run(
@@ -112,17 +127,6 @@ def sweep(
     return average_runs(config, runs, jobs=jobs, cache=cache)
 
 
-#: Execute (or resume) a campaign spec — a :class:`CampaignSpec`, a
-#: spec-shaped mapping, or a path to a TOML/JSON file; see
-#: :func:`repro.experiments.campaign.run_campaign`.
-campaign = run_campaign
-
-#: Run (or resume) a defense × attack :class:`MatrixSpec` into a journal
-#: directory; ``result.report`` is the :class:`MatrixReport` once the
-#: matrix is complete.  See :func:`repro.experiments.matrix.run_matrix`.
-matrix = run_matrix
-
-
 def report(
     source: Union[str, Path, Sequence[TraceRecord]],
     *,
@@ -131,6 +135,8 @@ def report(
 ) -> RunReport:
     """Build a run report from a JSONL trace export path or an in-memory
     record sequence (``repro report`` renders the same object)."""
+    from repro.obs.report import build_report
+
     if isinstance(source, (str, Path)):
         from repro.obs.sinks import read_jsonl
 

@@ -475,12 +475,7 @@ def _run_journaled(args: argparse.Namespace, noun: str, runner, spec, *,
     """
     import signal
 
-    from repro.experiments.campaign import (
-        CampaignError,
-        RetryPolicy,
-        SupervisionPolicy,
-        make_backend,
-    )
+    from repro.experiments.campaign import CampaignError, RetryPolicy, SupervisionPolicy
 
     cache = None
     if args.use_cache:
@@ -515,7 +510,8 @@ def _run_journaled(args: argparse.Namespace, noun: str, runner, spec, *,
     try:
         result = runner(
             spec,
-            backend=make_backend(args.backend, jobs=args.jobs or None),
+            backend=args.backend,
+            jobs=args.jobs or None,
             cache=cache,
             resume=args.resume,
             retry=RetryPolicy(retries=args.retries),

@@ -749,18 +749,28 @@ class CampaignRunner:
     """Compiles and executes a campaign with journaling, caching, retry,
     and worker supervision.
 
+    The one place the campaign options are declared: :func:`run_campaign`
+    (``api.campaign``), :func:`~repro.experiments.matrix.run_matrix`
+    (``api.matrix``) and the CLI's ``campaign run`` / ``matrix`` flags all
+    pass them through to here.
+
     Parameters
     ----------
     spec:
-        The campaign to run.
+        The campaign to run: a :class:`CampaignSpec`, a mapping in the
+        :meth:`CampaignSpec.from_dict` shape, or a path to a TOML/JSON
+        spec file (:func:`load_spec`).
     backend:
-        An :class:`ExecutionBackend` instance (default: inline).
+        An :class:`ExecutionBackend` instance, or a backend name
+        (``inline`` or ``process``, see :func:`make_backend`).
+    jobs:
+        Worker count for a backend given by name (:func:`resolve_jobs`).
     cache:
-        Optional :class:`~repro.experiments.cache.ResultCache`; consulted
-        before dispatch and populated after every executed job.  Jobs that
-        stream a trace export bypass cache reads (their records must hit
-        the sink).
-    journal_path:
+        Optional :class:`~repro.experiments.cache.ResultCache` or cache
+        directory; consulted before dispatch and populated after every
+        executed job.  Jobs that stream a trace export bypass cache reads
+        (their records must hit the sink).
+    journal:
         Where to append the completion journal; None disables journaling
         (and therefore resume).
     resume:
@@ -769,7 +779,8 @@ class CampaignRunner:
         are *not* skipped — a resume gives every poison job a fresh
         chance.
     retry:
-        Per-job :class:`RetryPolicy` for worker crashes.
+        Per-job :class:`RetryPolicy` for worker crashes; the backoff
+        between waves is a :func:`time.sleep`.
     supervision:
         :class:`SupervisionPolicy` — per-job timeout and poison-job
         quarantine.  The default enables quarantine with no timeout.
@@ -798,17 +809,16 @@ class CampaignRunner:
     worker:
         Job body override (tests inject flaky workers); defaults to
         :func:`run_config`.
-    sleep:
-        Backoff sleep override for tests.
     """
 
     def __init__(
         self,
-        spec: CampaignSpec,
-        backend: Optional[ExecutionBackend] = None,
+        spec: Union[CampaignSpec, Mapping[str, Any], str, Path],
+        backend: Union[str, ExecutionBackend] = "inline",
         *,
-        cache: Optional[ResultCache] = None,
-        journal_path: Optional[Union[str, Path]] = None,
+        jobs: Optional[int] = None,
+        cache: Optional[Union[ResultCache, str, Path]] = None,
+        journal: Optional[Union[str, Path]] = None,
         resume: bool = False,
         retry: RetryPolicy = RetryPolicy(),
         supervision: SupervisionPolicy = SupervisionPolicy(),
@@ -819,14 +829,17 @@ class CampaignRunner:
         fsync: bool = True,
         harness_faults: Optional[HarnessFaultController] = None,
         worker: JobFn = run_config,
-        sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        if resume and journal_path is None:
+        if isinstance(spec, (str, Path)):
+            spec = load_spec(spec)
+        elif isinstance(spec, Mapping):
+            spec = CampaignSpec.from_dict(spec)
+        if resume and journal is None:
             raise CampaignError("--resume needs a journal path")
         self.spec = spec
-        self.backend = backend or InlineBackend()
-        self.cache = cache
-        self.journal_path = Path(journal_path) if journal_path is not None else None
+        self.backend = make_backend(backend, jobs=jobs) if isinstance(backend, str) else backend
+        self.cache = open_cache(cache)
+        self.journal = Path(journal) if journal is not None else None
         self.resume = resume
         self.retry = retry
         self.supervision = supervision
@@ -837,7 +850,6 @@ class CampaignRunner:
         self.fsync = fsync
         self.harness_faults = harness_faults
         self.worker = worker
-        self.sleep = sleep
 
     # -- helpers -------------------------------------------------------
     def _should_stop(self) -> bool:
@@ -893,12 +905,12 @@ class CampaignRunner:
         if self.progress is not None:
             self.progress.start(total=len(jobs), name=self.spec.name)
 
-        if self.resume and self.journal_path is not None and self.journal_path.exists():
+        if self.resume and self.journal is not None and self.journal.exists():
             with span("campaign.resume"):
-                state = load_journal(self.journal_path, tolerate_partial=True)
+                state = load_journal(self.journal, tolerate_partial=True)
             if state.spec_digest is not None and state.spec_digest != self.spec.digest():
                 raise CampaignError(
-                    f"journal {self.journal_path} records a different campaign "
+                    f"journal {self.journal} records a different campaign "
                     f"spec ({state.spec_digest[:12]} != {self.spec.digest()[:12]})"
                 )
             for job in jobs:
@@ -907,9 +919,9 @@ class CampaignRunner:
                     run.reports[job.index] = report
                     self._note(run, job, "journal")
 
-        if self.journal_path is not None:
+        if self.journal is not None:
             run.journal = CampaignJournal(
-                self.journal_path, fsync=self.fsync, faults=self.harness_faults
+                self.journal, fsync=self.fsync, faults=self.harness_faults
             )
         truncated = False
         try:
@@ -1047,7 +1059,7 @@ class CampaignRunner:
             self._emit(run, "campaign_retry", count=len(retry_keys), wave=wave)
             delay = self.retry.delay(wave)
             if delay > 0:
-                self.sleep(delay)
+                time.sleep(delay)
             batch = [(index, by_index[index].config) for index in sorted(retry_keys)]
 
     def _triage(
@@ -1117,52 +1129,12 @@ class _Run:
 
 
 def run_campaign(
-    spec: Union[CampaignSpec, Mapping[str, Any], str, Path],
-    *,
-    backend: Union[str, ExecutionBackend] = "inline",
-    jobs: Optional[int] = None,
-    cache: Optional[Union[ResultCache, str, Path]] = None,
-    journal: Optional[Union[str, Path]] = None,
-    resume: bool = False,
-    retry: RetryPolicy = RetryPolicy(),
-    supervision: SupervisionPolicy = SupervisionPolicy(),
-    progress: Optional[CampaignProgress] = None,
-    trace: Optional[TraceLog] = None,
-    max_jobs: Optional[int] = None,
-    stop: Optional[Callable[[], bool]] = None,
-    fsync: bool = True,
-    harness_faults: Optional[HarnessFaultController] = None,
+    spec: Union[CampaignSpec, Mapping[str, Any], str, Path], **options: Any
 ) -> CampaignResult:
-    """One-call campaign execution (the :mod:`repro.api` entry point).
-
-    ``spec`` may be a :class:`CampaignSpec`, a dict in the
-    :meth:`CampaignSpec.from_dict` shape, or a path to a TOML/JSON spec
-    file.  ``backend`` is a name (``inline`` or ``process``) or a
-    ready :class:`ExecutionBackend` instance.  ``cache`` may be a
-    :class:`~repro.experiments.cache.ResultCache` or a directory path.
-    """
-    if isinstance(spec, (str, Path)):
-        spec = load_spec(spec)
-    elif isinstance(spec, Mapping):
-        spec = CampaignSpec.from_dict(spec)
-    if isinstance(backend, str):
-        backend = make_backend(backend, jobs=jobs)
-    runner = CampaignRunner(
-        spec,
-        backend,
-        cache=open_cache(cache),
-        journal_path=journal,
-        resume=resume,
-        retry=retry,
-        supervision=supervision,
-        progress=progress,
-        trace=trace,
-        max_jobs=max_jobs,
-        stop=stop,
-        fsync=fsync,
-        harness_faults=harness_faults,
-    )
-    return runner.run()
+    """One-call campaign execution (the :mod:`repro.api` entry point):
+    ``CampaignRunner(spec, **options).run()``.  The options are
+    :class:`CampaignRunner`'s; an unknown one raises :class:`TypeError`."""
+    return CampaignRunner(spec, **options).run()
 
 
 def run_sweep(
@@ -1180,11 +1152,11 @@ def run_sweep(
     chained from the worker's exception.  ``cache`` may be a
     :class:`~repro.experiments.cache.ResultCache` or a directory path.
     """
-    backend = InlineBackend() if resolve_jobs(jobs) == 1 else ProcessBackend(jobs)
     runner = CampaignRunner(
         CampaignSpec(name="sweep"),
-        backend,
-        cache=open_cache(cache),
+        "inline" if resolve_jobs(jobs) == 1 else "process",
+        jobs=jobs,
+        cache=cache,
         retry=RetryPolicy(retries=0),
         supervision=SupervisionPolicy(quarantine=False),
     )

@@ -39,20 +39,15 @@ from repro.experiments.cache import ResultCache, open_cache
 from repro.experiments.campaign import (
     CampaignError,
     CampaignResult,
+    CampaignRunner,
     CampaignSpec,
-    ExecutionBackend,
-    RetryPolicy,
-    SupervisionPolicy,
     compile_campaign,
     load_journal,
-    run_campaign,
 )
 from repro.experiments.scenario import ATTACK_MODES, ScenarioConfig
 from repro.metrics.collector import MetricsReport
-from repro.obs.progress import CampaignProgress
 from repro.obs.report import MatrixReport
 from repro.obs.spans import span
-from repro.sim.trace import TraceLog
 
 #: Attack columns the CLI sweeps by default: one tunnel variant plus both
 #: physical-layer variants, so every built-in defense has at least one
@@ -345,17 +340,10 @@ def run_matrix(
     spec: MatrixSpec,
     *,
     journal_dir: Union[str, Path],
-    backend: Union[str, ExecutionBackend] = "inline",
-    jobs: Optional[int] = None,
     cache: Optional[Union[ResultCache, str, Path]] = None,
-    resume: bool = False,
-    retry: RetryPolicy = RetryPolicy(),
-    supervision: SupervisionPolicy = SupervisionPolicy(),
-    progress: Optional[CampaignProgress] = None,
-    trace: Optional[TraceLog] = None,
     max_jobs: Optional[int] = None,
     stop: Optional[Callable[[], bool]] = None,
-    fsync: bool = True,
+    **options: Any,
 ) -> MatrixResult:
     """Run (or resume) every per-attack campaign, then aggregate (the
     :func:`repro.api.matrix` entry point).
@@ -363,38 +351,37 @@ def run_matrix(
     The journal directory is mandatory: the aggregation reloads the
     journals, so an unjournaled matrix could never render its report.
     ``cache`` may be a :class:`~repro.experiments.cache.ResultCache` or a
-    directory path.  ``max_jobs`` budgets *new* jobs across the whole
-    matrix; when the budget runs out (or ``stop`` fires) the result comes
-    back incomplete and a later ``resume=True`` call picks up where it
-    stopped, producing a byte-identical report to an uninterrupted run.
-    A column whose only gap is dead-lettered jobs does not stop the
-    later columns; the result stays incomplete, with no report, and a
-    resume retries the poison jobs.
+    directory path, opened once for every column.  ``max_jobs`` budgets
+    *new* jobs across the whole matrix; when the budget runs out (or
+    ``stop`` fires) the result comes back incomplete and a later
+    ``resume=True`` call picks up where it stopped, producing a
+    byte-identical report to an uninterrupted run.  A column whose only
+    gap is dead-lettered jobs does not stop the later columns; the result
+    stays incomplete, with no report, and a resume retries the poison
+    jobs.  Every other option goes unchanged to each column's
+    :class:`~repro.experiments.campaign.CampaignRunner`; an unknown one
+    raises :class:`TypeError` before any column runs.
     """
     cache = open_cache(cache)
+    runners = {
+        attack: CampaignRunner(
+            spec.campaign_for(attack),
+            cache=cache,
+            journal=spec.journal_for(attack, journal_dir),
+            stop=stop,
+            **options,
+        )
+        for attack in spec.attacks
+    }
     campaigns: Dict[str, CampaignResult] = {}
     with span("matrix.run"):
-        for attack in spec.attacks:
+        for attack, runner in runners.items():
             if stop is not None and stop():
                 break
             if max_jobs is not None and max_jobs <= 0:
                 break
-            result = run_campaign(
-                spec.campaign_for(attack),
-                backend=backend,
-                jobs=jobs,
-                cache=cache,
-                journal=spec.journal_for(attack, journal_dir),
-                resume=resume,
-                retry=retry,
-                supervision=supervision,
-                progress=progress,
-                trace=trace,
-                max_jobs=max_jobs,
-                stop=stop,
-                fsync=fsync,
-            )
-            campaigns[attack] = result
+            runner.max_jobs = max_jobs
+            result = campaigns[attack] = runner.run()
             if max_jobs is not None:
                 max_jobs -= result.executed
             if result.stopped_early:

@@ -28,10 +28,11 @@ one finish event per reception.  Both give the same deliveries, losses,
 RNG draws, trace records and hook order.
 
 The medium also takes the Python glue out of each reception, under one
-wrapper rule: it enters a body itself only while the class still holds
-the function it replaces, and otherwise calls the method as the
-reference path does, so a wrapper installed on the class (the layer
-tracer of ``benchmarks/e2e`` installs them) sees every call.
+wrapper rule (:func:`accel.unwrapped`): it enters a body itself only
+while the class still holds the function it replaces, and otherwise
+calls the method as the reference path does, so a wrapper installed on
+the class (the layer tracer of ``benchmarks/e2e`` installs them) sees
+every call.
 
 - **Delivery.** A node attached with ``Node.deliver`` as its handler
   (:data:`repro.net.node.NODE_DELIVER`, on a class that has not replaced
@@ -234,7 +235,9 @@ class Channel:
         medium runs its body on the node's lists (module docstring)."""
         self._delivery_handlers[node] = handler
         if self._medium is not None:
-            self._medium.attach(node, handler, _pipeline_owner(handler))
+            from repro.net.node import NODE_DELIVER  # repro.net.node imports this module
+
+            self._medium.attach(node, handler, _reference_owner(handler, "deliver", NODE_DELIVER))
 
     def set_deaf(self, node: NodeId, deaf: bool) -> None:
         """Switch ``node``'s radio off (crashed / depleted) or back on.
@@ -268,7 +271,13 @@ class Channel:
         docstring)."""
         self._loss_handlers[node] = handler
         if self._medium is not None:
-            self._medium.set_loss_handler(node, handler, _loss_owner(handler))
+            # Looked up, not imported: the monitor sits above this layer, and
+            # a handler can be its method only once its module is loaded.
+            monitor = sys.modules.get("repro.core.monitor")
+            owner = _reference_owner(
+                handler, "note_reception_loss", getattr(monitor, "MONITOR_NOTE_LOSS", None)
+            )
+            self._medium.set_loss_handler(node, handler, owner)
 
     def add_tx_observer(
         self,
@@ -293,7 +302,7 @@ class Channel:
         :data:`CHANNEL_TRANSMIT` (the MAC's transmissions then skip the
         method; see the module docstring).  ``rng`` is the node's ``mac:``
         stream."""
-        if self._medium is None or type(self).transmit is not CHANNEL_TRANSMIT:
+        if self._medium is None or not accel.unwrapped(type(self), {"transmit": CHANNEL_TRANSMIT}):
             return None
         return self._medium.mac(
             node, rng.random, trace, config.base_backoff, config.max_attempts,
@@ -497,30 +506,18 @@ class Channel:
             outcome(True)
 
 
-def _pipeline_owner(handler: Callable[[Frame], None]) -> Optional[object]:
-    """The node whose pipeline the medium may run in place of ``handler``:
-    ``handler.__self__`` when ``handler`` is the reference
-    ``Node.deliver`` bound to a node whose class still has it, else None."""
-    from repro.net.node import NODE_DELIVER  # repro.net.node imports this module
-
+def _reference_owner(
+    handler: Callable[..., None], name: str, reference: Optional[Callable[..., None]]
+) -> Optional[object]:
+    """The object whose method's body the medium may run in place of
+    calling ``handler``: ``handler.__self__`` when ``handler`` is
+    ``reference`` bound to an object whose class still has it as ``name``
+    (:func:`accel.unwrapped`), else None."""
     owner = getattr(handler, "__self__", None)
-    if getattr(handler, "__func__", None) is NODE_DELIVER and type(owner).deliver is NODE_DELIVER:
-        return owner
-    return None
-
-
-def _loss_owner(handler: Callable[[float], None]) -> Optional[object]:
-    """The monitor whose ``_last_loss`` the medium may set in place of
-    calling ``handler``: ``handler.__self__`` when ``handler`` is the
-    reference ``LocalMonitor.note_reception_loss`` bound to a monitor whose
-    class still has it, else None."""
-    # Looked up, not imported: the monitor sits above this layer, and a
-    # handler can be its method only once its module is loaded.
-    monitor = sys.modules.get("repro.core.monitor")
-    reference = getattr(monitor, "MONITOR_NOTE_LOSS", None)
-    owner = getattr(handler, "__self__", None)
-    if reference is not None and getattr(handler, "__func__", None) is reference and (
-        type(owner).note_reception_loss is reference
+    if (
+        reference is not None
+        and getattr(handler, "__func__", None) is reference
+        and accel.unwrapped(type(owner), {name: reference})
     ):
         return owner
     return None

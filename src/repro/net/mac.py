@@ -33,8 +33,9 @@ and trace records are those of this class; ``mac_drop`` and
 ``arq_failure`` records still go through ``TraceLog.emit``.  The counters
 and ``queue_length`` read the medium's state.
 
-The wrapper rule: the medium runs a MAC only while the MAC's class still
-has every method in :data:`MAC_METHODS` and its channel's class still has
+The wrapper rule (:func:`repro.sim.accel.unwrapped`): the medium runs a
+MAC only while the MAC's class still has every method in
+:data:`MAC_METHODS` and its channel's class still has
 :data:`repro.net.channel.CHANNEL_TRANSMIT`, checked when the MAC is
 built.  A wrapper installed on ``CsmaMac.send``, ``CsmaMac._attempt`` or
 ``Channel.transmit`` before the network is wired (the layer tracer of
@@ -54,6 +55,7 @@ from typing import Deque, Optional, Tuple
 
 from repro.net.channel import Channel
 from repro.net.packet import Frame, NodeId
+from repro.sim import accel
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceLog
 
@@ -125,7 +127,7 @@ class CsmaMac:
         # still have the reference methods (module docstring); then
         # ``send`` is the medium's and the state lives there.
         self._medium_mac = None
-        if all(getattr(type(self), name) is fn for name, fn in MAC_METHODS.items()):
+        if accel.unwrapped(type(self), MAC_METHODS):
             self._medium_mac = channel.medium_mac(node, rng, self._config, trace)
         if self._medium_mac is not None:
             self.send = self._medium_mac.send  # type: ignore[method-assign]

@@ -40,19 +40,20 @@ its target or origin, an addressed reply or data packet, other packets, a
 config with ``suppression_threshold == 0`` or ``forward_jitter == 0``,
 and a request whose key is not cached yet.
 
-The wrapper rule, checked once when the agent is built
-(:func:`runs_in_medium`): the medium runs the flood only while the
-agent's class still resolves ``on_frame``, ``_on_request``,
-``_forward_request`` and ``_forward_decision`` to this class's functions
-(:data:`FLOOD_METHODS`), the node's class still has the reference
-``broadcast`` and ``_submit`` (:data:`repro.net.node.NODE_SEND`) and
-``RouteRequest.forwarded_by`` is the original.  Per frame it stands in
-only for the listener that is this agent's bound
-:data:`ONDEMAND_ON_FRAME`.  So the attack agents that override a hook,
-and the layer tracer of ``benchmarks/e2e``, which wraps ``on_frame`` on
-the class before it builds a scenario, keep the Python path for every
-frame; ``REPRO_ACCEL=off``, :func:`repro.sim.accel.reference_mode` and a
-missing compiler do the same.
+The wrapper rule (:func:`repro.sim.accel.unwrapped`), checked once when
+the agent is built (:func:`runs_in_medium`): the medium runs the flood
+only while the agent's class still resolves ``on_frame``,
+``_on_request``, ``_forward_request`` and ``_forward_decision`` to this
+class's functions (:data:`FLOOD_METHODS`), the node's class still has
+the reference ``broadcast`` and ``_submit``
+(:data:`repro.net.node.NODE_SEND`) and ``RouteRequest.forwarded_by`` is
+the original.  Per frame it stands in only for the listener that is this
+agent's bound :data:`ONDEMAND_ON_FRAME`.  So the attack agents that
+override a hook, and the layer tracer of ``benchmarks/e2e``, which wraps
+``on_frame`` on the class before it builds a scenario, keep the Python
+path for every frame; ``REPRO_ACCEL=off``,
+:func:`repro.sim.accel.reference_mode` and a missing compiler do the
+same.
 
 Trace kinds emitted: ``data_origin``, ``data_delivered``, ``data_no_route``,
 ``data_blocked``, ``data_discovery_failed``, ``route_established``,
@@ -78,6 +79,7 @@ from repro.net.packet import (
 )
 from repro.routing.cache import RouteTable
 from repro.routing.config import RoutingConfig
+from repro.sim import accel
 from repro.sim.engine import Event, Simulator
 from repro.sim.trace import TraceLog
 
@@ -136,7 +138,7 @@ class OnDemandRouting:
         self._sequence_counter = 0
         # Whether on_frame may drop a duplicate request itself: only while
         # _on_request is this class's (attack agents override it).
-        self._dedup_first = type(self)._on_request is OnDemandRouting._on_request
+        self._dedup_first = accel.unwrapped(type(self), {"_on_request": FLOOD_METHODS["_on_request"]})
         node.add_listener(self.on_frame)
         # The C medium runs the flood's common paths while it runs the
         # node's MAC and the wrapper rule holds (module docstring).
@@ -496,9 +498,8 @@ def runs_in_medium(agent: OnDemandRouting) -> bool:
     """Whether the wrapper rule lets the C medium run ``agent``'s flood:
     its class and its node's class still have the reference methods, and
     ``RouteRequest.forwarded_by`` is the original (module docstring)."""
-    cls, node_cls = type(agent), type(agent.node)
     return (
-        all(getattr(cls, name) is fn for name, fn in FLOOD_METHODS.items())
-        and all(getattr(node_cls, name) is fn for name, fn in NODE_SEND.items())
-        and RouteRequest.forwarded_by is REQUEST_FORWARDED_BY
+        accel.unwrapped(type(agent), FLOOD_METHODS)
+        and accel.unwrapped(type(agent.node), NODE_SEND)
+        and accel.unwrapped(RouteRequest, {"forwarded_by": REQUEST_FORWARDED_BY})
     )

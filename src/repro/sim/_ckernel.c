@@ -974,18 +974,6 @@ Sim_get_queue_depth(SimObj *self, void *closure)
 }
 
 static PyObject *
-Sim_get_wheel_count(SimObj *self, void *closure)
-{
-    return PyLong_FromSsize_t(self->wheel_count);
-}
-
-static PyObject *
-Sim_get_far_count(SimObj *self, void *closure)
-{
-    return PyLong_FromSsize_t(self->far.size);
-}
-
-static PyObject *
 Sim_get_compactions(SimObj *self, void *closure)
 {
     return PyLong_FromUnsignedLongLong(self->compactions);
@@ -1019,10 +1007,6 @@ static PyGetSetDef Sim_getset[] = {
      "Number of not-yet-fired, not-cancelled events in the queue.", NULL},
     {"queue_depth", (getter)Sim_get_queue_depth, NULL,
      "Raw queue entries including cancelled ones (introspection).", NULL},
-    {"wheel_count", (getter)Sim_get_wheel_count, NULL,
-     "Entries currently in the slot ring (introspection).", NULL},
-    {"far_count", (getter)Sim_get_far_count, NULL,
-     "Entries currently in the far heap (introspection).", NULL},
     {"compactions", (getter)Sim_get_compactions, NULL,
      "How many times the queue has been compacted.", NULL},
     {NULL}

@@ -34,7 +34,7 @@ import importlib
 import os
 import sysconfig
 import threading
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Mapping, Optional
 
 _SOURCE = os.path.join(os.path.dirname(__file__), "_ckernel.c")
 
@@ -138,6 +138,17 @@ def enabled() -> bool:
         _load()
         return True
     return _load() is not None
+
+
+def unwrapped(cls: type, references: Mapping[str, object]) -> bool:
+    """The wrapper rule: whether ``cls`` still resolves every name in
+    ``references`` to the reference function given for it.
+
+    A C path stands in for a Python method only while this holds, so a
+    wrapper installed on the class, or a subclass's override, keeps the
+    method on the Python path and sees every call.  Callers ask when they
+    build or attach what the C path would run."""
+    return all(getattr(cls, name) is function for name, function in references.items())
 
 
 def features_enabled() -> bool:

@@ -57,6 +57,15 @@ def test_campaign_accepts_mapping_and_journal_path(tmp_path):
     )
 
 
+@pytest.mark.parametrize("verb", ["campaign", "matrix"])
+def test_misspelt_option_raises_type_error(tmp_path, verb):
+    with pytest.raises(TypeError, match="jurnal"):
+        if verb == "campaign":
+            api.campaign({"name": "typo"}, jurnal=tmp_path / "j.jsonl")
+        else:
+            api.matrix(api.MatrixSpec(), journal_dir=tmp_path, jurnal=tmp_path)
+
+
 def test_report_from_records_and_path(tmp_path):
     from repro.obs.sinks import JsonlSink
     from repro.sim.trace import TraceLog

@@ -48,7 +48,7 @@ class _FakeWorker:
 def _healthy_journal(tmp_path, name="ok.jsonl"):
     journal = tmp_path / name
     result = CampaignRunner(
-        tiny_spec(), worker=_FakeWorker(), journal_path=journal
+        tiny_spec(), worker=_FakeWorker(), journal=journal
     ).run()
     assert result.complete
     return journal
@@ -169,7 +169,7 @@ def test_repair_with_spec_filter_drops_foreign_lines(tmp_path):
     journal = tmp_path / "shared.jsonl"
     for spec in (spec_a, spec_b):
         result = CampaignRunner(
-            spec, worker=_FakeWorker(), journal_path=journal
+            spec, worker=_FakeWorker(), journal=journal
         ).run()
         assert result.executed == 2
 
@@ -183,7 +183,7 @@ def test_repair_with_spec_filter_drops_foreign_lines(tmp_path):
 
     # The filtered journal resumes campaign A without re-running anything.
     resumed = CampaignRunner(
-        spec_a, worker=_FakeWorker(), journal_path=journal, resume=True
+        spec_a, worker=_FakeWorker(), journal=journal, resume=True
     ).run()
     assert resumed.complete
     assert resumed.executed == 0

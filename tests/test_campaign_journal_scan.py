@@ -64,7 +64,7 @@ def _clean_aggregate(spec):
 def test_newline_less_final_entry_is_torn_and_rerun_on_resume(tmp_path):
     spec = tiny_spec()
     journal = tmp_path / "j.jsonl"
-    first = CampaignRunner(spec, worker=fake_report, journal_path=journal, max_jobs=1).run()
+    first = CampaignRunner(spec, worker=fake_report, journal=journal, max_jobs=1).run()
     assert first.executed == 1 and not first.complete
     # Drop the interrupt line and strip the completion's newline: a whole
     # JSON object that never became a whole journal line.
@@ -79,7 +79,7 @@ def test_newline_less_final_entry_is_torn_and_rerun_on_resume(tmp_path):
     with pytest.raises(CampaignError, match="corrupt journal line"):
         load_journal(journal, tolerate_partial=False)
 
-    resumed = CampaignRunner(spec, worker=fake_report, journal_path=journal, resume=True).run()
+    resumed = CampaignRunner(spec, worker=fake_report, journal=journal, resume=True).run()
     assert resumed.complete
     assert resumed.from_journal == 0
     assert resumed.executed == 2  # the torn job ran again
@@ -99,7 +99,7 @@ def test_torn_write_short_of_only_the_newline_resumes_whole(tmp_path):
         tmp_path / "fault-state",
     )
     result = CampaignRunner(
-        spec, worker=fake_report, journal_path=journal, harness_faults=controller
+        spec, worker=fake_report, journal=journal, harness_faults=controller
     ).run()
     assert result.interrupted == "torn_write"
     tail = journal.read_bytes().splitlines(keepends=True)[-1]
@@ -107,7 +107,7 @@ def test_torn_write_short_of_only_the_newline_resumes_whole(tmp_path):
     assert json.loads(tail)["event"] == "complete"  # whole but for the newline
 
     resumed = CampaignRunner(
-        spec, worker=fake_report, journal_path=journal, resume=True, harness_faults=controller
+        spec, worker=fake_report, journal=journal, resume=True, harness_faults=controller
     ).run()
     assert resumed.complete
     assert resumed.executed == 2

@@ -98,10 +98,9 @@ def test_inline_timeout_dead_letters_slow_jobs(tmp_path):
     result = CampaignRunner(
         spec,
         worker=_SlowWorker(0.05),
-        journal_path=journal,
+        journal=journal,
         retry=RetryPolicy(retries=0, backoff=0.0),
         supervision=SupervisionPolicy(timeout=0.01),
-        sleep=lambda _s: None,
     ).run()
     assert not result.complete
     assert result.timeouts == result.total_jobs
@@ -115,7 +114,7 @@ def test_inline_timeout_dead_letters_slow_jobs(tmp_path):
     # Dead-lettered jobs are not "complete": a resume (without the
     # timeout) gives every one of them a fresh chance.
     resumed = CampaignRunner(
-        spec, worker=_FakeWorker(), journal_path=journal, resume=True
+        spec, worker=_FakeWorker(), journal=journal, resume=True
     ).run()
     assert resumed.complete
     assert resumed.executed == result.total_jobs
@@ -129,7 +128,6 @@ def test_quarantine_off_raises_like_before(tmp_path):
             worker=_SlowWorker(0.05),
             retry=RetryPolicy(retries=0, backoff=0.0),
             supervision=SupervisionPolicy(timeout=0.01, quarantine=False),
-            sleep=lambda _s: None,
         ).run()
 
 
@@ -161,9 +159,8 @@ def test_poison_job_is_quarantined_not_fatal(tmp_path):
     result = CampaignRunner(
         spec,
         worker=_PoisonWorker(jobs[1].digest),
-        journal_path=journal,
+        journal=journal,
         retry=RetryPolicy(retries=1, backoff=0.0),
-        sleep=lambda _s: None,
     ).run()
     # Every innocent job finished; exactly the poison one is quarantined.
     assert result.dead_lettered == 1
@@ -179,7 +176,7 @@ def test_poison_job_is_quarantined_not_fatal(tmp_path):
     # Resume with a healed worker completes, byte-identical to clean.
     clean = CampaignRunner(spec, worker=_FakeWorker()).run()
     resumed = CampaignRunner(
-        spec, worker=_FakeWorker(), journal_path=journal, resume=True
+        spec, worker=_FakeWorker(), journal=journal, resume=True
     ).run()
     assert resumed.complete
     assert resumed.executed == 1
@@ -205,7 +202,7 @@ def test_stop_flag_interrupts_with_journal_record(tmp_path):
     result = CampaignRunner(
         spec,
         worker=_CountingWorker(),
-        journal_path=journal,
+        journal=journal,
         stop=lambda: flag["stop"],
     ).run()
     assert result.interrupted == "signal"
@@ -218,7 +215,7 @@ def test_stop_flag_interrupts_with_journal_record(tmp_path):
     # The interrupt is clean: resume finishes and matches a clean run.
     clean = CampaignRunner(spec, worker=_FakeWorker()).run()
     resumed = CampaignRunner(
-        spec, worker=_FakeWorker(), journal_path=journal, resume=True
+        spec, worker=_FakeWorker(), journal=journal, resume=True
     ).run()
     assert resumed.complete
     assert _aggregate_json(resumed) == _aggregate_json(clean)
@@ -237,7 +234,7 @@ def test_torn_write_interrupts_and_resume_is_byte_identical(tmp_path):
     result = CampaignRunner(
         spec,
         worker=_FakeWorker(),
-        journal_path=journal,
+        journal=journal,
         harness_faults=controller,
     ).run()
     assert result.interrupted == "torn_write"
@@ -255,7 +252,7 @@ def test_torn_write_interrupts_and_resume_is_byte_identical(tmp_path):
     resumed = CampaignRunner(
         spec,
         worker=_FakeWorker(),
-        journal_path=journal,
+        journal=journal,
         resume=True,
         harness_faults=controller,  # same state: the fault stays spent
     ).run()
@@ -295,7 +292,6 @@ def test_corrupt_result_is_caught_and_retried(tmp_path):
         worker=_FakeWorker(),
         retry=RetryPolicy(retries=1, backoff=0.0),
         harness_faults=controller,
-        sleep=lambda _s: None,
     ).run()
     # The garbage payload never reached the aggregate: the job retried
     # (fault spent) and the campaign completed clean.
@@ -313,10 +309,9 @@ def test_corrupt_result_never_reaches_journal(tmp_path):
     result = CampaignRunner(
         spec,
         worker=_FakeWorker(),
-        journal_path=journal,
+        journal=journal,
         retry=RetryPolicy(retries=1, backoff=0.0),
         harness_faults=controller,
-        sleep=lambda _s: None,
     ).run()
     # times=5 outlasts the retry budget: the job dead-letters instead of
     # a corrupt line ever landing in the journal.
@@ -344,7 +339,6 @@ def test_process_hang_is_preempted_and_campaign_completes(tmp_path):
         retry=RetryPolicy(retries=2, backoff=0.0),
         supervision=SupervisionPolicy(timeout=1.0),
         harness_faults=controller,
-        sleep=lambda _s: None,
     ).run()
     assert result.complete
     assert result.timeouts >= 1
@@ -362,10 +356,9 @@ def test_process_hard_crash_is_dead_lettered_without_collateral(tmp_path):
         spec,
         make_backend("process", jobs=2),
         worker=_FakeWorker(),
-        journal_path=journal,
+        journal=journal,
         retry=RetryPolicy(retries=1, backoff=0.0),
         harness_faults=controller,
-        sleep=lambda _s: None,
     ).run()
     # The poison job (killing its whole pool every attempt) is
     # quarantined; every innocent neighbour still completed.
@@ -395,7 +388,6 @@ def test_process_timeout_charges_only_the_hung_job(tmp_path):
         retry=RetryPolicy(retries=2, backoff=0.0),
         supervision=SupervisionPolicy(timeout=2.0),
         harness_faults=controller,
-        sleep=lambda _s: None,
     ).run()
     assert result.complete
     assert result.timeouts == 1
@@ -410,12 +402,11 @@ def test_process_workers_never_outlive_run(tmp_path):
             spec,
             make_backend("process", jobs=2),
             worker=worker,
-            journal_path=tmp_path / f"{name}.jsonl",
+            journal=tmp_path / f"{name}.jsonl",
             retry=RetryPolicy(retries=0, backoff=0.0),
             harness_faults=HarnessFaultController(
                 HarnessFaultPlan.of(*plan), tmp_path / "fault-state"
             ),
-            sleep=lambda _s: None,
             **kwargs,
         ).run()
 
@@ -465,9 +456,8 @@ def test_process_dead_letter_keeps_worker_traceback(tmp_path, error, shown):
         spec,
         make_backend("process", jobs=2),
         worker=_PoisonWorker(compile_campaign(spec)[0].digest, error),
-        journal_path=journal,
+        journal=journal,
         retry=RetryPolicy(retries=0, backoff=0.0),
-        sleep=lambda _s: None,
     ).run()
     assert result.dead_lettered == 1
     (payload,) = load_journal(journal).dead_letters.values()
@@ -496,11 +486,10 @@ def test_acceptance_chaos_run_resumes_byte_identical(tmp_path):
         spec,
         make_backend("process", jobs=2),
         worker=_FakeWorker(),
-        journal_path=journal,
+        journal=journal,
         retry=RetryPolicy(retries=2, backoff=0.0),
         supervision=SupervisionPolicy(timeout=1.0),
         harness_faults=HarnessFaultController(plan, state_dir),
-        sleep=lambda _s: None,
     ).run()
     assert first.interrupted == "torn_write"
     assert not first.complete
@@ -510,12 +499,11 @@ def test_acceptance_chaos_run_resumes_byte_identical(tmp_path):
         spec,
         make_backend("process", jobs=2),
         worker=_FakeWorker(),
-        journal_path=journal,
+        journal=journal,
         resume=True,
         retry=RetryPolicy(retries=2, backoff=0.0),
         supervision=SupervisionPolicy(timeout=1.0),
         harness_faults=HarnessFaultController(plan, state_dir),
-        sleep=lambda _s: None,
     ).run()
     assert resumed.complete
     assert resumed.from_journal >= 1

@@ -53,7 +53,7 @@ def baseline(tmp_path_factory):
     root = tmp_path_factory.mktemp("truncation")
     journal = root / "full.jsonl"
     result = CampaignRunner(
-        SPEC, worker=_FakeWorker(), journal_path=journal, fsync=False
+        SPEC, worker=_FakeWorker(), journal=journal, fsync=False
     ).run()
     assert result.complete
     return journal.read_bytes(), json.dumps(result.aggregate, sort_keys=True)
@@ -85,7 +85,7 @@ def test_truncation_at_any_offset_resumes_byte_identical(baseline, data):
         resumed = CampaignRunner(
             SPEC,
             worker=_FakeWorker(),
-            journal_path=path,
+            journal=path,
             resume=True,
             fsync=False,
         ).run()
@@ -140,7 +140,7 @@ def test_midfile_garbage_fails_located_then_repairs(baseline, data):
         resumed = CampaignRunner(
             SPEC,
             worker=_FakeWorker(),
-            journal_path=path,
+            journal=path,
             resume=True,
             fsync=False,
         ).run()

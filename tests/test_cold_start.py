@@ -58,6 +58,13 @@ report = build_scenario(config).run()
 print(json.dumps({"loaded": sorted(sys.modules), "delivered": report.delivered}))
 """
 
+API_PROBE = """
+import json, sys
+import repro.api
+repro.api.run(n_nodes=16, duration=20.0, seed=1, attack_start=5.0)
+print(json.dumps({"loaded": sorted(sys.modules)}))
+"""
+
 PARSER_PROBE = """
 import json, sys
 from repro.cli import build_parser
@@ -92,6 +99,15 @@ def test_scenario_leaves_unused_modules_unloaded():
     assert result["delivered"] > 0
     assert [m for m in UNUSED if m in result["loaded"]] == []
     assert "repro.defenses.liteworp" in result["loaded"]
+
+
+def test_api_run_leaves_the_campaign_stack_unloaded():
+    loaded = _probe(API_PROBE)["loaded"]
+    campaign_stack = (
+        "repro.experiments.campaign", "repro.experiments.matrix", "repro.obs.report",
+        "multiprocessing",
+    )
+    assert [m for m in campaign_stack if m in loaded] == []
 
 
 def test_cli_parser_leaves_unused_modules_unloaded():

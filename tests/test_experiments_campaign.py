@@ -1,10 +1,12 @@
 """Tests for the campaign orchestrator: spec loading, compilation,
 journaling, resume byte-identity, backends, and retry."""
 
+import inspect
 import json
 
 import pytest
 
+from repro.experiments import campaign as campaign_module
 from repro.experiments.cache import ResultCache, config_digest
 from repro.experiments.campaign import (
     CampaignError,
@@ -242,7 +244,7 @@ def test_interrupted_campaign_resumes_byte_identical(tmp_path, backend_name):
     call_log = tmp_path / "calls.log"
     resumed = CampaignRunner(
         spec, make_backend(backend_name, jobs=2),
-        journal_path=journal, resume=True, worker=_RecordingWorker(call_log),
+        journal=journal, resume=True, worker=_RecordingWorker(call_log),
     ).run()
     calls = call_log.read_text().split()
     assert resumed.complete
@@ -267,7 +269,7 @@ def test_resume_with_complete_journal_runs_nothing(tmp_path):
         raise AssertionError("no job should execute on a finished journal")
 
     replay = CampaignRunner(
-        spec, journal_path=journal, resume=True, worker=exploding_worker
+        spec, journal=journal, resume=True, worker=exploding_worker
     ).run()
     assert replay.executed == 0
     assert replay.from_journal == replay.total_jobs
@@ -313,6 +315,52 @@ def test_resume_requires_journal_path():
 
 
 # ----------------------------------------------------------------------
+# Options: declared once, on the runner
+# ----------------------------------------------------------------------
+def test_run_campaign_forwards_every_option_to_the_runner():
+    assert list(inspect.signature(run_campaign).parameters) == ["spec", "options"]
+
+
+@pytest.mark.parametrize("option", ["jurnal", "journal_path", "sleep"])
+def test_unknown_option_raises_type_error_naming_it(tmp_path, option):
+    with pytest.raises(TypeError, match=option):
+        run_campaign(tiny_spec(runs=1), **{option: tmp_path / "j.jsonl"})
+    with pytest.raises(TypeError, match=option):
+        CampaignRunner(tiny_spec(runs=1), **{option: tmp_path / "j.jsonl"})
+
+
+def test_runner_coerces_spec_backend_and_cache(tmp_path):
+    spec = tiny_spec(runs=1)
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({
+        "name": "tiny",
+        "runs": 1,
+        "base": {"n_nodes": 16, "duration": 30.0, "seed": 4, "attack_start": 10.0},
+        "axes": {"n_malicious": [0, 2]},
+    }))
+    reference = CampaignRunner(
+        spec, ProcessBackend(2), cache=ResultCache(tmp_path / "reference-cache")
+    )
+    coerced = [
+        CampaignRunner(path, "process", jobs=2, cache=tmp_path / "path-cache"),
+        CampaignRunner(
+            json.loads(path.read_text()), backend="process", jobs=2,
+            cache=str(tmp_path / "mapping-cache"),
+        ),
+    ]
+    expected = reference.run().to_json()
+    for runner in coerced:
+        assert runner.spec == spec
+        assert isinstance(runner.backend, ProcessBackend) and runner.backend.jobs == 2
+        assert isinstance(runner.cache, ResultCache)
+        assert runner.run().to_json() == expected
+    assert any((tmp_path / "path-cache").rglob("*.json"))
+    assert isinstance(CampaignRunner(spec).backend, InlineBackend)
+    with pytest.raises(CampaignError, match="unknown backend"):
+        CampaignRunner(spec, "quantum")
+
+
+# ----------------------------------------------------------------------
 # Backends
 # ----------------------------------------------------------------------
 def test_make_backend_names():
@@ -347,10 +395,11 @@ def test_retry_policy_validation_and_backoff():
         RetryPolicy(backoff=-0.1)
 
 
-def test_flaky_worker_retried_to_success(tmp_path):
+def test_flaky_worker_retried_to_success(tmp_path, monkeypatch):
     spec = tiny_spec(runs=1)
     failed_once = set()
     sleeps = []
+    monkeypatch.setattr(campaign_module.time, "sleep", sleeps.append)
 
     def flaky(config):
         digest = config_digest(config)
@@ -364,12 +413,11 @@ def test_flaky_worker_retried_to_success(tmp_path):
         spec,
         worker=flaky,
         retry=RetryPolicy(retries=2, backoff=0.01),
-        sleep=sleeps.append,
         progress=progress,
     ).run()
     assert result.complete
     assert result.retried == result.total_jobs
-    assert sleeps  # backoff was honoured (via the injected sleep)
+    assert sleeps  # backoff was honoured (via the patched time.sleep)
     assert progress.retries == result.retried
     reference = run_campaign(spec)
     assert json.dumps(result.aggregate, sort_keys=True) == json.dumps(
@@ -391,7 +439,6 @@ def test_retry_exhaustion_raises_campaign_error():
             worker=always_fails,
             retry=RetryPolicy(retries=1, backoff=0.0),
             supervision=SupervisionPolicy(quarantine=False),
-            sleep=lambda _s: None,
         ).run()
 
 

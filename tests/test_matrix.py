@@ -9,6 +9,7 @@ re-checks end to end.
 
 from __future__ import annotations
 
+import inspect
 import json
 
 import pytest
@@ -135,6 +136,32 @@ def test_matrix_interrupt_resume_byte_identity(tmp_path):
     assert resumed.complete
     assert resumed.executed == spec.total_jobs() - 1
     assert resumed.report.to_json() == straight.report.to_json()
+
+
+def test_matrix_forwards_backend_jobs_and_cache_to_every_column(tmp_path):
+    spec = _small_spec()
+    straight = run_matrix(spec, journal_dir=tmp_path / "straight")
+    options = dict(backend="process", jobs=2, cache=tmp_path / "cache")
+    cold = run_matrix(spec, journal_dir=tmp_path / "cold", **options)
+    warm = run_matrix(spec, journal_dir=tmp_path / "warm", **options)
+    assert cold.report.to_json() == warm.report.to_json() == straight.report.to_json()
+    for attack in spec.attacks:
+        assert cold.campaigns[attack].executed == len(spec.defenses)
+        assert warm.campaigns[attack].from_cache == len(spec.defenses)
+        assert warm.campaigns[attack].executed == 0
+
+
+def test_matrix_declares_only_what_it_reads():
+    assert list(inspect.signature(run_matrix).parameters) == [
+        "spec", "journal_dir", "cache", "max_jobs", "stop", "options",
+    ]
+
+
+@pytest.mark.parametrize("option", ["bakend", "journal_path", "sleep", "journal"])
+def test_matrix_rejects_a_bad_option_before_any_column_runs(tmp_path, option):
+    with pytest.raises(TypeError, match=option):
+        run_matrix(_small_spec(), journal_dir=tmp_path, **{option: "inline"})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_aggregate_requires_complete_journals(tmp_path):
