@@ -20,7 +20,26 @@ On the C kernel's simulator the monitor carries a C ``Guard`` (see
 :class:`~repro.core.monitor.LocalMonitor`), and the agent registers the
 guard's ``receive`` instead of :meth:`LiteworpAgent._receive`: the same
 steps in the same order, calling back into the same Python handlers,
-with :meth:`_receive` kept as the reference on the Python engine.
+with :meth:`_receive` kept as the reference on the Python engine.  The
+guard also counts a rejection and builds its ``frame_rejected`` record
+itself (:meth:`_reject`'s body, while the agent's class has the
+reference :data:`AGENT_REJECT`), in the trace the agent gives its
+monitor.
+
+Two more hooks are the guard's under the wrapper rule
+(:func:`repro.sim.accel.unwrapped`), checked when they are registered:
+the node's send filter is ``guard.send_filter`` while the agent's class
+has the reference :meth:`_send_filter` and the monitor's class the
+reference ``observe_own``, and the router's ``usable`` is
+``guard.is_usable`` while the agent's class has the reference
+:meth:`is_usable` (:data:`AGENT_HOOKS`).  The send filter hands an
+activated agent's own transmissions straight to the guard's judgement,
+and calls :meth:`_send_filter` only for a send to a revoked next hop,
+which that method records and vetoes.  The C medium enters both hooks
+directly when it forwards (see :mod:`repro.routing.ondemand`), so a
+rebroadcast or a forwarded packet costs no Python frame.  A wrapper on
+either method, or a subclass's override, keeps it in Python for every
+call, as the layer tracer of ``benchmarks/e2e`` needs.
 
 When ``config.heartbeat_period`` is set the agent additionally composes a
 :class:`~repro.core.liveness.LivenessManager`: a crash deactivates the
@@ -37,12 +56,13 @@ from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, Optional
 from repro.core.config import LiteworpConfig
 from repro.core.discovery import NeighborDiscovery, install_oracle_tables
 from repro.core.isolation import IsolationManager
-from repro.core.monitor import LocalMonitor
+from repro.core.monitor import MONITOR_OBSERVE_OWN, LocalMonitor
 from repro.core.tables import STATUS_REVOKED, NeighborTable
 from repro.crypto.keys import KeyStore
 from repro.net.node import Node
 from repro.net.packet import AlertAckPacket, AlertPacket, Frame, NodeId, ProbePacket
-from repro.routing.ondemand import OnDemandRouting
+from repro.routing.ondemand import OnDemandRouting, always_usable
+from repro.sim import accel
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceLog
 
@@ -104,10 +124,15 @@ class LiteworpAgent:
         else:
             guard.bind(
                 agent=self, handlers=self._handlers, liveness=self.liveness,
-                second_hop_check=config.second_hop_check,
+                second_hop_check=config.second_hop_check, reject=AGENT_REJECT,
             )
             node.add_filter(guard.receive)
-        node.add_send_filter(self._send_filter)
+        send_filter = self._send_filter
+        if self._guard_runs("_send_filter") and accel.unwrapped(
+            type(self.monitor), {"observe_own": MONITOR_OBSERVE_OWN}
+        ):
+            send_filter = guard.send_filter
+        node.add_send_filter(send_filter)
         node.add_lifecycle_listener(self._lifecycle)
 
     # ------------------------------------------------------------------
@@ -149,8 +174,16 @@ class LiteworpAgent:
         """Wire LITEWORP into a routing agent: revoked neighbors become
         unusable as next hops and their cached routes are evicted."""
         self._router = router
-        router.usable = self.is_usable
+        guard = self.monitor.guard
+        router.usable = guard.is_usable if self._guard_runs("is_usable") else self.is_usable
         self.isolation.on_revocation(lambda bad: router.routes.evict_via(bad))
+
+    def _guard_runs(self, name: str) -> bool:
+        """Whether the C guard stands in for hook ``name``: there is one,
+        and the agent's class still has the reference (module docstring)."""
+        return self.monitor.guard is not None and accel.unwrapped(
+            type(self), {name: AGENT_HOOKS[name]}
+        )
 
     def release(self) -> None:
         """Unhook the agent at the end of a run: drop the links back to it
@@ -160,7 +193,7 @@ class LiteworpAgent:
         if self.monitor.guard is not None:
             self.monitor.guard.release()
         if self._router is not None:
-            self._router.usable = _always_usable
+            self._router.usable = always_usable
         if self.liveness is not None:
             self.liveness.on_dead = None
         if self.discovery is not None:
@@ -284,5 +317,9 @@ class LiteworpAgent:
         )
 
 
-def _always_usable(_node: NodeId) -> bool:
-    return True
+#: The hooks the C guard stands in for: the node's send filter and the
+#: router's ``usable`` (module docstring).
+AGENT_HOOKS = {name: LiteworpAgent.__dict__[name] for name in ("_send_filter", "is_usable")}
+#: ``_reject`` as defined here; the guard counts a rejection and builds
+#: its record itself only while the agent's class still has it.
+AGENT_REJECT = LiteworpAgent._reject

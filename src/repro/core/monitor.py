@@ -50,7 +50,7 @@ from repro.net.packet import (
 )
 from repro.sim import accel
 from repro.sim.engine import Event, Simulator
-from repro.sim.trace import TraceLog
+from repro.sim.trace import TRACE_EMIT, TRACE_PUBLISH, TraceLog, TraceRecord, layout
 
 PacketKey = Tuple[Any, ...]
 WatchKey = Tuple[PacketKey, NodeId]
@@ -60,6 +60,13 @@ WatchKey = Tuple[PacketKey, NodeId]
 #: the occupancy series is throttled to keep trace volume (and the emit
 #: hot path) unaffected; 1 Hz per guard is plenty for occupancy curves.
 WATCH_SAMPLE_PERIOD = 1.0
+
+#: The layouts of the two records the C guard builds itself: the
+#: monitor's ``watch_buffer`` gauge and the agent's ``frame_rejected``.
+_GUARD_LAYOUTS = (
+    layout("guard", "size", "peak"),
+    layout("node", "reason", "packet", "tx", "dst", "prev"),
+)
 
 #: What a guard does with an overheard packet, by packet class:
 #:
@@ -120,10 +127,20 @@ class LocalMonitor:
     (``repro.sim._ckernel``, chosen by :func:`repro.sim.accel.kernel_type`)
     that runs the judgement body in C and owns the overheard store as a
     C table with the same answers.  :meth:`observe`, :meth:`observe_own`,
-    :meth:`heard_transmission` and :meth:`reset` then delegate to it;
-    the watch buffer, the counters, ``_last_loss`` and every accusation
-    stay here, and the guard calls back into them.  ``enabled`` is read
-    once, when the guard is built.  On the Python engine the methods
+    :meth:`heard_transmission` and :meth:`reset` then delegate to it.
+    The guard also runs the watch buffer's common path:
+    :meth:`_add_expectation` while no liveness predicate is set (the
+    deadline is still an ``Event`` of :meth:`_expectation_expired`,
+    stored in the monitor's own ``_expectations``) and
+    :meth:`_note_watch_size`, building its throttled ``watch_buffer``
+    record itself as the channel's medium builds ``rx_lost`` records.
+    Each runs in C only while the monitor's class still resolves its name
+    to the function this class defines (``_GUARD_METHODS``, asked per
+    call and answered once per class version), so a wrapper installed on
+    the class, even mid-run, sees every call.  The counters, ``_last_loss``,
+    the expiry and every accusation stay here, and the guard calls back
+    into them.  ``enabled``, ``delta`` and :data:`WATCH_SAMPLE_PERIOD` are
+    read once, when the guard is built.  On the Python engine the methods
     below are the whole implementation and the reference.
     """
 
@@ -180,10 +197,11 @@ class LocalMonitor:
             watch_request_drops=config.watch_request_drops,
             fabrication_grace=config.fabrication_grace,
             overheard_window=config.overheard_window,
-            v_fabricate=config.v_fabricate,
-            observe=LocalMonitor._process, packet_role=packet_role,
-            frame_cls=Frame, packet_cls=Packet,
-            active=STATUS_ACTIVE, revoked=STATUS_REVOKED,
+            v_fabricate=config.v_fabricate, delta=config.delta,
+            sample_period=WATCH_SAMPLE_PERIOD, methods=_GUARD_METHODS,
+            packet_role=packet_role, frame_cls=Frame,
+            active=STATUS_ACTIVE, revoked=STATUS_REVOKED, trace=trace,
+            records=(TRACE_EMIT, TRACE_PUBLISH, TraceRecord, _GUARD_LAYOUTS, Packet),
         )
 
     # ------------------------------------------------------------------
@@ -485,6 +503,17 @@ class LocalMonitor:
             return self.guard.heard(key, transmitter)
         return self._heard((key, transmitter))
 
+
+#: The methods whose bodies the C guard runs, each only while the
+#: monitor's class still has it (class docstring): ``observe``,
+#: ``_add_expectation`` and ``_note_watch_size``.
+_GUARD_METHODS = (
+    LocalMonitor._process, LocalMonitor._add_expectation, LocalMonitor._note_watch_size,
+)
+#: ``observe_own`` as defined here.  The agent registers its guard's send
+#: filter, which enters the guard's own judgement directly, only while
+#: the monitor's class still has it (see :mod:`repro.core.agent`).
+MONITOR_OBSERVE_OWN = LocalMonitor.observe_own
 
 #: The reference loss handler.  The C medium stores a loss's time on the
 #: monitor itself in place of calling it, but only while the monitor's

@@ -76,15 +76,14 @@ from repro.net.radio import UnitDiskRadio
 from repro.sim import accel
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import _LAYOUTS, TRACE_EMIT, TRACE_PUBLISH, TraceLog, TraceRecord
+from repro.sim.trace import TRACE_EMIT, TRACE_PUBLISH, TraceLog, TraceRecord, layout
 
 if TYPE_CHECKING:  # repro.net.mac imports this module
     from repro.net.mac import MacConfig
 
 #: An ``rx_lost`` record's field names, in the order the reference path
 #: emits them, interned as ``TraceRecord`` interns every layout.
-RX_LOST_NAMES = ("receiver", "collided", "packet", "tx", "dst", "prev")
-RX_LOST_NAMES = _LAYOUTS.setdefault(RX_LOST_NAMES, RX_LOST_NAMES)
+RX_LOST_NAMES = layout("receiver", "collided", "packet", "tx", "dst", "prev")
 
 
 class Reception:

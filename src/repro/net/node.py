@@ -204,6 +204,7 @@ class Node:
 #: wiring time, so a wrapper installed on the class is never bypassed.
 NODE_DELIVER = Node.deliver
 #: The send path's reference methods.  The C medium builds and submits a
-#: forwarder's rebroadcast itself only for a node whose class still has
-#: both (see :mod:`repro.routing.ondemand`).
-NODE_SEND = {name: Node.__dict__[name] for name in ("broadcast", "_submit")}
+#: forwarder's rebroadcast and its forwarded replies and data itself only
+#: for a node whose class still has all three (see
+#: :mod:`repro.routing.ondemand`).
+NODE_SEND = {name: Node.__dict__[name] for name in ("broadcast", "unicast", "_submit")}

@@ -16,9 +16,13 @@ from typing import Dict, Optional, Tuple
 NodeId = int
 
 
-@dataclass
+@dataclass(slots=True)
 class RouteEntry:
-    """A next-hop pointer toward ``destination``."""
+    """A next-hop pointer toward ``destination``.
+
+    Slotted, so the C medium builds one by offset when it forwards a route
+    reply (see :mod:`repro.routing.ondemand`).
+    """
 
     destination: NodeId
     next_hop: NodeId

@@ -21,39 +21,56 @@ reimplementing the protocol.
 :class:`OnDemandRouting` is the reference implementation.  On the C
 kernel's simulator, for an agent whose node's MAC the channel's
 ``Medium`` runs (:mod:`repro.net.mac`), the medium also runs the flood's
-common paths (``repro/sim/_ckernel.c``).  The agent's ``_seen_requests``
-and ``_copy_counts``, its node, the config's ``forward_jitter`` and
-``suppression_threshold`` and the ``random`` of its ``routing:`` stream
-are kept in the node's slot.  When the node's pipeline reaches this
-agent's listener, the medium handles, without a Python frame, a duplicate
-request (its copy count goes up), an overheard reply or data packet
-addressed to another node (nothing happens) and a first copy at a
-forwarder (the reverse pointer and a zero count are stored, and the
-rebroadcast decision is scheduled with the same draw, time and sequence
-number as :meth:`_forward_request`'s).  The decision itself is
-:meth:`_forward_decision` with :meth:`RouteRequest.forwarded_by`,
-``Node.broadcast`` and ``Node._submit``: the count is popped and tested,
-the copy and its ``Frame`` are built (the copy's ``uid`` drawn at the
-same moment), then come the ``alive`` check, the node's send filters and
-the MAC's ``send``.  Everything else calls :meth:`on_frame`: a request at
-its target or origin, an addressed reply or data packet, other packets, a
-config with ``suppression_threshold == 0`` or ``forward_jitter == 0``,
-and a request whose key is not cached yet.
+common paths and the forwarding of addressed packets
+(``repro/sim/_ckernel.c``).  The agent's ``_seen_requests``,
+``_copy_counts`` and route table entries, its node, the config's
+``forward_jitter`` and ``suppression_threshold``, the table's timeout
+and the ``random`` of its ``routing:`` stream are kept in the node's
+slot.  When the node's pipeline reaches this agent's listener, the
+medium handles, without a Python frame:
+
+- a duplicate request (its copy count goes up) and an overheard reply or
+  data packet addressed to another node (nothing happens);
+- a first copy at a forwarder: the reverse pointer and a zero count are
+  stored, and the rebroadcast decision is scheduled with the same draw,
+  time and sequence number as :meth:`_forward_request`'s.  The decision
+  is :meth:`_forward_decision` with :meth:`RouteRequest.forwarded_by`
+  and ``Node.broadcast``: the count is popped and tested, the copy and
+  its ``Frame`` are built (the copy's ``uid`` drawn at the same moment);
+- a data packet at an intermediate hop (:meth:`_on_data`): a fresh entry
+  of ``RouteTable.lookup`` whose next hop ``usable`` allows is forwarded
+  with :meth:`_forward_data`'s ``Node.unicast``;
+- a route reply at a reverse-path hop (:meth:`_on_reply`): the reverse
+  pointer is read, ``RouteTable.install``'s entry is built by slot
+  offset, and :meth:`_forward_reply` unicasts the reply to a usable hop.
+
+Each send then runs ``Node._submit``: the ``alive`` check, the node's
+send filters (LITEWORP's guard's entered directly, see
+:mod:`repro.core.agent`) and the MAC's ``send``.  ``usable`` is run
+there only when it is :func:`always_usable` or a LITEWORP guard's
+``is_usable`` on an agent without a liveness manager; with any other
+hook the frame takes the Python path.  Everything else calls
+:meth:`on_frame`: a request at its target or origin, data at its
+destination, a reply at its origin, no fresh route, no reverse pointer,
+a hop the hook refuses (so ``data_blocked`` and ``rep_stranded`` are the
+Python path's), other packets, a config with ``suppression_threshold ==
+0`` or ``forward_jitter == 0``, and a request whose key is not cached
+yet.
 
 The wrapper rule (:func:`repro.sim.accel.unwrapped`), checked once when
 the agent is built (:func:`runs_in_medium`): the medium runs the flood
-only while the agent's class still resolves ``on_frame``,
-``_on_request``, ``_forward_request`` and ``_forward_decision`` to this
-class's functions (:data:`FLOOD_METHODS`), the node's class still has
-the reference ``broadcast`` and ``_submit``
-(:data:`repro.net.node.NODE_SEND`) and ``RouteRequest.forwarded_by`` is
-the original.  Per frame it stands in only for the listener that is this
-agent's bound :data:`ONDEMAND_ON_FRAME`.  So the attack agents that
-override a hook, and the layer tracer of ``benchmarks/e2e``, which wraps
-``on_frame`` on the class before it builds a scenario, keep the Python
-path for every frame; ``REPRO_ACCEL=off``,
-:func:`repro.sim.accel.reference_mode` and a missing compiler do the
-same.
+and the forwarding only while the agent's class still resolves every
+name in :data:`FLOOD_METHODS` to this class's function, the node's class
+still has the reference ``broadcast``, ``unicast`` and ``_submit``
+(:data:`repro.net.node.NODE_SEND`), the route table's class has the
+reference ``lookup`` and ``install`` (:data:`ROUTE_METHODS`) and
+``RouteRequest.forwarded_by`` is the original.  Per frame it stands in
+only for the listener that is this agent's bound
+:data:`ONDEMAND_ON_FRAME`.  So the attack agents that override a hook,
+and the layer tracer of ``benchmarks/e2e``, which wraps ``on_frame`` on
+the class before it builds a scenario, keep the Python path for every
+frame; ``REPRO_ACCEL=off``, :func:`repro.sim.accel.reference_mode` and a
+missing compiler do the same.
 
 Trace kinds emitted: ``data_origin``, ``data_delivered``, ``data_no_route``,
 ``data_blocked``, ``data_discovery_failed``, ``route_established``,
@@ -77,7 +94,7 @@ from repro.net.packet import (
     RouteRequest,
     _packet_uids,
 )
-from repro.routing.cache import RouteTable
+from repro.routing.cache import RouteEntry, RouteTable
 from repro.routing.config import RoutingConfig
 from repro.sim import accel
 from repro.sim.engine import Event, Simulator
@@ -125,7 +142,7 @@ class OnDemandRouting:
         self.rng = rng
         self.routes = RouteTable(config.route_timeout)
         # Hook overridden by LITEWORP: "may this neighbor be used as a hop?"
-        self.usable: Callable[[NodeId], bool] = lambda _n: True
+        self.usable: Callable[[NodeId], bool] = always_usable
         # Every route request seen, keyed by its shared key tuple (see
         # Packet.key), mapped to the neighbour it came from: the reverse
         # hop for its reply.  Own (and, at a colluder, tunnelled) requests
@@ -145,8 +162,9 @@ class OnDemandRouting:
         medium_mac = getattr(node.mac, "_medium_mac", None)
         if medium_mac is not None and runs_in_medium(self):
             medium_mac.flood(
-                self, sim, node, self._seen_requests, self._copy_counts, rng.random,
-                config.forward_jitter, config.suppression_threshold, _FLOOD_CLASSES,
+                self, sim, node, self._seen_requests, self._copy_counts,
+                self.routes._entries, rng.random, config.forward_jitter,
+                config.suppression_threshold, self.routes.timeout, _FLOOD_CLASSES,
             )
 
     # ------------------------------------------------------------------
@@ -480,6 +498,11 @@ class OnDemandRouting:
         self.node.unicast(packet, next_hop=next_hop, prev_hop=prev_hop)
 
 
+def always_usable(_node: NodeId) -> bool:
+    """The default ``usable`` hook: every neighbour may be a next hop."""
+    return True
+
+
 #: The listener the C medium stands in for (module docstring).
 ONDEMAND_ON_FRAME = OnDemandRouting.on_frame
 #: The reference methods whose bodies the C medium runs: an agent whose
@@ -487,19 +510,30 @@ ONDEMAND_ON_FRAME = OnDemandRouting.on_frame
 #: Python path (module docstring).
 FLOOD_METHODS = {
     name: OnDemandRouting.__dict__[name]
-    for name in ("on_frame", "_on_request", "_forward_request", "_forward_decision")
+    for name in (
+        "on_frame", "_on_request", "_forward_request", "_forward_decision",
+        "_on_data", "_forward_data", "_on_reply", "_forward_reply",
+    )
 }
+#: The route table's methods the medium stands in for when it forwards.
+ROUTE_METHODS = {name: RouteTable.__dict__[name] for name in ("lookup", "install")}
 #: What the medium needs of the flood's classes: the listener, the packet
-#: classes ``on_frame`` dispatches on, and the counter a copy's uid comes from.
-_FLOOD_CLASSES = (ONDEMAND_ON_FRAME, RouteRequest, RouteReply, DataPacket, _packet_uids)
+#: classes ``on_frame`` dispatches on, the counter a copy's uid comes
+#: from, the route entry class and the default ``usable`` hook.
+_FLOOD_CLASSES = (
+    ONDEMAND_ON_FRAME, RouteRequest, RouteReply, DataPacket, _packet_uids, RouteEntry,
+    always_usable,
+)
 
 
 def runs_in_medium(agent: OnDemandRouting) -> bool:
-    """Whether the wrapper rule lets the C medium run ``agent``'s flood:
-    its class and its node's class still have the reference methods, and
+    """Whether the wrapper rule lets the C medium run ``agent``'s flood
+    and forwarding: its class, its node's class and its route table's
+    class still have the reference methods, and
     ``RouteRequest.forwarded_by`` is the original (module docstring)."""
     return (
         accel.unwrapped(type(agent), FLOOD_METHODS)
         and accel.unwrapped(type(agent.node), NODE_SEND)
+        and accel.unwrapped(type(agent.routes), ROUTE_METHODS)
         and accel.unwrapped(RouteRequest, {"forwarded_by": REQUEST_FORWARDED_BY})
     )

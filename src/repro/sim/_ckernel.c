@@ -28,9 +28,11 @@
  *
  * The Medium type further down runs the wireless channel's
  * per-reception work for repro.net.channel.Channel, each node's CSMA MAC
- * for repro.net.mac.CsmaMac and the route-request flood of each honest
- * repro.routing.ondemand.OnDemandRouting, and pushes their events
- * straight into this queue as steps: entries without an Event handle.
+ * for repro.net.mac.CsmaMac and the route-request flood and addressed
+ * forwarding of each honest repro.routing.ondemand.OnDemandRouting, and
+ * pushes their events straight into this queue as steps: entries
+ * without an Event handle.  The Guard type runs LITEWORP's per-frame
+ * hooks (repro.core.agent, repro.core.monitor).
  *
  * Built on demand by repro.sim.accel; the pure-Python engine,
  * Channel's per-receiver path, CsmaMac and OnDemandRouting remain the
@@ -1047,7 +1049,7 @@ static PyTypeObject SimType = {
  * it finishes unlinks what it still holds. */
 
 static PyObject *str_link_dst, *str_describe, *str_emit, *str_rx_lost,
-    *str_receiver, *str_collided, *str_lost, *str_on_outcome, *str_packet,
+    *str_collided, *str_lost, *str_on_outcome, *str_packet,
     *str_transmitter, *str_prev_hop, *str_key, *str_dkey, *str_publish,
     *str_alive, *str_frames_received, *str_frames_rejected, *str_observers,
     *str_filters, *str_listeners, *str_rtime, *str_rkind, *str_rnames,
@@ -1055,7 +1057,9 @@ static PyObject *str_link_dst, *str_describe, *str_emit, *str_rx_lost,
     *str_frame, *str_jitter, *str_tx_range, *str_leash, *str_validator,
     *str_sinks, *str_subscribers, *str_records, *str_append, *str_total_emitted,
     *str_peak_resident, *str_request_id, *str_target, *str_hop_count, *str_path,
-    *str_uid, *str_node_id, *str_send_filters, *str_origin, *str_last_loss;
+    *str_uid, *str_node_id, *str_send_filters, *str_origin, *str_last_loss,
+    *str_destination, *str_next_hop, *str_installed_at, *str_expires_at,
+    *str_usable, *str_req;
 
 /* Frame slots read by offset. */
 enum { F_PACKET, F_TRANSMITTER, F_LINK_DST, F_PREV_HOP, F_COUNT };
@@ -1074,6 +1078,13 @@ enum { R_UID, R_KEY, R_ORIGIN, R_REQUEST_ID, R_TARGET, R_HOP_COUNT, R_PATH,
 static PyObject **request_names[R_COUNT] = {&str_uid, &str_dkey, &str_origin,
                                             &str_request_id, &str_target,
                                             &str_hop_count, &str_path};
+/* RouteEntry's slots, written by offset. */
+enum { E_DESTINATION, E_NEXT_HOP, E_INSTALLED_AT, E_EXPIRES_AT, E_HOP_COUNT,
+       E_PATH, E_REQUEST_ID, E_COUNT };
+static PyObject **entry_names[E_COUNT] = {&str_destination, &str_next_hop,
+                                          &str_installed_at, &str_expires_at,
+                                          &str_hop_count, &str_path,
+                                          &str_request_id};
 /* The jitter of a forwarder's rebroadcast: Node.broadcast(..., jitter=0.0). */
 static PyObject *float_zero;
 /* The 1 of every `+= 1`. */
@@ -1108,33 +1119,86 @@ slot_get(PyObject *obj, Py_ssize_t offset, PyObject *name)
     return PyObject_GetAttr(obj, name);
 }
 
-/* The address of obj's slot for attribute `name` when that is a plain
- * member slot of its class (one named in __slots__, read and written by
- * generic attribute access), else NULL: a property, a class attribute,
- * a custom __getattribute__ or __setattr__ takes the generic path. */
-static inline PyObject **
-member_slot(PyObject *obj, PyObject *name)
+/* ---- the slot rule, answered once per class version ---------------- */
+/* CPython gives a class a fresh version tag the first time it is looked
+ * up after any change to it or to a base (PyType_Modified clears the tag
+ * to 0), and never hands out a tag twice.  So an answer about a class,
+ * kept with the tag it was computed under, is exact while the class's
+ * tag is still that one; a class without a valid tag is asked every
+ * time. */
+static inline unsigned int
+class_tag(PyTypeObject *cls)
 {
-    PyTypeObject *cls = Py_TYPE(obj);
+    return (cls->tp_flags & Py_TPFLAGS_VALID_VERSION_TAG) ? cls->tp_version_tag : 0;
+}
+
+/* One call site's answer to "does cls resolve name to the reference?",
+ * kept per class version. */
+typedef struct {
+    unsigned int tag;
+    int is;
+} Lookup;
+
+/* Whether _PyType_Lookup(cls, name) is `reference` (not NULL). */
+static inline int
+resolves_to(Lookup *c, PyTypeObject *cls, PyObject *name, PyObject *reference)
+{
+    unsigned int tag = class_tag(cls);
+    if (tag && c->tag == tag)
+        return c->is;
+    c->is = reference && _PyType_Lookup(cls, name) == reference;
+    c->tag = class_tag(cls);    /* the lookup may have assigned one */
+    return c->is;
+}
+
+/* Offset of `cls`'s plain member slot for attribute `name` (one named in
+ * __slots__, read and written by generic attribute access), else -1: a
+ * property, a class attribute, a custom __getattribute__ or __setattr__
+ * takes the generic path. */
+static Py_ssize_t
+member_offset(PyTypeObject *cls, PyObject *name)
+{
     if (cls->tp_getattro != PyObject_GenericGetAttr ||
         cls->tp_setattro != PyObject_GenericSetAttr)
-        return NULL;
+        return -1;
     PyObject *descr = _PyType_Lookup(cls, name);
     /* A member of another class set on this one must not be used. */
     if (!descr || !Py_IS_TYPE(descr, &PyMemberDescr_Type) ||
-        !PyObject_TypeCheck(obj, PyDescr_TYPE(descr)))
-        return NULL;
+        !PyType_IsSubtype(cls, PyDescr_TYPE(descr)))
+        return -1;
     PyMemberDef *def = ((PyMemberDescrObject *)descr)->d_member;
     if (def->type != T_OBJECT_EX || (def->flags & READONLY))
-        return NULL;
-    return &SLOT_AT(obj, def->offset);
+        return -1;
+    return def->offset;
 }
 
-/* obj.name, from its member slot when it has one. */
-static inline PyObject *
-attr_get(PyObject *obj, PyObject *name)
+/* One call site's member_offset answer for its attribute, kept per
+ * class version (a site reads one name, almost always of one class). */
+typedef struct {
+    unsigned int tag;
+    Py_ssize_t offset;
+} SlotRule;
+
+/* The address of obj's slot for attribute `name` when that is a plain
+ * member slot of its class, else NULL (see member_offset). */
+static inline PyObject **
+member_slot(SlotRule *rule, PyObject *obj, PyObject *name)
 {
-    PyObject **slot = member_slot(obj, name);
+    PyTypeObject *cls = Py_TYPE(obj);
+    unsigned int tag = class_tag(cls);
+    if (!tag || rule->tag != tag) {
+        rule->offset = member_offset(cls, name);
+        rule->tag = class_tag(cls);
+    }
+    return rule->offset >= 0 ? &SLOT_AT(obj, rule->offset) : NULL;
+}
+
+/* obj.name, from its member slot when it has one.  Each of these takes
+ * its call site's SlotRule. */
+static inline PyObject *
+attr_get(SlotRule *rule, PyObject *obj, PyObject *name)
+{
+    PyObject **slot = member_slot(rule, obj, name);
     if (slot && *slot)
         return Py_NewRef(*slot);
     /* Generic lookup; it also raises AttributeError for an unset slot. */
@@ -1143,9 +1207,9 @@ attr_get(PyObject *obj, PyObject *name)
 
 /* obj.name = value */
 static int
-attr_set(PyObject *obj, PyObject *name, PyObject *value)
+attr_set(SlotRule *rule, PyObject *obj, PyObject *name, PyObject *value)
 {
-    PyObject **slot = member_slot(obj, name);
+    PyObject **slot = member_slot(rule, obj, name);
     if (!slot)
         return PyObject_SetAttr(obj, name, value);
     Py_XSETREF(*slot, Py_NewRef(value));
@@ -1154,30 +1218,353 @@ attr_set(PyObject *obj, PyObject *name, PyObject *value)
 
 /* obj.name += 1 */
 static int
-increment(PyObject *obj, PyObject *name)
+increment(SlotRule *rule, PyObject *obj, PyObject *name)
 {
-    PyObject *value = attr_get(obj, name);
+    PyObject *value = attr_get(rule, obj, name);
     if (!value)
         return -1;
     PyObject *sum = PyNumber_Add(value, int_one);
     Py_DECREF(value);
     if (!sum)
         return -1;
-    int rc = attr_set(obj, name, sum);
+    int rc = attr_set(rule, obj, name, sum);
     Py_DECREF(sum);
     return rc;
 }
 
 /* Truth of obj.name */
 static int
-attr_true(PyObject *obj, PyObject *name)
+attr_true(SlotRule *rule, PyObject *obj, PyObject *name)
 {
-    PyObject *value = attr_get(obj, name);
+    PyObject *value = attr_get(rule, obj, name);
     if (!value)
         return -1;
     int rc = PyObject_IsTrue(value);
     Py_DECREF(value);
     return rc;
+}
+
+/* ---- trace records built here --------------------------------------- */
+/* The medium's rx_lost records and the guard's watch_buffer and
+ * frame_rejected records are built here, as TraceLog.emit builds them,
+ * while the log's class still has the reference emit (TRACE_EMIT): a
+ * TraceRecord of the interned layout, its values in emission order, a
+ * frame's fields those of Frame.describe.  Such a record is stored by
+ * TraceLog._publish's body (store_record) while the class has the
+ * reference _publish and only the store would see the record.  Anything
+ * else -- a wrapped emit, a frame that is not a plain Frame, a describe
+ * or key() of another class -- calls trace.emit(now, kind, **fields). */
+/* What a tracer builds records with, apart from its log: the reference
+ * emit and _publish, TraceRecord, the interned layouts, Packet and Frame,
+ * their slot offsets and the per-class-version answers about them.  One
+ * is shared by every tracer made from the same references (every guard
+ * of a run), so a guard carries one pointer of it. */
+typedef struct {
+    PyObject_HEAD
+    PyObject *emit, *publish, *names;
+    PyTypeObject *record_cls, *frame_cls, *packet_cls;
+    PyObject *describe, *key;       /* Frame.describe, Packet.key */
+    Py_ssize_t record_off[4], frame_off[F_COUNT], key_off;
+    Lookup emit_rule, publish_rule, describe_rule, key_rule;
+} RecordsObj;
+
+static PyTypeObject RecordsType;
+/* The latest Records made, borrowed, for the next tracer to share. */
+static RecordsObj *recent_records;
+
+typedef struct {
+    PyObject *trace;        /* the TraceLog, or NULL */
+    RecordsObj *rec;        /* NULL: records are never built here */
+} Tracer;
+
+/* `records` is (TraceLog.emit, TraceLog._publish, TraceRecord, names,
+ * Packet) or NULL.  -1 on error. */
+static int
+tracer_init(Tracer *t, PyObject *trace, PyTypeObject *frame_cls, PyObject *records)
+{
+    PyObject *emit, *publish, *names;
+    PyTypeObject *record_cls, *packet_cls;
+    if (records && !PyArg_ParseTuple(records, "OOO!O!O!", &emit, &publish, &PyType_Type,
+                                     &record_cls, &PyTuple_Type, &names, &PyType_Type,
+                                     &packet_cls))
+        return -1;
+    t->trace = trace == Py_None ? NULL : Py_NewRef(trace);
+    if (!records)
+        return 0;
+    RecordsObj *r = recent_records;
+    if (r && r->emit == emit && r->publish == publish && r->record_cls == record_cls &&
+        r->names == names && r->packet_cls == packet_cls && r->frame_cls == frame_cls) {
+        t->rec = (RecordsObj *)Py_NewRef((PyObject *)r);
+        return 0;
+    }
+    if (!(r = PyObject_GC_New(RecordsObj, &RecordsType)))
+        return -1;
+    for (int i = 0; i < 4; i++)
+        r->record_off[i] = slot_offset(record_cls, *record_names[i]);
+    for (int f = 0; f < F_COUNT; f++)
+        r->frame_off[f] = slot_offset(frame_cls, *frame_names[f]);
+    r->key_off = slot_offset(packet_cls, str_dkey);
+    r->emit = Py_NewRef(emit);
+    r->publish = Py_NewRef(publish);
+    r->names = Py_NewRef(names);
+    r->record_cls = (PyTypeObject *)Py_NewRef((PyObject *)record_cls);
+    r->frame_cls = (PyTypeObject *)Py_NewRef((PyObject *)frame_cls);
+    r->packet_cls = (PyTypeObject *)Py_NewRef((PyObject *)packet_cls);
+    r->describe = Py_XNewRef(_PyType_Lookup(frame_cls, str_describe));
+    r->key = Py_XNewRef(_PyType_Lookup(packet_cls, str_key));
+    r->emit_rule = r->publish_rule = r->describe_rule = r->key_rule = (Lookup){0, 0};
+    PyObject_GC_Track((PyObject *)r);
+    t->rec = r;
+    for (int i = 0; i < 4; i++)
+        if (r->record_off[i] < 0) {
+            PyErr_SetString(PyExc_TypeError, "record_cls lacks its slots");
+            return -1;
+        }
+    recent_records = r;
+    return 0;
+}
+
+static int
+Records_traverse(RecordsObj *r, visitproc visit, void *arg)
+{
+    Py_VISIT(r->emit);
+    Py_VISIT(r->publish);
+    Py_VISIT(r->names);
+    Py_VISIT(r->record_cls);
+    Py_VISIT(r->frame_cls);
+    Py_VISIT(r->packet_cls);
+    Py_VISIT(r->describe);
+    Py_VISIT(r->key);
+    return 0;
+}
+
+static int
+Records_clear(RecordsObj *r)
+{
+    Py_CLEAR(r->emit);
+    Py_CLEAR(r->publish);
+    Py_CLEAR(r->names);
+    Py_CLEAR(r->record_cls);
+    Py_CLEAR(r->frame_cls);
+    Py_CLEAR(r->packet_cls);
+    Py_CLEAR(r->describe);
+    Py_CLEAR(r->key);
+    return 0;
+}
+
+static void
+Records_dealloc(RecordsObj *r)
+{
+    if (recent_records == r)
+        recent_records = NULL;
+    PyObject_GC_UnTrack(r);
+    Records_clear(r);
+    PyObject_GC_Del(r);
+}
+
+static PyTypeObject RecordsType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._ckernel.Records",
+    .tp_basicsize = sizeof(RecordsObj),
+    .tp_dealloc = (destructor)Records_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_traverse = (traverseproc)Records_traverse,
+    .tp_clear = (inquiry)Records_clear,
+    .tp_doc = "What the kernel builds trace records with (see Tracer).",
+};
+
+static int
+tracer_traverse(Tracer *t, visitproc visit, void *arg)
+{
+    Py_VISIT(t->trace);
+    Py_VISIT(t->rec);
+    return 0;
+}
+
+static void
+tracer_clear(Tracer *t)
+{
+    Py_CLEAR(t->trace);
+    Py_CLEAR(t->rec);
+}
+
+/* Whether v can be in no reference cycle: an exact None, bool, int,
+ * float or str, or an exact tuple of such values nested at most `depth`
+ * deep. */
+static int
+is_atomic(PyObject *v, int depth)
+{
+    if (v == Py_None || PyBool_Check(v) || PyLong_CheckExact(v) ||
+        PyFloat_CheckExact(v) || PyUnicode_CheckExact(v))
+        return 1;
+    if (depth == 0 || !PyTuple_CheckExact(v))
+        return 0;
+    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(v); i++)
+        if (!is_atomic(PyTuple_GET_ITEM(v, i), depth - 1))
+            return 0;
+    return 1;
+}
+
+/* trace.emit(now, kind, **fields[, **frame.describe()]); takes over
+ * `fields` (a dict, or NULL after a failure). */
+static int
+emit_call(PyObject *trace, PyObject *now, PyObject *kind, PyObject *fields,
+          PyObject *frame)
+{
+    if (!fields)
+        return -1;
+    PyObject *emit = PyObject_GetAttr(trace, str_emit);
+    PyObject *describe = emit && frame ? PyObject_CallMethodNoArgs(frame, str_describe) : NULL;
+    PyObject *args = NULL, *r = NULL;
+    if (emit && (!frame || (describe && PyDict_Update(fields, describe) == 0)) &&
+        (args = PyTuple_Pack(2, now, kind)))
+        r = PyObject_Call(emit, args, fields);
+    Py_XDECREF(emit);
+    Py_XDECREF(describe);
+    Py_XDECREF(args);
+    Py_DECREF(fields);
+    return discard(r);
+}
+
+/* TraceLog._publish's body for a record only the store sees: no
+ * validator, no sink and no subscriber to its kind.  1 when one of those
+ * is there (the method must run), 0 once stored, -1 on error. */
+static int
+store_record(PyObject *trace, PyObject *record, PyObject *kind)
+{
+    static SlotRule validator_rule, sinks_rule, subscribers_rule, records_rule,
+        total_rule, peak_rule;
+    PyObject *validator = NULL, *sinks = NULL, *subscribers = NULL,
+        *records = NULL, *peak = NULL, *size = NULL;
+    int rc = -1;
+    if (!(validator = attr_get(&validator_rule, trace, str_validator)) ||
+        !(sinks = attr_get(&sinks_rule, trace, str_sinks)) ||
+        !(subscribers = attr_get(&subscribers_rule, trace, str_subscribers)))
+        goto done;
+    rc = 1;
+    if (validator != Py_None || !PyList_CheckExact(sinks) || PyList_GET_SIZE(sinks) ||
+        !PyDict_CheckExact(subscribers) ||
+        (rc = PyDict_Contains(subscribers, kind)) != 0)
+        goto done;
+    rc = -1;
+    if (!(records = attr_get(&records_rule, trace, str_records)))
+        goto done;
+    if (PyList_CheckExact(records) ? PyList_Append(records, record) < 0
+        : discard(PyObject_CallMethodOneArg(records, str_append, record)) < 0)
+        goto done;
+    if (increment(&total_rule, trace, str_total_emitted) < 0)
+        goto done;
+    Py_ssize_t resident = PyObject_Size(records);
+    if (resident < 0 || !(peak = attr_get(&peak_rule, trace, str_peak_resident)) ||
+        !(size = PyLong_FromSsize_t(resident)))
+        goto done;
+    int higher = PyObject_RichCompareBool(size, peak, Py_GT);
+    if (higher > 0)
+        higher = attr_set(&peak_rule, trace, str_peak_resident, size);
+    rc = higher < 0 ? -1 : 0;
+done:
+    Py_XDECREF(validator);
+    Py_XDECREF(sinks);
+    Py_XDECREF(subscribers);
+    Py_XDECREF(records);
+    Py_XDECREF(peak);
+    Py_XDECREF(size);
+    return rc;
+}
+
+/* trace._publish(record), its body run by store_record while the log's
+ * class has the reference method. */
+static int
+publish_record(Tracer *t, PyObject *record, PyObject *kind)
+{
+    RecordsObj *r = t->rec;
+    if (resolves_to(&r->publish_rule, Py_TYPE(t->trace), str_publish, r->publish)) {
+        int rc = store_record(t->trace, record, kind);
+        if (rc <= 0)
+            return rc;
+    }
+    return discard(PyObject_CallMethodOneArg(t->trace, str_publish, record));
+}
+
+/* Frame.describe()'s four values (packet key, tx, dst, prev) into out[]
+ * as new references: 1 when done, 0 (nothing stored, no error) when the
+ * frame is not a plain Frame with Frame.describe, -1 on error. */
+static int
+describe_values(RecordsObj *r, PyObject *frame, PyObject **out)
+{
+    if (Py_TYPE(frame) != r->frame_cls ||
+        !resolves_to(&r->describe_rule, r->frame_cls, str_describe, r->describe))
+        return 0;
+    PyObject *packet = slot_get(frame, r->frame_off[F_PACKET], str_packet);
+    if (!packet)
+        return -1;
+    /* packet.key(), from the cached slot while key() is Packet's. */
+    PyTypeObject *cls = Py_TYPE(packet);
+    PyObject *key = NULL;
+    if (r->key_off >= 0 && resolves_to(&r->key_rule, cls, str_key, r->key) &&
+        PyType_IsSubtype(cls, r->packet_cls))
+        key = SLOT_AT(packet, r->key_off);
+    key = key && key != Py_None ? Py_NewRef(key)
+                                : PyObject_CallMethodNoArgs(packet, str_key);
+    Py_DECREF(packet);
+    if (!key)
+        return -1;
+    out[0] = key;
+    for (int f = F_TRANSMITTER; f < F_COUNT; f++)
+        if (!(out[f] = slot_get(frame, r->frame_off[f], *frame_names[f]))) {
+            while (--f >= 0)
+                Py_CLEAR(out[f]);
+            return -1;
+        }
+    return 1;
+}
+
+/* trace.emit(now, kind, <names[i]>=head[i] for i < n[,
+ * **frame.describe()]), where `names` is the record's whole interned
+ * layout: built here when it can be (see above). */
+static int
+tracer_emit(Tracer *t, PyObject *now, PyObject *kind, PyObject *names,
+            PyObject *const *head, Py_ssize_t n, PyObject *frame)
+{
+    RecordsObj *r = t->rec;
+    if (r && t->trace && resolves_to(&r->emit_rule, Py_TYPE(t->trace), str_emit, r->emit)) {
+        PyObject *values = PyTuple_New(n + (frame ? 4 : 0));
+        if (!values)
+            return -1;
+        for (Py_ssize_t i = 0; i < n; i++)
+            PyTuple_SET_ITEM(values, i, Py_NewRef(head[i]));
+        int built = frame ? describe_values(r, frame, &PyTuple_GET_ITEM(values, n)) : 1;
+        if (built > 0) {
+            PyTypeObject *cls = r->record_cls;
+            PyObject *rec = cls->tp_alloc(cls, 0);
+            if (!rec) {
+                Py_DECREF(values);
+                return -1;
+            }
+            PyObject *parts[4] = {now, kind, names, values};
+            for (int i = 0; i < 4; i++)
+                SLOT_AT(rec, r->record_off[i]) = Py_NewRef(parts[i]);
+            /* Made untracked when it cannot be in a reference cycle, so the
+             * collector does not walk every such record after the run. */
+            if (is_atomic(values, 2) && is_atomic(names, 1)) {
+                PyObject_GC_UnTrack(values);
+                if (PyType_IS_GC(cls))
+                    PyObject_GC_UnTrack(rec);
+            }
+            Py_DECREF(values);
+            int rc = publish_record(t, rec, kind);
+            Py_DECREF(rec);
+            return rc;
+        }
+        Py_DECREF(values);
+        if (built < 0)
+            return -1;
+    }
+    PyObject *fields = PyDict_New();
+    for (Py_ssize_t i = 0; fields && i < n; i++)
+        if (PyDict_SetItem(fields, PyTuple_GET_ITEM(names, i), head[i]) < 0)
+            Py_CLEAR(fields);
+    return emit_call(t->trace, now, kind, fields, frame);
 }
 
 typedef struct Rx Rx;
@@ -1213,9 +1600,11 @@ typedef struct {
     PyObject *agent, *node;
     PyObject *me;           /* node.node_id */
     PyObject *seen, *counts;  /* the agent's _seen_requests, _copy_counts */
+    PyObject *entries;      /* its route table's entries */
     PyObject *random;       /* the node's routing: stream's random() */
     PyObject *send_filters; /* node._send_filters, shared */
     double jitter;          /* RoutingConfig.forward_jitter */
+    double timeout;         /* the route table's TOut_Route */
     long threshold;         /* RoutingConfig.suppression_threshold */
 } Flood;
 
@@ -1258,24 +1647,21 @@ typedef struct {
     SimObj *sim;
     PyObject *coverage;     /* radio.coverage_with_distance */
     PyObject *random;       /* the channel stream's random() */
-    PyObject *trace;        /* TraceLog or None */
+    Tracer tr;              /* the channel's TraceLog, for rx_lost records */
     PyObject *tx_observers; /* Channel's lists, shared so additions apply */
     PyObject *rx_observers;
     PyObject *reception_cls;
-    /* rx_lost records are built here while trace's emit is `emit`, and
-     * stored here while its _publish is `publish`; NULL when there is no
-     * trace. */
-    PyObject *emit, *publish, *record_cls, *rx_lost_names;
-    PyTypeObject *frame_cls, *packet_cls;
-    /* Frame.describe, Frame.size_bytes, Packet.key */
-    PyObject *describe, *frame_size, *key;
-    Py_ssize_t frame_off[F_COUNT], leash_off, key_off, record_off[4];
+    PyTypeObject *frame_cls;
+    PyObject *frame_size;   /* Frame.size_bytes */
+    Lookup size_rule;
+    Py_ssize_t frame_off[F_COUNT], leash_off;
     /* The flood (Mac_flood): OnDemandRouting.on_frame, the packet classes
-     * on_frame dispatches on and packet.py's uid counter; NULL until an
-     * agent is wired. */
-    PyObject *on_frame, *packet_uids;
-    PyTypeObject *request_cls, *reply_cls, *data_cls;
-    Py_ssize_t request_off[R_COUNT];
+     * on_frame dispatches on, packet.py's uid counter, RouteEntry and the
+     * default usable hook; NULL until an agent is wired. */
+    PyObject *on_frame, *packet_uids, *always_usable;
+    PyTypeObject *request_cls, *reply_cls, *data_cls, *entry_cls;
+    Py_ssize_t request_off[R_COUNT], reply_off[R_COUNT], entry_off[E_COUNT],
+        destination_off;
     PyObject *index;        /* node id -> slot */
     PyObject *overrides;    /* the radio's node id -> transmit range */
     Slot *slots;            /* freed only in dealloc: batches point in */
@@ -1325,9 +1711,15 @@ static int mac_attempt(MediumObj *m, Py_ssize_t s, unsigned long long epoch,
 static int mac_next(MediumObj *m, Py_ssize_t s, unsigned long long epoch);
 static int flood_decide(MediumObj *m, Py_ssize_t s, PyObject *request,
                         PyObject *prev_hop);
+static int flood_submit(MediumObj *m, Py_ssize_t s, PyObject *packet,
+                        PyObject *link_dst, PyObject *prev_hop, PyObject *jitter);
 typedef struct GuardObj GuardObj;
 static int guard_receive(GuardObj *g, PyObject *frame);
 static PyObject *Guard_receive(GuardObj *g, PyObject *frame);
+static int guard_send_filter(GuardObj *g, PyObject *frame);
+static PyObject *Guard_send_filter(GuardObj *g, PyObject *frame);
+static int guard_usable_here(GuardObj *g, PyObject *node);
+static PyObject *Guard_is_usable(GuardObj *g, PyObject *node);
 
 /* frame.<field>, by offset for a frame of the medium's Frame class. */
 static inline PyObject *
@@ -1696,179 +2088,13 @@ make_reception(MediumObj *m, Batch *b, Rx *rx, PyObject *outcome)
     return rec;
 }
 
-/* The rx_lost record's values, in the order of emit(now, "rx_lost",
- * receiver=..., collided=..., **frame.describe()); NULL with no error
- * set when the frame is not a plain Frame with Frame.describe. */
-static PyObject *
-rx_lost_values(MediumObj *m, PyObject *frame, PyObject *receiver, Rx *rx)
-{
-    if (Py_TYPE(frame) != m->frame_cls ||
-        _PyType_Lookup(m->frame_cls, str_describe) != m->describe)
-        return NULL;
-    PyObject *packet = slot_get(frame, m->frame_off[F_PACKET], str_packet);
-    if (!packet)
-        return NULL;
-    /* packet.key(), from the cached slot while key() is Packet's. */
-    PyTypeObject *cls = Py_TYPE(packet);
-    PyObject *key = NULL;
-    if (m->key_off >= 0 && _PyType_Lookup(cls, str_key) == m->key &&
-        PyType_IsSubtype(cls, m->packet_cls))
-        key = SLOT_AT(packet, m->key_off);
-    key = key && key != Py_None ? Py_NewRef(key)
-                                : PyObject_CallMethodNoArgs(packet, str_key);
-    Py_DECREF(packet);
-    PyObject *values = key ? PyTuple_New(6) : NULL;
-    if (!values) {
-        Py_XDECREF(key);
-        return NULL;
-    }
-    PyTuple_SET_ITEM(values, 0, Py_NewRef(receiver));
-    PyTuple_SET_ITEM(values, 1, Py_NewRef(rx->collided ? Py_True : Py_False));
-    PyTuple_SET_ITEM(values, 2, key);
-    for (int f = F_TRANSMITTER; f < F_COUNT; f++) {
-        PyObject *v = slot_get(frame, m->frame_off[f], *frame_names[f]);
-        if (!v) {
-            Py_DECREF(values);
-            return NULL;
-        }
-        PyTuple_SET_ITEM(values, f + 2, v);
-    }
-    return values;
-}
-
-/* Whether v can be in no reference cycle: an exact None, bool, int,
- * float or str, or an exact tuple of such values nested at most `depth`
- * deep. */
-static int
-is_atomic(PyObject *v, int depth)
-{
-    if (v == Py_None || PyBool_Check(v) || PyLong_CheckExact(v) ||
-        PyFloat_CheckExact(v) || PyUnicode_CheckExact(v))
-        return 1;
-    if (depth == 0 || !PyTuple_CheckExact(v))
-        return 0;
-    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(v); i++)
-        if (!is_atomic(PyTuple_GET_ITEM(v, i), depth - 1))
-            return 0;
-    return 1;
-}
-
-/* trace.emit(now, kind, **fields, **frame.describe()); takes over
- * `fields` (a dict, or NULL after a failure). */
-static int
-emit_call(PyObject *trace, PyObject *now, PyObject *kind, PyObject *fields,
-          PyObject *frame)
-{
-    if (!fields)
-        return -1;
-    PyObject *emit = PyObject_GetAttr(trace, str_emit);
-    PyObject *describe = emit ? PyObject_CallMethodNoArgs(frame, str_describe) : NULL;
-    PyObject *args = NULL, *r = NULL;
-    if (describe && PyDict_Update(fields, describe) == 0 &&
-        (args = PyTuple_Pack(2, now, kind)))
-        r = PyObject_Call(emit, args, fields);
-    Py_XDECREF(emit);
-    Py_XDECREF(describe);
-    Py_XDECREF(args);
-    Py_DECREF(fields);
-    return discard(r);
-}
-
-/* TraceLog._publish's body for a record only the store sees: no
- * validator, no sink and no rx_lost subscriber.  1 when one of those is
- * there (the method must run), 0 once stored, -1 on error. */
-static int
-store_record(PyObject *trace, PyObject *record)
-{
-    PyObject *validator = NULL, *sinks = NULL, *subscribers = NULL,
-        *records = NULL, *peak = NULL, *size = NULL;
-    int rc = -1;
-    if (!(validator = attr_get(trace, str_validator)) ||
-        !(sinks = attr_get(trace, str_sinks)) ||
-        !(subscribers = attr_get(trace, str_subscribers)))
-        goto done;
-    rc = 1;
-    if (validator != Py_None || !PyList_CheckExact(sinks) || PyList_GET_SIZE(sinks) ||
-        !PyDict_CheckExact(subscribers) ||
-        (rc = PyDict_Contains(subscribers, str_rx_lost)) != 0)
-        goto done;
-    rc = -1;
-    if (!(records = attr_get(trace, str_records)))
-        goto done;
-    if (PyList_CheckExact(records) ? PyList_Append(records, record) < 0
-        : discard(PyObject_CallMethodOneArg(records, str_append, record)) < 0)
-        goto done;
-    if (increment(trace, str_total_emitted) < 0)
-        goto done;
-    Py_ssize_t resident = PyObject_Size(records);
-    if (resident < 0 || !(peak = attr_get(trace, str_peak_resident)) ||
-        !(size = PyLong_FromSsize_t(resident)))
-        goto done;
-    int higher = PyObject_RichCompareBool(size, peak, Py_GT);
-    if (higher > 0)
-        higher = attr_set(trace, str_peak_resident, size);
-    rc = higher < 0 ? -1 : 0;
-done:
-    Py_XDECREF(validator);
-    Py_XDECREF(sinks);
-    Py_XDECREF(subscribers);
-    Py_XDECREF(records);
-    Py_XDECREF(peak);
-    Py_XDECREF(size);
-    return rc;
-}
-
-/* trace._publish(record), its body run by store_record while the log's
- * class has the reference method. */
-static int
-publish_record(MediumObj *m, PyObject *record)
-{
-    PyObject *trace = m->trace;
-    if (_PyType_Lookup(Py_TYPE(trace), str_publish) == m->publish) {
-        int rc = store_record(trace, record);
-        if (rc <= 0)
-            return rc;
-    }
-    return discard(PyObject_CallMethodOneArg(trace, str_publish, record));
-}
-
 static int
 emit_rx_lost(MediumObj *m, Batch *b, PyObject *receiver, Rx *rx,
              PyObject *now)
 {
-    if (m->emit && _PyType_Lookup(Py_TYPE(m->trace), str_emit) == m->emit) {
-        PyObject *values = rx_lost_values(m, b->frame, receiver, rx);
-        if (values) {
-            PyTypeObject *cls = (PyTypeObject *)m->record_cls;
-            PyObject *rec = cls->tp_alloc(cls, 0);
-            if (!rec) {
-                Py_DECREF(values);
-                return -1;
-            }
-            PyObject *parts[4] = {now, str_rx_lost, m->rx_lost_names, values};
-            for (int i = 0; i < 4; i++)
-                SLOT_AT(rec, m->record_off[i]) = Py_NewRef(parts[i]);
-            /* Made untracked when it cannot be in a reference cycle, so the
-             * collector does not walk every such record after the run. */
-            if (is_atomic(values, 2) && is_atomic(m->rx_lost_names, 1)) {
-                PyObject_GC_UnTrack(values);
-                if (PyType_IS_GC(cls))
-                    PyObject_GC_UnTrack(rec);
-            }
-            Py_DECREF(values);
-            int rc = publish_record(m, rec);
-            Py_DECREF(rec);
-            return rc;
-        }
-        if (PyErr_Occurred())
-            return -1;
-    }
-    PyObject *fields = PyDict_New();
-    if (fields &&
-        (PyDict_SetItem(fields, str_receiver, receiver) < 0 ||
-         PyDict_SetItem(fields, str_collided, rx->collided ? Py_True : Py_False) < 0))
-        Py_CLEAR(fields);
-    return emit_call(m->trace, now, str_rx_lost, fields, b->frame);
+    PyObject *head[2] = {receiver, rx->collided ? Py_True : Py_False};
+    PyObject *names = m->tr.rec ? m->tr.rec->names : NULL;
+    return tracer_emit(&m->tr, now, str_rx_lost, names, head, 2, b->frame);
 }
 
 /* check(frame)'s truth.  A guard's receive (LITEWORP's hook) is entered
@@ -1906,11 +2132,12 @@ flood_listener(MediumObj *m, Py_ssize_t s, PyObject *listener)
 static int
 run_pipeline(MediumObj *m, Py_ssize_t s, PyObject *const *pipe, PyObject *frame)
 {
+    static SlotRule alive_rule, received_rule, rejected_rule;
     PyObject *node = pipe[P_NODE];
-    int rc = attr_true(node, str_alive);
+    int rc = attr_true(&alive_rule, node, str_alive);
     if (rc <= 0)
         return rc;
-    if (increment(node, str_frames_received) < 0)
+    if (increment(&received_rule, node, str_frames_received) < 0)
         return -1;
     PyObject *observers = pipe[P_OBSERVERS], *filters = pipe[P_FILTERS],
         *listeners = pipe[P_LISTENERS];
@@ -1922,7 +2149,7 @@ run_pipeline(MediumObj *m, Py_ssize_t s, PyObject *const *pipe, PyObject *frame)
         int pass = filter_pass(check, frame);
         Py_DECREF(check);
         if (pass <= 0)
-            return pass < 0 ? -1 : increment(node, str_frames_rejected);
+            return pass < 0 ? -1 : increment(&rejected_rule, node, str_frames_rejected);
     }
     for (Py_ssize_t i = 0; i < PyList_GET_SIZE(listeners); i++) {
         PyObject *listener = Py_NewRef(PyList_GET_ITEM(listeners, i));
@@ -1973,7 +2200,7 @@ finish_rx(MediumObj *m, Batch *b, Rx *rx, PyObject *now)
         Py_DECREF(rec);
     }
     if (rx->collided || rx->lost) {
-        if (m->trace != Py_None) {
+        if (m->tr.trace) {
             PyObject *receiver = Py_NewRef(m->slots[rx->slot].id);
             int rc = emit_rx_lost(m, b, receiver, rx, now);
             Py_DECREF(receiver);
@@ -1981,7 +2208,8 @@ finish_rx(MediumObj *m, Batch *b, Rx *rx, PyObject *now)
                 return -1;
         }
         Slot *slot = &m->slots[rx->slot];
-        if (slot->loss && (slot->loss_store ? attr_set(slot->loss, str_last_loss, now)
+        static SlotRule loss_rule;
+        if (slot->loss && (slot->loss_store ? attr_set(&loss_rule, slot->loss, str_last_loss, now)
                                             : call_one(slot->loss, now)) < 0)
             return -1;
         return outcome ? call_one(outcome, Py_False) : 0;
@@ -2020,30 +2248,18 @@ Medium_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
                              "overrides", "default_range", "frame_cls",
                              "records", NULL};
     PyObject *sim, *coverage, *random, *trace, *tx_observers, *rx_observers,
-        *reception_cls, *overrides, *frame_cls, *emit = NULL, *publish = NULL,
-        *record_cls = NULL, *names = NULL, *packet_cls = NULL;
+        *reception_cls, *overrides, *frame_cls, *records = NULL;
     double capture_ratio, ambient_loss, bandwidth, default_range;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O!OOOddO!O!OdO!dO!|$(OOO!O!O!)", kwlist,
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O!OOOddO!O!OdO!dO!|$O!", kwlist,
                                      &SimType, &sim, &coverage, &random,
                                      &trace, &capture_ratio, &ambient_loss,
                                      &PyList_Type, &tx_observers,
                                      &PyList_Type, &rx_observers,
                                      &reception_cls, &bandwidth,
                                      &PyDict_Type, &overrides, &default_range,
-                                     &PyType_Type, &frame_cls, &emit, &publish,
-                                     &PyType_Type, &record_cls,
-                                     &PyTuple_Type, &names,
-                                     &PyType_Type, &packet_cls))
+                                     &PyType_Type, &frame_cls,
+                                     &PyTuple_Type, &records))
         return NULL;
-    Py_ssize_t record_off[4];
-    if (emit) {
-        for (int i = 0; i < 4; i++)
-            if ((record_off[i] = slot_offset((PyTypeObject *)record_cls,
-                                             *record_names[i])) < 0) {
-                PyErr_SetString(PyExc_TypeError, "record_cls lacks its slots");
-                return NULL;
-            }
-    }
     MediumObj *m = (MediumObj *)type->tp_alloc(type, 0);
     if (!m)
         return NULL;
@@ -2052,29 +2268,21 @@ Medium_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         Py_DECREF(m);
         return NULL;
     }
+    if (tracer_init(&m->tr, trace, (PyTypeObject *)frame_cls, records) < 0) {
+        Py_DECREF(m);
+        return NULL;
+    }
     m->sim = (SimObj *)Py_NewRef(sim);
     m->coverage = Py_NewRef(coverage);
     m->random = Py_NewRef(random);
-    m->trace = Py_NewRef(trace);
     m->tx_observers = Py_NewRef(tx_observers);
     m->rx_observers = Py_NewRef(rx_observers);
     m->reception_cls = Py_NewRef(reception_cls);
     m->frame_cls = (PyTypeObject *)Py_NewRef(frame_cls);
-    m->describe = Py_XNewRef(_PyType_Lookup(m->frame_cls, str_describe));
     m->frame_size = Py_XNewRef(_PyType_Lookup(m->frame_cls, str_size_bytes));
     for (int f = 0; f < F_COUNT; f++)
         m->frame_off[f] = slot_offset(m->frame_cls, *frame_names[f]);
     m->leash_off = slot_offset(m->frame_cls, str_leash);
-    if (emit) {
-        m->emit = Py_NewRef(emit);
-        m->publish = Py_NewRef(publish);
-        m->record_cls = Py_NewRef(record_cls);
-        m->rx_lost_names = Py_NewRef(names);
-        m->packet_cls = (PyTypeObject *)Py_NewRef(packet_cls);
-        m->key = Py_XNewRef(_PyType_Lookup(m->packet_cls, str_key));
-        m->key_off = slot_offset(m->packet_cls, str_dkey);
-        memcpy(m->record_off, record_off, sizeof(record_off));
-    }
     m->overrides = Py_NewRef(overrides);
     m->capture_ratio = capture_ratio;
     m->ambient_loss = ambient_loss;
@@ -2089,24 +2297,21 @@ Medium_traverse(MediumObj *m, visitproc visit, void *arg)
     Py_VISIT(m->sim);
     Py_VISIT(m->coverage);
     Py_VISIT(m->random);
-    Py_VISIT(m->trace);
+    int rc = tracer_traverse(&m->tr, visit, arg);
+    if (rc)
+        return rc;
     Py_VISIT(m->tx_observers);
     Py_VISIT(m->rx_observers);
     Py_VISIT(m->reception_cls);
-    Py_VISIT(m->emit);
-    Py_VISIT(m->publish);
-    Py_VISIT(m->record_cls);
-    Py_VISIT(m->rx_lost_names);
     Py_VISIT(m->frame_cls);
-    Py_VISIT(m->packet_cls);
-    Py_VISIT(m->describe);
     Py_VISIT(m->frame_size);
-    Py_VISIT(m->key);
     Py_VISIT(m->on_frame);
     Py_VISIT(m->packet_uids);
+    Py_VISIT(m->always_usable);
     Py_VISIT(m->request_cls);
     Py_VISIT(m->reply_cls);
     Py_VISIT(m->data_cls);
+    Py_VISIT(m->entry_cls);
     Py_VISIT(m->index);
     Py_VISIT(m->overrides);
     for (Py_ssize_t i = 0; i < m->nslots; i++) {
@@ -2128,6 +2333,7 @@ Medium_traverse(MediumObj *m, visitproc visit, void *arg)
         Py_VISIT(s->flood.me);
         Py_VISIT(s->flood.seen);
         Py_VISIT(s->flood.counts);
+        Py_VISIT(s->flood.entries);
         Py_VISIT(s->flood.random);
         Py_VISIT(s->flood.send_filters);
     }
@@ -2143,24 +2349,19 @@ Medium_clear(MediumObj *m)
     Py_CLEAR(m->sim);
     Py_CLEAR(m->coverage);
     Py_CLEAR(m->random);
-    Py_CLEAR(m->trace);
+    tracer_clear(&m->tr);
     Py_CLEAR(m->tx_observers);
     Py_CLEAR(m->rx_observers);
     Py_CLEAR(m->reception_cls);
-    Py_CLEAR(m->emit);
-    Py_CLEAR(m->publish);
-    Py_CLEAR(m->record_cls);
-    Py_CLEAR(m->rx_lost_names);
     Py_CLEAR(m->frame_cls);
-    Py_CLEAR(m->packet_cls);
-    Py_CLEAR(m->describe);
     Py_CLEAR(m->frame_size);
-    Py_CLEAR(m->key);
     Py_CLEAR(m->on_frame);
     Py_CLEAR(m->packet_uids);
+    Py_CLEAR(m->always_usable);
     Py_CLEAR(m->request_cls);
     Py_CLEAR(m->reply_cls);
     Py_CLEAR(m->data_cls);
+    Py_CLEAR(m->entry_cls);
     Py_CLEAR(m->index);
     Py_CLEAR(m->overrides);
     for (Py_ssize_t i = 0; i < m->nslots; i++) {
@@ -2319,7 +2520,7 @@ frame_bytes(MediumObj *m, PyObject *frame)
     PyObject *size = NULL;
     double extra = 0.0;
     if (Py_TYPE(frame) == m->frame_cls && m->frame_size && m->leash_off >= 0 &&
-        _PyType_Lookup(m->frame_cls, str_size_bytes) == m->frame_size &&
+        resolves_to(&m->size_rule, m->frame_cls, str_size_bytes, m->frame_size) &&
         SLOT_AT(frame, m->leash_off) == Py_None) {
         PyObject *packet = slot_get(frame, m->frame_off[F_PACKET], str_packet);
         if (!packet)
@@ -2883,8 +3084,8 @@ static PyTypeObject AckType = {
 /* Flood: repro.routing.ondemand.OnDemandRouting run by the medium     */
 /* ------------------------------------------------------------------ */
 /* An honest routing agent wired with Mac.flood (see
- * OnDemandRouting.__init__) keeps its two dicts, its node and its
- * config in its node's slot.  While a listener the pipeline reaches is
+ * OnDemandRouting.__init__) keeps its two dicts, its route entries, its
+ * node and its config in its node's slot.  While a listener the pipeline reaches is
  * that agent's bound OnDemandRouting.on_frame, flood_receive stands in
  * for the call and runs on_frame's common paths: a duplicate request
  * bumps its copy count, an overheard reply or data packet does nothing,
@@ -2894,10 +3095,32 @@ static PyTypeObject AckType = {
  * _forward_decision: pop the count, test it against the threshold, make
  * RouteRequest.forwarded_by's copy (drawing its uid then) and
  * Node.broadcast's Frame by slot offset, then Node._submit's alive check
- * and send filters and the slot's MAC send with jitter 0.0.  Everything
- * else -- a request at its target or origin, an addressed reply or data
- * packet, other packets, a config with suppression or jitter off, a key
- * not yet cached -- calls the listener. */
+ * and send filters and the slot's MAC send with jitter 0.0 (flood_submit).
+ *
+ * An addressed data packet at an intermediate hop (forward_data) and a
+ * route reply at a reverse-path hop (forward_reply) are forwarded here
+ * too: the route table's fresh entry or the reverse pointer, the usable
+ * hook when it is the default or a guard's (flood_usable), the reply's
+ * route entry built by slot offset, then Node.unicast through
+ * flood_submit.  Everything else -- a request at its target or origin,
+ * data at its destination, a reply at its origin, no fresh route or
+ * reverse pointer, a refused or unknown usable hook, other packets, a
+ * config with suppression or jitter off, a key not yet cached -- calls
+ * the listener. */
+
+/* Dict operations given the key's hash: a request's key tuple is hashed
+ * once per frame, not once per dict it is looked up in. */
+#if PY_VERSION_HEX < 0x030D0000
+#define dict_get_hashed(d, k, h) _PyDict_GetItem_KnownHash((d), (k), (h))
+#define dict_set_hashed(d, k, v, h) _PyDict_SetItem_KnownHash((d), (k), (v), (h))
+#define dict_contains_hashed(d, k, h) _PyDict_Contains_KnownHash((d), (k), (h))
+#define dict_del_hashed(d, k, h) _PyDict_DelItem_KnownHash((d), (k), (h))
+#else
+#define dict_del_hashed(d, k, h) PyDict_DelItem((d), (k))
+#define dict_get_hashed(d, k, h) PyDict_GetItemWithError((d), (k))
+#define dict_set_hashed(d, k, v, h) PyDict_SetItem((d), (k), (v))
+#define dict_contains_hashed(d, k, h) PyDict_Contains((d), (k))
+#endif
 
 static void
 flood_clear(Flood *f)
@@ -2907,6 +3130,7 @@ flood_clear(Flood *f)
     Py_CLEAR(f->me);
     Py_CLEAR(f->seen);
     Py_CLEAR(f->counts);
+    Py_CLEAR(f->entries);
     Py_CLEAR(f->random);
     Py_CLEAR(f->send_filters);
 }
@@ -2916,20 +3140,133 @@ flood_clear(Flood *f)
  * are a subset of the seen requests, so they are looked up first: a
  * copy heard within the jitter window costs two dict operations. */
 static int
-flood_count(Flood *f, PyObject *key)
+flood_count(Flood *f, PyObject *key, Py_hash_t hash)
 {
-    PyObject *count = PyDict_GetItemWithError(f->counts, key);
+    PyObject *count = dict_get_hashed(f->counts, key, hash);
     if (!count) {
         if (PyErr_Occurred())
             return -1;
-        int seen = PyDict_Contains(f->seen, key);
+        int seen = dict_contains_hashed(f->seen, key, hash);
         return seen < 0 ? -1 : !seen;
     }
     PyObject *more = PyNumber_Add(count, int_one);
     if (!more)
         return -1;
-    int rc = PyDict_SetItem(f->counts, key, more);
+    int rc = dict_set_hashed(f->counts, key, more, hash);
     Py_DECREF(more);
+    return rc;
+}
+
+/* self.usable(node) for slot s's agent: 1 usable, 0 not, 2 when the hook
+ * is neither the default nor a guard's is_usable it can run without Python
+ * (the frame then takes the Python path), -1 on error. */
+static int
+flood_usable(MediumObj *m, Flood *f, PyObject *node)
+{
+    PyObject *usable = PyObject_GetAttr(f->agent, str_usable);
+    if (!usable)
+        return -1;
+    int rc = 2;
+    if (usable == m->always_usable)
+        rc = 1;
+    else if (PyCFunction_CheckExact(usable) &&
+             PyCFunction_GET_FUNCTION(usable) == (PyCFunction)Guard_is_usable)
+        rc = guard_usable_here((GuardObj *)PyCFunction_GET_SELF(usable), node);
+    Py_DECREF(usable);
+    return rc;
+}
+
+/* OnDemandRouting._on_data at an intermediate hop: a fresh route whose
+ * next hop is usable forwards the packet (_forward_data, Node.unicast).
+ * 0 when done, 1 for on_frame (the destination, no fresh route, an
+ * unusable or unknown hook), -1 on error. */
+static int
+forward_data(MediumObj *m, Py_ssize_t s, PyObject *frame, PyObject *packet)
+{
+    Flood *f = &m->slots[s].flood;
+    PyObject *destination = SLOT_AT(packet, m->destination_off);
+    if (!destination)
+        return 1;
+    int rc = PyObject_RichCompareBool(destination, f->me, Py_EQ);
+    if (rc)
+        return rc;
+    /* routes.lookup(destination, now), the expired case left to it */
+    PyObject *entry = PyDict_GetItemWithError(f->entries, destination);
+    if (!entry)
+        return PyErr_Occurred() ? -1 : 1;
+    PyObject *expires = Py_TYPE(entry) == m->entry_cls
+                            ? SLOT_AT(entry, m->entry_off[E_EXPIRES_AT]) : NULL;
+    PyObject *next_hop = Py_TYPE(entry) == m->entry_cls
+                             ? SLOT_AT(entry, m->entry_off[E_NEXT_HOP]) : NULL;
+    if (!expires || !PyFloat_CheckExact(expires) || !next_hop ||
+        !(m->sim->now < PyFloat_AS_DOUBLE(expires)))
+        return 1;
+    Py_INCREF(next_hop);
+    rc = flood_usable(m, f, next_hop);
+    if (rc == 1) {
+        PyObject *prev_hop = SLOT_AT(frame, m->frame_off[F_TRANSMITTER]);
+        rc = prev_hop ? flood_submit(m, s, packet, next_hop, prev_hop, Py_None) : 1;
+    } else if (rc >= 0) {
+        rc = 1;
+    }
+    Py_DECREF(next_hop);
+    return rc;
+}
+
+/* OnDemandRouting._on_reply at a reverse-path hop: the reverse pointer,
+ * the route toward the reply's target (routes.install) and, to a usable
+ * next hop, _forward_reply's Node.unicast.  0 when done, 1 for on_frame
+ * (the origin, no reverse pointer, an unusable or unknown hook), -1 on
+ * error. */
+static int
+forward_reply(MediumObj *m, Py_ssize_t s, PyObject *frame, PyObject *reply)
+{
+    Flood *f = &m->slots[s].flood;
+    PyObject *field[R_COUNT];
+    for (int r = R_ORIGIN; r < R_COUNT; r++)
+        if (!(field[r] = SLOT_AT(reply, m->reply_off[r])))
+            return 1;
+    PyObject *transmitter = SLOT_AT(frame, m->frame_off[F_TRANSMITTER]);
+    if (!transmitter)
+        return 1;
+    int rc = PyObject_RichCompareBool(field[R_ORIGIN], f->me, Py_EQ);
+    if (rc)
+        return rc;
+    /* seen.get(("REQ", origin, request_id)) */
+    PyObject *key = PyTuple_Pack(3, str_req, field[R_ORIGIN], field[R_REQUEST_ID]);
+    if (!key)
+        return -1;
+    PyObject *next_hop = PyDict_GetItemWithError(f->seen, key);
+    Py_DECREF(key);
+    if (!next_hop || next_hop == Py_None)
+        return PyErr_Occurred() ? -1 : 1;
+    Py_INCREF(next_hop);
+    /* The hook has no side effect here, so asking it before the install
+     * changes nothing; a no leaves the whole frame to on_frame. */
+    rc = flood_usable(m, f, next_hop);
+    if (rc != 1) {
+        Py_DECREF(next_hop);
+        return rc < 0 ? -1 : 1;
+    }
+    PyTypeObject *cls = m->entry_cls;
+    double now = m->sim->now;
+    PyObject *entry = cls->tp_alloc(cls, 0);
+    PyObject *installed = PyFloat_FromDouble(now);
+    PyObject *expires = PyFloat_FromDouble(now + f->timeout);
+    rc = -1;
+    if (entry && installed && expires) {
+        PyObject *value[E_COUNT] = {field[R_TARGET], transmitter, installed, expires,
+                                    field[R_HOP_COUNT], field[R_PATH],
+                                    field[R_REQUEST_ID]};
+        for (int e = 0; e < E_COUNT; e++)
+            SLOT_AT(entry, m->entry_off[e]) = Py_NewRef(value[e]);
+        if (PyDict_SetItem(f->entries, field[R_TARGET], entry) == 0)
+            rc = flood_submit(m, s, reply, next_hop, transmitter, Py_None);
+    }
+    Py_XDECREF(entry);
+    Py_XDECREF(installed);
+    Py_XDECREF(expires);
+    Py_DECREF(next_hop);
     return rc;
 }
 
@@ -2948,7 +3285,17 @@ flood_receive(MediumObj *m, Py_ssize_t s, PyObject *frame)
     if (cls == m->reply_cls || cls == m->data_cls) {
         /* Overheard, addressed to another node: nothing to do. */
         PyObject *dst = SLOT_AT(frame, m->frame_off[F_LINK_DST]);
-        return dst ? PyObject_RichCompareBool(dst, f->me, Py_EQ) : 1;
+        int mine = dst ? PyObject_RichCompareBool(dst, f->me, Py_EQ) : 1;
+        if (mine <= 0)
+            return mine;
+        /* Addressed here: forward it when this is an intermediate hop. */
+        Py_INCREF(frame);
+        Py_INCREF(packet);
+        int rc = cls == m->data_cls ? forward_data(m, s, frame, packet)
+                                    : forward_reply(m, s, frame, packet);
+        Py_DECREF(packet);
+        Py_DECREF(frame);
+        return rc;
     }
     if (cls != m->request_cls)
         return 1;
@@ -2961,7 +3308,10 @@ flood_receive(MediumObj *m, Py_ssize_t s, PyObject *frame)
     int rc = PyObject_RichCompareBool(target, f->me, Py_EQ);
     if (rc)
         return rc;
-    if ((rc = flood_count(f, key)) <= 0)
+    Py_hash_t hash = PyObject_Hash(key);
+    if (hash == -1)
+        return -1;
+    if ((rc = flood_count(f, key, hash)) <= 0)
         return rc;
     if ((rc = PyObject_RichCompareBool(origin, f->me, Py_EQ)) != 0)
         return rc;
@@ -2970,8 +3320,8 @@ flood_receive(MediumObj *m, Py_ssize_t s, PyObject *frame)
     /* The first copy at a forwarder: remember the neighbour it came from,
      * open its copy count, and decide after forward_jitter * random(). */
     PyObject *zero = PyLong_FromLong(0);
-    if (!zero || PyDict_SetItem(f->seen, key, prev_hop) < 0 ||
-        PyDict_SetItem(f->counts, key, zero) < 0) {
+    if (!zero || dict_set_hashed(f->seen, key, prev_hop, hash) < 0 ||
+        dict_set_hashed(f->counts, key, zero, hash) < 0) {
         Py_XDECREF(zero);
         return -1;
     }
@@ -3027,11 +3377,12 @@ done:
     return copy;
 }
 
-/* Node.broadcast(packet, prev_hop=prev_hop, jitter=0.0) from slot s's
- * node: its Frame, then Node._submit's alive check and send filters, then
- * the MAC's send. */
+/* Node._submit(Frame(packet, me, link_dst, prev_hop), jitter, None) from
+ * slot s's node, the Frame built by slot offset: the alive check, the
+ * send filters (a LITEWORP guard's entered directly), the MAC's send. */
 static int
-flood_broadcast(MediumObj *m, Py_ssize_t s, PyObject *packet, PyObject *prev_hop)
+flood_submit(MediumObj *m, Py_ssize_t s, PyObject *packet, PyObject *link_dst,
+             PyObject *prev_hop, PyObject *jitter)
 {
     Flood *f = &m->slots[s].flood;
     PyObject *node = Py_NewRef(f->node), *filters = Py_NewRef(f->send_filters);
@@ -3041,19 +3392,25 @@ flood_broadcast(MediumObj *m, Py_ssize_t s, PyObject *packet, PyObject *prev_hop
         goto done;
     SLOT_AT(frame, m->frame_off[F_PACKET]) = Py_NewRef(packet);
     SLOT_AT(frame, m->frame_off[F_TRANSMITTER]) = Py_NewRef(f->me);
-    SLOT_AT(frame, m->frame_off[F_LINK_DST]) = Py_NewRef(Py_None);
+    SLOT_AT(frame, m->frame_off[F_LINK_DST]) = Py_NewRef(link_dst);
     SLOT_AT(frame, m->frame_off[F_PREV_HOP]) = Py_NewRef(prev_hop);
     SLOT_AT(frame, m->leash_off) = Py_NewRef(Py_None);
-    rc = attr_true(node, str_alive);
+    static SlotRule alive_rule;
+    rc = attr_true(&alive_rule, node, str_alive);
     for (Py_ssize_t i = 0; rc > 0 && i < PyList_GET_SIZE(filters); i++) {
         PyObject *check = Py_NewRef(PyList_GET_ITEM(filters, i));
-        PyObject *verdict = PyObject_CallOneArg(check, frame);
+        if (PyCFunction_CheckExact(check) &&
+            PyCFunction_GET_FUNCTION(check) == (PyCFunction)Guard_send_filter) {
+            rc = guard_send_filter((GuardObj *)PyCFunction_GET_SELF(check), frame);
+        } else {
+            PyObject *verdict = PyObject_CallOneArg(check, frame);
+            rc = verdict ? PyObject_IsTrue(verdict) : -1;
+            Py_XDECREF(verdict);
+        }
         Py_DECREF(check);
-        rc = verdict ? PyObject_IsTrue(verdict) : -1;
-        Py_XDECREF(verdict);
     }
     if (rc > 0)
-        rc = medium_check(m) < 0 ? -1 : mac_send(m, s, frame, float_zero, Py_None);
+        rc = medium_check(m) < 0 ? -1 : mac_send(m, s, frame, jitter, Py_None);
 done:
     Py_XDECREF(frame);
     Py_DECREF(node);
@@ -3075,9 +3432,10 @@ flood_decide(MediumObj *m, Py_ssize_t s, PyObject *request, PyObject *prev_hop)
         return -1;
     /* extra_copies = counts.pop(key, 0) */
     long extra = 0;
-    PyObject *count = PyDict_GetItemWithError(f->counts, key);
+    Py_hash_t hash = PyObject_Hash(key);
+    PyObject *count = hash == -1 ? NULL : dict_get_hashed(f->counts, key, hash);
     if (count && (((extra = PyLong_AsLong(count)) == -1 && PyErr_Occurred()) ||
-                  PyDict_DelItem(f->counts, key) < 0))
+                  dict_del_hashed(f->counts, key, hash) < 0))
         count = NULL;
     Py_DECREF(key);
     if (!count && PyErr_Occurred())
@@ -3089,7 +3447,7 @@ flood_decide(MediumObj *m, Py_ssize_t s, PyObject *request, PyObject *prev_hop)
     Py_DECREF(me);
     if (!copy)
         return -1;
-    int rc = flood_broadcast(m, s, copy, prev_hop);
+    int rc = flood_submit(m, s, copy, Py_None, prev_hop, float_zero);
     Py_DECREF(copy);
     return rc;
 }
@@ -3146,40 +3504,49 @@ Mac_enable(MacObj *self, PyObject *Py_UNUSED(ignored))
     Py_RETURN_NONE;
 }
 
-/* flood(agent, sim, node, seen, counts, random, forward_jitter,
- *       suppression_threshold, classes) -> bool: run the agent's flood in
- * this MAC's slot (see OnDemandRouting.__init__; the flood section above).
- * `classes` is (OnDemandRouting.on_frame, RouteRequest, RouteReply,
- * DataPacket, packet._packet_uids).  False, with nothing wired, when the
- * agent's simulator is not the medium's, a dict is not a plain dict or
- * the slot already runs an agent. */
+/* flood(agent, sim, node, seen, counts, entries, random, forward_jitter,
+ *       suppression_threshold, route_timeout, classes) -> bool: run the
+ * agent's flood and forwarding in this MAC's slot (see
+ * OnDemandRouting.__init__; the flood section above).  `classes` is
+ * (OnDemandRouting.on_frame, RouteRequest, RouteReply, DataPacket,
+ * packet._packet_uids, RouteEntry, ondemand.always_usable).  False, with
+ * nothing wired, when the agent's simulator is not the medium's, a dict
+ * is not a plain dict or the slot already runs an agent. */
 static PyObject *
 Mac_flood(MacObj *self, PyObject *args)
 {
-    PyObject *agent, *sim, *node, *seen, *counts, *random, *on_frame, *uids;
-    PyTypeObject *request_cls, *reply_cls, *data_cls;
-    double jitter;
+    PyObject *agent, *sim, *node, *seen, *counts, *entries, *random, *on_frame,
+        *uids, *always_usable;
+    PyTypeObject *request_cls, *reply_cls, *data_cls, *entry_cls;
+    double jitter, timeout;
     long threshold;
-    if (!PyArg_ParseTuple(args, "OOOOOOdl(OO!O!O!O)", &agent, &sim, &node, &seen,
-                          &counts, &random, &jitter, &threshold, &on_frame,
-                          &PyType_Type, &request_cls, &PyType_Type, &reply_cls,
-                          &PyType_Type, &data_cls, &uids))
+    if (!PyArg_ParseTuple(args, "OOOOOOOdld(OO!O!O!OO!O)", &agent, &sim, &node,
+                          &seen, &counts, &entries, &random, &jitter, &threshold,
+                          &timeout, &on_frame, &PyType_Type, &request_cls,
+                          &PyType_Type, &reply_cls, &PyType_Type, &data_cls,
+                          &uids, &PyType_Type, &entry_cls, &always_usable))
         return NULL;
     MediumObj *m = self->medium;
     if (medium_check(m) < 0)
         return NULL;
     Flood *f = &m->slots[self->slot].flood;
     if ((PyObject *)m->sim != sim || !PyDict_CheckExact(seen) ||
-        !PyDict_CheckExact(counts) || f->agent)
+        !PyDict_CheckExact(counts) || !PyDict_CheckExact(entries) || f->agent)
         Py_RETURN_FALSE;
-    Py_ssize_t offsets[R_COUNT];
+    Py_ssize_t offsets[R_COUNT], reply[R_COUNT], entry[E_COUNT], destination;
     int laid_out = m->leash_off >= 0;
-    for (int r = 0; r < R_COUNT; r++)
+    for (int r = 0; r < R_COUNT; r++) {
         laid_out &= (offsets[r] = slot_offset(request_cls, *request_names[r])) >= 0;
+        laid_out &= (reply[r] = slot_offset(reply_cls, *request_names[r])) >= 0;
+    }
+    for (int e = 0; e < E_COUNT; e++)
+        laid_out &= (entry[e] = slot_offset(entry_cls, *entry_names[e])) >= 0;
+    laid_out &= (destination = slot_offset(data_cls, str_destination)) >= 0;
     for (int i = 0; i < F_COUNT; i++)
         laid_out &= m->frame_off[i] >= 0;
     if (!laid_out) {
-        PyErr_SetString(PyExc_TypeError, "the request or frame class lacks its slots");
+        PyErr_SetString(PyExc_TypeError,
+                        "a packet, route entry or frame class lacks its slots");
         return NULL;
     }
     PyObject *me = PyObject_GetAttr(node, str_node_id);
@@ -3197,16 +3564,23 @@ Mac_flood(MacObj *self, PyObject *args)
     f->me = me;
     f->seen = Py_NewRef(seen);
     f->counts = Py_NewRef(counts);
+    f->entries = Py_NewRef(entries);
     f->random = Py_NewRef(random);
     f->send_filters = filters;
     f->jitter = jitter;
     f->threshold = threshold;
+    f->timeout = timeout;
     Py_XSETREF(m->on_frame, Py_NewRef(on_frame));
     Py_XSETREF(m->packet_uids, Py_NewRef(uids));
+    Py_XSETREF(m->always_usable, Py_NewRef(always_usable));
     Py_XSETREF(m->request_cls, (PyTypeObject *)Py_NewRef(request_cls));
     Py_XSETREF(m->reply_cls, (PyTypeObject *)Py_NewRef(reply_cls));
     Py_XSETREF(m->data_cls, (PyTypeObject *)Py_NewRef(data_cls));
+    Py_XSETREF(m->entry_cls, (PyTypeObject *)Py_NewRef(entry_cls));
     memcpy(m->request_off, offsets, sizeof(offsets));
+    memcpy(m->reply_off, reply, sizeof(reply));
+    memcpy(m->entry_off, entry, sizeof(entry));
+    m->destination_off = destination;
     Py_RETURN_TRUE;
 }
 
@@ -3245,9 +3619,9 @@ static PyMethodDef Mac_methods[] = {
     {"disable", (PyCFunction)Mac_disable, METH_NOARGS, "CsmaMac.disable."},
     {"enable", (PyCFunction)Mac_enable, METH_NOARGS, "CsmaMac.enable."},
     {"flood", (PyCFunction)Mac_flood, METH_VARARGS,
-     "flood(agent, sim, node, seen, counts, random, forward_jitter, "
-     "suppression_threshold, classes) -> whether the medium runs the "
-     "agent's route-request flood."},
+     "flood(agent, sim, node, seen, counts, entries, random, forward_jitter, "
+     "suppression_threshold, route_timeout, classes) -> whether the medium "
+     "runs the agent's route-request flood and forwarding."},
     {NULL}
 };
 
@@ -3394,18 +3768,31 @@ static PyTypeObject MediumType = {
  * through attribute lookup.  The agent's receive hook is entered directly
  * when the medium runs the node's filters (filter_pass).
  *
+ * The guard also runs the agent's send filter (send_filter: an
+ * activated agent's own transmissions go to observe with own set, a send
+ * to a revoked next hop calls LiteworpAgent._send_filter) and its
+ * is_usable, and the bodies of the monitor's _add_expectation (while it
+ * has no liveness predicate) and _note_watch_size and of the agent's
+ * _reject, building their watch_buffer and frame_rejected records with
+ * a Tracer.  Each of those bodies runs here only while the class still
+ * resolves the method's name to the reference (guard_runs).  The watch
+ * buffer is the monitor's own dict, its deadlines Events of the
+ * monitor's _expectation_expired.
+ *
  * Everything else stays in Python and is called by name on the rare
- * paths: the monitor's _accuse, _add_expectation, _note_watch_size,
- * _watch_request_forwarders and its counters and _last_loss; the agent's
- * _reject and accepted-packet handlers; packet_role on a packet class's
- * first sight and Packet.key() while a key is not cached.  The watch
- * buffer is the monitor's own dict. */
+ * paths: the monitor's _accuse, _watch_request_forwarders, the expiry
+ * and its counters and _last_loss; the agent's accepted-packet handlers;
+ * packet_role on a packet class's first sight and Packet.key() while a
+ * key is not cached. */
 
-static PyObject *str_observe, *str_destination, *str_inner_key, *str_cancel, *str_note_watch_size,
+static PyObject *str_observe, *str_inner_key, *str_cancel, *str_note_watch_size,
     *str_accuse, *str_add_expectation, *str_watch_request_forwarders,
     *str_reject, *str_note_frame, *str_fabrications_seen,
     *str_suppressed_accusations, *str_status, *str_fabrication,
-    *str_nonneighbor, *str_revoked, *str_secondhop;
+    *str_nonneighbor, *str_revoked, *str_secondhop, *str_expectation_expired,
+    *str_watch_sampled_size, *str_watch_sampled_at, *str_watch_buffer_peak,
+    *str_watch_buffer, *str_frame_rejected, *str_is_alive_pred, *str_rejects,
+    *str_send_filter, *str_is_alive;
 
 /* The same numbering as repro.core.monitor's ROLE_* constants. */
 enum { ROLE_RERR, ROLE_DATA, ROLE_IGNORED, ROLE_REQ, ROLE_REP, ROLE_OTHER };
@@ -3431,6 +3818,11 @@ typedef struct {
     Py_ssize_t off_key, off_origin, off_destination, off_inner_key;
 } PacketKind;
 
+/* The monitor's and the agent's methods whose bodies the guard runs,
+ * as their classes define them: each runs here only while the class
+ * still resolves its name to it (cached per class version). */
+enum { M_OBSERVE, M_ADD_EXPECTATION, M_NOTE_WATCH_SIZE, M_REJECT, M_COUNT };
+
 struct GuardObj {
     PyObject_HEAD
     SimObj *sim;
@@ -3439,20 +3831,22 @@ struct GuardObj {
     PyObject *first;        /* NeighborTable's first-hop dict */
     PyObject *second;       /* NeighborTable's second-hop dict */
     PyObject *expectations; /* the monitor's watch buffer */
-    PyObject *observe_body; /* the function LocalMonitor defines as observe */
+    PyObject *method[M_COUNT];  /* LocalMonitor.observe, ..., LiteworpAgent._reject */
+    Lookup rule[M_COUNT];
     PyTypeObject *monitor_cls;  /* the monitor's class, read without the monitor */
     PyObject *packet_role;
-    PyObject *packet_key;   /* Packet.key */
     PyObject *active, *revoked;     /* status values */
     PyObject *v_fabricate;
-    PyTypeObject *frame_cls, *packet_cls;
+    /* The monitor's trace, for watch_buffer and frame_rejected records
+     * (their interned layouts the records' names); its Records also give
+     * the Frame and Packet classes, their offsets and Packet.key. */
+    Tracer tr;
     /* Set by bind(); receive() needs them. */
     PyObject *agent;
     PyObject *handlers;     /* packet class -> handler */
     PyObject *liveness;     /* or NULL */
-    double grace, window;
+    double grace, window, delta, sample_period;
     double cutoff, rotated_at;
-    Py_ssize_t frame_off[F_COUNT];
     HeardTable cur, old;
     PacketKind *kinds;
     Py_ssize_t nkinds, cap_kinds;
@@ -3462,10 +3856,21 @@ struct GuardObj {
 
 static PyTypeObject GuardType;
 
+static PyObject **method_names[M_COUNT] = {&str_observe, &str_add_expectation,
+                                           &str_note_watch_size, &str_reject};
+
+/* Whether `cls` still resolves the name of method i to the reference. */
+static inline int
+guard_runs(GuardObj *g, int i, PyTypeObject *cls)
+{
+    return resolves_to(&g->rule[i], cls, *method_names[i], g->method[i]);
+}
+
 static inline PyObject *
 frame_get(GuardObj *g, PyObject *frame, int field)
 {
-    Py_ssize_t offset = Py_TYPE(frame) == g->frame_cls ? g->frame_off[field] : -1;
+    RecordsObj *r = g->tr.rec;
+    Py_ssize_t offset = Py_TYPE(frame) == r->frame_cls ? r->frame_off[field] : -1;
     return slot_get(frame, offset, *frame_names[field]);
 }
 
@@ -3655,8 +4060,8 @@ packet_kind(GuardObj *g, PyObject *packet, PacketKind *out)
     if (role == -1 && PyErr_Occurred())
         return -1;
     PacketKind kind = {cls, (int)role, -1, -1, -1, -1};
-    if (PyType_IsSubtype(cls, g->packet_cls) &&
-        _PyType_Lookup(cls, str_key) == g->packet_key)
+    if (PyType_IsSubtype(cls, g->tr.rec->packet_cls) &&
+        _PyType_Lookup(cls, str_key) == g->tr.rec->key)
         kind.off_key = slot_offset(cls, str_dkey);
     kind.off_origin = slot_offset(cls, str_origin);
     kind.off_destination = slot_offset(cls, str_destination);
@@ -3694,12 +4099,111 @@ packet_key(PyObject *packet, PacketKind *kind)
 static int
 status_is(PyObject *record, PyObject *status)
 {
-    PyObject *value = attr_get(record, str_status);
+    static SlotRule status_rule;
+    PyObject *value = attr_get(&status_rule, record, str_status);
     if (!value)
         return -1;
     int eq = PyObject_RichCompareBool(value, status, Py_EQ);
     Py_DECREF(value);
     return eq;
+}
+
+/* ---- the watch buffer ---------------------------------------------- */
+/* LocalMonitor._note_watch_size: a throttled watch_buffer gauge record. */
+static int
+guard_note_size(GuardObj *g)
+{
+    if (!g->tr.trace || !guard_runs(g, M_NOTE_WATCH_SIZE, g->monitor_cls))
+        return discard(PyObject_CallMethodNoArgs(g->monitor, str_note_watch_size));
+    PyObject *monitor = g->monitor, *size = NULL, *sampled = NULL, *now = NULL,
+        *peak = NULL;
+    int rc = -1;
+    if (!(size = PyLong_FromSsize_t(PyDict_GET_SIZE(g->expectations))) ||
+        !(sampled = PyObject_GetAttr(monitor, str_watch_sampled_size)))
+        goto done;
+    int same = PyObject_RichCompareBool(size, sampled, Py_EQ);
+    if (same) {
+        rc = same < 0 ? -1 : 0;
+        goto done;
+    }
+    double time = g->sim->now;
+    Py_SETREF(sampled, PyObject_GetAttr(monitor, str_watch_sampled_at));
+    if (!sampled)
+        goto done;
+    if (sampled != Py_None) {
+        double at = PyFloat_AsDouble(sampled);
+        if (at == -1.0 && PyErr_Occurred())
+            goto done;
+        if (time - at < g->sample_period) {
+            rc = 0;
+            goto done;
+        }
+    }
+    if (!(now = PyFloat_FromDouble(time)) ||
+        PyObject_SetAttr(monitor, str_watch_sampled_at, now) < 0 ||
+        PyObject_SetAttr(monitor, str_watch_sampled_size, size) < 0 ||
+        !(peak = PyObject_GetAttr(monitor, str_watch_buffer_peak)))
+        goto done;
+    PyObject *head[3] = {g->owner, size, peak};
+    rc = tracer_emit(&g->tr, now, str_watch_buffer, PyTuple_GET_ITEM(g->tr.rec->names, 0),
+                     head, 3, NULL);
+done:
+    Py_XDECREF(size);
+    Py_XDECREF(sampled);
+    Py_XDECREF(now);
+    Py_XDECREF(peak);
+    return rc;
+}
+
+/* LocalMonitor._add_expectation(key, watched) while no liveness predicate
+ * is set: a deadline Event of the monitor's _expectation_expired, delta
+ * from now, stored in its watch buffer; the peak; the gauge. */
+static int
+guard_expect(GuardObj *g, PyObject *key, PyObject *watched)
+{
+    if (!guard_runs(g, M_ADD_EXPECTATION, g->monitor_cls))
+        goto python;
+    PyObject *predicate = PyObject_GetAttr(g->monitor, str_is_alive_pred);
+    if (!predicate)
+        return -1;
+    Py_DECREF(predicate);
+    if (predicate != Py_None)
+        goto python;
+    PyObject *watch_key = PyTuple_Pack(2, key, watched);
+    if (!watch_key)
+        return -1;
+    int rc = PyDict_Contains(g->expectations, watch_key);
+    if (rc != 0) {
+        Py_DECREF(watch_key);
+        return rc < 0 ? -1 : 0;
+    }
+    rc = -1;
+    double time = g->sim->now;
+    PyObject *now = PyFloat_FromDouble(time), *event = NULL, *size = NULL,
+        *peak = NULL;
+    PyObject *callback = now ? PyObject_GetAttr(g->monitor, str_expectation_expired) : NULL;
+    PyObject *args = callback ? PyTuple_Pack(2, watch_key, now) : NULL;
+    if (!args || !(event = sim_push(g->sim, time + g->delta, callback, args, NULL)) ||
+        PyDict_SetItem(g->expectations, watch_key, event) < 0 ||
+        !(size = PyLong_FromSsize_t(PyDict_GET_SIZE(g->expectations))) ||
+        !(peak = PyObject_GetAttr(g->monitor, str_watch_buffer_peak)))
+        goto done;
+    int higher = PyObject_RichCompareBool(size, peak, Py_GT);
+    if (higher > 0)
+        higher = PyObject_SetAttr(g->monitor, str_watch_buffer_peak, size);
+    if (higher == 0)
+        rc = guard_note_size(g);
+done:
+    Py_DECREF(watch_key);
+    Py_XDECREF(now);
+    Py_XDECREF(callback);
+    Py_XDECREF(event);
+    Py_XDECREF(size);
+    Py_XDECREF(peak);
+    return rc;
+python:
+    return discard(PyObject_CallMethodObjArgs(g->monitor, str_add_expectation,
+                                              key, watched, NULL));
 }
 
 /* expectations.pop((key, node)): cancel the pending deadline, then
@@ -3723,10 +4227,7 @@ pop_expectation(GuardObj *g, PyObject *key, PyObject *node)
     if (rc == 0)
         rc = discard(PyObject_CallMethodNoArgs(pending, str_cancel));
     Py_DECREF(pending);
-    if (rc == 0)
-        rc = discard(
-            PyObject_CallMethodNoArgs(g->monitor, str_note_watch_size));
-    return rc;
+    return rc == 0 ? guard_note_size(g) : rc;
 }
 
 /* LocalMonitor.observe's body. */
@@ -3800,11 +4301,12 @@ guard_observe(GuardObj *g, PyObject *frame, int own)
             Py_DECREF(loss);
             if (last_loss == -1.0 && PyErr_Occurred())
                 goto done;
+            static SlotRule suppressed_rule, fabrications_rule;
             if (last_loss >= now - g->grace) {
                 /* Our radio was impaired recently: withhold judgement. */
-                if (increment(g->monitor, str_suppressed_accusations) < 0)
+                if (increment(&suppressed_rule, g->monitor, str_suppressed_accusations) < 0)
                     goto done;
-            } else if (increment(g->monitor, str_fabrications_seen) < 0 ||
+            } else if (increment(&fabrications_rule, g->monitor, str_fabrications_seen) < 0 ||
                        discard(PyObject_CallMethodObjArgs(
                            g->monitor, str_accuse, tx, g->v_fabricate,
                            str_fabrication, key, NULL)) < 0) {
@@ -3853,9 +4355,7 @@ guard_observe(GuardObj *g, PyObject *frame, int own)
     int active = status_is(record, g->active);
     if (active < 0)
         goto done;
-    rc = active ? discard(PyObject_CallMethodObjArgs(
-                      g->monitor, str_add_expectation, key, watched, NULL))
-                : 0;
+    rc = active ? guard_expect(g, key, watched) : 0;
 done:
     Py_XDECREF(tx);
     Py_XDECREF(packet);
@@ -3866,12 +4366,29 @@ done:
     return rc;
 }
 
-/* LiteworpAgent._reject(reason, frame). */
+/* LiteworpAgent._reject(reason, frame): count it, then the
+ * frame_rejected record, in the trace the agent shares with its monitor. */
 static int
 guard_reject(GuardObj *g, PyObject *reason, PyObject *frame)
 {
-    return discard(
-        PyObject_CallMethodObjArgs(g->agent, str_reject, reason, frame, NULL));
+    if (!g->tr.trace || !guard_runs(g, M_REJECT, Py_TYPE(g->agent)))
+        return discard(
+            PyObject_CallMethodObjArgs(g->agent, str_reject, reason, frame, NULL));
+    PyObject *rejects = PyObject_GetAttr(g->agent, str_rejects);
+    PyObject *count = rejects ? PyObject_GetItem(rejects, reason) : NULL;
+    PyObject *more = count ? PyNumber_Add(count, int_one) : NULL;
+    int rc = more ? PyObject_SetItem(rejects, reason, more) : -1;
+    Py_XDECREF(rejects);
+    Py_XDECREF(count);
+    Py_XDECREF(more);
+    PyObject *now = rc < 0 ? NULL : PyFloat_FromDouble(g->sim->now);
+    if (!now)
+        return -1;
+    PyObject *head[2] = {g->owner, reason};
+    rc = tracer_emit(&g->tr, now, str_frame_rejected, PyTuple_GET_ITEM(g->tr.rec->names, 1),
+                     head, 2, frame);
+    Py_DECREF(now);
+    return rc;
 }
 
 /* LiteworpAgent._receive's checks on an activated agent: 1 accept,
@@ -3882,7 +4399,7 @@ guard_admit(GuardObj *g, PyObject *frame)
     /* A wrapper installed on LocalMonitor.observe must see the frame, so
      * the body is entered directly only while the monitor's class (as the
      * guard was built) has its own. */
-    if (_PyType_Lookup(g->monitor_cls, str_observe) == g->observe_body) {
+    if (guard_runs(g, M_OBSERVE, g->monitor_cls)) {
         if (guard_observe(g, frame, 0) < 0)
             return -1;
     } else if (discard(
@@ -3935,30 +4452,39 @@ Guard_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     static char *kwlist[] = {"monitor", "sim", "owner", "first", "second",
                              "expectations", "enabled", "watch_data",
                              "watch_request_drops", "fabrication_grace",
-                             "overheard_window", "v_fabricate", "observe",
-                             "packet_role", "frame_cls", "packet_cls",
-                             "active", "revoked", NULL};
+                             "overheard_window", "v_fabricate", "delta",
+                             "sample_period", "methods", "packet_role",
+                             "frame_cls", "active", "revoked", "trace",
+                             "records", NULL};
     PyObject *monitor, *sim, *owner, *first, *second, *expectations,
-        *v_fabricate, *observe, *role, *frame_cls, *packet_cls, *active,
-        *revoked;
+        *v_fabricate, *role, *frame_cls, *active, *revoked, *trace, *records;
+    PyObject *method[M_REJECT];
     int enabled, watch_data, watch_request_drops;
-    double grace, window;
+    double grace, window, delta, sample_period;
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwds, "$OO!OO!O!O!pppddOOOO!O!OO", kwlist, &monitor,
+            args, kwds, "$OO!OO!O!O!pppddOdd(OOO)OO!OOOO!", kwlist, &monitor,
             &SimType, &sim, &owner, &PyDict_Type, &first, &PyDict_Type,
             &second, &PyDict_Type, &expectations, &enabled, &watch_data,
-            &watch_request_drops, &grace, &window, &v_fabricate, &observe,
-            &role, &PyType_Type, &frame_cls, &PyType_Type, &packet_cls,
-            &active, &revoked))
+            &watch_request_drops, &grace, &window, &v_fabricate, &delta,
+            &sample_period, &method[M_OBSERVE], &method[M_ADD_EXPECTATION],
+            &method[M_NOTE_WATCH_SIZE], &role, &PyType_Type, &frame_cls,
+            &active, &revoked, &trace, &PyTuple_Type, &records))
         return NULL;
-    PyObject *packet_key_fn = _PyType_Lookup((PyTypeObject *)packet_cls, str_key);
-    if (!packet_key_fn) {
-        PyErr_SetString(PyExc_TypeError, "packet_cls must define key()");
-        return NULL;
-    }
     GuardObj *g = (GuardObj *)type->tp_alloc(type, 0);
     if (!g)
         return NULL;
+    if (tracer_init(&g->tr, trace, (PyTypeObject *)frame_cls, records) < 0) {
+        Py_DECREF(g);
+        return NULL;
+    }
+    PyObject *layouts = g->tr.rec->names;
+    if (PyTuple_GET_SIZE(layouts) != 2 || !PyTuple_CheckExact(PyTuple_GET_ITEM(layouts, 0)) ||
+        !PyTuple_CheckExact(PyTuple_GET_ITEM(layouts, 1)) || !g->tr.rec->key) {
+        Py_DECREF(g);
+        PyErr_SetString(PyExc_TypeError,
+                        "records must hold two layouts and a packet class with key()");
+        return NULL;
+    }
     g->monitor = Py_NewRef(monitor);
     g->sim = (SimObj *)Py_NewRef(sim);
     g->owner = Py_NewRef(owner);
@@ -3966,12 +4492,10 @@ Guard_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     g->second = Py_NewRef(second);
     g->expectations = Py_NewRef(expectations);
     g->v_fabricate = Py_NewRef(v_fabricate);
-    g->observe_body = Py_NewRef(observe);
+    for (int i = 0; i < M_REJECT; i++)
+        g->method[i] = Py_NewRef(method[i]);
     g->monitor_cls = (PyTypeObject *)Py_NewRef((PyObject *)Py_TYPE(monitor));
     g->packet_role = Py_NewRef(role);
-    g->packet_key = Py_NewRef(packet_key_fn);
-    g->frame_cls = (PyTypeObject *)Py_NewRef(frame_cls);
-    g->packet_cls = (PyTypeObject *)Py_NewRef(packet_cls);
     g->active = Py_NewRef(active);
     g->revoked = Py_NewRef(revoked);
     g->enabled = (char)enabled;
@@ -3979,10 +4503,10 @@ Guard_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     g->watch_request_drops = (char)watch_request_drops;
     g->grace = grace;
     g->window = window;
+    g->delta = delta;
+    g->sample_period = sample_period;
     g->cutoff = -Py_HUGE_VAL;
     g->rotated_at = -Py_HUGE_VAL;
-    for (int f = 0; f < F_COUNT; f++)
-        g->frame_off[f] = slot_offset(g->frame_cls, *frame_names[f]);
     return (PyObject *)g;
 }
 
@@ -3995,15 +4519,16 @@ Guard_traverse(GuardObj *g, visitproc visit, void *arg)
     Py_VISIT(g->first);
     Py_VISIT(g->second);
     Py_VISIT(g->expectations);
-    Py_VISIT(g->observe_body);
+    for (int i = 0; i < M_COUNT; i++)
+        Py_VISIT(g->method[i]);
+    int rc = tracer_traverse(&g->tr, visit, arg);
+    if (rc)
+        return rc;
     Py_VISIT(g->monitor_cls);
     Py_VISIT(g->packet_role);
-    Py_VISIT(g->packet_key);
     Py_VISIT(g->active);
     Py_VISIT(g->revoked);
     Py_VISIT(g->v_fabricate);
-    Py_VISIT(g->frame_cls);
-    Py_VISIT(g->packet_cls);
     Py_VISIT(g->agent);
     Py_VISIT(g->handlers);
     Py_VISIT(g->liveness);
@@ -4027,15 +4552,14 @@ Guard_clear(GuardObj *g)
     Py_CLEAR(g->first);
     Py_CLEAR(g->second);
     Py_CLEAR(g->expectations);
-    Py_CLEAR(g->observe_body);
+    for (int i = 0; i < M_COUNT; i++)
+        Py_CLEAR(g->method[i]);
+    tracer_clear(&g->tr);
     Py_CLEAR(g->monitor_cls);
     Py_CLEAR(g->packet_role);
-    Py_CLEAR(g->packet_key);
     Py_CLEAR(g->active);
     Py_CLEAR(g->revoked);
     Py_CLEAR(g->v_fabricate);
-    Py_CLEAR(g->frame_cls);
-    Py_CLEAR(g->packet_cls);
     Py_CLEAR(g->agent);
     Py_CLEAR(g->handlers);
     Py_CLEAR(g->liveness);
@@ -4063,18 +4587,19 @@ static PyObject *
 Guard_bind(GuardObj *g, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"agent", "handlers", "liveness",
-                             "second_hop_check", NULL};
-    PyObject *agent, *handlers, *liveness;
+                             "second_hop_check", "reject", NULL};
+    PyObject *agent, *handlers, *liveness, *reject;
     int second_hop_check;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "$OO!Op", kwlist, &agent,
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "$OO!OpO", kwlist, &agent,
                                      &PyDict_Type, &handlers, &liveness,
-                                     &second_hop_check))
+                                     &second_hop_check, &reject))
         return NULL;
     if (guard_check(g) < 0)
         return NULL;
     Py_XSETREF(g->agent, Py_NewRef(agent));
     Py_XSETREF(g->handlers, Py_NewRef(handlers));
     Py_XSETREF(g->liveness, liveness == Py_None ? NULL : Py_NewRef(liveness));
+    Py_XSETREF(g->method[M_REJECT], Py_NewRef(reject));
     g->second_hop_check = (char)second_hop_check;
     Py_RETURN_NONE;
 }
@@ -4113,6 +4638,84 @@ Guard_receive(GuardObj *g, PyObject *frame)
 {
     int verdict = guard_receive(g, frame);
     return verdict < 0 ? NULL : PyBool_FromLong(verdict);
+}
+
+/* The agent's send filter (LiteworpAgent._send_filter): 1 pass, 0 veto,
+ * -1 error.  A send to a revoked next hop calls the Python filter, which
+ * records it and vetoes; every other send of an activated agent is its
+ * monitor's own transmission (observe_own). */
+static int
+guard_send_filter(GuardObj *g, PyObject *frame)
+{
+    if (guard_check(g) < 0)
+        return -1;
+    if (!g->agent) {
+        PyErr_SetString(PyExc_RuntimeError, "guard is not bound to an agent");
+        return -1;
+    }
+    if (!g->activated)
+        return 1;
+    PyObject *dst = frame_get(g, frame, F_LINK_DST);
+    if (!dst)
+        return -1;
+    int revoked = 0;
+    if (dst != Py_None) {
+        PyObject *record = PyDict_GetItemWithError(g->first, dst);
+        revoked = record ? status_is(record, g->revoked) : PyErr_Occurred() ? -1 : 0;
+    }
+    Py_DECREF(dst);
+    if (revoked) {
+        if (revoked < 0)
+            return -1;
+        PyObject *r = PyObject_CallMethodOneArg(g->agent, str_send_filter, frame);
+        int pass = r ? PyObject_IsTrue(r) : -1;
+        Py_XDECREF(r);
+        return pass;
+    }
+    return guard_observe(g, frame, 1) < 0 ? -1 : 1;
+}
+
+static PyObject *
+Guard_send_filter(GuardObj *g, PyObject *frame)
+{
+    int pass = guard_send_filter(g, frame);
+    return pass < 0 ? NULL : PyBool_FromLong(pass);
+}
+
+/* LiteworpAgent.is_usable(node): 1 usable, 0 not, -1 error.  Without a
+ * liveness manager no Python code runs (guard_usable_here). */
+static int
+guard_usable(GuardObj *g, PyObject *node)
+{
+    if (guard_check(g) < 0)
+        return -1;
+    if (!g->activated)
+        return 1;
+    PyObject *record = PyDict_GetItemWithError(g->first, node);
+    if (!record)
+        return PyErr_Occurred() ? -1 : 0;
+    int usable = status_is(record, g->active);
+    if (usable <= 0 || !g->liveness)
+        return usable;
+    PyObject *r = PyObject_CallMethodOneArg(g->liveness, str_is_alive, node);
+    usable = r ? PyObject_IsTrue(r) : -1;
+    Py_XDECREF(r);
+    return usable;
+}
+
+/* guard_usable for the medium's forwarding: 2 (ask Python) when a
+ * liveness manager would be called, or the guard is cleared. */
+static int
+guard_usable_here(GuardObj *g, PyObject *node)
+{
+    return g->liveness || !g->monitor ? 2 : guard_usable(g, node);
+}
+
+static PyObject *
+Guard_is_usable(GuardObj *g, PyObject *node)
+{
+    int usable = guard_usable(g, node);
+    return usable < 0 ? NULL : PyBool_FromLong(usable);
 }
 
 static PyObject *
@@ -4209,9 +4812,14 @@ Guard_stamps(GuardObj *g, PyObject *Py_UNUSED(ignored))
 static PyMethodDef Guard_methods[] = {
     {"bind", (PyCFunction)(void (*)(void))Guard_bind,
      METH_VARARGS | METH_KEYWORDS,
-     "bind(*, agent, handlers, liveness, second_hop_check): the agent side."},
+     "bind(*, agent, handlers, liveness, second_hop_check, reject): the agent "
+     "side."},
     {"receive", (PyCFunction)Guard_receive, METH_O,
      "The agent's receive hook: False rejects the frame."},
+    {"send_filter", (PyCFunction)Guard_send_filter, METH_O,
+     "The agent's send filter: False vetoes the transmission."},
+    {"is_usable", (PyCFunction)Guard_is_usable, METH_O,
+     "The agent's routing hook: whether node may be a next hop."},
     {"observe", (PyCFunction)Guard_observe, METH_FASTCALL,
      "observe(frame, own=False): the monitor's judgement of one frame."},
     {"remember", (PyCFunction)Guard_remember, METH_FASTCALL,
@@ -4474,6 +5082,7 @@ PyMODINIT_FUNC
 PyInit__ckernel(void)
 {
     if (PyType_Ready(&EventType) < 0 || PyType_Ready(&SimType) < 0 ||
+        PyType_Ready(&RecordsType) < 0 ||
         PyType_Ready(&MediumType) < 0 ||
         PyType_Ready(&AckType) < 0 || PyType_Ready(&MacType) < 0 ||
         PyType_Ready(&GuardType) < 0)
@@ -4481,7 +5090,7 @@ PyInit__ckernel(void)
     struct { PyObject **slot; const char *text; } names[] = {
         {&str_link_dst, "link_dst"}, {&str_describe, "describe"},
         {&str_emit, "emit"}, {&str_rx_lost, "rx_lost"},
-        {&str_receiver, "receiver"}, {&str_collided, "collided"},
+        {&str_collided, "collided"},
         {&str_lost, "lost"}, {&str_on_outcome, "on_outcome"},
         {&str_observe, "observe"}, {&str_key, "key"}, {&str_dkey, "_key"},
         {&str_origin, "origin"}, {&str_destination, "destination"},
@@ -4514,6 +5123,16 @@ PyInit__ckernel(void)
         {&str_target, "target"}, {&str_hop_count, "hop_count"},
         {&str_path, "path"}, {&str_uid, "uid"}, {&str_node_id, "node_id"},
         {&str_send_filters, "_send_filters"},
+        {&str_expectation_expired, "_expectation_expired"},
+        {&str_watch_sampled_size, "_watch_sampled_size"},
+        {&str_watch_sampled_at, "_watch_sampled_at"},
+        {&str_watch_buffer_peak, "watch_buffer_peak"},
+        {&str_watch_buffer, "watch_buffer"}, {&str_frame_rejected, "frame_rejected"},
+        {&str_is_alive_pred, "_is_alive"}, {&str_rejects, "rejects"},
+        {&str_send_filter, "_send_filter"}, {&str_is_alive, "is_alive"},
+        {&str_next_hop, "next_hop"}, {&str_installed_at, "installed_at"},
+        {&str_expires_at, "expires_at"}, {&str_usable, "usable"},
+        {&str_req, "REQ"},
     };
     for (size_t i = 0; i < sizeof(names) / sizeof(names[0]); i++)
         if (!*names[i].slot &&

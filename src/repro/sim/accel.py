@@ -73,8 +73,11 @@ def _build(ext_path: str) -> None:
     import subprocess
     import tempfile
 
+    # Not a module suffix: a package walk running meanwhile (another
+    # process importing every module of repro) must not load the
+    # half-written file.
     fd, tmp = tempfile.mkstemp(
-        suffix=".so", prefix="_ckernel-", dir=os.path.dirname(ext_path)
+        suffix=".tmp", prefix="_ckernel-", dir=os.path.dirname(ext_path)
     )
     os.close(fd)
     try:

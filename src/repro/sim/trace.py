@@ -49,6 +49,12 @@ DEGRADED_RING_CAPACITY = 65536
 _LAYOUTS: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
 
 
+def layout(*names: str) -> Tuple[str, ...]:
+    """The interned field-name tuple of records emitted with ``names``, in
+    that order: the tuple the C kernel gives the records it builds."""
+    return _LAYOUTS.setdefault(names, names)
+
+
 class TraceRecord:
     """One trace fact: a timestamp, a kind tag, and free-form fields.
 

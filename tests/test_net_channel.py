@@ -276,6 +276,31 @@ def test_sparse_node_ids(simcls):
     assert [len(inboxes[n]) for n in (1000, big)] == [2, 1]
 
 
+def test_covered_receiver_without_handler_hears_nothing():
+    """A node the radio covers but the channel never attached: it gets no
+    reception, senses no carrier and, as a unicast destination, never
+    acknowledges.  Both media give the same outcome."""
+    positions = {0: (0, 0), 1: (10, 0), 2: (20, 0)}
+    outcomes = {}
+    for simcls in [param.values[0] for param in _kernels()]:
+        sim = simcls()
+        channel = Channel(sim, UnitDiskRadio(positions, default_range=30.0), RngRegistry(0),
+                          trace=TraceLog())
+        inboxes = {0: [], 2: []}
+        for node, inbox in inboxes.items():
+            channel.attach(node, inbox.append)
+        acks = []
+        channel.transmit(0, frame(0, dst=1), on_unicast_outcome=acks.append)
+        busy = (channel.is_busy(1), channel.is_busy(2))
+        channel.transmit(2, frame(2))
+        sim.run()
+        outcomes[simcls] = (busy, acks, [len(inboxes[0]), len(inboxes[2])], channel.collisions)
+    reference = outcomes.pop(Simulator)
+    assert reference == ((False, True), [False], [0, 0], 2)
+    for outcome in outcomes.values():
+        assert outcome == reference
+
+
 def test_link_down_changes_between_transmissions(simcls):
     positions = {0: (0, 0), 1: (10, 0), 2: (20, 0)}
     sim, channel, inboxes, _ = build(positions, simcls=simcls)

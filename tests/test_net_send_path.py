@@ -250,6 +250,27 @@ def test_max_attempts_exhausted_matches_reference():
     assert macs[0][:2] == (0, 4)
 
 
+def test_send_on_a_disabled_mac_counts_a_drop_matches_reference():
+    """A crashed node's MAC asked to send directly (``Node._submit``
+    checks ``alive`` first, so only a caller holding the MAC gets here)
+    drops the frame and counts it, and serves again after the reboot."""
+    def script(simcls):
+        sim, net = _line(simcls)
+        node = net.node(0)
+        node.fail()
+        for sequence in range(2):
+            node.mac.send(Frame(DataPacket(origin=0, destination=2, sequence=sequence), 0))
+        assert not node.mac.enabled and node.mac.queue_length == 0
+        sim.schedule(0.5, node.recover)
+        sim.schedule(0.6, node.mac.send, Frame(DataPacket(origin=0, destination=2, sequence=9), 0))
+        sim.run()
+        return sim, net
+
+    _, macs, _, transmissions = _both(script)
+    assert macs[0] == (1, 2, 0, 0)
+    assert transmissions == 1
+
+
 # ----------------------------------------------------------------------
 # MacConfig, drawn
 # ----------------------------------------------------------------------
