@@ -13,7 +13,6 @@ Usage, from the root of a checkout, with the parent commit unpacked
 beside it (``mkdir ../parent && git archive HEAD^ | tar -x -C ../parent``)::
 
     python scripts/check_bench_regression.py --parent ../parent
-    python scripts/check_bench_regression.py --parent ../parent --rounds 9
 """
 
 from __future__ import annotations
@@ -28,6 +27,9 @@ import sys
 import tempfile
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
+# Benchmark runs per tree.  The trees alternate which runs first, so a
+# drift of the host's speed within a round favours neither.
+ROUNDS = 9
 
 
 def engine_median(tree: pathlib.Path) -> float:
@@ -47,16 +49,12 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=pathlib.Path, required=True,
                         help="a checkout of the parent commit")
-    parser.add_argument("--rounds", type=int, default=9,
-                        help="benchmark runs per tree, alternating (default 9)")
     parser.add_argument("--threshold", type=float, default=0.8,
                         help="minimum change/parent median ratio (default 0.8)")
     args = parser.parse_args()
     trees = {"change": REPO, "parent": args.parent.resolve()}
     medians = {name: [] for name in trees}
-    for i in range(args.rounds):
-        # Alternate which tree runs first, so a drift of the host's speed
-        # within a round favours neither.
+    for i in range(ROUNDS):
         for name in (("change", "parent") if i % 2 == 0 else ("parent", "change")):
             medians[name].append(engine_median(trees[name]))
     change = statistics.median(medians["change"])

@@ -34,6 +34,7 @@ detection callback; alerting and revocation live in
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Any, Callable, Dict, Optional, Set, Tuple
 
@@ -67,6 +68,15 @@ _GUARD_LAYOUTS = (
     layout("guard", "size", "peak"),
     layout("node", "reason", "packet", "tx", "dst", "prev"),
 )
+
+
+@functools.lru_cache(maxsize=None)
+def _guard_records(records_type: type) -> Any:
+    """The kernel's ``Records`` for :data:`_GUARD_LAYOUTS`: what a C guard
+    builds its records with.  Made once per kernel and shared by every
+    guard, so a guard carries one pointer of it."""
+    return records_type(TRACE_EMIT, TRACE_PUBLISH, TraceRecord, _GUARD_LAYOUTS, Packet, Frame)
+
 
 #: What a guard does with an overheard packet, by packet class:
 #:
@@ -201,7 +211,7 @@ class LocalMonitor:
             sample_period=WATCH_SAMPLE_PERIOD, methods=_GUARD_METHODS,
             packet_role=packet_role, frame_cls=Frame,
             active=STATUS_ACTIVE, revoked=STATUS_REVOKED, trace=trace,
-            records=(TRACE_EMIT, TRACE_PUBLISH, TraceRecord, _GUARD_LAYOUTS, Packet),
+            records=_guard_records(accel.kernel_type(sim, "Records")),
         )
 
     # ------------------------------------------------------------------

@@ -193,7 +193,9 @@ class Channel:
         medium_type = accel.medium_type(sim)
         if medium_type is not None:
             records = {} if trace is None else {
-                "records": (TRACE_EMIT, TRACE_PUBLISH, TraceRecord, RX_LOST_NAMES, Packet)
+                "records": accel.kernel_type(sim, "Records")(
+                    TRACE_EMIT, TRACE_PUBLISH, TraceRecord, RX_LOST_NAMES, Packet, Frame
+                )
             }
             # The radio's range overrides are read per transmission, as
             # radio.tx_range reads them: an attacker may raise its range

@@ -1256,9 +1256,10 @@ attr_true(SlotRule *rule, PyObject *obj, PyObject *name)
  * or key() of another class -- calls trace.emit(now, kind, **fields). */
 /* What a tracer builds records with, apart from its log: the reference
  * emit and _publish, TraceRecord, the interned layouts, Packet and Frame,
- * their slot offsets and the per-class-version answers about them.  One
- * is shared by every tracer made from the same references (every guard
- * of a run), so a guard carries one pointer of it. */
+ * their slot offsets and the per-class-version answers about them.
+ * Made in Python as Records(emit, publish, record_cls, names, packet_cls,
+ * frame_cls) and passed to each Medium and Guard; one can serve many
+ * tracers (every guard shares one), so a guard carries one pointer. */
 typedef struct {
     PyObject_HEAD
     PyObject *emit, *publish, *names;
@@ -1269,36 +1270,35 @@ typedef struct {
 } RecordsObj;
 
 static PyTypeObject RecordsType;
-/* The latest Records made, borrowed, for the next tracer to share. */
-static RecordsObj *recent_records;
 
 typedef struct {
     PyObject *trace;        /* the TraceLog, or NULL */
     RecordsObj *rec;        /* NULL: records are never built here */
 } Tracer;
 
-/* `records` is (TraceLog.emit, TraceLog._publish, TraceRecord, names,
- * Packet) or NULL.  -1 on error. */
-static int
-tracer_init(Tracer *t, PyObject *trace, PyTypeObject *frame_cls, PyObject *records)
+/* `records` is a Records, or NULL when `trace` is None. */
+static void
+tracer_init(Tracer *t, PyObject *trace, PyObject *records)
 {
-    PyObject *emit, *publish, *names;
-    PyTypeObject *record_cls, *packet_cls;
-    if (records && !PyArg_ParseTuple(records, "OOO!O!O!", &emit, &publish, &PyType_Type,
-                                     &record_cls, &PyTuple_Type, &names, &PyType_Type,
-                                     &packet_cls))
-        return -1;
     t->trace = trace == Py_None ? NULL : Py_NewRef(trace);
-    if (!records)
-        return 0;
-    RecordsObj *r = recent_records;
-    if (r && r->emit == emit && r->publish == publish && r->record_cls == record_cls &&
-        r->names == names && r->packet_cls == packet_cls && r->frame_cls == frame_cls) {
-        t->rec = (RecordsObj *)Py_NewRef((PyObject *)r);
-        return 0;
-    }
-    if (!(r = PyObject_GC_New(RecordsObj, &RecordsType)))
-        return -1;
+    t->rec = (RecordsObj *)Py_XNewRef(records);
+}
+
+static PyObject *
+Records_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"emit", "publish", "record_cls", "names",
+                             "packet_cls", "frame_cls", NULL};
+    PyObject *emit, *publish, *names;
+    PyTypeObject *record_cls, *packet_cls, *frame_cls;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOO!O!O!O!:Records", kwlist, &emit,
+                                     &publish, &PyType_Type, &record_cls, &PyTuple_Type,
+                                     &names, &PyType_Type, &packet_cls, &PyType_Type,
+                                     &frame_cls))
+        return NULL;
+    RecordsObj *r = (RecordsObj *)type->tp_alloc(type, 0);
+    if (!r)
+        return NULL;
     for (int i = 0; i < 4; i++)
         r->record_off[i] = slot_offset(record_cls, *record_names[i]);
     for (int f = 0; f < F_COUNT; f++)
@@ -1312,16 +1312,13 @@ tracer_init(Tracer *t, PyObject *trace, PyTypeObject *frame_cls, PyObject *recor
     r->packet_cls = (PyTypeObject *)Py_NewRef((PyObject *)packet_cls);
     r->describe = Py_XNewRef(_PyType_Lookup(frame_cls, str_describe));
     r->key = Py_XNewRef(_PyType_Lookup(packet_cls, str_key));
-    r->emit_rule = r->publish_rule = r->describe_rule = r->key_rule = (Lookup){0, 0};
-    PyObject_GC_Track((PyObject *)r);
-    t->rec = r;
     for (int i = 0; i < 4; i++)
         if (r->record_off[i] < 0) {
+            Py_DECREF(r);
             PyErr_SetString(PyExc_TypeError, "record_cls lacks its slots");
-            return -1;
+            return NULL;
         }
-    recent_records = r;
-    return 0;
+    return (PyObject *)r;
 }
 
 static int
@@ -1355,8 +1352,6 @@ Records_clear(RecordsObj *r)
 static void
 Records_dealloc(RecordsObj *r)
 {
-    if (recent_records == r)
-        recent_records = NULL;
     PyObject_GC_UnTrack(r);
     Records_clear(r);
     PyObject_GC_Del(r);
@@ -1366,11 +1361,13 @@ static PyTypeObject RecordsType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "repro.sim._ckernel.Records",
     .tp_basicsize = sizeof(RecordsObj),
+    .tp_new = Records_new,
     .tp_dealloc = (destructor)Records_dealloc,
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
     .tp_traverse = (traverseproc)Records_traverse,
     .tp_clear = (inquiry)Records_clear,
-    .tp_doc = "What the kernel builds trace records with (see Tracer).",
+    .tp_doc = "Records(emit, publish, record_cls, names, packet_cls, frame_cls):\n"
+              "what a Medium or Guard builds trace records with (see Tracer).",
 };
 
 static int
@@ -2093,8 +2090,7 @@ emit_rx_lost(MediumObj *m, Batch *b, PyObject *receiver, Rx *rx,
              PyObject *now)
 {
     PyObject *head[2] = {receiver, rx->collided ? Py_True : Py_False};
-    PyObject *names = m->tr.rec ? m->tr.rec->names : NULL;
-    return tracer_emit(&m->tr, now, str_rx_lost, names, head, 2, b->frame);
+    return tracer_emit(&m->tr, now, str_rx_lost, m->tr.rec->names, head, 2, b->frame);
 }
 
 /* check(frame)'s truth.  A guard's receive (LITEWORP's hook) is entered
@@ -2258,8 +2254,12 @@ Medium_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
                                      &reception_cls, &bandwidth,
                                      &PyDict_Type, &overrides, &default_range,
                                      &PyType_Type, &frame_cls,
-                                     &PyTuple_Type, &records))
+                                     &RecordsType, &records))
         return NULL;
+    if (trace != Py_None && !records) {
+        PyErr_SetString(PyExc_TypeError, "a medium with a trace needs records");
+        return NULL;
+    }
     MediumObj *m = (MediumObj *)type->tp_alloc(type, 0);
     if (!m)
         return NULL;
@@ -2268,10 +2268,7 @@ Medium_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         Py_DECREF(m);
         return NULL;
     }
-    if (tracer_init(&m->tr, trace, (PyTypeObject *)frame_cls, records) < 0) {
-        Py_DECREF(m);
-        return NULL;
-    }
+    tracer_init(&m->tr, trace, records);
     m->sim = (SimObj *)Py_NewRef(sim);
     m->coverage = Py_NewRef(coverage);
     m->random = Py_NewRef(random);
@@ -3108,20 +3105,6 @@ static PyTypeObject AckType = {
  * config with suppression or jitter off, a key not yet cached -- calls
  * the listener. */
 
-/* Dict operations given the key's hash: a request's key tuple is hashed
- * once per frame, not once per dict it is looked up in. */
-#if PY_VERSION_HEX < 0x030D0000
-#define dict_get_hashed(d, k, h) _PyDict_GetItem_KnownHash((d), (k), (h))
-#define dict_set_hashed(d, k, v, h) _PyDict_SetItem_KnownHash((d), (k), (v), (h))
-#define dict_contains_hashed(d, k, h) _PyDict_Contains_KnownHash((d), (k), (h))
-#define dict_del_hashed(d, k, h) _PyDict_DelItem_KnownHash((d), (k), (h))
-#else
-#define dict_del_hashed(d, k, h) PyDict_DelItem((d), (k))
-#define dict_get_hashed(d, k, h) PyDict_GetItemWithError((d), (k))
-#define dict_set_hashed(d, k, v, h) PyDict_SetItem((d), (k), (v))
-#define dict_contains_hashed(d, k, h) PyDict_Contains((d), (k))
-#endif
-
 static void
 flood_clear(Flood *f)
 {
@@ -3140,19 +3123,19 @@ flood_clear(Flood *f)
  * are a subset of the seen requests, so they are looked up first: a
  * copy heard within the jitter window costs two dict operations. */
 static int
-flood_count(Flood *f, PyObject *key, Py_hash_t hash)
+flood_count(Flood *f, PyObject *key)
 {
-    PyObject *count = dict_get_hashed(f->counts, key, hash);
+    PyObject *count = PyDict_GetItemWithError(f->counts, key);
     if (!count) {
         if (PyErr_Occurred())
             return -1;
-        int seen = dict_contains_hashed(f->seen, key, hash);
+        int seen = PyDict_Contains(f->seen, key);
         return seen < 0 ? -1 : !seen;
     }
     PyObject *more = PyNumber_Add(count, int_one);
     if (!more)
         return -1;
-    int rc = dict_set_hashed(f->counts, key, more, hash);
+    int rc = PyDict_SetItem(f->counts, key, more);
     Py_DECREF(more);
     return rc;
 }
@@ -3308,10 +3291,7 @@ flood_receive(MediumObj *m, Py_ssize_t s, PyObject *frame)
     int rc = PyObject_RichCompareBool(target, f->me, Py_EQ);
     if (rc)
         return rc;
-    Py_hash_t hash = PyObject_Hash(key);
-    if (hash == -1)
-        return -1;
-    if ((rc = flood_count(f, key, hash)) <= 0)
+    if ((rc = flood_count(f, key)) <= 0)
         return rc;
     if ((rc = PyObject_RichCompareBool(origin, f->me, Py_EQ)) != 0)
         return rc;
@@ -3320,8 +3300,8 @@ flood_receive(MediumObj *m, Py_ssize_t s, PyObject *frame)
     /* The first copy at a forwarder: remember the neighbour it came from,
      * open its copy count, and decide after forward_jitter * random(). */
     PyObject *zero = PyLong_FromLong(0);
-    if (!zero || dict_set_hashed(f->seen, key, prev_hop, hash) < 0 ||
-        dict_set_hashed(f->counts, key, zero, hash) < 0) {
+    if (!zero || PyDict_SetItem(f->seen, key, prev_hop) < 0 ||
+        PyDict_SetItem(f->counts, key, zero) < 0) {
         Py_XDECREF(zero);
         return -1;
     }
@@ -3432,10 +3412,9 @@ flood_decide(MediumObj *m, Py_ssize_t s, PyObject *request, PyObject *prev_hop)
         return -1;
     /* extra_copies = counts.pop(key, 0) */
     long extra = 0;
-    Py_hash_t hash = PyObject_Hash(key);
-    PyObject *count = hash == -1 ? NULL : dict_get_hashed(f->counts, key, hash);
+    PyObject *count = PyDict_GetItemWithError(f->counts, key);
     if (count && (((extra = PyLong_AsLong(count)) == -1 && PyErr_Occurred()) ||
-                  dict_del_hashed(f->counts, key, hash) < 0))
+                  PyDict_DelItem(f->counts, key) < 0))
         count = NULL;
     Py_DECREF(key);
     if (!count && PyErr_Occurred())
@@ -4468,15 +4447,12 @@ Guard_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
             &watch_request_drops, &grace, &window, &v_fabricate, &delta,
             &sample_period, &method[M_OBSERVE], &method[M_ADD_EXPECTATION],
             &method[M_NOTE_WATCH_SIZE], &role, &PyType_Type, &frame_cls,
-            &active, &revoked, &trace, &PyTuple_Type, &records))
+            &active, &revoked, &trace, &RecordsType, &records))
         return NULL;
     GuardObj *g = (GuardObj *)type->tp_alloc(type, 0);
     if (!g)
         return NULL;
-    if (tracer_init(&g->tr, trace, (PyTypeObject *)frame_cls, records) < 0) {
-        Py_DECREF(g);
-        return NULL;
-    }
+    tracer_init(&g->tr, trace, records);
     PyObject *layouts = g->tr.rec->names;
     if (PyTuple_GET_SIZE(layouts) != 2 || !PyTuple_CheckExact(PyTuple_GET_ITEM(layouts, 0)) ||
         !PyTuple_CheckExact(PyTuple_GET_ITEM(layouts, 1)) || !g->tr.rec->key) {
@@ -5148,6 +5124,7 @@ PyInit__ckernel(void)
         PyModule_AddObjectRef(m, "Simulator", (PyObject *)&SimType) < 0 ||
         PyModule_AddObjectRef(m, "Medium", (PyObject *)&MediumType) < 0 ||
         PyModule_AddObjectRef(m, "Guard", (PyObject *)&GuardType) < 0 ||
+        PyModule_AddObjectRef(m, "Records", (PyObject *)&RecordsType) < 0 ||
         PyModule_AddIntConstant(m, "NSLOTS", (long)NSLOTS) < 0 ||
         PyModule_AddObject(m, "DEFAULT_WIDTH",
                            PyFloat_FromDouble(DEFAULT_WIDTH)) < 0) {

@@ -256,6 +256,19 @@ def test_uses_medium_exactly_on_ckernel(simcls):
     assert (channel._medium is not None) == (simcls is not Simulator)
 
 
+@pytest.mark.skipif(not accel.kernel_available(), reason="no C kernel")
+def test_traced_medium_needs_records():
+    """A medium with a trace builds its rx_lost records with a Records:
+    without one it is refused when built, not at its first loss."""
+    module = accel._load()
+    args = [module.Simulator(), lambda sender, tx_range: [], random.random, TraceLog(),
+            0.0, 0.0, [], [], Reception, 40_000.0, {}, 30.0, Frame]
+    with pytest.raises(TypeError, match="needs records"):
+        module.Medium(*args)
+    args[3] = None
+    assert module.Medium(*args).transmissions == 0
+
+
 def test_sparse_node_ids(simcls):
     big = 10**9
     positions = {7: (0, 0), 1000: (10, 0), big: (20, 0), 3: (200, 0)}

@@ -14,6 +14,7 @@ cover the wrapper rule, hooks added during a delivery, a crash in the
 middle of a reception, and the lifetime of the medium's references.
 """
 
+import collections
 import contextlib
 import functools
 import gc
@@ -172,16 +173,36 @@ def test_medium_runs_deliver_and_rx_lost_without_python_frames():
         scenario.network.node(n).frames_received for n in scenario.network.node_ids()
     )
     assert received > 0 and deliver_calls == 0
-    emit_calls, scenario = _python_calls(TRACE_EMIT.__code__, config)
-    # The medium builds the rx_lost records and the guards the
-    # frame_rejected ones; the guards also build the watch_buffer gauges
-    # but for those an expiry (a Python event) samples.  Every other
-    # record goes through emit.
-    kinds = [record.kind for record in scenario.trace]
-    lost, rejected, gauges = map(kinds.count, ("rx_lost", "frame_rejected", "watch_buffer"))
-    assert lost > 0 and rejected > 0
-    gauges_in_c = scenario.trace.total_emitted - lost - rejected - emit_calls
-    assert 0 < gauges_in_c <= gauges
+    # TraceLog.emit's calls by record kind, and those of its watch_buffer
+    # calls made by the Python LocalMonitor._note_watch_size.
+    emits, from_python_gauge = collections.Counter(), [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is TRACE_EMIT.__code__:
+            emits[frame.f_locals["kind"]] += 1
+            if frame.f_back.f_code is LocalMonitor._note_watch_size.__code__:
+                from_python_gauge[0] += 1
+
+    scenario = build_scenario(config)
+    sys.setprofile(profile)
+    try:
+        scenario.run()
+    finally:
+        sys.setprofile(None)
+    records = collections.Counter(record.kind for record in scenario.trace)
+    assert sum(records.values()) == scenario.trace.total_emitted
+    # The medium builds every rx_lost record and the guards every
+    # frame_rejected one.  The guards build the watch_buffer gauges too,
+    # but for those an expiry (a Python event) samples: emit sees exactly
+    # the gauges the Python _note_watch_size samples.  Every other record
+    # goes through emit.
+    assert records["rx_lost"] > 0 and emits["rx_lost"] == 0
+    assert records["frame_rejected"] > 0 and emits["frame_rejected"] == 0
+    assert emits["watch_buffer"] == from_python_gauge[0]
+    assert records["watch_buffer"] > emits["watch_buffer"]
+    for kind in set(records) - {"rx_lost", "frame_rejected", "watch_buffer"}:
+        assert emits[kind] == records[kind], kind
+    assert set(emits) <= set(records)
 
 
 def _counting(counts, name, fn):
