@@ -62,14 +62,6 @@ ATTACK_MODES: Tuple[AttackMode, ...] = (
 )
 
 
-def mode_by_key(key: str) -> AttackMode:
-    """Look up a taxonomy row by its short key."""
-    for mode in ATTACK_MODES:
-        if mode.key == key:
-            return mode
-    raise KeyError(f"unknown attack mode {key!r}")
-
-
 def taxonomy_table() -> List[Tuple[str, int, str]]:
     """Table 1 rows: (mode name, min #compromised nodes, requirements)."""
     return [

@@ -19,18 +19,15 @@ from repro._lazy import lazy_exports
 if TYPE_CHECKING:
     from repro.crypto.auth import Authenticator, AuthError
     from repro.crypto.keys import KeyStore, PairwiseKeyManager
-    from repro.crypto.replay import ReplayCache
 
 __all__ = [
     "AuthError",
     "Authenticator",
     "KeyStore",
     "PairwiseKeyManager",
-    "ReplayCache",
 ]
 
 __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.crypto.auth": ("Authenticator", "AuthError"),
     "repro.crypto.keys": ("KeyStore", "PairwiseKeyManager"),
-    "repro.crypto.replay": ("ReplayCache",),
 })

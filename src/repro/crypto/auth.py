@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from typing import Any, Iterable
+from typing import Any
 
 TAG_BYTES = 8
 
@@ -62,17 +62,3 @@ class Authenticator:
         what an outsider without keys can produce."""
         return b"\x00" * TAG_BYTES
 
-
-def tag_many(key_lookup, sender: int, recipients: Iterable[int], *payload: Any):
-    """Tags for the same payload under the pairwise key with each recipient.
-
-    ``key_lookup(recipient)`` must return the shared key (or None).  Returns
-    a tuple of ``(recipient, tag)`` pairs, skipping recipients with no key.
-    """
-    tags = []
-    for recipient in recipients:
-        key = key_lookup(recipient)
-        if key is None:
-            continue
-        tags.append((recipient, Authenticator.tag(key, sender, *payload)))
-    return tuple(tags)

@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.net.radio import UnitDiskRadio, distance
+from repro.net.radio import UnitDiskRadio
 
 NodeId = int
 Position = Tuple[float, float]
@@ -205,21 +205,3 @@ def choose_separated_nodes(
     raise RuntimeError(
         f"could not place {count} nodes pairwise more than {min_hops} hops apart"
     )
-
-
-def farthest_pair(topology: Topology, rng: random.Random, samples: int = 40) -> Tuple[NodeId, NodeId]:
-    """A (sampled) pair of nodes with large Euclidean separation.
-
-    Used by examples to pick wormhole endpoints that actually shortcut the
-    network.
-    """
-    nodes = topology.node_ids
-    best: Tuple[NodeId, NodeId] = (nodes[0], nodes[-1])
-    best_dist = -1.0
-    for _ in range(samples):
-        a, b = rng.sample(nodes, 2)
-        d = distance(topology.positions[a], topology.positions[b])
-        if d > best_dist:
-            best_dist = d
-            best = (a, b)
-    return best

@@ -5,26 +5,13 @@
  * order with FIFO tie-breaking by scheduling sequence, cancellation is
  * O(1), `run(until=...)` is a closed interval — at C speed.
  *
- * Queue structure (the "timer wheel" of docs/PERFORMANCE.md):
- *
- *   - a slot ring of NSLOTS buckets, each WHEEL_WIDTH seconds wide,
- *     covering the near future [cursor, cursor + NSLOTS * width).  The
- *     short-deadline timer traffic that dominates simulation runs
- *     (frame receptions, watch-buffer expiries, retry backoff, MAC
- *     waits) lands here with O(1) pushes; a bucket is lazily heapified
- *     the first time the dispatch loop drains it, so intra-bucket
- *     (time, seq) order is exact.
- *   - a far binary heap for events beyond the wheel horizon.
- *
- * Correct interleaving does not rely on migrating far events into the
- * wheel: every pop lexicographically compares the wheel minimum and the
- * far-heap minimum on (time, seq), so an event that was classified
- * "far" when scheduled still fires in exactly the right place.
- *
- * Cancelled events stay in place and are skipped when popped (same as
- * the pure-Python engine).  When the queue grows past a threshold with
- * a high dead fraction, it is compacted in place so cancel-heavy long
- * campaigns stop carrying dead entries (see maybe_compact).
+ * Queue structure: one binary heap of entries ordered on (time, seq),
+ * as the pure-Python engine's heapq of (time, seq, Event) triples, so
+ * both kernels pop the same entries in the same order.  Cancelled events
+ * stay in place and are skipped when popped.  When the queue has doubled
+ * since the last check, holds at least 8,192 entries and at least a
+ * quarter of them are dead, it is compacted in place (see maybe_compact),
+ * so cancel-heavy long campaigns stop carrying dead entries.
  *
  * The Medium type further down runs the wireless channel's
  * per-reception work for repro.net.channel.Channel, each node's CSMA MAC
@@ -43,14 +30,6 @@
 #include <structmember.h>
 #include <math.h>
 #include <string.h>
-
-#define NSLOTS 4096u            /* power of two */
-#define SLOT_MASK (NSLOTS - 1u)
-#define BITS_WORDS (NSLOTS / 64u)
-#define DEFAULT_WIDTH 1e-3      /* seconds per slot */
-/* Saturation bound for time->slot conversion: far below 2^63 so that
- * cursor + NSLOTS can never overflow. */
-#define SLOT_SAT ((unsigned long long)1 << 62)
 
 /* The exception class raised for scheduler misuse.  Injected from
  * repro.sim.engine so callers catch the same SimulationError whichever
@@ -276,26 +255,7 @@ typedef struct {
     Entry *data;
     Py_ssize_t size;
     Py_ssize_t cap;
-    char heapified;
-} Bucket;
-
-static int
-bucket_reserve(Bucket *b, Py_ssize_t extra)
-{
-    if (b->size + extra <= b->cap)
-        return 0;
-    Py_ssize_t cap = b->cap ? b->cap * 2 : 8;
-    while (cap < b->size + extra)
-        cap *= 2;
-    Entry *data = PyMem_Realloc(b->data, (size_t)cap * sizeof(Entry));
-    if (!data) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    b->data = data;
-    b->cap = cap;
-    return 0;
-}
+} Heap;
 
 static void
 heap_sift_up(Entry *data, Py_ssize_t i)
@@ -344,194 +304,81 @@ heapify(Entry *data, Py_ssize_t n)
 typedef struct {
     PyObject_HEAD
     double now;
-    double width;               /* slot width, seconds */
     unsigned long long seq;
-    unsigned long long cursor;  /* absolute slot index, monotone */
-    Bucket slots[NSLOTS];
-    uint64_t bits[BITS_WORDS];  /* slot occupancy bitmap (ring index) */
-    Py_ssize_t wheel_count;
-    Bucket far;                 /* overflow heap, always heap-ordered */
+    Heap queue;
     unsigned long long processed;
     Py_ssize_t last_live;       /* live count at last compaction check */
     unsigned long long compactions;
     char running;
 } SimObj;
 
-static inline void
-bit_set(SimObj *self, unsigned ring)
-{
-    self->bits[ring >> 6] |= (uint64_t)1 << (ring & 63u);
-}
-
-static inline void
-bit_clear(SimObj *self, unsigned ring)
-{
-    self->bits[ring >> 6] &= ~((uint64_t)1 << (ring & 63u));
-}
-
-/* Absolute slot index for time t, saturated so arithmetic never
- * overflows.  Caller guarantees t >= 0 contextually (t >= now). */
-static inline unsigned long long
-slot_of(SimObj *self, double t)
-{
-    double ds = t / self->width;
-    if (ds >= (double)SLOT_SAT)
-        return SLOT_SAT;
-    if (ds < 0.0)
-        return 0;
-    return (unsigned long long)ds;
-}
-
-/* Distance (in ring positions) from `from` to the next set bit at or
- * after it; NSLOTS when no bit is set.  `from` is a ring index. */
-static unsigned
-next_set_bit(SimObj *self, unsigned from)
-{
-    unsigned word = from >> 6;
-    unsigned off = from & 63u;
-    uint64_t w = self->bits[word] >> off;
-    if (w)
-        return (unsigned)__builtin_ctzll(w);
-    unsigned dist = 64u - off;
-    for (unsigned i = 1; i <= BITS_WORDS; i++) {
-        uint64_t v = self->bits[(word + i) & (BITS_WORDS - 1u)];
-        if (v)
-            return dist + (unsigned)__builtin_ctzll(v);
-        dist += 64u;
-        if (dist >= NSLOTS)
-            break;
-    }
-    return NSLOTS;
-}
-
 /* Push an entry (steals the Entry's reference to ev). */
 static int
 queue_push(SimObj *self, Entry e)
 {
-    unsigned long long s = slot_of(self, e.time);
-    if (s < self->cursor)
-        s = self->cursor;
-    if (s - self->cursor < NSLOTS) {
-        Bucket *b = &self->slots[(unsigned)(s & SLOT_MASK)];
-        if (bucket_reserve(b, 1) < 0)
+    Heap *q = &self->queue;
+    if (q->size == q->cap) {
+        Py_ssize_t cap = q->cap ? q->cap * 2 : 8;
+        Entry *data = PyMem_Realloc(q->data, (size_t)cap * sizeof(Entry));
+        if (!data) {
+            PyErr_NoMemory();
             return -1;
-        b->data[b->size++] = e;
-        if (b->heapified)
-            heap_sift_up(b->data, b->size - 1);
-        bit_set(self, (unsigned)(s & SLOT_MASK));
-        self->wheel_count++;
-    } else {
-        Bucket *f = &self->far;
-        if (bucket_reserve(f, 1) < 0)
-            return -1;
-        f->data[f->size++] = e;
-        heap_sift_up(f->data, f->size - 1);
+        }
+        q->data = data;
+        q->cap = cap;
     }
+    q->data[q->size++] = e;
+    heap_sift_up(q->data, q->size - 1);
     return 0;
 }
 
-/* Advance the cursor to keep pace with the clock.  Entries never live
- * behind floor(now / width): every queued event has time >= now. */
-static inline void
-cursor_catch_up(SimObj *self)
-{
-    unsigned long long s = slot_of(self, self->now);
-    if (s > self->cursor)
-        self->cursor = s;
-}
-
-/* Locate the queue minimum.  Returns the bucket holding it (heapified,
- * minimum at data[0]) or NULL when the queue is empty.  Advances the
- * cursor over empty slots as a side effect (order-neutral). */
-static Bucket *
-queue_min(SimObj *self)
-{
-    Bucket *wheel_best = NULL;
-    if (self->wheel_count) {
-        cursor_catch_up(self);
-        unsigned ring = (unsigned)(self->cursor & SLOT_MASK);
-        unsigned dist = next_set_bit(self, ring);
-        if (dist >= NSLOTS) {
-            /* Bitmap and count disagree: cannot happen, but stay safe. */
-            self->wheel_count = 0;
-        } else {
-            self->cursor += dist;
-            Bucket *b = &self->slots[(unsigned)(self->cursor & SLOT_MASK)];
-            if (!b->heapified) {
-                heapify(b->data, b->size);
-                b->heapified = 1;
-            }
-            wheel_best = b;
-        }
-    }
-    Bucket *f = self->far.size ? &self->far : NULL;
-    if (wheel_best && f)
-        return ENTRY_LT(f->data[0], wheel_best->data[0]) ? f : wheel_best;
-    return wheel_best ? wheel_best : f;
-}
-
-/* Pop the minimum entry out of `b` (as returned by queue_min). */
+/* Pop the minimum entry; the queue must not be empty. */
 static Entry
-queue_pop_from(SimObj *self, Bucket *b)
+queue_pop(SimObj *self)
 {
-    Entry top = b->data[0];
-    b->data[0] = b->data[--b->size];
-    if (b->size)
-        heap_sift_down(b->data, b->size, 0);
-    if (b != &self->far) {
-        self->wheel_count--;
-        if (b->size == 0) {
-            b->heapified = 0;
-            bit_clear(self, (unsigned)(self->cursor & SLOT_MASK));
-        }
-    }
+    Heap *q = &self->queue;
+    Entry top = q->data[0];
+    q->data[0] = q->data[--q->size];
+    if (q->size)
+        heap_sift_down(q->data, q->size, 0);
     return top;
 }
 
-static Py_ssize_t
-queue_total(SimObj *self)
+/* The next entry due at or before `until`: pops the dead entries ahead
+ * of it and returns the live minimum, still queued, or NULL when none is
+ * due.  Like the reference, it stops at the first entry past `until`,
+ * dead or not. */
+static Entry *
+queue_next(SimObj *self, double until)
 {
-    return self->wheel_count + self->far.size;
+    Heap *q = &self->queue;
+    while (q->size) {
+        Entry *top = &q->data[0];
+        if (top->time > until)
+            return NULL;
+        if (!entry_dead(top))
+            return top;
+        Py_DECREF(queue_pop(self).ev);
+    }
+    return NULL;
 }
 
-/* Drop cancelled/fired entries everywhere.  Heap order inside each
- * filtered bucket is preserved by re-heapifying. */
+/* Drop cancelled/fired entries and restore heap order. */
 static void
 queue_compact(SimObj *self)
 {
-    Py_ssize_t live_wheel = 0;
-    for (unsigned i = 0; i < NSLOTS; i++) {
-        Bucket *b = &self->slots[i];
-        if (!b->size)
-            continue;
-        Py_ssize_t w = 0;
-        for (Py_ssize_t r = 0; r < b->size; r++) {
-            if (entry_dead(&b->data[r]))
-                Py_DECREF(b->data[r].ev);
-            else
-                b->data[w++] = b->data[r];
-        }
-        b->size = w;
-        if (!w) {
-            b->heapified = 0;
-            bit_clear(self, i);
-        } else if (b->heapified)
-            heapify(b->data, w);
-        live_wheel += w;
-    }
-    self->wheel_count = live_wheel;
-    Bucket *f = &self->far;
+    Heap *q = &self->queue;
     Py_ssize_t w = 0;
-    for (Py_ssize_t r = 0; r < f->size; r++) {
-        if (entry_dead(&f->data[r]))
-            Py_DECREF(f->data[r].ev);
+    for (Py_ssize_t r = 0; r < q->size; r++) {
+        if (entry_dead(&q->data[r]))
+            Py_DECREF(q->data[r].ev);
         else
-            f->data[w++] = f->data[r];
+            q->data[w++] = q->data[r];
     }
-    f->size = w;
-    heapify(f->data, w);
+    q->size = w;
+    heapify(q->data, w);
     self->compactions++;
-    self->last_live = queue_total(self);
+    self->last_live = w;
 }
 
 /* Entries that will still run: steps and pending Events. */
@@ -539,13 +386,8 @@ static Py_ssize_t
 queue_live(SimObj *self)
 {
     Py_ssize_t live = 0;
-    for (unsigned i = 0; i < NSLOTS; i++) {
-        Bucket *b = &self->slots[i];
-        for (Py_ssize_t r = 0; r < b->size; r++)
-            live += !entry_dead(&b->data[r]);
-    }
-    for (Py_ssize_t r = 0; r < self->far.size; r++)
-        live += !entry_dead(&self->far.data[r]);
+    for (Py_ssize_t r = 0; r < self->queue.size; r++)
+        live += !entry_dead(&self->queue.data[r]);
     return live;
 }
 
@@ -554,7 +396,7 @@ queue_live(SimObj *self)
 static void
 maybe_compact(SimObj *self)
 {
-    Py_ssize_t total = queue_total(self);
+    Py_ssize_t total = self->queue.size;
     if (total < 8192 || total <= 2 * self->last_live)
         return;
     Py_ssize_t live = queue_live(self);
@@ -567,15 +409,17 @@ maybe_compact(SimObj *self)
 /* ------------------------------------------------------------------ */
 /* Simulator type methods                                             */
 /* ------------------------------------------------------------------ */
-/* Drop a bucket's entries, each Event cancelled and cleared first when
- * `cancel`.  The bucket is emptied and its array detached before any
- * entry is dropped, because dropping one may run code that schedules. */
+/* Empty the queue, dropping its entries, each Event cancelled and
+ * cleared first when `cancel`.  The queue is emptied and its array
+ * detached before any entry is dropped, because dropping one may run
+ * code that schedules. */
 static void
-bucket_drain(Bucket *b, int cancel)
+queue_drain(SimObj *self, int cancel)
 {
-    Entry *data = b->data;
-    Py_ssize_t n = b->size;
-    memset(b, 0, sizeof(Bucket));
+    Entry *data = self->queue.data;
+    Py_ssize_t n = self->queue.size;
+    memset(&self->queue, 0, sizeof(Heap));
+    self->last_live = 0;
     for (Py_ssize_t r = 0; r < n; r++) {
         EventObj *ev = data[r].ev;
         if (ev && cancel) {
@@ -588,22 +432,6 @@ bucket_drain(Bucket *b, int cancel)
     PyMem_Free(data);
 }
 
-/* Empty the queue (see bucket_drain). */
-static void
-queue_drain(SimObj *self, int cancel)
-{
-    for (unsigned i = 0; i < NSLOTS; i++) {
-        Bucket *b = &self->slots[i];
-        if (!b->data)
-            continue;
-        self->wheel_count -= b->size;
-        bit_clear(self, i);
-        bucket_drain(b, cancel);
-    }
-    bucket_drain(&self->far, cancel);
-    self->last_live = 0;
-}
-
 static void
 Sim_dealloc(SimObj *self)
 {
@@ -613,29 +441,19 @@ Sim_dealloc(SimObj *self)
 }
 
 static int
-bucket_traverse(Bucket *b, visitproc visit, void *arg)
+Sim_traverse(SimObj *self, visitproc visit, void *arg)
 {
-    for (Py_ssize_t r = 0; r < b->size; r++) {
-        if (!b->data[r].step)
-            Py_VISIT(b->data[r].ev);
+    for (Py_ssize_t r = 0; r < self->queue.size; r++) {
+        Entry *e = &self->queue.data[r];
+        if (!e->step)
+            Py_VISIT(e->ev);
         else {
-            int vret = step_traverse(b->data[r].step, visit, arg);
+            int vret = step_traverse(e->step, visit, arg);
             if (vret)
                 return vret;
         }
     }
     return 0;
-}
-
-static int
-Sim_traverse(SimObj *self, visitproc visit, void *arg)
-{
-    for (unsigned i = 0; i < NSLOTS; i++) {
-        int vret = bucket_traverse(&self->slots[i], visit, arg);
-        if (vret)
-            return vret;
-    }
-    return bucket_traverse(&self->far, visit, arg);
 }
 
 static int
@@ -648,31 +466,14 @@ Sim_clear_gc(SimObj *self)
 static PyObject *
 Sim_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"start_time", "wheel_width", NULL};
+    static char *kwlist[] = {"start_time", NULL};
     double start_time = 0.0;
-    double width = DEFAULT_WIDTH;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "|dd", kwlist,
-                                     &start_time, &width))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "|d", kwlist, &start_time))
         return NULL;
-    if (!(width > 0.0) || !isfinite(width)) {
-        PyErr_SetString(error_class(), "wheel_width must be positive and finite");
-        return NULL;
-    }
     SimObj *self = (SimObj *)type->tp_alloc(type, 0);
     if (!self)
         return NULL;
     self->now = start_time;
-    self->width = width;
-    self->seq = 0;
-    self->processed = 0;
-    self->wheel_count = 0;
-    self->last_live = 0;
-    self->compactions = 0;
-    self->running = 0;
-    memset(self->slots, 0, sizeof(self->slots));
-    memset(self->bits, 0, sizeof(self->bits));
-    memset(&self->far, 0, sizeof(self->far));
-    self->cursor = slot_of(self, start_time);
     return (PyObject *)self;
 }
 
@@ -866,17 +667,9 @@ Sim_run(SimObj *self, PyObject *const *args, Py_ssize_t nargs,
     }
     self->running = 1;
     long long executed = 0;
-    while (queue_total(self)) {
-        Bucket *b = queue_min(self);
-        if (!b)
-            break;
-        if (has_until && b->data[0].time > until)
-            break;
-        Entry e = queue_pop_from(self, b);
-        if (entry_dead(&e)) {
-            Py_DECREF(e.ev);
-            continue;
-        }
+    double horizon = has_until ? until : INFINITY;
+    while (queue_next(self, horizon)) {
+        Entry e = queue_pop(self);
         self->now = e.time;
         if (entry_fire(e) < 0) {
             self->running = 0;
@@ -896,37 +689,23 @@ Sim_run(SimObj *self, PyObject *const *args, Py_ssize_t nargs,
 static PyObject *
 Sim_step(SimObj *self, PyObject *Py_UNUSED(ignored))
 {
-    while (queue_total(self)) {
-        Bucket *b = queue_min(self);
-        if (!b)
-            break;
-        Entry e = queue_pop_from(self, b);
-        if (entry_dead(&e)) {
-            Py_DECREF(e.ev);
-            continue;
-        }
-        self->now = e.time;
-        if (entry_fire(e) < 0)
-            return NULL;
-        self->processed++;
-        Py_RETURN_TRUE;
-    }
-    Py_RETURN_FALSE;
+    if (!queue_next(self, INFINITY))
+        Py_RETURN_FALSE;
+    Entry e = queue_pop(self);
+    self->now = e.time;
+    if (entry_fire(e) < 0)
+        return NULL;
+    self->processed++;
+    Py_RETURN_TRUE;
 }
 
 static PyObject *
 Sim_peek_time(SimObj *self, PyObject *Py_UNUSED(ignored))
 {
-    while (queue_total(self)) {
-        Bucket *b = queue_min(self);
-        if (!b)
-            break;
-        if (!entry_dead(&b->data[0]))
-            return PyFloat_FromDouble(b->data[0].time);
-        Entry e = queue_pop_from(self, b);
-        Py_DECREF(e.ev);
-    }
-    Py_RETURN_NONE;
+    Entry *next = queue_next(self, INFINITY);
+    if (!next)
+        Py_RETURN_NONE;
+    return PyFloat_FromDouble(next->time);
 }
 
 static PyObject *
@@ -972,7 +751,7 @@ Sim_get_pending_count(SimObj *self, void *closure)
 static PyObject *
 Sim_get_queue_depth(SimObj *self, void *closure)
 {
-    return PyLong_FromSsize_t(queue_total(self));
+    return PyLong_FromSsize_t(self->queue.size);
 }
 
 static PyObject *
@@ -5124,10 +4903,7 @@ PyInit__ckernel(void)
         PyModule_AddObjectRef(m, "Simulator", (PyObject *)&SimType) < 0 ||
         PyModule_AddObjectRef(m, "Medium", (PyObject *)&MediumType) < 0 ||
         PyModule_AddObjectRef(m, "Guard", (PyObject *)&GuardType) < 0 ||
-        PyModule_AddObjectRef(m, "Records", (PyObject *)&RecordsType) < 0 ||
-        PyModule_AddIntConstant(m, "NSLOTS", (long)NSLOTS) < 0 ||
-        PyModule_AddObject(m, "DEFAULT_WIDTH",
-                           PyFloat_FromDouble(DEFAULT_WIDTH)) < 0) {
+        PyModule_AddObjectRef(m, "Records", (PyObject *)&RecordsType) < 0) {
         Py_DECREF(m);
         return NULL;
     }

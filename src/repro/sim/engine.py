@@ -1,10 +1,11 @@
 """The discrete-event simulation kernel.
 
-The kernel is a classic calendar-queue scheduler: a binary heap of
-``(time, sequence, Event)`` triples and a virtual clock.  All protocol code
-in this repository is written against :class:`Simulator` — there are no
-threads, no wall-clock timing, and no global state, which makes every
-experiment deterministic given a seed.
+The kernel is a binary heap of ``(time, sequence, Event)`` triples and a
+virtual clock; the C kernel (:mod:`repro.sim._ckernel`) keeps the same heap
+of ``(time, sequence)`` entries.  All protocol code in this repository is
+written against :class:`Simulator` — there are no threads, no wall-clock
+timing, and no global state, which makes every experiment deterministic
+given a seed.
 
 Design notes
 ------------
@@ -179,10 +180,11 @@ class Simulator:
         # check, count the dead fraction and rebuild without the corpses if
         # it exceeds the threshold.  Amortized O(1) per schedule; ordering is
         # untouched because live (time, seq, event) triples are preserved.
+        # The heap is rebuilt in place: a running dispatch loop holds it.
         live = sum(1 for _, _, ev in self._heap if ev.pending)
         dead = len(self._heap) - live
         if dead >= len(self._heap) * self.COMPACT_DEAD_FRACTION:
-            self._heap = [entry for entry in self._heap if entry[2].pending]
+            self._heap[:] = [entry for entry in self._heap if entry[2].pending]
             heapq.heapify(self._heap)
             self._compactions += 1
             live = len(self._heap)

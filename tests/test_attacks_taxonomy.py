@@ -1,8 +1,6 @@
 """Unit tests for the attack-mode taxonomy (paper Table 1)."""
 
-import pytest
-
-from repro.attacks.taxonomy import ATTACK_MODES, mode_by_key, taxonomy_table
+from repro.attacks.taxonomy import ATTACK_MODES, taxonomy_table
 
 
 def test_five_modes():
@@ -24,12 +22,6 @@ def test_liteworp_detects_all_but_protocol_deviation():
             assert not mode.liteworp_detects
         else:
             assert mode.liteworp_detects
-
-
-def test_mode_by_key():
-    assert mode_by_key("outofband").name == "Out-of-band channel"
-    with pytest.raises(KeyError):
-        mode_by_key("nonexistent")
 
 
 def test_two_node_modes_are_the_tunnel_modes():

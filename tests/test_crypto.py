@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.crypto.auth import AuthError, Authenticator, TAG_BYTES, tag_many
+from repro.crypto.auth import AuthError, Authenticator, TAG_BYTES
 from repro.crypto.keys import PairwiseKeyManager
-from repro.crypto.replay import ReplayCache
 
 
 # ----------------------------------------------------------------------
@@ -107,58 +106,3 @@ def test_uncanonicalisable_payload_raises():
 def test_empty_key_raises():
     with pytest.raises(AuthError):
         Authenticator.tag(b"", "x")
-
-
-def test_tag_many_skips_missing_keys():
-    mgr = PairwiseKeyManager(b"m")
-    store = mgr.enroll(1)
-
-    def lookup(recipient):
-        return store.key_with(recipient) if recipient != 3 else None
-
-    tags = tag_many(lookup, 1, [2, 3, 4], "payload")
-    assert [recipient for recipient, _ in tags] == [2, 4]
-    for recipient, tag in tags:
-        key = mgr.pairwise_key(1, recipient)
-        assert Authenticator.verify(key, tag, 1, "payload")
-
-
-# ----------------------------------------------------------------------
-# Replay cache
-# ----------------------------------------------------------------------
-def test_replay_first_time_is_fresh():
-    cache = ReplayCache()
-    assert not cache.seen_before("msg-1", now=0.0)
-
-
-def test_replay_second_time_is_caught():
-    cache = ReplayCache()
-    cache.seen_before("msg-1", now=0.0)
-    assert cache.seen_before("msg-1", now=1.0)
-
-
-def test_replay_window_expiry():
-    cache = ReplayCache(window=10.0)
-    cache.seen_before("msg-1", now=0.0)
-    assert not cache.seen_before("msg-1", now=20.0)
-
-
-def test_replay_within_window_still_caught():
-    cache = ReplayCache(window=10.0)
-    cache.seen_before("msg-1", now=0.0)
-    assert cache.seen_before("msg-1", now=9.0)
-
-
-def test_replay_max_entries_evicts_oldest():
-    cache = ReplayCache(max_entries=2)
-    cache.seen_before("a", now=0.0)
-    cache.seen_before("b", now=1.0)
-    cache.seen_before("c", now=2.0)  # evicts "a"
-    assert not cache.seen_before("a", now=3.0)
-
-
-def test_replay_invalid_params():
-    with pytest.raises(ValueError):
-        ReplayCache(window=0)
-    with pytest.raises(ValueError):
-        ReplayCache(max_entries=0)

@@ -8,7 +8,6 @@ import pytest
 from repro.net.topology import (
     Topology,
     choose_separated_nodes,
-    farthest_pair,
     field_side_for_density,
     generate_connected_topology,
     grid_topology,
@@ -111,12 +110,6 @@ def test_choose_separated_nodes_impossible():
     # All pairs are <= 2 hops apart in a 3-node line.
     with pytest.raises(RuntimeError):
         choose_separated_nodes(topo, 2, min_hops=2, rng=random.Random(0), max_tries=20)
-
-
-def test_farthest_pair_prefers_distant_nodes():
-    topo = grid_topology(columns=10, rows=1, spacing=25.0, tx_range=30.0)
-    a, b = farthest_pair(topo, random.Random(1), samples=100)
-    assert abs(a - b) >= 5  # sampled pair spans at least half the line
 
 
 def test_adjacency_cached():

@@ -14,7 +14,6 @@ from repro.analysis.coverage import (
 from repro.core.tables import NeighborTable
 from repro.crypto.auth import Authenticator
 from repro.crypto.keys import PairwiseKeyManager
-from repro.crypto.replay import ReplayCache
 from repro.routing.cache import RouteTable
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
@@ -107,21 +106,6 @@ def test_malc_window_invariant(events, window):
     now = events[-1][0] if events else 0.0
     expected = sum(v for t, v in events if t >= now - window)
     assert table.malc(1, now=now, window=window) == expected
-
-
-# ----------------------------------------------------------------------
-# Replay cache: an identity is flagged iff seen within the window
-# ----------------------------------------------------------------------
-@given(
-    st.lists(st.tuples(st.integers(0, 5), st.floats(0.0, 100.0)), max_size=40),
-)
-def test_replay_cache_flags_only_repeats(events):
-    cache = ReplayCache()
-    seen = set()
-    for identity, when in sorted(events, key=lambda e: e[1]):
-        flagged = cache.seen_before(identity, now=when)
-        assert flagged == (identity in seen)
-        seen.add(identity)
 
 
 # ----------------------------------------------------------------------

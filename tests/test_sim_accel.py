@@ -169,8 +169,13 @@ def test_compaction_drops_cancelled_entries(simcls):
     assert sim.events_processed == 2000 + 15000
 
 
-def _drive(simcls, seed):
-    """Randomized schedule/cancel workload; returns the full firing record."""
+def _drive(simcls, seed, crowd=0):
+    """Randomized schedule/cancel workload; returns the full firing record.
+
+    With ``crowd``, that many more events are queued before the run, and
+    a callback at t=5 cancels nine in ten of them and queues ``crowd``
+    more, so the queue is compacted between pops.
+    """
     rng = random.Random(seed)
     sim = simcls()
     log = []
@@ -186,17 +191,33 @@ def _drive(simcls, seed):
         if live and rng.random() < 0.3:
             live.pop(rng.randrange(len(live))).cancel()
 
+    def storm():
+        for i, event in enumerate(crowded):
+            if i % 10:
+                event.cancel()
+        for _ in range(crowd):
+            sim.schedule(rng.random() * 400, cb, rng.randrange(10**6))
+
     for i in range(50):
         live.append(sim.schedule(rng.random() * 10, cb, i))
+    crowded = [sim.schedule(5 + rng.random() * 395, cb, -i) for i in range(crowd)]
+    if crowd:
+        sim.schedule_at(5.0, storm)
     sim.run(until=400.0, max_events=20000)
-    return log, sim.now, sim.events_processed, sim.pending_count
+    return log, sim.now, sim.events_processed, sim.pending_count, sim.compactions
 
 
 @pytest.mark.skipif(not accel.kernel_available(), reason="C kernel unavailable")
-@pytest.mark.parametrize("seed", range(10))
-def test_differential_random_workload(seed):
+@pytest.mark.parametrize(
+    "seed, crowd",
+    [pytest.param(seed, 0, id=str(seed)) for seed in range(10)]
+    + [pytest.param(10, 9000, id="compaction")],
+)
+def test_differential_random_workload(seed, crowd):
     module = accel._load()
-    assert _drive(PySimulator, seed) == _drive(module.Simulator, seed)
+    reference = _drive(PySimulator, seed, crowd)
+    assert reference == _drive(module.Simulator, seed, crowd)
+    assert (reference[-1] >= 1) == bool(crowd)
 
 
 @pytest.mark.skipif(not accel.kernel_available(), reason="C kernel unavailable")
