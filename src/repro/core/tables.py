@@ -15,6 +15,7 @@ window, T").
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 NodeId = int
@@ -23,6 +24,7 @@ STATUS_ACTIVE = "active"
 STATUS_REVOKED = "revoked"
 
 
+@dataclass(slots=True)
 class NeighborRecord:
     """Per-neighbor state: status plus timestamped MalC increments.
 
@@ -31,32 +33,9 @@ class NeighborRecord:
     plain slot (a property, say) is read through attribute access.
     """
 
-    __slots__ = ("node", "status", "malc_events")
-
-    def __init__(
-        self,
-        node: NodeId,
-        status: str = STATUS_ACTIVE,
-        malc_events: Optional[List[Tuple[float, int]]] = None,
-    ) -> None:
-        self.node = node
-        self.status = status
-        self.malc_events: List[Tuple[float, int]] = [] if malc_events is None else malc_events
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__qualname__}(node={self.node!r}, status={self.status!r}, "
-            f"malc_events={self.malc_events!r})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.node, self.status, self.malc_events) == (
-            other.node, other.status, other.malc_events,  # type: ignore[attr-defined]
-        )
-
-    __hash__ = None  # type: ignore[assignment]  # mutable, compared by value
+    node: NodeId
+    status: str = STATUS_ACTIVE
+    malc_events: List[Tuple[float, int]] = field(default_factory=list)
 
     def malc(self, now: float, window: float) -> int:
         """MalC value over the trailing ``window`` seconds (prunes old)."""

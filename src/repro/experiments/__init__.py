@@ -34,7 +34,6 @@ if TYPE_CHECKING:
         run_chaos,
     )
     from repro.experiments.parameters import TABLE2, Table2Parameters
-    from repro.experiments.records import ExperimentRecord, run_and_record
     from repro.experiments.scenario import (
         Scenario,
         ScenarioConfig,
@@ -58,7 +57,6 @@ __all__ = [
     "CampaignSpec",
     "ChaosConfig",
     "ChaosResult",
-    "ExperimentRecord",
     "Fig10Result",
     "Fig8Result",
     "Fig9Result",
@@ -73,7 +71,6 @@ __all__ = [
     "load_spec",
     "make_chaos_plan",
     "run_campaign",
-    "run_and_record",
     "run_chaos",
     "run_fig10",
     "run_fig8",
@@ -90,7 +87,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ),
     "repro.experiments.chaos": ("ChaosConfig", "ChaosResult", "make_chaos_plan", "run_chaos"),
     "repro.experiments.parameters": ("TABLE2", "Table2Parameters"),
-    "repro.experiments.records": ("ExperimentRecord", "run_and_record"),
     "repro.experiments.scenario": (
         "Scenario", "ScenarioConfig", "average_runs", "build_scenario", "run_scenario",
     ),

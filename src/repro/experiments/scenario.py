@@ -392,9 +392,7 @@ def average_runs(
     """Run ``runs`` independent replications (the paper averages 30).
 
     Replication seeds are hash-derived (:mod:`repro.experiments.seeds`):
-    index 0 is the base seed itself, higher indices are SHA-256 children —
-    the historical ``seed + 1000 * index`` scheme collided across sweep
-    points and survives only as ``seeds.legacy_child_seed``.
+    index 0 is the base seed itself, higher indices are SHA-256 children.
 
     The replications run through the campaign executor
     (:func:`~repro.experiments.campaign.run_sweep`): ``jobs`` fans them

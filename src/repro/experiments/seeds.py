@@ -6,19 +6,14 @@ base seed.  The seed scheme is part of the experiment's identity: the
 result cache keys on the derived configs, and parallel execution must
 derive exactly the same children as serial execution.
 
-Two schemes live here:
-
-- :func:`child_seed` — the current scheme.  Index 0 maps to the base seed
-  itself (so a single replication is literally ``run_scenario(config)``),
-  and indices >= 1 hash ``(base_seed, index)`` through SHA-256.  Unlike
-  Python's builtin ``hash()`` the digest is stable across processes and
-  interpreter versions, so a parallel worker pool derives byte-identical
-  children.
-- :func:`legacy_child_seed` — the historical ``seed + 1000 * index``
-  scheme, kept as a documented compat shim.  It collides across sweep
-  points whose base seeds differ by a multiple of 1000 (e.g. replication
-  1 of seed 4 and replication 0 of seed 1004 were the *same* run), which
-  silently correlates supposedly independent sweep points.
+:func:`child_seed` maps index 0 to the base seed itself (so a single
+replication is literally ``run_scenario(config)``), and hashes
+``(base_seed, index)`` through SHA-256 for indices >= 1.  Unlike Python's
+builtin ``hash()`` the digest is stable across processes and interpreter
+versions, so a parallel worker pool derives byte-identical children.  It
+replaced a ``seed + 1000 * index`` scheme that collided across sweep
+points whose base seeds differ by a multiple of 1000 (replication 1 of
+seed 4 and replication 0 of seed 1004 were the *same* run).
 """
 
 from __future__ import annotations
@@ -32,11 +27,6 @@ _DOMAIN = b"repro.experiments.child-seed.v1"
 # Seeds stay inside the non-negative 63-bit range: comfortably big enough
 # for independence, and representable exactly everywhere (JSON included).
 _SEED_MASK = (1 << 63) - 1
-
-
-def legacy_child_seed(base_seed: int, index: int) -> int:
-    """The pre-hash scheme (``seed + 1000 * index``).  Compat shim only."""
-    return int(base_seed) + 1000 * int(index)
 
 
 def child_seed(base_seed: int, index: int) -> int:

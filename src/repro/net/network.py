@@ -100,11 +100,6 @@ class Network:
         """Ground-truth radio neighbors (default range)."""
         return self.topology.neighbors(node_id)
 
-    def common_neighbors(self, a: NodeId, b: NodeId) -> Tuple[NodeId, ...]:
-        """Ground-truth guard candidates for a link between a and b."""
-        near_a = set(self.topology.neighbors(a))
-        return tuple(n for n in self.topology.neighbors(b) if n in near_a)
-
     def set_high_power(self, node_id: NodeId, range_multiplier: float) -> None:
         """Grant a node an extended transmit range (attack mode 3.3)."""
         if range_multiplier <= 0:

@@ -10,15 +10,15 @@ channel assumption is what detects it.
 Coverage queries are served by a :class:`~repro.net.grid.SpatialGrid`
 (cell size = the default range) so a broadcast touches only the nodes in
 adjacent cells instead of scanning all n positions.  The brute-force
-scans survive as ``_brute_*`` methods: they are the semantic reference
-(the property tests assert the grid matches them exactly) and the code
-path used under ``repro.sim.accel.reference_mode``.
+scan survives as ``_brute_coverage_with_distance``: it is the semantic
+reference (the property tests assert the grid matches it exactly) and the
+code path used under ``repro.sim.accel.reference_mode``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.net.grid import SpatialGrid
 from repro.sim import accel
@@ -59,13 +59,12 @@ class UnitDiskRadio:
         self._default_range = float(default_range)
         self._range_overrides: Dict[NodeId, float] = {}
         self._coverage_cache: Dict[Tuple[NodeId, float], Tuple[NodeId, ...]] = {}
-        # Hot-path memos over the static topology: per-(sender, range)
+        # Hot-path memo over the static topology: per-(sender, range)
         # receiver/distance lists (what the channel iterates on every
-        # transmission) and the symmetric pairwise distance table.
+        # transmission).
         self._coverage_dist_cache: Dict[
             Tuple[NodeId, float], Tuple[Tuple[NodeId, float], ...]
         ] = {}
-        self._pair_distances: Dict[Tuple[NodeId, NodeId], float] = {}
         self._use_grid = accel.features_enabled() if use_grid is None else use_grid
         self._grid: Optional[SpatialGrid] = (
             SpatialGrid(self._positions, self._default_range) if self._use_grid else None
@@ -93,21 +92,6 @@ class UnitDiskRadio:
     def position(self, node: NodeId) -> Position:
         """Position of ``node``."""
         return self._positions[node]
-
-    def distance_between(self, a: NodeId, b: NodeId) -> float:
-        """Memoized Euclidean distance between two nodes.
-
-        The topology is static for the whole run, so each pair's distance
-        is computed at most once.
-        """
-        key = (a, b) if a <= b else (b, a)
-        cached = self._pair_distances.get(key)
-        if cached is None:
-            positions = self._positions
-            cached = distance(positions[a], positions[b])
-            self.distance_computations += 1
-            self._pair_distances[key] = cached
-        return cached
 
     def tx_range(self, node: NodeId) -> float:
         """Effective transmit range of ``node`` (override or default)."""
@@ -194,62 +178,3 @@ class UnitDiskRadio:
         but far nodes are not its legitimate neighbors.
         """
         return self.coverage(node, self._default_range)
-
-    def are_neighbors(self, a: NodeId, b: NodeId) -> bool:
-        """Whether a and b are within the default range of each other."""
-        return self.distance_between(a, b) <= self._default_range
-
-    def common_neighbors(self, a: NodeId, b: NodeId) -> Tuple[NodeId, ...]:
-        """Nodes within default range of both a and b — guard candidates.
-
-        Served from the grid-backed (and cached) neighbor sets, so a
-        guard-set query costs two cell-ring lookups, not two O(n) scans.
-        """
-        near_a = set(self.neighbors(a))
-        return tuple(n for n in self.neighbors(b) if n in near_a)
-
-    def _brute_common_neighbors(self, a: NodeId, b: NodeId) -> Tuple[NodeId, ...]:
-        """Reference implementation over brute-force coverage scans."""
-        near_a = {n for n, _ in self._brute_coverage_with_distance(a, self._default_range)}
-        return tuple(
-            n
-            for n, _ in self._brute_coverage_with_distance(b, self._default_range)
-            if n in near_a
-        )
-
-    def audible_from(self, receiver: NodeId, senders: Iterable[NodeId]) -> List[NodeId]:
-        """Subset of ``senders`` whose transmissions reach ``receiver``.
-
-        One disk query around the receiver (radius = the largest sender
-        range) answers for all senders at once; order follows ``senders``.
-        """
-        senders = list(senders)
-        if self._grid is None:
-            return self._brute_audible_from(receiver, senders)
-        others = [s for s in senders if s != receiver]
-        if not others:
-            return []
-        radius = max(self.tx_range(s) for s in others)
-        hits = self._grid.query_disk(
-            self._positions[receiver], radius, exclude=receiver
-        )
-        self.distance_computations += self._grid.distance_computations
-        self._grid.distance_computations = 0
-        in_range = dict(hits)
-        return [
-            s
-            for s in others
-            if s in in_range and in_range[s] <= self.tx_range(s)
-        ]
-
-    def _brute_audible_from(
-        self, receiver: NodeId, senders: Iterable[NodeId]
-    ) -> List[NodeId]:
-        """Reference per-pair scan over the senders list."""
-        result = []
-        for sender in senders:
-            if sender == receiver:
-                continue
-            if self.distance_between(sender, receiver) <= self.tx_range(sender):
-                result.append(sender)
-        return result

@@ -1,21 +1,8 @@
-"""Replication seed derivation: new hash scheme + legacy compat shim."""
+"""Replication seed derivation: the hash scheme."""
 
 import pytest
 
-from repro.experiments.seeds import child_seed, legacy_child_seed
-
-
-def test_legacy_scheme_pinned():
-    """The historical scheme, pinned exactly as it behaved in-tree."""
-    assert legacy_child_seed(4, 0) == 4
-    assert legacy_child_seed(4, 3) == 3004
-    assert legacy_child_seed(8, 29) == 29008
-
-
-def test_legacy_scheme_collides_across_sweep_points():
-    """The defect that motivated the change: replication 1 of seed 4 was
-    the same run as replication 0 of seed 1004."""
-    assert legacy_child_seed(4, 1) == legacy_child_seed(1004, 0)
+from repro.experiments.seeds import child_seed
 
 
 def test_index_zero_is_base_seed():

@@ -25,11 +25,6 @@ def test_neighbors_match_topology():
     assert set(network.neighbors(1)) == {0, 2}
 
 
-def test_common_neighbors():
-    network, _ = build()
-    assert set(network.common_neighbors(0, 2)) == {1}
-
-
 def test_frames_flow_between_nodes():
     network, _ = build()
     from repro.net.packet import HelloPacket

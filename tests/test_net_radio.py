@@ -46,28 +46,9 @@ def test_high_power_extends_coverage_one_way():
     assert 0 not in r.coverage(2)
 
 
-def test_are_neighbors():
-    r = radio()
-    assert r.are_neighbors(0, 1)
-    assert not r.are_neighbors(0, 2)
-
-
-def test_common_neighbors():
-    r = radio()
-    common = set(r.common_neighbors(0, 1))
-    assert common == {3}  # node 3 is within 30 of both 0 and 1
-
-
 def test_invalid_ranges_rejected():
     with pytest.raises(ValueError):
         UnitDiskRadio(POSITIONS, default_range=0)
     r = radio()
     with pytest.raises(ValueError):
         r.set_tx_range(0, -1.0)
-
-
-def test_audible_from():
-    r = radio()
-    assert r.audible_from(0, [1, 2, 3]) == [1, 3]
-    r.set_tx_range(2, 60.0)
-    assert r.audible_from(0, [1, 2, 3]) == [1, 2, 3]

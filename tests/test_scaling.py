@@ -65,14 +65,3 @@ def test_broadcast_at_n1000_is_o_neighbors():
     sim.run()
     assert radio.distance_computations == 0
 
-
-def test_audible_from_uses_one_disk_query():
-    positions = _positions()
-    radio = UnitDiskRadio(positions, default_range=RANGE, use_grid=True)
-    senders = list(range(0, N_NODES, 7))
-    radio.distance_computations = 0
-    audible = radio.audible_from(17, senders)
-    # One disk query around the receiver, not one distance per sender.
-    assert radio.distance_computations <= 12 * 6
-    brute = UnitDiskRadio(positions, default_range=RANGE, use_grid=False)
-    assert audible == brute._brute_audible_from(17, senders)
