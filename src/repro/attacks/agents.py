@@ -25,7 +25,9 @@ TUNNEL_REBROADCAST_JITTER = 0.002
 
 
 class _ActivatableRouting(OnDemandRouting):
-    """Shared machinery: honest until :meth:`activate` is called."""
+    """Shared machinery: honest until :meth:`activate` is called; once
+    active, data handed over for forwarding is dropped (``data_drops``,
+    a ``malicious_drop`` record) unless a subclass does otherwise."""
 
     def __init__(
         self,
@@ -37,10 +39,20 @@ class _ActivatableRouting(OnDemandRouting):
     ) -> None:
         super().__init__(sim, node, config, trace, rng)
         self.active = False
+        self.data_drops = 0
 
     def activate(self) -> None:
         """Begin malicious behaviour."""
         self.active = True
+
+    def _on_data(self, frame: Frame, packet: DataPacket) -> None:
+        if not self.active or packet.destination == self.node.node_id:
+            super()._on_data(frame, packet)
+            return
+        self.data_drops += 1
+        self.trace.emit(
+            self.sim.now, "malicious_drop", node=self.node.node_id, packet=packet.key()
+        )
 
 
 class TunnelRouting(_ActivatableRouting):
@@ -200,7 +212,6 @@ class HighPowerRouting(_ActivatableRouting):
         super().__init__(sim, node, config, trace, rng)
         self.network = network
         self.range_multiplier = range_multiplier
-        self.data_drops = 0
 
     def activate(self) -> None:
         super().activate()
@@ -218,15 +229,6 @@ class HighPowerRouting(_ActivatableRouting):
             tx_range=self.network.topology.tx_range * self.range_multiplier,
         )
 
-    def _on_data(self, frame: Frame, packet: DataPacket) -> None:
-        if not self.active or packet.destination == self.node.node_id:
-            super()._on_data(frame, packet)
-            return
-        self.data_drops += 1
-        self.trace.emit(
-            self.sim.now, "malicious_drop", node=self.node.node_id, packet=packet.key()
-        )
-
 
 class RushingRouting(_ActivatableRouting):
     """Protocol-deviation wormhole (paper 3.5): forward requests without
@@ -234,17 +236,6 @@ class RushingRouting(_ActivatableRouting):
     attracted data.  The forwarding itself is truthful — which is exactly
     why base LITEWORP cannot detect it (watching data packets, the
     ``watch_data`` extension, can)."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        node: Node,
-        config: RoutingConfig,
-        trace: TraceLog,
-        rng: random.Random,
-    ) -> None:
-        super().__init__(sim, node, config, trace, rng)
-        self.data_drops = 0
 
     def activate(self) -> None:
         super().activate()
@@ -257,15 +248,6 @@ class RushingRouting(_ActivatableRouting):
             return
         self.node.broadcast(
             request.forwarded_by(self.node.node_id), prev_hop=frame.transmitter, jitter=0.0
-        )
-
-    def _on_data(self, frame: Frame, packet: DataPacket) -> None:
-        if not self.active or packet.destination == self.node.node_id:
-            super()._on_data(frame, packet)
-            return
-        self.data_drops += 1
-        self.trace.emit(
-            self.sim.now, "malicious_drop", node=self.node.node_id, packet=packet.key()
         )
 
 

@@ -30,11 +30,14 @@ rate against honest nodes.
 When MalC crosses C_t within the sliding window the monitor fires its
 detection callback; alerting and revocation live in
 :mod:`repro.core.isolation`.
+
+On the C kernel the judgement runs in a ``Guard`` (:class:`LocalMonitor`),
+which reads frames and packets and builds its records with the layout
+the channel's medium uses (:func:`repro.sim.accel.kernel_layout`).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Any, Callable, Dict, Optional, Set, Tuple
 
@@ -51,7 +54,7 @@ from repro.net.packet import (
 )
 from repro.sim import accel
 from repro.sim.engine import Event, Simulator
-from repro.sim.trace import TRACE_EMIT, TRACE_PUBLISH, TraceLog, TraceRecord, layout
+from repro.sim.trace import TraceLog
 
 PacketKey = Tuple[Any, ...]
 WatchKey = Tuple[PacketKey, NodeId]
@@ -61,22 +64,6 @@ WatchKey = Tuple[PacketKey, NodeId]
 #: the occupancy series is throttled to keep trace volume (and the emit
 #: hot path) unaffected; 1 Hz per guard is plenty for occupancy curves.
 WATCH_SAMPLE_PERIOD = 1.0
-
-#: The layouts of the two records the C guard builds itself: the
-#: monitor's ``watch_buffer`` gauge and the agent's ``frame_rejected``.
-_GUARD_LAYOUTS = (
-    layout("guard", "size", "peak"),
-    layout("node", "reason", "packet", "tx", "dst", "prev"),
-)
-
-
-@functools.lru_cache(maxsize=None)
-def _guard_records(records_type: type) -> Any:
-    """The kernel's ``Records`` for :data:`_GUARD_LAYOUTS`: what a C guard
-    builds its records with.  Made once per kernel and shared by every
-    guard, so a guard carries one pointer of it."""
-    return records_type(TRACE_EMIT, TRACE_PUBLISH, TraceRecord, _GUARD_LAYOUTS, Packet, Frame)
-
 
 #: What a guard does with an overheard packet, by packet class:
 #:
@@ -209,9 +196,8 @@ class LocalMonitor:
             overheard_window=config.overheard_window,
             v_fabricate=config.v_fabricate, delta=config.delta,
             sample_period=WATCH_SAMPLE_PERIOD, methods=_GUARD_METHODS,
-            packet_role=packet_role, frame_cls=Frame,
-            active=STATUS_ACTIVE, revoked=STATUS_REVOKED, trace=trace,
-            records=_guard_records(accel.kernel_type(sim, "Records")),
+            packet_role=packet_role, active=STATUS_ACTIVE, revoked=STATUS_REVOKED,
+            trace=trace, layout=accel.kernel_layout(sim),
         )
 
     # ------------------------------------------------------------------

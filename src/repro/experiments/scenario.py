@@ -192,12 +192,12 @@ class Scenario:
     traffic: TrafficGenerator
     metrics: MetricsCollector
     malicious_ids: Tuple[NodeId, ...]
+    defense: Defense
+    defense_ctx: DefenseContext
     coordinator: Optional[WormholeCoordinator] = None
     relay_attacker: Optional[RelayAttacker] = None
     leash_agents: Dict[NodeId, LeashAgent] = field(default_factory=dict)
     fault_controller: Optional[FaultController] = None
-    defense: Optional[Defense] = None
-    defense_ctx: Optional[DefenseContext] = None
 
     def __del__(self) -> None:
         # The run's objects form reference cycles (a node's hook lists hold
@@ -212,8 +212,7 @@ class Scenario:
         self.traffic.release()
         if self.coordinator is not None:
             self.coordinator.release()
-        if self.defense is not None and self.defense_ctx is not None:
-            self.defense.release(self.defense_ctx)
+        self.defense.release(self.defense_ctx)
 
     @property
     def honest_ids(self) -> Tuple[NodeId, ...]:
@@ -223,8 +222,6 @@ class Scenario:
 
     def run(self) -> MetricsReport:
         """Execute to the configured horizon and return the metrics."""
-        from repro.obs.counters import snapshot_counters
-
         with span("scenario.run"):
             self.traffic.start()
             # A run makes no cyclic garbage (its cycles are broken when the
@@ -242,13 +239,9 @@ class Scenario:
                 # violation (or any other error) aborts the run mid-flight.
                 self.trace.close_sinks()
         with span("metrics.collect"):
-            if self.defense is not None and self.defense_ctx is not None:
-                counters = self.defense.node_counters(self.defense_ctx)
-            else:  # hand-assembled Scenario without a plugin
-                counters = snapshot_counters(self.agents)
             return self.metrics.report(
                 duration=self.config.duration,
-                node_counters=counters,
+                node_counters=self.defense.node_counters(self.defense_ctx),
             )
 
 

@@ -32,7 +32,8 @@ wrapper rule (:func:`accel.unwrapped`): it enters a body itself only
 while the class still holds the function it replaces, and otherwise
 calls the method as the reference path does, so a wrapper installed on
 the class (the layer tracer of ``benchmarks/e2e`` installs them) sees
-every call.
+every call.  What it reads by slot offset and the references it stands
+in for come from the kernel's one layout (:func:`accel.kernel_layout`).
 
 - **Delivery.** A node attached with ``Node.deliver`` as its handler
   (:data:`repro.net.node.NODE_DELIVER`, on a class that has not replaced
@@ -50,15 +51,16 @@ every call.
   (:data:`repro.sim.trace.TRACE_EMIT`), the medium builds each
   ``rx_lost`` record itself, with the field names and values
   ``emit(now, "rx_lost", receiver=..., collided=..., **frame.describe())``
-  would give them, reading the frame's slots and the packet's cached key,
-  and hands it to ``TraceLog._publish``, the method ``emit`` ends in.
+  would give them, reading the frame's slots and (while ``Frame.describe``
+  and ``Packet.key`` are the references) the packet's cached key, and
+  hands it to ``TraceLog._publish``, the method ``emit`` ends in.
   Otherwise it calls ``emit``.  While ``_publish`` too is the reference
   (:data:`repro.sim.trace.TRACE_PUBLISH`) and only the log's store sees
   the record, the medium runs its body as well.
 - **Transmission.** While the channel's class still has
   :data:`CHANNEL_TRANSMIT`, a MAC built on it may run in the medium
   (:mod:`repro.net.mac`); the medium then runs :meth:`Channel.transmit`'s
-  body for it (the frame stamper, the air time from the frame's size,
+  body for it (the frame stamper, the air time from ``Frame.size_bytes``,
   ``transmissions += 1``, the tx observers) and reads each sender's
   receivers from a per-(sender, range) table compiled once from the
   radio, the network being static.  A MAC kept in Python, a wrapped
@@ -71,19 +73,15 @@ import random
 import sys
 from typing import TYPE_CHECKING, Callable, Collection, Dict, List, Optional, Set, Tuple
 
-from repro.net.packet import Frame, NodeId, Packet
+from repro.net.packet import Frame, NodeId
 from repro.net.radio import UnitDiskRadio
 from repro.sim import accel
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import TRACE_EMIT, TRACE_PUBLISH, TraceLog, TraceRecord, layout
+from repro.sim.trace import TraceLog
 
 if TYPE_CHECKING:  # repro.net.mac imports this module
     from repro.net.mac import MacConfig
-
-#: An ``rx_lost`` record's field names, in the order the reference path
-#: emits them, interned as ``TraceRecord`` interns every layout.
-RX_LOST_NAMES = layout("receiver", "collided", "packet", "tx", "dst", "prev")
 
 
 class Reception:
@@ -190,13 +188,8 @@ class Channel:
         self._transmissions = 0
         self._collisions = 0
         self._medium = None
-        medium_type = accel.medium_type(sim)
+        medium_type = accel.kernel_type(sim, "Medium")
         if medium_type is not None:
-            records = {} if trace is None else {
-                "records": accel.kernel_type(sim, "Records")(
-                    TRACE_EMIT, TRACE_PUBLISH, TraceRecord, RX_LOST_NAMES, Packet, Frame
-                )
-            }
             # The radio's range overrides are read per transmission, as
             # radio.tx_range reads them: an attacker may raise its range
             # mid-run.
@@ -204,8 +197,8 @@ class Channel:
                 sim, radio.coverage_with_distance, self._rng.random, trace,
                 self._capture_ratio, self._ambient_loss,
                 self._tx_observers, self._reception_observers, Reception,
-                self._bandwidth, radio._range_overrides, radio.default_range, Frame,
-                **records,
+                self._bandwidth, radio._range_overrides, radio.default_range,
+                accel.kernel_layout(sim),
             )
             # Carrier sense is the MAC's per-attempt query: bind it to the
             # medium directly instead of going through a Python frame.

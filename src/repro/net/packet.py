@@ -18,6 +18,10 @@ header.  Two design points matter for LITEWORP:
 
 Sizes are in bytes and drive transmission durations on the 40 kbps channel
 from the paper's Table 2.
+
+The C kernel reads these slotted classes by offset and stands in for
+``Packet.key``, ``Frame.describe`` and ``Frame.size_bytes`` only while a
+class holds the references captured below (:func:`repro.sim.accel.kernel_layout`).
 """
 
 from __future__ import annotations
@@ -529,6 +533,10 @@ class Frame:
 #: copy itself only while ``RouteRequest.forwarded_by`` is this function
 #: (see :mod:`repro.routing.ondemand`).
 REQUEST_FORWARDED_BY = RouteRequest.forwarded_by
+#: The references the C kernel stands in for (module docstring).
+PACKET_KEY = Packet.key
+FRAME_DESCRIBE = Frame.describe
+FRAME_SIZE_BYTES = Frame.__dict__["size_bytes"]
 
 
 def _slot_setters(cls: type, *names: str) -> Tuple[Any, ...]:

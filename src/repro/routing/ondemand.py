@@ -66,10 +66,12 @@ still has the reference ``broadcast``, ``unicast`` and ``_submit``
 reference ``lookup`` and ``install`` (:data:`ROUTE_METHODS`) and
 ``RouteRequest.forwarded_by`` is the original.  Per frame it stands in
 only for the listener that is this agent's bound
-:data:`ONDEMAND_ON_FRAME`.  So the attack agents that override a hook,
-and the layer tracer of ``benchmarks/e2e``, which wraps ``on_frame`` on
-the class before it builds a scenario, keep the Python path for every
-frame; ``REPRO_ACCEL=off``, :func:`repro.sim.accel.reference_mode` and a
+:data:`ONDEMAND_ON_FRAME`, and for a request only while its class has
+the reference ``Packet.key`` (:func:`repro.sim.accel.kernel_layout`).
+So the attack agents that override a hook, and the layer tracer of
+``benchmarks/e2e``, which wraps ``on_frame`` on the class before it
+builds a scenario, keep the Python path for every frame;
+``REPRO_ACCEL=off``, :func:`repro.sim.accel.reference_mode` and a
 missing compiler do the same.
 
 Trace kinds emitted: ``data_origin``, ``data_delivered``, ``data_no_route``,
@@ -92,9 +94,8 @@ from repro.net.packet import (
     RouteErrorPacket,
     RouteReply,
     RouteRequest,
-    _packet_uids,
 )
-from repro.routing.cache import RouteEntry, RouteTable
+from repro.routing.cache import RouteTable
 from repro.routing.config import RoutingConfig
 from repro.sim import accel
 from repro.sim.engine import Event, Simulator
@@ -164,7 +165,8 @@ class OnDemandRouting:
             medium_mac.flood(
                 self, sim, node, self._seen_requests, self._copy_counts,
                 self.routes._entries, rng.random, config.forward_jitter,
-                config.suppression_threshold, self.routes.timeout, _FLOOD_CLASSES,
+                config.suppression_threshold, self.routes.timeout, ONDEMAND_ON_FRAME,
+                always_usable,
             )
 
     # ------------------------------------------------------------------
@@ -517,13 +519,6 @@ FLOOD_METHODS = {
 }
 #: The route table's methods the medium stands in for when it forwards.
 ROUTE_METHODS = {name: RouteTable.__dict__[name] for name in ("lookup", "install")}
-#: What the medium needs of the flood's classes: the listener, the packet
-#: classes ``on_frame`` dispatches on, the counter a copy's uid comes
-#: from, the route entry class and the default ``usable`` hook.
-_FLOOD_CLASSES = (
-    ONDEMAND_ON_FRAME, RouteRequest, RouteReply, DataPacket, _packet_uids, RouteEntry,
-    always_usable,
-)
 
 
 def runs_in_medium(agent: OnDemandRouting) -> bool:

@@ -19,7 +19,11 @@
  * forwarding of each honest repro.routing.ondemand.OnDemandRouting, and
  * pushes their events straight into this queue as steps: entries
  * without an Event handle.  The Guard type runs LITEWORP's per-frame
- * hooks (repro.core.agent, repro.core.monitor).
+ * hooks (repro.core.agent, repro.core.monitor).  Both read the Python
+ * objects through the Layout type: one per loaded kernel, made in Python
+ * (repro.sim.accel.kernel_layout), it holds every class read by slot
+ * offset with its offsets and every reference method a C path stands in
+ * for.
  *
  * Built on demand by repro.sim.accel; the pure-Python engine,
  * Channel's per-receiver path, CsmaMac and OnDemandRouting remain the
@@ -838,12 +842,14 @@ static PyObject *str_link_dst, *str_describe, *str_emit, *str_rx_lost,
     *str_peak_resident, *str_request_id, *str_target, *str_hop_count, *str_path,
     *str_uid, *str_node_id, *str_send_filters, *str_origin, *str_last_loss,
     *str_destination, *str_next_hop, *str_installed_at, *str_expires_at,
-    *str_usable, *str_req;
+    *str_usable, *str_req, *str_forward_decision;
 
-/* Frame slots read by offset. */
-enum { F_PACKET, F_TRANSMITTER, F_LINK_DST, F_PREV_HOP, F_COUNT };
+/* Frame slots read and written by offset; the first four are
+ * Frame.describe()'s values. */
+enum { F_PACKET, F_TRANSMITTER, F_LINK_DST, F_PREV_HOP, F_LEASH, F_COUNT };
 static PyObject **frame_names[F_COUNT] = {&str_packet, &str_transmitter,
-                                          &str_link_dst, &str_prev_hop};
+                                          &str_link_dst, &str_prev_hop,
+                                          &str_leash};
 /* A Node's pipeline lists, in Node.deliver's order. */
 static PyObject **pipe_names[3] = {&str_observers, &str_filters,
                                    &str_listeners};
@@ -911,11 +917,14 @@ class_tag(PyTypeObject *cls)
     return (cls->tp_flags & Py_TPFLAGS_VALID_VERSION_TAG) ? cls->tp_version_tag : 0;
 }
 
-/* One call site's answer to "does cls resolve name to the reference?",
- * kept per class version. */
+/* The answers to "does cls resolve name to the reference?", each kept
+ * with the class version it was computed under.  A few classes at once:
+ * one question (Packet.key) is asked of several packet classes in turn. */
+enum { LOOKUP_WAYS = 4 };
 typedef struct {
-    unsigned int tag;
-    int is;
+    unsigned int tag[LOOKUP_WAYS];
+    char is[LOOKUP_WAYS];
+    unsigned char next;     /* the way the next new answer goes to */
 } Lookup;
 
 /* Whether _PyType_Lookup(cls, name) is `reference` (not NULL). */
@@ -923,11 +932,14 @@ static inline int
 resolves_to(Lookup *c, PyTypeObject *cls, PyObject *name, PyObject *reference)
 {
     unsigned int tag = class_tag(cls);
-    if (tag && c->tag == tag)
-        return c->is;
-    c->is = reference && _PyType_Lookup(cls, name) == reference;
-    c->tag = class_tag(cls);    /* the lookup may have assigned one */
-    return c->is;
+    for (int i = 0; tag && i < LOOKUP_WAYS; i++)
+        if (c->tag[i] == tag)
+            return c->is[i];
+    int i = c->next;
+    c->next = (unsigned char)((i + 1) % LOOKUP_WAYS);
+    c->is[i] = reference && _PyType_Lookup(cls, name) == reference;
+    c->tag[i] = class_tag(cls);     /* the lookup may have assigned one */
+    return c->is[i];
 }
 
 /* Offset of `cls`'s plain member slot for attribute `name` (one named in
@@ -1023,146 +1035,199 @@ attr_true(SlotRule *rule, PyObject *obj, PyObject *name)
     return rc;
 }
 
-/* ---- trace records built here --------------------------------------- */
-/* The medium's rx_lost records and the guard's watch_buffer and
- * frame_rejected records are built here, as TraceLog.emit builds them,
- * while the log's class still has the reference emit (TRACE_EMIT): a
- * TraceRecord of the interned layout, its values in emission order, a
- * frame's fields those of Frame.describe.  Such a record is stored by
- * TraceLog._publish's body (store_record) while the class has the
- * reference _publish and only the store would see the record.  Anything
- * else -- a wrapped emit, a frame that is not a plain Frame, a describe
- * or key() of another class -- calls trace.emit(now, kind, **fields). */
-/* What a tracer builds records with, apart from its log: the reference
- * emit and _publish, TraceRecord, the interned layouts, Packet and Frame,
- * their slot offsets and the per-class-version answers about them.
- * Made in Python as Records(emit, publish, record_cls, names, packet_cls,
- * frame_cls) and passed to each Medium and Guard; one can serve many
- * tracers (every guard shares one), so a guard carries one pointer. */
+/* ---- the layout ------------------------------------------------------ */
+/* What the kernel knows of the Python objects it reads and builds, learnt
+ * once: the classes it reads and writes by slot offset (TraceRecord,
+ * Packet, Frame, RouteRequest, RouteReply, DataPacket, RouteEntry) with
+ * those offsets, the layouts of the records it builds (rx_lost,
+ * watch_buffer, frame_rejected), packet.py's uid counter, and the
+ * reference methods it stands in for: TraceLog.emit and _publish,
+ * Frame.describe, Frame.size_bytes and Packet.key, each as its module
+ * captured it at import, never as a class holds it when the layout is
+ * made.  A C path stands in for one of them only while the class at hand
+ * resolves the name to the reference, the one answer per method kept per
+ * class version (the wrapper rule).  Made once per loaded kernel in
+ * Python (repro.sim.accel.kernel_layout) and shared by every Medium and
+ * Guard; a class that lacks a slot named here is refused when it is
+ * made. */
+enum { REF_EMIT, REF_PUBLISH, REF_DESCRIBE, REF_SIZE, REF_KEY, REF_COUNT };
+static PyObject **ref_names[REF_COUNT] = {&str_emit, &str_publish, &str_describe,
+                                          &str_size_bytes, &str_key};
+/* The record layouts, in `names`. */
+enum { N_RX_LOST, N_WATCH_BUFFER, N_FRAME_REJECTED, N_COUNT };
+
 typedef struct {
     PyObject_HEAD
-    PyObject *emit, *publish, *names;
-    PyTypeObject *record_cls, *frame_cls, *packet_cls;
-    PyObject *describe, *key;       /* Frame.describe, Packet.key */
-    Py_ssize_t record_off[4], frame_off[F_COUNT], key_off;
-    Lookup emit_rule, publish_rule, describe_rule, key_rule;
-} RecordsObj;
+    PyObject *ref[REF_COUNT];
+    Lookup rule[REF_COUNT];
+    PyObject *names;        /* N_COUNT interned layouts */
+    PyObject *uids;         /* packet.py's uid counter */
+    PyTypeObject *record_cls, *packet_cls, *frame_cls, *request_cls, *reply_cls,
+        *data_cls, *entry_cls;
+    Py_ssize_t record_off[4], key_off, frame_off[F_COUNT], request_off[R_COUNT],
+        reply_off[R_COUNT], entry_off[E_COUNT], destination_off;
+} LayoutObj;
 
-static PyTypeObject RecordsType;
+static PyTypeObject LayoutType;
 
-typedef struct {
-    PyObject *trace;        /* the TraceLog, or NULL */
-    RecordsObj *rec;        /* NULL: records are never built here */
-} Tracer;
-
-/* `records` is a Records, or NULL when `trace` is None. */
-static void
-tracer_init(Tracer *t, PyObject *trace, PyObject *records)
+/* Whether `cls` resolves reference i's name to it. */
+static inline int
+layout_holds(LayoutObj *L, int i, PyTypeObject *cls)
 {
-    t->trace = trace == Py_None ? NULL : Py_NewRef(trace);
-    t->rec = (RecordsObj *)Py_XNewRef(records);
+    return resolves_to(&L->rule[i], cls, *ref_names[i], L->ref[i]);
+}
+
+/* The offsets of `cls`'s slots `names` into out[]; a TypeError for a
+ * slot it lacks. */
+static int
+slot_offsets(PyTypeObject *cls, PyObject **const *names, int n, Py_ssize_t *out)
+{
+    for (int i = 0; i < n; i++)
+        if ((out[i] = slot_offset(cls, *names[i])) < 0) {
+            PyErr_Format(PyExc_TypeError, "%s lacks its slot %R", cls->tp_name, *names[i]);
+            return -1;
+        }
+    return 0;
 }
 
 static PyObject *
-Records_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+Layout_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"emit", "publish", "record_cls", "names",
-                             "packet_cls", "frame_cls", NULL};
-    PyObject *emit, *publish, *names;
-    PyTypeObject *record_cls, *packet_cls, *frame_cls;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOO!O!O!O!:Records", kwlist, &emit,
-                                     &publish, &PyType_Type, &record_cls, &PyTuple_Type,
-                                     &names, &PyType_Type, &packet_cls, &PyType_Type,
-                                     &frame_cls))
+    static char *kwlist[] = {"emit", "publish", "describe", "size_bytes", "key",
+                             "names", "uids", "record_cls", "packet_cls",
+                             "frame_cls", "request_cls", "reply_cls", "data_cls",
+                             "entry_cls", NULL};
+    PyObject *ref[REF_COUNT], *names, *uids;
+    PyTypeObject *cls[7];
+    if (!PyArg_ParseTupleAndKeywords(
+            args, kwds, "$OOOOOO!OO!O!O!O!O!O!O!:Layout", kwlist, &ref[REF_EMIT],
+            &ref[REF_PUBLISH], &ref[REF_DESCRIBE], &ref[REF_SIZE], &ref[REF_KEY],
+            &PyTuple_Type, &names, &uids, &PyType_Type, &cls[0], &PyType_Type,
+            &cls[1], &PyType_Type, &cls[2], &PyType_Type, &cls[3], &PyType_Type,
+            &cls[4], &PyType_Type, &cls[5], &PyType_Type, &cls[6]))
         return NULL;
-    RecordsObj *r = (RecordsObj *)type->tp_alloc(type, 0);
-    if (!r)
+    int laid_out = PyTuple_GET_SIZE(names) == N_COUNT;
+    for (Py_ssize_t i = 0; laid_out && i < N_COUNT; i++)
+        laid_out = PyTuple_CheckExact(PyTuple_GET_ITEM(names, i));
+    if (!laid_out) {
+        PyErr_SetString(PyExc_TypeError, "names must be the three record layouts");
         return NULL;
-    for (int i = 0; i < 4; i++)
-        r->record_off[i] = slot_offset(record_cls, *record_names[i]);
-    for (int f = 0; f < F_COUNT; f++)
-        r->frame_off[f] = slot_offset(frame_cls, *frame_names[f]);
-    r->key_off = slot_offset(packet_cls, str_dkey);
-    r->emit = Py_NewRef(emit);
-    r->publish = Py_NewRef(publish);
-    r->names = Py_NewRef(names);
-    r->record_cls = (PyTypeObject *)Py_NewRef((PyObject *)record_cls);
-    r->frame_cls = (PyTypeObject *)Py_NewRef((PyObject *)frame_cls);
-    r->packet_cls = (PyTypeObject *)Py_NewRef((PyObject *)packet_cls);
-    r->describe = Py_XNewRef(_PyType_Lookup(frame_cls, str_describe));
-    r->key = Py_XNewRef(_PyType_Lookup(packet_cls, str_key));
-    for (int i = 0; i < 4; i++)
-        if (r->record_off[i] < 0) {
-            Py_DECREF(r);
-            PyErr_SetString(PyExc_TypeError, "record_cls lacks its slots");
-            return NULL;
-        }
-    return (PyObject *)r;
+    }
+    LayoutObj *L = (LayoutObj *)type->tp_alloc(type, 0);
+    if (!L)
+        return NULL;
+    for (int i = 0; i < REF_COUNT; i++)
+        L->ref[i] = Py_NewRef(ref[i]);
+    L->names = Py_NewRef(names);
+    L->uids = Py_NewRef(uids);
+    PyTypeObject **mine[7] = {&L->record_cls, &L->packet_cls, &L->frame_cls,
+                              &L->request_cls, &L->reply_cls, &L->data_cls,
+                              &L->entry_cls};
+    for (int c = 0; c < 7; c++)
+        *mine[c] = (PyTypeObject *)Py_NewRef((PyObject *)cls[c]);
+    static PyObject **key_name[1] = {&str_dkey}, **destination_name[1] = {&str_destination};
+    if (slot_offsets(L->record_cls, record_names, 4, L->record_off) < 0 ||
+        slot_offsets(L->packet_cls, key_name, 1, &L->key_off) < 0 ||
+        slot_offsets(L->frame_cls, frame_names, F_COUNT, L->frame_off) < 0 ||
+        slot_offsets(L->request_cls, request_names, R_COUNT, L->request_off) < 0 ||
+        slot_offsets(L->reply_cls, request_names, R_COUNT, L->reply_off) < 0 ||
+        slot_offsets(L->data_cls, destination_name, 1, &L->destination_off) < 0 ||
+        slot_offsets(L->entry_cls, entry_names, E_COUNT, L->entry_off) < 0) {
+        Py_DECREF(L);
+        return NULL;
+    }
+    return (PyObject *)L;
 }
 
 static int
-Records_traverse(RecordsObj *r, visitproc visit, void *arg)
+Layout_traverse(LayoutObj *L, visitproc visit, void *arg)
 {
-    Py_VISIT(r->emit);
-    Py_VISIT(r->publish);
-    Py_VISIT(r->names);
-    Py_VISIT(r->record_cls);
-    Py_VISIT(r->frame_cls);
-    Py_VISIT(r->packet_cls);
-    Py_VISIT(r->describe);
-    Py_VISIT(r->key);
+    for (int i = 0; i < REF_COUNT; i++)
+        Py_VISIT(L->ref[i]);
+    Py_VISIT(L->names);
+    Py_VISIT(L->uids);
+    Py_VISIT(L->record_cls);
+    Py_VISIT(L->packet_cls);
+    Py_VISIT(L->frame_cls);
+    Py_VISIT(L->request_cls);
+    Py_VISIT(L->reply_cls);
+    Py_VISIT(L->data_cls);
+    Py_VISIT(L->entry_cls);
     return 0;
 }
 
 static int
-Records_clear(RecordsObj *r)
+Layout_clear(LayoutObj *L)
 {
-    Py_CLEAR(r->emit);
-    Py_CLEAR(r->publish);
-    Py_CLEAR(r->names);
-    Py_CLEAR(r->record_cls);
-    Py_CLEAR(r->frame_cls);
-    Py_CLEAR(r->packet_cls);
-    Py_CLEAR(r->describe);
-    Py_CLEAR(r->key);
+    for (int i = 0; i < REF_COUNT; i++)
+        Py_CLEAR(L->ref[i]);
+    Py_CLEAR(L->names);
+    Py_CLEAR(L->uids);
+    Py_CLEAR(L->record_cls);
+    Py_CLEAR(L->packet_cls);
+    Py_CLEAR(L->frame_cls);
+    Py_CLEAR(L->request_cls);
+    Py_CLEAR(L->reply_cls);
+    Py_CLEAR(L->data_cls);
+    Py_CLEAR(L->entry_cls);
     return 0;
 }
 
 static void
-Records_dealloc(RecordsObj *r)
+Layout_dealloc(LayoutObj *L)
 {
-    PyObject_GC_UnTrack(r);
-    Records_clear(r);
-    PyObject_GC_Del(r);
+    PyObject_GC_UnTrack(L);
+    Layout_clear(L);
+    PyObject_GC_Del(L);
 }
 
-static PyTypeObject RecordsType = {
+static PyTypeObject LayoutType = {
     PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro.sim._ckernel.Records",
-    .tp_basicsize = sizeof(RecordsObj),
-    .tp_new = Records_new,
-    .tp_dealloc = (destructor)Records_dealloc,
+    .tp_name = "repro.sim._ckernel.Layout",
+    .tp_basicsize = sizeof(LayoutObj),
+    .tp_new = Layout_new,
+    .tp_dealloc = (destructor)Layout_dealloc,
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_traverse = (traverseproc)Records_traverse,
-    .tp_clear = (inquiry)Records_clear,
-    .tp_doc = "Records(emit, publish, record_cls, names, packet_cls, frame_cls):\n"
-              "what a Medium or Guard builds trace records with (see Tracer).",
+    .tp_traverse = (traverseproc)Layout_traverse,
+    .tp_clear = (inquiry)Layout_clear,
+    .tp_doc = "Layout(*, emit, publish, describe, size_bytes, key, names, uids,\n"
+              "record_cls, packet_cls, frame_cls, request_cls, reply_cls,\n"
+              "data_cls, entry_cls): what every Medium and Guard reads the\n"
+              "Python objects with (see repro.sim.accel.kernel_layout).",
 };
 
-static int
-tracer_traverse(Tracer *t, visitproc visit, void *arg)
+/* frame.<field>, by offset for a frame of the layout's Frame class. */
+static inline PyObject *
+frame_slot(LayoutObj *L, PyObject *frame, int field)
 {
-    Py_VISIT(t->trace);
-    Py_VISIT(t->rec);
-    return 0;
+    Py_ssize_t offset = Py_TYPE(frame) == L->frame_cls ? L->frame_off[field] : -1;
+    return slot_get(frame, offset, *frame_names[field]);
 }
 
-static void
-tracer_clear(Tracer *t)
+/* packet.key(), from the slot it is cached in while the packet is a
+ * Packet whose class has the reference key(). */
+static PyObject *
+packet_key(LayoutObj *L, PyObject *packet)
 {
-    Py_CLEAR(t->trace);
-    Py_CLEAR(t->rec);
+    PyTypeObject *cls = Py_TYPE(packet);
+    if (layout_holds(L, REF_KEY, cls) && PyType_IsSubtype(cls, L->packet_cls)) {
+        PyObject *key = SLOT_AT(packet, L->key_off);
+        if (key && key != Py_None)
+            return Py_NewRef(key);
+    }
+    return PyObject_CallMethodNoArgs(packet, str_key);
 }
+
+/* ---- trace records built here --------------------------------------- */
+/* The medium's rx_lost records and the guard's watch_buffer and
+ * frame_rejected records are built here, as TraceLog.emit builds them,
+ * while the log's class still has the reference emit: a TraceRecord of
+ * the interned layout, its values in emission order, a frame's fields
+ * those of Frame.describe.  Such a record is stored by TraceLog._publish's
+ * body (store_record) while the class has the reference _publish and only
+ * the store would see the record.  Anything else -- a wrapped emit, a
+ * frame that is not a plain Frame, a wrapped describe -- calls
+ * trace.emit(now, kind, **fields). */
 
 /* Whether v can be in no reference cycle: an exact None, bool, int,
  * float or str, or an exact tuple of such values nested at most `depth`
@@ -1251,43 +1316,33 @@ done:
 /* trace._publish(record), its body run by store_record while the log's
  * class has the reference method. */
 static int
-publish_record(Tracer *t, PyObject *record, PyObject *kind)
+publish_record(LayoutObj *L, PyObject *trace, PyObject *record, PyObject *kind)
 {
-    RecordsObj *r = t->rec;
-    if (resolves_to(&r->publish_rule, Py_TYPE(t->trace), str_publish, r->publish)) {
-        int rc = store_record(t->trace, record, kind);
+    if (layout_holds(L, REF_PUBLISH, Py_TYPE(trace))) {
+        int rc = store_record(trace, record, kind);
         if (rc <= 0)
             return rc;
     }
-    return discard(PyObject_CallMethodOneArg(t->trace, str_publish, record));
+    return discard(PyObject_CallMethodOneArg(trace, str_publish, record));
 }
 
 /* Frame.describe()'s four values (packet key, tx, dst, prev) into out[]
  * as new references: 1 when done, 0 (nothing stored, no error) when the
- * frame is not a plain Frame with Frame.describe, -1 on error. */
+ * frame is not a plain Frame with the reference describe, -1 on error. */
 static int
-describe_values(RecordsObj *r, PyObject *frame, PyObject **out)
+describe_values(LayoutObj *L, PyObject *frame, PyObject **out)
 {
-    if (Py_TYPE(frame) != r->frame_cls ||
-        !resolves_to(&r->describe_rule, r->frame_cls, str_describe, r->describe))
+    if (Py_TYPE(frame) != L->frame_cls || !layout_holds(L, REF_DESCRIBE, L->frame_cls))
         return 0;
-    PyObject *packet = slot_get(frame, r->frame_off[F_PACKET], str_packet);
+    PyObject *packet = frame_slot(L, frame, F_PACKET);
     if (!packet)
         return -1;
-    /* packet.key(), from the cached slot while key() is Packet's. */
-    PyTypeObject *cls = Py_TYPE(packet);
-    PyObject *key = NULL;
-    if (r->key_off >= 0 && resolves_to(&r->key_rule, cls, str_key, r->key) &&
-        PyType_IsSubtype(cls, r->packet_cls))
-        key = SLOT_AT(packet, r->key_off);
-    key = key && key != Py_None ? Py_NewRef(key)
-                                : PyObject_CallMethodNoArgs(packet, str_key);
+    out[0] = packet_key(L, packet);
     Py_DECREF(packet);
-    if (!key)
+    if (!out[0])
         return -1;
-    out[0] = key;
-    for (int f = F_TRANSMITTER; f < F_COUNT; f++)
-        if (!(out[f] = slot_get(frame, r->frame_off[f], *frame_names[f]))) {
+    for (int f = F_TRANSMITTER; f < F_LEASH; f++)
+        if (!(out[f] = frame_slot(L, frame, f))) {
             while (--f >= 0)
                 Py_CLEAR(out[f]);
             return -1;
@@ -1296,22 +1351,22 @@ describe_values(RecordsObj *r, PyObject *frame, PyObject **out)
 }
 
 /* trace.emit(now, kind, <names[i]>=head[i] for i < n[,
- * **frame.describe()]), where `names` is the record's whole interned
- * layout: built here when it can be (see above). */
+ * **frame.describe()]), where the record's whole interned layout is the
+ * layout's names[layout]: built here when it can be (see above). */
 static int
-tracer_emit(Tracer *t, PyObject *now, PyObject *kind, PyObject *names,
+tracer_emit(LayoutObj *L, PyObject *trace, PyObject *now, PyObject *kind, int layout,
             PyObject *const *head, Py_ssize_t n, PyObject *frame)
 {
-    RecordsObj *r = t->rec;
-    if (r && t->trace && resolves_to(&r->emit_rule, Py_TYPE(t->trace), str_emit, r->emit)) {
-        PyObject *values = PyTuple_New(n + (frame ? 4 : 0));
+    PyObject *names = PyTuple_GET_ITEM(L->names, layout);
+    if (layout_holds(L, REF_EMIT, Py_TYPE(trace))) {
+        PyObject *values = PyTuple_New(n + (frame ? F_LEASH : 0));
         if (!values)
             return -1;
         for (Py_ssize_t i = 0; i < n; i++)
             PyTuple_SET_ITEM(values, i, Py_NewRef(head[i]));
-        int built = frame ? describe_values(r, frame, &PyTuple_GET_ITEM(values, n)) : 1;
+        int built = frame ? describe_values(L, frame, &PyTuple_GET_ITEM(values, n)) : 1;
         if (built > 0) {
-            PyTypeObject *cls = r->record_cls;
+            PyTypeObject *cls = L->record_cls;
             PyObject *rec = cls->tp_alloc(cls, 0);
             if (!rec) {
                 Py_DECREF(values);
@@ -1319,7 +1374,7 @@ tracer_emit(Tracer *t, PyObject *now, PyObject *kind, PyObject *names,
             }
             PyObject *parts[4] = {now, kind, names, values};
             for (int i = 0; i < 4; i++)
-                SLOT_AT(rec, r->record_off[i]) = Py_NewRef(parts[i]);
+                SLOT_AT(rec, L->record_off[i]) = Py_NewRef(parts[i]);
             /* Made untracked when it cannot be in a reference cycle, so the
              * collector does not walk every such record after the run. */
             if (is_atomic(values, 2) && is_atomic(names, 1)) {
@@ -1328,7 +1383,7 @@ tracer_emit(Tracer *t, PyObject *now, PyObject *kind, PyObject *names,
                     PyObject_GC_UnTrack(rec);
             }
             Py_DECREF(values);
-            int rc = publish_record(t, rec, kind);
+            int rc = publish_record(L, trace, rec, kind);
             Py_DECREF(rec);
             return rc;
         }
@@ -1340,7 +1395,7 @@ tracer_emit(Tracer *t, PyObject *now, PyObject *kind, PyObject *names,
     for (Py_ssize_t i = 0; fields && i < n; i++)
         if (PyDict_SetItem(fields, PyTuple_GET_ITEM(names, i), head[i]) < 0)
             Py_CLEAR(fields);
-    return emit_call(t->trace, now, kind, fields, frame);
+    return emit_call(trace, now, kind, fields, frame);
 }
 
 typedef struct Rx Rx;
@@ -1423,21 +1478,14 @@ typedef struct {
     SimObj *sim;
     PyObject *coverage;     /* radio.coverage_with_distance */
     PyObject *random;       /* the channel stream's random() */
-    Tracer tr;              /* the channel's TraceLog, for rx_lost records */
+    PyObject *trace;        /* the channel's TraceLog for rx_lost records, or NULL */
+    LayoutObj *layout;
     PyObject *tx_observers; /* Channel's lists, shared so additions apply */
     PyObject *rx_observers;
     PyObject *reception_cls;
-    PyTypeObject *frame_cls;
-    PyObject *frame_size;   /* Frame.size_bytes */
-    Lookup size_rule;
-    Py_ssize_t frame_off[F_COUNT], leash_off;
-    /* The flood (Mac_flood): OnDemandRouting.on_frame, the packet classes
-     * on_frame dispatches on, packet.py's uid counter, RouteEntry and the
-     * default usable hook; NULL until an agent is wired. */
-    PyObject *on_frame, *packet_uids, *always_usable;
-    PyTypeObject *request_cls, *reply_cls, *data_cls, *entry_cls;
-    Py_ssize_t request_off[R_COUNT], reply_off[R_COUNT], entry_off[E_COUNT],
-        destination_off;
+    /* The flood (Mac_flood): OnDemandRouting.on_frame and the default
+     * usable hook; NULL until an agent is wired. */
+    PyObject *on_frame, *always_usable;
     PyObject *index;        /* node id -> slot */
     PyObject *overrides;    /* the radio's node id -> transmit range */
     Slot *slots;            /* freed only in dealloc: batches point in */
@@ -1496,14 +1544,6 @@ static int guard_send_filter(GuardObj *g, PyObject *frame);
 static PyObject *Guard_send_filter(GuardObj *g, PyObject *frame);
 static int guard_usable_here(GuardObj *g, PyObject *node);
 static PyObject *Guard_is_usable(GuardObj *g, PyObject *node);
-
-/* frame.<field>, by offset for a frame of the medium's Frame class. */
-static inline PyObject *
-frame_field(MediumObj *m, PyObject *frame, int field)
-{
-    Py_ssize_t offset = Py_TYPE(frame) == m->frame_cls ? m->frame_off[field] : -1;
-    return slot_get(frame, offset, *frame_names[field]);
-}
 
 static void
 rx_link(Slot *s, Rx *rx)
@@ -1869,7 +1909,7 @@ emit_rx_lost(MediumObj *m, Batch *b, PyObject *receiver, Rx *rx,
              PyObject *now)
 {
     PyObject *head[2] = {receiver, rx->collided ? Py_True : Py_False};
-    return tracer_emit(&m->tr, now, str_rx_lost, m->tr.rec->names, head, 2, b->frame);
+    return tracer_emit(m->layout, m->trace, now, str_rx_lost, N_RX_LOST, head, 2, b->frame);
 }
 
 /* check(frame)'s truth.  A guard's receive (LITEWORP's hook) is entered
@@ -1975,7 +2015,7 @@ finish_rx(MediumObj *m, Batch *b, Rx *rx, PyObject *now)
         Py_DECREF(rec);
     }
     if (rx->collided || rx->lost) {
-        if (m->tr.trace) {
+        if (m->trace) {
             PyObject *receiver = Py_NewRef(m->slots[rx->slot].id);
             int rc = emit_rx_lost(m, b, receiver, rx, now);
             Py_DECREF(receiver);
@@ -2020,25 +2060,19 @@ Medium_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     static char *kwlist[] = {"sim", "coverage", "random", "trace",
                              "capture_ratio", "ambient_loss", "tx_observers",
                              "rx_observers", "reception_cls", "bandwidth",
-                             "overrides", "default_range", "frame_cls",
-                             "records", NULL};
+                             "overrides", "default_range", "layout", NULL};
     PyObject *sim, *coverage, *random, *trace, *tx_observers, *rx_observers,
-        *reception_cls, *overrides, *frame_cls, *records = NULL;
+        *reception_cls, *overrides, *layout;
     double capture_ratio, ambient_loss, bandwidth, default_range;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O!OOOddO!O!OdO!dO!|$O!", kwlist,
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O!OOOddO!O!OdO!dO!", kwlist,
                                      &SimType, &sim, &coverage, &random,
                                      &trace, &capture_ratio, &ambient_loss,
                                      &PyList_Type, &tx_observers,
                                      &PyList_Type, &rx_observers,
                                      &reception_cls, &bandwidth,
                                      &PyDict_Type, &overrides, &default_range,
-                                     &PyType_Type, &frame_cls,
-                                     &RecordsType, &records))
+                                     &LayoutType, &layout))
         return NULL;
-    if (trace != Py_None && !records) {
-        PyErr_SetString(PyExc_TypeError, "a medium with a trace needs records");
-        return NULL;
-    }
     MediumObj *m = (MediumObj *)type->tp_alloc(type, 0);
     if (!m)
         return NULL;
@@ -2047,18 +2081,14 @@ Medium_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         Py_DECREF(m);
         return NULL;
     }
-    tracer_init(&m->tr, trace, records);
+    m->trace = trace == Py_None ? NULL : Py_NewRef(trace);
+    m->layout = (LayoutObj *)Py_NewRef(layout);
     m->sim = (SimObj *)Py_NewRef(sim);
     m->coverage = Py_NewRef(coverage);
     m->random = Py_NewRef(random);
     m->tx_observers = Py_NewRef(tx_observers);
     m->rx_observers = Py_NewRef(rx_observers);
     m->reception_cls = Py_NewRef(reception_cls);
-    m->frame_cls = (PyTypeObject *)Py_NewRef(frame_cls);
-    m->frame_size = Py_XNewRef(_PyType_Lookup(m->frame_cls, str_size_bytes));
-    for (int f = 0; f < F_COUNT; f++)
-        m->frame_off[f] = slot_offset(m->frame_cls, *frame_names[f]);
-    m->leash_off = slot_offset(m->frame_cls, str_leash);
     m->overrides = Py_NewRef(overrides);
     m->capture_ratio = capture_ratio;
     m->ambient_loss = ambient_loss;
@@ -2073,21 +2103,13 @@ Medium_traverse(MediumObj *m, visitproc visit, void *arg)
     Py_VISIT(m->sim);
     Py_VISIT(m->coverage);
     Py_VISIT(m->random);
-    int rc = tracer_traverse(&m->tr, visit, arg);
-    if (rc)
-        return rc;
+    Py_VISIT(m->trace);
+    Py_VISIT(m->layout);
     Py_VISIT(m->tx_observers);
     Py_VISIT(m->rx_observers);
     Py_VISIT(m->reception_cls);
-    Py_VISIT(m->frame_cls);
-    Py_VISIT(m->frame_size);
     Py_VISIT(m->on_frame);
-    Py_VISIT(m->packet_uids);
     Py_VISIT(m->always_usable);
-    Py_VISIT(m->request_cls);
-    Py_VISIT(m->reply_cls);
-    Py_VISIT(m->data_cls);
-    Py_VISIT(m->entry_cls);
     Py_VISIT(m->index);
     Py_VISIT(m->overrides);
     for (Py_ssize_t i = 0; i < m->nslots; i++) {
@@ -2118,26 +2140,20 @@ Medium_traverse(MediumObj *m, visitproc visit, void *arg)
 
 /* Drops the Python references only: the slot table stays, because
  * unfinished batches still unlink their receptions from it, and so do
- * the MAC counters. */
+ * the MAC counters.  So does the layout, which is in no cycle and which
+ * a hook running after a release may still reach. */
 static int
 Medium_clear(MediumObj *m)
 {
     Py_CLEAR(m->sim);
     Py_CLEAR(m->coverage);
     Py_CLEAR(m->random);
-    tracer_clear(&m->tr);
+    Py_CLEAR(m->trace);
     Py_CLEAR(m->tx_observers);
     Py_CLEAR(m->rx_observers);
     Py_CLEAR(m->reception_cls);
-    Py_CLEAR(m->frame_cls);
-    Py_CLEAR(m->frame_size);
     Py_CLEAR(m->on_frame);
-    Py_CLEAR(m->packet_uids);
     Py_CLEAR(m->always_usable);
-    Py_CLEAR(m->request_cls);
-    Py_CLEAR(m->reply_cls);
-    Py_CLEAR(m->data_cls);
-    Py_CLEAR(m->entry_cls);
     Py_CLEAR(m->index);
     Py_CLEAR(m->overrides);
     for (Py_ssize_t i = 0; i < m->nslots; i++) {
@@ -2161,6 +2177,7 @@ Medium_dealloc(MediumObj *m)
 {
     PyObject_GC_UnTrack(m);
     Medium_clear(m);
+    Py_CLEAR(m->layout);
     for (Py_ssize_t i = 0; i < m->nslots; i++) {
         for (Py_ssize_t c = 0; c < m->slots[i].ncovs; c++)
             PyMem_Free(m->slots[i].covs[c].items);
@@ -2288,17 +2305,17 @@ Medium_set_ambient_loss(MediumObj *m, PyObject *arg)
 }
 
 /* frame.size_bytes; -1.0 with an error set.  For a Frame without a
- * leash, while Frame.size_bytes is the property the medium was built
- * with, its body runs here: the packet's size plus the 12-byte header. */
+ * leash, while Frame.size_bytes is the reference property, its body runs
+ * here: the packet's size plus the 12-byte header. */
 static double
 frame_bytes(MediumObj *m, PyObject *frame)
 {
+    LayoutObj *L = m->layout;
     PyObject *size = NULL;
     double extra = 0.0;
-    if (Py_TYPE(frame) == m->frame_cls && m->frame_size && m->leash_off >= 0 &&
-        resolves_to(&m->size_rule, m->frame_cls, str_size_bytes, m->frame_size) &&
-        SLOT_AT(frame, m->leash_off) == Py_None) {
-        PyObject *packet = slot_get(frame, m->frame_off[F_PACKET], str_packet);
+    if (Py_TYPE(frame) == L->frame_cls && layout_holds(L, REF_SIZE, L->frame_cls) &&
+        SLOT_AT(frame, L->frame_off[F_LEASH]) == Py_None) {
+        PyObject *packet = frame_slot(L, frame, F_PACKET);
         if (!packet)
             return -1.0;
         size = PyObject_GetAttr(packet, str_size_bytes);
@@ -2376,7 +2393,7 @@ medium_send(MediumObj *m, Py_ssize_t s, PyObject *frame, PyObject *tx_range,
         goto fail;
     Py_ssize_t dst = -1;
     if (on_outcome) {
-        PyObject *link_dst = frame_field(m, frame, F_LINK_DST);
+        PyObject *link_dst = frame_slot(m->layout, frame, F_LINK_DST);
         if (!link_dst)
             goto fail;
         if (link_dst != Py_None)
@@ -2751,7 +2768,7 @@ mac_attempt(MediumObj *m, Py_ssize_t s, unsigned long long epoch, long attempt)
     MacItem item = mac_pop(mac);
     int arq = mac->arq_retries > 0, rc = -1;
     double duration;
-    PyObject *link_dst = frame_field(m, item.frame, F_LINK_DST);
+    PyObject *link_dst = frame_slot(m->layout, item.frame, F_LINK_DST);
     if (!link_dst)
         goto done;
     arq = arq && link_dst != Py_None;
@@ -2946,7 +2963,8 @@ static int
 forward_data(MediumObj *m, Py_ssize_t s, PyObject *frame, PyObject *packet)
 {
     Flood *f = &m->slots[s].flood;
-    PyObject *destination = SLOT_AT(packet, m->destination_off);
+    LayoutObj *L = m->layout;
+    PyObject *destination = SLOT_AT(packet, L->destination_off);
     if (!destination)
         return 1;
     int rc = PyObject_RichCompareBool(destination, f->me, Py_EQ);
@@ -2956,17 +2974,17 @@ forward_data(MediumObj *m, Py_ssize_t s, PyObject *frame, PyObject *packet)
     PyObject *entry = PyDict_GetItemWithError(f->entries, destination);
     if (!entry)
         return PyErr_Occurred() ? -1 : 1;
-    PyObject *expires = Py_TYPE(entry) == m->entry_cls
-                            ? SLOT_AT(entry, m->entry_off[E_EXPIRES_AT]) : NULL;
-    PyObject *next_hop = Py_TYPE(entry) == m->entry_cls
-                             ? SLOT_AT(entry, m->entry_off[E_NEXT_HOP]) : NULL;
+    PyObject *expires = Py_TYPE(entry) == L->entry_cls
+                            ? SLOT_AT(entry, L->entry_off[E_EXPIRES_AT]) : NULL;
+    PyObject *next_hop = Py_TYPE(entry) == L->entry_cls
+                             ? SLOT_AT(entry, L->entry_off[E_NEXT_HOP]) : NULL;
     if (!expires || !PyFloat_CheckExact(expires) || !next_hop ||
         !(m->sim->now < PyFloat_AS_DOUBLE(expires)))
         return 1;
     Py_INCREF(next_hop);
     rc = flood_usable(m, f, next_hop);
     if (rc == 1) {
-        PyObject *prev_hop = SLOT_AT(frame, m->frame_off[F_TRANSMITTER]);
+        PyObject *prev_hop = SLOT_AT(frame, L->frame_off[F_TRANSMITTER]);
         rc = prev_hop ? flood_submit(m, s, packet, next_hop, prev_hop, Py_None) : 1;
     } else if (rc >= 0) {
         rc = 1;
@@ -2984,11 +3002,12 @@ static int
 forward_reply(MediumObj *m, Py_ssize_t s, PyObject *frame, PyObject *reply)
 {
     Flood *f = &m->slots[s].flood;
+    LayoutObj *L = m->layout;
     PyObject *field[R_COUNT];
     for (int r = R_ORIGIN; r < R_COUNT; r++)
-        if (!(field[r] = SLOT_AT(reply, m->reply_off[r])))
+        if (!(field[r] = SLOT_AT(reply, L->reply_off[r])))
             return 1;
-    PyObject *transmitter = SLOT_AT(frame, m->frame_off[F_TRANSMITTER]);
+    PyObject *transmitter = SLOT_AT(frame, L->frame_off[F_TRANSMITTER]);
     if (!transmitter)
         return 1;
     int rc = PyObject_RichCompareBool(field[R_ORIGIN], f->me, Py_EQ);
@@ -3010,7 +3029,7 @@ forward_reply(MediumObj *m, Py_ssize_t s, PyObject *frame, PyObject *reply)
         Py_DECREF(next_hop);
         return rc < 0 ? -1 : 1;
     }
-    PyTypeObject *cls = m->entry_cls;
+    PyTypeObject *cls = L->entry_cls;
     double now = m->sim->now;
     PyObject *entry = cls->tp_alloc(cls, 0);
     PyObject *installed = PyFloat_FromDouble(now);
@@ -3021,7 +3040,7 @@ forward_reply(MediumObj *m, Py_ssize_t s, PyObject *frame, PyObject *reply)
                                     field[R_HOP_COUNT], field[R_PATH],
                                     field[R_REQUEST_ID]};
         for (int e = 0; e < E_COUNT; e++)
-            SLOT_AT(entry, m->entry_off[e]) = Py_NewRef(value[e]);
+            SLOT_AT(entry, L->entry_off[e]) = Py_NewRef(value[e]);
         if (PyDict_SetItem(f->entries, field[R_TARGET], entry) == 0)
             rc = flood_submit(m, s, reply, next_hop, transmitter, Py_None);
     }
@@ -3037,34 +3056,36 @@ forward_reply(MediumObj *m, Py_ssize_t s, PyObject *frame, PyObject *reply)
 static int
 flood_receive(MediumObj *m, Py_ssize_t s, PyObject *frame)
 {
-    if (Py_TYPE(frame) != m->frame_cls)
+    LayoutObj *L = m->layout;
+    if (Py_TYPE(frame) != L->frame_cls)
         return 1;
-    PyObject *packet = SLOT_AT(frame, m->frame_off[F_PACKET]);
+    PyObject *packet = SLOT_AT(frame, L->frame_off[F_PACKET]);
     if (!packet)
         return 1;
     Flood *f = &m->slots[s].flood;
     PyTypeObject *cls = Py_TYPE(packet);
-    if (cls == m->reply_cls || cls == m->data_cls) {
+    if (cls == L->reply_cls || cls == L->data_cls) {
         /* Overheard, addressed to another node: nothing to do. */
-        PyObject *dst = SLOT_AT(frame, m->frame_off[F_LINK_DST]);
+        PyObject *dst = SLOT_AT(frame, L->frame_off[F_LINK_DST]);
         int mine = dst ? PyObject_RichCompareBool(dst, f->me, Py_EQ) : 1;
         if (mine <= 0)
             return mine;
         /* Addressed here: forward it when this is an intermediate hop. */
         Py_INCREF(frame);
         Py_INCREF(packet);
-        int rc = cls == m->data_cls ? forward_data(m, s, frame, packet)
+        int rc = cls == L->data_cls ? forward_data(m, s, frame, packet)
                                     : forward_reply(m, s, frame, packet);
         Py_DECREF(packet);
         Py_DECREF(frame);
         return rc;
     }
-    if (cls != m->request_cls)
+    /* The request paths read the key key() caches. */
+    if (cls != L->request_cls || !layout_holds(L, REF_KEY, cls))
         return 1;
-    PyObject *key = SLOT_AT(packet, m->request_off[R_KEY]),
-             *target = SLOT_AT(packet, m->request_off[R_TARGET]),
-             *origin = SLOT_AT(packet, m->request_off[R_ORIGIN]),
-             *prev_hop = SLOT_AT(frame, m->frame_off[F_TRANSMITTER]);
+    PyObject *key = SLOT_AT(packet, L->request_off[R_KEY]),
+             *target = SLOT_AT(packet, L->request_off[R_TARGET]),
+             *origin = SLOT_AT(packet, L->request_off[R_ORIGIN]),
+             *prev_hop = SLOT_AT(frame, L->frame_off[F_TRANSMITTER]);
     if (!key || key == Py_None || !target || !origin || !prev_hop)
         return 1;
     int rc = PyObject_RichCompareBool(target, f->me, Py_EQ);
@@ -3108,9 +3129,10 @@ flood_receive(MediumObj *m, Py_ssize_t s, PyObject *frame)
 static PyObject *
 request_copy(MediumObj *m, PyObject *request, PyObject *node)
 {
+    LayoutObj *L = m->layout;
     PyObject *field[R_COUNT] = {NULL}, *copy = NULL;
     for (int r = R_KEY; r < R_COUNT; r++)
-        if (!(field[r] = slot_get(request, m->request_off[r], *request_names[r])))
+        if (!(field[r] = slot_get(request, L->request_off[r], *request_names[r])))
             goto done;
     PyObject *one = PyLong_FromLong(1), *tail = PyTuple_Pack(1, node);
     Py_SETREF(field[R_HOP_COUNT], one && tail ? PyNumber_Add(field[R_HOP_COUNT], one) : NULL);
@@ -3120,14 +3142,14 @@ request_copy(MediumObj *m, PyObject *request, PyObject *node)
     Py_XDECREF(tail);
     if (!field[R_HOP_COUNT] || !field[R_PATH])
         goto done;
-    if (!(field[R_UID] = PyIter_Next(m->packet_uids))) {
+    if (!(field[R_UID] = PyIter_Next(L->uids))) {
         if (!PyErr_Occurred())
             PyErr_SetNone(PyExc_StopIteration);
         goto done;
     }
-    if ((copy = m->request_cls->tp_alloc(m->request_cls, 0)))
+    if ((copy = L->request_cls->tp_alloc(L->request_cls, 0)))
         for (int r = 0; r < R_COUNT; r++) {
-            SLOT_AT(copy, m->request_off[r]) = field[r];
+            SLOT_AT(copy, L->request_off[r]) = field[r];
             field[r] = NULL;
         }
 done:
@@ -3144,16 +3166,15 @@ flood_submit(MediumObj *m, Py_ssize_t s, PyObject *packet, PyObject *link_dst,
              PyObject *prev_hop, PyObject *jitter)
 {
     Flood *f = &m->slots[s].flood;
+    LayoutObj *L = m->layout;
     PyObject *node = Py_NewRef(f->node), *filters = Py_NewRef(f->send_filters);
-    PyObject *frame = m->frame_cls->tp_alloc(m->frame_cls, 0);
+    PyObject *field[F_COUNT] = {packet, f->me, link_dst, prev_hop, Py_None};
+    PyObject *frame = L->frame_cls->tp_alloc(L->frame_cls, 0);
     int rc = -1;
     if (!frame)
         goto done;
-    SLOT_AT(frame, m->frame_off[F_PACKET]) = Py_NewRef(packet);
-    SLOT_AT(frame, m->frame_off[F_TRANSMITTER]) = Py_NewRef(f->me);
-    SLOT_AT(frame, m->frame_off[F_LINK_DST]) = Py_NewRef(link_dst);
-    SLOT_AT(frame, m->frame_off[F_PREV_HOP]) = Py_NewRef(prev_hop);
-    SLOT_AT(frame, m->leash_off) = Py_NewRef(Py_None);
+    for (int i = 0; i < F_COUNT; i++)
+        SLOT_AT(frame, L->frame_off[i]) = Py_NewRef(field[i]);
     static SlotRule alive_rule;
     rc = attr_true(&alive_rule, node, str_alive);
     for (Py_ssize_t i = 0; rc > 0 && i < PyList_GET_SIZE(filters); i++) {
@@ -3186,7 +3207,12 @@ flood_decide(MediumObj *m, Py_ssize_t s, PyObject *request, PyObject *prev_hop)
         PyErr_SetString(PyExc_RuntimeError, "the flood has been cleared");
         return -1;
     }
-    PyObject *key = slot_get(request, m->request_off[R_KEY], str_dkey);
+    LayoutObj *L = m->layout;
+    /* Packet.key wrapped since the request came in: the method's turn. */
+    if (!layout_holds(L, REF_KEY, Py_TYPE(request)))
+        return discard(PyObject_CallMethodObjArgs(f->agent, str_forward_decision,
+                                                  prev_hop, request, NULL));
+    PyObject *key = slot_get(request, L->request_off[R_KEY], str_dkey);
     if (!key)
         return -1;
     /* extra_copies = counts.pop(key, 0) */
@@ -3263,26 +3289,22 @@ Mac_enable(MacObj *self, PyObject *Py_UNUSED(ignored))
 }
 
 /* flood(agent, sim, node, seen, counts, entries, random, forward_jitter,
- *       suppression_threshold, route_timeout, classes) -> bool: run the
- * agent's flood and forwarding in this MAC's slot (see
- * OnDemandRouting.__init__; the flood section above).  `classes` is
- * (OnDemandRouting.on_frame, RouteRequest, RouteReply, DataPacket,
- * packet._packet_uids, RouteEntry, ondemand.always_usable).  False, with
+ *       suppression_threshold, route_timeout, on_frame, always_usable)
+ * -> bool: run the agent's flood and forwarding in this MAC's slot (see
+ * OnDemandRouting.__init__; the flood section above), `on_frame` and
+ * `always_usable` the references of repro.routing.ondemand.  False, with
  * nothing wired, when the agent's simulator is not the medium's, a dict
  * is not a plain dict or the slot already runs an agent. */
 static PyObject *
 Mac_flood(MacObj *self, PyObject *args)
 {
     PyObject *agent, *sim, *node, *seen, *counts, *entries, *random, *on_frame,
-        *uids, *always_usable;
-    PyTypeObject *request_cls, *reply_cls, *data_cls, *entry_cls;
+        *always_usable;
     double jitter, timeout;
     long threshold;
-    if (!PyArg_ParseTuple(args, "OOOOOOOdld(OO!O!O!OO!O)", &agent, &sim, &node,
-                          &seen, &counts, &entries, &random, &jitter, &threshold,
-                          &timeout, &on_frame, &PyType_Type, &request_cls,
-                          &PyType_Type, &reply_cls, &PyType_Type, &data_cls,
-                          &uids, &PyType_Type, &entry_cls, &always_usable))
+    if (!PyArg_ParseTuple(args, "OOOOOOOdldOO", &agent, &sim, &node, &seen, &counts,
+                          &entries, &random, &jitter, &threshold, &timeout,
+                          &on_frame, &always_usable))
         return NULL;
     MediumObj *m = self->medium;
     if (medium_check(m) < 0)
@@ -3291,22 +3313,6 @@ Mac_flood(MacObj *self, PyObject *args)
     if ((PyObject *)m->sim != sim || !PyDict_CheckExact(seen) ||
         !PyDict_CheckExact(counts) || !PyDict_CheckExact(entries) || f->agent)
         Py_RETURN_FALSE;
-    Py_ssize_t offsets[R_COUNT], reply[R_COUNT], entry[E_COUNT], destination;
-    int laid_out = m->leash_off >= 0;
-    for (int r = 0; r < R_COUNT; r++) {
-        laid_out &= (offsets[r] = slot_offset(request_cls, *request_names[r])) >= 0;
-        laid_out &= (reply[r] = slot_offset(reply_cls, *request_names[r])) >= 0;
-    }
-    for (int e = 0; e < E_COUNT; e++)
-        laid_out &= (entry[e] = slot_offset(entry_cls, *entry_names[e])) >= 0;
-    laid_out &= (destination = slot_offset(data_cls, str_destination)) >= 0;
-    for (int i = 0; i < F_COUNT; i++)
-        laid_out &= m->frame_off[i] >= 0;
-    if (!laid_out) {
-        PyErr_SetString(PyExc_TypeError,
-                        "a packet, route entry or frame class lacks its slots");
-        return NULL;
-    }
     PyObject *me = PyObject_GetAttr(node, str_node_id);
     PyObject *filters = me ? PyObject_GetAttr(node, str_send_filters) : NULL;
     if (filters && !PyList_CheckExact(filters)) {
@@ -3329,16 +3335,7 @@ Mac_flood(MacObj *self, PyObject *args)
     f->threshold = threshold;
     f->timeout = timeout;
     Py_XSETREF(m->on_frame, Py_NewRef(on_frame));
-    Py_XSETREF(m->packet_uids, Py_NewRef(uids));
     Py_XSETREF(m->always_usable, Py_NewRef(always_usable));
-    Py_XSETREF(m->request_cls, (PyTypeObject *)Py_NewRef(request_cls));
-    Py_XSETREF(m->reply_cls, (PyTypeObject *)Py_NewRef(reply_cls));
-    Py_XSETREF(m->data_cls, (PyTypeObject *)Py_NewRef(data_cls));
-    Py_XSETREF(m->entry_cls, (PyTypeObject *)Py_NewRef(entry_cls));
-    memcpy(m->request_off, offsets, sizeof(offsets));
-    memcpy(m->reply_off, reply, sizeof(reply));
-    memcpy(m->entry_off, entry, sizeof(entry));
-    m->destination_off = destination;
     Py_RETURN_TRUE;
 }
 
@@ -3479,7 +3476,8 @@ static PyMethodDef Medium_methods[] = {
     {"is_busy", (PyCFunction)Medium_is_busy, METH_O,
      "Carrier sense at node: own transmission or any audible one."},
     {"release", (PyCFunction)Medium_release, METH_NOARGS,
-     "Drop every handler and reference; the counters stay readable."},
+     "Drop every handler and reference but the layout; the counters stay "
+     "readable."},
     {NULL}
 };
 
@@ -3488,6 +3486,11 @@ static PyGetSetDef Medium_getset[] = {
      "Receptions destroyed so far (interference or half-duplex).", NULL},
     {"transmissions", (getter)Medium_get_transmissions, NULL,
      "Frames put on the air so far.", NULL},
+    {NULL}
+};
+
+static PyMemberDef Medium_members[] = {
+    {"layout", T_OBJECT, offsetof(MediumObj, layout), READONLY, "The kernel's Layout."},
     {NULL}
 };
 
@@ -3501,6 +3504,7 @@ static PyTypeObject MediumType = {
     .tp_clear = (inquiry)Medium_clear,
     .tp_methods = Medium_methods,
     .tp_getset = Medium_getset,
+    .tp_members = Medium_members,
     .tp_new = Medium_new,
     .tp_doc = "The wireless channel's per-reception work (see Channel).",
 };
@@ -3532,7 +3536,7 @@ static PyTypeObject MediumType = {
  * is_usable, and the bodies of the monitor's _add_expectation (while it
  * has no liveness predicate) and _note_watch_size and of the agent's
  * _reject, building their watch_buffer and frame_rejected records with
- * a Tracer.  Each of those bodies runs here only while the class still
+ * the layout.  Each of those bodies runs here only while the class still
  * resolves the method's name to the reference (guard_runs).  The watch
  * buffer is the monitor's own dict, its deadlines Events of the
  * monitor's _expectation_expired.
@@ -3541,7 +3545,7 @@ static PyTypeObject MediumType = {
  * paths: the monitor's _accuse, _watch_request_forwarders, the expiry
  * and its counters and _last_loss; the agent's accepted-packet handlers;
  * packet_role on a packet class's first sight and Packet.key() while a
- * key is not cached. */
+ * key is not cached or the class is not the layout's to read. */
 
 static PyObject *str_observe, *str_inner_key, *str_cancel, *str_note_watch_size,
     *str_accuse, *str_add_expectation, *str_watch_request_forwarders,
@@ -3571,9 +3575,6 @@ typedef struct {
 typedef struct {
     PyTypeObject *cls;
     int role;
-    /* Slot offsets on `cls`, -1 to use attribute lookup; off_key is -1
-     * too when the class overrides key(). */
-    Py_ssize_t off_key, off_origin, off_destination, off_inner_key;
 } PacketKind;
 
 /* The monitor's and the agent's methods whose bodies the guard runs,
@@ -3595,10 +3596,8 @@ struct GuardObj {
     PyObject *packet_role;
     PyObject *active, *revoked;     /* status values */
     PyObject *v_fabricate;
-    /* The monitor's trace, for watch_buffer and frame_rejected records
-     * (their interned layouts the records' names); its Records also give
-     * the Frame and Packet classes, their offsets and Packet.key. */
-    Tracer tr;
+    PyObject *trace;        /* the monitor's, for watch_buffer and frame_rejected; or NULL */
+    LayoutObj *layout;
     /* Set by bind(); receive() needs them. */
     PyObject *agent;
     PyObject *handlers;     /* packet class -> handler */
@@ -3622,14 +3621,6 @@ static inline int
 guard_runs(GuardObj *g, int i, PyTypeObject *cls)
 {
     return resolves_to(&g->rule[i], cls, *method_names[i], g->method[i]);
-}
-
-static inline PyObject *
-frame_get(GuardObj *g, PyObject *frame, int field)
-{
-    RecordsObj *r = g->tr.rec;
-    Py_ssize_t offset = Py_TYPE(frame) == r->frame_cls ? r->frame_off[field] : -1;
-    return slot_get(frame, offset, *frame_names[field]);
 }
 
 /* ---- overheard store ---------------------------------------------- */
@@ -3798,18 +3789,15 @@ guard_check(GuardObj *g)
     return -1;
 }
 
-/* The role and slot offsets of `packet`'s class, classified by
- * packet_role on first sight.  Copied out: a frame handled re-entrantly
- * (an accusation's alert passes the send filter) may grow the table. */
+/* The role of `packet`'s class, classified by packet_role on first
+ * sight; -1 on error. */
 static int
-packet_kind(GuardObj *g, PyObject *packet, PacketKind *out)
+packet_kind(GuardObj *g, PyObject *packet)
 {
     PyTypeObject *cls = Py_TYPE(packet);
     for (Py_ssize_t i = 0; i < g->nkinds; i++)
-        if (g->kinds[i].cls == cls) {
-            *out = g->kinds[i];
-            return 0;
-        }
+        if (g->kinds[i].cls == cls)
+            return g->kinds[i].role;
     PyObject *r = PyObject_CallOneArg(g->packet_role, packet);
     if (!r)
         return -1;
@@ -3817,13 +3805,6 @@ packet_kind(GuardObj *g, PyObject *packet, PacketKind *out)
     Py_DECREF(r);
     if (role == -1 && PyErr_Occurred())
         return -1;
-    PacketKind kind = {cls, (int)role, -1, -1, -1, -1};
-    if (PyType_IsSubtype(cls, g->tr.rec->packet_cls) &&
-        _PyType_Lookup(cls, str_key) == g->tr.rec->key)
-        kind.off_key = slot_offset(cls, str_dkey);
-    kind.off_origin = slot_offset(cls, str_origin);
-    kind.off_destination = slot_offset(cls, str_destination);
-    kind.off_inner_key = slot_offset(cls, str_inner_key);
     if (g->nkinds == g->cap_kinds) {
         Py_ssize_t cap = g->cap_kinds ? g->cap_kinds * 2 : 8;
         PacketKind *kinds = PyMem_Realloc(g->kinds,
@@ -3835,22 +3816,8 @@ packet_kind(GuardObj *g, PyObject *packet, PacketKind *out)
         g->kinds = kinds;
         g->cap_kinds = cap;
     }
-    Py_INCREF(cls);
-    g->kinds[g->nkinds++] = kind;
-    *out = kind;
-    return 0;
-}
-
-/* packet.key(), from the cached slot when the class allows it. */
-static PyObject *
-packet_key(PyObject *packet, PacketKind *kind)
-{
-    if (kind->off_key >= 0) {
-        PyObject *key = SLOT_AT(packet, kind->off_key);
-        if (key && key != Py_None)
-            return Py_NewRef(key);
-    }
-    return PyObject_CallMethodNoArgs(packet, str_key);
+    g->kinds[g->nkinds++] = (PacketKind){(PyTypeObject *)Py_NewRef((PyObject *)cls), (int)role};
+    return (int)role;
 }
 
 /* record.status == status; -1 on error. */
@@ -3871,7 +3838,7 @@ status_is(PyObject *record, PyObject *status)
 static int
 guard_note_size(GuardObj *g)
 {
-    if (!g->tr.trace || !guard_runs(g, M_NOTE_WATCH_SIZE, g->monitor_cls))
+    if (!g->trace || !guard_runs(g, M_NOTE_WATCH_SIZE, g->monitor_cls))
         return discard(PyObject_CallMethodNoArgs(g->monitor, str_note_watch_size));
     PyObject *monitor = g->monitor, *size = NULL, *sampled = NULL, *now = NULL,
         *peak = NULL;
@@ -3903,8 +3870,8 @@ guard_note_size(GuardObj *g)
         !(peak = PyObject_GetAttr(monitor, str_watch_buffer_peak)))
         goto done;
     PyObject *head[3] = {g->owner, size, peak};
-    rc = tracer_emit(&g->tr, now, str_watch_buffer, PyTuple_GET_ITEM(g->tr.rec->names, 0),
-                     head, 3, NULL);
+    rc = tracer_emit(g->layout, g->trace, now, str_watch_buffer, N_WATCH_BUFFER, head, 3,
+                     NULL);
 done:
     Py_XDECREF(size);
     Py_XDECREF(sampled);
@@ -3997,7 +3964,7 @@ guard_observe(GuardObj *g, PyObject *frame, int own)
     PyObject *packet = NULL, *tx = NULL, *key = NULL, *prev = NULL,
         *watched = NULL, *consumer = NULL;
     int rc = -1;
-    tx = frame_get(g, frame, F_TRANSMITTER);
+    tx = frame_slot(g->layout, frame, F_TRANSMITTER);
     if (!tx)
         goto done;
     if (!own) {
@@ -4007,14 +3974,14 @@ guard_observe(GuardObj *g, PyObject *frame, int own)
             goto done;
         }
     }
-    packet = frame_get(g, frame, F_PACKET);
-    PacketKind kind;
-    if (!packet || packet_kind(g, packet, &kind) < 0)
+    packet = frame_slot(g->layout, frame, F_PACKET);
+    int role = packet ? packet_kind(g, packet) : -1;
+    if (role < 0)
         goto done;
-    if (kind.role == ROLE_RERR) {
+    if (role == ROLE_RERR) {
         /* The transmitter legitimately cannot forward: clear the watch. */
         if (PyDict_GET_SIZE(g->expectations)) {
-            PyObject *inner = slot_get(packet, kind.off_inner_key, str_inner_key);
+            PyObject *inner = PyObject_GetAttr(packet, str_inner_key);
             if (!inner)
                 goto done;
             rc = pop_expectation(g, inner, tx);
@@ -4024,13 +3991,13 @@ guard_observe(GuardObj *g, PyObject *frame, int own)
         }
         goto done;
     }
-    if (kind.role == ROLE_IGNORED || (kind.role == ROLE_DATA && !g->watch_data)) {
+    if (role == ROLE_IGNORED || (role == ROLE_DATA && !g->watch_data)) {
         rc = 0;
         goto done;
     }
 
     double now = g->sim->now;
-    key = packet_key(packet, &kind);
+    key = packet_key(g->layout, packet);
     if (!key)
         goto done;
     Py_hash_t hash = PyObject_Hash(key);
@@ -4040,7 +4007,7 @@ guard_observe(GuardObj *g, PyObject *frame, int own)
         pop_expectation(g, key, tx) < 0)
         goto done;
 
-    prev = frame_get(g, frame, F_PREV_HOP);
+    prev = frame_slot(g->layout, frame, F_PREV_HOP);
     if (!prev)
         goto done;
     /* Only a guard of the claimed link (prev's neighbour) can judge. */
@@ -4073,11 +4040,11 @@ guard_observe(GuardObj *g, PyObject *frame, int own)
         }
     }
 
-    watched = frame_get(g, frame, F_LINK_DST);
+    watched = frame_slot(g->layout, frame, F_LINK_DST);
     if (!watched)
         goto done;
     if (watched == Py_None) {
-        if (kind.role == ROLE_REQ && g->watch_request_drops &&
+        if (role == ROLE_REQ && g->watch_request_drops &&
             discard(PyObject_CallMethodObjArgs(
                 g->monitor, str_watch_request_forwarders, packet, key, tx,
                 NULL)) < 0)
@@ -4088,10 +4055,14 @@ guard_observe(GuardObj *g, PyObject *frame, int own)
     /* Expect a forward unless the receiver legitimately consumes the
      * packet: a reply at its origin, data at its destination, and any
      * other monitored type at its link destination. */
-    if (kind.role == ROLE_REP)
-        consumer = slot_get(packet, kind.off_origin, str_origin);
-    else if (kind.role == ROLE_DATA)
-        consumer = slot_get(packet, kind.off_destination, str_destination);
+    LayoutObj *L = g->layout;
+    PyTypeObject *cls = Py_TYPE(packet);
+    if (role == ROLE_REP)
+        consumer = slot_get(packet, cls == L->reply_cls ? L->reply_off[R_ORIGIN] : -1,
+                            str_origin);
+    else if (role == ROLE_DATA)
+        consumer = slot_get(packet, cls == L->data_cls ? L->destination_off : -1,
+                            str_destination);
     else {
         rc = 0;
         goto done;
@@ -4129,7 +4100,7 @@ done:
 static int
 guard_reject(GuardObj *g, PyObject *reason, PyObject *frame)
 {
-    if (!g->tr.trace || !guard_runs(g, M_REJECT, Py_TYPE(g->agent)))
+    if (!g->trace || !guard_runs(g, M_REJECT, Py_TYPE(g->agent)))
         return discard(
             PyObject_CallMethodObjArgs(g->agent, str_reject, reason, frame, NULL));
     PyObject *rejects = PyObject_GetAttr(g->agent, str_rejects);
@@ -4143,8 +4114,8 @@ guard_reject(GuardObj *g, PyObject *reason, PyObject *frame)
     if (!now)
         return -1;
     PyObject *head[2] = {g->owner, reason};
-    rc = tracer_emit(&g->tr, now, str_frame_rejected, PyTuple_GET_ITEM(g->tr.rec->names, 1),
-                     head, 2, frame);
+    rc = tracer_emit(g->layout, g->trace, now, str_frame_rejected, N_FRAME_REJECTED, head,
+                     2, frame);
     Py_DECREF(now);
     return rc;
 }
@@ -4165,7 +4136,7 @@ guard_admit(GuardObj *g, PyObject *frame)
         return -1;
     }
     /* Looked up after the monitor, which may have just revoked it. */
-    PyObject *tx = frame_get(g, frame, F_TRANSMITTER);
+    PyObject *tx = frame_slot(g->layout, frame, F_TRANSMITTER);
     if (!tx)
         return -1;
     int verdict = -1;
@@ -4181,7 +4152,7 @@ guard_admit(GuardObj *g, PyObject *frame)
             verdict = guard_reject(g, str_revoked, frame) < 0 ? -1 : 0;
         goto done;
     }
-    PyObject *prev = frame_get(g, frame, F_PREV_HOP);
+    PyObject *prev = frame_slot(g->layout, frame, F_PREV_HOP);
     if (!prev)
         goto done;
     verdict = 1;
@@ -4211,35 +4182,27 @@ Guard_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
                              "expectations", "enabled", "watch_data",
                              "watch_request_drops", "fabrication_grace",
                              "overheard_window", "v_fabricate", "delta",
-                             "sample_period", "methods", "packet_role",
-                             "frame_cls", "active", "revoked", "trace",
-                             "records", NULL};
+                             "sample_period", "methods", "packet_role", "active",
+                             "revoked", "trace", "layout", NULL};
     PyObject *monitor, *sim, *owner, *first, *second, *expectations,
-        *v_fabricate, *role, *frame_cls, *active, *revoked, *trace, *records;
+        *v_fabricate, *role, *active, *revoked, *trace, *layout;
     PyObject *method[M_REJECT];
     int enabled, watch_data, watch_request_drops;
     double grace, window, delta, sample_period;
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwds, "$OO!OO!O!O!pppddOdd(OOO)OO!OOOO!", kwlist, &monitor,
+            args, kwds, "$OO!OO!O!O!pppddOdd(OOO)OOOOO!", kwlist, &monitor,
             &SimType, &sim, &owner, &PyDict_Type, &first, &PyDict_Type,
             &second, &PyDict_Type, &expectations, &enabled, &watch_data,
             &watch_request_drops, &grace, &window, &v_fabricate, &delta,
             &sample_period, &method[M_OBSERVE], &method[M_ADD_EXPECTATION],
-            &method[M_NOTE_WATCH_SIZE], &role, &PyType_Type, &frame_cls,
-            &active, &revoked, &trace, &RecordsType, &records))
+            &method[M_NOTE_WATCH_SIZE], &role, &active, &revoked, &trace,
+            &LayoutType, &layout))
         return NULL;
     GuardObj *g = (GuardObj *)type->tp_alloc(type, 0);
     if (!g)
         return NULL;
-    tracer_init(&g->tr, trace, records);
-    PyObject *layouts = g->tr.rec->names;
-    if (PyTuple_GET_SIZE(layouts) != 2 || !PyTuple_CheckExact(PyTuple_GET_ITEM(layouts, 0)) ||
-        !PyTuple_CheckExact(PyTuple_GET_ITEM(layouts, 1)) || !g->tr.rec->key) {
-        Py_DECREF(g);
-        PyErr_SetString(PyExc_TypeError,
-                        "records must hold two layouts and a packet class with key()");
-        return NULL;
-    }
+    g->trace = trace == Py_None ? NULL : Py_NewRef(trace);
+    g->layout = (LayoutObj *)Py_NewRef(layout);
     g->monitor = Py_NewRef(monitor);
     g->sim = (SimObj *)Py_NewRef(sim);
     g->owner = Py_NewRef(owner);
@@ -4276,9 +4239,8 @@ Guard_traverse(GuardObj *g, visitproc visit, void *arg)
     Py_VISIT(g->expectations);
     for (int i = 0; i < M_COUNT; i++)
         Py_VISIT(g->method[i]);
-    int rc = tracer_traverse(&g->tr, visit, arg);
-    if (rc)
-        return rc;
+    Py_VISIT(g->trace);
+    Py_VISIT(g->layout);
     Py_VISIT(g->monitor_cls);
     Py_VISIT(g->packet_role);
     Py_VISIT(g->active);
@@ -4309,7 +4271,7 @@ Guard_clear(GuardObj *g)
     Py_CLEAR(g->expectations);
     for (int i = 0; i < M_COUNT; i++)
         Py_CLEAR(g->method[i]);
-    tracer_clear(&g->tr);
+    Py_CLEAR(g->trace);
     Py_CLEAR(g->monitor_cls);
     Py_CLEAR(g->packet_role);
     Py_CLEAR(g->active);
@@ -4332,6 +4294,7 @@ Guard_dealloc(GuardObj *g)
 {
     PyObject_GC_UnTrack(g);
     Guard_clear(g);
+    Py_CLEAR(g->layout);     /* kept by a release, see Medium_clear */
     heard_free(&g->cur);
     heard_free(&g->old);
     PyMem_Free(g->kinds);
@@ -4377,7 +4340,7 @@ guard_receive(GuardObj *g, PyObject *frame)
         if (verdict <= 0)
             return verdict;
     }
-    PyObject *packet = frame_get(g, frame, F_PACKET);
+    PyObject *packet = frame_slot(g->layout, frame, F_PACKET);
     if (!packet)
         return -1;
     PyObject *handler = PyDict_GetItemWithError(g->handlers,
@@ -4410,7 +4373,7 @@ guard_send_filter(GuardObj *g, PyObject *frame)
     }
     if (!g->activated)
         return 1;
-    PyObject *dst = frame_get(g, frame, F_LINK_DST);
+    PyObject *dst = frame_slot(g->layout, frame, F_LINK_DST);
     if (!dst)
         return -1;
     int revoked = 0;
@@ -4585,7 +4548,7 @@ static PyMethodDef Guard_methods[] = {
      "Empty the overheard store."},
     {"release", (PyCFunction)Guard_release, METH_NOARGS,
      "Drop the monitor, the agent binding, the store and every other "
-     "reference."},
+     "reference but the layout."},
     {"stamps", (PyCFunction)Guard_stamps, METH_NOARGS,
      "The overheard store's stamps, as (current, old) generation lists."},
     {NULL}
@@ -4594,6 +4557,7 @@ static PyMethodDef Guard_methods[] = {
 static PyMemberDef Guard_members[] = {
     {"activated", T_BOOL, offsetof(GuardObj, activated), 0,
      "Whether receive() runs the monitor and the legitimacy checks."},
+    {"layout", T_OBJECT, offsetof(GuardObj, layout), READONLY, "The kernel's Layout."},
     {NULL}
 };
 
@@ -4837,7 +4801,7 @@ PyMODINIT_FUNC
 PyInit__ckernel(void)
 {
     if (PyType_Ready(&EventType) < 0 || PyType_Ready(&SimType) < 0 ||
-        PyType_Ready(&RecordsType) < 0 ||
+        PyType_Ready(&LayoutType) < 0 ||
         PyType_Ready(&MediumType) < 0 ||
         PyType_Ready(&AckType) < 0 || PyType_Ready(&MacType) < 0 ||
         PyType_Ready(&GuardType) < 0)
@@ -4887,7 +4851,7 @@ PyInit__ckernel(void)
         {&str_send_filter, "_send_filter"}, {&str_is_alive, "is_alive"},
         {&str_next_hop, "next_hop"}, {&str_installed_at, "installed_at"},
         {&str_expires_at, "expires_at"}, {&str_usable, "usable"},
-        {&str_req, "REQ"},
+        {&str_req, "REQ"}, {&str_forward_decision, "_forward_decision"},
     };
     for (size_t i = 0; i < sizeof(names) / sizeof(names[0]); i++)
         if (!*names[i].slot &&
@@ -4903,7 +4867,7 @@ PyInit__ckernel(void)
         PyModule_AddObjectRef(m, "Simulator", (PyObject *)&SimType) < 0 ||
         PyModule_AddObjectRef(m, "Medium", (PyObject *)&MediumType) < 0 ||
         PyModule_AddObjectRef(m, "Guard", (PyObject *)&GuardType) < 0 ||
-        PyModule_AddObjectRef(m, "Records", (PyObject *)&RecordsType) < 0) {
+        PyModule_AddObjectRef(m, "Layout", (PyObject *)&LayoutType) < 0) {
         Py_DECREF(m);
         return NULL;
     }

@@ -30,11 +30,12 @@ MetricsReports structurally.
 from __future__ import annotations
 
 import contextlib
+import functools
 import importlib
 import os
 import sysconfig
 import threading
-from typing import Iterator, List, Mapping, Optional
+from typing import Dict, Iterator, List, Mapping, Optional
 
 _SOURCE = os.path.join(os.path.dirname(__file__), "_ckernel.c")
 
@@ -225,7 +226,31 @@ def kernel_function(name: str):
     return getattr(module, name) if module is not None else None
 
 
-def medium_type(sim):
-    """The channel's C ``Medium`` for ``sim``, or None (see :func:`kernel_type`)."""
-    return kernel_type(sim, "Medium")
+def kernel_layout(sim):
+    """The C kernel's one ``Layout`` when ``sim`` is its ``Simulator``, else
+    None: made once per loaded kernel and shared by every ``Medium`` and
+    ``Guard``, it holds the classes they read by slot offset, the layouts
+    of the records they build and the references they stand in for, each
+    a constant its module captured at import, so a wrapper installed
+    before a scenario is built is never taken for the reference."""
+    return _layout(kernel_type(sim, "Layout"))
 
+
+@functools.lru_cache(maxsize=None)
+def _layout(layout_type):
+    return None if layout_type is None else layout_type(**_layout_arguments())
+
+
+def _layout_arguments() -> Dict[str, object]:
+    # Imported here: the packet, routing and trace modules sit above this one.
+    from repro.net import packet
+    from repro.routing.cache import RouteEntry
+    from repro.sim.trace import KERNEL_LAYOUTS, TRACE_EMIT, TRACE_PUBLISH, TraceRecord
+
+    return dict(
+        emit=TRACE_EMIT, publish=TRACE_PUBLISH, describe=packet.FRAME_DESCRIBE,
+        size_bytes=packet.FRAME_SIZE_BYTES, key=packet.PACKET_KEY, names=KERNEL_LAYOUTS,
+        uids=packet._packet_uids, record_cls=TraceRecord, packet_cls=packet.Packet,
+        frame_cls=packet.Frame, request_cls=packet.RouteRequest,
+        reply_cls=packet.RouteReply, data_cls=packet.DataPacket, entry_cls=RouteEntry,
+    )

@@ -29,6 +29,9 @@ Observability extensions (see :mod:`repro.obs` and docs/OBSERVABILITY.md):
   (ENOSPC, EIO, a yanked mount) is detached with a warning instead of
   aborting the run; if the log was unbounded it falls back to a bounded
   ring buffer so the loss of the export path cannot exhaust memory.
+
+The C kernel builds the records of :data:`KERNEL_LAYOUTS` itself while the
+log's class holds :data:`TRACE_EMIT` (:func:`repro.sim.accel.kernel_layout`).
 """
 
 from __future__ import annotations
@@ -319,10 +322,17 @@ class TraceLog:
         self._records.clear()
 
 
-#: ``TraceLog.emit`` as defined here.  The channel's C medium builds
-#: ``rx_lost`` records itself only while a log's class still holds this
-#: function, so a wrapper installed on ``TraceLog.emit`` sees every record.
+#: ``TraceLog.emit`` as defined here.  The C kernel builds its records
+#: itself only while a log's class still holds this function, so a
+#: wrapper installed on ``TraceLog.emit`` sees every record.
 TRACE_EMIT = TraceLog.emit
-#: ``TraceLog._publish`` as defined here; the medium runs its body for an
-#: ``rx_lost`` record only while a log's class still holds this function.
+#: ``TraceLog._publish`` as defined here; the kernel runs its body for
+#: such a record only while a log's class still holds this function.
 TRACE_PUBLISH = TraceLog._publish
+#: The layouts of the records the C kernel builds (``rx_lost``,
+#: ``watch_buffer``, ``frame_rejected``), in the reference path's order.
+KERNEL_LAYOUTS = (
+    layout("receiver", "collided", "packet", "tx", "dst", "prev"),
+    layout("guard", "size", "peak"),
+    layout("node", "reason", "packet", "tx", "dst", "prev"),
+)

@@ -68,7 +68,6 @@ def test_misspelt_option_raises_type_error(tmp_path, verb):
 
 def test_report_from_records_and_path(tmp_path):
     from repro.obs.sinks import JsonlSink
-    from repro.sim.trace import TraceLog
 
     config = api.ScenarioConfig(n_nodes=16, duration=30.0, seed=4,
                                 attack_start=10.0)

@@ -37,7 +37,7 @@ from repro.core.tables import NeighborRecord
 from repro.experiments.scenario import ScenarioConfig, build_scenario
 from repro.faults.plan import CrashRecover, FaultPlan, LinkFlap
 from repro.net.node import Node
-from repro.net.packet import DataPacket, RouteReply
+from repro.net.packet import DataPacket, Frame, Packet, RouteReply, RouteRequest
 from repro.routing import ondemand
 from repro.routing.cache import RouteTable
 from repro.routing.ondemand import OnDemandRouting
@@ -240,6 +240,20 @@ def test_stranded_reply_and_unrouted_data_take_the_python_path():
     assert verdicts == [False] * 3
 
 
+@needs_kernel
+def test_every_medium_and_guard_shares_the_kernels_layout():
+    """The kernel learns the Python classes it reads once: every medium
+    and guard, of one scenario and of the next, holds the same layout."""
+    layouts = []
+    for seed in (5, 6):
+        scenario = build_scenario(_config(seed=seed, n_nodes=20, duration=20.0))
+        layouts.append(scenario.network.channel._medium.layout)
+        layouts.extend(agent.monitor.guard.layout for agent in scenario.agents.values())
+    # A medium and the 18 honest nodes' guards per scenario.
+    assert len(layouts) == 2 * (1 + 18)
+    assert all(layout is accel.kernel_layout(scenario.sim) for layout in layouts)
+
+
 # ----------------------------------------------------------------------
 # The common path enters no Python frame
 # ----------------------------------------------------------------------
@@ -295,6 +309,9 @@ def test_kernel_runs_forwarding_and_the_guard_hooks_without_python_frames():
 # The wrapper rule
 # ----------------------------------------------------------------------
 def _counting(counts, fn):
+    if isinstance(fn, property):
+        return property(_counting(counts, fn.fget))
+
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         counts[0] += 1
@@ -307,6 +324,9 @@ TARGETS = GUARD_HOOKS + (
     (OnDemandRouting, "_on_data"), (OnDemandRouting, "_forward_data"),
     (OnDemandRouting, "_on_reply"), (OnDemandRouting, "_forward_reply"),
     (Node, "unicast"), (RouteTable, "lookup"), (RouteTable, "install"),
+    # What the kernel's layout stands in for when it builds a record, times
+    # a frame or reads a packet's cached key.
+    (Frame, "describe"), (Frame, "size_bytes"), (Packet, "key"),
 )
 
 
@@ -361,6 +381,42 @@ def test_wrapper_installed_mid_run_sees_every_later_call():
                                       functools.partial(_counting, counts))
         seen[stack] = (counts[0], records)
     assert seen["medium"][0] > 0
+    assert seen["medium"] == seen["reference"]
+
+
+def _run_key_wrapped_with_a_decision_pending(counts):
+    """Run a scenario that wraps ``Packet.key`` (undone afterwards) the
+    first time, after t=30 s, a node hears a request's first copy, so
+    that the node's rebroadcast decision is pending; its trace's records."""
+    scenario = build_scenario(_config(seed=5, n_nodes=24, duration=60.0))
+    node_id = scenario.honest_ids[0]
+    router = scenario.routers[node_id]
+    with pytest.MonkeyPatch.context() as patch:
+        def wrap(frame):
+            packet = frame.packet
+            if (not counts and scenario.sim.now >= 30.0 and type(packet) is RouteRequest
+                    and router._copy_counts.get(packet._key) == 0):
+                counts.append(0)
+                patch.setattr(Packet, "key", _counting(counts, Packet.key))
+
+        scenario.network.node(node_id).add_listener(wrap)
+        scenario.run()
+    return [(r.time, r.kind, tuple(r.items())) for r in scenario.trace]
+
+
+@needs_kernel
+def test_key_wrapped_with_a_decision_pending_sees_every_later_call():
+    """The kernel's one answer for ``Packet.key``, kept per class version,
+    is shared by the medium, the flood and the guards: a wrapper installed
+    mid-run, while a rebroadcast decision the medium scheduled is pending,
+    sees exactly the calls the reference stack's does."""
+    seen = {}
+    for stack in ("reference", "medium"):
+        counts = []
+        with _stack(stack):
+            records = _run_key_wrapped_with_a_decision_pending(counts)
+        seen[stack] = (counts, records)
+    assert seen["medium"][0][0] > 0
     assert seen["medium"] == seen["reference"]
 
 

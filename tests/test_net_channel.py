@@ -256,17 +256,32 @@ def test_uses_medium_exactly_on_ckernel(simcls):
     assert (channel._medium is not None) == (simcls is not Simulator)
 
 
+#: The slots the kernel's layout reads each of its classes by.
+LAYOUT_SLOTS = {
+    "record_cls": ("_time", "_kind", "_names", "_values"),
+    "packet_cls": ("_key",),
+    "frame_cls": ("packet", "transmitter", "link_dst", "prev_hop", "leash"),
+    "request_cls": ("uid", "_key", "origin", "request_id", "target", "hop_count", "path"),
+    "reply_cls": ("uid", "_key", "origin", "request_id", "target", "hop_count", "path"),
+    "data_cls": ("destination",),
+    "entry_cls": ("destination", "next_hop", "installed_at", "expires_at", "hop_count",
+                  "path", "request_id"),
+}
+
+
 @pytest.mark.skipif(not accel.kernel_available(), reason="no C kernel")
-def test_traced_medium_needs_records():
-    """A medium with a trace builds its rx_lost records with a Records:
-    without one it is refused when built, not at its first loss."""
+@pytest.mark.parametrize("name", sorted(LAYOUT_SLOTS))
+def test_layout_refuses_a_class_without_its_slots(name):
+    """The kernel's layout learns every class it reads by slot offset when
+    it is made: a class that lacks one of the slots is refused then, by
+    name, and one that has them all is taken."""
     module = accel._load()
-    args = [module.Simulator(), lambda sender, tx_range: [], random.random, TraceLog(),
-            0.0, 0.0, [], [], Reception, 40_000.0, {}, 30.0, Frame]
-    with pytest.raises(TypeError, match="needs records"):
-        module.Medium(*args)
-    args[3] = None
-    assert module.Medium(*args).transmissions == 0
+    arguments = accel._layout_arguments()
+    slots = LAYOUT_SLOTS[name]
+    partial = type("Partial", (), {"__slots__": slots[:-1]})
+    with pytest.raises(TypeError, match=f"Partial lacks its slot '{slots[-1]}'"):
+        module.Layout(**dict(arguments, **{name: partial}))
+    module.Layout(**dict(arguments, **{name: type("Full", (), {"__slots__": slots})}))
 
 
 def test_sparse_node_ids(simcls):
