@@ -19,12 +19,22 @@ the program are needed.  The samples are split three ways:
    on the stack, so ``python_callback_share`` is the share of the run in
    Python callbacks.
 
+``--lines`` adds a fourth split, **lines**: the kernel samples by the
+source line of ``_ckernel.c`` they hit (``function file:line``, the
+innermost inlined function's line when the debug twin names it).  A line
+that loads a node's, a guard's or a table cell's state for the first time
+in a batch shows up here as a cache miss would.
+
 Usage, from the root of a checkout::
 
-    python3 scripts/sample_kernel.py --workload paper100 [--repeat 5] [--json out.json]
+    python3 scripts/sample_kernel.py --workload paper100 [--repeat 5] [--lines]
+        [--min-samples N] [--json out.json]
 
 The workloads are those of ``benchmarks/e2e/workloads.py``; each repeat
 samples every scenario of the workload's panel at the benchmark seed.
+``--min-samples N`` repeats the panel beyond ``--repeat`` until it has N
+samples, at most ``MAX_REPEAT`` times in all: a host whose profiling
+timer ticks coarsely still gives a short workload enough samples.
 See docs/PERFORMANCE.md section 7 for what the split can and cannot say.
 """
 
@@ -58,6 +68,8 @@ DEPTH = 32
 INTERVAL_US = 1000
 #: Rows printed per split (the JSON holds them all).
 TOP = 15
+#: The most runs of a panel ``--min-samples`` makes.
+MAX_REPEAT = 1000
 
 HELPER = r"""
 #define _GNU_SOURCE
@@ -195,11 +207,13 @@ def debug_twin(workdir: str, loaded: str) -> Optional[str]:
     return twin if _text_symbols(twin) == _text_symbols(loaded) else None
 
 
-def symbolize(requests: Dict[str, set], twins: Dict[str, str]) -> Dict[Tuple[str, int], str]:
-    """Function names for (file, address) pairs, one ``addr2line`` per
-    file: the innermost function inlined there when the file has a debug
-    twin."""
-    names: Dict[Tuple[str, int], str] = {}
+def symbolize(
+    requests: Dict[str, set], twins: Dict[str, str]
+) -> Dict[Tuple[str, int], Tuple[str, str]]:
+    """(function, ``file:line``) for (file, address) pairs, one
+    ``addr2line`` per file: the innermost function inlined there when the
+    file has a debug twin."""
+    names: Dict[Tuple[str, int], Tuple[str, str]] = {}
     for path, addresses in requests.items():
         ordered = sorted(addresses)
         out = subprocess.run(
@@ -210,7 +224,9 @@ def symbolize(requests: Dict[str, set], twins: Dict[str, str]) -> Dict[Tuple[str
         # pairs from the innermost inlined function outwards.
         heads = [i for i, line in enumerate(out) if line.startswith("0x")]
         for address, head in zip(ordered, heads):
-            names[(path, address)] = out[head + 1] if head + 1 < len(out) else "??"
+            function = out[head + 1] if head + 1 < len(out) else "??"
+            line = out[head + 2] if head + 2 < len(out) else "??:0"
+            names[(path, address)] = (function, os.path.basename(line.split(" ")[0]))
     return names
 
 
@@ -228,7 +244,7 @@ def _kind(path: str) -> str:
 # ----------------------------------------------------------------------
 # Sampling
 # ----------------------------------------------------------------------
-def sample(workload: str, repeat: int) -> Dict[str, object]:
+def sample(workload: str, repeat: int, min_samples: int = 0) -> Dict[str, object]:
     from repro.experiments.scenario import build_scenario
     from repro.sim import accel
     from workloads import DEFAULT_SEED, WORKLOADS
@@ -246,7 +262,9 @@ def sample(workload: str, repeat: int) -> Dict[str, object]:
         buffer = (Sample * 200_000)()
         state = ctypes.pythonapi.PyThreadState_Get
         state.restype = ctypes.c_void_p
-        for _ in range(repeat):
+        runs = 0
+        while runs < repeat or (len(raw) < min_samples and runs < MAX_REPEAT):
+            runs += 1
             for scenario_seed in spec.scenario_seeds(DEFAULT_SEED):
                 scenario = build_scenario(spec.scenario_config(scenario_seed))
                 lost = ctypes.c_long()
@@ -271,7 +289,7 @@ def sample(workload: str, repeat: int) -> Dict[str, object]:
         kernel_path = sys.modules["repro.sim._ckernel"].__file__
         twin = debug_twin(workdir, kernel_path)
         twins = {kernel_path: twin} if twin else {}
-        return _split(raw, Maps(), twins, code_names, missed, cpu, workload, repeat)
+        return _split(raw, Maps(), twins, code_names, missed, cpu, workload, runs)
 
 
 def _split(raw, maps, twins, code_names, missed, cpu, workload, repeat):
@@ -297,16 +315,19 @@ def _split(raw, maps, twins, code_names, missed, cpu, workload, repeat):
     names = symbolize(requests, twins)
     by_kind: collections.Counter = collections.Counter()
     kernel: collections.Counter = collections.Counter()
+    lines: collections.Counter = collections.Counter()
     libpython: collections.Counter = collections.Counter()
     python: collections.Counter = collections.Counter()
     for where, kernel_caller, code in located:
         kind = _kind(where[0]) if where else "other"
         by_kind[kind] += 1
-        caller = names.get(kernel_caller, "-") if kernel_caller else "-"
+        caller = names.get(kernel_caller, ("-", ""))[0] if kernel_caller else "-"
         if kind == "kernel":
-            kernel[names.get(where, "?")] += 1
+            function, line = names.get(where, ("?", "?:0"))
+            kernel[function] += 1
+            lines[f"{function} {line}"] += 1
         elif kind == "libpython":
-            libpython[f"{names.get(where, '?')} <- {caller}"] += 1
+            libpython[f"{names.get(where, ('?', ''))[0]} <- {caller}"] += 1
         python[code_names.get(code, "<no Python frame>" if not code else "<unknown>")] += 1
     total = len(located)
     quiet = sum(n for name, n in python.items() if name.endswith(":Scenario.run"))
@@ -322,12 +343,13 @@ def _split(raw, maps, twins, code_names, missed, cpu, workload, repeat):
         "leaf": dict(by_kind.most_common()),
         "python_callback_share": round(1.0 - quiet / total, 4) if total else None,
         "kernel": dict(kernel.most_common()),
+        "lines": dict(lines.most_common()),
         "libpython": dict(libpython.most_common()),
         "python": dict(python.most_common()),
     }
 
 
-def _print(result: Dict[str, object], top: int) -> None:
+def _print(result: Dict[str, object], top: int, by_line: bool) -> None:
     total = result["samples"] or 1
     print(
         f"{result['workload']}: {result['samples']} samples over {result['cpu_s']} CPU s "
@@ -335,7 +357,7 @@ def _print(result: Dict[str, object], top: int) -> None:
     )
     print("leaf:", ", ".join(f"{k} {100 * v / total:.1f}%" for k, v in result["leaf"].items()))
     print(f"python callbacks: {100 * (result['python_callback_share'] or 0):.1f}% of samples")
-    for title in ("kernel", "libpython", "python"):
+    for title in ("kernel",) + ("lines",) * by_line + ("libpython", "python"):
         print(f"\n{title}:")
         for name, n in list(result[title].items())[:top]:
             print(f"  {100 * n / total:5.1f}%  {n:6d}  {name}")
@@ -345,12 +367,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", default="paper100")
     parser.add_argument("--repeat", type=int, default=5, help="runs of the workload's panel")
+    parser.add_argument(
+        "--min-samples", type=int, default=0,
+        help=f"repeat the panel until this many samples (at most {MAX_REPEAT} runs)",
+    )
+    parser.add_argument("--lines", action="store_true",
+                        help="also split the kernel samples by source line")
     parser.add_argument("--json", help="also write the whole split here as JSON")
     args = parser.parse_args(argv)
     if platform.system() != "Linux" or platform.machine() != "x86_64":
         raise SystemExit("sample_kernel.py reads x86-64 Linux signal contexts")
-    result = sample(args.workload, args.repeat)
-    _print(result, TOP)
+    result = sample(args.workload, args.repeat, args.min_samples)
+    _print(result, TOP, args.lines)
     if args.json:
         Path(args.json).write_text(json.dumps(result, indent=1) + "\n")
     return 0

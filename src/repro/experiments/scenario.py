@@ -228,12 +228,17 @@ class Scenario:
             # scenario goes, see __del__), so the cyclic collector would
             # only walk the growing trace and tables over and over: it is
             # paused for the run and the caller's setting restored after.
+            # Everything the run allocated is still counted young then, and
+            # the next allocation would walk all of it once: freezing and
+            # unfreezing first moves it to the oldest generation.
             collecting = gc.isenabled()
             gc.disable()
             try:
                 self.sim.run(until=self.config.duration)
             finally:
                 if collecting:
+                    gc.freeze()
+                    gc.unfreeze()
                     gc.enable()
                 # Flush streamed trace exports even when a strict-mode schema
                 # violation (or any other error) aborts the run mid-flight.

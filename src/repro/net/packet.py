@@ -20,8 +20,9 @@ Sizes are in bytes and drive transmission durations on the 40 kbps channel
 from the paper's Table 2.
 
 The C kernel reads these slotted classes by offset and stands in for
-``Packet.key``, ``Frame.describe`` and ``Frame.size_bytes`` only while a
-class holds the references captured below (:func:`repro.sim.accel.kernel_layout`).
+``Packet.key``, ``Frame.describe`` and the ``size_bytes`` properties of
+``Frame``, ``DataPacket`` and ``RouteReply`` only while a class holds the
+references captured below (:func:`repro.sim.accel.kernel_layout`).
 """
 
 from __future__ import annotations
@@ -537,6 +538,8 @@ REQUEST_FORWARDED_BY = RouteRequest.forwarded_by
 PACKET_KEY = Packet.key
 FRAME_DESCRIBE = Frame.describe
 FRAME_SIZE_BYTES = Frame.__dict__["size_bytes"]
+DATA_SIZE_BYTES = DataPacket.__dict__["size_bytes"]
+REPLY_SIZE_BYTES = RouteReply.__dict__["size_bytes"]
 
 
 def _slot_setters(cls: type, *names: str) -> Tuple[Any, ...]:

@@ -23,7 +23,8 @@
  * objects through the Layout type: one per loaded kernel, made in Python
  * (repro.sim.accel.kernel_layout), it holds every class read by slot
  * offset with its offsets and every reference method a C path stands in
- * for.
+ * for.  In a large network the medium prefetches a batch's receiver
+ * state in stages before it finishes the receptions (batch_prefetch).
  *
  * Built on demand by repro.sim.accel; the pure-Python engine,
  * Channel's per-receiver path, CsmaMac and OnDemandRouting remain the
@@ -842,7 +843,7 @@ static PyObject *str_link_dst, *str_describe, *str_emit, *str_rx_lost,
     *str_peak_resident, *str_request_id, *str_target, *str_hop_count, *str_path,
     *str_uid, *str_node_id, *str_send_filters, *str_origin, *str_last_loss,
     *str_destination, *str_next_hop, *str_installed_at, *str_expires_at,
-    *str_usable, *str_req, *str_forward_decision;
+    *str_usable, *str_req, *str_forward_decision, *str_payload_size;
 
 /* Frame slots read and written by offset; the first four are
  * Frame.describe()'s values. */
@@ -1042,7 +1043,8 @@ attr_true(SlotRule *rule, PyObject *obj, PyObject *name)
  * those offsets, the layouts of the records it builds (rx_lost,
  * watch_buffer, frame_rejected), packet.py's uid counter, and the
  * reference methods it stands in for: TraceLog.emit and _publish,
- * Frame.describe, Frame.size_bytes and Packet.key, each as its module
+ * Frame.describe, Packet.key and the size_bytes properties of Frame,
+ * DataPacket and RouteReply, each as its module
  * captured it at import, never as a class holds it when the layout is
  * made.  A C path stands in for one of them only while the class at hand
  * resolves the name to the reference, the one answer per method kept per
@@ -1050,9 +1052,14 @@ attr_true(SlotRule *rule, PyObject *obj, PyObject *name)
  * Python (repro.sim.accel.kernel_layout) and shared by every Medium and
  * Guard; a class that lacks a slot named here is refused when it is
  * made. */
-enum { REF_EMIT, REF_PUBLISH, REF_DESCRIBE, REF_SIZE, REF_KEY, REF_COUNT };
+enum { REF_EMIT, REF_PUBLISH, REF_DESCRIBE, REF_SIZE, REF_KEY, REF_DATA_SIZE,
+       REF_REPLY_SIZE, REF_COUNT };
 static PyObject **ref_names[REF_COUNT] = {&str_emit, &str_publish, &str_describe,
-                                          &str_size_bytes, &str_key};
+                                          &str_size_bytes, &str_key, &str_size_bytes,
+                                          &str_size_bytes};
+/* DataPacket's slots read by offset. */
+enum { D_DESTINATION, D_PAYLOAD_SIZE, D_COUNT };
+static PyObject **data_names[D_COUNT] = {&str_destination, &str_payload_size};
 /* The record layouts, in `names`. */
 enum { N_RX_LOST, N_WATCH_BUFFER, N_FRAME_REJECTED, N_COUNT };
 
@@ -1065,7 +1072,7 @@ typedef struct {
     PyTypeObject *record_cls, *packet_cls, *frame_cls, *request_cls, *reply_cls,
         *data_cls, *entry_cls;
     Py_ssize_t record_off[4], key_off, frame_off[F_COUNT], request_off[R_COUNT],
-        reply_off[R_COUNT], entry_off[E_COUNT], destination_off;
+        reply_off[R_COUNT], entry_off[E_COUNT], data_off[D_COUNT];
 } LayoutObj;
 
 static PyTypeObject LayoutType;
@@ -1094,14 +1101,16 @@ static PyObject *
 Layout_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"emit", "publish", "describe", "size_bytes", "key",
-                             "names", "uids", "record_cls", "packet_cls",
+                             "data_size", "reply_size", "names", "uids",
+                             "record_cls", "packet_cls",
                              "frame_cls", "request_cls", "reply_cls", "data_cls",
                              "entry_cls", NULL};
     PyObject *ref[REF_COUNT], *names, *uids;
     PyTypeObject *cls[7];
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwds, "$OOOOOO!OO!O!O!O!O!O!O!:Layout", kwlist, &ref[REF_EMIT],
+            args, kwds, "$OOOOOOOO!OO!O!O!O!O!O!O!:Layout", kwlist, &ref[REF_EMIT],
             &ref[REF_PUBLISH], &ref[REF_DESCRIBE], &ref[REF_SIZE], &ref[REF_KEY],
+            &ref[REF_DATA_SIZE], &ref[REF_REPLY_SIZE],
             &PyTuple_Type, &names, &uids, &PyType_Type, &cls[0], &PyType_Type,
             &cls[1], &PyType_Type, &cls[2], &PyType_Type, &cls[3], &PyType_Type,
             &cls[4], &PyType_Type, &cls[5], &PyType_Type, &cls[6]))
@@ -1125,13 +1134,13 @@ Layout_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
                               &L->entry_cls};
     for (int c = 0; c < 7; c++)
         *mine[c] = (PyTypeObject *)Py_NewRef((PyObject *)cls[c]);
-    static PyObject **key_name[1] = {&str_dkey}, **destination_name[1] = {&str_destination};
+    static PyObject **key_name[1] = {&str_dkey};
     if (slot_offsets(L->record_cls, record_names, 4, L->record_off) < 0 ||
         slot_offsets(L->packet_cls, key_name, 1, &L->key_off) < 0 ||
         slot_offsets(L->frame_cls, frame_names, F_COUNT, L->frame_off) < 0 ||
         slot_offsets(L->request_cls, request_names, R_COUNT, L->request_off) < 0 ||
         slot_offsets(L->reply_cls, request_names, R_COUNT, L->reply_off) < 0 ||
-        slot_offsets(L->data_cls, destination_name, 1, &L->destination_off) < 0 ||
+        slot_offsets(L->data_cls, data_names, D_COUNT, L->data_off) < 0 ||
         slot_offsets(L->entry_cls, entry_names, E_COUNT, L->entry_off) < 0) {
         Py_DECREF(L);
         return NULL;
@@ -1190,7 +1199,8 @@ static PyTypeObject LayoutType = {
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
     .tp_traverse = (traverseproc)Layout_traverse,
     .tp_clear = (inquiry)Layout_clear,
-    .tp_doc = "Layout(*, emit, publish, describe, size_bytes, key, names, uids,\n"
+    .tp_doc = "Layout(*, emit, publish, describe, size_bytes, key, data_size,\n"
+              "reply_size, names, uids,\n"
               "record_cls, packet_cls, frame_cls, request_cls, reply_cls,\n"
               "data_cls, entry_cls): what every Medium and Guard reads the\n"
               "Python objects with (see repro.sim.accel.kernel_layout).",
@@ -1452,12 +1462,16 @@ typedef struct {
     char busy, enabled;
 } Mac;
 
+/* What finishing a reception reads of its receiver's Slot comes first,
+ * up to and including the flood (batch_prefetch loads it as one span). */
 typedef struct {
     PyObject *id;           /* node id */
     PyObject *handler;      /* delivery handler; NULL while detached */
     /* The Node whose deliver body the medium runs and its pipeline
      * lists, or all NULL to call `handler`. */
     PyObject *pipe[P_COUNT];
+    Rx *head, *tail;        /* in-flight receptions */
+    Flood flood;
     /* The loss handler, or with loss_store the monitor whose _last_loss
      * the medium sets in its place; NULL for neither. */
     PyObject *loss;
@@ -1465,11 +1479,9 @@ typedef struct {
     Cov *covs;
     Py_ssize_t ncovs;
     double tx_until;
-    Rx *head, *tail;        /* in-flight receptions */
     Py_ssize_t *blocked;    /* slots whose link to this one is down */
     Py_ssize_t nblocked, cap_blocked;
     Mac mac;
-    Flood flood;
     char deaf, loss_store;
 } Slot;
 
@@ -1496,6 +1508,7 @@ typedef struct {
     double bandwidth;       /* bits per second */
     double default_range;
     unsigned long long collisions, transmissions;
+    char mixed_ids;         /* a node id that is not an exact int has a slot */
 } MediumObj;
 
 /* ---- Steps --------------------------------------------------------- */
@@ -1530,6 +1543,7 @@ static void mac_clear_queue(Mac *q);
 static void flood_clear(Flood *f);
 static int flood_receive(MediumObj *m, Py_ssize_t s, PyObject *frame);
 static int batch_finish(MediumObj *m, Batch *b);
+static void batch_prefetch(MediumObj *m, Batch *b);
 static int mac_attempt(MediumObj *m, Py_ssize_t s, unsigned long long epoch,
                        long attempt);
 static int mac_next(MediumObj *m, Py_ssize_t s, unsigned long long epoch);
@@ -1614,6 +1628,7 @@ medium_slot(MediumObj *m, PyObject *node, int create)
     Slot *s = &m->slots[m->nslots];
     memset(s, 0, sizeof(Slot));
     s->id = Py_NewRef(node);
+    m->mixed_ids |= !PyLong_CheckExact(node);
     return m->nslots++;
 }
 
@@ -1912,14 +1927,23 @@ emit_rx_lost(MediumObj *m, Batch *b, PyObject *receiver, Rx *rx,
     return tracer_emit(m->layout, m->trace, now, str_rx_lost, N_RX_LOST, head, 2, b->frame);
 }
 
+/* The guard whose receive `check` is, or NULL. */
+static inline GuardObj *
+filter_guard(PyObject *check)
+{
+    return PyCFunction_CheckExact(check) &&
+                   PyCFunction_GET_FUNCTION(check) == (PyCFunction)Guard_receive
+               ? (GuardObj *)PyCFunction_GET_SELF(check) : NULL;
+}
+
 /* check(frame)'s truth.  A guard's receive (LITEWORP's hook) is entered
  * without the call protocol. */
 static inline int
 filter_pass(PyObject *check, PyObject *frame)
 {
-    if (PyCFunction_CheckExact(check) &&
-        PyCFunction_GET_FUNCTION(check) == (PyCFunction)Guard_receive)
-        return guard_receive((GuardObj *)PyCFunction_GET_SELF(check), frame);
+    GuardObj *g = filter_guard(check);
+    if (g)
+        return guard_receive(g, frame);
     PyObject *r = PyObject_CallOneArg(check, frame);
     if (!r)
         return -1;
@@ -2040,6 +2064,8 @@ finish_rx(MediumObj *m, Batch *b, Rx *rx, PyObject *now)
 static int
 batch_finish(MediumObj *m, Batch *b)
 {
+    if (b->done == 0)
+        batch_prefetch(m, b);
     PyObject *now = PyFloat_FromDouble(m->sim->now);
     int rc = now ? 0 : -1;
     while (rc == 0 && b->done < b->n && (rc = medium_check(m)) == 0) {
@@ -2304,6 +2330,25 @@ Medium_set_ambient_loss(MediumObj *m, PyObject *arg)
     Py_RETURN_NONE;
 }
 
+/* packet.size_bytes as a new reference.  While DataPacket's and
+ * RouteReply's classes hold their reference properties, their bodies run
+ * here: the payload_size slot, and 32 + 4 * len(path) for a tuple path. */
+static PyObject *
+packet_bytes(LayoutObj *L, PyObject *packet)
+{
+    PyTypeObject *cls = Py_TYPE(packet);
+    if (cls == L->data_cls && layout_holds(L, REF_DATA_SIZE, cls)) {
+        PyObject *size = SLOT_AT(packet, L->data_off[D_PAYLOAD_SIZE]);
+        if (size)
+            return Py_NewRef(size);
+    } else if (cls == L->reply_cls && layout_holds(L, REF_REPLY_SIZE, cls)) {
+        PyObject *path = SLOT_AT(packet, L->reply_off[R_PATH]);
+        if (path && PyTuple_CheckExact(path))
+            return PyLong_FromSsize_t(32 + 4 * PyTuple_GET_SIZE(path));
+    }
+    return PyObject_GetAttr(packet, str_size_bytes);
+}
+
 /* frame.size_bytes; -1.0 with an error set.  For a Frame without a
  * leash, while Frame.size_bytes is the reference property, its body runs
  * here: the packet's size plus the 12-byte header. */
@@ -2318,7 +2363,7 @@ frame_bytes(MediumObj *m, PyObject *frame)
         PyObject *packet = frame_slot(L, frame, F_PACKET);
         if (!packet)
             return -1.0;
-        size = PyObject_GetAttr(packet, str_size_bytes);
+        size = packet_bytes(L, packet);
         Py_DECREF(packet);
         extra = 12.0;
     } else
@@ -2964,7 +3009,7 @@ forward_data(MediumObj *m, Py_ssize_t s, PyObject *frame, PyObject *packet)
 {
     Flood *f = &m->slots[s].flood;
     LayoutObj *L = m->layout;
-    PyObject *destination = SLOT_AT(packet, L->destination_off);
+    PyObject *destination = SLOT_AT(packet, L->data_off[D_DESTINATION]);
     if (!destination)
         return 1;
     int rc = PyObject_RichCompareBool(destination, f->me, Py_EQ);
@@ -4061,7 +4106,7 @@ guard_observe(GuardObj *g, PyObject *frame, int own)
         consumer = slot_get(packet, cls == L->reply_cls ? L->reply_off[R_ORIGIN] : -1,
                             str_origin);
     else if (role == ROLE_DATA)
-        consumer = slot_get(packet, cls == L->data_cls ? L->destination_off : -1,
+        consumer = slot_get(packet, cls == L->data_cls ? L->data_off[D_DESTINATION] : -1,
                             str_destination);
     else {
         rc = 0;
@@ -4577,6 +4622,216 @@ static PyTypeObject GuardType = {
 };
 
 /* ------------------------------------------------------------------ */
+/* The prefetch pass: a batch's receiver state, loaded in stages      */
+/* ------------------------------------------------------------------ */
+/* Finishing a transmission's receptions reads, for each receiver, state
+ * scattered over the heap: its Slot, its Node and pipeline lists, its
+ * flood's dicts, the filter that is its guard's receive, the Guard, the
+ * guard's overheard cells for the frame and its neighbour records.  In a
+ * large network little of it is still cached, and every receiver's loads
+ * wait on one another: each pointer is read only once the one before it
+ * has arrived.  Before the first reception of a batch is handled,
+ * batch_prefetch walks the batch's receivers level by level and asks the
+ * cache for that level of every receiver at once, so the receivers'
+ * misses overlap instead of running one after another:
+ *
+ *   1. the Slot (its hot span, up to the flood);
+ *   2. the node, its pipeline lists and its flood's seen/counts dicts;
+ *   3. the lists' item arrays and the dicts' key tables;
+ *   4. the filters and listeners themselves;
+ *   5. the Guard;
+ *   6. its heard cells for (key, tx) and (key, prev), and its dicts;
+ *   7. the key tables of its neighbour tables and packet handlers;
+ *   8. the NeighborRecords of tx, prev and link_dst, and tx's second hops.
+ *
+ * The watch hashes are the same for every receiver (one frame), so they
+ * are computed once per batch.
+ *
+ * The pass only reads.  It runs no Python code, raises nothing, keeps no
+ * reference and changes no state, so what the receptions then do is
+ * exactly what they do without it; and it follows only pointers that
+ * hold at its start, before any callback has run.  It hashes only exact
+ * ints and atomic key tuples (is_atomic), and looks a node id up in a
+ * neighbour table only while the id is an exact int and every node id
+ * the medium has mapped is one, so no lookup compares anything in Python.
+ * Anything else skips the stage.
+ *
+ * It pays only where the receivers' state has left the cache.  At n=1000
+ * (mesh1000) it raised rx_per_s by 22% in the median of twelve pairs; at
+ * n=100 (nodefense100), where the state stays cached, running it cost
+ * 5.7% in the median of five (docs/PERFORMANCE.md section 5.15).  So it
+ * runs only in a medium with at least PREFETCH_MIN_SLOTS nodes. */
+enum { PREFETCH_MIN_SLOTS = 512, PREFETCH_CHUNK = 16, CACHE_LINE = 64 };
+/* Cells a probe of the overheard store reads, at most, most times. */
+enum { HEARD_PROBE = 4 };
+/* A Node's alive flag and frame counters lie in its first two lines. */
+enum { NODE_SPAN = 2 * CACHE_LINE };
+
+#if defined(__GNUC__) || defined(__clang__)
+#define PREFETCH(p) __builtin_prefetch((const void *)(p))
+#else
+#define PREFETCH(p) ((void)(p))
+#endif
+
+/* Every cache line of [p, p + n). */
+static inline void
+prefetch_span(const void *p, size_t n)
+{
+    uintptr_t line = (uintptr_t)p & ~(uintptr_t)(CACHE_LINE - 1);
+    for (; line < (uintptr_t)p + n; line += CACHE_LINE)
+        PREFETCH(line);
+}
+
+/* The first cell of (key, node)'s probe in each overheard generation. */
+static inline void
+prefetch_heard(GuardObj *g, Py_hash_t hash)
+{
+    HeardTable *t[2] = {&g->cur, &g->old};
+    for (int k = 0; k < 2; k++)
+        if (t[k]->cap)
+            prefetch_span(&t[k]->cells[(size_t)hash & (size_t)(t[k]->cap - 1)],
+                          HEARD_PROBE * sizeof(Heard));
+}
+
+/* What the batch's frame names, read by offset: nothing unless the frame
+ * is the layout's Frame; a key only when the packet's cached key is an
+ * atomic tuple; an id only when it is an exact int. */
+typedef struct {
+    PyObject *tx, *prev, *link_dst;
+    Py_hash_t tx_hash, prev_hash;   /* watch hashes, or -1 */
+} PrefetchFrame;
+
+static void
+prefetch_frame(LayoutObj *L, PyObject *frame, PrefetchFrame *pf)
+{
+    *pf = (PrefetchFrame){NULL, NULL, NULL, -1, -1};
+    if (Py_TYPE(frame) != L->frame_cls)
+        return;
+    PyObject *id[3] = {SLOT_AT(frame, L->frame_off[F_TRANSMITTER]),
+                       SLOT_AT(frame, L->frame_off[F_PREV_HOP]),
+                       SLOT_AT(frame, L->frame_off[F_LINK_DST])};
+    for (int i = 0; i < 3; i++)
+        if (id[i] && !PyLong_CheckExact(id[i]))
+            id[i] = NULL;
+    pf->tx = id[0];
+    pf->prev = id[1];
+    pf->link_dst = id[2];
+    PyObject *packet = SLOT_AT(frame, L->frame_off[F_PACKET]);
+    if (!packet || !PyType_IsSubtype(Py_TYPE(packet), L->packet_cls))
+        return;
+    PyObject *key = SLOT_AT(packet, L->key_off);
+    if (!key || !PyTuple_CheckExact(key) || !is_atomic(key, 1))
+        return;
+    /* None of these hashes can fail: exact ints and a tuple of atoms. */
+    Py_hash_t key_hash = PyObject_Hash(key);
+    if (pf->tx)
+        pf->tx_hash = watch_hash(key_hash, pf->tx);
+    if (pf->prev)
+        pf->prev_hash = watch_hash(key_hash, pf->prev);
+}
+
+/* table[id]'s value, for an exact int id (no such lookup can fail, see
+ * the section comment). */
+static inline void
+prefetch_entry(PyObject *table, PyObject *id)
+{
+    PyObject *value = id ? PyDict_GetItemWithError(table, id) : NULL;
+    if (value)
+        PREFETCH(value);
+}
+
+static void
+batch_prefetch(MediumObj *m, Batch *b)
+{
+    if (m->nslots < PREFETCH_MIN_SLOTS)
+        return;
+    PrefetchFrame pf;
+    prefetch_frame(m->layout, b->frame, &pf);
+    for (Py_ssize_t from = 0; from < b->n; from += PREFETCH_CHUNK) {
+        Py_ssize_t n = b->n - from < PREFETCH_CHUNK ? b->n - from : PREFETCH_CHUNK;
+        Slot *slot[PREFETCH_CHUNK];
+        GuardObj *guard[PREFETCH_CHUNK];
+        /* 1 */
+        for (Py_ssize_t i = 0; i < n; i++) {
+            slot[i] = &m->slots[b->rx[from + i].slot];
+            prefetch_span(slot[i], offsetof(Slot, flood) + sizeof(Flood));
+        }
+        /* 2 */
+        for (Py_ssize_t i = 0; i < n; i++) {
+            Slot *s = slot[i];
+            if (s->pipe[P_NODE])
+                prefetch_span(s->pipe[P_NODE], NODE_SPAN);
+            for (int p = P_OBSERVERS; p < P_COUNT; p++)
+                PREFETCH(s->pipe[p]);
+            PREFETCH(s->flood.seen);
+            PREFETCH(s->flood.counts);
+        }
+        /* 3 */
+        for (Py_ssize_t i = 0; i < n; i++) {
+            Slot *s = slot[i];
+            for (int p = P_OBSERVERS; s->pipe[P_NODE] && p < P_COUNT; p++)
+                PREFETCH(((PyListObject *)s->pipe[p])->ob_item);
+            if (s->flood.agent) {
+                PREFETCH(((PyDictObject *)s->flood.seen)->ma_keys);
+                PREFETCH(((PyDictObject *)s->flood.counts)->ma_keys);
+            }
+        }
+        /* 4 */
+        for (Py_ssize_t i = 0; i < n; i++) {
+            Slot *s = slot[i];
+            for (int p = P_FILTERS; s->pipe[P_NODE] && p < P_COUNT; p++)
+                for (Py_ssize_t j = 0; j < PyList_GET_SIZE(s->pipe[p]); j++)
+                    PREFETCH(PyList_GET_ITEM(s->pipe[p], j));
+        }
+        /* 5 */
+        for (Py_ssize_t i = 0; i < n; i++) {
+            Slot *s = slot[i];
+            guard[i] = NULL;
+            for (Py_ssize_t j = 0; s->pipe[P_NODE] && !guard[i] &&
+                                   j < PyList_GET_SIZE(s->pipe[P_FILTERS]); j++)
+                guard[i] = filter_guard(PyList_GET_ITEM(s->pipe[P_FILTERS], j));
+            if (guard[i])
+                prefetch_span(guard[i], sizeof(GuardObj));
+        }
+        /* 6 */
+        for (Py_ssize_t i = 0; i < n; i++) {
+            GuardObj *g = guard[i];
+            if (!g || !g->monitor) {
+                guard[i] = NULL;
+                continue;
+            }
+            PREFETCH(g->first);
+            PREFETCH(g->second);
+            PREFETCH(g->expectations);
+            PREFETCH(g->handlers);
+            PREFETCH(g->kinds);
+            if (pf.tx_hash != -1)
+                prefetch_heard(g, pf.tx_hash);
+            if (pf.prev_hash != -1)
+                prefetch_heard(g, pf.prev_hash);
+        }
+        /* 7; a guard not yet bound has no handlers */
+        for (Py_ssize_t i = 0; i < n; i++)
+            if (guard[i]) {
+                PREFETCH(((PyDictObject *)guard[i]->first)->ma_keys);
+                PREFETCH(((PyDictObject *)guard[i]->second)->ma_keys);
+                if (guard[i]->handlers)
+                    PREFETCH(((PyDictObject *)guard[i]->handlers)->ma_keys);
+            }
+        /* 8 */
+        for (Py_ssize_t i = 0; i < n && !m->mixed_ids; i++) {
+            GuardObj *g = guard[i];
+            if (!g)
+                continue;
+            prefetch_entry(g->first, pf.tx);
+            prefetch_entry(g->first, pf.prev);
+            prefetch_entry(g->first, pf.link_dst);
+            prefetch_entry(g->second, pf.tx);
+        }
+    }
+}
+
+/* ------------------------------------------------------------------ */
 /* Trace line encoder                                                 */
 /* ------------------------------------------------------------------ */
 /* encode_line() builds one line of repro.obs.sinks.JsonlSink's export,
@@ -4852,6 +5107,7 @@ PyInit__ckernel(void)
         {&str_next_hop, "next_hop"}, {&str_installed_at, "installed_at"},
         {&str_expires_at, "expires_at"}, {&str_usable, "usable"},
         {&str_req, "REQ"}, {&str_forward_decision, "_forward_decision"},
+        {&str_payload_size, "payload_size"},
     };
     for (size_t i = 0; i < sizeof(names) / sizeof(names[0]); i++)
         if (!*names[i].slot &&

@@ -249,7 +249,8 @@ def _layout_arguments() -> Dict[str, object]:
 
     return dict(
         emit=TRACE_EMIT, publish=TRACE_PUBLISH, describe=packet.FRAME_DESCRIBE,
-        size_bytes=packet.FRAME_SIZE_BYTES, key=packet.PACKET_KEY, names=KERNEL_LAYOUTS,
+        size_bytes=packet.FRAME_SIZE_BYTES, key=packet.PACKET_KEY,
+        data_size=packet.DATA_SIZE_BYTES, reply_size=packet.REPLY_SIZE_BYTES, names=KERNEL_LAYOUTS,
         uids=packet._packet_uids, record_cls=TraceRecord, packet_cls=packet.Packet,
         frame_cls=packet.Frame, request_cls=packet.RouteRequest,
         reply_cls=packet.RouteReply, data_cls=packet.DataPacket, entry_cls=RouteEntry,

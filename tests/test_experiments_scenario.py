@@ -1,5 +1,7 @@
 """Tests for scenario assembly and the experiment parameter set."""
 
+import gc
+
 import pytest
 
 from repro.experiments.parameters import TABLE2
@@ -36,6 +38,39 @@ def test_build_scenario_is_deterministic():
     b = build_scenario(config)
     assert a.topology.positions == b.topology.positions
     assert a.malicious_ids == b.malicious_ids
+
+
+def test_no_collection_between_the_run_and_its_report(monkeypatch):
+    """``Scenario.run`` pauses the cyclic collector for ``sim.run``.  When
+    it turns it back on, what the run allocated is no longer young, so no
+    collection walks it before the report is back; a caller that had the
+    collector off keeps it off."""
+    events = []
+    enable = gc.enable
+
+    def marked():
+        events.append("enable")
+        enable()
+
+    def on_collection(phase, info):
+        events.append((phase, info["generation"]))
+
+    scenario = build_scenario(ScenarioConfig(n_nodes=30, duration=60.0, seed=3, attack_start=20.0))
+    monkeypatch.setattr(gc, "enable", marked)
+    gc.callbacks.append(on_collection)
+    try:
+        scenario.run()
+    finally:
+        gc.callbacks.remove(on_collection)
+    assert events.count("enable") == 1
+    assert events[events.index("enable") + 1:] == []
+
+    gc.disable()
+    try:
+        build_scenario(ScenarioConfig(n_nodes=20, duration=40.0, seed=3, attack_start=20.0)).run()
+        assert not gc.isenabled()
+    finally:
+        enable()
 
 
 def test_run_scenario_deterministic_end_to_end():

@@ -327,6 +327,7 @@ TARGETS = GUARD_HOOKS + (
     # What the kernel's layout stands in for when it builds a record, times
     # a frame or reads a packet's cached key.
     (Frame, "describe"), (Frame, "size_bytes"), (Packet, "key"),
+    (DataPacket, "size_bytes"), (RouteReply, "size_bytes"),
 )
 
 

@@ -263,7 +263,7 @@ LAYOUT_SLOTS = {
     "frame_cls": ("packet", "transmitter", "link_dst", "prev_hop", "leash"),
     "request_cls": ("uid", "_key", "origin", "request_id", "target", "hop_count", "path"),
     "reply_cls": ("uid", "_key", "origin", "request_id", "target", "hop_count", "path"),
-    "data_cls": ("destination",),
+    "data_cls": ("destination", "payload_size"),
     "entry_cls": ("destination", "next_hop", "installed_at", "expires_at", "hop_count",
                   "path", "request_id"),
 }

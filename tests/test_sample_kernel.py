@@ -32,7 +32,7 @@ def test_sampler_splits_every_sample_three_ways(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     run = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "sample_kernel.py"), "--workload", "tiny16",
-         "--repeat", "30", "--json", str(out)],
+         "--repeat", "1", "--min-samples", "20", "--lines", "--json", str(out)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 0, run.stderr
@@ -43,6 +43,8 @@ def test_sampler_splits_every_sample_three_ways(tmp_path):
     assert sum(split["leaf"].values()) == total
     assert sum(split["python"].values()) == total
     assert sum(split["kernel"].values()) == split["leaf"].get("kernel", 0)
+    assert sum(split["lines"].values()) == split["leaf"].get("kernel", 0)
+    assert all(":" in line for line in split["lines"])
     assert sum(split["libpython"].values()) == split["leaf"].get("libpython", 0)
     assert 0.0 <= split["python_callback_share"] <= 1.0
     # Python frames are named by the functions the program defines.
