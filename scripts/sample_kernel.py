@@ -2,11 +2,12 @@
 
 cProfile sees the C ``Simulator.run`` as one call, and the layer tracer
 of ``benchmarks/e2e`` turns the C paths off by wrapping the methods they
-replace.  This script samples ``Scenario.run`` with ``ITIMER_PROF``
-instead.  A small helper, compiled here with ``cc`` and loaded with
-ctypes, records at each ``SIGPROF`` the interrupted instruction, a short
-native backtrace (``backtrace(3)``) and the innermost Python frame (read
-from the thread state, CPython 3.11 only).  No ``perf`` and no change to
+replace.  This script samples ``Scenario.run`` (for a campaign workload,
+the whole ``run_campaign`` call) with ``ITIMER_PROF`` instead.  A small
+helper, compiled here with ``cc`` and loaded with ctypes, records at
+each ``SIGPROF`` the interrupted instruction, a short native backtrace
+(``backtrace(3)``) and the innermost Python frame (read from the thread
+state, CPython 3.11 only).  No ``perf`` and no change to
 the program are needed.  The samples are split three ways:
 
 1. **kernel**: samples whose leaf is in ``_ckernel``, by C function
@@ -31,7 +32,9 @@ Usage, from the root of a checkout::
         [--min-samples N] [--json out.json]
 
 The workloads are those of ``benchmarks/e2e/workloads.py``; each repeat
-samples every scenario of the workload's panel at the benchmark seed.
+samples every scenario of the workload's panel at the benchmark seed, or
+a campaign workload's whole campaign (inline backend, its journal and
+trace export in a temporary directory).
 ``--min-samples N`` repeats the panel beyond ``--repeat`` until it has N
 samples, at most ``MAX_REPEAT`` times in all: a host whose profiling
 timer ticks coarsely still gives a short workload enough samples.
@@ -44,6 +47,7 @@ import argparse
 import bisect
 import collections
 import ctypes
+import dataclasses
 import gc
 import json
 import os
@@ -54,7 +58,7 @@ import sysconfig
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -244,16 +248,37 @@ def _kind(path: str) -> str:
 # ----------------------------------------------------------------------
 # Sampling
 # ----------------------------------------------------------------------
-def sample(workload: str, repeat: int, min_samples: int = 0) -> Dict[str, object]:
+def _panel(spec, seed: int, workdir: str) -> Iterator[Callable[[], object]]:
+    """The calls one repeat of ``spec`` samples, each set up untimed: the
+    ``run`` of every scenario of its panel, or a campaign workload's
+    ``run_campaign`` on the inline backend, its journal and trace export
+    in ``workdir``."""
+    if spec.kind == "campaign":
+        from repro.experiments.campaign import run_campaign
+
+        campaign = spec.campaign_spec(seed)
+        trace = os.path.join(workdir, "trace.jsonl")
+        journal = os.path.join(workdir, "journal.jsonl")
+        obs = dataclasses.replace(campaign.base.obs, trace_path=trace)
+        campaign = dataclasses.replace(campaign, base=dataclasses.replace(campaign.base, obs=obs))
+        for stale in (trace, journal):
+            if os.path.exists(stale):
+                os.remove(stale)
+        yield lambda: run_campaign(campaign, backend="inline", journal=journal)
+        return
     from repro.experiments.scenario import build_scenario
+
+    for scenario_seed in spec.scenario_seeds(seed):
+        yield build_scenario(spec.scenario_config(scenario_seed)).run
+
+
+def sample(workload: str, repeat: int, min_samples: int = 0) -> Dict[str, object]:
     from repro.sim import accel
     from workloads import DEFAULT_SEED, WORKLOADS
 
     if not accel.kernel_available():
         raise SystemExit("the C kernel is not available")
     spec = WORKLOADS[workload]
-    if spec.kind != "scenario":
-        raise SystemExit(f"{workload} is not a scenario workload")
     raw: List[Tuple[int, int, Tuple[int, ...]]] = []
     missed = 0
     cpu = 0.0
@@ -265,21 +290,20 @@ def sample(workload: str, repeat: int, min_samples: int = 0) -> Dict[str, object
         runs = 0
         while runs < repeat or (len(raw) < min_samples and runs < MAX_REPEAT):
             runs += 1
-            for scenario_seed in spec.scenario_seeds(DEFAULT_SEED):
-                scenario = build_scenario(spec.scenario_config(scenario_seed))
+            for call in _panel(spec, DEFAULT_SEED, workdir):
                 lost = ctypes.c_long()
                 started = time.process_time()
                 if helper.sampler_start(state(), INTERVAL_US, buffer, len(buffer)) != 0:
                     raise SystemExit("could not start the interval timer")
                 try:
-                    scenario.run()
+                    call()
                 finally:
                     taken = helper.sampler_stop(ctypes.byref(lost))
                 cpu += time.process_time() - started
                 missed += lost.value
                 for s in buffer[:taken]:
                     raw.append((s.leaf, s.code or 0, tuple(s.stack[: s.depth])))
-                del scenario
+                del call
         # Python frames: a sampled code pointer is only ever compared with
         # the code objects of the functions alive now, never followed.
         code_names = {

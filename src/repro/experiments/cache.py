@@ -10,9 +10,9 @@ replayed forever.  The cache keys each report by
    of the (frozen, recursively dataclass-valued) config, independent of
    field declaration order and stable across processes; and
 2. a **code salt** — SHA-256 over the source bytes of the whole ``repro``
-   package plus a schema version constant.  Any code change invalidates
-   the entire cache wholesale, which is the only safe policy for a
-   simulator whose every module can shift results.
+   package, its C kernel included, plus a schema version constant.  Any
+   code change invalidates the entire cache wholesale, which is the only
+   safe policy for a simulator whose every module can shift results.
 
 Layout::
 
@@ -80,24 +80,35 @@ def config_digest(config: Any) -> str:
     return hashlib.sha256(rendered.encode("utf-8")).hexdigest()
 
 
+#: The sources the salt hashes: the Python modules and the C kernel's
+#: sources, which build the shared object every accelerated run executes.
+SOURCE_PATTERNS = ("*.py", "*.c", "*.h")
+
+
+def source_salt(package_root: pathlib.Path) -> str:
+    """Digest of every source under ``package_root`` (see
+    :data:`SOURCE_PATTERNS`), in sorted relative-path order."""
+    hasher = hashlib.sha256()
+    hasher.update(b"schema:%d" % CACHE_SCHEMA_VERSION)
+    sources = {path for pattern in SOURCE_PATTERNS for path in package_root.rglob(pattern)}
+    for path in sorted(sources):
+        hasher.update(str(path.relative_to(package_root)).encode("utf-8"))
+        hasher.update(b"\0")
+        hasher.update(path.read_bytes())
+        hasher.update(b"\0")
+    return hasher.hexdigest()
+
+
 def code_salt() -> str:
     """Digest of the installed ``repro`` package's source, computed once.
 
-    Hashes every ``.py`` file under the package root in sorted relative-
-    path order, so any code edit — engine, channel, protocol, metrics —
-    retires all previously cached results.
+    Hashes every Python and C kernel source under the package root
+    (:func:`source_salt`), so any code edit — engine, kernel, channel,
+    protocol, metrics — retires all previously cached results.
     """
     global _CODE_SALT
     if _CODE_SALT is None:
-        package_root = pathlib.Path(__file__).resolve().parent.parent
-        hasher = hashlib.sha256()
-        hasher.update(b"schema:%d" % CACHE_SCHEMA_VERSION)
-        for path in sorted(package_root.rglob("*.py")):
-            hasher.update(str(path.relative_to(package_root)).encode("utf-8"))
-            hasher.update(b"\0")
-            hasher.update(path.read_bytes())
-            hasher.update(b"\0")
-        _CODE_SALT = hasher.hexdigest()
+        _CODE_SALT = source_salt(pathlib.Path(__file__).resolve().parent.parent)
     return _CODE_SALT
 
 

@@ -429,8 +429,10 @@ def _build_trace(config: ScenarioConfig) -> TraceLog:
         # share replication seeds — so the tag carries the config digest.
         # Digested with obs stripped: the tag identifies the simulation,
         # not where its trace happens to be written.
+        # Batched: the export is written in whole-line batches, the last at
+        # the close_sinks() that ends Scenario.run.
         run_tag = f"{config.seed}:{config_digest(replace(config, obs=None))[:12]}"
-        trace.attach_sink(JsonlSink(obs.trace_path, append=True, run=run_tag))
+        trace.attach_sink(JsonlSink(obs.trace_path, append=True, run=run_tag, batched=True))
     return trace
 
 

@@ -6,10 +6,12 @@ emitted record to each attached sink *before* ring-buffer eviction, so a
 sink always observes the complete trace even when the in-memory log is
 bounded.
 
-:class:`JsonlSink` is the workhorse: one JSON object per line, written to
-an unbuffered append-mode file with one ``write`` per line, so each
-record is a single atomic ``O_APPEND`` write — parallel sweep workers can
-safely share one file.  Every line carries a ``run`` tag so
+:class:`JsonlSink` is the workhorse: one JSON object per line, appended
+to an unbuffered append-mode file in writes of whole lines only, so
+parallel sweep workers can safely share one file.  By default each
+record is written when it is handed over; a ``batched`` sink (the one a
+scenario's ``ObsConfig.trace_path`` attaches) gathers lines and writes
+them :data:`BATCH_BYTES` at a time.  Every line carries a ``run`` tag so
 multi-replication exports can be regrouped per run downstream
 (``repro trace check`` does exactly that).
 
@@ -86,15 +88,25 @@ def _line_layout(names: Tuple[str, ...]) -> Tuple[Tuple[int, bytes], ...]:
     return layout
 
 
+#: How many bytes of whole lines a batched :class:`JsonlSink` gathers
+#: before it writes them: one ``write`` per batch instead of one per line.
+BATCH_BYTES = 64 * 1024
+
+
 class JsonlSink:
     """Append-only JSONL file sink, safe for concurrent writers.
 
     The file is opened lazily on the first write, unbuffered in append
-    mode, and every record goes out as one ``write`` of its whole line
-    (a short write is continued) — multiple sweep workers may stream into
-    the same path without interleaving partial lines.  The line encoder
-    is chosen at open: the C kernel's when it is enabled, else
-    :func:`record_to_json`.
+    mode.  Encoded lines gather in a buffer that goes out as one ``write``
+    (a short write is continued), so every write holds whole lines only
+    and multiple sweep workers may stream into the same path without
+    interleaving partial lines.  An unbatched sink writes the buffer after
+    every line; a ``batched`` one once it holds :data:`BATCH_BYTES`, on
+    :meth:`close` (``TraceLog.close_sinks``, which ``Scenario.run`` makes
+    in its ``finally``) and when it is collected.
+    An ``OSError`` from a write propagates to the log, which degrades the
+    sink.  The line encoder is chosen at open: the C kernel's when it is
+    enabled, else :func:`record_to_json`.
     """
 
     def __init__(
@@ -102,7 +114,9 @@ class JsonlSink:
         path: Union[str, Path],
         append: bool = True,
         run: Optional[Any] = None,
+        batched: bool = False,
     ) -> None:
+        self._pending = bytearray()
         self.path = Path(path)
         self.run = run
         self._mode = "ab" if append else "wb"
@@ -111,6 +125,7 @@ class JsonlSink:
         self._run_part = b"" if run is None else (
             ',"run":' + json.dumps(_jsonable(run), separators=(",", ":"), sort_keys=True)
         ).encode()
+        self._flush_at = BATCH_BYTES if batched else 1
         self.records_written = 0
 
     def _open(self) -> None:
@@ -133,16 +148,37 @@ class JsonlSink:
             )
         if line is None:
             line = (record_to_json(record, run=self.run) + "\n").encode()
-        written = self._handle.write(line)
-        while written < len(line):
-            line = line[written:]
-            written = self._handle.write(line)
+        self._pending += line
         self.records_written += 1
+        if len(self._pending) >= self._flush_at:
+            self._flush()
+
+    def _flush(self) -> None:
+        """Write every buffered line in one ``write``.  The buffer is
+        emptied first, so lines whose write raised are not written again."""
+        if not self._pending:
+            return
+        data = memoryview(self._pending)
+        self._pending = bytearray()
+        written = self._handle.write(data)
+        while written < len(data):
+            data = data[written:]
+            written = self._handle.write(data)
 
     def close(self) -> None:
         if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+            try:
+                self._flush()
+            finally:
+                self._handle.close()
+                self._handle = None
+
+    def __del__(self) -> None:
+        if self._pending:
+            try:
+                self.close()
+            except OSError:
+                pass
 
     def __enter__(self) -> "JsonlSink":
         return self

@@ -1235,9 +1235,12 @@ packet_key(LayoutObj *L, PyObject *packet)
  * the interned layout, its values in emission order, a frame's fields
  * those of Frame.describe.  Such a record is stored by TraceLog._publish's
  * body (store_record) while the class has the reference _publish and only
- * the store would see the record.  Anything else -- a wrapped emit, a
- * frame that is not a plain Frame, a wrapped describe -- calls
- * trace.emit(now, kind, **fields). */
+ * the store would see the record.  A record that a validator, a sink or
+ * a subscriber would see goes to trace._publish, which hands it to each
+ * sink: a scenario's export (repro.obs.sinks.JsonlSink) encodes its line
+ * with encode_line below into a buffer it writes in whole-line batches.
+ * Anything else -- a wrapped emit, a frame that is not a plain Frame, a
+ * wrapped describe -- calls trace.emit(now, kind, **fields). */
 
 /* Whether v can be in no reference cycle: an exact None, bool, int,
  * float or str, or an exact tuple of such values nested at most `depth`
@@ -4846,7 +4849,11 @@ batch_prefetch(MediumObj *m, Batch *b)
  * encode_basestring_ascii), bool and None, and exact tuples and lists of
  * these.  Anything else — sets, dicts, subclasses, NaN/inf, nesting
  * deeper than LINE_MAX_DEPTH — makes encode_line return None, and the
- * caller runs record_to_json, which stays the reference. */
+ * caller runs record_to_json, which stays the reference.
+ *
+ * A line's time is written from a one-entry memo when it is bit for bit
+ * the previous line's time: many records share their predecessor's
+ * time, and float.__repr__ is the dearest part of a line. */
 
 #define LINE_MAX_DEPTH 16
 
@@ -4857,6 +4864,11 @@ typedef struct {
 } LineBuf;
 
 static PyObject *encode_ascii = NULL;   /* json.encoder.encode_basestring_ascii */
+
+/* The text of the last float time encoded (memo_len 0: none yet). */
+static double memo_time;
+static char memo_text[32];
+static size_t memo_len;
 
 /* Each helper returns 1 when it encoded, 0 for a value it does not
  * handle and -1 with an exception set. */
@@ -4905,6 +4917,27 @@ lb_put_bytes(LineBuf *b, PyObject *bytes)
     return lb_put(b, PyBytes_AS_STRING(bytes), PyBytes_GET_SIZE(bytes));
 }
 
+/* A str as json's encode_basestring_ascii writes it: copied between
+ * quotes when it is printable ASCII without a quote or backslash, the
+ * only text that function leaves as it is. */
+static int
+lb_put_str(LineBuf *b, PyObject *v)
+{
+    if (PyUnicode_IS_READY(v) && PyUnicode_IS_ASCII(v)) {
+        const char *s = (const char *)PyUnicode_DATA(v);
+        Py_ssize_t n = PyUnicode_GET_LENGTH(v), i = 0;
+        while (i < n && s[i] >= ' ' && s[i] <= '~' && s[i] != '"' && s[i] != '\\')
+            i++;
+        if (i == n) {
+            int ok = lb_put(b, "\"", 1);
+            if (ok > 0)
+                ok = lb_put(b, s, n);
+            return ok > 0 ? lb_put(b, "\"", 1) : ok;
+        }
+    }
+    return lb_put_ascii(b, PyObject_CallOneArg(encode_ascii, v));
+}
+
 static int
 enc_value(LineBuf *b, PyObject *v, int depth)
 {
@@ -4919,8 +4952,14 @@ enc_value(LineBuf *b, PyObject *v, int depth)
         long long x = PyLong_AsLongLongAndOverflow(v, &overflow);
         if (overflow)
             return lb_put_ascii(b, PyObject_Repr(v));
-        char digits[24];
-        return lb_put(b, digits, snprintf(digits, sizeof digits, "%lld", x));
+        char digits[24], *end = digits + sizeof digits, *p = end;
+        unsigned long long u = x < 0 ? 0ULL - (unsigned long long)x : (unsigned long long)x;
+        do
+            *--p = (char)('0' + u % 10);
+        while (u /= 10);
+        if (x < 0)
+            *--p = '-';
+        return lb_put(b, p, end - p);
     }
     if (PyFloat_CheckExact(v)) {
         double x = PyFloat_AS_DOUBLE(v);
@@ -4934,7 +4973,7 @@ enc_value(LineBuf *b, PyObject *v, int depth)
         return ok;
     }
     if (PyUnicode_CheckExact(v))
-        return lb_put_ascii(b, PyObject_CallOneArg(encode_ascii, v));
+        return lb_put_str(b, v);
     int is_list = PyList_CheckExact(v);
     if (!is_list && !PyTuple_CheckExact(v))
         return 0;
@@ -4951,6 +4990,31 @@ enc_value(LineBuf *b, PyObject *v, int depth)
             return ok;
     }
     return lb_put(b, "]", 1);
+}
+
+/* A line's time: a float from the memo when it is the last one's. */
+static int
+enc_time(LineBuf *b, PyObject *time)
+{
+    if (!PyFloat_CheckExact(time))
+        return enc_value(b, time, 0);
+    double x = PyFloat_AS_DOUBLE(time);
+    if (memo_len && memcmp(&x, &memo_time, sizeof x) == 0)
+        return lb_put(b, memo_text, (Py_ssize_t)memo_len);
+    if (!isfinite(x))
+        return 0;
+    char *repr = PyOS_double_to_string(x, 'r', 0, Py_DTSF_ADD_DOT_0, NULL);
+    if (!repr)
+        return -1;
+    size_t n = strlen(repr);
+    if (n < sizeof memo_text) {
+        memcpy(memo_text, repr, n);
+        memo_time = x;
+        memo_len = n;
+    }
+    int ok = lb_put(b, repr, (Py_ssize_t)n);
+    PyMem_Free(repr);
+    return ok;
 }
 
 static int
@@ -4990,7 +5054,7 @@ enc_line(LineBuf *b, PyObject *layout, PyObject *values, PyObject *kind,
     if (ok > 0)
         ok = lb_put(b, ",\"time\":", 8);
     if (ok > 0)
-        ok = enc_value(b, time, 0);
+        ok = enc_time(b, time);
     if (ok > 0)
         ok = lb_put(b, "}\n", 2);
     return ok;

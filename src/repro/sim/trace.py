@@ -25,10 +25,11 @@ Observability extensions (see :mod:`repro.obs` and docs/OBSERVABILITY.md):
 - **Validation** — :meth:`set_validator` installs a per-record check
   (the schema registry's strict mode) that runs before the record is
   stored or forwarded.
-- **Degradation** — a sink whose ``write`` raises :class:`OSError`
-  (ENOSPC, EIO, a yanked mount) is detached with a warning instead of
-  aborting the run; if the log was unbounded it falls back to a bounded
-  ring buffer so the loss of the export path cannot exhaust memory.
+- **Degradation** — a sink whose ``write`` (or, at :meth:`close_sinks`,
+  ``close``) raises :class:`OSError` (ENOSPC, EIO, a yanked mount) is
+  detached with a warning instead of aborting the run; if the log was
+  unbounded it falls back to a bounded ring buffer so the loss of the
+  export path cannot exhaust memory.
 
 The C kernel builds the records of :data:`KERNEL_LAYOUTS` itself while the
 log's class holds :data:`TRACE_EMIT` (:func:`repro.sim.accel.kernel_layout`).
@@ -278,12 +279,17 @@ class TraceLog:
         return tuple(self._sinks)
 
     def close_sinks(self) -> None:
-        """Close and detach every attached sink (flushes file sinks)."""
+        """Close and detach every attached sink (flushes file sinks).  A
+        sink whose close raises :class:`OSError` is degraded, its marker
+        at the time of the newest resident record."""
         sinks, self._sinks = self._sinks, []
         for sink in sinks:
             close = getattr(sink, "close", None)
             if callable(close):
-                close()
+                try:
+                    close()
+                except OSError as exc:
+                    self._degrade_sink(sink, exc, self._records[-1]._time if self._records else 0.0)
 
     def set_validator(self, validator: Optional[Callable[[TraceRecord], None]]) -> None:
         """Install (or clear, with ``None``) a per-record validator invoked

@@ -2,14 +2,18 @@
 
 import dataclasses
 import json
+import pathlib
+import shutil
 
 import pytest
 
+import repro
 from repro.experiments.cache import (
     ResultCache,
     canonical_value,
     code_salt,
     config_digest,
+    source_salt,
 )
 from repro.experiments.scenario import ScenarioConfig, run_scenario
 from repro.metrics.collector import MetricsReport
@@ -53,6 +57,31 @@ def test_code_salt_is_memoized_and_hexadecimal():
     assert salt == code_salt()
     assert len(salt) == 64
     int(salt, 16)
+
+
+def test_editing_a_kernel_source_retires_cached_results(tmp_path):
+    package = pathlib.Path(repro.__file__).resolve().parent
+    tree = tmp_path / "repro"
+    shutil.copytree(package, tree, ignore=shutil.ignore_patterns("*.so", "__pycache__"))
+    assert source_salt(tree) == code_salt()
+    before = ResultCache(tmp_path / "cache", salt=source_salt(tree))
+    report = MetricsReport(
+        duration=TINY.duration, originated=1, delivered=1, wormhole_drops=0,
+        routes_established=1, malicious_routes=0, drop_times=(), isolation_times={},
+        first_activity={}, detections=0, isolations=0,
+    )
+    before.put(TINY, report)
+    assert before.get(TINY) is not None
+
+    kernel = tree / "sim" / "_ckernel.c"
+    kernel.write_bytes(kernel.read_bytes() + b"/* edited */\n")
+    after = ResultCache(tmp_path / "cache", salt=source_salt(tree))
+    assert after.salt != before.salt
+    assert after.get(TINY) is None  # the old kernel's report is not served
+
+    header = tree / "sim" / "extra.h"
+    header.write_bytes(b"/* a header the kernel may include */\n")
+    assert source_salt(tree) != after.salt
 
 
 def test_cache_round_trip_is_identical(tmp_path):

@@ -38,10 +38,13 @@ from repro.experiments.scenario import ScenarioConfig, build_scenario
 from repro.faults.plan import CrashRecover, FaultPlan, LinkFlap
 from repro.net.node import Node
 from repro.net.packet import DataPacket, Frame, Packet, RouteReply, RouteRequest
+from repro.obs.config import ObsConfig
+from repro.obs.sinks import JsonlSink
 from repro.routing import ondemand
 from repro.routing.cache import RouteTable
 from repro.routing.ondemand import OnDemandRouting
 from repro.sim import accel
+from repro.sim.trace import TraceLog
 from repro.traffic.generator import TrafficConfig
 
 KERNEL = accel.kernel_available()
@@ -328,13 +331,16 @@ TARGETS = GUARD_HOOKS + (
     # a frame or reads a packet's cached key.
     (Frame, "describe"), (Frame, "size_bytes"), (Packet, "key"),
     (DataPacket, "size_bytes"), (RouteReply, "size_bytes"),
+    # Where a record the kernel built goes: the log's one publish path and
+    # the export's sink (run with a strict export, so it has a caller).
+    (TraceLog, "_publish"), (JsonlSink, "write"),
 )
 
 
 @pytest.mark.parametrize(
     "owner,name", TARGETS, ids=[f"{owner.__name__}.{name}" for owner, name in TARGETS]
 )
-def test_wrapped_method_sees_every_call(monkeypatch, owner, name):
+def test_wrapped_method_sees_every_call(tmp_path, monkeypatch, owner, name):
     """A wrapper installed on the class before the scenario is built
     keeps the method in Python, so it is called as often as on the
     reference stack."""
@@ -344,6 +350,9 @@ def test_wrapped_method_sees_every_call(monkeypatch, owner, name):
     seen = {}
     for stack in ("reference", "medium") if KERNEL else ("reference",):
         counts[0] = 0
+        if owner is JsonlSink:
+            export = ObsConfig(trace_path=str(tmp_path / f"{stack}.jsonl"), strict=True)
+            config = replace(config, obs=export)
         with _stack(stack):
             scenario = build_scenario(config)
             scenario.run()

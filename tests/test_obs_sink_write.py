@@ -272,3 +272,175 @@ def test_failed_layout_is_not_remembered():
     for _ in range(2):
         with pytest.raises(TraceSchemaError, match="undeclared"):
             registry.validate(record)
+
+
+# ----------------------------------------------------------------------
+# Batched sinks: whole-line writes of BATCH_BYTES
+# ----------------------------------------------------------------------
+class _Counting:
+    """A raw file that records the bytes of every write."""
+
+    def __init__(self, handle, fail_at=None):
+        self.handle = handle
+        self.fail_at = fail_at
+        self.writes = []
+
+    def write(self, data):
+        if len(self.writes) + 1 == self.fail_at:
+            self.writes.append(None)
+            raise OSError(28, "No space left on device")
+        self.writes.append(bytes(data))
+        return self.handle.write(data)
+
+    def close(self):
+        self.handle.close()
+
+
+def _open_counting(monkeypatch, fail_at=None):
+    files = []
+
+    def counting_open(*args, **kwargs):
+        files.append(_Counting(open(*args, **kwargs), fail_at))
+        return files[-1]
+
+    monkeypatch.setattr(sinks, "open", counting_open, raising=False)
+    return files
+
+
+def _export_config(path):
+    from repro.experiments.scenario import ScenarioConfig
+    from repro.obs.config import ObsConfig
+
+    return ScenarioConfig(
+        n_nodes=40, duration=80.0, seed=4, attack_mode="outofband", n_malicious=2,
+        attack_start=30.0, defense="liteworp", obs=ObsConfig(trace_path=str(path), strict=True),
+    )
+
+
+def _export(path, reference):
+    from repro.experiments.scenario import build_scenario
+
+    with accel.reference_mode() if reference else contextlib.nullcontext():
+        scenario = build_scenario(_export_config(path))
+        scenario.run()
+    return scenario.trace
+
+
+def test_batched_scenario_export_matches_reference(tmp_path, monkeypatch):
+    """A 40-node LITEWORP run under an out-of-band wormhole with a strict
+    export: the C stack's batched export is the reference stack's byte for
+    byte, written in batches of whole lines of at least BATCH_BYTES, the
+    last at the close that ends the run."""
+    files = _open_counting(monkeypatch)
+    _export(tmp_path / "fast.jsonl", reference=False)
+    monkeypatch.undo()
+    _export(tmp_path / "reference.jsonl", reference=True)
+    fast = (tmp_path / "fast.jsonl").read_bytes()
+    assert fast == (tmp_path / "reference.jsonl").read_bytes()
+    for kind in ("rx_lost", "watch_buffer", "frame_rejected"):
+        assert fast.count(b'"kind":"%s"' % kind.encode()) > 0, kind
+
+    (raw,) = files
+    assert b"".join(raw.writes) == fast
+    assert len(raw.writes) > 2
+    assert all(write.endswith(b"\n") for write in raw.writes)
+    assert all(len(write) >= sinks.BATCH_BYTES for write in raw.writes[:-1])
+    assert 0 < len(raw.writes[-1]) < sinks.BATCH_BYTES  # the close's flush
+
+
+def test_os_error_mid_run_degrades_a_batched_sink(tmp_path, monkeypatch):
+    """ENOSPC on the second batch of a scenario's export: the sink is
+    detached and closed, one marker at the time of the record whose write
+    set off the flush, the file holds the first batch's whole lines, and
+    the store keeps every record."""
+    clean = _export(tmp_path / "clean.jsonl", reference=False)
+    files = _open_counting(monkeypatch, fail_at=2)
+    path = tmp_path / "t.jsonl"
+    from repro.experiments.scenario import build_scenario
+
+    scenario = build_scenario(_export_config(path))
+    (sink,) = scenario.trace.sinks
+    with pytest.warns(RuntimeWarning, match="JsonlSink failed"):
+        scenario.run()
+    trace = scenario.trace
+
+    assert trace.sinks == () and trace.degraded_sinks == ["JsonlSink"]
+    assert sink._handle is None
+    records = list(trace)
+    (marker,) = [i for i, record in enumerate(records) if record.kind == "sink_degraded"]
+    assert records[marker].time == records[marker - 1].time
+    assert "No space left" in records[marker]["error"]
+    assert len(trace) == trace.total_emitted == clean.total_emitted + 1
+    assert [r for r in records if r.kind != "sink_degraded"] == list(clean)
+
+    monkeypatch.undo()
+    written = path.read_bytes()
+    (first, failed) = files[0].writes
+    assert failed is None and written == first
+    assert (tmp_path / "clean.jsonl").read_bytes().startswith(written)
+    assert written.endswith(b"\n") and len(written) >= sinks.BATCH_BYTES
+
+
+def test_os_error_from_the_final_flush_degrades_the_log(tmp_path, monkeypatch):
+    _open_counting(monkeypatch, fail_at=1)
+    path = tmp_path / "t.jsonl"
+    trace = TraceLog()
+    sink = JsonlSink(path, batched=True)
+    trace.attach_sink(sink)
+    for i in range(3):
+        trace.emit(0.25 * i, "mac_drop", node=i)
+    assert path.read_bytes() == b""  # still buffered
+    with pytest.warns(RuntimeWarning, match="JsonlSink failed"):
+        trace.close_sinks()
+    assert trace.degraded_sinks == ["JsonlSink"] and sink._handle is None
+    (marker,) = trace.of_kind("sink_degraded")
+    assert marker.time == 0.5
+    assert path.read_bytes() == b""
+
+
+def test_batched_sinks_sharing_a_file_write_whole_lines(tmp_path):
+    path = tmp_path / "shared.jsonl"
+    writers = [JsonlSink(path, run=name, batched=True) for name in ("a", "b")]
+    count = 900
+    for i in range(count):
+        for sink in writers:
+            sink.write(TraceRecord(float(i), "checkpoint", {"index": i, "pad": "x" * 120}))
+    for sink in writers:
+        sink.close()
+    data = path.read_bytes()
+    assert len(data) > 2 * sinks.BATCH_BYTES
+    lines = data.splitlines(keepends=True)
+    assert len(lines) == 2 * count
+    seen = {"a": [], "b": []}
+    for record in read_jsonl(path):
+        seen[record["__run__"]].append(record["index"])
+    assert seen == {"a": list(range(count)), "b": list(range(count))}
+    # Whole batches from each writer, not one line each.
+    runs = [line.rsplit(b'"run":"', 1)[1][:1] for line in lines]
+    assert sum(1 for x, y in zip(runs, runs[1:]) if x != y) < count // 10
+
+
+def test_dropped_batched_sink_writes_its_lines(tmp_path):
+    path = tmp_path / "t.jsonl"
+    sink = JsonlSink(path, batched=True)
+    sink.write(TraceRecord(1.0, "checkpoint", {"index": 1}))
+    assert path.read_bytes() == b""
+    del sink
+    assert path.read_bytes() == reference_line(TraceRecord(1.0, "checkpoint", {"index": 1}), None)
+
+
+@pytest.mark.parametrize("text", ["", " ", "~", "\x7f", "\x1f", '"', "\\", "a\"b", "é", "\x00"])
+def test_c_encoder_escapes_like_json(text):
+    record = TraceRecord(1.0, text, {text: text})
+    assert c_line(record, text) == reference_line(record, text)
+
+
+def test_time_memo_keeps_every_line_exact():
+    times = [0.0, -0.0, 0.0, 3.25, 3.25, 3, 3.25, 1e300, 1e300, 5e-324, 2.5]
+    for time in times:
+        record = TraceRecord(time, "tick", {})
+        assert c_line(record, None) == reference_line(record, None)
+    for time in (2.5, float("nan"), float("inf"), 2.5):
+        record = TraceRecord(time, "tick", {})
+        line = c_line(record, None)
+        assert line == (reference_line(record, None) if time == 2.5 else None)

@@ -49,3 +49,21 @@ def test_sampler_splits_every_sample_three_ways(tmp_path):
     assert 0.0 <= split["python_callback_share"] <= 1.0
     # Python frames are named by the functions the program defines.
     assert any(name.startswith("repro/") for name in split["python"])
+
+
+def test_sampler_samples_a_campaign_workload(tmp_path):
+    """A campaign workload is sampled as one ``run_campaign`` call whose
+    journal and trace export stay in the script's temporary directory."""
+    out = tmp_path / "split.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "sample_kernel.py"), "--workload", "sweep_export",
+         "--repeat", "1", "--json", str(out)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("sweep_export: ")
+    split = json.loads(out.read_text())
+    assert split["samples"] > 0 and sum(split["python"].values()) == split["samples"]
+    assert any(name.startswith("repro/obs/sinks.py:") for name in split["python"])
+    assert list(tmp_path.iterdir()) == [out]
